@@ -10,8 +10,12 @@ an exactly-filled balanced instance would admit no qubit moves at all.
 
 k-way partitioning comes in two flavours: recursive bisection (cut edges
 keep their restricted pin sets in each half, which charges every further
-split exactly as the global metric does) and a direct k-way pass where each
-vertex is scored by its best feasible target block.
+split exactly as the global metric does) and a direct k-way pass over a
+per-(vertex, target) gain cache, as in KaHyPar's k-way FM.  The cache is
+filled once per pass; a move adjusts only the pins of edges whose pin
+count in the source or target block crosses 0, 1 or 2, so a pass does
+work linear in the pins it touches.  Each move takes the highest gain,
+then the lowest vertex id, then the lowest target block.
 """
 from __future__ import annotations
 
@@ -133,8 +137,9 @@ class PartitionResult:
 
 @dataclass
 class PassStats:
-    """Instrumentation for one pass; gain_updates counts every time a
-    vertex's gain is computed or adjusted."""
+    """Instrumentation for one pass; gain_updates counts every gain entry
+    computed or adjusted: one per vertex for the 2-way buckets, one per
+    (vertex, target) cache entry for the k-way pass."""
 
     moves: int = 0
     gain_updates: int = 0
@@ -394,23 +399,57 @@ def _pass_2way(eng: _Engine, stats: PassStats | None = None) -> bool:
     return best_cost < start_cost
 
 
-def _best_target(eng: _Engine, v: int) -> tuple[int, int] | None:
-    """Highest-gain feasible target for v, ties to the lowest block id."""
-    best = None
-    for t in range(eng.k):
-        if not eng.move_ok(v, t):
-            continue
-        g = eng.gain_of(v, t)
-        if best is None or g > best[0]:
-            best = (g, t)
-    return best
-
-
 def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
-    """Direct k-way pass: every vertex scored by its best feasible target,
-    highest gain moves first, lowest vertex id on ties."""
-    n = len(eng.vw)
+    """Direct k-way pass over a gain cache; mutates eng.assign, returns
+    True when the best prefix strictly improved the cost.
+
+    ``cols[t][i]`` holds the gain of moving the i-th vertex of a kind to
+    block t, with one set of k columns for qubit vertices and one for
+    weight-0 vertices.  Entries that may not move sit below every real
+    gain: a vertex's own block and locked vertices hold ``dead``, and the
+    lone qubit vertex of a block carries a ``-mask`` offset that delta
+    updates leave exact.  Each move takes the highest gain over the
+    feasible columns, then the lowest vertex id, then the lowest target.
+    """
+    k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
+                                         eng.pins, eng.ew, eng.phi)
+    load, count, bounds = eng.load, eng.count, eng.bounds
+    n = len(vw)
+    floor = -sum(abs(w) for w in ew)  # no real gain lies below this
+    mask = 1 - 2 * floor
+    dead = 2 * floor - 2 * mask
     locked = [False] * n
+    kinds = ([v for v in range(n) if vw[v] > 0], [v for v in range(n) if vw[v] == 0])
+    tables = ([[dead] * len(kinds[0]) for _ in range(k)],
+              [[dead] * len(kinds[1]) for _ in range(k)])
+    table: list[list[list[int]]] = [None] * n  # vertex -> its kind's columns
+    pos = [0] * n
+    members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
+    for ids, cols in zip(kinds, tables):
+        for i, v in enumerate(ids):
+            table[v] = cols
+            pos[v] = i
+            src = assign[v]
+            for t in range(k):
+                if t != src:
+                    cols[t][i] = eng.gain_of(v, t)
+    updates = n * (k - 1)
+    for v in kinds[0]:
+        members[assign[v]].add(v)
+
+    def shift(u: int, delta: int) -> None:
+        cols, i, own = table[u], pos[u], assign[u]
+        for t in range(k):
+            if t != own:
+                cols[t][i] += delta
+
+    lone = [-1] * k  # masked lone qubit vertex per block
+    for b in range(k):
+        if count[b] == 1:
+            (lone[b],) = members[b]
+            shift(lone[b], -mask)
+            updates += k - 1
+
     start_cost = eng.cost()
     cur = start_cost
     best_cost = start_cost
@@ -418,25 +457,78 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
     moves: list[tuple[int, int, int]] = []
 
     while True:
-        chosen = None
-        for v in range(n):
-            if locked[v]:
+        best_g, v, target = floor - 1, n, -1
+        for ids, cols, qubit in zip(kinds, tables, (True, False)):
+            if not ids:
                 continue
-            bt = _best_target(eng, v)
-            if stats:
-                stats.gain_updates += 1
-            if bt is None:
-                continue
-            key = (bt[0], -v)
-            if chosen is None or key > chosen[0]:
-                chosen = (key, v, bt[1])
-        if chosen is None:
+            for t in range(k):
+                if qubit and load[t] > bounds[t]:
+                    continue
+                col = cols[t]
+                g = max(col)
+                if g < floor or g < best_g:
+                    continue
+                u = ids[col.index(g)]
+                if g > best_g or u < v:
+                    best_g, v, target = g, u, t
+        if target < 0:
             break
-        (g, _), v, target = chosen
-        src = eng.assign[v]
-        eng.apply(v, target)
+        src = assign[v]
+        cols, i = table[v], pos[v]
+        for t in range(k):
+            cols[t][i] = dead
         locked[v] = True
-        cur -= g
+
+        for e in inc[v]:
+            w = ew[e]
+            row = phi[e]
+            if row[target] == 0:
+                for u in pins[e]:
+                    if not locked[u]:
+                        table[u][target][pos[u]] += w
+                        updates += 1
+            elif row[target] == 1:
+                for u in pins[e]:
+                    if assign[u] == target:
+                        if not locked[u]:
+                            shift(u, -w)
+                            updates += k - 1
+                        break
+            row[src] -= 1
+            row[target] += 1
+            if row[src] == 0:
+                for u in pins[e]:
+                    if not locked[u]:
+                        table[u][src][pos[u]] -= w
+                        updates += 1
+            elif row[src] == 1:
+                for u in pins[e]:
+                    if u != v and assign[u] == src:
+                        if not locked[u]:
+                            shift(u, w)
+                            updates += k - 1
+                        break
+        assign[v] = target
+        w = vw[v]
+        load[src] -= w
+        load[target] += w
+        if w > 0:
+            count[src] -= 1
+            count[target] += 1
+            members[src].remove(v)
+            members[target].add(v)
+            if count[src] == 1:
+                (u,) = members[src]
+                if not locked[u]:
+                    shift(u, -mask)
+                    updates += k - 1
+                    lone[src] = u
+            if lone[target] >= 0:
+                shift(lone[target], mask)
+                updates += k - 1
+                lone[target] = -1
+
+        cur -= best_g
         moves.append((v, src, target))
         if stats:
             stats.moves += 1
@@ -444,6 +536,8 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
             best_cost = cur
             best_prefix = len(moves)
 
+    if stats:
+        stats.gain_updates += updates
     for v, src, target in reversed(moves[best_prefix:]):
         eng.apply(v, src)
     return best_cost < start_cost

@@ -1,7 +1,9 @@
 """Move-based refinement: gains, passes, drivers and feasibility."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    find_groups, fm_pass, gain, generate, initial_partition,
                    partition, random_partition, recursive_kway,
                    resolve_capacities)
+from qpart.fm import _Engine, _pass_kway
 
 
 def chain(n: int) -> Hypergraph:
@@ -275,3 +278,118 @@ def test_partition_invariants(h, seed, k):
     rep = cut_cost(h, list(res.assignment), k)
     assert (rep.cut_edges, rep.lambda_minus_one, rep.ebits) == \
         (res.cut.cut_edges, res.cut.lambda_minus_one, res.cut.ebits)
+
+
+# -- the k-way gain cache against the rescan it replaced --------------------
+
+def _rescan_best_target(eng, v):
+    best = None
+    for t in range(eng.k):
+        if not eng.move_ok(v, t):
+            continue
+        g = eng.gain_of(v, t)
+        if best is None or g > best[0]:
+            best = (g, t)
+    return best
+
+
+def _rescan_pass_kway(eng, stats):
+    """Reference k-way pass: rescans every unlocked vertex x target per move."""
+    n = len(eng.vw)
+    locked = [False] * n
+    start_cost = cur = best_cost = eng.cost()
+    best_prefix = 0
+    moves = []
+    while True:
+        chosen = None
+        for v in range(n):
+            if locked[v]:
+                continue
+            bt = _rescan_best_target(eng, v)
+            if bt is None:
+                continue
+            key = (bt[0], -v)
+            if chosen is None or key > chosen[0]:
+                chosen = (key, v, bt[1])
+        if chosen is None:
+            break
+        (g, _), v, target = chosen
+        src = eng.assign[v]
+        eng.apply(v, target)
+        locked[v] = True
+        cur -= g
+        moves.append((v, src, target))
+        stats.moves += 1
+        if eng.overloaded() == 0 and cur < best_cost:
+            best_cost = cur
+            best_prefix = len(moves)
+    for v, src, target in reversed(moves[best_prefix:]):
+        eng.apply(v, src)
+    return best_cost < start_cost
+
+
+@st.composite
+def kway_instances(draw):
+    """Small hypergraphs with anchored weight-0 vertices, k in {3, 4, 5},
+    equal, tight or slack capacities, and either a seeded deal or an
+    arbitrary (possibly empty-block, overloaded) assignment."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    caps_kind = draw(st.sampled_from(["equal", "tight", "slack"]))
+    nq = k if caps_kind == "tight" else draw(st.integers(k, 10))
+    nz = draw(st.integers(0, 3))
+    vertices = [Vertex(i) for i in range(nq)]
+    edges = []
+    for z in range(nz):
+        anchor = draw(st.integers(0, nq - 1))
+        vertices.append(Vertex(nq + z, weight=0, anchor=anchor))
+        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != anchor),
+                               min_size=1, max_size=3, unique=True))
+        edges.append(Hyperedge(len(edges), (nq + z, anchor, *others)))
+    for _ in range(draw(st.integers(2, 14))):
+        arity = draw(st.integers(2, min(4, nq)))
+        pins = draw(st.lists(st.integers(0, nq - 1), min_size=arity,
+                             max_size=arity, unique=True))
+        edges.append(Hyperedge(len(edges), tuple(pins),
+                               weight=draw(st.sampled_from([1, 1, 2, 3]))))
+    h = Hypergraph(vertices, edges)
+    caps = {"equal": None, "tight": (1,) * k,
+            "slack": tuple(draw(st.integers(nq, nq + 3)) for _ in range(k))}[caps_kind]
+    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 99)),
+                          epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    if draw(st.booleans()):
+        assignment = initial_partition(h, cfg)
+    else:
+        assignment = draw(st.lists(st.integers(0, k - 1), min_size=len(vertices),
+                                   max_size=len(vertices)))
+    return h, cfg, assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(kway_instances())
+def test_kway_gain_cache_matches_rescan(instance):
+    h, cfg, assignment = instance
+    caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
+    bounds = [math.ceil((1 + cfg.epsilon) * c) for c in caps]
+    cached = _Engine(h, cfg.blocks, bounds, list(assignment))
+    rescan = _Engine(h, cfg.blocks, bounds, list(assignment))
+    for _ in range(4):
+        got, want = PassStats(), PassStats()
+        improved = _pass_kway(cached, got)
+        assert improved == _rescan_pass_kway(rescan, want)
+        assert cached.assign == rescan.assign
+        assert got.moves == want.moves
+        if not improved:
+            break
+
+
+def test_kway_gain_updates_scale_linearly():
+    pins, updates = [], []
+    for n in (16, 32, 64, 128):
+        h = build_hypergraph(generate("ghz", n))
+        cfg = PartitionConfig(blocks=4, seed=1, mode=Mode.DIRECT_KWAY)
+        stats = PassStats()
+        fm_pass(h, initial_partition(h, cfg), cfg, stats)
+        pins.append(h.total_pins())
+        updates.append(stats.gain_updates)
+    slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)
+    assert abs(slope - 1.0) <= 0.15, (slope, pins, updates)
