@@ -313,9 +313,10 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     for c in plan.channels:
         entangle_at.setdefault(c.first_use, []).append(c)
         release_at.setdefault(c.last_use, []).append(c)
-    serving: dict[tuple[int, int], Channel] = {}  # (carries, remote) -> channel
+    # (carries, remote) -> its channels; their use spans never overlap
+    serving: dict[tuple[int, int], list[Channel]] = {}
     for c in plan.channels:
-        serving[(c.carries, c.remote)] = c
+        serving.setdefault((c.carries, c.remote), []).append(c)
 
     cregs = circuit.cregs
     if not cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates):
@@ -361,7 +362,8 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
                     if block_of[q] == b:
                         ops.append(str(q))
                     else:
-                        c = serving[(index[q], b)]
+                        c = next(c for c in serving[(index[q], b)]
+                                 if c.first_use <= g.seq <= c.last_use)
                         ops.append(f"ebit[{remote_slot[c.id]}]")
                 if g.kind is GateKind.MEASURE:
                     cb = g.cbit if g.cbit is not None else (cregs[0][0], index[g.operands[0]])

@@ -1,11 +1,15 @@
 """Channel planning, per-block accounting and subcircuit emission."""
 
+import re
+from collections import Counter
+
 import pytest
 
-from qpart import (CommModel, GateKind, InfeasibleError, QpuEnvironment,
-                   QubitRef, block_endpoints, build_hypergraph, emit_subcircuits,
-                   environment_for, exec_block_of, feasibility_check,
-                   find_groups, parse_qasm, plan_distribution)
+from qpart import (CommModel, GateKind, InfeasibleError, PartitionConfig,
+                   QpuEnvironment, QubitRef, block_endpoints, build_hypergraph,
+                   emit_subcircuits, environment_for, exec_block_of,
+                   feasibility_check, find_groups, generate, parse_qasm,
+                   partition, plan_distribution)
 
 from conftest import fixture_names, load_fixture
 
@@ -230,3 +234,37 @@ def test_fixture_plans_obey_accounting(name):
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
+
+
+def _slot_misuse(text: str) -> list[str]:
+    """Statements that name an ``ebit`` slot after its cat_disentangler,
+    and disentanglers of a slot no earlier statement used."""
+    used: set[str] = set()
+    released: set[str] = set()
+    bad = []
+    for stmt in text.splitlines():
+        if stmt.startswith("qreg"):
+            continue
+        slots = set(re.findall(r"ebit\[(\d+)\]", stmt))
+        if slots & released or (stmt.startswith("cat_disentangler") and not slots <= used):
+            bad.append(stmt)
+        if stmt.startswith("cat_disentangler"):
+            released |= slots
+        else:
+            used |= slots
+    return bad
+
+
+def test_emit_serves_each_use_from_its_own_channel():
+    # random:12:3 over two parts carries some qubits to the same remote
+    # block on two channels; each gate must name the slot of the channel
+    # open at that gate, not the last one planned for the pair
+    c = generate("random", 12, seed=3)
+    groups = find_groups(c)
+    h = build_hypergraph(c, groups)
+    res = partition(h, PartitionConfig(blocks=2))
+    plan = plan_distribution(c, h, list(res.assignment), groups=groups)
+    pairs = Counter((ch.carries, ch.remote) for ch in plan.channels)
+    assert any(n > 1 for n in pairs.values())
+    for text in emit_subcircuits(c, plan):
+        assert _slot_misuse(text) == []
