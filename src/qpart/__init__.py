@@ -17,9 +17,9 @@ from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          edge_home, export_hmetis, import_hmetis)
 from .fm import (BlockStats, InfeasibleError, Mode, PartitionConfig,
-                 PartitionResult, PassStats, bipartition, direct_kway,
-                 fm_pass, gain, initial_partition, partition,
-                 random_partition, recursive_kway, resolve_capacities)
+                 PartitionResult, PassStats, bipartition, fm_pass, gain,
+                 initial_partition, partition, random_partition,
+                 recursive_kway, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
@@ -41,9 +41,9 @@ __all__ = [
     "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
     "export_hmetis", "import_hmetis",
     "BlockStats", "InfeasibleError", "Mode", "PartitionConfig",
-    "PartitionResult", "PassStats", "bipartition", "direct_kway",
-    "fm_pass", "gain", "initial_partition", "partition",
-    "random_partition", "recursive_kway", "resolve_capacities",
+    "PartitionResult", "PassStats", "bipartition", "fm_pass", "gain",
+    "initial_partition", "partition", "random_partition",
+    "recursive_kway", "resolve_capacities",
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
     "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",

@@ -684,11 +684,6 @@ def bipartition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     return _restart_driver(h, config)
 
 
-def direct_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """Single-level k-way refinement with best-target moves."""
-    return _restart_driver(h, config)
-
-
 def recursive_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """Recursive bisection down to the capacity list.
 
@@ -797,7 +792,7 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     if config.mode is Mode.RANDOM:
         return random_partition(h, config)
     if config.mode is Mode.DIRECT_KWAY:
-        return direct_kway(h, config)
+        return _restart_driver(h, config)
     if config.blocks == 2:
         return bipartition(h, config)
     return recursive_kway(h, config)

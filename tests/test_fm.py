@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, PassStats, Vertex, bipartition,
-                   brute_force_mincut, build_hypergraph, cut_cost, direct_kway,
+                   brute_force_mincut, build_hypergraph, cut_cost,
                    find_groups, fm_pass, gain, generate, initial_partition,
                    partition, random_partition, recursive_kway,
                    resolve_capacities)
@@ -124,7 +124,8 @@ def test_recursive_ghz8_four_blocks():
 
 
 def test_direct_kway_triangle_singletons():
-    res = direct_kway(triangle(), PartitionConfig(blocks=3, capacities=(1, 1, 1)))
+    res = partition(triangle(), PartitionConfig(blocks=3, capacities=(1, 1, 1),
+                                                mode=Mode.DIRECT_KWAY))
     assert sorted(res.assignment) == [0, 1, 2]
     assert res.cut.ebits == 6
 
@@ -149,10 +150,17 @@ def test_slack_capacities_keep_blocks_occupied():
 def test_mode_dispatch():
     h = build_hypergraph(generate("ghz", 8))
     for mode, fn in ((Mode.RECURSIVE_BISECT, recursive_kway),
-                     (Mode.DIRECT_KWAY, direct_kway),
                      (Mode.RANDOM, random_partition)):
         cfg = PartitionConfig(blocks=4, mode=mode, restarts=2)
         assert partition(h, cfg).assignment == fn(h, cfg).assignment
+    # direct k-way: the seeded deal, refined by k-way passes until one fails
+    cfg = PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)
+    a = initial_partition(h, cfg)
+    for _ in range(cfg.max_passes):
+        a, improved = fm_pass(h, a, cfg)
+        if not improved:
+            break
+    assert partition(h, cfg).assignment == tuple(a)
 
 
 def test_determinism():
