@@ -422,7 +422,7 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
     kinds = ([v for v in range(n) if vw[v] > 0], [v for v in range(n) if vw[v] == 0])
     tables = ([[dead] * len(kinds[0]) for _ in range(k)],
               [[dead] * len(kinds[1]) for _ in range(k)])
-    table: list[list[list[int]]] = [None] * n  # vertex -> its kind's columns
+    table: list = [None] * n  # vertex -> its kind's columns
     pos = [0] * n
     members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
     for ids, cols in zip(kinds, tables):
@@ -443,11 +443,11 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
             if t != own:
                 cols[t][i] += delta
 
-    lone = [-1] * k  # masked lone qubit vertex per block
+    # a block's lone qubit vertex is masked exactly while it is unlocked
     for b in range(k):
         if count[b] == 1:
-            (lone[b],) = members[b]
-            shift(lone[b], -mask)
+            (u,) = members[b]
+            shift(u, -mask)
             updates += k - 1
 
     start_cost = eng.cost()
@@ -516,17 +516,17 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
             count[src] -= 1
             count[target] += 1
             members[src].remove(v)
-            members[target].add(v)
             if count[src] == 1:
                 (u,) = members[src]
                 if not locked[u]:
                     shift(u, -mask)
                     updates += k - 1
-                    lone[src] = u
-            if lone[target] >= 0:
-                shift(lone[target], mask)
-                updates += k - 1
-                lone[target] = -1
+            if count[target] == 2:
+                (u,) = members[target]
+                if not locked[u]:
+                    shift(u, mask)
+                    updates += k - 1
+            members[target].add(v)
 
         cur -= best_g
         moves.append((v, src, target))

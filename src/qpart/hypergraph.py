@@ -68,6 +68,8 @@ class Hypergraph:
         for i, v in enumerate(self.vertices):
             if v.id != i:
                 raise ValueError(f"vertex ids must be dense, got {v.id} at {i}")
+            if v.weight < 0:
+                raise ValueError(f"vertex {i} has negative weight {v.weight}")
         for i, e in enumerate(self.edges):
             if e.id != i:
                 raise ValueError(f"edge ids must be dense, got {e.id} at {i}")

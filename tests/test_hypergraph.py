@@ -162,7 +162,8 @@ def test_import_hmetis_errors(text, fragment):
     ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 0))], "repeated"),
     ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 5))], "out of range"),
     ([Vertex(0), Vertex(1)], [Hyperedge(1, (0, 1))], "dense"),
-], ids=["vertex-ids", "pins", "repeat", "range", "edge-ids"])
+    ([Vertex(0), Vertex(1, weight=-1)], [], "negative weight"),
+], ids=["vertex-ids", "pins", "repeat", "range", "edge-ids", "vertex-weight"])
 def test_validate_errors(vertices, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hypergraph(vertices, edges)
