@@ -8,8 +8,7 @@ test suite; the bench module reproduces the random-vs-FM comparisons.
 """
 
 from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
-                      compute_metrics, emit_qasm, gate_layers, make_circuit,
-                      parse_qasm)
+                      emit_qasm, gate_layers, make_circuit, parse_qasm)
 from .generators import CircuitFamily, generate
 from .grouping import (GROUPABLE, GateGroup, GroupingPolicy, Segment,
                        find_groups, segment_by_depth, segment_subcircuit)
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "Gate", "GateKind", "QasmError", "QubitRef",
-    "compute_metrics", "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
+    "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
     "CircuitFamily", "generate",
     "GROUPABLE", "GateGroup", "GroupingPolicy", "Segment",
     "find_groups", "segment_by_depth", "segment_subcircuit",

@@ -200,12 +200,6 @@ def gate_layers(circuit: Circuit) -> list[int]:
     return gate_layers_from(circuit.registers, circuit.gates)
 
 
-def compute_metrics(circuit: Circuit) -> tuple[int, int, int]:
-    """Recompute (width, size, depth) from the gate list."""
-    c = make_circuit(circuit.name, circuit.registers, circuit.gates, circuit.cregs)
-    return c.width, c.size, c.depth
-
-
 # --------------------------------------------------------------------------
 # parsing
 

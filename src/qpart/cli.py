@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from pathlib import Path
 
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
 from .circuit import Circuit, QasmError, parse_qasm
 from .distribution import emit_subcircuits, plan_distribution
-from .fm import InfeasibleError, Mode, PartitionConfig, partition, resolve_capacities
+from .fm import (InfeasibleError, Mode, PartitionConfig, partition, random_baseline,
+                 resolve_capacities)
 from .grouping import find_groups, segment_by_depth, segment_subcircuit
 from .hypergraph import build_hypergraph, export_hmetis, import_hmetis
 
@@ -59,13 +59,8 @@ def _report(circuit_label: str, n: int, method: str, k: int,
 
 
 def _random_mean_ebits(h, config: PartitionConfig) -> float:
-    vals = []
-    for seed in range(config.seed, config.seed + BASELINE_SEEDS):
-        cfg = PartitionConfig(blocks=config.blocks, capacities=config.capacities,
-                              epsilon=config.epsilon, restarts=1, seed=seed,
-                              mode=Mode.RANDOM)
-        vals.append(partition(h, cfg).cut.ebits)
-    return statistics.mean(vals)
+    vals = random_baseline(h, config, range(config.seed, config.seed + BASELINE_SEEDS))
+    return sum(vals) / len(vals)
 
 
 def _cmd_stats(args) -> int:

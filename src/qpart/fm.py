@@ -19,10 +19,13 @@ then the lowest vertex id, then the lowest target block.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, cut_cost)
@@ -564,26 +567,40 @@ def _qubit_weight(h: Hypergraph) -> int:
 # --------------------------------------------------------------------------
 # initial and random partitions
 
-def initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
-    """Seeded deal: shuffle the qubit vertices, hand the first k out to
-    blocks 0..k-1 so no block starts empty, then hand each remaining one
-    to the block with the most remaining capacity (lowest id on ties);
-    grouping vertices land with their control qubit."""
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    rng = random.Random(config.seed)
-    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
-    rng.shuffle(qubit_vs)
+def _deal_blocks(caps: list[int], n_qubits: int, k: int) -> list[int]:
+    """Block of the pos-th dealt qubit vertex, for pos in range(n_qubits).
+
+    The first k go to blocks 0..k-1 so no block starts empty; each later
+    one goes to the block with the most remaining capacity (lowest id on
+    ties).  The sequence does not depend on the shuffle, so one deal
+    serves every seed.  Raises InfeasibleError when a block it picks is
+    already full.
+    """
     remaining = list(caps)
-    assignment = [0] * h.n_vertices()
-    for pos, v in enumerate(qubit_vs):
-        if pos < config.blocks:
+    blocks = []
+    for pos in range(n_qubits):
+        if pos < k:
             b = pos
         else:
-            b = max(range(config.blocks), key=lambda i: (remaining[i], -i))
+            b = max(range(k), key=lambda i: (remaining[i], -i))
         if remaining[b] < 1:
             raise InfeasibleError("capacities exhausted during the deal")
-        assignment[v] = b
+        blocks.append(b)
         remaining[b] -= 1
+    return blocks
+
+
+def initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
+    """Seeded deal: shuffle the qubit vertices and hand them out in the
+    order of ``_deal_blocks``; grouping vertices land with their control
+    qubit."""
+    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
+    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
+    deal = _deal_blocks(caps, len(qubit_vs), config.blocks)
+    random.Random(config.seed).shuffle(qubit_vs)
+    assignment = [0] * h.n_vertices()
+    for v, b in zip(qubit_vs, deal):
+        assignment[v] = b
     for v in h.vertices:
         if not v.is_qubit:
             anchor = v.anchor if v.anchor is not None else 0
@@ -622,6 +639,78 @@ def random_partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """The seeded deal alone, no improvement passes; the baseline method."""
     assignment = initial_partition(h, config)
     return _finalize(h, assignment, config, 0, config.seed, 0)
+
+
+_BASELINE_CHUNK = 128  # seeds scored together; bounds the working set
+
+
+def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
+    """Ebits of the random deal for each seed, in order.
+
+    Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
+    one restart and ``Mode.RANDOM``, without building a PartitionResult:
+    each seed only shuffles the qubit vertices with ``random.Random(seed)``
+    as ``initial_partition`` does; the deal is scattered into a seeds x
+    vertices block matrix, weight-0 vertices copy their anchor and are
+    snapped as ``_finalize`` snaps them, and lambda - 1 is summed per
+    block from ``logical_or.reduceat`` over the edges' pins.  Seeds run in
+    chunks of ``_BASELINE_CHUNK``, so memory does not grow with their
+    number.  Raises InfeasibleError as the deal does.
+    """
+    k = config.blocks
+    caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
+    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
+    dtype = np.min_scalar_type(k)
+    deal = np.array(_deal_blocks(caps, len(qubit_vs), k), dtype=dtype)
+    if not h.edges:
+        return [0 for _ in seeds]
+
+    # column each weight-0 vertex copies in initial_partition's anchor
+    # loop; an anchor not copied yet is a weight-0 column, still all 0
+    src = list(range(h.n_vertices()))
+    for v in h.vertices:
+        if not v.is_qubit:
+            src[v.id] = src[v.anchor if v.anchor is not None else 0]
+    free = [v.id for v in h.vertices if not v.is_qubit]
+    free_src = [src[v] for v in free]
+    # _snap_free_vertices: qubit pins of each free vertex's first edge
+    snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
+    for v in free:
+        if h.incidence[v]:
+            pins = [p for p in h.edges[h.incidence[v][0]].pins if h.vertices[p].is_qubit]
+            if pins:
+                snap_vs.append(v)
+                snap_starts.append(len(snap_pins))
+                snap_pins.extend(pins)
+                snap_owner.extend([v] * len(pins))
+    pins = [p for e in h.edges for p in e.pins]
+    starts = np.cumsum([0] + [len(e.pins) for e in h.edges[:-1]])
+    weights = np.array([e.weight for e in h.edges], dtype=np.int64)
+
+    ebits: list[int] = []
+    seeds = iter(seeds)
+    while chunk := list(itertools.islice(seeds, _BASELINE_CHUNK)):
+        perms = []
+        for seed in chunk:
+            order = list(qubit_vs)
+            random.Random(seed).shuffle(order)
+            perms.append(order)
+        assign = np.zeros((len(chunk), h.n_vertices()), dtype=dtype)
+        rows = np.arange(len(chunk))[:, None]
+        assign[rows, np.array(perms, dtype=np.intp)] = deal
+        assign[:, free] = assign[:, free_src]
+        if snap_vs:
+            got = assign[:, snap_pins]
+            spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
+                                             snap_starts, axis=1)
+            assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
+                                          np.minimum.reduceat(got, snap_starts, axis=1))
+        got = assign[:, pins]
+        lam = np.zeros(len(chunk), dtype=np.int64)
+        for b in range(k):
+            lam += np.logical_or.reduceat(got == b, starts, axis=1) @ weights
+        ebits.extend((2 * (lam - weights.sum())).tolist())
+    return ebits
 
 
 # --------------------------------------------------------------------------

@@ -235,7 +235,11 @@ def export_hmetis(h: Hypergraph) -> str:
 
 
 def import_hmetis(text: str) -> Hypergraph:
-    """Parse hMETIS format (fmt absent, 1, 10 or 11) into a plain hypergraph."""
+    """Parse hMETIS format (fmt absent, 1, 10 or 11) into a plain hypergraph.
+
+    Single-pin edges are dropped, since no partition cuts them; the
+    remaining edges are numbered densely in file order.
+    """
     rows = [line.split("//")[0].split("%")[0].strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
     if not rows:
@@ -264,7 +268,9 @@ def import_hmetis(text: str) -> Hypergraph:
             if not 1 <= p <= n_vertices:
                 raise ValueError(f"edge {i} pin {p} out of range 1..{n_vertices}")
             pins.append(p - 1)
-        edges.append(Hyperedge(id=i, pins=tuple(pins), weight=weight))
+        if len(pins) == 1:
+            continue  # legal in hMETIS and never cut
+        edges.append(Hyperedge(id=len(edges), pins=tuple(pins), weight=weight))
     if vertex_weighted:
         weights = [int(r) for r in rows[1 + n_edges:]]
         vertices = [Vertex(id=i, weight=w) for i, w in enumerate(weights)]

@@ -6,7 +6,6 @@ with ``pytest -sv``; pytest's own -v line mirrors the verdict).
 
 import math
 import random
-import statistics
 import time
 
 import numpy as np
@@ -16,6 +15,7 @@ from qpart import (Mode, PartitionConfig, PassStats, bipartition,
                    find_groups, fm_pass, generate, initial_partition,
                    parse_qasm, partition, random_partition, simulate)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
+from qpart.fm import random_baseline
 
 from conftest import fixture_names, load_fixture
 
@@ -27,11 +27,8 @@ def report(name: str, passed: bool, detail: str) -> str:
 
 
 def random_mean_ebits(h, blocks: int, seeds: int) -> float:
-    vals = []
-    for seed in range(seeds):
-        cfg = PartitionConfig(blocks=blocks, seed=seed, restarts=1, mode=Mode.RANDOM)
-        vals.append(random_partition(h, cfg).cut.ebits)
-    return statistics.mean(vals)
+    vals = random_baseline(h, PartitionConfig(blocks=blocks), range(seeds))
+    return sum(vals) / len(vals)
 
 
 def test_criterion_1_grouped_fm_halves_random_baseline():

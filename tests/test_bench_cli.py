@@ -259,6 +259,24 @@ def test_cli_partition_hmetis_file(tmp_path, capsys):
     assert rep["blocks"][0]["o"] == 0 and rep["blocks"][0]["r"] is None
 
 
+def test_cli_partition_hmetis_single_pin_edges(tmp_path, capsys):
+    plain = tmp_path / "plain" / "qft6.hmetis"
+    plain.parent.mkdir()
+    main(["hmetis", "qft:6", "--out", str(plain)])
+    header, *edges = plain.read_text().splitlines()
+    n_edges, n_vertices = map(int, header.split())
+    quirky = tmp_path / "quirky" / "qft6.hmetis"
+    quirky.parent.mkdir()
+    quirky.write_text("\n".join([f"{n_edges + 3} {n_vertices}", "1", *edges[:2], "4",
+                                 *edges[2:], "6"]) + "\n")
+    reports = []
+    for path in (plain, quirky):
+        assert main(["partition", str(path), "--parts", "3", "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["ebits"] > 0
+
+
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
     out = tmp_path / "ghz4.hgr"
     main(["hmetis", "ghz:4", "--out", str(out)])

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, PassStats, Vertex, bipartition,
                    brute_force_mincut, build_hypergraph, cut_cost,
-                   find_groups, fm_pass, gain, generate, initial_partition,
-                   partition, random_partition, recursive_kway,
-                   resolve_capacities)
-from qpart.fm import _Engine, _pass_kway
+                   export_hmetis, find_groups, fm_pass, gain, generate,
+                   import_hmetis, initial_partition, partition,
+                   random_partition, recursive_kway, resolve_capacities)
+from qpart.fm import _Engine, _pass_kway, random_baseline
 
 
 def chain(n: int) -> Hypergraph:
@@ -401,3 +403,93 @@ def test_kway_gain_updates_scale_linearly():
         updates.append(stats.gain_updates)
     slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)
     assert abs(slope - 1.0) <= 0.15, (slope, pins, updates)
+
+
+# -- the vectorised random baseline against one random partition per seed --
+
+@st.composite
+def baseline_instances(draw):
+    """Small hypergraphs with weight-0 vertices anchored anywhere (or, after
+    an hMETIS round-trip, not at all), k in {2, ..., 5}, equal, tight,
+    slack or exhausted capacities, epsilon, and seed counts on both sides
+    of the chunk edge."""
+    k = draw(st.integers(2, 5))
+    nq = draw(st.integers(k, 10))
+    nz = draw(st.integers(0, 3))
+    n = nq + nz
+    order = draw(st.permutations(range(n)))   # weight-0 vertices get any id
+    zero_ids = set(order[nq:])
+    vertices = [Vertex(i, weight=0 if i in zero_ids else 1,
+                       anchor=draw(st.none() | st.integers(0, n - 1)) if i in zero_ids else None)
+                for i in range(n)]
+    qubits = order[:nq]
+    edges = []
+    for z in order[nq:]:
+        others = draw(st.lists(st.sampled_from(qubits), min_size=1, max_size=3, unique=True))
+        edges.append(Hyperedge(len(edges), (z, *others)))
+    for _ in range(draw(st.integers(0, 12))):
+        arity = draw(st.integers(2, min(4, n)))
+        pins = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                             max_size=arity, unique=True))
+        edges.append(Hyperedge(len(edges), tuple(pins),
+                               weight=draw(st.sampled_from([1, 1, 2, 3]))))
+    if draw(st.sampled_from([False, False, False, True])):
+        edges = []
+    h = Hypergraph(vertices, edges)
+    if draw(st.booleans()):
+        h = import_hmetis(export_hmetis(h))
+    caps_kind = draw(st.sampled_from(["equal", "tight", "slack", "exhausted"]))
+    if caps_kind == "equal":
+        caps = None
+    elif caps_kind == "tight":
+        cuts = sorted(draw(st.lists(st.integers(1, nq - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        caps = tuple(b - a for a, b in zip([0, *cuts], [*cuts, nq]))
+    elif caps_kind == "slack":
+        caps = tuple(draw(st.integers(nq // k + 1, nq + 3)) for _ in range(k))
+    else:
+        caps = tuple(draw(st.integers(1, max(1, (nq - 1) // k))) for _ in range(k))
+    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 10_000)),
+                          epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    count = draw(st.sampled_from([1, 127, 128, 129, 300]))
+    return h, cfg, range(cfg.seed, cfg.seed + count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(baseline_instances())
+def test_random_baseline_matches_random_partition(instance):
+    h, cfg, seeds = instance
+
+    def one(seed):
+        return partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
+                                            epsilon=cfg.epsilon, restarts=1, seed=seed,
+                                            mode=Mode.RANDOM)).cut.ebits
+
+    try:
+        want = [one(seed) for seed in seeds]
+    except InfeasibleError as ex:
+        with pytest.raises(InfeasibleError, match=re.escape(str(ex))):
+            random_baseline(h, cfg, seeds)
+        return
+    got = random_baseline(h, cfg, seeds)
+    assert got == want
+    if not h.edges:
+        assert got == [0] * len(seeds)
+
+
+def test_random_baseline_memory_flat_in_seed_count():
+    c = generate("random", 24)
+    h = build_hypergraph(c, find_groups(c))
+    cfg = PartitionConfig(blocks=4)
+    random_baseline(h, cfg, range(10))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for count in (1000, 4000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            random_baseline(h, cfg, range(count))
+            peaks[count] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks[4000] <= 1.5 * peaks[1000], peaks

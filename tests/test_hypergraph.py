@@ -183,3 +183,9 @@ def test_to_json(qft4):
     assert data["vertices"][0]["ref"] == "q[0]"
     assert data["vertices"][5]["group"] == 2
     assert data["edges"][1]["origin"] == ["group", 1]
+
+
+def test_import_hmetis_drops_single_pin_edges():
+    h = import_hmetis("4 3 1\n5 2\n1 1 2\n7 3\n2 2 3\n")
+    assert [(e.id, e.pins, e.weight) for e in h.edges] == [(0, (0, 1), 1), (1, (1, 2), 2)]
+    assert h.incidence == [[0], [0, 1], [1]]
