@@ -14,13 +14,13 @@ print("ghz10 k=2:", "assignment", res.assignment,
 # four blocks via recursive bisection
 res = partition(ghz, PartitionConfig(blocks=4))
 print("ghz10 k=4:", "ebits", res.cut.ebits,
-      "loads", [s.data for s in res.per_block])
+      "loads", list(res.loads))
 
 # direct k-way with uneven hardware
 res = partition(ghz, PartitionConfig(blocks=3, capacities=(5, 3, 2),
                                      mode=Mode.DIRECT_KWAY))
 print("ghz10 k=3 caps(5,3,2):", "ebits", res.cut.ebits,
-      "loads", [s.data for s in res.per_block])
+      "loads", list(res.loads))
 
 # grouped qft: refinement matches the brute-force optimum here
 qft = generate("qft", 8)

@@ -15,10 +15,10 @@ from .grouping import (GROUPABLE, GateGroup, GroupingPolicy, Segment,
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          edge_home, export_hmetis, import_hmetis)
-from .fm import (BlockStats, InfeasibleError, Mode, PartitionConfig,
-                 PartitionResult, PassStats, bipartition, fm_pass, gain,
-                 initial_partition, partition, random_partition,
-                 recursive_kway, resolve_capacities)
+from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
+                 PassStats, bipartition, fm_pass, gain, initial_partition,
+                 partition, random_partition, recursive_kway,
+                 resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
@@ -39,7 +39,7 @@ __all__ = [
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
     "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
     "export_hmetis", "import_hmetis",
-    "BlockStats", "InfeasibleError", "Mode", "PartitionConfig",
+    "InfeasibleError", "Mode", "PartitionConfig",
     "PartitionResult", "PassStats", "bipartition", "fm_pass", "gain",
     "initial_partition", "partition", "random_partition",
     "recursive_kway", "resolve_capacities",

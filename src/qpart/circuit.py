@@ -462,31 +462,49 @@ def _fmt_param(x: float) -> str:
     return repr(float(x))
 
 
+def _cregs(circuit: Circuit) -> tuple[tuple[str, int], ...]:
+    """Declared cregs, or ``c[width]`` when the circuit measures without any."""
+    if not circuit.cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates):
+        return (("c", circuit.width),)
+    return circuit.cregs
+
+
+def _preamble(circuit: Circuit, gates, cregs, opaque: tuple[str, ...] = (),
+              comm_width: int = 0) -> list[str]:
+    """Header and declarations: the ``opaque`` lines given, one opaque per
+    label that ``gates`` call, the circuit's qregs, ``ebit[comm_width]``
+    when nonzero, then ``cregs``."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', *opaque]
+    arity: dict[str, int] = {}
+    for g in gates:
+        if g.kind is GateKind.OPAQUE:
+            arity.setdefault(g.label, len(g.operands))
+    for label, n in arity.items():
+        lines.append(f"opaque {label} {','.join(chr(ord('a') + i) for i in range(n))};")
+    lines += [f"qreg {reg}[{n}];" for reg, n in circuit.registers]
+    if comm_width:
+        lines.append(f"qreg ebit[{comm_width}];")
+    lines += [f"creg {reg}[{n}];" for reg, n in cregs]
+    return lines
+
+
+def _gate_line(g: Gate, ops: list[str], cregs, index: dict[QubitRef, int]) -> str:
+    """One statement applying ``g`` to the operand strings ``ops``; a
+    measure without a classical target writes to ``cregs[0]`` at the
+    qubit's dense index."""
+    if g.kind is GateKind.MEASURE:
+        cb = g.cbit if g.cbit is not None else (cregs[0][0], index[g.operands[0]])
+        return f"measure {ops[0]} -> {cb[0]}[{cb[1]}];"
+    if g.params:
+        return f"{g.qasm_name}({','.join(_fmt_param(p) for p in g.params)}) {','.join(ops)};"
+    return f"{g.qasm_name} {','.join(ops)};"
+
+
 def emit_qasm(circuit: Circuit) -> str:
     """Emit the circuit as OpenQASM 2.0; parse(emit(c)) is gate-for-gate c."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    opaque_decls: dict[str, int] = {}
-    for g in circuit.gates:
-        if g.kind is GateKind.OPAQUE and g.label not in opaque_decls:
-            opaque_decls[g.label] = len(g.operands)
-    for label, arity in opaque_decls.items():
-        formals = ",".join(chr(ord("a") + i) for i in range(arity))
-        lines.append(f"opaque {label} {formals};")
-    for reg, n in circuit.registers:
-        lines.append(f"qreg {reg}[{n}];")
-    cregs = circuit.cregs
-    if not cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        cregs = (("c", circuit.width),)
-    for reg, n in cregs:
-        lines.append(f"creg {reg}[{n}];")
-    flat = circuit.qubit_index()
-    for g in circuit.gates:
-        ops = ",".join(str(q) for q in g.operands)
-        if g.kind is GateKind.MEASURE:
-            cb = g.cbit if g.cbit is not None else (cregs[0][0], flat[g.operands[0]])
-            lines.append(f"measure {g.operands[0]} -> {cb[0]}[{cb[1]}];")
-        elif g.params:
-            lines.append(f"{g.qasm_name}({','.join(_fmt_param(p) for p in g.params)}) {ops};")
-        else:
-            lines.append(f"{g.qasm_name} {ops};")
+    cregs = _cregs(circuit)
+    lines = _preamble(circuit, circuit.gates, cregs)
+    index = circuit.qubit_index()
+    lines += [_gate_line(g, [str(q) for q in g.operands], cregs, index)
+              for g in circuit.gates]
     return "\n".join(lines) + "\n"

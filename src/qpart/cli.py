@@ -20,7 +20,7 @@ from .distribution import emit_subcircuits, plan_distribution
 from .fm import (InfeasibleError, Mode, PartitionConfig, partition, random_baseline,
                  resolve_capacities)
 from .grouping import find_groups, segment_by_depth, segment_subcircuit
-from .hypergraph import build_hypergraph, export_hmetis, import_hmetis
+from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
 
 BASELINE_SEEDS = 1000
 
@@ -91,15 +91,17 @@ def _partition_hypergraph_file(args) -> int:
         base = _random_mean_ebits(h, config)
         if base:
             improvement = 100.0 * (base - result.cut.ebits) / base
-    blocks = [{"data": s.data, "e": s.e, "o": s.o, "r": s.r} for s in result.per_block]
+    endpoints = block_endpoints(h, list(result.assignment), config.blocks)
+    blocks = [{"data": d, "e": e, "o": 0, "r": None}
+              for d, e in zip(result.loads, endpoints)]
     report = _report(Path(args.file).stem, h.n_qubit_vertices(), args.method,
                      args.parts, result.cut, blocks, improvement)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(f"cut_edges={result.cut.cut_edges} ebits={result.cut.ebits}")
-        for s in result.per_block:
-            print(f"  block data={s.data} e={s.e}")
+        for b in blocks:
+            print(f"  block data={b['data']} e={b['e']}")
         if improvement is not None:
             print(f"improvement={improvement:.1f}%")
     return 0

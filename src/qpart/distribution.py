@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, QubitRef, _fmt_param
+from .circuit import (Circuit, Gate, GateKind, QubitRef, _cregs, _gate_line,
+                      _preamble)
 from .fm import InfeasibleError, resolve_capacities
 from .grouping import GROUPABLE, GateGroup
 from .hypergraph import CutReport, Hypergraph, cut_cost
@@ -318,32 +319,16 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     for c in plan.channels:
         serving.setdefault((c.carries, c.remote), []).append(c)
 
-    cregs = circuit.cregs
-    if not cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        cregs = (("c", circuit.width),)
-
+    cregs = _cregs(circuit)
     texts = []
     for b in range(plan.blocks):
-        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+        cat = []
         if any(c.home == b for c in plan.channels):
-            lines.append("opaque cat_entangler a,b;")
+            cat.append("opaque cat_entangler a,b;")
         if any(c.remote == b for c in plan.channels):
-            lines.append("opaque cat_disentangler a;")
-        opaque_decls: dict[str, int] = {}
-        for g in circuit.gates:
-            if (g.kind is GateKind.OPAQUE and plan.exec_block[g.seq] == b
-                    and g.label not in opaque_decls):
-                opaque_decls[g.label] = len(g.operands)
-        for label, arity in opaque_decls.items():
-            formals = ",".join(chr(ord("a") + i) for i in range(arity))
-            lines.append(f"opaque {label} {formals};")
-        for reg, n in circuit.registers:
-            lines.append(f"qreg {reg}[{n}];")
-        width = plan.per_block[b].comm_width
-        if width:
-            lines.append(f"qreg ebit[{width}];")
-        for reg, n in cregs:
-            lines.append(f"creg {reg}[{n}];")
+            cat.append("opaque cat_disentangler a;")
+        lines = _preamble(circuit, [g for g in circuit.gates if plan.exec_block[g.seq] == b],
+                          cregs, tuple(cat), plan.per_block[b].comm_width)
 
         for g in circuit.gates:
             for c in entangle_at.get(g.seq, ()):
@@ -353,9 +338,9 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
                                  f"ebit[{home_slot[c.id]}];")
             at = plan.exec_block[g.seq]
             if g.kind is GateKind.BARRIER:
-                local = [q for q in g.operands if block_of[q] == b]
+                local = [str(q) for q in g.operands if block_of[q] == b]
                 if local:
-                    lines.append("barrier " + ",".join(str(q) for q in local) + ";")
+                    lines.append(_gate_line(g, local, cregs, index))
             elif at == b:
                 ops = []
                 for q in g.operands:
@@ -365,14 +350,7 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
                         c = next(c for c in serving[(index[q], b)]
                                  if c.first_use <= g.seq <= c.last_use)
                         ops.append(f"ebit[{remote_slot[c.id]}]")
-                if g.kind is GateKind.MEASURE:
-                    cb = g.cbit if g.cbit is not None else (cregs[0][0], index[g.operands[0]])
-                    lines.append(f"measure {ops[0]} -> {cb[0]}[{cb[1]}];")
-                elif g.params:
-                    args = ",".join(_fmt_param(p) for p in g.params)
-                    lines.append(f"{g.qasm_name}({args}) {','.join(ops)};")
-                else:
-                    lines.append(f"{g.qasm_name} {','.join(ops)};")
+                lines.append(_gate_line(g, ops, cregs, index))
             for c in release_at.get(g.seq, ()):
                 if c.remote == b:
                     lines.append(f"// channel {c.id}")

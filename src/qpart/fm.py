@@ -27,8 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
-                         block_endpoints, cut_cost)
+from .hypergraph import CutReport, Hyperedge, Hypergraph, Vertex, cut_cost
 
 
 class InfeasibleError(ValueError):
@@ -106,36 +105,16 @@ def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class BlockStats:
-    """Per-block accounting: data qubits, communication qubits e, executed
-    operations o, and the ratio r = e / o (None while o is unknown)."""
-
-    data: int
-    e: int
-    o: int = 0
-    r: float | None = None
-
-
-@dataclass(frozen=True)
 class PartitionResult:
+    """``loads`` is the vertex weight (data qubits) per block."""
+
     assignment: tuple[int, ...]
     blocks_used: int
     cut: CutReport
-    per_block: tuple[BlockStats, ...]
+    loads: tuple[int, ...]
     passes_run: int
     seed_used: int
     gain_updates: int = 0
-
-    def to_json(self) -> dict:
-        return {"assignment": list(self.assignment),
-                "blocks_used": self.blocks_used,
-                "cut": {"cut_edges": self.cut.cut_edges,
-                        "lambda_minus_one": self.cut.lambda_minus_one,
-                        "ebits": self.cut.ebits},
-                "per_block": [{"data": s.data, "e": s.e, "o": s.o, "r": s.r}
-                              for s in self.per_block],
-                "passes_run": self.passes_run,
-                "seed_used": self.seed_used}
 
 
 @dataclass
@@ -624,14 +603,12 @@ def _finalize(h: Hypergraph, assignment: list[int], config: PartitionConfig,
               passes: int, seed_used: int, gain_updates: int) -> PartitionResult:
     _snap_free_vertices(h, assignment)
     cut = cut_cost(h, assignment, config.blocks)
-    endpoints = block_endpoints(h, assignment, config.blocks)
-    data = [0] * config.blocks
+    loads = [0] * config.blocks
     for v in h.vertices:
-        data[assignment[v.id]] += v.weight
-    used = sum(1 for d in data if d > 0)
-    per_block = tuple(BlockStats(data=data[b], e=endpoints[b]) for b in range(config.blocks))
-    return PartitionResult(assignment=tuple(assignment), blocks_used=used, cut=cut,
-                           per_block=per_block, passes_run=passes,
+        loads[assignment[v.id]] += v.weight
+    return PartitionResult(assignment=tuple(assignment),
+                           blocks_used=sum(1 for x in loads if x > 0), cut=cut,
+                           loads=tuple(loads), passes_run=passes,
                            seed_used=seed_used, gain_updates=gain_updates)
 
 

@@ -55,13 +55,11 @@ class Hypergraph:
     def __init__(self, vertices: list[Vertex], edges: list[Hyperedge]):
         self.vertices = list(vertices)
         self.edges = list(edges)
+        self.validate()
         self.incidence: list[list[int]] = [[] for _ in self.vertices]
         for e in self.edges:
             for p in e.pins:
-                if not 0 <= p < len(self.incidence):
-                    raise ValueError(f"edge {e.id} pin {p} out of range")
                 self.incidence[p].append(e.id)
-        self.validate()
 
     def validate(self) -> None:
         n = len(self.vertices)
@@ -80,8 +78,6 @@ class Hypergraph:
             for p in e.pins:
                 if not 0 <= p < n:
                     raise ValueError(f"edge {e.id} pin {p} out of range")
-        if sum(len(inc) for inc in self.incidence) != self.total_pins():
-            raise ValueError("incidence is inconsistent with edge pins")
 
     def n_vertices(self) -> int:
         return len(self.vertices)

@@ -4,12 +4,14 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpart import (CommModel, GateKind, InfeasibleError, PartitionConfig,
-                   QpuEnvironment, QubitRef, block_endpoints, build_hypergraph,
-                   emit_subcircuits, environment_for, exec_block_of,
-                   feasibility_check, find_groups, generate, parse_qasm,
-                   partition, plan_distribution)
+from qpart import (CommModel, Gate, GateKind, InfeasibleError,
+                   PartitionConfig, QpuEnvironment, QubitRef, block_endpoints,
+                   build_hypergraph, emit_qasm, emit_subcircuits,
+                   environment_for, exec_block_of, feasibility_check,
+                   find_groups, generate, make_circuit, parse_qasm, partition,
+                   plan_distribution)
 
 from conftest import fixture_names, load_fixture
 
@@ -268,3 +270,57 @@ def test_emit_serves_each_use_from_its_own_channel():
     assert any(n > 1 for n in pairs.values())
     for text in emit_subcircuits(c, plan):
         assert _slot_misuse(text) == []
+
+
+# -- one writer: a single-QPU plan emits the source program ----------------
+
+_OPAQUE_ARITY = {"probe": 2, "tag": 1}
+
+
+@st.composite
+def emitter_circuits(draw):
+    regs = [("q", draw(st.integers(1, 4))), ("r", draw(st.integers(0, 3)))]
+    regs = [(name, n) for name, n in regs if n]
+    qs = [QubitRef(name, i) for name, n in regs for i in range(n)]
+    cregs = draw(st.sampled_from([[], [("m", len(qs))]]))
+    kinds = [GateKind.H, GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER, GateKind.OPAQUE]
+    if len(qs) >= 2:
+        kinds += [GateKind.CX, GateKind.CP]
+    if len(qs) >= 3:
+        kinds += [GateKind.CCZ]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        label = cbit = None
+        if kind is GateKind.OPAQUE:
+            label = draw(st.sampled_from([lb for lb, n in _OPAQUE_ARITY.items()
+                                          if n <= len(qs)]))
+            arity = _OPAQUE_ARITY[label]
+        elif kind is GateKind.BARRIER:
+            arity = draw(st.integers(1, len(qs)))
+        else:
+            arity = kind.n_qubits
+        ops = tuple(draw(st.permutations(qs))[:arity])
+        if kind is GateKind.MEASURE and cregs:
+            cbit = ("m", draw(st.integers(0, len(qs) - 1)))
+        params = tuple(draw(st.floats(-6.3, 6.3, allow_nan=False))
+                       for _ in range(kind.n_params))
+        gates.append(Gate(kind, ops, params, cbit=cbit, label=label))
+    return make_circuit("emit", regs, gates, cregs)
+
+
+def _single_qpu_texts(c):
+    h = build_hypergraph(c)
+    return emit_subcircuits(c, plan_distribution(c, h, [0] * h.n_vertices()))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_single_qpu_emit_is_emit_qasm_fixtures(name):
+    c = load_fixture(name)
+    assert _single_qpu_texts(c) == [emit_qasm(c)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(emitter_circuits())
+def test_single_qpu_emit_is_emit_qasm(c):
+    assert _single_qpu_texts(c) == [emit_qasm(c)]

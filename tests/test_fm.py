@@ -109,7 +109,7 @@ def test_bipartition_ghz10():
     assert res.cut.cut_edges == 1
     assert res.cut.ebits == 2
     assert res.blocks_used == 2
-    assert [s.data for s in res.per_block] == [5, 5]
+    assert list(res.loads) == [5, 5]
 
 
 def test_bipartition_complete4():
@@ -122,7 +122,7 @@ def test_recursive_ghz8_four_blocks():
     res = recursive_kway(h, PartitionConfig(blocks=4))
     assert res.cut.ebits == 6             # chain severed three times
     assert res.blocks_used == 4
-    assert [s.data for s in res.per_block] == [2, 2, 2, 2]
+    assert list(res.loads) == [2, 2, 2, 2]
 
 
 def test_direct_kway_triangle_singletons():
@@ -146,7 +146,7 @@ def test_slack_capacities_keep_blocks_occupied():
     res = partition(h, PartitionConfig(blocks=2, capacities=(10, 10)))
     assert res.blocks_used == 2
     assert res.cut.cut_edges == 1
-    assert sorted(s.data for s in res.per_block) == [2, 2]
+    assert sorted(res.loads) == [2, 2]
 
 
 def test_mode_dispatch():
@@ -192,7 +192,7 @@ def test_grouping_vertices_are_weightless(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
     res = bipartition(h, PartitionConfig(blocks=2))
     # four data qubits split 2/2; grouping vertices ride along for free
-    assert sorted(s.data for s in res.per_block) == [2, 2]
+    assert sorted(res.loads) == [2, 2]
     assert res.cut.ebits == 4
 
 
@@ -212,7 +212,7 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
 def test_random_partition_balanced():
     h = build_hypergraph(generate("ghz", 10))
     res = random_partition(h, PartitionConfig(blocks=2, seed=3, restarts=1))
-    assert sorted(s.data for s in res.per_block) == [5, 5]
+    assert sorted(res.loads) == [5, 5]
     assert res.cut.cut_edges >= 1
 
 
@@ -228,7 +228,7 @@ def test_epsilon_allows_imbalance():
     h = chain(6)
     strict = partition(h, PartitionConfig(blocks=2, seed=1))
     slack = partition(h, PartitionConfig(blocks=2, epsilon=0.34, seed=1))
-    assert max(s.data for s in slack.per_block) <= 4     # ceil(1.34 * 3)
+    assert max(slack.loads) <= 4     # ceil(1.34 * 3)
     assert strict.cut.cut_edges == slack.cut.cut_edges == 1
 
 
@@ -285,6 +285,7 @@ def test_partition_invariants(h, seed, k):
         loads[res.assignment[v.id]] += v.weight
     assert all(load <= cap for load, cap in zip(loads, caps))
     assert all(load >= 1 for load in loads)       # no empty block, ever
+    assert res.loads == tuple(loads)
     rep = cut_cost(h, list(res.assignment), k)
     assert (rep.cut_edges, rep.lambda_minus_one, rep.ebits) == \
         (res.cut.cut_edges, res.cut.lambda_minus_one, res.cut.ebits)
