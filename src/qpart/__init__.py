@@ -16,9 +16,8 @@ from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          edge_home, export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
-                 PassStats, bipartition, fm_pass, gain, initial_partition,
-                 partition, random_partition, recursive_kway,
-                 resolve_capacities)
+                 PassStats, fm_pass, gain, initial_partition, partition,
+                 random_partition, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
@@ -40,9 +39,9 @@ __all__ = [
     "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
     "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig",
-    "PartitionResult", "PassStats", "bipartition", "fm_pass", "gain",
+    "PartitionResult", "PassStats", "fm_pass", "gain",
     "initial_partition", "partition", "random_partition",
-    "recursive_kway", "resolve_capacities",
+    "resolve_capacities",
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
     "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",

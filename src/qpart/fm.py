@@ -1,28 +1,32 @@
 """Fiduccia-Mattheyses partitioning over circuit hypergraphs.
 
-The pass engine is the classic one: bucket lists indexed by gain, one
-bucket array per block, FIFO order inside a gain level, critical-edge gain
-updates, and rollback of each pass to its best feasible prefix.  Balance is
-capacity-driven: block loads count qubit vertices only, and a move may
-overfill the target by at most one unit while the pass explores; returned
-prefixes always satisfy the strict bound, so without that transient slack
-an exactly-filled balanced instance would admit no qubit moves at all.
+``partition`` is the one entry point.  Every FM mode runs through one
+restart driver: each seeded restart deals the qubit vertices, runs passes
+until one fails, and snaps free weight-0 vertices onto their edge; the
+winner has the lowest (lambda - 1, balance deviation, restart index).
+Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks;
+recursive bisection calls it once per split, with that split's side
+bounds.  A split keeps the restriction of every edge inside each side, so
+later splits of an already cut edge are charged exactly as the global
+metric charges them.
 
-k-way partitioning comes in two flavours: recursive bisection (cut edges
-keep their restricted pin sets in each half, which charges every further
-split exactly as the global metric does) and a direct k-way pass over a
-per-(vertex, target) gain cache, as in KaHyPar's k-way FM.  The cache is
-filled once per pass; a move adjusts only the pins of edges whose pin
-count in the source or target block crosses 0, 1 or 2, so a pass does
-work linear in the pins it touches.  Each move takes the highest gain,
-then the lowest vertex id, then the lowest target block.
+The 2-way pass is the classic one: bucket lists indexed by gain, FIFO
+order inside a gain level, critical-edge gain updates, and rollback to the
+best feasible prefix.  The k-way pass keeps a per-(vertex, target) gain
+cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
+whose pin count in the source or target block crosses 0, 1 or 2, so a
+pass does work linear in the pins it touches.  Balance is capacity-driven:
+block loads count qubit vertices only, and a move may overfill the target
+by at most one unit while the pass explores; returned prefixes always
+satisfy the strict bound, so without that transient slack an exactly
+filled balanced instance would admit no qubit moves at all.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -588,34 +592,38 @@ def initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
 
 
 def _snap_free_vertices(h: Hypergraph, assignment: list[int]) -> None:
-    """Move each weight-0 vertex into a block its edge already spans; never
-    increases the cut and keeps every channel anchored to real qubits."""
+    """Move each weight-0 vertex with exactly one edge into a block that
+    edge's qubit pins already span; never increases the cut and keeps every
+    channel anchored to real qubits.  Circuit grouping vertices always have
+    one edge; a weight-0 vertex on several edges (hMETIS input) is left
+    where FM put it, since its first edge alone does not price a move."""
     for v in h.vertices:
-        if v.is_qubit or not h.incidence[v.id]:
+        if v.is_qubit or len(h.incidence[v.id]) != 1:
             continue
         e = h.edges[h.incidence[v.id][0]]
-        blocks = sorted(assignment[p] for p in e.pins if h.vertices[p].is_qubit)
+        blocks = {assignment[p] for p in e.pins if h.vertices[p].is_qubit}
         if blocks and assignment[v.id] not in blocks:
-            assignment[v.id] = blocks[0]
+            assignment[v.id] = min(blocks)
 
 
-def _finalize(h: Hypergraph, assignment: list[int], config: PartitionConfig,
-              passes: int, seed_used: int, gain_updates: int) -> PartitionResult:
-    _snap_free_vertices(h, assignment)
-    cut = cut_cost(h, assignment, config.blocks)
-    loads = [0] * config.blocks
+def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
+              seed_used: int, gain_updates: int) -> PartitionResult:
+    loads = [0] * blocks
     for v in h.vertices:
         loads[assignment[v.id]] += v.weight
     return PartitionResult(assignment=tuple(assignment),
-                           blocks_used=sum(1 for x in loads if x > 0), cut=cut,
-                           loads=tuple(loads), passes_run=passes,
-                           seed_used=seed_used, gain_updates=gain_updates)
+                           blocks_used=sum(1 for x in loads if x > 0),
+                           cut=cut_cost(h, assignment, blocks), loads=tuple(loads),
+                           passes_run=passes, seed_used=seed_used,
+                           gain_updates=gain_updates)
 
 
 def random_partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """The seeded deal alone, no improvement passes; the baseline method."""
+    """The seeded deal alone, snapped, no improvement passes; the baseline
+    method."""
     assignment = initial_partition(h, config)
-    return _finalize(h, assignment, config, 0, config.seed, 0)
+    _snap_free_vertices(h, assignment)
+    return _finalize(h, assignment, config.blocks, 0, config.seed, 0)
 
 
 _BASELINE_CHUNK = 128  # seeds scored together; bounds the working set
@@ -629,7 +637,7 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
     each seed only shuffles the qubit vertices with ``random.Random(seed)``
     as ``initial_partition`` does; the deal is scattered into a seeds x
     vertices block matrix, weight-0 vertices copy their anchor and are
-    snapped as ``_finalize`` snaps them, and lambda - 1 is summed per
+    snapped as ``random_partition`` snaps them, and lambda - 1 is summed per
     block from ``logical_or.reduceat`` over the edges' pins.  Seeds run in
     chunks of ``_BASELINE_CHUNK``, so memory does not grow with their
     number.  Raises InfeasibleError as the deal does.
@@ -650,10 +658,10 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
             src[v.id] = src[v.anchor if v.anchor is not None else 0]
     free = [v.id for v in h.vertices if not v.is_qubit]
     free_src = [src[v] for v in free]
-    # _snap_free_vertices: qubit pins of each free vertex's first edge
+    # _snap_free_vertices: qubit pins of each one-edge free vertex's edge
     snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
     for v in free:
-        if h.incidence[v]:
+        if len(h.incidence[v]) == 1:
             pins = [p for p in h.edges[h.incidence[v][0]].pins if h.vertices[p].is_qubit]
             if pins:
                 snap_vs.append(v)
@@ -693,75 +701,52 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
 # --------------------------------------------------------------------------
 # drivers
 
-def _balance_deviation(h: Hypergraph, assignment: list[int], config: PartitionConfig,
-                       caps: list[int]) -> float:
-    total = sum(caps)
-    n = _qubit_weight(h)
-    load = [0] * config.blocks
-    for v in h.vertices:
-        load[assignment[v.id]] += v.weight
-    return sum(abs(load[b] - caps[b] * n / total) for b in range(config.blocks))
+def _restart_driver(h: Hypergraph, config: PartitionConfig,
+                    bounds: list[int]) -> tuple[list[int], int, int, int]:
+    """Seeded restarts under explicit per-block load bounds.
 
-
-def _improve(h: Hypergraph, assignment: list[int], config: PartitionConfig,
-             bounds: list[int]) -> tuple[int, int]:
-    """Run passes until no improvement; returns (passes, gain updates)."""
-    eng = _Engine(h, config.blocks, bounds, assignment)
-    run_pass = _pass_2way if config.blocks == 2 else _pass_kway
-    passes = 0
-    updates = 0
-    while passes < config.max_passes:
-        stats = PassStats()
-        improved = run_pass(eng, stats)
-        passes += 1
-        updates += stats.gain_updates
-        if not improved:
-            break
-    return passes, updates
-
-
-def _restart_driver(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
+    Restart r deals with seed config.seed + r, runs passes until one fails
+    (``_pass_2way`` for two blocks, ``_pass_kway`` otherwise) or
+    max_passes run, then snaps free vertices.  The winner has the lowest
+    (lambda - 1, balance deviation from the capacities, r); returns its
+    assignment, passes, gain updates and seed.
+    """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    if config.blocks > max(h.n_qubit_vertices(), 1):
-        raise ValueError(f"{config.blocks} blocks exceed the "
-                         f"{h.n_qubit_vertices()} qubit vertices")
-    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
-    best = None
-    best_key = None
+    n, total = _qubit_weight(h), sum(caps)
+    run_pass = _pass_2way if config.blocks == 2 else _pass_kway
+    best, best_key = None, None
     for r in range(config.restarts):
         seed = config.seed + r
-        sub = PartitionConfig(blocks=config.blocks, capacities=config.capacities,
-                              epsilon=config.epsilon, restarts=1, seed=seed,
-                              mode=config.mode, max_passes=config.max_passes)
-        assignment = initial_partition(h, sub)
-        passes, updates = _improve(h, assignment, sub, bounds)
-        result = _finalize(h, assignment, sub, passes, seed, updates)
-        key = (result.cut.lambda_minus_one,
-               _balance_deviation(h, list(result.assignment), sub, caps), r)
+        assignment = initial_partition(h, replace(config, seed=seed))
+        eng = _Engine(h, config.blocks, bounds, assignment)
+        stats = PassStats()
+        passes = 0
+        while passes < config.max_passes:
+            passes += 1
+            if not run_pass(eng, stats):
+                break
+        _snap_free_vertices(h, assignment)
+        key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
+               sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = result, key
+            best, best_key = (assignment, passes, stats.gain_updates, seed), key
     return best
 
 
-def bipartition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """Seeded restarts of (initial deal + FM passes) for two blocks."""
-    if config.blocks != 2:
-        raise ValueError("bipartition needs blocks=2")
-    return _restart_driver(h, config)
-
-
-def recursive_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """Recursive bisection down to the capacity list.
+def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
+                         caps: list[int]) -> tuple[list[int], int, int]:
+    """Recursive bisection down to the capacity list; returns the
+    assignment and the winning restarts' passes and gain updates, summed.
 
     The capacity list is split into two halves with greedily balanced
-    sums; after bipartitioning, each side keeps the restriction of every
-    edge with two or more pins inside it, so later splits of an already
-    cut edge are charged exactly once more, matching the global metric.
+    sums, and each split runs ``_restart_driver`` over two sides.  A side
+    may take at most its blocks' ceil((1+epsilon)*cap) sum, less what the
+    other side's blocks need to stay occupied.  The deal follows the side
+    capacity sums, or the side bounds when epsilon let this part outgrow
+    those sums.  Each side keeps the restriction of every edge with two or
+    more pins inside it, so later splits of an already cut edge are
+    charged exactly once more, matching the global metric.
     """
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    if config.blocks > max(h.n_qubit_vertices(), 1):
-        raise ValueError(f"{config.blocks} blocks exceed the "
-                         f"{h.n_qubit_vertices()} qubit vertices")
     assignment = [0] * h.n_vertices()
     passes_total = 0
     updates_total = 0
@@ -779,7 +764,7 @@ def recursive_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
                 rsum += caps[b]
         return sorted(left), sorted(right)
 
-    def restrict(vertex_ids: list[int]) -> tuple[Hypergraph, dict[int, int]]:
+    def restrict(vertex_ids: list[int]) -> Hypergraph:
         local = {g: i for i, g in enumerate(vertex_ids)}
         verts = []
         for g in vertex_ids:
@@ -794,7 +779,7 @@ def recursive_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
                 edges.append(Hyperedge(id=len(edges), pins=pins, weight=e.weight,
                                        origin=e.origin,
                                        control=local.get(e.control) if e.control is not None else None))
-        return Hypergraph(verts, edges), local
+        return Hypergraph(verts, edges)
 
     def rec(vertex_ids: list[int], block_ids: list[int]) -> None:
         nonlocal passes_total, updates_total
@@ -803,62 +788,39 @@ def recursive_kway(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
                 assignment[g] = block_ids[0]
             return
         left, right = split_blocks(block_ids)
-        sub_h, local = restrict(vertex_ids)
-        weight_here = sum(v.weight for v in sub_h.vertices)
-        # a side may not hoard so much that the other cannot fill its blocks
-        lbound = min(sum(math.ceil((1 + config.epsilon) * caps[b]) for b in left),
-                     weight_here - len(right))
-        rbound = min(sum(math.ceil((1 + config.epsilon) * caps[b]) for b in right),
-                     weight_here - len(left))
+        sub_h = restrict(vertex_ids)
+        weight_here = _qubit_weight(sub_h)
+        bounds = [min(sum(math.ceil((1 + config.epsilon) * caps[b]) for b in side),
+                      weight_here - len(other))
+                  for side, other in ((left, right), (right, left))]
         side_caps = (sum(caps[b] for b in left), sum(caps[b] for b in right))
-        sub = PartitionConfig(blocks=2, capacities=side_caps, epsilon=config.epsilon,
-                              restarts=config.restarts, seed=config.seed,
-                              max_passes=config.max_passes)
-        # run the restart loop with the exact per-side bounds
-        best = None
-        best_key = None
-        if side_caps[0] + side_caps[1] < weight_here:
-            raise InfeasibleError("side capacities cannot host the sub-hypergraph")
-        for r in range(config.restarts):
-            seed_cfg = PartitionConfig(blocks=2, capacities=side_caps,
-                                       epsilon=config.epsilon, restarts=1,
-                                       seed=config.seed + r, max_passes=config.max_passes)
-            side_assign = initial_partition(sub_h, seed_cfg)
-            eng = _Engine(sub_h, 2, [lbound, rbound], side_assign)
-            passes = 0
-            updates = 0
-            while passes < config.max_passes:
-                stats = PassStats()
-                improved = _pass_2way(eng, stats)
-                passes += 1
-                updates += stats.gain_updates
-                if not improved:
-                    break
-            cost = cut_cost(sub_h, side_assign, 2).lambda_minus_one
-            load0 = sum(sub_h.vertices[i].weight for i in range(sub_h.n_vertices())
-                        if side_assign[i] == 0)
-            dev = abs(load0 - side_caps[0] * weight_here / max(sum(side_caps), 1))
-            key = (cost, dev, r)
-            if best_key is None or key < best_key:
-                best, best_key = list(side_assign), key
-                best_stats = (passes, updates)
-        passes_total += best_stats[0]
-        updates_total += best_stats[1]
-        left_vs = [g for g in vertex_ids if best[local[g]] == 0]
-        right_vs = [g for g in vertex_ids if best[local[g]] == 1]
-        rec(left_vs, left)
-        rec(right_vs, right)
+        if sum(side_caps) < weight_here:
+            side_caps = tuple(bounds)
+        sides, passes, updates, _ = _restart_driver(
+            sub_h, replace(config, blocks=2, capacities=side_caps), bounds)
+        passes_total += passes
+        updates_total += updates
+        rec([g for i, g in enumerate(vertex_ids) if sides[i] == 0], left)
+        rec([g for i, g in enumerate(vertex_ids) if sides[i] == 1], right)
 
     rec(list(range(h.n_vertices())), list(range(config.blocks)))
-    return _finalize(h, assignment, config, passes_total, config.seed, updates_total)
+    return assignment, passes_total, updates_total
 
 
 def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """Dispatch on config.mode."""
+    """Partition ``h`` as config.mode says: the random deal, one restart
+    driver over all blocks (two blocks, or ``Mode.DIRECT_KWAY``), or
+    recursive bisection built from that driver."""
     if config.mode is Mode.RANDOM:
         return random_partition(h, config)
-    if config.mode is Mode.DIRECT_KWAY:
-        return _restart_driver(h, config)
-    if config.blocks == 2:
-        return bipartition(h, config)
-    return recursive_kway(h, config)
+    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
+    if config.blocks > max(h.n_qubit_vertices(), 1):
+        raise ValueError(f"{config.blocks} blocks exceed the "
+                         f"{h.n_qubit_vertices()} qubit vertices")
+    if config.blocks == 2 or config.mode is Mode.DIRECT_KWAY:
+        bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
+        assignment, passes, updates, seed = _restart_driver(h, config, bounds)
+    else:
+        assignment, passes, updates = _recursive_bisection(h, config, caps)
+        seed = config.seed
+    return _finalize(h, assignment, config.blocks, passes, seed, updates)

@@ -102,8 +102,9 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     ``config`` is a PartitionConfig; its blocks, capacities and epsilon
     define the feasible set.  Enumerates every capacity-feasible placement
     of the weighted vertices; weight-0 vertices are resolved to the
-    cheapest block afterwards, which is exact because each belongs to
-    exactly one edge.  Guarded to small instances on purpose.
+    cheapest block afterwards, which is exact because each belongs to at
+    most one edge (one on two or more edges raises ValueError).  Guarded
+    to small instances on purpose.
     """
     from .fm import resolve_capacities  # local import, no cycle at module load
 
@@ -116,6 +117,10 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
         raise ValueError(f"oracle handles 2..{MAX_ORACLE_BLOCKS} blocks, got {blocks}")
     if blocks > len(qubit_vs):
         raise ValueError(f"{blocks} blocks exceed the {len(qubit_vs)} weighted vertices")
+    for v in free_vs:
+        if len(h.incidence[v]) > 1:
+            raise ValueError(f"weight-0 vertex {v} lies on {len(h.incidence[v])} edges; "
+                             "the oracle resolves only one-edge weight-0 vertices")
     vweight = [h.vertices[v].weight for v in range(h.n_vertices())]
     caps = resolve_capacities(config.capacities, sum(vweight[v] for v in qubit_vs), blocks)
     bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]

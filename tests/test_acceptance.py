@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from qpart import (Mode, PartitionConfig, PassStats, bipartition,
-                   brute_force_mincut, build_hypergraph, emit_qasm, equivalent,
-                   find_groups, fm_pass, generate, initial_partition,
-                   parse_qasm, partition, random_partition, simulate)
+from qpart import (Mode, PartitionConfig, PassStats, brute_force_mincut,
+                   build_hypergraph, emit_qasm, equivalent, find_groups,
+                   fm_pass, generate, initial_partition, parse_qasm, partition,
+                   random_partition, simulate)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
 from qpart.fm import random_baseline
 
@@ -37,7 +37,7 @@ def test_criterion_1_grouped_fm_halves_random_baseline():
     for n in (8, 16):
         c = generate("qft", n)
         grouped = build_hypergraph(c, find_groups(c))
-        fm = bipartition(grouped, PartitionConfig(blocks=2)).cut.ebits
+        fm = partition(grouped, PartitionConfig(blocks=2)).cut.ebits
         base = random_mean_ebits(build_hypergraph(c), 2, 1000)
         ratios[n] = fm / base
     elapsed = time.perf_counter() - t0
@@ -53,7 +53,7 @@ def test_criterion_2_fm_improvement_on_chains():
     imps = {}
     for n in (10, 50, 100):
         h = build_hypergraph(generate("ghz", n))
-        fm = bipartition(h, PartitionConfig(blocks=2)).cut.ebits
+        fm = partition(h, PartitionConfig(blocks=2)).cut.ebits
         base = random_mean_ebits(h, 2, 1000)
         imps[n] = 100.0 * (base - fm) / base
     elapsed = time.perf_counter() - t0
@@ -69,7 +69,7 @@ def test_criterion_3_fm_matches_brute_force():
     for n in range(4, 13):
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=2, restarts=16)
-        fm = bipartition(h, cfg).cut.lambda_minus_one
+        fm = partition(h, cfg).cut.lambda_minus_one
         best = brute_force_mincut(h, cfg).lambda_minus_one
         assert fm == best == 1, f"ghz{n}: fm {fm} vs oracle {best}"
 
@@ -109,14 +109,14 @@ def test_criterion_4_grouping_never_hurts():
     pairs = {}
     for name in fixture_names():
         c = load_fixture(name)
-        flat = bipartition(build_hypergraph(c), PartitionConfig(blocks=2)).cut.ebits
-        grouped = bipartition(build_hypergraph(c, find_groups(c)),
-                              PartitionConfig(blocks=2)).cut.ebits
+        flat = partition(build_hypergraph(c), PartitionConfig(blocks=2)).cut.ebits
+        grouped = partition(build_hypergraph(c, find_groups(c)),
+                            PartitionConfig(blocks=2)).cut.ebits
         pairs[name] = (grouped, flat)
     qft4 = generate("qft", 4)
-    g4 = bipartition(build_hypergraph(qft4, find_groups(qft4)),
-                     PartitionConfig(blocks=2)).cut.ebits
-    f4 = bipartition(build_hypergraph(qft4), PartitionConfig(blocks=2)).cut.ebits
+    g4 = partition(build_hypergraph(qft4, find_groups(qft4)),
+                   PartitionConfig(blocks=2)).cut.ebits
+    f4 = partition(build_hypergraph(qft4), PartitionConfig(blocks=2)).cut.ebits
     ok = all(g <= f for g, f in pairs.values()) and (g4, f4) == (4, 8)
     detail = ("; ".join(f"{n.removesuffix('.qasm')} {g}<={f}"
                         for n, (g, f) in pairs.items())
@@ -216,7 +216,7 @@ def test_criterion_8_gain_updates_scale_linearly():
 
     h = build_hypergraph(generate("ghz", 100))
     t0 = time.perf_counter()
-    res = bipartition(h, PartitionConfig(blocks=2))
+    res = partition(h, PartitionConfig(blocks=2))
     elapsed = time.perf_counter() - t0
 
     ok = abs(slope - 1.0) <= 0.15 and r2 >= 0.95 and elapsed < 1.0

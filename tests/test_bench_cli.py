@@ -277,6 +277,18 @@ def test_cli_partition_hmetis_single_pin_edges(tmp_path, capsys):
     assert reports[0]["ebits"] > 0
 
 
+def test_cli_partition_hmetis_multi_edge_free_vertex(tmp_path, capsys):
+    # weight-0 vertex 1 lies on a weight-1 edge to vertex 2 and a weight-5
+    # edge to vertices 3 and 4; snapping it to its first edge would cut the
+    # heavy one (10 ebits), leaving it with 3 and 4 costs 2
+    path = tmp_path / "free.hmetis"
+    path.write_text("2 4 11\n1 1 2\n5 1 3 4\n0\n1\n1\n1\n")
+    for method in ("fm", "kway"):
+        assert main(["partition", str(path), "--parts", "2", "--capacities", "2,1",
+                     "--method", method, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ebits"] == 2
+
+
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
     out = tmp_path / "ghz4.hgr"
     main(["hmetis", "ghz:4", "--out", str(out)])

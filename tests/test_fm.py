@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
-                   PartitionConfig, PassStats, Vertex, bipartition,
-                   brute_force_mincut, build_hypergraph, cut_cost,
-                   export_hmetis, find_groups, fm_pass, gain, generate,
-                   import_hmetis, initial_partition, partition,
-                   random_partition, recursive_kway, resolve_capacities)
+                   PartitionConfig, PassStats, Vertex, brute_force_mincut,
+                   build_hypergraph, cut_cost, export_hmetis, find_groups,
+                   fm_pass, gain, generate, import_hmetis, initial_partition,
+                   partition, random_partition, resolve_capacities)
 from qpart.fm import _Engine, _pass_kway, random_baseline
 
 
@@ -105,7 +104,7 @@ def test_fm_pass_keeps_balance():
 
 def test_bipartition_ghz10():
     h = build_hypergraph(generate("ghz", 10))
-    res = bipartition(h, PartitionConfig(blocks=2))
+    res = partition(h, PartitionConfig(blocks=2))
     assert res.cut.cut_edges == 1
     assert res.cut.ebits == 2
     assert res.blocks_used == 2
@@ -113,13 +112,13 @@ def test_bipartition_ghz10():
 
 
 def test_bipartition_complete4():
-    res = bipartition(complete(4), PartitionConfig(blocks=2))
+    res = partition(complete(4), PartitionConfig(blocks=2))
     assert res.cut.cut_edges == 4         # best balanced cut of K4
 
 
 def test_recursive_ghz8_four_blocks():
     h = build_hypergraph(generate("ghz", 8))
-    res = recursive_kway(h, PartitionConfig(blocks=4))
+    res = partition(h, PartitionConfig(blocks=4))
     assert res.cut.ebits == 6             # chain severed three times
     assert res.blocks_used == 4
     assert list(res.loads) == [2, 2, 2, 2]
@@ -151,18 +150,18 @@ def test_slack_capacities_keep_blocks_occupied():
 
 def test_mode_dispatch():
     h = build_hypergraph(generate("ghz", 8))
-    for mode, fn in ((Mode.RECURSIVE_BISECT, recursive_kway),
-                     (Mode.RANDOM, random_partition)):
-        cfg = PartitionConfig(blocks=4, mode=mode, restarts=2)
-        assert partition(h, cfg).assignment == fn(h, cfg).assignment
-    # direct k-way: the seeded deal, refined by k-way passes until one fails
-    cfg = PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)
-    a = initial_partition(h, cfg)
-    for _ in range(cfg.max_passes):
-        a, improved = fm_pass(h, a, cfg)
-        if not improved:
-            break
-    assert partition(h, cfg).assignment == tuple(a)
+    cfg = PartitionConfig(blocks=4, mode=Mode.RANDOM, restarts=2)
+    assert partition(h, cfg).assignment == random_partition(h, cfg).assignment
+    # two blocks, and direct k-way: the seeded deal, refined by passes
+    # until one fails
+    for cfg in (PartitionConfig(blocks=2, restarts=1),
+                PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)):
+        a = initial_partition(h, cfg)
+        for _ in range(cfg.max_passes):
+            a, improved = fm_pass(h, a, cfg)
+            if not improved:
+                break
+        assert partition(h, cfg).assignment == tuple(a)
 
 
 def test_determinism():
@@ -190,7 +189,7 @@ def test_infeasible_capacities():
 
 def test_grouping_vertices_are_weightless(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
-    res = bipartition(h, PartitionConfig(blocks=2))
+    res = partition(h, PartitionConfig(blocks=2))
     # four data qubits split 2/2; grouping vertices ride along for free
     assert sorted(res.loads) == [2, 2]
     assert res.cut.ebits == 4
@@ -200,13 +199,19 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
     # after the final snap, a weight-0 vertex sits in a block its edge's
     # qubit pins already span, so its channel is anchored to real qubits
     h = build_hypergraph(qft4, find_groups(qft4))
-    res = bipartition(h, PartitionConfig(blocks=2))
+    res = partition(h, PartitionConfig(blocks=2))
     for v in h.vertices:
         if v.is_qubit:
             continue
         e = h.edges[h.incidence[v.id][0]]
         spanned = {res.assignment[p] for p in e.pins if h.vertices[p].is_qubit}
         assert res.assignment[v.id] in spanned
+
+
+def test_ghz16_four_blocks_with_epsilon():
+    h = build_hypergraph(generate("ghz", 16))
+    res = partition(h, PartitionConfig(blocks=4, epsilon=0.3))
+    assert max(res.loads) <= 6 and res.blocks_used == 4
 
 
 def test_random_partition_balanced():
@@ -234,7 +239,7 @@ def test_epsilon_allows_imbalance():
 
 def test_gain_updates_counted():
     h = build_hypergraph(generate("ghz", 16))
-    res = bipartition(h, PartitionConfig(blocks=2, restarts=1))
+    res = partition(h, PartitionConfig(blocks=2, restarts=1))
     assert res.gain_updates > 0
 
 
@@ -254,11 +259,37 @@ def small_hypergraphs(draw):
     return Hypergraph([Vertex(i) for i in range(nv)], edges)
 
 
+@st.composite
+def slack_recursive_instances(draw):
+    family = draw(st.sampled_from(["ghz", "qft", "random"]))
+    n = draw(st.integers(6, 24))
+    c = generate(family, n, seed=draw(st.integers(0, 9)))
+    h = build_hypergraph(c, find_groups(c) if draw(st.booleans()) else None)
+    k = draw(st.integers(3, 5))
+    caps = draw(st.one_of(st.none(), st.lists(st.integers(1, n), min_size=k, max_size=k)
+                          .filter(lambda caps: sum(caps) >= n).map(tuple)))
+    epsilon = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+    return h, PartitionConfig(blocks=k, capacities=caps, epsilon=epsilon, restarts=2,
+                              seed=draw(st.integers(0, 99)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(slack_recursive_instances())
+def test_recursive_bisection_with_epsilon_stays_feasible(instance):
+    # epsilon lets a side outgrow its blocks' capacity sum; the next split
+    # must still deal it, and every block stays within its bound
+    h, cfg = instance
+    res = partition(h, cfg)
+    caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
+    assert all(load <= math.ceil((1 + cfg.epsilon) * cap)
+               for load, cap in zip(res.loads, caps))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_hypergraphs(), st.integers(0, 99))
 def test_fm_never_worse_than_random(h, seed):
     cfg = PartitionConfig(blocks=2, seed=seed, restarts=2)
-    fm = bipartition(h, cfg)
+    fm = partition(h, cfg)
     rnd = random_partition(h, cfg)
     assert fm.cut.lambda_minus_one <= rnd.cut.lambda_minus_one
 
@@ -267,7 +298,7 @@ def test_fm_never_worse_than_random(h, seed):
 @given(small_hypergraphs(), st.integers(0, 99))
 def test_fm_never_beats_oracle(h, seed):
     cfg = PartitionConfig(blocks=2, seed=seed, restarts=4)
-    fm = bipartition(h, cfg)
+    fm = partition(h, cfg)
     best = brute_force_mincut(h, cfg)
     assert fm.cut.lambda_minus_one >= best.lambda_minus_one
 

@@ -240,3 +240,8 @@ def test_oracle_guards():
     h = Hypergraph([Vertex(0, weight=3), Vertex(1)], [Hyperedge(0, (0, 1))])
     with pytest.raises(ValueError, match="no capacity-feasible"):
         brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 2)))
+    # a weight-0 vertex on two edges: its best block depends on both
+    h = Hypergraph([Vertex(0, weight=0), Vertex(1), Vertex(2), Vertex(3)],
+                   [Hyperedge(0, (0, 1)), Hyperedge(1, (0, 2, 3), weight=5)])
+    with pytest.raises(ValueError, match="weight-0 vertex 0 lies on 2 edges"):
+        brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 1)))
