@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, PassStats, Vertex, brute_force_mincut,
@@ -208,12 +208,6 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
         assert res.assignment[v.id] in spanned
 
 
-def test_ghz16_four_blocks_with_epsilon():
-    h = build_hypergraph(generate("ghz", 16))
-    res = partition(h, PartitionConfig(blocks=4, epsilon=0.3))
-    assert max(res.loads) <= 6 and res.blocks_used == 4
-
-
 def test_random_partition_balanced():
     h = build_hypergraph(generate("ghz", 10))
     res = random_partition(h, PartitionConfig(blocks=2, seed=3, restarts=1))
@@ -275,6 +269,8 @@ def slack_recursive_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(slack_recursive_instances())
+@example((build_hypergraph(generate("ghz", 16)), PartitionConfig(blocks=4, epsilon=0.3)))
+@example((build_hypergraph(generate("qft", 12)), PartitionConfig(blocks=3, epsilon=0.2)))
 def test_recursive_bisection_with_epsilon_stays_feasible(instance):
     # epsilon lets a side outgrow its blocks' capacity sum; the next split
     # must still deal it, and every block stays within its bound
