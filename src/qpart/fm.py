@@ -10,16 +10,18 @@ bounds.  A split keeps the restriction of every edge inside each side, so
 later splits of an already cut edge are charged exactly as the global
 metric charges them.
 
-The 2-way pass is the classic one: bucket lists indexed by gain, FIFO
-order inside a gain level, critical-edge gain updates, and rollback to the
-best feasible prefix.  The k-way pass keeps a per-(vertex, target) gain
+Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
 whose pin count in the source or target block crosses 0, 1 or 2, so a
-pass does work linear in the pins it touches.  Balance is capacity-driven:
-block loads count qubit vertices only, and a move may overfill the target
-by at most one unit while the pass explores; returned prefixes always
-satisfy the strict bound, so without that transient slack an exactly
-filled balanced instance would admit no qubit moves at all.
+pass does work linear in the pins it touches.  Each cache write pushes
+the new gain on a lazy max-heap per (vertex kind, target); every move
+takes the highest gain, then the lowest vertex id, then the lowest
+target, with rollback to the best feasible prefix.  Balance is
+capacity-driven: block loads count qubit vertices only, and a move may
+overfill the target by at most one unit while the pass explores;
+returned prefixes always satisfy the strict bound, so without that
+transient slack an exactly filled balanced instance would admit no qubit
+moves at all.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -123,95 +126,11 @@ class PartitionResult:
 
 @dataclass
 class PassStats:
-    """Instrumentation for one pass; gain_updates counts every gain entry
-    computed or adjusted: one per vertex for the 2-way buckets, one per
-    (vertex, target) cache entry for the k-way pass."""
+    """Instrumentation for one pass; gain_updates counts every
+    (vertex, target) gain-cache entry computed or adjusted."""
 
     moves: int = 0
     gain_updates: int = 0
-
-
-# --------------------------------------------------------------------------
-# gain buckets
-
-class GainBuckets:
-    """Doubly linked bucket lists, one array per block, FIFO per gain level.
-
-    Vertices are nodes of intrusive linked lists (prev/next arrays), so
-    removal and re-insertion are O(1).  ``stamp`` is a global insertion
-    counter used to break equal-gain ties across blocks: the least recently
-    inserted vertex wins.
-    """
-
-    def __init__(self, n_vertices: int, max_gain: int, blocks: int):
-        self.off = max_gain
-        self.span = 2 * max_gain + 1
-        self.head = [[-1] * self.span for _ in range(blocks)]
-        self.tail = [[-1] * self.span for _ in range(blocks)]
-        self.nxt = [-1] * n_vertices
-        self.prv = [-1] * n_vertices
-        self.gain = [0] * n_vertices
-        self.home = [-1] * n_vertices
-        self.present = [False] * n_vertices
-        self.stamp = [0] * n_vertices
-        self.top = [-max_gain - 1] * blocks
-        self._clock = 0
-
-    def insert(self, v: int, block: int, gain: int) -> None:
-        assert not self.present[v]
-        slot = gain + self.off
-        self.gain[v] = gain
-        self.home[v] = block
-        self.present[v] = True
-        self._clock += 1
-        self.stamp[v] = self._clock
-        tail = self.tail[block][slot]
-        self.prv[v] = tail
-        self.nxt[v] = -1
-        if tail == -1:
-            self.head[block][slot] = v
-        else:
-            self.nxt[tail] = v
-        self.tail[block][slot] = v
-        if gain > self.top[block]:
-            self.top[block] = gain
-
-    def remove(self, v: int) -> None:
-        if not self.present[v]:
-            return
-        block, slot = self.home[v], self.gain[v] + self.off
-        p, n = self.prv[v], self.nxt[v]
-        if p == -1:
-            self.head[block][slot] = n
-        else:
-            self.nxt[p] = n
-        if n == -1:
-            self.tail[block][slot] = p
-        else:
-            self.prv[n] = p
-        self.present[v] = False
-
-    def adjust(self, v: int, delta: int) -> None:
-        if not self.present[v] or delta == 0:
-            return
-        block, gain = self.home[v], self.gain[v]
-        self.remove(v)
-        self.insert(v, block, gain + delta)
-
-    def candidates(self, block: int):
-        """Yield present vertices of a block in (gain desc, FIFO) order."""
-        g = min(self.top[block], self.off)
-        while g >= -self.off:
-            v = self.head[block][g + self.off]
-            if v == -1:
-                if g == self.top[block]:
-                    self.top[block] = g - 1
-                g -= 1
-                continue
-            while v != -1:
-                yield v
-                v = self.nxt[v]
-            g -= 1
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +138,6 @@ class GainBuckets:
 
 class _Engine:
     def __init__(self, h: Hypergraph, blocks: int, bounds: list[int], assignment: list[int]):
-        self.h = h
         self.k = blocks
         self.bounds = bounds
         self.pins = [list(e.pins) for e in h.edges]
@@ -236,28 +154,12 @@ class _Engine:
         for v, b in enumerate(assignment):
             self.load[b] += self.vw[v]
             self.count[b] += 1 if self.vw[v] > 0 else 0
-        self.max_gain = max((sum(self.ew[e] for e in self.inc[v])
-                             for v in range(len(self.vw))), default=1) or 1
 
     def cost(self) -> int:
         return sum((sum(1 for c in row if c) - 1) * w for row, w in zip(self.phi, self.ew))
 
     def overloaded(self) -> int:
         return sum(1 for b in range(self.k) if self.load[b] > self.bounds[b])
-
-    def move_ok(self, v: int, target: int) -> bool:
-        src = self.assign[v]
-        if target == src:
-            return False
-        if self.vw[v] == 0:
-            return True
-        # the mover itself may overfill the target by its own weight while
-        # the pass explores; prefixes are re-checked against the strict bound
-        if self.load[target] > self.bounds[target]:
-            return False
-        if self.count[src] <= 1:
-            return False  # a block must keep at least one qubit vertex
-        return True
 
     def apply(self, v: int, target: int) -> None:
         src = self.assign[v]
@@ -304,98 +206,19 @@ def gain(h: Hypergraph, assignment: list[int], vertex: int, target: int) -> int:
 # --------------------------------------------------------------------------
 # passes
 
-def _pass_2way(eng: _Engine, stats: PassStats | None = None) -> bool:
-    """One FM pass; mutates eng.assign, returns True when the best prefix
-    strictly improved the cost."""
-    n = len(eng.vw)
-    buckets = GainBuckets(n, eng.max_gain, 2)
-    for v in range(n):
-        side = eng.assign[v]
-        buckets.insert(v, side, eng.gain_of(v, 1 - side))
-        if stats:
-            stats.gain_updates += 1
+def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
+    """One FM pass over every block; mutates eng.assign, returns True when
+    the best prefix strictly improved the cost.
 
-    start_cost = eng.cost()
-    cur = start_cost
-    best_cost = start_cost
-    best_prefix = 0
-    moves: list[tuple[int, int, int]] = []
-
-    while True:
-        chosen = None
-        for side in (0, 1):
-            for v in buckets.candidates(side):
-                if eng.move_ok(v, 1 - side):
-                    key = (buckets.gain[v], -buckets.stamp[v])
-                    if chosen is None or key > chosen[0]:
-                        chosen = (key, v, 1 - side)
-                    break
-        if chosen is None:
-            break
-        _, v, target = chosen
-        src = eng.assign[v]
-        moved_gain = buckets.gain[v]
-        buckets.remove(v)
-
-        for e in eng.inc[v]:
-            w = eng.ew[e]
-            phi = eng.phi[e]
-            if phi[target] == 0:
-                for u in eng.pins[e]:
-                    buckets.adjust(u, w)
-                    if stats:
-                        stats.gain_updates += 1
-            elif phi[target] == 1:
-                for u in eng.pins[e]:
-                    if eng.assign[u] == target:
-                        buckets.adjust(u, -w)
-                        if stats:
-                            stats.gain_updates += 1
-            phi[src] -= 1
-            phi[target] += 1
-            if phi[src] == 0:
-                for u in eng.pins[e]:
-                    buckets.adjust(u, -w)
-                    if stats:
-                        stats.gain_updates += 1
-            elif phi[src] == 1:
-                for u in eng.pins[e]:
-                    if u != v and eng.assign[u] == src:
-                        buckets.adjust(u, w)
-                        if stats:
-                            stats.gain_updates += 1
-        eng.assign[v] = target
-        w = eng.vw[v]
-        eng.load[src] -= w
-        eng.load[target] += w
-        if w > 0:
-            eng.count[src] -= 1
-            eng.count[target] += 1
-
-        cur -= moved_gain
-        moves.append((v, src, target))
-        if stats:
-            stats.moves += 1
-        if eng.overloaded() == 0 and cur < best_cost:
-            best_cost = cur
-            best_prefix = len(moves)
-
-    for v, src, target in reversed(moves[best_prefix:]):
-        eng.apply(v, src)
-    return best_cost < start_cost
-
-
-def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
-    """Direct k-way pass over a gain cache; mutates eng.assign, returns
-    True when the best prefix strictly improved the cost.
-
-    ``cols[t][i]`` holds the gain of moving the i-th vertex of a kind to
-    block t, with one set of k columns for qubit vertices and one for
-    weight-0 vertices.  Entries that may not move sit below every real
-    gain: a vertex's own block and locked vertices hold ``dead``, and the
-    lone qubit vertex of a block carries a ``-mask`` offset that delta
-    updates leave exact.  Each move takes the highest gain over the
-    feasible columns, then the lowest vertex id, then the lowest target.
+    ``gains[t][v]`` caches the gain of moving v to block t.  Entries that
+    may not move sit below every real gain: a vertex's own block and locked
+    vertices hold ``dead``, and the lone qubit vertex of a block carries a
+    ``-mask`` offset that delta updates leave exact.  ``bump`` writes the
+    cache and pushes each real gain as ``(-gain, v)`` on a lazy heap per
+    (kind, target), with one set of k heaps for qubit vertices and one for
+    weight-0 vertices; selection pops the entries the cache no longer
+    holds.  Each move takes the highest gain over the feasible heaps, then
+    the lowest vertex id, then the lowest target.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
@@ -405,29 +228,35 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
     mask = 1 - 2 * floor
     dead = 2 * floor - 2 * mask
     locked = [False] * n
-    kinds = ([v for v in range(n) if vw[v] > 0], [v for v in range(n) if vw[v] == 0])
-    tables = ([[dead] * len(kinds[0]) for _ in range(k)],
-              [[dead] * len(kinds[1]) for _ in range(k)])
-    table: list = [None] * n  # vertex -> its kind's columns
-    pos = [0] * n
+    gains = [[dead] * n for _ in range(k)]
     members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
-    for ids, cols in zip(kinds, tables):
-        for i, v in enumerate(ids):
-            table[v] = cols
-            pos[v] = i
-            src = assign[v]
-            for t in range(k):
-                if t != src:
-                    cols[t][i] = eng.gain_of(v, t)
+    for v in range(n):
+        src = assign[v]
+        for t in range(k):
+            if t != src:
+                gains[t][v] = eng.gain_of(v, t)
+        if vw[v] > 0:
+            members[src].add(v)
     updates = n * (k - 1)
-    for v in kinds[0]:
-        members[assign[v]].add(v)
+    qheaps, zheaps = (
+        [[(-col[v], v) for v in range(n) if (vw[v] > 0) == qubit and col[v] >= floor]
+         for col in gains]
+        for qubit in (True, False))
+    for hp in qheaps + zheaps:
+        heapify(hp)
+    heap_of = [qheaps if w > 0 else zheaps for w in vw]
+
+    def bump(u: int, t: int, delta: int) -> None:
+        g = gains[t][u] + delta
+        gains[t][u] = g
+        if g >= floor:
+            heappush(heap_of[u][t], (-g, u))
 
     def shift(u: int, delta: int) -> None:
-        cols, i, own = table[u], pos[u], assign[u]
+        own = assign[u]
         for t in range(k):
             if t != own:
-                cols[t][i] += delta
+                bump(u, t, delta)
 
     # a block's lone qubit vertex is masked exactly while it is unlocked
     for b in range(k):
@@ -440,29 +269,26 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
     cur = start_cost
     best_cost = start_cost
     best_prefix = 0
+    over = eng.overloaded()
     moves: list[tuple[int, int, int]] = []
 
     while True:
         best_g, v, target = floor - 1, n, -1
-        for ids, cols, qubit in zip(kinds, tables, (True, False)):
-            if not ids:
-                continue
-            for t in range(k):
-                if qubit and load[t] > bounds[t]:
-                    continue
-                col = cols[t]
-                g = max(col)
-                if g < floor or g < best_g:
-                    continue
-                u = ids[col.index(g)]
-                if g > best_g or u < v:
-                    best_g, v, target = g, u, t
+        for t in range(k):
+            col = gains[t]
+            for hp in (qheaps[t], zheaps[t]) if load[t] <= bounds[t] else (zheaps[t],):
+                while hp and col[hp[0][1]] != -hp[0][0]:
+                    heappop(hp)
+                if hp:
+                    g, u = hp[0]
+                    g = -g
+                    if g > best_g or (g == best_g and u < v):
+                        best_g, v, target = g, u, t
         if target < 0:
             break
         src = assign[v]
-        cols, i = table[v], pos[v]
         for t in range(k):
-            cols[t][i] = dead
+            gains[t][v] = dead
         locked[v] = True
 
         for e in inc[v]:
@@ -471,7 +297,7 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
             if row[target] == 0:
                 for u in pins[e]:
                     if not locked[u]:
-                        table[u][target][pos[u]] += w
+                        bump(u, target, w)
                         updates += 1
             elif row[target] == 1:
                 for u in pins[e]:
@@ -485,7 +311,7 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
             if row[src] == 0:
                 for u in pins[e]:
                     if not locked[u]:
-                        table[u][src][pos[u]] -= w
+                        bump(u, src, -w)
                         updates += 1
             elif row[src] == 1:
                 for u in pins[e]:
@@ -496,9 +322,11 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
                         break
         assign[v] = target
         w = vw[v]
-        load[src] -= w
-        load[target] += w
         if w > 0:
+            over -= (load[src] > bounds[src]) + (load[target] > bounds[target])
+            load[src] -= w
+            load[target] += w
+            over += (load[src] > bounds[src]) + (load[target] > bounds[target])
             count[src] -= 1
             count[target] += 1
             members[src].remove(v)
@@ -518,7 +346,7 @@ def _pass_kway(eng: _Engine, stats: PassStats | None = None) -> bool:
         moves.append((v, src, target))
         if stats:
             stats.moves += 1
-        if eng.overloaded() == 0 and cur < best_cost:
+        if over == 0 and cur < best_cost:
             best_cost = cur
             best_prefix = len(moves)
 
@@ -535,11 +363,7 @@ def fm_pass(h: Hypergraph, assignment: list[int], config: PartitionConfig,
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
     work = list(assignment)
-    eng = _Engine(h, config.blocks, bounds, work)
-    if config.blocks == 2:
-        improved = _pass_2way(eng, stats)
-    else:
-        improved = _pass_kway(eng, stats)
+    improved = _pass(_Engine(h, config.blocks, bounds, work), stats)
     return work, improved
 
 
@@ -705,15 +529,13 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
                     bounds: list[int]) -> tuple[list[int], int, int, int]:
     """Seeded restarts under explicit per-block load bounds.
 
-    Restart r deals with seed config.seed + r, runs passes until one fails
-    (``_pass_2way`` for two blocks, ``_pass_kway`` otherwise) or
-    max_passes run, then snaps free vertices.  The winner has the lowest
-    (lambda - 1, balance deviation from the capacities, r); returns its
-    assignment, passes, gain updates and seed.
+    Restart r deals with seed config.seed + r, runs ``_pass`` until a pass
+    fails or max_passes run, then snaps free vertices.  The winner has the
+    lowest (lambda - 1, balance deviation from the capacities, r); returns
+    its assignment, passes, gain updates and seed.
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     n, total = _qubit_weight(h), sum(caps)
-    run_pass = _pass_2way if config.blocks == 2 else _pass_kway
     best, best_key = None, None
     for r in range(config.restarts):
         seed = config.seed + r
@@ -723,7 +545,7 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
         passes = 0
         while passes < config.max_passes:
             passes += 1
-            if not run_pass(eng, stats):
+            if not _pass(eng, stats):
                 break
         _snap_free_vertices(h, assignment)
         key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
@@ -810,17 +632,28 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
 def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """Partition ``h`` as config.mode says: the random deal, one restart
     driver over all blocks (two blocks, or ``Mode.DIRECT_KWAY``), or
-    recursive bisection built from that driver."""
-    if config.mode is Mode.RANDOM:
-        return random_partition(h, config)
+    recursive bisection built from that driver.
+
+    Raises InfeasibleError when the capacities cannot host the qubits, or
+    when a block of the result holds more than ceil((1+epsilon)*cap): the
+    deal spends one capacity unit per qubit vertex, so hypergraph input
+    with vertex weights above 1 can leave a block over capacity.
+    """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    if config.blocks > max(h.n_qubit_vertices(), 1):
-        raise ValueError(f"{config.blocks} blocks exceed the "
-                         f"{h.n_qubit_vertices()} qubit vertices")
-    if config.blocks == 2 or config.mode is Mode.DIRECT_KWAY:
-        bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
-        assignment, passes, updates, seed = _restart_driver(h, config, bounds)
+    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
+    if config.mode is Mode.RANDOM:
+        result = random_partition(h, config)
     else:
-        assignment, passes, updates = _recursive_bisection(h, config, caps)
-        seed = config.seed
-    return _finalize(h, assignment, config.blocks, passes, seed, updates)
+        if config.blocks > max(h.n_qubit_vertices(), 1):
+            raise ValueError(f"{config.blocks} blocks exceed the "
+                             f"{h.n_qubit_vertices()} qubit vertices")
+        if config.blocks == 2 or config.mode is Mode.DIRECT_KWAY:
+            assignment, passes, updates, seed = _restart_driver(h, config, bounds)
+        else:
+            assignment, passes, updates = _recursive_bisection(h, config, caps)
+            seed = config.seed
+        result = _finalize(h, assignment, config.blocks, passes, seed, updates)
+    for b, (load, bound) in enumerate(zip(result.loads, bounds)):
+        if load > bound:
+            raise InfeasibleError(f"block {b} has load {load}, over its capacity {bound}")
+    return result

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -287,6 +288,17 @@ def test_cli_partition_hmetis_multi_edge_free_vertex(tmp_path, capsys):
         assert main(["partition", str(path), "--parts", "2", "--capacities", "2,1",
                      "--method", method, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["ebits"] == 2
+
+
+def test_cli_partition_hmetis_over_capacity_exit2(tmp_path, capsys):
+    # vertex 1 weighs 5 but each of the two blocks holds 4; no method may
+    # report a block over its capacity with exit 0
+    path = tmp_path / "heavy.hmetis"
+    path.write_text("3 4 10\n1 2\n2 3\n3 4\n5\n1\n1\n1\n")
+    for method in ("fm", "kway", "random"):
+        assert main(["partition", str(path), "--parts", "2", "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"block \d has load \d+, over its capacity 4", err), err
 
 
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
