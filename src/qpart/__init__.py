@@ -16,13 +16,13 @@ from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          edge_home, export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
-                 PassStats, fm_pass, gain, initial_partition, partition,
+                 PassStats, fm_pass, initial_partition, partition,
                  random_partition, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
                            QpuEnvironment, QpuPlan, emit_subcircuits,
-                           environment_for, exec_block_of, feasibility_check,
+                           exec_block_of, feasibility_check,
                            plan_distribution)
 from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
                     format_summary, load_suite, run_suite, write_csv)
@@ -39,13 +39,13 @@ __all__ = [
     "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
     "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig",
-    "PartitionResult", "PassStats", "fm_pass", "gain",
+    "PartitionResult", "PassStats", "fm_pass",
     "initial_partition", "partition", "random_partition",
     "resolve_capacities",
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
     "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",
-    "emit_subcircuits", "environment_for", "exec_block_of",
+    "emit_subcircuits", "exec_block_of",
     "feasibility_check", "plan_distribution",
     "CSV_COLUMNS", "METHODS", "BenchRow", "CircuitJob", "SuiteSpec",
     "format_summary", "load_suite", "run_suite", "write_csv",

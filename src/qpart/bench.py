@@ -2,13 +2,16 @@
 
 A suite runs the full pipeline (parse -> [group] -> build -> partition ->
 account) for every requested combination and collects one BenchRow per
-(circuit, method, seed, k).  The Random method is the baseline: it is run
-once per seed in the suite's range, and a method's improvement is measured
+(circuit, method, seed, k).  The Random method is the baseline: it has one
+row per seed in the suite's range, and a method's improvement is measured
 against the mean random ebits over that range, always on the same
-hypergraph the method itself was partitioned on.  FMGrouped's baseline
-is on the grouped hypergraph, which has no Random rows of its own, so it
-is scored with ``fm.random_baseline`` (the same seeded deals, ebits only)
-rather than by a full partition and plan per seed.
+hypergraph the method itself was partitioned on.  A (circuit, k)'s Random
+rows are scored in one batch from the same seeded deals that
+``fm.random_baseline`` prices, with each row's cut and per-block ledger
+equal to what ``partition`` and ``plan_distribution`` give for its seed; a
+Random row's ``runtime_ms`` is the batch time divided by the seed count.
+FMGrouped's baseline is on the grouped hypergraph, which has no Random
+rows of its own, so it is scored with ``fm.random_baseline`` (ebits only).
 
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
@@ -19,12 +22,15 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable
 
 from .circuit import Circuit, parse_qasm
-from .distribution import DistributionPlan, plan_distribution
-from .fm import Mode, PartitionConfig, partition, random_baseline, resolve_capacities
+from .distribution import DistributionPlan, _plan_ledger, plan_distribution
+from .fm import (Mode, PartitionConfig, _cut_rows, _random_deals, partition,
+                 random_baseline, resolve_capacities)
 from .generators import CircuitFamily, generate
 from .grouping import find_groups
 from .hypergraph import Hypergraph, build_hypergraph
@@ -130,7 +136,13 @@ class BenchRow:
     ebits: int
     r_per_block: tuple[float | None, ...]
     runtime_ms: float
-    plan: DistributionPlan | None = field(default=None, repr=False, compare=False)
+    planner: Callable[[], DistributionPlan] | None = field(default=None, repr=False,
+                                                           compare=False)
+
+    @cached_property
+    def plan(self) -> DistributionPlan | None:
+        """The row's distribution plan, built by ``planner`` on first read."""
+        return self.planner() if self.planner is not None else None
 
     def csv_cells(self) -> list[str]:
         return [self.circuit, str(self.n), str(self.size), str(self.depth),
@@ -153,7 +165,41 @@ def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
                     capacities=tuple(caps), seed=config.seed,
                     cut_edges=result.cut.cut_edges, ebits=result.cut.ebits,
                     r_per_block=tuple(p.r for p in plan.per_block),
-                    runtime_ms=ms, plan=plan)
+                    runtime_ms=ms, planner=lambda: plan)
+
+
+def _random_plan(circuit: Circuit, h: Hypergraph, groups, config: PartitionConfig,
+                 seed: int) -> DistributionPlan:
+    result = partition(h, replace(config, seed=seed))
+    return plan_distribution(circuit, h, list(result.assignment), groups=groups)
+
+
+def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
+                 config: PartitionConfig, caps: list[int], seeds) -> list[BenchRow]:
+    """One Random row per seed, scored in one batch: the seeded deals of
+    ``fm._random_deals``, their cut from ``fm._cut_rows`` and their o and e
+    from ``distribution._plan_ledger``.  Each row equals what ``_one_run``
+    makes for its seed, except that ``runtime_ms`` is the batch time over
+    the seed count and the plan is only built when ``row.plan`` is read.
+    """
+    t0 = time.perf_counter()
+    ledger = _plan_ledger(circuit, h, config.blocks, groups)
+    scored = []
+    for chunk, assign in _random_deals(h, config, seeds):
+        cut_edges, ebits = _cut_rows(h, assign, config.blocks)
+        o, e = ledger(assign)
+        used = assign.max(axis=1) + 1   # plan_distribution's block count
+        scored.extend(zip(chunk, cut_edges.tolist(), ebits.tolist(), used.tolist(),
+                          o.tolist(), e.tolist()))
+    ms = (time.perf_counter() - t0) * 1000.0 / len(scored)
+    return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
+                     depth=circuit.depth, method="Random", k=config.blocks,
+                     capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
+                     r_per_block=tuple(x / y if y else None
+                                       for x, y in zip(e[:used], o[:used])),
+                     runtime_ms=ms,
+                     planner=partial(_random_plan, circuit, h, groups, config, seed))
+            for seed, cut, eb, used, o, e in scored]
 
 
 def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], list[dict]]:
@@ -191,13 +237,12 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                                        max_passes=32)
 
             if "Random" in spec.methods:
-                vals = []
-                for seed in range(spec.seed_from, spec.seed_to):
-                    row = _one_run(job, circuit, h_plain, None, "Random",
-                                   config(Mode.RANDOM, seed, 1), caps)
-                    rows.append(row)
-                    vals.append(row.ebits)
-                summary["random_mean_ebits"] = sum(vals) / len(vals)
+                random_rows = _random_rows(job, circuit, h_plain, None,
+                                           config(Mode.RANDOM, spec.seed_from, 1), caps,
+                                           range(spec.seed_from, spec.seed_to))
+                rows.extend(random_rows)
+                summary["random_mean_ebits"] = \
+                    sum(r.ebits for r in random_rows) / len(random_rows)
 
             if "FM" in spec.methods:
                 row = _one_run(job, circuit, h_plain, None, "FM",

@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .circuit import (Circuit, Gate, GateKind, QubitRef, _cregs, _gate_line,
                       _preamble)
-from .fm import InfeasibleError, resolve_capacities
+from .fm import InfeasibleError
 from .grouping import GROUPABLE, GateGroup
 from .hypergraph import CutReport, Hypergraph, cut_cost
 
@@ -57,15 +59,6 @@ class QpuEnvironment:
             raise ValueError(f"{self.blocks} QPUs but {len(self.capacities)} capacities")
         if any(c < 1 for c in self.capacities):
             raise ValueError("QPU capacities must be positive")
-
-
-def environment_for(n_qubits: int, blocks: int,
-                    capacities: tuple[int, ...] | None = None,
-                    comm: CommModel = CommModel.PER_CHANNEL) -> QpuEnvironment:
-    """Environment with resolved capacities (equal split when not given)."""
-    return QpuEnvironment(blocks=blocks,
-                          capacities=resolve_capacities(capacities, n_qubits, blocks),
-                          comm=comm)
 
 
 @dataclass(frozen=True)
@@ -238,6 +231,80 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
                             exec_block=tuple(exec_block), per_block=per_block,
                             cut=cut_cost(h, list(assignment), blocks),
                             ebits=2 * len(channels))
+
+
+def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
+                 groups: list[GateGroup] | None = None):
+    """``plan_distribution``'s per-block o and e for many assignments at once.
+
+    Returns ``ledger(assign) -> (o, e)``: ``assign`` is a seeds x vertices
+    block matrix over ``h``, and o and e are seeds x blocks int matrices
+    equal to the plan's per-block counts for every row.  Gates are placed
+    by the rule of ``exec_block_of``: the last operand's block for CX/CCX
+    and CZ/CP (for two operands the majority tie goes to the last), the
+    first two operands' block for CCZ when they agree, else the last.
+    Channels are counted once per ``plan_distribution`` key (edge, carried
+    vertex, remote block), so CCX fallback channels and group edges shared
+    by several gates count as the plan counts them.  When a row's plan
+    would refuse a split gate, the first such row is planned, which raises
+    the plan's own InfeasibleError.
+    """
+    index = circuit.qubit_index()
+    seq_edge = _edge_of_gate(h, groups)
+    exec_col, majority, rigid, channel = [], [], [], []
+    for g in circuit.gates:
+        if g.kind is GateKind.BARRIER:
+            continue
+        at = len(exec_col)
+        cols = [index[q] for q in g.operands]
+        exec_col.append(cols[-1])
+        if len(cols) == 1:
+            continue
+        if g.kind is GateKind.CCZ:
+            majority.append((at, *cols))
+        eid = seq_edge.get(g.seq)
+        splittable = g.kind in _DIAGONAL or g.kind in (GateKind.CX, GateKind.CCX)
+        for q in cols:
+            if splittable and eid is not None:
+                channel.append((at, q, eid * len(index) + q))
+            else:
+                rigid.append((at, q))
+
+    def columns(rows, width):
+        return np.array(rows, dtype=np.intp).reshape(-1, width).T
+
+    exec_col = np.array(exec_col, dtype=np.intp)
+    maj_at, maj_a, maj_b, maj_c = columns(majority, 4)
+    rigid_at, rigid_q = columns(rigid, 2)
+    use_at, use_q, use_key = columns(channel, 3)
+    keys, use_channel = np.unique(use_key, return_inverse=True)
+    key_q = keys % len(index)
+
+    def ledger(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seeds = len(assign)
+        at = assign[:, exec_col].astype(np.intp)
+        a, b = assign[:, maj_a], assign[:, maj_b]
+        at[:, maj_at] = np.where(a == b, a, assign[:, maj_c])
+        refused = (assign[:, rigid_q] != at[:, rigid_at]).any(axis=1)
+        if refused.any():
+            plan_distribution(circuit, h, assign[refused.argmax()].tolist(), groups=groups)
+            raise AssertionError("the plan accepted a row the ledger refused")
+        offset = blocks * np.arange(seeds)[:, None]
+
+        def per_block(cells, weights=None):
+            return np.bincount((cells + offset).ravel(), weights=weights,
+                               minlength=seeds * blocks).reshape(seeds, blocks)
+
+        o = per_block(at)
+        remote = at[:, use_at]
+        row, use = np.nonzero(assign[:, use_q] != remote)
+        opened = np.zeros((seeds, len(keys), blocks), dtype=bool)
+        opened[row, use_channel[use], remote[row, use]] = True
+        home = assign[:, key_q].astype(np.intp)
+        e = opened.sum(axis=1) + per_block(home, opened.sum(axis=2).ravel()).astype(np.int64)
+        return o, e
+
+    return ledger
 
 
 def feasibility_check(plan: DistributionPlan,

@@ -185,24 +185,6 @@ class _Engine:
         return g
 
 
-def gain(h: Hypergraph, assignment: list[int], vertex: int, target: int) -> int:
-    """Change in lambda-minus-one if ``vertex`` moved to ``target`` (positive
-    is an improvement)."""
-    if assignment[vertex] == target:
-        raise ValueError("vertex already lives in the target block")
-    g = 0
-    for e in h.incidence[vertex]:
-        counts: dict[int, int] = {}
-        for p in h.edges[e].pins:
-            counts[assignment[p]] = counts.get(assignment[p], 0) + 1
-        w = h.edges[e].weight
-        if counts.get(assignment[vertex], 0) == 1:
-            g += w
-        if counts.get(target, 0) == 0:
-            g -= w
-    return g
-
-
 # --------------------------------------------------------------------------
 # passes
 
@@ -450,29 +432,25 @@ def random_partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     return _finalize(h, assignment, config.blocks, 0, config.seed, 0)
 
 
-_BASELINE_CHUNK = 128  # seeds scored together; bounds the working set
+_BASELINE_CHUNK = 128  # seeds dealt together; bounds the working set
 
 
-def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
-    """Ebits of the random deal for each seed, in order.
+def _random_deals(h: Hypergraph, config: PartitionConfig, seeds):
+    """The snapped random deal of each seed, as ``random_partition`` makes
+    it, in chunks of ``_BASELINE_CHUNK`` seeds.
 
-    Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
-    one restart and ``Mode.RANDOM``, without building a PartitionResult:
-    each seed only shuffles the qubit vertices with ``random.Random(seed)``
-    as ``initial_partition`` does; the deal is scattered into a seeds x
-    vertices block matrix, weight-0 vertices copy their anchor and are
-    snapped as ``random_partition`` snaps them, and lambda - 1 is summed per
-    block from ``logical_or.reduceat`` over the edges' pins.  Seeds run in
-    chunks of ``_BASELINE_CHUNK``, so memory does not grow with their
-    number.  Raises InfeasibleError as the deal does.
+    Returns an iterator of (chunk seeds, seeds x vertices block matrix).
+    Each seed only shuffles the qubit vertices with ``random.Random(seed)``
+    as ``initial_partition`` does; the one shared deal order is scattered
+    into the matrix, weight-0 vertices copy their anchor and are snapped as
+    ``_snap_free_vertices`` snaps them.  Raises InfeasibleError as the deal
+    does, before the first chunk.
     """
     k = config.blocks
     caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
     qubit_vs = [v.id for v in h.vertices if v.is_qubit]
     dtype = np.min_scalar_type(k)
     deal = np.array(_deal_blocks(caps, len(qubit_vs), k), dtype=dtype)
-    if not h.edges:
-        return [0 for _ in seeds]
 
     # column each weight-0 vertex copies in initial_partition's anchor
     # loop; an anchor not copied yet is a weight-0 column, still all 0
@@ -492,33 +470,62 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
                 snap_starts.append(len(snap_pins))
                 snap_pins.extend(pins)
                 snap_owner.extend([v] * len(pins))
+
+    def chunks():
+        it = iter(seeds)
+        while chunk := list(itertools.islice(it, _BASELINE_CHUNK)):
+            perms = []
+            for seed in chunk:
+                order = list(qubit_vs)
+                random.Random(seed).shuffle(order)
+                perms.append(order)
+            assign = np.zeros((len(chunk), h.n_vertices()), dtype=dtype)
+            rows = np.arange(len(chunk))[:, None]
+            assign[rows, np.array(perms, dtype=np.intp)] = deal
+            assign[:, free] = assign[:, free_src]
+            if snap_vs:
+                got = assign[:, snap_pins]
+                spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
+                                                 snap_starts, axis=1)
+                assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
+                                              np.minimum.reduceat(got, snap_starts, axis=1))
+            yield chunk, assign
+
+    return chunks()
+
+
+def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cut_cost``'s cut edges and ebits for each row of a seeds x vertices
+    block matrix; the blocks each edge spans are summed per block from
+    ``logical_or.reduceat`` over the edges' pins."""
+    if not h.edges:
+        zero = np.zeros(len(assign), dtype=np.int64)
+        return zero, zero
     pins = [p for e in h.edges for p in e.pins]
     starts = np.cumsum([0] + [len(e.pins) for e in h.edges[:-1]])
     weights = np.array([e.weight for e in h.edges], dtype=np.int64)
+    got = assign[:, pins]
+    extra = np.full((len(assign), len(h.edges)), -1, dtype=np.int32)  # spanned - 1
+    for b in range(k):
+        extra += np.logical_or.reduceat(got == b, starts, axis=1)
+    return (extra > 0).sum(axis=1), 2 * (extra @ weights)
 
+
+def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
+    """Ebits of the random deal for each seed, in order.
+
+    Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
+    one restart and ``Mode.RANDOM``, without building a PartitionResult:
+    the deals come from ``_random_deals`` and are priced by ``_cut_rows``.
+    Memory does not grow with the number of seeds.  Raises InfeasibleError
+    as the deal does.
+    """
+    deals = _random_deals(h, config, seeds)
+    if not h.edges:
+        return [0 for _ in seeds]
     ebits: list[int] = []
-    seeds = iter(seeds)
-    while chunk := list(itertools.islice(seeds, _BASELINE_CHUNK)):
-        perms = []
-        for seed in chunk:
-            order = list(qubit_vs)
-            random.Random(seed).shuffle(order)
-            perms.append(order)
-        assign = np.zeros((len(chunk), h.n_vertices()), dtype=dtype)
-        rows = np.arange(len(chunk))[:, None]
-        assign[rows, np.array(perms, dtype=np.intp)] = deal
-        assign[:, free] = assign[:, free_src]
-        if snap_vs:
-            got = assign[:, snap_pins]
-            spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
-                                             snap_starts, axis=1)
-            assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
-                                          np.minimum.reduceat(got, snap_starts, axis=1))
-        got = assign[:, pins]
-        lam = np.zeros(len(chunk), dtype=np.int64)
-        for b in range(k):
-            lam += np.logical_or.reduceat(got == b, starts, axis=1) @ weights
-        ebits.extend((2 * (lam - weights.sum())).tolist())
+    for _, assign in deals:
+        ebits.extend(_cut_rows(h, assign, config.blocks)[1].tolist())
     return ebits
 
 

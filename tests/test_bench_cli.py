@@ -5,13 +5,19 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpart import CircuitFamily, Mode
+from qpart import (CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
+                   PartitionConfig, QubitRef, build_hypergraph, find_groups,
+                   make_circuit, partition, plan_distribution, resolve_capacities)
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
-                         format_summary, load_suite, run_suite, write_csv)
+                         _random_rows, format_summary, load_suite, run_suite,
+                         write_csv)
 from qpart.cli import main
 
 from conftest import FIXTURES
+
+TESTS = FIXTURES.parent / "tests"
 
 
 # -- suite spec ------------------------------------------------------------
@@ -180,6 +186,92 @@ def test_load_suite(tmp_path):
     p.write_text(json.dumps({"circuits": ["ghz:4"], "seeds": {"from": 0, "to": 3}}))
     spec = load_suite(str(p))
     assert spec.seed_to == 3
+
+
+# -- Random rows scored in one batch against one partition and plan per seed
+
+_OPAQUE_ARITY = {"tag": 1, "probe": 2}
+
+
+@st.composite
+def batch_instances(draw):
+    """Circuits over one or two registers with every gate kind the plan
+    places (CCX/CCZ fallbacks, CZ/CP majority ties, barriers, measures into
+    a creg, one-qubit opaque calls and now and then a two-qubit one the
+    plan refuses to split), plain or grouped hypergraphs, k in {2, ..., 5},
+    equal, tight or slack capacities, and seed counts on both sides of the
+    chunk edge."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 8))
+    second = draw(st.integers(0, n - 1))
+    regs = [(name, size) for name, size in (("q", n - second), ("r", second)) if size]
+    qs = [QubitRef(name, i) for name, size in regs for i in range(size)]
+    cregs = draw(st.sampled_from([[], [("m", n)]]))
+    kinds = [GateKind.H, GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER, GateKind.OPAQUE]
+    if not draw(st.sampled_from([False, False, False, True])):   # edgeless
+        kinds += [GateKind.CX, GateKind.CZ, GateKind.CP] * 3
+        if n >= 3:
+            kinds += [GateKind.CCX, GateKind.CCZ] * 2
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(kinds))
+        label = cbit = None
+        if kind is GateKind.OPAQUE:
+            label = draw(st.sampled_from(["tag"] * 9 + ["probe"]))
+            arity = _OPAQUE_ARITY[label]
+        elif kind is GateKind.BARRIER:
+            arity = draw(st.integers(1, n))
+        else:
+            arity = kind.n_qubits
+        ops = tuple(draw(st.permutations(qs))[:arity])
+        if kind is GateKind.MEASURE and cregs:
+            cbit = ("m", draw(st.integers(0, n - 1)))
+        gates.append(Gate(kind, ops, (0.5,) * kind.n_params, cbit=cbit, label=label))
+    circuit = make_circuit("batch", regs, gates, cregs)
+    groups = find_groups(circuit) if draw(st.booleans()) else None
+    h = build_hypergraph(circuit, groups)
+    caps_kind = draw(st.sampled_from(["equal", "tight", "slack"] if n >= k
+                                     else ["equal", "slack"]))
+    if caps_kind == "equal":
+        caps = None
+    elif caps_kind == "tight":
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        caps = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    else:
+        caps = tuple(draw(st.integers(n // k + 1, n + 2)) for _ in range(k))
+    config = PartitionConfig(blocks=k, capacities=caps, restarts=1, mode=Mode.RANDOM,
+                             seed=draw(st.integers(0, 10_000)))
+    count = draw(st.sampled_from([1, 127, 128, 129, 300]))
+    return circuit, h, groups, config, range(config.seed, config.seed + count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_instances())
+def test_random_rows_match_partition_and_plan(instance):
+    circuit, h, groups, config, seeds = instance
+    caps = resolve_capacities(config.capacities, circuit.width, config.blocks)
+
+    def one(seed):
+        result = partition(h, PartitionConfig(blocks=config.blocks,
+                                              capacities=config.capacities,
+                                              restarts=1, seed=seed, mode=Mode.RANDOM))
+        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups)
+        return (seed, result.cut.cut_edges, result.cut.ebits,
+                tuple(p.r for p in plan.per_block)), plan
+
+    job = CircuitJob(label=circuit.name)
+    try:
+        want = [one(seed) for seed in seeds]
+    except InfeasibleError as ex:
+        with pytest.raises(InfeasibleError, match=re.escape(str(ex))):
+            _random_rows(job, circuit, h, groups, config, caps, seeds)
+        return
+    rows = _random_rows(job, circuit, h, groups, config, caps, seeds)
+    assert [(r.seed, r.cut_edges, r.ebits, r.r_per_block) for r in rows] == \
+        [cells for cells, _ in want]
+    assert all(r.method == "Random" and r.capacities == tuple(caps) for r in rows)
+    assert rows[-1].plan == want[-1][1]
 
 
 # -- command line ----------------------------------------------------------
@@ -375,3 +467,15 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     assert main(["bench", "--suite", str(suite), "--strict"]) == 1
     assert main(["bench", "--suite", str(suite)]) == 0
     capsys.readouterr()
+
+
+def test_cli_bench_refuses_unsplittable_gate(tmp_path, capsys):
+    # some seed deals the opaque two-qubit gate across both blocks; the
+    # batched Random rows must refuse it as the per-seed plan does
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"circuits": [str(TESTS / "op2.qasm")],
+                                 "methods": ["Random", "FM"], "parts": [2],
+                                 "seeds": {"from": 0, "to": 21}}))
+    assert main(["bench", "--suite", str(suite), "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "error: gate 2 (foo) has operands on blocks [0, 1] and cannot be split\n"

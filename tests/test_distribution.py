@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qpart import (CommModel, Gate, GateKind, InfeasibleError,
                    PartitionConfig, QpuEnvironment, QubitRef, block_endpoints,
                    build_hypergraph, emit_qasm, emit_subcircuits,
-                   environment_for, exec_block_of, feasibility_check,
-                   find_groups, generate, make_circuit, parse_qasm, partition,
-                   plan_distribution)
+                   exec_block_of, feasibility_check, find_groups, generate,
+                   make_circuit, parse_qasm, partition, plan_distribution,
+                   resolve_capacities)
 
 from conftest import fixture_names, load_fixture
 
@@ -116,11 +116,11 @@ def test_ccx_fallback_channel():
 
 
 def test_environment_validation():
-    env = environment_for(6, 2)
+    env = QpuEnvironment(blocks=2, capacities=resolve_capacities(None, 6, 2))
     assert env.capacities == (3, 3)
     assert env.comm is CommModel.PER_CHANNEL
     with pytest.raises(InfeasibleError):
-        environment_for(6, 2, capacities=(2, 2))
+        QpuEnvironment(blocks=2, capacities=resolve_capacities((2, 2), 6, 2))
     with pytest.raises(ValueError):
         QpuEnvironment(blocks=2, capacities=(3,), comm=CommModel.PER_CHANNEL)
 
@@ -128,7 +128,7 @@ def test_environment_validation():
 def test_feasibility_capacity_report():
     c = parse_qasm("OPENQASM 2.0; qreg q[4]; cx q[0],q[2]; cx q[1],q[3];")
     h = build_hypergraph(c)
-    env = environment_for(4, 2, capacities=(3, 1))
+    env = QpuEnvironment(blocks=2, capacities=(3, 1))
     plan = plan_distribution(c, h, [0, 0, 1, 1], env=env)
     assert feasibility_check(plan, env) == \
         ["block 1 holds 2 data qubits, capacity 1"]
@@ -138,7 +138,7 @@ def test_single_link_overlap_detected():
     c = parse_qasm("OPENQASM 2.0; qreg q[4]; cz q[0],q[2]; cz q[1],q[3]; cz q[0],q[3];")
     groups = find_groups(c)
     h = build_hypergraph(c, groups)
-    env = environment_for(4, 2, comm=CommModel.SINGLE_LINK)
+    env = QpuEnvironment(blocks=2, capacities=(2, 2), comm=CommModel.SINGLE_LINK)
     plan = plan_distribution(c, h, [0, 0, 1, 1, 0], groups=groups, env=env)
     assert feasibility_check(plan, env) == \
         ["block 1: channels 0 and 1 overlap on the single comm slot"]
@@ -149,7 +149,7 @@ def test_single_link_overlap_detected():
 def test_single_link_sequential_ok():
     c = parse_qasm("OPENQASM 2.0; qreg q[4]; cx q[0],q[2]; h q[0]; h q[2]; cx q[1],q[3];")
     h = build_hypergraph(c)
-    env = environment_for(4, 2, comm=CommModel.SINGLE_LINK)
+    env = QpuEnvironment(blocks=2, capacities=(2, 2), comm=CommModel.SINGLE_LINK)
     plan = plan_distribution(c, h, [0, 0, 1, 1], env=env)
     assert feasibility_check(plan, env) == []
     assert [b.comm_width for b in plan.per_block] == [1, 1]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, PassStats, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
-                   fm_pass, gain, generate, import_hmetis, initial_partition,
+                   fm_pass, generate, import_hmetis, initial_partition,
                    partition, random_partition, resolve_capacities)
 from qpart.fm import _Engine, _pass, random_baseline
 
@@ -326,6 +326,24 @@ def test_partition_invariants(h, seed, k):
 
 
 # -- the gain-cache pass against a brute-force rescan ----------------------
+
+def gain(h: Hypergraph, assignment: list[int], vertex: int, target: int) -> int:
+    """Change in lambda-minus-one if ``vertex`` moved to ``target`` (positive
+    is an improvement)."""
+    if assignment[vertex] == target:
+        raise ValueError("vertex already lives in the target block")
+    g = 0
+    for e in h.incidence[vertex]:
+        counts: dict[int, int] = {}
+        for p in h.edges[e].pins:
+            counts[assignment[p]] = counts.get(assignment[p], 0) + 1
+        w = h.edges[e].weight
+        if counts.get(assignment[vertex], 0) == 1:
+            g += w
+        if counts.get(target, 0) == 0:
+            g -= w
+    return g
+
 
 def _move_ok(eng, v, target):
     """The feasibility rule the pass encodes with its masks and heaps."""
