@@ -241,8 +241,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.name = name
-        self.qregs: list[tuple[str, int]] = []
-        self.cregs: list[tuple[str, int]] = []
+        self.qregs: dict[str, int] = {}  # name -> size, in declaration order
+        self.cregs: dict[str, int] = {}
         self.opaque: dict[str, int] = {}  # declared name -> arity
         self.gates: list[Gate] = []
 
@@ -268,6 +268,11 @@ class _Parser:
         tok = self._peek()
         raise QasmError(message, tok[2], tok[3])
 
+    def _add(self, kind: GateKind, operands, params: tuple[float, ...] = (), **extra) -> None:
+        """Append a gate numbered by its list position, as make_circuit
+        numbers it."""
+        self.gates.append(Gate(kind, tuple(operands), params, seq=len(self.gates), **extra))
+
     # grammar ---------------------------------------------------------------
     def parse(self) -> Circuit:
         tok = self._expect("ident")
@@ -281,7 +286,8 @@ class _Parser:
             self._statement()
         if not self.qregs:
             raise QasmError("no quantum register declared")
-        return make_circuit(self.name, self.qregs, self.gates, self.cregs)
+        return make_circuit(self.name, list(self.qregs.items()), self.gates,
+                            list(self.cregs.items()))
 
     def _statement(self) -> None:
         tok = self._expect("ident")
@@ -295,9 +301,9 @@ class _Parser:
             size = int(self._expect("number")[1])
             self._expect("sym", "]")
             self._expect("sym", ";")
-            if any(name == r for r, _ in self.qregs + self.cregs):
+            if name in self.qregs or name in self.cregs:
                 raise QasmError(f"register {name!r} already declared", tok[2], tok[3])
-            (self.qregs if word == "qreg" else self.cregs).append((name, size))
+            (self.qregs if word == "qreg" else self.cregs)[name] = size
         elif word == "opaque":
             name = self._expect("ident")[1]
             self._expect("ident")
@@ -316,7 +322,7 @@ class _Parser:
             qubits = []
             for a in args:
                 qubits.extend(self._expand(a, tok))
-            self.gates.append(Gate(GateKind.BARRIER, tuple(qubits)))
+            self._add(GateKind.BARRIER, qubits)
         elif word in ("gate", "if", "reset"):
             self._fail(f"'{word}' statements are not supported")
         else:
@@ -328,21 +334,20 @@ class _Parser:
         dst = self._argument()
         self._expect("sym", ";")
         squbits = self._expand(src, tok)
-        creg = {c: n for c, n in self.cregs}
-        if dst[0] not in creg:
+        if dst[0] not in self.cregs:
             raise QasmError(f"classical register {dst[0]!r} is not declared", tok[2], tok[3])
         if dst[1] is None:
-            if len(squbits) != creg[dst[0]]:
+            if len(squbits) != self.cregs[dst[0]]:
                 raise QasmError("measure register sizes differ", tok[2], tok[3])
             targets = [(dst[0], i) for i in range(len(squbits))]
         else:
-            if dst[1] >= creg[dst[0]]:
+            if dst[1] >= self.cregs[dst[0]]:
                 raise QasmError(f"bit {dst[0]}[{dst[1]}] out of range", tok[2], tok[3])
             if len(squbits) != 1:
                 raise QasmError("cannot measure a register into one bit", tok[2], tok[3])
             targets = [(dst[0], dst[1])]
         for q, c in zip(squbits, targets):
-            self.gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
+            self._add(GateKind.MEASURE, (q,), cbit=c)
 
     def _application(self, word: str, tok) -> None:
         params: tuple[float, ...] = ()
@@ -366,7 +371,7 @@ class _Parser:
                 operands.append(got[0])
             if len(operands) != self.opaque[word]:
                 raise QasmError(f"{word} takes {self.opaque[word]} operand(s)", tok[2], tok[3])
-            self.gates.append(Gate(kind, tuple(operands), params, label=label))
+            self._add(kind, operands, params, label=label)
             return
         kind = _NAME_TO_KIND.get(word)
         if kind is None or kind in (GateKind.MEASURE, GateKind.BARRIER):
@@ -379,7 +384,7 @@ class _Parser:
             if len(qubit_lists) != 1:
                 raise QasmError(f"{word} takes 1 operand", tok[2], tok[3])
             for q in qubit_lists[0]:
-                self.gates.append(Gate(kind, (q,), params))
+                self._add(kind, (q,), params)
         else:
             operands = []
             for a in args:
@@ -388,7 +393,7 @@ class _Parser:
                     raise QasmError(f"{word} operands must be indexed qubits", tok[2], tok[3])
                 operands.append(got[0])
             try:
-                self.gates.append(Gate(kind, tuple(operands), params))
+                self._add(kind, operands, params)
             except ValueError as exc:
                 raise QasmError(str(exc), tok[2], tok[3]) from None
 
@@ -411,12 +416,11 @@ class _Parser:
     def _expand(self, arg: tuple[str, int | None], tok) -> list[QubitRef]:
         """Resolve an argument to qubits, broadcasting bare registers."""
         name, idx = arg
-        sizes = {r: n for r, n in self.qregs}
-        if name not in sizes:
+        if name not in self.qregs:
             raise QasmError(f"quantum register {name!r} is not declared", tok[2], tok[3])
         if idx is None:
-            return [QubitRef(name, i) for i in range(sizes[name])]
-        if idx >= sizes[name]:
+            return [QubitRef(name, i) for i in range(self.qregs[name])]
+        if idx >= self.qregs[name]:
             raise QasmError(f"qubit {name}[{idx}] out of range", tok[2], tok[3])
         return [QubitRef(name, idx)]
 

@@ -22,6 +22,17 @@ overfill the target by at most one unit while the pass explores;
 returned prefixes always satisfy the strict bound, so without that
 transient slack an exactly filled balanced instance would admit no qubit
 moves at all.
+
+A pass ends early once no later prefix can beat the best one.  A locked
+vertex never moves again within the pass, so every later prefix costs at
+least the sum over edges of w * (blocks spanned by the locked pins - 1).
+No block ever gives up its last qubit vertex, so every prefix spans at
+least the blocks that hold one at the start; a connected piece of the
+hypergraph over b blocks costs at least (b - 1) times the lightest edge.
+Edge weights are non-negative, so both are lower bounds, and the pass
+stops as soon as either reaches the best feasible cost.  Only strictly
+better prefixes are kept, so the cutoff changes the work done, never the
+result.
 """
 from __future__ import annotations
 
@@ -127,7 +138,9 @@ class PartitionResult:
 @dataclass
 class PassStats:
     """Instrumentation for one pass; gain_updates counts every
-    (vertex, target) gain-cache entry computed or adjusted."""
+    (vertex, target) gain-cache entry computed or adjusted.  Both counts
+    cover the work done before the pass's cutoff, not the moves a pass
+    without it would have made and rolled back."""
 
     moves: int = 0
     gain_updates: int = 0
@@ -154,9 +167,15 @@ class _Engine:
         for v, b in enumerate(assignment):
             self.load[b] += self.vw[v]
             self.count[b] += 1 if self.vw[v] > 0 else 0
-
-    def cost(self) -> int:
-        return sum((sum(1 for c in row if c) - 1) * w for row, w in zip(self.phi, self.ew))
+        # edge weights are non-negative, so no real gain lies below floor
+        self.floor = -sum(self.ew)
+        self.mask = 1 - 2 * self.floor
+        self.dead = 2 * self.floor - 2 * self.mask
+        # a move's gain before crediting the edges it leaves or already
+        # touches in the target: minus v's weighted degree
+        self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
+        self.pieces = _pieces(len(self.vw), self.pins)
+        self.w_min = min(self.ew, default=0)
 
     def overloaded(self) -> int:
         return sum(1 for b in range(self.k) if self.load[b] > self.bounds[b])
@@ -174,15 +193,25 @@ class _Engine:
             self.count[src] -= 1
             self.count[target] += 1
 
-    def gain_of(self, v: int, target: int) -> int:
-        src = self.assign[v]
-        g = 0
-        for e in self.inc[v]:
-            if self.phi[e][src] == 1:
-                g += self.ew[e]
-            if self.phi[e][target] == 0:
-                g -= self.ew[e]
-        return g
+
+def _pieces(n: int, pins: list[list[int]]) -> int:
+    """Connected components of n vertices joined by the edges' pins."""
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    pieces = n
+    for edge_pins in pins:
+        r = root(edge_pins[0])
+        for p in edge_pins[1:]:
+            q = root(p)
+            if q != r:
+                parent[q] = r
+                pieces -= 1
+    return pieces
 
 
 # --------------------------------------------------------------------------
@@ -192,31 +221,57 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
     """One FM pass over every block; mutates eng.assign, returns True when
     the best prefix strictly improved the cost.
 
-    ``gains[t][v]`` caches the gain of moving v to block t.  Entries that
-    may not move sit below every real gain: a vertex's own block and locked
-    vertices hold ``dead``, and the lone qubit vertex of a block carries a
-    ``-mask`` offset that delta updates leave exact.  ``bump`` writes the
-    cache and pushes each real gain as ``(-gain, v)`` on a lazy heap per
-    (kind, target), with one set of k heaps for qubit vertices and one for
+    ``gains[t][v]`` caches the gain of moving v to block t.  It is built in
+    one sweep over the cut edges, which also sums the start cost: v's gain
+    is ``away[v]`` plus the weight of its edges where v is the only pin of
+    its block, plus the weight of its edges that already touch t.  Entries
+    that may not move sit below every real gain: a vertex's own block and
+    locked vertices hold ``dead``, and the lone qubit vertex of a block
+    carries a ``-mask`` offset that delta updates leave exact.  Each cache
+    write pushes a real gain as ``(-gain, v)`` on a lazy heap per (kind,
+    target), with one set of k heaps for qubit vertices and one for
     weight-0 vertices; selection pops the entries the cache no longer
     holds.  Each move takes the highest gain over the feasible heaps, then
     the lowest vertex id, then the lowest target.
+
+    Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
+    and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
+    at each lock in O(deg v).  ``least`` is the lightest edge weight times
+    the blocks holding a qubit vertex less the hypergraph's connected
+    pieces.  Every later prefix costs at least both, so the pass stops once
+    either reaches the best feasible cost, before the first move when the
+    start cost is already that low.  Only strictly better feasible
+    prefixes are kept, so the prefix, the assignment and the result match
+    a pass run until no vertex may move.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
     load, count, bounds = eng.load, eng.count, eng.bounds
+    floor, mask, dead = eng.floor, eng.mask, eng.dead
     n = len(vw)
-    floor = -sum(abs(w) for w in ew)  # no real gain lies below this
-    mask = 1 - 2 * floor
-    dead = 2 * floor - 2 * mask
-    locked = [False] * n
-    gains = [[dead] * n for _ in range(k)]
+    own = list(eng.away)  # away plus the edges v alone holds in its block
+    touch = [[0] * n for _ in range(k)]
+    start_cost = 0
+    for e, row in enumerate(phi):
+        spanned = k - row.count(0)
+        if spanned == 1:
+            continue  # an uncut edge only touches its pins' own block
+        w = ew[e]
+        start_cost += w * (spanned - 1)
+        edge_pins = pins[e]
+        for t in range(k):
+            if row[t]:
+                col = touch[t]
+                for u in edge_pins:
+                    col[u] += w
+        for u in edge_pins:
+            if row[assign[u]] == 1:
+                own[u] += w
+    gains = [[g + o for g, o in zip(col, own)] for col in touch]
     members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
     for v in range(n):
         src = assign[v]
-        for t in range(k):
-            if t != src:
-                gains[t][v] = eng.gain_of(v, t)
+        gains[src][v] = dead
         if vw[v] > 0:
             members[src].add(v)
     updates = n * (k - 1)
@@ -228,17 +283,14 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
         heapify(hp)
     heap_of = [qheaps if w > 0 else zheaps for w in vw]
 
-    def bump(u: int, t: int, delta: int) -> None:
-        g = gains[t][u] + delta
-        gains[t][u] = g
-        if g >= floor:
-            heappush(heap_of[u][t], (-g, u))
-
     def shift(u: int, delta: int) -> None:
-        own = assign[u]
+        src = assign[u]
         for t in range(k):
-            if t != own:
-                bump(u, t, delta)
+            if t != src:
+                g = gains[t][u] + delta
+                gains[t][u] = g
+                if g >= floor:
+                    heappush(heap_of[u][t], (-g, u))
 
     # a block's lone qubit vertex is masked exactly while it is unlocked
     for b in range(k):
@@ -247,14 +299,18 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
             shift(u, -mask)
             updates += k - 1
 
-    start_cost = eng.cost()
-    cur = start_cost
-    best_cost = start_cost
+    locked = [False] * n
+    seen = [0] * len(pins)
+    locked_cost = 0
+    # no block loses its last qubit vertex, so every prefix spans at least
+    # the blocks that hold one now
+    least = eng.w_min * (k - count.count(0) - eng.pieces)
+    cur = best_cost = start_cost
     best_prefix = 0
     over = eng.overloaded()
     moves: list[tuple[int, int, int]] = []
 
-    while True:
+    while locked_cost < best_cost and least < best_cost:
         best_g, v, target = floor - 1, n, -1
         for t in range(k):
             col = gains[t]
@@ -272,14 +328,24 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
         for t in range(k):
             gains[t][v] = dead
         locked[v] = True
+        bit = 1 << target
 
         for e in inc[v]:
             w = ew[e]
+            blocks = seen[e]
+            if not blocks & bit:
+                if blocks:
+                    locked_cost += w
+                seen[e] = blocks | bit
             row = phi[e]
             if row[target] == 0:
+                col = gains[target]
                 for u in pins[e]:
                     if not locked[u]:
-                        bump(u, target, w)
+                        g = col[u] + w
+                        col[u] = g
+                        if g >= floor:
+                            heappush(heap_of[u][target], (-g, u))
                         updates += 1
             elif row[target] == 1:
                 for u in pins[e]:
@@ -291,9 +357,13 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
             row[src] -= 1
             row[target] += 1
             if row[src] == 0:
+                col = gains[src]
                 for u in pins[e]:
                     if not locked[u]:
-                        bump(u, src, -w)
+                        g = col[u] - w
+                        col[u] = g
+                        if g >= floor:
+                            heappush(heap_of[u][src], (-g, u))
                         updates += 1
             elif row[src] == 1:
                 for u in pins[e]:

@@ -71,6 +71,8 @@ class Hypergraph:
         for i, e in enumerate(self.edges):
             if e.id != i:
                 raise ValueError(f"edge ids must be dense, got {e.id} at {i}")
+            if e.weight < 0:
+                raise ValueError(f"edge {e.id} has negative weight {e.weight}")
             if len(e.pins) < 2:
                 raise ValueError(f"edge {e.id} has fewer than 2 pins")
             if len(set(e.pins)) != len(e.pins):

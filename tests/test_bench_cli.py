@@ -393,6 +393,14 @@ def test_cli_partition_hmetis_over_capacity_exit2(tmp_path, capsys):
         assert re.search(r"block \d has load \d+, over its capacity 4", err), err
 
 
+def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):
+    # a negative weight would let the cut report negative ebits
+    path = tmp_path / "negative.hmetis"
+    path.write_text("2 3 1\n-2 1 2\n1 2 3\n")
+    assert main(["partition", str(path), "--parts", "2", "--json"]) == 1
+    assert "edge 0 has negative weight -2" in capsys.readouterr().err
+
+
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
     out = tmp_path / "ghz4.hgr"
     main(["hmetis", "ghz:4", "--out", str(out)])

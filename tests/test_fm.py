@@ -345,6 +345,42 @@ def gain(h: Hypergraph, assignment: list[int], vertex: int, target: int) -> int:
     return g
 
 
+def _gain_of(eng, v, target):
+    """Gain of moving v to target, from the engine's pin counts."""
+    src = eng.assign[v]
+    g = 0
+    for e in eng.inc[v]:
+        if eng.phi[e][src] == 1:
+            g += eng.ew[e]
+        if eng.phi[e][target] == 0:
+            g -= eng.ew[e]
+    return g
+
+
+def _cost(eng):
+    return sum((sum(1 for c in row if c) - 1) * w for row, w in zip(eng.phi, eng.ew))
+
+
+def _locked_bound(eng, locked):
+    """Least cost of any assignment that keeps the locked vertices put."""
+    return sum(w * (len({eng.assign[p] for p in pins if locked[p]}) - 1)
+               for pins, w in zip(eng.pins, eng.ew) if any(locked[p] for p in pins))
+
+
+def _spread_bound(eng):
+    """Least cost of any assignment whose vertices span at least the blocks
+    that hold a qubit vertex now: a connected piece over b blocks cuts at
+    least b - 1 times the lightest edge."""
+    n = len(eng.vw)
+    piece = list(range(n))
+    for pins in eng.pins:                 # merge the pieces the edge touches
+        merged = {piece[p] for p in pins}
+        piece = [min(merged) if x in merged else x for x in piece]
+    pieces = len(set(piece))
+    spanned = len({b for b, w in zip(eng.assign, eng.vw) if w > 0})
+    return min(eng.ew, default=0) * (spanned - pieces)
+
+
 def _move_ok(eng, v, target):
     """The feasibility rule the pass encodes with its masks and heaps."""
     src = eng.assign[v]
@@ -364,20 +400,25 @@ def _rescan_best_target(eng, v):
     for t in range(eng.k):
         if not _move_ok(eng, v, t):
             continue
-        g = eng.gain_of(v, t)
+        g = _gain_of(eng, v, t)
         if best is None or g > best[0]:
             best = (g, t)
     return best
 
 
-def _rescan_pass(eng, stats):
-    """Reference pass: rescans every unlocked vertex x target per move."""
+def _rescan_pass(eng, stats, cutoff=False):
+    """Reference pass: rescans every unlocked vertex x target per move.
+
+    With ``cutoff`` it stops, as ``_pass`` does, once the locked vertices
+    or the blocks in use force a cost no lower than the best feasible
+    prefix; without it it runs until no vertex may move."""
     n = len(eng.vw)
     locked = [False] * n
-    start_cost = cur = best_cost = eng.cost()
+    start_cost = cur = best_cost = _cost(eng)
+    least = _spread_bound(eng)
     best_prefix = 0
     moves = []
-    while True:
+    while not cutoff or max(_locked_bound(eng, locked), least) < best_cost:
         chosen = None
         for v in range(n):
             if locked[v]:
@@ -444,19 +485,45 @@ def kway_instances(draw):
 @settings(max_examples=150, deadline=None)
 @given(kway_instances())
 def test_kway_gain_cache_matches_rescan(instance):
+    # the full reference fixes the result of every pass; the reference
+    # with the cutoff also fixes how many moves the pass makes
     h, cfg, assignment = instance
     caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
     bounds = [math.ceil((1 + cfg.epsilon) * c) for c in caps]
     cached = _Engine(h, cfg.blocks, bounds, list(assignment))
-    rescan = _Engine(h, cfg.blocks, bounds, list(assignment))
+    full = _Engine(h, cfg.blocks, bounds, list(assignment))
+    bounded = _Engine(h, cfg.blocks, bounds, list(assignment))
     for _ in range(4):
         got, want = PassStats(), PassStats()
         improved = _pass(cached, got)
-        assert improved == _rescan_pass(rescan, want)
-        assert cached.assign == rescan.assign
+        assert improved == _rescan_pass(full, PassStats())
+        assert cached.assign == full.assign
+        assert improved == _rescan_pass(bounded, want, cutoff=True)
         assert got.moves == want.moves
         if not improved:
             break
+
+
+def test_converged_pass_stops_at_the_cutoff():
+    # a connected chain over two occupied blocks costs at least 1, so a
+    # pass from a chain split once cannot improve and stops early
+    h = build_hypergraph(generate("ghz", 100))
+    cfg = PartitionConfig(blocks=2)
+    assignment = list(partition(h, cfg).assignment)
+    assert cut_cost(h, assignment, 2).lambda_minus_one == 1
+    stats = PassStats()
+    out, improved = fm_pass(h, assignment, cfg, stats)
+    assert not improved
+    assert out == assignment
+    assert stats.moves < h.n_vertices()
+
+
+def test_pass_at_zero_cost_makes_no_moves():
+    h = Hypergraph([Vertex(i) for i in range(4)], [Hyperedge(0, (0, 1)), Hyperedge(1, (2, 3))])
+    stats = PassStats()
+    out, improved = fm_pass(h, [0, 0, 1, 1], PartitionConfig(blocks=2), stats)
+    assert not improved and out == [0, 0, 1, 1]
+    assert stats.moves == 0
 
 
 def test_kway_gain_updates_scale_linearly():

@@ -163,7 +163,8 @@ def test_import_hmetis_errors(text, fragment):
     ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 5))], "out of range"),
     ([Vertex(0), Vertex(1)], [Hyperedge(1, (0, 1))], "dense"),
     ([Vertex(0), Vertex(1, weight=-1)], [], "negative weight"),
-], ids=["vertex-ids", "pins", "repeat", "range", "edge-ids", "vertex-weight"])
+    ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 1), weight=-2)], "edge 0 has negative weight"),
+], ids=["vertex-ids", "pins", "repeat", "range", "edge-ids", "vertex-weight", "edge-weight"])
 def test_validate_errors(vertices, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hypergraph(vertices, edges)
