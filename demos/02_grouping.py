@@ -3,7 +3,7 @@
 # or more gates can reuse one shared control state at the far end, so the
 # whole run costs a single channel instead of one per gate.
 
-from qpart import GroupingPolicy, find_groups, generate, segment_by_depth
+from qpart import find_groups, generate, segment_by_depth, segment_subcircuit
 
 qft = generate("qft", 6)
 
@@ -12,20 +12,11 @@ for g in find_groups(qft):
     tag = "reuse" if g.is_reuse else "single"
     print(f"  {tag}  control {g.control}  gates {g.members}")
 
-# policy knobs: insisting on equal phases breaks the qft runs apart,
-# because every rotation in a fan has a different angle
-strict = find_groups(qft, GroupingPolicy(require_equal_cp_angles=True))
-print("reuse runs with equal-angle policy:",
-      sum(1 for g in strict if g.is_reuse))
-
-# longer runs survive a higher size threshold
-big = find_groups(qft, GroupingPolicy(min_group_size=4))
-print("runs of at least 4:", [g.members for g in big if g.is_reuse])
-
 # depth windows cut the circuit into segments for phase-by-phase work;
-# groups are then judged inside each window on its own
+# groups are then judged inside each window on its own, with gate numbers
+# counted from the start of the window
 print("\nqft6 in windows of 4 layers:")
 for seg in segment_by_depth(qft, 4):
-    runs = find_groups(qft, seqs=list(seg.gates))
+    runs = find_groups(segment_subcircuit(qft, seg))
     reuse = [g.members for g in runs if g.is_reuse]
     print(f"  layers {seg.layer_range}: {len(seg.gates)} gates, reuse runs {reuse}")

@@ -10,14 +10,13 @@ test suite; the bench module reproduces the random-vs-FM comparisons.
 from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
                       emit_qasm, gate_layers, make_circuit, parse_qasm)
 from .generators import CircuitFamily, generate
-from .grouping import (GROUPABLE, GateGroup, GroupingPolicy, Segment,
-                       find_groups, segment_by_depth, segment_subcircuit)
+from .grouping import (GROUPABLE, GateGroup, Segment, find_groups,
+                       segment_by_depth, segment_subcircuit)
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          edge_home, export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
-                 PassStats, fm_pass, initial_partition, partition,
-                 random_partition, resolve_capacities)
+                 partition, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
@@ -33,15 +32,13 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "QasmError", "QubitRef",
     "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
     "CircuitFamily", "generate",
-    "GROUPABLE", "GateGroup", "GroupingPolicy", "Segment",
+    "GROUPABLE", "GateGroup", "Segment",
     "find_groups", "segment_by_depth", "segment_subcircuit",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
     "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
     "export_hmetis", "import_hmetis",
-    "InfeasibleError", "Mode", "PartitionConfig",
-    "PartitionResult", "PassStats", "fm_pass",
-    "initial_partition", "partition", "random_partition",
-    "resolve_capacities",
+    "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",
+    "partition", "resolve_capacities",
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
     "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",

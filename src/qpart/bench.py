@@ -233,8 +233,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
             def config(method_mode: Mode, seed: int, restarts: int) -> PartitionConfig:
                 return PartitionConfig(blocks=k, capacities=caps_in,
                                        epsilon=spec.epsilon, restarts=restarts,
-                                       seed=seed, mode=method_mode,
-                                       max_passes=32)
+                                       seed=seed, mode=method_mode)
 
             if "Random" in spec.methods:
                 random_rows = _random_rows(job, circuit, h_plain, None,

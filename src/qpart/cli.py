@@ -58,9 +58,20 @@ def _report(circuit_label: str, n: int, method: str, k: int,
     return report
 
 
-def _random_mean_ebits(h, config: PartitionConfig) -> float:
+def _config(args) -> PartitionConfig:
+    return PartitionConfig(blocks=args.parts, capacities=_parse_caps(args.capacities),
+                           epsilon=args.epsilon, restarts=args.restarts,
+                           seed=args.seed, mode=Mode(args.method))
+
+
+def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
+    """Percent of the mean random-deal ebits that ``ebits`` saves; None
+    for the random method itself or a zero baseline."""
+    if config.mode is Mode.RANDOM:
+        return None
     vals = random_baseline(h, config, range(config.seed, config.seed + BASELINE_SEEDS))
-    return sum(vals) / len(vals)
+    base = sum(vals) / len(vals)
+    return 100.0 * (base - ebits) / base if base else None
 
 
 def _cmd_stats(args) -> int:
@@ -82,15 +93,9 @@ def _cmd_hmetis(args) -> int:
 
 def _partition_hypergraph_file(args) -> int:
     h = import_hmetis(Path(args.file).read_text())
-    config = PartitionConfig(blocks=args.parts, capacities=_parse_caps(args.capacities),
-                             epsilon=args.epsilon, restarts=args.restarts,
-                             seed=args.seed, mode=Mode(args.method))
+    config = _config(args)
     result = partition(h, config)
-    improvement = None
-    if config.mode is not Mode.RANDOM:
-        base = _random_mean_ebits(h, config)
-        if base:
-            improvement = 100.0 * (base - result.cut.ebits) / base
+    improvement = _improvement(h, config, result.cut.ebits)
     endpoints = block_endpoints(h, list(result.assignment), config.blocks)
     blocks = [{"data": d, "e": e, "o": 0, "r": None}
               for d, e in zip(result.loads, endpoints)]
@@ -108,17 +113,13 @@ def _partition_hypergraph_file(args) -> int:
 
 
 def _run_pipeline(circuit: Circuit, args, config: PartitionConfig):
-    """Partition one circuit and account it; returns (result, plan, groups)."""
+    """Partition one circuit and account it; returns (result, plan,
+    improvement)."""
     groups = find_groups(circuit) if args.grouping == "on" else None
     h = build_hypergraph(circuit, groups)
     result = partition(h, config)
     plan = plan_distribution(circuit, h, list(result.assignment), groups=groups)
-    improvement = None
-    if config.mode is not Mode.RANDOM and circuit.width >= config.blocks:
-        base = _random_mean_ebits(h, config)
-        if base:
-            improvement = 100.0 * (base - result.cut.ebits) / base
-    return result, plan, improvement
+    return result, plan, _improvement(h, config, result.cut.ebits)
 
 
 def _plan_blocks(plan) -> list[dict]:
@@ -133,16 +134,17 @@ def _cmd_partition(args) -> int:
                                 "not a hypergraph file")
         return _partition_hypergraph_file(args)
     circuit = _load_circuit(args.file)
-    config = PartitionConfig(blocks=args.parts, capacities=_parse_caps(args.capacities),
-                             epsilon=args.epsilon, restarts=args.restarts,
-                             seed=args.seed, mode=Mode(args.method))
+    config = _config(args)
     # surface capacity infeasibility before any partitioning work
     resolve_capacities(config.capacities, circuit.width, config.blocks)
 
     if args.segment_depth:
+        # window block b runs on QPU b, so a data qubit whose block changes
+        # between windows is teleported: one ebit pair per move
         segments = segment_by_depth(circuit, args.segment_depth)
         reports = []
-        total_cut = total_ebits = 0
+        total_cut = total_ebits = migrations = 0
+        placed: tuple[int, ...] = ()
         for seg in segments:
             sub = segment_subcircuit(circuit, seg)
             result, plan, improvement = _run_pipeline(sub, args, config)
@@ -151,19 +153,25 @@ def _cmd_partition(args) -> int:
                                    _plan_blocks(plan), improvement))
             total_cut += result.cut.cut_edges
             total_ebits += result.cut.ebits
+            here = result.assignment[:circuit.width]
+            migrations += sum(a != b for a, b in zip(placed, here))
+            placed = here
             if args.emit:
                 _write_subcircuits(sub, plan, args.emit,
                                    prefix=f"{circuit.name}_seg{seg.index}")
+        total_ebits += 2 * migrations
         if args.json:
             print(json.dumps({"circuit": circuit.name, "n": circuit.width,
                               "method": args.method, "k": args.parts,
                               "cut_edges": total_cut, "ebits": total_ebits,
-                              "segments": reports}, indent=2))
+                              "migrations": migrations, "segments": reports},
+                             indent=2))
         else:
             for rep in reports:
                 print(f"{rep['circuit']}: cut_edges={rep['cut_edges']} "
                       f"ebits={rep['ebits']}")
-            print(f"total: cut_edges={total_cut} ebits={total_ebits}")
+            print(f"total: cut_edges={total_cut} ebits={total_ebits} "
+                  f"migrations={migrations}")
         return 0
 
     result, plan, improvement = _run_pipeline(circuit, args, config)

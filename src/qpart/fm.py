@@ -47,6 +47,8 @@ import numpy as np
 
 from .hypergraph import CutReport, Hyperedge, Hypergraph, Vertex, cut_cost
 
+_MAX_PASSES = 32  # FM passes per restart at most
+
 
 class InfeasibleError(ValueError):
     """Capacities cannot host the circuit (sum of capacities below width)."""
@@ -60,7 +62,7 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    """Knobs shared by every partitioning entry point.
+    """Knobs of ``partition``, the one partitioning entry point.
 
     capacities=None means an equal split of the qubit count over the
     blocks.  epsilon widens each block's bound to ceil((1+epsilon)*cap).
@@ -73,7 +75,6 @@ class PartitionConfig:
     restarts: int = 8
     seed: int = 0
     mode: Mode = Mode.RECURSIVE_BISECT
-    max_passes: int = 32
 
     def __post_init__(self) -> None:
         if self.blocks < 2:
@@ -82,8 +83,6 @@ class PartitionConfig:
             raise ValueError("epsilon must be in [0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be positive")
         if self.capacities is not None:
             object.__setattr__(self, "capacities", tuple(self.capacities))
             if len(self.capacities) != self.blocks:
@@ -95,8 +94,7 @@ class PartitionConfig:
         return {"blocks": self.blocks,
                 "capacities": list(self.capacities) if self.capacities else None,
                 "epsilon": self.epsilon, "restarts": self.restarts,
-                "seed": self.seed, "mode": self.mode.value,
-                "max_passes": self.max_passes}
+                "seed": self.seed, "mode": self.mode.value}
 
     @classmethod
     def from_json(cls, data: dict) -> "PartitionConfig":
@@ -136,7 +134,7 @@ class PartitionResult:
 
 
 @dataclass
-class PassStats:
+class _PassStats:
     """Instrumentation for one pass; gain_updates counts every
     (vertex, target) gain-cache entry computed or adjusted.  Both counts
     cover the work done before the pass's cutoff, not the moves a pass
@@ -217,7 +215,7 @@ def _pieces(n: int, pins: list[list[int]]) -> int:
 # --------------------------------------------------------------------------
 # passes
 
-def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
+def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     """One FM pass over every block; mutates eng.assign, returns True when
     the best prefix strictly improved the cost.
 
@@ -409,16 +407,6 @@ def _pass(eng: _Engine, stats: PassStats | None = None) -> bool:
     return best_cost < start_cost
 
 
-def fm_pass(h: Hypergraph, assignment: list[int], config: PartitionConfig,
-            stats: PassStats | None = None) -> tuple[list[int], bool]:
-    """Run one pass over a copy of ``assignment``; the input is not mutated."""
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
-    work = list(assignment)
-    improved = _pass(_Engine(h, config.blocks, bounds, work), stats)
-    return work, improved
-
-
 def _qubit_weight(h: Hypergraph) -> int:
     return sum(v.weight for v in h.vertices)
 
@@ -449,7 +437,7 @@ def _deal_blocks(caps: list[int], n_qubits: int, k: int) -> list[int]:
     return blocks
 
 
-def initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
+def _initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
     """Seeded deal: shuffle the qubit vertices and hand them out in the
     order of ``_deal_blocks``; grouping vertices land with their control
     qubit."""
@@ -494,24 +482,16 @@ def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
                            gain_updates=gain_updates)
 
 
-def random_partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
-    """The seeded deal alone, snapped, no improvement passes; the baseline
-    method."""
-    assignment = initial_partition(h, config)
-    _snap_free_vertices(h, assignment)
-    return _finalize(h, assignment, config.blocks, 0, config.seed, 0)
-
-
 _BASELINE_CHUNK = 128  # seeds dealt together; bounds the working set
 
 
 def _random_deals(h: Hypergraph, config: PartitionConfig, seeds):
-    """The snapped random deal of each seed, as ``random_partition`` makes
-    it, in chunks of ``_BASELINE_CHUNK`` seeds.
+    """The snapped random deal of each seed, as ``partition`` makes it in
+    ``Mode.RANDOM``, in chunks of ``_BASELINE_CHUNK`` seeds.
 
     Returns an iterator of (chunk seeds, seeds x vertices block matrix).
     Each seed only shuffles the qubit vertices with ``random.Random(seed)``
-    as ``initial_partition`` does; the one shared deal order is scattered
+    as ``_initial_partition`` does; the one shared deal order is scattered
     into the matrix, weight-0 vertices copy their anchor and are snapped as
     ``_snap_free_vertices`` snaps them.  Raises InfeasibleError as the deal
     does, before the first chunk.
@@ -522,7 +502,7 @@ def _random_deals(h: Hypergraph, config: PartitionConfig, seeds):
     dtype = np.min_scalar_type(k)
     deal = np.array(_deal_blocks(caps, len(qubit_vs), k), dtype=dtype)
 
-    # column each weight-0 vertex copies in initial_partition's anchor
+    # column each weight-0 vertex copies in _initial_partition's anchor
     # loop; an anchor not copied yet is a weight-0 column, still all 0
     src = list(range(h.n_vertices()))
     for v in h.vertices:
@@ -607,20 +587,20 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
     """Seeded restarts under explicit per-block load bounds.
 
     Restart r deals with seed config.seed + r, runs ``_pass`` until a pass
-    fails or max_passes run, then snaps free vertices.  The winner has the
-    lowest (lambda - 1, balance deviation from the capacities, r); returns
-    its assignment, passes, gain updates and seed.
+    fails or ``_MAX_PASSES`` run, then snaps free vertices.  The winner has
+    the lowest (lambda - 1, balance deviation from the capacities, r);
+    returns its assignment, passes, gain updates and seed.
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     n, total = _qubit_weight(h), sum(caps)
     best, best_key = None, None
     for r in range(config.restarts):
         seed = config.seed + r
-        assignment = initial_partition(h, replace(config, seed=seed))
+        assignment = _initial_partition(h, replace(config, seed=seed))
         eng = _Engine(h, config.blocks, bounds, assignment)
-        stats = PassStats()
+        stats = _PassStats()
         passes = 0
-        while passes < config.max_passes:
+        while passes < _MAX_PASSES:
             passes += 1
             if not _pass(eng, stats):
                 break
@@ -719,7 +699,9 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
     if config.mode is Mode.RANDOM:
-        result = random_partition(h, config)
+        assignment = _initial_partition(h, config)
+        _snap_free_vertices(h, assignment)
+        result = _finalize(h, assignment, config.blocks, 0, config.seed, 0)
     else:
         if config.blocks > max(h.n_qubit_vertices(), 1):
             raise ValueError(f"{config.blocks} blocks exceed the "

@@ -1,7 +1,8 @@
 """Detection of controlled-gate runs that can share one entangled pair.
 
-A group is a maximal run of CX/CZ/CP gates driven by the same control
-qubit, with no intervening gate touching that control wire.  Gates on the
+A group is a maximal run of CX/CZ/CP gates, in any mix of kinds and
+angles, driven by the same control qubit, with no intervening gate
+touching that control wire.  Gates on the
 target wires do not break a run.  The control of a symmetric gate (CZ, CP)
 is its syntactic first operand.  CCX/CCZ are never grouped.
 
@@ -15,31 +16,6 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, GateKind, QubitRef, gate_layers
 
 GROUPABLE = frozenset({GateKind.CX, GateKind.CZ, GateKind.CP})
-
-_ANGLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GroupingPolicy:
-    """Knobs for run detection.
-
-    min_group_size: runs shorter than this fall apart into singletons.
-    require_equal_cp_angles: CP members must share one phase to co-group.
-    allow_mixed_kinds: whether CX/CZ/CP may appear in the same group.
-    """
-
-    min_group_size: int = 2
-    require_equal_cp_angles: bool = False
-    allow_mixed_kinds: bool = True
-
-    def __post_init__(self) -> None:
-        if self.min_group_size < 1:
-            raise ValueError("min_group_size must be at least 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroupingPolicy":
-        return cls(**{k: data[k] for k in data
-                      if k in ("min_group_size", "require_equal_cp_angles", "allow_mixed_kinds")})
 
 
 @dataclass(frozen=True)
@@ -62,26 +38,12 @@ class GateGroup:
         return len(self.members) >= 2
 
 
-def _compatible(run: list[Gate], gate: Gate, policy: GroupingPolicy) -> bool:
-    if not policy.allow_mixed_kinds and any(g.kind is not gate.kind for g in run):
-        return False
-    if policy.require_equal_cp_angles and gate.kind is GateKind.CP:
-        for g in run:
-            if g.kind is GateKind.CP and abs(g.params[0] - gate.params[0]) > _ANGLE_TOL:
-                return False
-    return True
-
-
-def find_groups(circuit: Circuit,
-                policy: GroupingPolicy | None = None,
-                seqs: list[int] | None = None) -> list[GateGroup]:
+def find_groups(circuit: Circuit) -> list[GateGroup]:
     """Partition the circuit's CX/CZ/CP gates into control-wire runs.
 
-    ``seqs`` restricts the scan to a gate subset (used per segment); runs
-    are then judged within that subset only.
+    Gates of any of the three kinds, at any angle, share a run; a run of
+    two or more gates is a reuse group, a lone gate is a singleton group.
     """
-    policy = policy or GroupingPolicy()
-    gates = circuit.gates if seqs is None else [circuit.gates[s] for s in sorted(seqs)]
     open_runs: dict[QubitRef, list[Gate]] = {}
     closed: list[list[Gate]] = []
 
@@ -90,16 +52,10 @@ def find_groups(circuit: Circuit,
         if run:
             closed.append(run)
 
-    for g in gates:
+    for g in circuit.gates:
         if g.kind in GROUPABLE:
-            control, target = g.operands[0], g.operands[1]
-            run = open_runs.get(control)
-            if run is not None and _compatible(run, g, policy):
-                run.append(g)
-            else:
-                close(control)
-                open_runs[control] = [g]
-            close(target)
+            open_runs.setdefault(g.operands[0], []).append(g)
+            close(g.operands[1])
         else:
             for q in g.operands:
                 close(q)
@@ -107,18 +63,12 @@ def find_groups(circuit: Circuit,
         close(wire)
 
     closed.sort(key=lambda run: run[0].seq)
-    groups: list[GateGroup] = []
-    for run in closed:
-        pieces = [run] if len(run) >= policy.min_group_size else [[g] for g in run]
-        for piece in pieces:
-            groups.append(GateGroup(
-                id=len(groups),
-                control=piece[0].operands[0],
-                members=tuple(g.seq for g in piece),
-                targets=frozenset(g.operands[1] for g in piece),
-                kinds=frozenset(g.kind for g in piece),
-            ))
-    return groups
+    return [GateGroup(id=i,
+                      control=run[0].operands[0],
+                      members=tuple(g.seq for g in run),
+                      targets=frozenset(g.operands[1] for g in run),
+                      kinds=frozenset(g.kind for g in run))
+            for i, run in enumerate(closed)]
 
 
 @dataclass(frozen=True)

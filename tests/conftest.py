@@ -1,10 +1,12 @@
 """Shared fixtures: generated circuits and the on-disk QASM corpus."""
 
+import math
 import pathlib
 
 import pytest
 
-from qpart import generate, parse_qasm
+from qpart import generate, parse_qasm, resolve_capacities
+from qpart.fm import _Engine, _pass
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +18,17 @@ def load_fixture(name: str):
 
 def fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.qasm"))
+
+
+def fm_pass(h, assignment, config, stats=None):
+    """Run one FM pass over a copy of ``assignment`` under the config's
+    bounds; returns the copy and whether the pass improved the cost."""
+    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
+                              config.blocks)
+    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
+    work = list(assignment)
+    improved = _pass(_Engine(h, config.blocks, bounds, work), stats)
+    return work, improved
 
 
 @pytest.fixture(scope="session")

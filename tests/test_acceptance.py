@@ -10,14 +10,13 @@ import time
 
 import numpy as np
 
-from qpart import (Mode, PartitionConfig, PassStats, brute_force_mincut,
-                   build_hypergraph, emit_qasm, equivalent, find_groups,
-                   fm_pass, generate, initial_partition, parse_qasm, partition,
-                   random_partition, simulate)
+from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
+                   emit_qasm, equivalent, find_groups, generate, parse_qasm,
+                   partition, simulate)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import random_baseline
+from qpart.fm import _initial_partition, _PassStats, random_baseline
 
-from conftest import fixture_names, load_fixture
+from conftest import fixture_names, fm_pass, load_fixture
 
 
 def report(name: str, passed: bool, detail: str) -> str:
@@ -175,7 +174,7 @@ def test_criterion_6_random_baseline_calibration():
     total = 0
     for seed in range(10_000):
         cfg = PartitionConfig(blocks=2, seed=seed, restarts=1, mode=Mode.RANDOM)
-        total += random_partition(h, cfg).cut.cut_edges
+        total += partition(h, cfg).cut.cut_edges
     mean = total / 10_000
     ok = abs(mean - 5.0) <= 0.3
     line = report("random baseline calibration", ok,
@@ -204,8 +203,8 @@ def test_criterion_8_gain_updates_scale_linearly():
     for n in (16, 32, 64, 128):
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=2, seed=1)
-        a = initial_partition(h, cfg)
-        stats = PassStats()
+        a = _initial_partition(h, cfg)
+        stats = _PassStats()
         fm_pass(h, a, cfg, stats)
         pins.append(h.total_pins())
         updates.append(stats.gain_updates)

@@ -424,8 +424,12 @@ def test_cli_segment_depth(capsys):
     assert main(["partition", "qft:6", "--parts", "2", "--segment-depth", "4",
                  "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert [s["ebits"] for s in rep["segments"]] == [2, 4, 0]
-    assert rep["ebits"] == 6 and rep["cut_edges"] == 3
+    windows = [s["ebits"] for s in rep["segments"]]
+    assert windows == [2, 4, 0]
+    # four data qubits change block between windows, each teleported once
+    assert rep["migrations"] == 4
+    assert rep["ebits"] == sum(windows) + 2 * rep["migrations"] == 14
+    assert rep["cut_edges"] == 3
     assert rep["segments"][0]["circuit"] == "qft6[0]"
 
 
@@ -433,7 +437,7 @@ def test_cli_segment_depth_text(capsys):
     assert main(["partition", "qft:6", "--parts", "2",
                  "--segment-depth", "4"]) == 0
     out = capsys.readouterr().out
-    assert "total: cut_edges=3 ebits=6" in out
+    assert "total: cut_edges=3 ebits=14 migrations=4" in out
 
 
 def test_cli_bench(tmp_path, capsys):

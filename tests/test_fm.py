@@ -4,17 +4,20 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
-                   PartitionConfig, PassStats, Vertex, brute_force_mincut,
+                   PartitionConfig, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
-                   fm_pass, generate, import_hmetis, initial_partition,
-                   partition, random_partition, resolve_capacities)
-from qpart.fm import _Engine, _pass, random_baseline
+                   generate, import_hmetis, partition, resolve_capacities)
+from qpart.fm import (_MAX_PASSES, _Engine, _initial_partition, _pass, _PassStats,
+                      _snap_free_vertices, random_baseline)
+
+from conftest import fm_pass
 
 
 def chain(n: int) -> Hypergraph:
@@ -85,7 +88,7 @@ def test_fm_pass_adversarial_split():
     h = chain(4)
     a = [0, 1, 0, 1]
     cfg = PartitionConfig(blocks=2)
-    stats = PassStats()
+    stats = _PassStats()
     out, improved = fm_pass(h, a, cfg, stats)
     assert improved
     assert a == [0, 1, 0, 1]              # input untouched
@@ -158,13 +161,15 @@ def test_slack_capacities_keep_blocks_occupied():
 def test_mode_dispatch():
     h = build_hypergraph(generate("ghz", 8))
     cfg = PartitionConfig(blocks=4, mode=Mode.RANDOM, restarts=2)
-    assert partition(h, cfg).assignment == random_partition(h, cfg).assignment
+    a = _initial_partition(h, cfg)
+    _snap_free_vertices(h, a)
+    assert partition(h, cfg).assignment == tuple(a)
     # two blocks, and direct k-way: the seeded deal, refined by passes
     # until one fails
     for cfg in (PartitionConfig(blocks=2, restarts=1),
                 PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)):
-        a = initial_partition(h, cfg)
-        for _ in range(cfg.max_passes):
+        a = _initial_partition(h, cfg)
+        for _ in range(_MAX_PASSES):
             a, improved = fm_pass(h, a, cfg)
             if not improved:
                 break
@@ -217,7 +222,7 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
 
 def test_random_partition_balanced():
     h = build_hypergraph(generate("ghz", 10))
-    res = random_partition(h, PartitionConfig(blocks=2, seed=3, restarts=1))
+    res = partition(h, PartitionConfig(blocks=2, seed=3, restarts=1, mode=Mode.RANDOM))
     assert sorted(res.loads) == [5, 5]
     assert res.cut.cut_edges >= 1
 
@@ -226,7 +231,7 @@ def test_initial_partition_occupies_every_block():
     h = chain(5)
     for seed in range(20):
         cfg = PartitionConfig(blocks=3, capacities=(5, 5, 5), seed=seed, restarts=1)
-        a = initial_partition(h, cfg)
+        a = _initial_partition(h, cfg)
         assert set(a) == {0, 1, 2}
 
 
@@ -293,7 +298,7 @@ def test_recursive_bisection_with_epsilon_stays_feasible(instance):
 def test_fm_never_worse_than_random(h, seed):
     cfg = PartitionConfig(blocks=2, seed=seed, restarts=2)
     fm = partition(h, cfg)
-    rnd = random_partition(h, cfg)
+    rnd = partition(h, replace(cfg, mode=Mode.RANDOM))
     assert fm.cut.lambda_minus_one <= rnd.cut.lambda_minus_one
 
 
@@ -475,7 +480,7 @@ def kway_instances(draw):
     cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 99)),
                           epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
     if draw(st.booleans()):
-        assignment = initial_partition(h, cfg)
+        assignment = _initial_partition(h, cfg)
     else:
         assignment = draw(st.lists(st.integers(0, k - 1), min_size=len(vertices),
                                    max_size=len(vertices)))
@@ -494,9 +499,9 @@ def test_kway_gain_cache_matches_rescan(instance):
     full = _Engine(h, cfg.blocks, bounds, list(assignment))
     bounded = _Engine(h, cfg.blocks, bounds, list(assignment))
     for _ in range(4):
-        got, want = PassStats(), PassStats()
+        got, want = _PassStats(), _PassStats()
         improved = _pass(cached, got)
-        assert improved == _rescan_pass(full, PassStats())
+        assert improved == _rescan_pass(full, _PassStats())
         assert cached.assign == full.assign
         assert improved == _rescan_pass(bounded, want, cutoff=True)
         assert got.moves == want.moves
@@ -511,7 +516,7 @@ def test_converged_pass_stops_at_the_cutoff():
     cfg = PartitionConfig(blocks=2)
     assignment = list(partition(h, cfg).assignment)
     assert cut_cost(h, assignment, 2).lambda_minus_one == 1
-    stats = PassStats()
+    stats = _PassStats()
     out, improved = fm_pass(h, assignment, cfg, stats)
     assert not improved
     assert out == assignment
@@ -520,7 +525,7 @@ def test_converged_pass_stops_at_the_cutoff():
 
 def test_pass_at_zero_cost_makes_no_moves():
     h = Hypergraph([Vertex(i) for i in range(4)], [Hyperedge(0, (0, 1)), Hyperedge(1, (2, 3))])
-    stats = PassStats()
+    stats = _PassStats()
     out, improved = fm_pass(h, [0, 0, 1, 1], PartitionConfig(blocks=2), stats)
     assert not improved and out == [0, 0, 1, 1]
     assert stats.moves == 0
@@ -531,8 +536,8 @@ def test_kway_gain_updates_scale_linearly():
     for n in (16, 32, 64, 128):
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=4, seed=1, mode=Mode.DIRECT_KWAY)
-        stats = PassStats()
-        fm_pass(h, initial_partition(h, cfg), cfg, stats)
+        stats = _PassStats()
+        fm_pass(h, _initial_partition(h, cfg), cfg, stats)
         pins.append(h.total_pins())
         updates.append(stats.gain_updates)
     slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)

@@ -2,16 +2,15 @@
 
 import pytest
 
-from qpart import (GateKind, GroupingPolicy, QubitRef, find_groups, generate,
-                   parse_qasm, segment_by_depth, segment_subcircuit)
+from qpart import (GateKind, QubitRef, find_groups, make_circuit, parse_qasm,
+                   segment_by_depth, segment_subcircuit)
 
 from conftest import fixture_names, load_fixture
 
 
-def _groups(text: str, **policy):
+def _groups(text: str):
     c = parse_qasm("OPENQASM 2.0; qreg q[6]; " + text)
-    pol = GroupingPolicy(**policy) if policy else None
-    return c, find_groups(c, pol)
+    return c, find_groups(c)
 
 
 def members_by_control(groups):
@@ -62,39 +61,17 @@ def test_ccx_never_groups():
     assert seqs == {0, 2}          # the ccx contributes no group at all
 
 
-def test_min_group_size():
-    qft4 = generate("qft", 4)
-    groups = find_groups(qft4, GroupingPolicy(min_group_size=3))
-    reuse = [g.members for g in groups if g.is_reuse]
-    assert reuse == [(3, 6, 8)]
-    # size-1 policy keeps the same partition but labels singleton runs too
-    groups1 = find_groups(qft4, GroupingPolicy(min_group_size=1))
-    assert sorted(s for g in groups1 for s in g.members) == [1, 2, 3, 5, 6, 8]
-
-
-def test_require_equal_cp_angles(qft4):
-    groups = find_groups(qft4, GroupingPolicy(require_equal_cp_angles=True))
-    assert all(not g.is_reuse for g in groups)   # every qft angle differs
-
-
 def test_allow_mixed_kinds():
     text = "cx q[0],q[1]; cz q[0],q[2];"
     _, mixed = _groups(text)
     assert members_by_control(mixed) == {"q[0]": (0, 1)}
-    _, split = _groups(text, allow_mixed_kinds=False)
-    assert all(not g.is_reuse for g in split)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError, match="at least 1"):
-        GroupingPolicy(min_group_size=0)
-    pol = GroupingPolicy.from_dict({"min_group_size": 3, "extra": True})
-    assert pol.min_group_size == 3
 
 
 def test_seq_restriction(qft4):
     # judged within the subset, the q[3] run loses its later members
-    groups = find_groups(qft4, seqs=[1, 2, 3])
+    sub = make_circuit("qft4.sub", qft4.registers, [qft4.gates[s] for s in (1, 2, 3)],
+                       qft4.cregs)
+    groups = find_groups(sub)
     assert all(not g.is_reuse for g in groups)
 
 
