@@ -14,7 +14,7 @@ from .grouping import (GROUPABLE, GateGroup, Segment, find_groups,
                        segment_by_depth, segment_subcircuit)
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
-                         edge_home, export_hmetis, import_hmetis)
+                         export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
                  partition, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
@@ -35,7 +35,7 @@ __all__ = [
     "GROUPABLE", "GateGroup", "Segment",
     "find_groups", "segment_by_depth", "segment_subcircuit",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
-    "block_endpoints", "build_hypergraph", "cut_cost", "edge_home",
+    "block_endpoints", "build_hypergraph", "cut_cost",
     "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",
     "partition", "resolve_capacities",

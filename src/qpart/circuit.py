@@ -9,7 +9,10 @@ Parser coverage is the OpenQASM 2.0 fragment emitted by common circuit
 generators: header, optional include, register declarations, gate
 applications with literal or pi-rational parameters, measure, barrier, and
 ``opaque`` declarations (used by the distribution emitter).  Gate
-definitions and ``if`` statements are rejected.
+definitions and ``if`` statements are rejected.  Statements end with ``;``
+and may share a line or span lines; ``//`` starts a comment that runs to
+the end of its line.  A parse error names the line where its statement
+starts.
 """
 from __future__ import annotations
 
@@ -20,14 +23,14 @@ from enum import Enum
 
 
 class QasmError(ValueError):
-    """Parse or validation failure, annotated with the source position."""
+    """Parse or validation failure; ``line`` is where the failing statement
+    starts, or None for a failure that belongs to no one statement."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         if line is not None:
-            message = f"line {line}, col {col}: {message}" if col is not None else f"line {line}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.col = col
 
 
 class GateKind(Enum):
@@ -74,7 +77,8 @@ _THREE_QUBIT = {GateKind.CCX, GateKind.CCZ}
 _PARAM_COUNT = {GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.CP: 1}
 
 # qasm statement name -> kind, including decomposable aliases
-_NAME_TO_KIND = {k.value: k for k in GateKind if k not in (GateKind.OPAQUE,)}
+_NAME_TO_KIND = {k.value: k for k in GateKind
+                 if k not in (GateKind.OPAQUE, GateKind.MEASURE, GateKind.BARRIER)}
 _NAME_TO_KIND["cu1"] = GateKind.CP
 
 
@@ -174,13 +178,13 @@ def make_circuit(name: str,
     width = sum(n for _, n in registers)
     size = sum(1 for g in gates if g.kind is not GateKind.BARRIER)
     depth = 0 if not gates else max(
-        (lay + 1 for g, lay in zip(gates, gate_layers_from(registers, gates))
+        (lay + 1 for g, lay in zip(gates, _layers(gates))
          if g.kind is not GateKind.BARRIER), default=0)
     return Circuit(name=name, registers=registers, gates=gates, cregs=cregs,
                    width=width, size=size, depth=depth)
 
 
-def gate_layers_from(registers: tuple[tuple[str, int], ...], gates: tuple[Gate, ...]) -> list[int]:
+def _layers(gates: tuple[Gate, ...]) -> list[int]:
     """Zero-based ASAP layer per gate; BARRIER records its sync point."""
     frontier: dict[QubitRef, int] = {}
     layers = []
@@ -197,265 +201,213 @@ def gate_layers_from(registers: tuple[tuple[str, int], ...], gates: tuple[Gate, 
 
 
 def gate_layers(circuit: Circuit) -> list[int]:
-    return gate_layers_from(circuit.registers, circuit.gates)
+    return _layers(circuit.gates)
 
 
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<arrow>->)
-  | (?P<sym>[\[\](),;*/+-])
-""", re.VERBOSE)
+# a quoted string is kept whole, so a "//" inside it is not a comment
+_COMMENT_RE = re.compile(r'("[^"\n]*")|//[^\n]*')
+# word [ (params) ] rest
+_STATEMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?(.*)", re.S)
+# name [ [index] ]
+_ARG_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\s*")
+_STRING_RE = re.compile(r'\s*"[^"\n]*"\s*')
+# name param (, param)*
+_OPAQUE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+[A-Za-z_][A-Za-z0-9_]*"
+                        r"((?:\s*,\s*[A-Za-z_][A-Za-z0-9_]*)*)\s*")
+_SIGNS_RE = re.compile(r"\s*((?:[+-]\s*)*)")
+_OPERATOR_RE = re.compile(r"([*/])")
+# literal | pi
+_ATOM_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+                      r"|\d+(?:[eE][+-]?\d+)?)|pi)\s*")
+_KEYWORDS = ("include", "qreg", "creg", "opaque", "measure", "barrier")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+def _statements(text: str):
+    """Yield (line, statement) per ``;``-terminated statement, comments
+    blanked and leading blanks stripped; ``line`` is where the statement
+    starts.  Non-blank text after the last ``;`` is an error."""
+    *statements, tail = _COMMENT_RE.sub(r"\1", text).split(";")
+    line = 1
+    for stmt in statements:
+        body = stmt.lstrip()
+        line += stmt.count("\n", 0, len(stmt) - len(body))
+        yield line, body
+        line += body.count("\n")
+    body = tail.lstrip()
+    if body:
+        raise QasmError("unexpected end of input", line + tail.count("\n", 0, len(tail) - len(body)))
+
+
+def _arg(text: str) -> tuple[str, int | None]:
+    m = _ARG_RE.fullmatch(text)
+    if m is None:
+        raise QasmError(f"malformed argument {text.strip()!r}")
+    return m[1], None if m[2] is None else int(m[2])
+
+
+def _param(text: str) -> float:
+    """Signs, then literal or pi atoms joined by * and /, folded left to
+    right."""
+    signs = _SIGNS_RE.match(text)
+    parts = _OPERATOR_RE.split(text[signs.end():])
+    atoms = []
+    for atom in parts[::2]:
+        m = _ATOM_RE.fullmatch(atom)
         if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
+            raise QasmError(f"unsupported parameter expression {text.strip()!r}; "
+                            "only literals and rational multiples of pi are accepted")
+        atoms.append(math.pi if m[1] is None else float(m[1]))
+    value = atoms[0]
+    for op, rhs in zip(parts[1::2], atoms[1:]):
+        if op == "*":
+            value *= rhs
+        elif rhs == 0:
+            raise QasmError("division by zero in parameter")
         else:
-            col += len(value)
-        pos = m.end()
-    return tokens
+            value /= rhs
+    return (-1.0 if signs[1].count("-") % 2 else 1.0) * value
 
 
 class _Parser:
-    def __init__(self, text: str, name: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    def __init__(self, name: str):
         self.name = name
         self.qregs: dict[str, int] = {}  # name -> size, in declaration order
         self.cregs: dict[str, int] = {}
         self.opaque: dict[str, int] = {}  # declared name -> arity
         self.gates: list[Gate] = []
 
-    # token helpers ---------------------------------------------------------
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", -1, -1)
-
-    def _next(self):
-        tok = self._peek()
-        if tok[0] == "eof":
-            raise QasmError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, value: str | None = None):
-        tok = self._next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise QasmError(f"expected {want!r}, got {tok[1]!r}", tok[2], tok[3])
-        return tok
-
-    def _fail(self, message: str):
-        tok = self._peek()
-        raise QasmError(message, tok[2], tok[3])
-
     def _add(self, kind: GateKind, operands, params: tuple[float, ...] = (), **extra) -> None:
         """Append a gate numbered by its list position, as make_circuit
         numbers it."""
         self.gates.append(Gate(kind, tuple(operands), params, seq=len(self.gates), **extra))
 
-    # grammar ---------------------------------------------------------------
-    def parse(self) -> Circuit:
-        tok = self._expect("ident")
-        if tok[1] != "OPENQASM":
-            raise QasmError("file must start with 'OPENQASM 2.0;'", tok[2], tok[3])
-        ver = self._expect("number")
-        if ver[1] != "2.0":
-            raise QasmError(f"unsupported OPENQASM version {ver[1]}", ver[2], ver[3])
-        self._expect("sym", ";")
-        while self._peek()[0] != "eof":
-            self._statement()
+    def parse(self, text: str) -> Circuit:
+        statements = _statements(text)
+        line, body = next(statements, (1, ""))
+        m = _STATEMENT_RE.match(body)
+        if m is None or m[1] != "OPENQASM":
+            raise QasmError("file must start with 'OPENQASM 2.0;'", line)
+        if m[2] is not None or m[3].strip() != "2.0":
+            raise QasmError(f"unsupported OPENQASM version {m[3].strip()}", line)
+        for line, body in statements:
+            try:
+                self._statement(body)
+            except ValueError as exc:  # gate validation included
+                raise QasmError(str(exc), line) from None
         if not self.qregs:
             raise QasmError("no quantum register declared")
         return make_circuit(self.name, list(self.qregs.items()), self.gates,
                             list(self.cregs.items()))
 
-    def _statement(self) -> None:
-        tok = self._expect("ident")
-        word = tok[1]
+    def _statement(self, body: str) -> None:
+        m = _STATEMENT_RE.match(body)
+        if m is None:
+            raise QasmError(f"malformed statement {body!r}")
+        word, params, rest = m.groups()
+        if word in ("gate", "if", "reset"):
+            raise QasmError(f"'{word}' statements are not supported")
+        if word not in _KEYWORDS:
+            self._application(word, params, rest)
+            return
+        if params is not None:
+            raise QasmError(f"{word} takes no parameters")
         if word == "include":
-            self._expect("string")
-            self._expect("sym", ";")
+            if _STRING_RE.fullmatch(rest) is None:
+                raise QasmError("include needs a quoted file name")
         elif word in ("qreg", "creg"):
-            name = self._expect("ident")[1]
-            self._expect("sym", "[")
-            size = int(self._expect("number")[1])
-            self._expect("sym", "]")
-            self._expect("sym", ";")
+            name, size = _arg(rest)
+            if size is None:
+                raise QasmError(f"{word} needs a size")
             if name in self.qregs or name in self.cregs:
-                raise QasmError(f"register {name!r} already declared", tok[2], tok[3])
+                raise QasmError(f"register {name!r} already declared")
             (self.qregs if word == "qreg" else self.cregs)[name] = size
         elif word == "opaque":
-            name = self._expect("ident")[1]
-            self._expect("ident")
-            arity = 1
-            while self._peek()[1] == ",":
-                self._next()
-                self._expect("ident")
-                arity += 1
-            self._expect("sym", ";")
-            self.opaque[name] = arity
+            decl = _OPAQUE_RE.fullmatch(rest)
+            if decl is None:
+                raise QasmError(f"malformed opaque declaration {rest.strip()!r}")
+            self.opaque[decl[1]] = decl[2].count(",") + 1
         elif word == "measure":
-            self._measure(tok)
-        elif word == "barrier":
-            args = self._arglist()
-            self._expect("sym", ";")
+            self._measure(rest)
+        else:
             qubits = []
-            for a in args:
-                qubits.extend(self._expand(a, tok))
+            for a in rest.split(","):
+                qubits.extend(self._expand(_arg(a)))
             self._add(GateKind.BARRIER, qubits)
-        elif word in ("gate", "if", "reset"):
-            self._fail(f"'{word}' statements are not supported")
-        else:
-            self._application(word, tok)
 
-    def _measure(self, tok) -> None:
-        src = self._argument()
-        self._expect("arrow")
-        dst = self._argument()
-        self._expect("sym", ";")
-        squbits = self._expand(src, tok)
-        if dst[0] not in self.cregs:
-            raise QasmError(f"classical register {dst[0]!r} is not declared", tok[2], tok[3])
-        if dst[1] is None:
-            if len(squbits) != self.cregs[dst[0]]:
-                raise QasmError("measure register sizes differ", tok[2], tok[3])
-            targets = [(dst[0], i) for i in range(len(squbits))]
+    def _measure(self, rest: str) -> None:
+        src, arrow, dst = rest.partition("->")
+        if not arrow:
+            raise QasmError("measure needs '->'")
+        squbits = self._expand(_arg(src))
+        creg, bit = _arg(dst)
+        if creg not in self.cregs:
+            raise QasmError(f"classical register {creg!r} is not declared")
+        if bit is None:
+            if len(squbits) != self.cregs[creg]:
+                raise QasmError("measure register sizes differ")
+            targets = [(creg, i) for i in range(len(squbits))]
         else:
-            if dst[1] >= self.cregs[dst[0]]:
-                raise QasmError(f"bit {dst[0]}[{dst[1]}] out of range", tok[2], tok[3])
+            if bit >= self.cregs[creg]:
+                raise QasmError(f"bit {creg}[{bit}] out of range")
             if len(squbits) != 1:
-                raise QasmError("cannot measure a register into one bit", tok[2], tok[3])
-            targets = [(dst[0], dst[1])]
+                raise QasmError("cannot measure a register into one bit")
+            targets = [(creg, bit)]
         for q, c in zip(squbits, targets):
             self._add(GateKind.MEASURE, (q,), cbit=c)
 
-    def _application(self, word: str, tok) -> None:
-        params: tuple[float, ...] = ()
-        if self._peek()[1] == "(":
-            self._next()
-            values = [self._param_expr()]
-            while self._peek()[1] == ",":
-                self._next()
-                values.append(self._param_expr())
-            self._expect("sym", ")")
-            params = tuple(values)
-        args = self._arglist()
-        self._expect("sym", ";")
+    def _application(self, word: str, params: str | None, rest: str) -> None:
+        values = () if params is None else tuple(_param(p) for p in params.split(","))
+        args = [_arg(a) for a in rest.split(",")]
         if word in self.opaque:
-            kind, label = GateKind.OPAQUE, word
             operands = []
             for a in args:
-                got = self._expand(a, tok)
+                got = self._expand(a)
                 if len(got) != 1:
-                    raise QasmError("opaque calls need indexed operands", tok[2], tok[3])
+                    raise QasmError("opaque calls need indexed operands")
                 operands.append(got[0])
             if len(operands) != self.opaque[word]:
-                raise QasmError(f"{word} takes {self.opaque[word]} operand(s)", tok[2], tok[3])
-            self._add(kind, operands, params, label=label)
+                raise QasmError(f"{word} takes {self.opaque[word]} operand(s)")
+            self._add(GateKind.OPAQUE, operands, values, label=word)
             return
         kind = _NAME_TO_KIND.get(word)
-        if kind is None or kind in (GateKind.MEASURE, GateKind.BARRIER):
-            raise QasmError(f"unknown gate {word!r}", tok[2], tok[3])
-        if len(params) != kind.n_params:
-            raise QasmError(f"{word} takes {kind.n_params} parameter(s), got {len(params)}", tok[2], tok[3])
+        if kind is None:
+            raise QasmError(f"unknown gate {word!r}")
+        if len(values) != kind.n_params:
+            raise QasmError(f"{word} takes {kind.n_params} parameter(s), got {len(values)}")
         if kind.n_qubits == 1:
             # bare register broadcasts over its qubits
-            qubit_lists = [self._expand(a, tok) for a in args]
+            qubit_lists = [self._expand(a) for a in args]
             if len(qubit_lists) != 1:
-                raise QasmError(f"{word} takes 1 operand", tok[2], tok[3])
+                raise QasmError(f"{word} takes 1 operand")
             for q in qubit_lists[0]:
-                self._add(kind, (q,), params)
+                self._add(kind, (q,), values)
         else:
             operands = []
             for a in args:
-                got = self._expand(a, tok)
+                got = self._expand(a)
                 if len(got) != 1:
-                    raise QasmError(f"{word} operands must be indexed qubits", tok[2], tok[3])
+                    raise QasmError(f"{word} operands must be indexed qubits")
                 operands.append(got[0])
-            try:
-                self._add(kind, operands, params)
-            except ValueError as exc:
-                raise QasmError(str(exc), tok[2], tok[3]) from None
+            self._add(kind, operands, values)
 
-    def _arglist(self) -> list[tuple[str, int | None]]:
-        args = [self._argument()]
-        while self._peek()[1] == ",":
-            self._next()
-            args.append(self._argument())
-        return args
-
-    def _argument(self) -> tuple[str, int | None]:
-        name = self._expect("ident")[1]
-        if self._peek()[1] == "[":
-            self._next()
-            idx = int(self._expect("number")[1])
-            self._expect("sym", "]")
-            return (name, idx)
-        return (name, None)
-
-    def _expand(self, arg: tuple[str, int | None], tok) -> list[QubitRef]:
+    def _expand(self, arg: tuple[str, int | None]) -> list[QubitRef]:
         """Resolve an argument to qubits, broadcasting bare registers."""
         name, idx = arg
         if name not in self.qregs:
-            raise QasmError(f"quantum register {name!r} is not declared", tok[2], tok[3])
+            raise QasmError(f"quantum register {name!r} is not declared")
         if idx is None:
             return [QubitRef(name, i) for i in range(self.qregs[name])]
         if idx >= self.qregs[name]:
-            raise QasmError(f"qubit {name}[{idx}] out of range", tok[2], tok[3])
+            raise QasmError(f"qubit {name}[{idx}] out of range")
         return [QubitRef(name, idx)]
-
-    def _param_expr(self) -> float:
-        """literal | pi, optionally negated, combined with * and /."""
-        sign = 1.0
-        while self._peek()[1] in ("+", "-"):
-            if self._next()[1] == "-":
-                sign = -sign
-        value = self._param_atom()
-        while self._peek()[1] in ("*", "/"):
-            op = self._next()[1]
-            rhs = self._param_atom()
-            if op == "*":
-                value *= rhs
-            else:
-                if rhs == 0:
-                    self._fail("division by zero in parameter")
-                value /= rhs
-        return sign * value
-
-    def _param_atom(self) -> float:
-        tok = self._next()
-        if tok[0] == "number":
-            return float(tok[1])
-        if tok[0] == "ident" and tok[1] == "pi":
-            return math.pi
-        raise QasmError(f"unsupported parameter expression near {tok[1]!r}; "
-                        "only literals and rational multiples of pi are accepted",
-                        tok[2], tok[3])
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse the supported OpenQASM 2.0 subset into a Circuit."""
-    return _Parser(text, name).parse()
+    return _Parser(name).parse(text)
 
 
 # --------------------------------------------------------------------------

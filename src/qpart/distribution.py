@@ -101,20 +101,6 @@ class DistributionPlan:
     cut: CutReport
     ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
 
-    def to_json(self) -> dict:
-        return {
-            "blocks": [{"data": p.data, "e": p.e, "o": p.o, "r": p.r}
-                       for p in self.per_block],
-            "channels": [{"id": c.id, "edge": c.edge, "carries": c.carries,
-                          "home": c.home, "remote": c.remote,
-                          "span": [c.first_use, c.last_use],
-                          "primary": c.primary} for c in self.channels],
-            "cut_edges": self.cut.cut_edges,
-            "lambda_minus_one": self.cut.lambda_minus_one,
-            "ebits": self.ebits,
-            "comm": self.comm.value,
-        }
-
 
 _DIAGONAL = {GateKind.CZ, GateKind.CP, GateKind.CCZ}
 

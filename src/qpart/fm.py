@@ -90,21 +90,6 @@ class PartitionConfig:
             if any(c < 1 for c in self.capacities):
                 raise ValueError("capacities must be positive")
 
-    def to_json(self) -> dict:
-        return {"blocks": self.blocks,
-                "capacities": list(self.capacities) if self.capacities else None,
-                "epsilon": self.epsilon, "restarts": self.restarts,
-                "seed": self.seed, "mode": self.mode.value}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PartitionConfig":
-        data = dict(data)
-        if "mode" in data:
-            data["mode"] = Mode(data["mode"])
-        if data.get("capacities") is not None:
-            data["capacities"] = tuple(data["capacities"])
-        return cls(**data)
-
 
 def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
     """Explicit capacities, or an equal split of n over the blocks.

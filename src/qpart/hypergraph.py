@@ -90,21 +90,6 @@ class Hypergraph:
     def total_pins(self) -> int:
         return sum(len(e.pins) for e in self.edges)
 
-    def vertex_of(self, ref: QubitRef) -> int:
-        for v in self.vertices:
-            if v.ref == ref:
-                return v.id
-        raise KeyError(f"no vertex for {ref}")
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [{"id": v.id, "weight": v.weight,
-                          "ref": str(v.ref) if v.ref else None,
-                          "group": v.group} for v in self.vertices],
-            "edges": [{"id": e.id, "pins": list(e.pins), "weight": e.weight,
-                       "origin": list(e.origin) if e.origin else None} for e in self.edges],
-        }
-
 
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
     """Translate a circuit, optionally folding reuse groups into hyperedges."""
@@ -190,22 +175,17 @@ def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
     return CutReport(cut_edges=cut, lambda_minus_one=lam, ebits=2 * lam)
 
 
-def edge_home(h: Hypergraph, e: Hyperedge, assignment: list[int]) -> int:
-    """Block hosting the shared control state of an edge."""
-    pin = e.control if e.control is not None else e.pins[0]
-    return assignment[pin]
-
-
 def block_endpoints(h: Hypergraph, assignment: list[int], blocks: int) -> list[int]:
     """Communication endpoints per block: one per (cut edge, remote block)
-    on the remote side plus one on the home side.  Sums to 2*(lambda-1)."""
+    on the remote side plus one on the home side, the block of the edge's
+    control (or first pin).  Sums to 2*(lambda-1)."""
     _check_assignment(h, assignment, blocks)
     counts = [0] * blocks
     for e in h.edges:
         spanned = sorted({assignment[p] for p in e.pins})
         if len(spanned) < 2:
             continue
-        home = edge_home(h, e, assignment)
+        home = assignment[e.control if e.control is not None else e.pins[0]]
         for b in spanned:
             if b != home:
                 counts[home] += e.weight

@@ -134,6 +134,50 @@ def test_parse_error_position():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize("stmt", ["barrier q[0],q[0];", "mystery q[1],q[1];"],
+                         ids=["barrier", "opaque"])
+def test_gate_validation_error_line(stmt):
+    text = f"OPENQASM 2.0;\nopaque mystery a,b; qreg q[2];\n{stmt}\n"
+    with pytest.raises(QasmError, match="distinct") as info:
+        parse_qasm(text)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("text,line", [
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n   q[1];\nbogus q[0];\n", 5),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n   q[5];\n", 3),
+    ("OPENQASM 2.0;\nqreg q[2]; h q[0]; bogus q[1]; h q[1];\n", 2),
+    ("OPENQASM 2.0;\nqreg q[2]; // note;\n\n  h q[0]; bogus q[1];", 4),
+], ids=["after-multiline", "multiline", "shared-line", "after-comment"])
+def test_error_names_statement_start_line(text, line):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
+
+
+def test_comment_marker_inside_string():
+    c = parse_qasm('OPENQASM 2.0;\ninclude "a//b.inc";\nqreg q[1];\nh q[0];\n')
+    assert c.size == 1
+
+
+def test_missing_final_semicolon():
+    with pytest.raises(QasmError, match="end of input"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0]\n")
+
+
+@pytest.mark.parametrize("expr", ["-pi/4", "--pi/2", "+pi", "2*pi/3", "1e-3", ".5", "3."])
+def test_param_accepted(expr):
+    c = parse_qasm(f"OPENQASM 2.0; qreg q[1]; rz({expr}) q[0];")
+    assert c.gates[0].params[0] == eval(expr, {"pi": math.pi})
+
+
+@pytest.mark.parametrize("expr", ["pi*-1", "(pi)", "pi pi", "2*", "2pi", "", "pi/0"])
+def test_param_rejected(expr):
+    with pytest.raises(QasmError):
+        parse_qasm(f"OPENQASM 2.0; qreg q[1]; rz({expr}) q[0];")
+
+
 def test_barrier_synchronises_without_depth():
     c = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; barrier q; h q[1];")
     assert gate_layers(c) == [0, 1, 1]
@@ -198,4 +242,19 @@ def random_circuits(draw):
 @given(random_circuits())
 def test_roundtrip_property(c: Circuit):
     again = parse_qasm(emit_qasm(c), name="rand")
+    assert again.gates == c.gates
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.data())
+def test_relaid_statements_parse_alike(c: Circuit, data):
+    # the same statements, sharing lines or spanning them, with comment
+    # lines between them and blanks around the punctuation
+    pad = st.sampled_from(["", " ", "\n  "])
+    parts = []
+    for stmt in emit_qasm(c).splitlines():
+        for sym in (",", "[", "]", "(", ")", "->"):
+            stmt = stmt.replace(sym, data.draw(pad) + sym + data.draw(pad))
+        parts += [stmt, data.draw(st.sampled_from([" ", "", "\n", "\n// note\n"]))]
+    again = parse_qasm("".join(parts), name="rand")
     assert again.gates == c.gates

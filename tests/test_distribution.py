@@ -217,11 +217,10 @@ def test_plan_json(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
     plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
-    data = plan.to_json()
-    assert data["comm"] == "per-channel"
-    assert data["ebits"] == 4 and data["lambda_minus_one"] == 2
-    assert [b["o"] for b in data["blocks"]] == [7, 3]
-    assert data["channels"][0]["span"] == [2, 5]
+    assert plan.comm is CommModel.PER_CHANNEL
+    assert plan.ebits == 4 and plan.cut.lambda_minus_one == 2
+    assert [b.o for b in plan.per_block] == [7, 3]
+    assert (plan.channels[0].first_use, plan.channels[0].last_use) == (2, 5)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -50,12 +50,6 @@ def test_config_validation():
         PartitionConfig(blocks=2, capacities=(0, 4))
 
 
-def test_config_json_roundtrip():
-    cfg = PartitionConfig(blocks=3, capacities=(4, 3, 3), epsilon=0.1,
-                          restarts=2, seed=9, mode=Mode.DIRECT_KWAY)
-    assert PartitionConfig.from_json(cfg.to_json()) == cfg
-
-
 def test_resolve_capacities():
     assert resolve_capacities(None, 10, 2) == [5, 5]
     assert resolve_capacities(None, 10, 4) == [3, 3, 2, 2]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qpart import (Hyperedge, Hypergraph, QubitRef, Vertex, block_endpoints,
-                   build_hypergraph, cut_cost, edge_home, export_hmetis,
+                   build_hypergraph, cut_cost, export_hmetis,
                    find_groups, import_hmetis, parse_qasm)
 
 from conftest import fixture_names, load_fixture
@@ -35,8 +35,8 @@ def test_qft4_grouped(qft4):
     gvs = [v for v in h.vertices if not v.is_qubit]
     assert [(v.weight, v.group) for v in gvs] == [(0, 1), (0, 2)]
     # each grouping vertex is anchored to its control qubit's vertex
-    assert [v.anchor for v in gvs] == [h.vertex_of(QubitRef("q", 2)),
-                                       h.vertex_of(QubitRef("q", 3))]
+    index = qft4.qubit_index()
+    assert [v.anchor for v in gvs] == [index[QubitRef("q", 2)], index[QubitRef("q", 3)]]
     assert sorted(len(e.pins) for e in h.edges) == [2, 4, 5]
     for e in h.edges:
         if e.origin[0] == "group":
@@ -84,10 +84,12 @@ def test_cut_cost_validation(ghz4):
         cut_cost(h, [0, 0, 0, 2], 2)    # block out of range
 
 
-def test_edge_home(ghz4):
-    h = build_hypergraph(ghz4)
-    cut = h.edges[1]                    # cx q[1],q[2]
-    assert edge_home(h, cut, [0, 0, 1, 1]) == 0
+def test_edge_home():
+    # a CCX edge over three blocks: its control's block is the home and
+    # holds one endpoint per remote block
+    h = build_hypergraph(parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];"))
+    assert block_endpoints(h, [2, 0, 1], 3) == [1, 1, 2]
+    assert block_endpoints(h, [0, 2, 1], 3) == [2, 1, 1]
 
 
 def test_block_endpoints_chain(ghz4):
@@ -168,22 +170,6 @@ def test_import_hmetis_errors(text, fragment):
 def test_validate_errors(vertices, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hypergraph(vertices, edges)
-
-
-def test_vertex_of_missing(ghz4):
-    h = build_hypergraph(ghz4)
-    assert h.vertex_of(QubitRef("q", 3)) == 3
-    with pytest.raises(KeyError):
-        h.vertex_of(QubitRef("r", 0))
-
-
-def test_to_json(qft4):
-    h = build_hypergraph(qft4, find_groups(qft4))
-    data = h.to_json()
-    assert len(data["vertices"]) == 6
-    assert data["vertices"][0]["ref"] == "q[0]"
-    assert data["vertices"][5]["group"] == 2
-    assert data["edges"][1]["origin"] == ["group", 1]
 
 
 def test_import_hmetis_drops_single_pin_edges():
