@@ -21,8 +21,7 @@ from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
 from .distribution import (Channel, CommModel, DistributionPlan,
                            QpuEnvironment, QpuPlan, emit_subcircuits,
-                           exec_block_of, feasibility_check,
-                           plan_distribution)
+                           feasibility_check, plan_distribution)
 from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
                     format_summary, load_suite, run_suite, write_csv)
 
@@ -42,8 +41,7 @@ __all__ = [
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
     "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",
-    "emit_subcircuits", "exec_block_of",
-    "feasibility_check", "plan_distribution",
+    "emit_subcircuits", "feasibility_check", "plan_distribution",
     "CSV_COLUMNS", "METHODS", "BenchRow", "CircuitJob", "SuiteSpec",
     "format_summary", "load_suite", "run_suite", "write_csv",
     "__version__",

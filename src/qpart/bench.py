@@ -12,6 +12,8 @@ equal to what ``partition`` and ``plan_distribution`` give for its seed; a
 Random row's ``runtime_ms`` is the batch time divided by the seed count.
 FMGrouped's baseline is on the grouped hypergraph, which has no Random
 rows of its own, so it is scored with ``fm.random_baseline`` (ebits only).
+A row carries its figures, not its plan: build one with ``partition`` and
+``plan_distribution`` for the row's seed and mode.
 
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
@@ -22,14 +24,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .circuit import Circuit, parse_qasm
-from .distribution import DistributionPlan, _plan_ledger, plan_distribution
-from .fm import (Mode, PartitionConfig, _cut_rows, _random_deals, partition,
+from .distribution import _plan_ledger, plan_distribution
+from .fm import (Mode, PartitionConfig, _cut_rows, _deals, _snapper, partition,
                  random_baseline, resolve_capacities)
 from .generators import CircuitFamily, generate
 from .grouping import find_groups
@@ -136,13 +136,6 @@ class BenchRow:
     ebits: int
     r_per_block: tuple[float | None, ...]
     runtime_ms: float
-    planner: Callable[[], DistributionPlan] | None = field(default=None, repr=False,
-                                                           compare=False)
-
-    @cached_property
-    def plan(self) -> DistributionPlan | None:
-        """The row's distribution plan, built by ``planner`` on first read."""
-        return self.planner() if self.planner is not None else None
 
     def csv_cells(self) -> list[str]:
         return [self.circuit, str(self.n), str(self.size), str(self.depth),
@@ -165,27 +158,23 @@ def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
                     capacities=tuple(caps), seed=config.seed,
                     cut_edges=result.cut.cut_edges, ebits=result.cut.ebits,
                     r_per_block=tuple(p.r for p in plan.per_block),
-                    runtime_ms=ms, planner=lambda: plan)
-
-
-def _random_plan(circuit: Circuit, h: Hypergraph, groups, config: PartitionConfig,
-                 seed: int) -> DistributionPlan:
-    result = partition(h, replace(config, seed=seed))
-    return plan_distribution(circuit, h, list(result.assignment), groups=groups)
+                    runtime_ms=ms)
 
 
 def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
                  config: PartitionConfig, caps: list[int], seeds) -> list[BenchRow]:
     """One Random row per seed, scored in one batch: the seeded deals of
-    ``fm._random_deals``, their cut from ``fm._cut_rows`` and their o and e
-    from ``distribution._plan_ledger``.  Each row equals what ``_one_run``
-    makes for its seed, except that ``runtime_ms`` is the batch time over
-    the seed count and the plan is only built when ``row.plan`` is read.
+    ``fm._deals`` snapped by ``fm._snapper``, their cut from ``fm._cut_rows``
+    and their o and e from ``distribution._plan_ledger``.  Each row equals
+    what ``_one_run`` makes for its seed, except that ``runtime_ms`` is the
+    batch time over the seed count.
     """
     t0 = time.perf_counter()
     ledger = _plan_ledger(circuit, h, config.blocks, groups)
+    snap = _snapper(h)
     scored = []
-    for chunk, assign in _random_deals(h, config, seeds):
+    for chunk, assign in _deals(h, config, seeds):
+        snap(assign)
         cut_edges, ebits = _cut_rows(h, assign, config.blocks)
         o, e = ledger(assign)
         used = assign.max(axis=1) + 1   # plan_distribution's block count
@@ -197,8 +186,7 @@ def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
                      capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
                      r_per_block=tuple(x / y if y else None
                                        for x, y in zip(e[:used], o[:used])),
-                     runtime_ms=ms,
-                     planner=partial(_random_plan, circuit, h, groups, config, seed))
+                     runtime_ms=ms)
             for seed, cut, eb, used, o, e in scored]
 
 

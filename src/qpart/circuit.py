@@ -321,6 +321,8 @@ class _Parser:
             name, size = _arg(rest)
             if size is None:
                 raise QasmError(f"{word} needs a size")
+            if size < 1:
+                raise QasmError("register size must be positive")
             if name in self.qregs or name in self.cregs:
                 raise QasmError(f"register {name!r} already declared")
             (self.qregs if word == "qreg" else self.cregs)[name] = size

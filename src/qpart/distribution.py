@@ -16,6 +16,11 @@ channel; it gets a fallback channel of its own.  That only happens for
 three-qubit gates whose controls are split from the target, and it makes
 the realised ebit count exceed the metric; two-qubit and grouped
 interactions never need it.
+
+These rules are stated once, in ``_placement``, over a matrix of
+assignments: ``plan_distribution`` evaluates it on its one row, and
+``_plan_ledger`` on a batch of seeded deals to give each row's per-block
+counts without building its plan.
 """
 from __future__ import annotations
 
@@ -24,8 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, GateKind, QubitRef, _cregs, _gate_line,
-                      _preamble)
+from .circuit import Circuit, GateKind, _cregs, _gate_line, _preamble
 from .fm import InfeasibleError
 from .grouping import GROUPABLE, GateGroup
 from .hypergraph import CutReport, Hypergraph, cut_cost
@@ -102,7 +106,8 @@ class DistributionPlan:
     ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
 
 
-_DIAGONAL = {GateKind.CZ, GateKind.CP, GateKind.CCZ}
+# gates that may run with remote operands riding channels
+_SPLITTABLE = {GateKind.CZ, GateKind.CP, GateKind.CCZ, GateKind.CX, GateKind.CCX}
 
 
 def _edge_of_gate(h: Hypergraph, groups: list[GateGroup] | None) -> dict[int, int]:
@@ -128,22 +133,66 @@ def _edge_of_gate(h: Hypergraph, groups: list[GateGroup] | None) -> dict[int, in
     return seq_edge
 
 
-def exec_block_of(gate: Gate, block_of: dict[QubitRef, int]) -> int:
-    """Block a gate runs on: target's block for CX/CCX, majority block for
-    diagonal gates (ties to the last operand), operand's block otherwise."""
-    blocks = [block_of[q] for q in gate.operands]
-    if len(set(blocks)) == 1:
-        return blocks[0]
-    if gate.kind in _DIAGONAL:
-        best = blocks[-1]
-        for b in set(blocks):
-            if blocks.count(b) > blocks.count(best):
-                best = b
-        return best
-    if gate.kind in (GateKind.CX, GateKind.CCX):
-        return blocks[-1]
-    raise InfeasibleError(f"gate {gate.seq} ({gate.qasm_name}) has operands on "
-                          f"blocks {sorted(set(blocks))} and cannot be split")
+def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
+    """Where each gate runs and which channels its remote operands use,
+    for any number of assignments over ``h`` at once.
+
+    Returns (placed, uses, place).  ``placed`` lists every gate but
+    BARRIER, in circuit order.  ``uses`` holds one (placed index, carried
+    vertex, edge) per operand of a CX/CCX or diagonal gate that has a
+    hyperedge; the operand needs a channel keyed (edge, carried vertex,
+    remote block) when its block differs from the gate's.  ``place(assign)``
+    maps a seeds x vertices block matrix to the seeds x placed exec blocks:
+    the target's block for CX/CCX, the majority block for CZ/CP/CCZ (ties
+    to the last operand: the first two operands' block for a CCZ when they
+    agree, else the last), the operands' one block otherwise.  It raises
+    InfeasibleError for the first row, and that row's first gate, that
+    splits a gate other than those, or one with no hyperedge.
+    """
+    index = circuit.qubit_index()
+    seq_edge = _edge_of_gate(h, groups)
+    placed, exec_col, majority, rigid, uses = [], [], [], [], []
+    for g in circuit.gates:
+        if g.kind is GateKind.BARRIER:
+            continue
+        at = len(placed)
+        placed.append(g)
+        cols = [index[q] for q in g.operands]
+        exec_col.append(cols[-1])
+        if len(cols) == 1:
+            continue
+        if g.kind is GateKind.CCZ:
+            majority.append((at, *cols))
+        eid = seq_edge.get(g.seq)
+        if eid is not None and g.kind in _SPLITTABLE:
+            uses.extend((at, q, eid) for q in cols)
+        else:
+            rigid.extend((at, q) for q in cols)
+
+    def columns(rows, width):
+        return np.array(rows, dtype=np.intp).reshape(-1, width).T
+
+    exec_col = np.array(exec_col, dtype=np.intp)
+    maj_at, maj_a, maj_b, maj_c = columns(majority, 4)
+    rigid_at, rigid_q = columns(rigid, 2)
+
+    def place(assign: np.ndarray) -> np.ndarray:
+        at = assign[:, exec_col].astype(np.intp)
+        a, b = assign[:, maj_a], assign[:, maj_b]
+        at[:, maj_at] = np.where(a == b, a, assign[:, maj_c])
+        refused = assign[:, rigid_q] != at[:, rigid_at]
+        if refused.any():
+            row = refused.any(axis=1).argmax()
+            g = placed[rigid_at[refused[row].argmax()]]
+            if g.kind in _SPLITTABLE:
+                raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) is split "
+                                      "but has no hyperedge")
+            blocks = sorted({int(assign[row, index[q]]) for q in g.operands})
+            raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) has operands on "
+                                  f"blocks {blocks} and cannot be split")
+        return at
+
+    return placed, uses, place
 
 
 def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
@@ -154,45 +203,29 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
 
     ``assignment`` is the vertex -> block map from the partitioner, over
     the same hypergraph ``h`` (grouped graphs need the same ``groups``).
+    Gates are placed by ``_placement``, on its one-row case.
     """
     blocks = env.blocks if env is not None else max(assignment) + 1
     comm = env.comm if env is not None else CommModel.PER_CHANNEL
-    index = circuit.qubit_index()
-    block_of = {q: assignment[i] for q, i in index.items()}
-    seq_edge = _edge_of_gate(h, groups)
+    placed, uses, place = _placement(circuit, h, groups)
+    at = place(np.array([assignment], dtype=np.intp))[0].tolist()
 
-    exec_block: list[int] = []
-    order: list[tuple[int, int, int]] = []  # (edge, carries, remote) creation order
-    uses: dict[tuple[int, int, int], list[int]] = {}
+    exec_block = [-1] * len(circuit.gates)  # BARRIER stays -1
     o = [0] * blocks
-    for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            exec_block.append(-1)
-            continue
-        at = exec_block_of(g, block_of)
-        exec_block.append(at)
-        o[at] += 1
-        for q in g.operands:
-            if block_of[q] == at:
-                continue
-            eid = seq_edge.get(g.seq)
-            if eid is None:
-                raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) is split "
-                                      "but has no hyperedge")
-            key = (eid, index[q], at)
-            if key not in uses:
-                uses[key] = []
-                order.append(key)
-            uses[key].append(g.seq)
+    for g, b in zip(placed, at):
+        exec_block[g.seq] = b
+        o[b] += 1
+    served: dict[tuple[int, int, int], list[int]] = {}  # in creation order
+    for i, carries, eid in uses:
+        remote = at[i]
+        if assignment[carries] != remote:
+            served.setdefault((eid, carries, remote), []).append(placed[i].seq)
 
-    channels = []
-    for cid, key in enumerate(order):
-        eid, carries, remote = key
-        seqs = uses[key]
-        channels.append(Channel(id=cid, edge=eid, carries=carries,
-                                home=assignment[carries], remote=remote,
-                                first_use=seqs[0], last_use=seqs[-1],
-                                primary=carries == h.edges[eid].control))
+    channels = tuple(Channel(id=cid, edge=eid, carries=carries,
+                             home=assignment[carries], remote=remote,
+                             first_use=seqs[0], last_use=seqs[-1],
+                             primary=carries == h.edges[eid].control)
+                     for cid, ((eid, carries, remote), seqs) in enumerate(served.items()))
 
     e = [0] * blocks
     for c in channels:
@@ -213,7 +246,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
                               comm_width=widths[b])
                       for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), blocks=blocks,
-                            comm=comm, channels=tuple(channels),
+                            comm=comm, channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
                             cut=cut_cost(h, list(assignment), blocks),
                             ebits=2 * len(channels))
@@ -226,55 +259,20 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
     Returns ``ledger(assign) -> (o, e)``: ``assign`` is a seeds x vertices
     block matrix over ``h``, and o and e are seeds x blocks int matrices
     equal to the plan's per-block counts for every row.  Gates are placed
-    by the rule of ``exec_block_of``: the last operand's block for CX/CCX
-    and CZ/CP (for two operands the majority tie goes to the last), the
-    first two operands' block for CCZ when they agree, else the last.
-    Channels are counted once per ``plan_distribution`` key (edge, carried
-    vertex, remote block), so CCX fallback channels and group edges shared
-    by several gates count as the plan counts them.  When a row's plan
-    would refuse a split gate, the first such row is planned, which raises
-    the plan's own InfeasibleError.
+    by ``_placement``, which raises the plan's InfeasibleError for a
+    refused row.  Channels are counted once per (edge, carried vertex,
+    remote block) key, so CCX fallback channels and group edges shared by
+    several gates count as the plan counts them.
     """
-    index = circuit.qubit_index()
-    seq_edge = _edge_of_gate(h, groups)
-    exec_col, majority, rigid, channel = [], [], [], []
-    for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            continue
-        at = len(exec_col)
-        cols = [index[q] for q in g.operands]
-        exec_col.append(cols[-1])
-        if len(cols) == 1:
-            continue
-        if g.kind is GateKind.CCZ:
-            majority.append((at, *cols))
-        eid = seq_edge.get(g.seq)
-        splittable = g.kind in _DIAGONAL or g.kind in (GateKind.CX, GateKind.CCX)
-        for q in cols:
-            if splittable and eid is not None:
-                channel.append((at, q, eid * len(index) + q))
-            else:
-                rigid.append((at, q))
-
-    def columns(rows, width):
-        return np.array(rows, dtype=np.intp).reshape(-1, width).T
-
-    exec_col = np.array(exec_col, dtype=np.intp)
-    maj_at, maj_a, maj_b, maj_c = columns(majority, 4)
-    rigid_at, rigid_q = columns(rigid, 2)
-    use_at, use_q, use_key = columns(channel, 3)
-    keys, use_channel = np.unique(use_key, return_inverse=True)
-    key_q = keys % len(index)
+    _, uses, place = _placement(circuit, h, groups)
+    use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
+    width = h.n_vertices()
+    keys, use_channel = np.unique(use_edge * width + use_q, return_inverse=True)
+    key_q = keys % width
 
     def ledger(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         seeds = len(assign)
-        at = assign[:, exec_col].astype(np.intp)
-        a, b = assign[:, maj_a], assign[:, maj_b]
-        at[:, maj_at] = np.where(a == b, a, assign[:, maj_c])
-        refused = (assign[:, rigid_q] != at[:, rigid_at]).any(axis=1)
-        if refused.any():
-            plan_distribution(circuit, h, assign[refused.argmax()].tolist(), groups=groups)
-            raise AssertionError("the plan accepted a row the ledger refused")
+        at = place(assign)
         offset = blocks * np.arange(seeds)[:, None]
 
         def per_block(cells, weights=None):

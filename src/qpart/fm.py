@@ -8,7 +8,9 @@ Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks;
 recursive bisection calls it once per split, with that split's side
 bounds.  A split keeps the restriction of every edge inside each side, so
 later splits of an already cut edge are charged exactly as the global
-metric charges them.
+metric charges them.  The deal and the snap are each written once, over
+a seeds x vertices block matrix (``_deals``, ``_snapper``): a restart,
+``Mode.RANDOM`` and ``random_baseline`` all deal and snap through them.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -422,39 +424,6 @@ def _deal_blocks(caps: list[int], n_qubits: int, k: int) -> list[int]:
     return blocks
 
 
-def _initial_partition(h: Hypergraph, config: PartitionConfig) -> list[int]:
-    """Seeded deal: shuffle the qubit vertices and hand them out in the
-    order of ``_deal_blocks``; grouping vertices land with their control
-    qubit."""
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
-    deal = _deal_blocks(caps, len(qubit_vs), config.blocks)
-    random.Random(config.seed).shuffle(qubit_vs)
-    assignment = [0] * h.n_vertices()
-    for v, b in zip(qubit_vs, deal):
-        assignment[v] = b
-    for v in h.vertices:
-        if not v.is_qubit:
-            anchor = v.anchor if v.anchor is not None else 0
-            assignment[v.id] = assignment[anchor]
-    return assignment
-
-
-def _snap_free_vertices(h: Hypergraph, assignment: list[int]) -> None:
-    """Move each weight-0 vertex with exactly one edge into a block that
-    edge's qubit pins already span; never increases the cut and keeps every
-    channel anchored to real qubits.  Circuit grouping vertices always have
-    one edge; a weight-0 vertex on several edges (hMETIS input) is left
-    where FM put it, since its first edge alone does not price a move."""
-    for v in h.vertices:
-        if v.is_qubit or len(h.incidence[v.id]) != 1:
-            continue
-        e = h.edges[h.incidence[v.id][0]]
-        blocks = {assignment[p] for p in e.pins if h.vertices[p].is_qubit}
-        if blocks and assignment[v.id] not in blocks:
-            assignment[v.id] = min(blocks)
-
-
 def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
               seed_used: int, gain_updates: int) -> PartitionResult:
     loads = [0] * blocks
@@ -470,41 +439,29 @@ def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
 _BASELINE_CHUNK = 128  # seeds dealt together; bounds the working set
 
 
-def _random_deals(h: Hypergraph, config: PartitionConfig, seeds):
-    """The snapped random deal of each seed, as ``partition`` makes it in
-    ``Mode.RANDOM``, in chunks of ``_BASELINE_CHUNK`` seeds.
+def _deals(h: Hypergraph, config: PartitionConfig, seeds):
+    """The seeded deal of each seed, in chunks of ``_BASELINE_CHUNK`` seeds.
 
     Returns an iterator of (chunk seeds, seeds x vertices block matrix).
-    Each seed only shuffles the qubit vertices with ``random.Random(seed)``
-    as ``_initial_partition`` does; the one shared deal order is scattered
-    into the matrix, weight-0 vertices copy their anchor and are snapped as
-    ``_snap_free_vertices`` snaps them.  Raises InfeasibleError as the deal
-    does, before the first chunk.
+    Each seed shuffles the qubit vertices with ``random.Random(seed)`` and
+    hands them out in the order of ``_deal_blocks``, the same for every
+    seed.  Each weight-0 vertex then copies the block of its anchor
+    (vertex 0 without one), in vertex order, so an anchor that is a later
+    weight-0 vertex still reads 0.  Raises InfeasibleError as
+    ``_deal_blocks`` does, before the first chunk.
     """
     k = config.blocks
     caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
     qubit_vs = [v.id for v in h.vertices if v.is_qubit]
     dtype = np.min_scalar_type(k)
     deal = np.array(_deal_blocks(caps, len(qubit_vs), k), dtype=dtype)
-
-    # column each weight-0 vertex copies in _initial_partition's anchor
-    # loop; an anchor not copied yet is a weight-0 column, still all 0
+    # column each weight-0 vertex copies; a later weight-0 column is still 0
     src = list(range(h.n_vertices()))
     for v in h.vertices:
         if not v.is_qubit:
             src[v.id] = src[v.anchor if v.anchor is not None else 0]
     free = [v.id for v in h.vertices if not v.is_qubit]
     free_src = [src[v] for v in free]
-    # _snap_free_vertices: qubit pins of each one-edge free vertex's edge
-    snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
-    for v in free:
-        if len(h.incidence[v]) == 1:
-            pins = [p for p in h.edges[h.incidence[v][0]].pins if h.vertices[p].is_qubit]
-            if pins:
-                snap_vs.append(v)
-                snap_starts.append(len(snap_pins))
-                snap_pins.extend(pins)
-                snap_owner.extend([v] * len(pins))
 
     def chunks():
         it = iter(seeds)
@@ -518,15 +475,40 @@ def _random_deals(h: Hypergraph, config: PartitionConfig, seeds):
             rows = np.arange(len(chunk))[:, None]
             assign[rows, np.array(perms, dtype=np.intp)] = deal
             assign[:, free] = assign[:, free_src]
-            if snap_vs:
-                got = assign[:, snap_pins]
-                spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
-                                                 snap_starts, axis=1)
-                assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
-                                              np.minimum.reduceat(got, snap_starts, axis=1))
             yield chunk, assign
 
     return chunks()
+
+
+def _snapper(h: Hypergraph):
+    """Returns ``snap(assign)``, which moves each weight-0 vertex with
+    exactly one edge, in every row of a seeds x vertices block matrix and
+    in place, to the lowest block that edge's qubit pins span, unless it
+    already sits in one of them.  The snap never increases the cut and
+    keeps every channel anchored to real qubits.  Circuit grouping vertices always
+    have one edge; a weight-0 vertex on several edges (hMETIS input) stays
+    where it is, since its first edge alone does not price a move, and so
+    does one whose edge has no qubit pin."""
+    snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
+    for v in h.vertices:
+        if v.is_qubit or len(h.incidence[v.id]) != 1:
+            continue
+        pins = [p for p in h.edges[h.incidence[v.id][0]].pins if h.vertices[p].is_qubit]
+        if pins:
+            snap_vs.append(v.id)
+            snap_starts.append(len(snap_pins))
+            snap_pins.extend(pins)
+            snap_owner.extend([v.id] * len(pins))
+
+    def snap(assign: np.ndarray) -> None:
+        if snap_vs:
+            got = assign[:, snap_pins]
+            spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
+                                             snap_starts, axis=1)
+            assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
+                                          np.minimum.reduceat(got, snap_starts, axis=1))
+
+    return snap
 
 
 def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -551,15 +533,17 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
 
     Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
     one restart and ``Mode.RANDOM``, without building a PartitionResult:
-    the deals come from ``_random_deals`` and are priced by ``_cut_rows``.
-    Memory does not grow with the number of seeds.  Raises InfeasibleError
-    as the deal does.
+    the deals come from ``_deals``, are snapped by ``_snapper`` and priced
+    by ``_cut_rows``.  Memory does not grow with the number of seeds.
+    Raises InfeasibleError as the deal does.
     """
-    deals = _random_deals(h, config, seeds)
+    deals = _deals(h, config, seeds)
     if not h.edges:
         return [0 for _ in seeds]
+    snap = _snapper(h)
     ebits: list[int] = []
     for _, assign in deals:
+        snap(assign)
         ebits.extend(_cut_rows(h, assign, config.blocks)[1].tolist())
     return ebits
 
@@ -578,22 +562,24 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     n, total = _qubit_weight(h), sum(caps)
+    snap = _snapper(h)
+    deals = _deals(h, config, range(config.seed, config.seed + config.restarts))
     best, best_key = None, None
-    for r in range(config.restarts):
-        seed = config.seed + r
-        assignment = _initial_partition(h, replace(config, seed=seed))
-        eng = _Engine(h, config.blocks, bounds, assignment)
+    for r, row in enumerate(row for _, chunk in deals for row in chunk):
+        eng = _Engine(h, config.blocks, bounds, row.tolist())
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
             passes += 1
             if not _pass(eng, stats):
                 break
-        _snap_free_vertices(h, assignment)
+        row[:] = eng.assign
+        snap(row[None])
+        assignment = row.tolist()
         key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, passes, stats.gain_updates, seed), key
+            best, best_key = (assignment, passes, stats.gain_updates, config.seed + r), key
     return best
 
 
@@ -634,8 +620,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         for g in vertex_ids:
             v = h.vertices[g]
             anchor = local.get(v.anchor) if v.anchor is not None else None
-            verts.append(Vertex(id=local[g], weight=v.weight, ref=v.ref,
-                                group=v.group, anchor=anchor))
+            verts.append(Vertex(id=local[g], weight=v.weight, ref=v.ref, anchor=anchor))
         edges = []
         for e in h.edges:
             pins = tuple(local[p] for p in e.pins if p in local)
@@ -684,8 +669,9 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
     if config.mode is Mode.RANDOM:
-        assignment = _initial_partition(h, config)
-        _snap_free_vertices(h, assignment)
+        _, deal = next(_deals(h, config, [config.seed]))
+        _snapper(h)(deal)
+        assignment = deal[0].tolist()
         result = _finalize(h, assignment, config.blocks, 0, config.seed, 0)
     else:
         if config.blocks > max(h.n_qubit_vertices(), 1):

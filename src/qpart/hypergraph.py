@@ -25,7 +25,6 @@ class Vertex:
     id: int
     weight: int = 1
     ref: QubitRef | None = None
-    group: int | None = None
     anchor: int | None = None  # grouping vertex: vertex id of its control qubit
 
     @property
@@ -111,7 +110,7 @@ def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) ->
         for grp in groups:
             if grp.is_reuse:
                 gv_of[grp.id] = len(vertices)
-                vertices.append(Vertex(id=len(vertices), weight=0, group=grp.id,
+                vertices.append(Vertex(id=len(vertices), weight=0,
                                        anchor=index[grp.control]))
 
     edges: list[Hyperedge] = []

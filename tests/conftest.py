@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from qpart import generate, parse_qasm, resolve_capacities
-from qpart.fm import _Engine, _pass
+from qpart.fm import _deals, _Engine, _pass
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -18,6 +18,13 @@ def load_fixture(name: str):
 
 def fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.qasm"))
+
+
+def deal(h, config):
+    """The seeded deal of config.seed that a restart starts from, before
+    any pass or snap, as a list."""
+    (_, rows), = _deals(h, config, [config.seed])
+    return rows[0].tolist()
 
 
 def fm_pass(h, assignment, config, stats=None):

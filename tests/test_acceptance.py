@@ -12,11 +12,11 @@ import numpy as np
 
 from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
                    emit_qasm, equivalent, find_groups, generate, parse_qasm,
-                   partition, simulate)
+                   partition, plan_distribution, simulate)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import _initial_partition, _PassStats, random_baseline
+from qpart.fm import _PassStats, random_baseline
 
-from conftest import fixture_names, fm_pass, load_fixture
+from conftest import deal, fixture_names, fm_pass, load_fixture
 
 
 def report(name: str, passed: bool, detail: str) -> str:
@@ -124,8 +124,7 @@ def test_criterion_4_grouping_never_hurts():
     assert ok, line
 
 
-def _plan_invariants(row, k: int, caps, epsilon: float) -> None:
-    plan = row.plan
+def _plan_invariants(plan, row, k: int, caps, epsilon: float) -> None:
     bounds = [math.ceil((1 + epsilon) * c) for c in caps]
     assert sum(b.o for b in plan.per_block) == row.size, row
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one, row
@@ -133,34 +132,55 @@ def _plan_invariants(row, k: int, caps, epsilon: float) -> None:
     assert sum(1 for b in plan.per_block if b.data > 0) == k, row
 
 
+def _rows_with_plans(spec):
+    """Each suite row with the plan that ``partition`` and
+    ``plan_distribution`` give for the row's seed and mode."""
+    rows, _ = run_suite(spec)
+    graphs = {}
+    for row in rows:
+        key = (row.circuit, row.method == "FMGrouped")
+        if key not in graphs:
+            (job,) = [j for j in spec.circuits if j.label == row.circuit]
+            c = job.load()
+            groups = find_groups(c) if key[1] else None
+            graphs[key] = c, build_hypergraph(c, groups), groups
+        c, h, groups = graphs[key]
+        caps = spec.capacities[spec.parts.index(row.k)] if spec.capacities else None
+        mode, restarts = ((Mode.RANDOM, 1) if row.method == "Random"
+                          else (spec.mode, spec.restarts))
+        result = partition(h, PartitionConfig(blocks=row.k, capacities=caps,
+                                              epsilon=spec.epsilon, restarts=restarts,
+                                              seed=row.seed, mode=mode))
+        assert (result.cut.cut_edges, result.cut.ebits) == (row.cut_edges, row.ebits), row
+        yield row, plan_distribution(c, h, list(result.assignment), groups=groups)
+
+
 def test_criterion_5_accounting_identities():
     checked = 0
     spec = SuiteSpec(circuits=tuple(CircuitJob.parse(s) for s in
                                     ("ghz:10", "qft:8", "random:10:1")),
                      parts=(2,), seed_from=0, seed_to=20, restarts=4)
-    rows, _ = run_suite(spec)
-    for row in rows:
-        _plan_invariants(row, 2, row.capacities, 0.0)
+    for row, plan in _rows_with_plans(spec):
+        _plan_invariants(plan, row, 2, row.capacities, 0.0)
         checked += 1
 
     spec3 = SuiteSpec(circuits=(CircuitJob.parse("qft:8"),), parts=(3,),
                       seed_from=0, seed_to=10, restarts=4, mode=Mode.DIRECT_KWAY)
-    rows3, _ = run_suite(spec3)
-    for row in rows3:
-        _plan_invariants(row, 3, row.capacities, 0.0)
+    for row, plan in _rows_with_plans(spec3):
+        _plan_invariants(plan, row, 3, row.capacities, 0.0)
         checked += 1
 
     spec_uneven = SuiteSpec(circuits=(CircuitJob.parse("ghz:6"),), parts=(2,),
                             capacities=((4, 2),), seed_from=0, seed_to=10,
                             epsilon=0.2, restarts=4)
-    for row in run_suite(spec_uneven)[0]:
-        _plan_invariants(row, 2, (4, 2), 0.2)
+    for row, plan in _rows_with_plans(spec_uneven):
+        _plan_invariants(plan, row, 2, (4, 2), 0.2)
         checked += 1
 
     spec4 = SuiteSpec(circuits=(CircuitJob.parse("ghz:8"),), parts=(4,),
                       seed_from=0, seed_to=10, restarts=4)
-    for row in run_suite(spec4)[0]:
-        _plan_invariants(row, 4, row.capacities, 0.0)
+    for row, plan in _rows_with_plans(spec4):
+        _plan_invariants(plan, row, 4, row.capacities, 0.0)
         checked += 1
 
     line = report("accounting identities", True,
@@ -203,7 +223,7 @@ def test_criterion_8_gain_updates_scale_linearly():
     for n in (16, 32, 64, 128):
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=2, seed=1)
-        a = _initial_partition(h, cfg)
+        a = deal(h, cfg)
         stats = _PassStats()
         fm_pass(h, a, cfg, stats)
         pins.append(h.total_pins())

@@ -156,6 +156,14 @@ def test_error_names_statement_start_line(text, line):
     assert str(info.value).startswith(f"line {line}: ")
 
 
+@pytest.mark.parametrize("decl", ["qreg q[0];", "creg c[0];"], ids=["qreg", "creg"])
+def test_zero_size_register_names_its_line(decl):
+    text = f"OPENQASM 2.0;\nqreg r[1];\n{decl}\nh r[0];\n"
+    with pytest.raises(QasmError, match="^line 3: register size must be positive$") as info:
+        parse_qasm(text)
+    assert info.value.line == 3
+
+
 def test_comment_marker_inside_string():
     c = parse_qasm('OPENQASM 2.0;\ninclude "a//b.inc";\nqreg q[1];\nh q[0];\n')
     assert c.size == 1

@@ -6,12 +6,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (CommModel, Gate, GateKind, InfeasibleError,
+from qpart import (CommModel, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, QpuEnvironment, QubitRef, block_endpoints,
                    build_hypergraph, emit_qasm, emit_subcircuits,
-                   exec_block_of, feasibility_check, find_groups, generate,
+                   feasibility_check, find_groups, generate,
                    make_circuit, parse_qasm, partition, plan_distribution,
                    resolve_capacities)
+from qpart.bench import CircuitJob, _random_rows
 
 from conftest import fixture_names, load_fixture
 
@@ -51,12 +52,15 @@ def test_qft4_grouped_plan(qft4):
 
 
 def test_diagonal_exec_majority_tie_last():
-    block_of = {QubitRef("q", 0): 0, QubitRef("q", 1): 1, QubitRef("q", 2): 1}
-    c = parse_qasm("OPENQASM 2.0; qreg q[3]; cz q[0],q[1]; ccz q[0],q[1],q[2]; cx q[0],q[1];")
-    cz, ccz, cx = c.gates
-    assert exec_block_of(cz, block_of) == 1      # tie goes to the last operand
-    assert exec_block_of(ccz, block_of) == 1     # majority block
-    assert exec_block_of(cx, block_of) == 1      # target block for cx
+    # q0 and q2 on block 0, q1 on block 1, q3 on block 2
+    c = parse_qasm("OPENQASM 2.0; qreg q[4];"
+                   "cx q[0],q[1]; cx q[1],q[0];"          # the target's block
+                   "cz q[0],q[1]; cz q[1],q[0];"          # tie: the last operand's
+                   "ccz q[0],q[2],q[1];"                  # first two agree: theirs
+                   "ccz q[1],q[2],q[0];"                  # majority with the last
+                   "ccz q[0],q[1],q[3];")                 # three ways: the last's
+    plan = plan_distribution(c, build_hypergraph(c), [0, 1, 0, 2])
+    assert plan.exec_block == (1, 0, 1, 0, 0, 0, 2)
 
 
 def test_barrier_exec_is_unplaced(ghz4):
@@ -65,6 +69,26 @@ def test_barrier_exec_is_unplaced(ghz4):
     plan = plan_distribution(c, h, [0, 0, 1, 1])
     assert plan.exec_block == (0, -1, 1)
     assert plan.ebits == 0
+
+
+@pytest.mark.parametrize("built,text,message", [
+    (None, "OPENQASM 2.0; opaque probe a,b; qreg q[2]; probe q[0],q[1];",
+     "gate 0 (probe) has operands on blocks [0, 1] and cannot be split"),
+    # the hypergraph's edge belongs to gate 0 of another circuit
+    ("OPENQASM 2.0; qreg q[2]; cx q[0],q[1]; h q[0];",
+     "OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];",
+     "gate 1 (cx) is split but has no hyperedge"),
+], ids=["opaque", "no-hyperedge"])
+def test_split_refusal_same_for_plan_and_batch(built, text, message):
+    c = parse_qasm(text)
+    h = build_hypergraph(parse_qasm(built) if built else c)
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(InfeasibleError, match=match):
+        plan_distribution(c, h, [0, 1])
+    # every deal of two qubits over two blocks splits the gate
+    config = PartitionConfig(blocks=2, restarts=1, mode=Mode.RANDOM)
+    with pytest.raises(InfeasibleError, match=match):
+        _random_rows(CircuitJob(label=c.name), c, h, None, config, [1, 1], range(3))
 
 
 def test_opaque_split_refused():

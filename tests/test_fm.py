@@ -14,10 +14,9 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
-from qpart.fm import (_MAX_PASSES, _Engine, _initial_partition, _pass, _PassStats,
-                      _snap_free_vertices, random_baseline)
+from qpart.fm import _MAX_PASSES, _Engine, _pass, _PassStats, _snapper, random_baseline
 
-from conftest import fm_pass
+from conftest import deal, fm_pass
 
 
 def chain(n: int) -> Hypergraph:
@@ -155,14 +154,14 @@ def test_slack_capacities_keep_blocks_occupied():
 def test_mode_dispatch():
     h = build_hypergraph(generate("ghz", 8))
     cfg = PartitionConfig(blocks=4, mode=Mode.RANDOM, restarts=2)
-    a = _initial_partition(h, cfg)
-    _snap_free_vertices(h, a)
-    assert partition(h, cfg).assignment == tuple(a)
+    a = np.array([deal(h, cfg)])
+    _snapper(h)(a)
+    assert partition(h, cfg).assignment == tuple(a[0].tolist())
     # two blocks, and direct k-way: the seeded deal, refined by passes
     # until one fails
     for cfg in (PartitionConfig(blocks=2, restarts=1),
                 PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)):
-        a = _initial_partition(h, cfg)
+        a = deal(h, cfg)
         for _ in range(_MAX_PASSES):
             a, improved = fm_pass(h, a, cfg)
             if not improved:
@@ -214,6 +213,23 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
         assert res.assignment[v.id] in spanned
 
 
+def test_snapper_moves_only_lone_edge_free_vertices():
+    # qubits 0..3 sit on blocks 1, 2, 0, 2; weight-0 vertices 4..8
+    vertices = [Vertex(i) for i in range(4)] + [Vertex(i, weight=0) for i in range(4, 9)]
+    h = Hypergraph(vertices, [
+        Hyperedge(0, (4, 0, 1)),      # 4: one edge over blocks {1, 2}
+        Hyperedge(1, (5, 2, 3)),      # 5: one edge over blocks {0, 2}
+        Hyperedge(2, (6, 2)),         # 6: two edges
+        Hyperedge(3, (6, 3)),
+        Hyperedge(4, (7, 8)),         # 7 and 8: an edge with no qubit pin
+    ])
+    assign = np.array([[1, 2, 0, 2, 0, 2, 1, 2, 1],
+                       [1, 2, 0, 2, 2, 0, 1, 2, 1]], dtype=np.uint8)
+    _snapper(h)(assign)
+    assert assign.tolist() == [[1, 2, 0, 2, 1, 2, 1, 2, 1],   # 4 moves to the lowest
+                               [1, 2, 0, 2, 2, 0, 1, 2, 1]]   # both inside: stay
+
+
 def test_random_partition_balanced():
     h = build_hypergraph(generate("ghz", 10))
     res = partition(h, PartitionConfig(blocks=2, seed=3, restarts=1, mode=Mode.RANDOM))
@@ -225,7 +241,7 @@ def test_initial_partition_occupies_every_block():
     h = chain(5)
     for seed in range(20):
         cfg = PartitionConfig(blocks=3, capacities=(5, 5, 5), seed=seed, restarts=1)
-        a = _initial_partition(h, cfg)
+        a = deal(h, cfg)
         assert set(a) == {0, 1, 2}
 
 
@@ -474,7 +490,7 @@ def kway_instances(draw):
     cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 99)),
                           epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
     if draw(st.booleans()):
-        assignment = _initial_partition(h, cfg)
+        assignment = deal(h, cfg)
     else:
         assignment = draw(st.lists(st.integers(0, k - 1), min_size=len(vertices),
                                    max_size=len(vertices)))
@@ -531,7 +547,7 @@ def test_kway_gain_updates_scale_linearly():
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=4, seed=1, mode=Mode.DIRECT_KWAY)
         stats = _PassStats()
-        fm_pass(h, _initial_partition(h, cfg), cfg, stats)
+        fm_pass(h, deal(h, cfg), cfg, stats)
         pins.append(h.total_pins())
         updates.append(stats.gain_updates)
     slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)

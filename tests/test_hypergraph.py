@@ -33,7 +33,10 @@ def test_qft4_grouped(qft4):
     assert h.n_vertices() == 6
     assert h.n_qubit_vertices() == 4
     gvs = [v for v in h.vertices if not v.is_qubit]
-    assert [(v.weight, v.group) for v in gvs] == [(0, 1), (0, 2)]
+    assert [v.weight for v in gvs] == [0, 0]
+    # each grouping vertex has one edge, and that edge names its group
+    assert [h.edges[e].origin for v in gvs for e in h.incidence[v.id]] == \
+        [("group", 1), ("group", 2)]
     # each grouping vertex is anchored to its control qubit's vertex
     index = qft4.qubit_index()
     assert [v.anchor for v in gvs] == [index[QubitRef("q", 2)], index[QubitRef("q", 3)]]
