@@ -15,10 +15,12 @@ c = parse_qasm(text, name="phase_kernel_6")
 print(f"{c.name}: width={c.width} size={c.size} depth={c.depth}")
 print("registers:", c.registers)
 
-# the first few gates, with their ASAP layers
+# the first few gates, with their ASAP layers; operands are qubit indices,
+# and c.qubits() names them
+names = c.qubits()
 layers = gate_layers(c)
 for g, lay in list(zip(c.gates, layers))[:8]:
-    ops = ",".join(str(q) for q in g.operands)
+    ops = ",".join(str(names[q]) for q in g.operands)
     print(f"  layer {lay}: {g.qasm_name} {ops}")
 
 # emit -> parse is gate-for-gate stable

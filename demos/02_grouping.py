@@ -8,9 +8,10 @@ from qpart import find_groups, generate, segment_by_depth, segment_subcircuit
 qft = generate("qft", 6)
 
 print("qft6 control-wire runs:")
+names = qft.qubits()  # a group's control is a qubit index
 for g in find_groups(qft):
     tag = "reuse" if g.is_reuse else "single"
-    print(f"  {tag}  control {g.control}  gates {g.members}")
+    print(f"  {tag}  control {names[g.control]}  gates {g.members}")
 
 # depth windows cut the circuit into segments for phase-by-phase work;
 # groups are then judged inside each window on its own, with gate numbers

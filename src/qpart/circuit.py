@@ -5,6 +5,12 @@ alphabet (H/X/Y/Z/S/T, RX/RY/RZ, CX/CZ/CP, CCX/CCZ, MEASURE, BARRIER) and
 one statement per gate.  Circuits are immutable once built; width, size and
 depth are computed at construction time.
 
+A gate's operands are dense qubit indices: the registers' qubits numbered
+in declaration order, so in ``qreg a[2]; qreg b[3];`` ``b[0]`` is qubit 2.
+The parser resolves each operand once, and every later stage works on the
+indices.  ``Circuit.qubits()`` is the one name table: entry ``q`` is the
+``QubitRef`` written for qubit ``q`` in emitted programs and messages.
+
 Parser coverage is the OpenQASM 2.0 fragment emitted by common circuit
 generators: header, optional include, register declarations, gate
 applications with literal or pi-rational parameters, measure, barrier, and
@@ -34,47 +40,34 @@ class QasmError(ValueError):
 
 
 class GateKind(Enum):
-    H = "h"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    S = "s"
-    T = "t"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    CX = "cx"
-    CZ = "cz"
-    CP = "cp"
-    CCX = "ccx"
-    CCZ = "ccz"
-    MEASURE = "measure"
-    BARRIER = "barrier"
-    OPAQUE = "opaque"
+    """A gate kind: its QASM name, ``n_qubits`` operands (None for the
+    variable-arity BARRIER and OPAQUE) and ``n_params`` parameters."""
 
-    @property
-    def n_qubits(self) -> int | None:
-        """Operand count, or None for variable-arity kinds."""
-        if self in _ONE_QUBIT:
-            return 1
-        if self in _TWO_QUBIT:
-            return 2
-        if self in _THREE_QUBIT:
-            return 3
-        if self is GateKind.MEASURE:
-            return 1
-        return None  # BARRIER and OPAQUE take any number
+    H = ("h", 1)
+    X = ("x", 1)
+    Y = ("y", 1)
+    Z = ("z", 1)
+    S = ("s", 1)
+    T = ("t", 1)
+    RX = ("rx", 1, 1)
+    RY = ("ry", 1, 1)
+    RZ = ("rz", 1, 1)
+    CX = ("cx", 2)
+    CZ = ("cz", 2)
+    CP = ("cp", 2, 1)
+    CCX = ("ccx", 3)
+    CCZ = ("ccz", 3)
+    MEASURE = ("measure", 1)
+    BARRIER = ("barrier", None)
+    OPAQUE = ("opaque", None)
 
-    @property
-    def n_params(self) -> int:
-        return _PARAM_COUNT.get(self, 0)
+    def __new__(cls, name: str, n_qubits: int | None, n_params: int = 0):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.n_qubits = n_qubits
+        kind.n_params = n_params
+        return kind
 
-
-_ONE_QUBIT = {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
-              GateKind.T, GateKind.RX, GateKind.RY, GateKind.RZ}
-_TWO_QUBIT = {GateKind.CX, GateKind.CZ, GateKind.CP}
-_THREE_QUBIT = {GateKind.CCX, GateKind.CCZ}
-_PARAM_COUNT = {GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.CP: 1}
 
 # qasm statement name -> kind, including decomposable aliases
 _NAME_TO_KIND = {k.value: k for k in GateKind
@@ -84,7 +77,7 @@ _NAME_TO_KIND["cu1"] = GateKind.CP
 
 @dataclass(frozen=True)
 class QubitRef:
-    """A (register, index) pair naming one qubit."""
+    """A (register, index) pair: the written name of one qubit."""
 
     register: str
     index: int
@@ -97,28 +90,32 @@ class QubitRef:
 class Gate:
     """One circuit statement.
 
-    ``seq`` is the position in the circuit's gate list and is assigned at
-    circuit construction.  ``cbit`` carries the classical target of a
-    MEASURE; ``label`` carries the declared name of an OPAQUE call.
+    ``operands`` are dense qubit indices in register-declaration order;
+    ``Circuit.qubits()`` names them.  ``seq`` is the position in the
+    circuit's gate list and is assigned at circuit construction.  ``cbit``
+    carries the classical target of a MEASURE; ``label`` carries the
+    declared name of an OPAQUE call.
     """
 
     kind: GateKind
-    operands: tuple[QubitRef, ...]
+    operands: tuple[int, ...]
     params: tuple[float, ...] = ()
     seq: int = 0
     cbit: tuple[str, int] | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
-        arity = self.kind.n_qubits
-        if arity is not None and len(self.operands) != arity:
-            raise ValueError(f"{self.kind.value} takes {arity} operand(s), got {len(self.operands)}")
-        if len(set(self.operands)) != len(self.operands):
-            raise ValueError(f"{self.kind.value} operands must be distinct: {self.operands}")
-        if self.kind is not GateKind.OPAQUE and len(self.params) != self.kind.n_params:
-            raise ValueError(f"{self.kind.value} takes {self.kind.n_params} parameter(s), got {len(self.params)}")
-        if self.kind is GateKind.OPAQUE and not self.label:
-            raise ValueError("opaque gate needs a label")
+        kind, n = self.kind, len(self.operands)
+        if kind.n_qubits is not None and n != kind.n_qubits:
+            raise ValueError(f"{kind.value} takes {kind.n_qubits} operand(s), got {n}")
+        if n > 1 and len(set(self.operands)) != n:
+            raise ValueError(f"{kind.value} operands must be distinct: "
+                             f"{', '.join(map(str, self.operands))}")
+        if kind is GateKind.OPAQUE:
+            if not self.label:
+                raise ValueError("opaque gate needs a label")
+        elif len(self.params) != kind.n_params:
+            raise ValueError(f"{kind.value} takes {kind.n_params} parameter(s), got {len(self.params)}")
 
     @property
     def qasm_name(self) -> str:
@@ -146,19 +143,16 @@ class Circuit:
     depth: int = 0
 
     def qubits(self) -> list[QubitRef]:
-        """All qubits in register-declaration order."""
+        """The name of every qubit, indexed by its dense operand index."""
         return [QubitRef(reg, i) for reg, n in self.registers for i in range(n)]
-
-    def qubit_index(self) -> dict[QubitRef, int]:
-        """Qubit -> dense index, following register-declaration order."""
-        return {q: i for i, q in enumerate(self.qubits())}
 
 
 def make_circuit(name: str,
                  registers: list[tuple[str, int]] | tuple[tuple[str, int], ...],
                  gates: list[Gate] | tuple[Gate, ...],
                  cregs: list[tuple[str, int]] | tuple[tuple[str, int], ...] = ()) -> Circuit:
-    """Build a validated Circuit; reassigns seq numbers to list positions."""
+    """Build a validated Circuit; reassigns seq numbers to list positions.
+    Every operand must index one of the registers' qubits."""
     registers = tuple(registers)
     cregs = tuple(cregs)
     names = [r for r, _ in registers] + [c for c, _ in cregs]
@@ -167,41 +161,36 @@ def make_circuit(name: str,
     for _, n in registers + cregs:
         if n < 1:
             raise ValueError("register size must be positive")
-    declared = {QubitRef(reg, i) for reg, n in registers for i in range(n)}
+    width = sum(n for _, n in registers)
     fixed = []
     for i, g in enumerate(gates):
         for q in g.operands:
-            if q not in declared:
-                raise QasmError(f"qubit {q} is not declared")
+            if not 0 <= q < width:
+                raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
         fixed.append(replace(g, seq=i) if g.seq != i else g)
     gates = tuple(fixed)
-    width = sum(n for _, n in registers)
     size = sum(1 for g in gates if g.kind is not GateKind.BARRIER)
-    depth = 0 if not gates else max(
-        (lay + 1 for g, lay in zip(gates, _layers(gates))
-         if g.kind is not GateKind.BARRIER), default=0)
+    depth = max((lay + 1 for g, lay in zip(gates, _layers(gates, width))
+                 if g.kind is not GateKind.BARRIER), default=0)
     return Circuit(name=name, registers=registers, gates=gates, cregs=cregs,
                    width=width, size=size, depth=depth)
 
 
-def _layers(gates: tuple[Gate, ...]) -> list[int]:
+def _layers(gates: tuple[Gate, ...], width: int) -> list[int]:
     """Zero-based ASAP layer per gate; BARRIER records its sync point."""
-    frontier: dict[QubitRef, int] = {}
+    frontier = [0] * width  # per qubit: the first layer free on its wire
     layers = []
     for g in gates:
-        at = max((frontier.get(q, 0) for q in g.operands), default=0)
+        at = max([frontier[q] for q in g.operands], default=0)
         layers.append(at)
-        if g.kind is GateKind.BARRIER:
-            for q in g.operands:
-                frontier[q] = at
-        else:
-            for q in g.operands:
-                frontier[q] = at + 1
+        free = at if g.kind is GateKind.BARRIER else at + 1
+        for q in g.operands:
+            frontier[q] = free
     return layers
 
 
 def gate_layers(circuit: Circuit) -> list[int]:
-    return _layers(circuit.gates)
+    return _layers(circuit.gates, circuit.width)
 
 
 # --------------------------------------------------------------------------
@@ -274,15 +263,27 @@ def _param(text: str) -> float:
 class _Parser:
     def __init__(self, name: str):
         self.name = name
-        self.qregs: dict[str, int] = {}  # name -> size, in declaration order
+        # name -> (index of its first qubit, size), in declaration order
+        self.qregs: dict[str, tuple[int, int]] = {}
+        self.width = 0
         self.cregs: dict[str, int] = {}
         self.opaque: dict[str, int] = {}  # declared name -> arity
         self.gates: list[Gate] = []
 
-    def _add(self, kind: GateKind, operands, params: tuple[float, ...] = (), **extra) -> None:
+    def _add(self, kind: GateKind, operands: tuple[int, ...],
+             params: tuple[float, ...] = (), **extra) -> None:
         """Append a gate numbered by its list position, as make_circuit
-        numbers it."""
-        self.gates.append(Gate(kind, tuple(operands), params, seq=len(self.gates), **extra))
+        numbers it; repeated operands are refused by their written names."""
+        if len(operands) > 1 and len(set(operands)) != len(operands):
+            raise QasmError(f"{kind.value} operands must be distinct: "
+                            + ", ".join(self._name(q) for q in operands))
+        self.gates.append(Gate(kind, operands, params, seq=len(self.gates), **extra))
+
+    def _name(self, q: int) -> str:
+        """How qubit ``q`` is written: registers are numbered in order."""
+        for reg, (first, size) in self.qregs.items():
+            if q < first + size:
+                return f"{reg}[{q - first}]"
 
     def parse(self, text: str) -> Circuit:
         statements = _statements(text)
@@ -299,8 +300,8 @@ class _Parser:
                 raise QasmError(str(exc), line) from None
         if not self.qregs:
             raise QasmError("no quantum register declared")
-        return make_circuit(self.name, list(self.qregs.items()), self.gates,
-                            list(self.cregs.items()))
+        return make_circuit(self.name, [(reg, size) for reg, (_, size) in self.qregs.items()],
+                            self.gates, list(self.cregs.items()))
 
     def _statement(self, body: str) -> None:
         m = _STATEMENT_RE.match(body)
@@ -325,7 +326,11 @@ class _Parser:
                 raise QasmError("register size must be positive")
             if name in self.qregs or name in self.cregs:
                 raise QasmError(f"register {name!r} already declared")
-            (self.qregs if word == "qreg" else self.cregs)[name] = size
+            if word == "qreg":
+                self.qregs[name] = (self.width, size)
+                self.width += size
+            else:
+                self.cregs[name] = size
         elif word == "opaque":
             decl = _OPAQUE_RE.fullmatch(rest)
             if decl is None:
@@ -337,7 +342,7 @@ class _Parser:
             qubits = []
             for a in rest.split(","):
                 qubits.extend(self._expand(_arg(a)))
-            self._add(GateKind.BARRIER, qubits)
+            self._add(GateKind.BARRIER, tuple(qubits))
 
     def _measure(self, rest: str) -> None:
         src, arrow, dst = rest.partition("->")
@@ -364,12 +369,7 @@ class _Parser:
         values = () if params is None else tuple(_param(p) for p in params.split(","))
         args = [_arg(a) for a in rest.split(",")]
         if word in self.opaque:
-            operands = []
-            for a in args:
-                got = self._expand(a)
-                if len(got) != 1:
-                    raise QasmError("opaque calls need indexed operands")
-                operands.append(got[0])
+            operands = self._indexed(word, args)
             if len(operands) != self.opaque[word]:
                 raise QasmError(f"{word} takes {self.opaque[word]} operand(s)")
             self._add(GateKind.OPAQUE, operands, values, label=word)
@@ -387,24 +387,30 @@ class _Parser:
             for q in qubit_lists[0]:
                 self._add(kind, (q,), values)
         else:
-            operands = []
-            for a in args:
-                got = self._expand(a)
-                if len(got) != 1:
-                    raise QasmError(f"{word} operands must be indexed qubits")
-                operands.append(got[0])
-            self._add(kind, operands, values)
+            self._add(kind, self._indexed(word, args), values)
 
-    def _expand(self, arg: tuple[str, int | None]) -> list[QubitRef]:
-        """Resolve an argument to qubits, broadcasting bare registers."""
+    def _indexed(self, word: str, args) -> tuple[int, ...]:
+        """One qubit per argument of ``word``."""
+        operands = []
+        for a in args:
+            got = self._expand(a)
+            if len(got) != 1:
+                raise QasmError(f"{word} operands must be indexed qubits")
+            operands.append(got[0])
+        return tuple(operands)
+
+    def _expand(self, arg: tuple[str, int | None]) -> list[int]:
+        """Resolve an argument to qubit indices, broadcasting bare registers."""
         name, idx = arg
-        if name not in self.qregs:
+        reg = self.qregs.get(name)
+        if reg is None:
             raise QasmError(f"quantum register {name!r} is not declared")
+        first, size = reg
         if idx is None:
-            return [QubitRef(name, i) for i in range(self.qregs[name])]
-        if idx >= self.qregs[name]:
+            return list(range(first, first + size))
+        if idx >= size:
             raise QasmError(f"qubit {name}[{idx}] out of range")
-        return [QubitRef(name, idx)]
+        return [first + idx]
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -446,12 +452,12 @@ def _preamble(circuit: Circuit, gates, cregs, opaque: tuple[str, ...] = (),
     return lines
 
 
-def _gate_line(g: Gate, ops: list[str], cregs, index: dict[QubitRef, int]) -> str:
+def _gate_line(g: Gate, ops: list[str], cregs) -> str:
     """One statement applying ``g`` to the operand strings ``ops``; a
     measure without a classical target writes to ``cregs[0]`` at the
-    qubit's dense index."""
+    qubit's index."""
     if g.kind is GateKind.MEASURE:
-        cb = g.cbit if g.cbit is not None else (cregs[0][0], index[g.operands[0]])
+        cb = g.cbit if g.cbit is not None else (cregs[0][0], g.operands[0])
         return f"measure {ops[0]} -> {cb[0]}[{cb[1]}];"
     if g.params:
         return f"{g.qasm_name}({','.join(_fmt_param(p) for p in g.params)}) {','.join(ops)};"
@@ -462,7 +468,6 @@ def emit_qasm(circuit: Circuit) -> str:
     """Emit the circuit as OpenQASM 2.0; parse(emit(c)) is gate-for-gate c."""
     cregs = _cregs(circuit)
     lines = _preamble(circuit, circuit.gates, cregs)
-    index = circuit.qubit_index()
-    lines += [_gate_line(g, [str(q) for q in g.operands], cregs, index)
-              for g in circuit.gates]
+    names = [str(q) for q in circuit.qubits()]
+    lines += [_gate_line(g, [names[q] for q in g.operands], cregs) for g in circuit.gates]
     return "\n".join(lines) + "\n"

@@ -31,8 +31,8 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, _cregs, _gate_line, _preamble
 from .fm import InfeasibleError
-from .grouping import GROUPABLE, GateGroup
-from .hypergraph import CutReport, Hypergraph, cut_cost
+from .grouping import GateGroup
+from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 
 
 class CommModel(Enum):
@@ -149,7 +149,6 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
     InfeasibleError for the first row, and that row's first gate, that
     splits a gate other than those, or one with no hyperedge.
     """
-    index = circuit.qubit_index()
     seq_edge = _edge_of_gate(h, groups)
     placed, exec_col, majority, rigid, uses = [], [], [], [], []
     for g in circuit.gates:
@@ -157,7 +156,7 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
             continue
         at = len(placed)
         placed.append(g)
-        cols = [index[q] for q in g.operands]
+        cols = g.operands  # a qubit's index is its vertex id
         exec_col.append(cols[-1])
         if len(cols) == 1:
             continue
@@ -187,7 +186,7 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
             if g.kind in _SPLITTABLE:
                 raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) is split "
                                       "but has no hyperedge")
-            blocks = sorted({int(assign[row, index[q]]) for q in g.operands})
+            blocks = sorted({int(assign[row, q]) for q in g.operands})
             raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) has operands on "
                                   f"blocks {blocks} and cannot be split")
         return at
@@ -203,9 +202,12 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
 
     ``assignment`` is the vertex -> block map from the partitioner, over
     the same hypergraph ``h`` (grouped graphs need the same ``groups``).
-    Gates are placed by ``_placement``, on its one-row case.
+    Gates are placed by ``_placement``, on its one-row case.  An
+    assignment that does not cover ``h``, or that names a block outside
+    ``env.blocks``, is a ValueError naming the vertex.
     """
-    blocks = env.blocks if env is not None else max(assignment) + 1
+    blocks = env.blocks if env is not None else max(assignment, default=0) + 1
+    _check_assignment(h, assignment, blocks)
     comm = env.comm if env is not None else CommModel.PER_CHANNEL
     placed, uses, place = _placement(circuit, h, groups)
     at = place(np.array([assignment], dtype=np.intp))[0].tolist()
@@ -350,61 +352,61 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     Programs re-declare the original registers at full size and only touch
     the slice that lives locally, plus an ``ebit`` register for their comm
     slots.  Channel activity is marked with ``// channel`` comments; the
-    opaque cat primitives carry the nonlocal protocol.
+    opaque cat primitives carry the nonlocal protocol.  One sweep over the
+    gates appends each line to the body of the block it runs on.
     """
     bad = [p for p in feasibility_check(plan) if "comm slot" in p]
     if bad:
         raise InfeasibleError("; ".join(bad))
     home_slot, remote_slot = _slot_maps(plan)
-    index = circuit.qubit_index()
-    block_of = {q: plan.assignment[index[q]] for q in index}
-    vertex_ref = {i: q for q, i in index.items()}
+    names = [str(q) for q in circuit.qubits()]
+    block_of = plan.assignment  # a qubit's index is its vertex id
 
     entangle_at: dict[int, list] = {}  # first-use seq -> channels
     release_at: dict[int, list] = {}
-    for c in plan.channels:
-        entangle_at.setdefault(c.first_use, []).append(c)
-        release_at.setdefault(c.last_use, []).append(c)
     # (carries, remote) -> its channels; their use spans never overlap
     serving: dict[tuple[int, int], list[Channel]] = {}
     for c in plan.channels:
+        entangle_at.setdefault(c.first_use, []).append(c)
+        release_at.setdefault(c.last_use, []).append(c)
         serving.setdefault((c.carries, c.remote), []).append(c)
 
     cregs = _cregs(circuit)
-    texts = []
-    for b in range(plan.blocks):
-        cat = []
-        if any(c.home == b for c in plan.channels):
-            cat.append("opaque cat_entangler a,b;")
-        if any(c.remote == b for c in plan.channels):
-            cat.append("opaque cat_disentangler a;")
-        lines = _preamble(circuit, [g for g in circuit.gates if plan.exec_block[g.seq] == b],
-                          cregs, tuple(cat), plan.per_block[b].comm_width)
+    bodies: list[list[str]] = [[] for _ in range(plan.blocks)]
+    opaque: list[list] = [[] for _ in range(plan.blocks)]  # opaque gates run there
+    for g in circuit.gates:
+        for c in entangle_at.get(g.seq, ()):
+            bodies[c.home] += (f"// channel {c.id}",
+                               f"cat_entangler {names[c.carries]},ebit[{home_slot[c.id]}];")
+        b = plan.exec_block[g.seq]
+        if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
+            local: dict[int, list[str]] = {}
+            for q in g.operands:
+                local.setdefault(block_of[q], []).append(names[q])
+            for lb, ops in local.items():
+                bodies[lb].append(_gate_line(g, ops, cregs))
+        else:
+            ops = []
+            for q in g.operands:
+                if block_of[q] == b:
+                    ops.append(names[q])
+                else:
+                    c = next(c for c in serving[(q, b)]
+                             if c.first_use <= g.seq <= c.last_use)
+                    ops.append(f"ebit[{remote_slot[c.id]}]")
+            bodies[b].append(_gate_line(g, ops, cregs))
+            if g.kind is GateKind.OPAQUE:
+                opaque[b].append(g)
+        for c in release_at.get(g.seq, ()):
+            bodies[c.remote] += (f"// channel {c.id}",
+                                 f"cat_disentangler ebit[{remote_slot[c.id]}];")
 
-        for g in circuit.gates:
-            for c in entangle_at.get(g.seq, ()):
-                if c.home == b:
-                    lines.append(f"// channel {c.id}")
-                    lines.append(f"cat_entangler {vertex_ref[c.carries]},"
-                                 f"ebit[{home_slot[c.id]}];")
-            at = plan.exec_block[g.seq]
-            if g.kind is GateKind.BARRIER:
-                local = [str(q) for q in g.operands if block_of[q] == b]
-                if local:
-                    lines.append(_gate_line(g, local, cregs, index))
-            elif at == b:
-                ops = []
-                for q in g.operands:
-                    if block_of[q] == b:
-                        ops.append(str(q))
-                    else:
-                        c = next(c for c in serving[(index[q], b)]
-                                 if c.first_use <= g.seq <= c.last_use)
-                        ops.append(f"ebit[{remote_slot[c.id]}]")
-                lines.append(_gate_line(g, ops, cregs, index))
-            for c in release_at.get(g.seq, ()):
-                if c.remote == b:
-                    lines.append(f"// channel {c.id}")
-                    lines.append(f"cat_disentangler ebit[{remote_slot[c.id]}];")
-        texts.append("\n".join(lines) + "\n")
+    homes = {c.home for c in plan.channels}
+    remotes = {c.remote for c in plan.channels}
+    texts = []
+    for b, body in enumerate(bodies):
+        cat = (("opaque cat_entangler a,b;",) if b in homes else ()) + \
+              (("opaque cat_disentangler a;",) if b in remotes else ())
+        lines = _preamble(circuit, opaque[b], cregs, cat, plan.per_block[b].comm_width)
+        texts.append("\n".join(lines + body) + "\n")
     return texts

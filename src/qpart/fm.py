@@ -620,7 +620,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         for g in vertex_ids:
             v = h.vertices[g]
             anchor = local.get(v.anchor) if v.anchor is not None else None
-            verts.append(Vertex(id=local[g], weight=v.weight, ref=v.ref, anchor=anchor))
+            verts.append(Vertex(id=local[g], weight=v.weight, anchor=anchor))
         edges = []
         for e in h.edges:
             pins = tuple(local[p] for p in e.pins if p in local)

@@ -10,7 +10,7 @@ import math
 import random
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, QubitRef, make_circuit
+from .circuit import Circuit, Gate, GateKind, make_circuit
 
 
 class CircuitFamily(Enum):
@@ -35,36 +35,33 @@ def generate(kind: CircuitFamily | str, n: int, seed: int = 0) -> Circuit:
 
 
 def _ghz(n: int) -> Circuit:
-    q = [QubitRef("q", i) for i in range(n)]
-    gates = [Gate(GateKind.H, (q[0],))]
-    gates += [Gate(GateKind.CX, (q[i], q[i + 1])) for i in range(n - 1)]
+    gates = [Gate(GateKind.H, (0,))]
+    gates += [Gate(GateKind.CX, (i, i + 1)) for i in range(n - 1)]
     return make_circuit(f"ghz{n}", [("q", n)], gates)
 
 
 def _qft(n: int) -> Circuit:
     # textbook order, controls on the higher-index qubit, no final swaps
-    q = [QubitRef("q", i) for i in range(n)]
     gates = []
     for i in range(n):
-        gates.append(Gate(GateKind.H, (q[i],)))
+        gates.append(Gate(GateKind.H, (i,)))
         for j in range(i + 1, n):
-            gates.append(Gate(GateKind.CP, (q[j], q[i]), (math.pi / 2 ** (j - i),)))
+            gates.append(Gate(GateKind.CP, (j, i), (math.pi / 2 ** (j - i),)))
     return make_circuit(f"qft{n}", [("q", n)], gates)
 
 
 def _random_layered(n: int, seed: int) -> Circuit:
     rng = random.Random(seed)
-    q = [QubitRef("q", i) for i in range(n)]
     gates = []
     for _ in range(n):
         order = list(range(n))
         rng.shuffle(order)
         for a, b in zip(order[0::2], order[1::2]):
             if rng.random() < 0.5:
-                gates.append(Gate(GateKind.CX, (q[a], q[b])))
+                gates.append(Gate(GateKind.CX, (a, b)))
             else:
-                gates.append(Gate(rng.choice(_SINGLE_KINDS), (q[a],)))
-                gates.append(Gate(rng.choice(_SINGLE_KINDS), (q[b],)))
+                gates.append(Gate(rng.choice(_SINGLE_KINDS), (a,)))
+                gates.append(Gate(rng.choice(_SINGLE_KINDS), (b,)))
         if n % 2:
-            gates.append(Gate(rng.choice(_SINGLE_KINDS), (q[order[-1]],)))
+            gates.append(Gate(rng.choice(_SINGLE_KINDS), (order[-1],)))
     return make_circuit(f"random{n}_s{seed}", [("q", n)], gates)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind, QubitRef, gate_layers
+from .circuit import Circuit, Gate, GateKind, gate_layers
 
 GROUPABLE = frozenset({GateKind.CX, GateKind.CZ, GateKind.CP})
 
@@ -22,15 +22,15 @@ GROUPABLE = frozenset({GateKind.CX, GateKind.CZ, GateKind.CP})
 class GateGroup:
     """One run of controlled gates sharing a control qubit.
 
-    ``members`` are gate seq numbers in circuit order.  A group with two or
-    more members is a reuse group: its control state can be shared once and
-    reused by every member.
+    ``control`` and ``targets`` are qubit indices; ``members`` are gate seq
+    numbers in circuit order.  A group with two or more members is a reuse
+    group: its control state can be shared once and reused by every member.
     """
 
     id: int
-    control: QubitRef
+    control: int
     members: tuple[int, ...]
-    targets: frozenset[QubitRef]
+    targets: frozenset[int]
     kinds: frozenset[GateKind]
 
     @property
@@ -44,23 +44,19 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
     Gates of any of the three kinds, at any angle, share a run; a run of
     two or more gates is a reuse group, a lone gate is a singleton group.
     """
-    open_runs: dict[QubitRef, list[Gate]] = {}
+    open_runs: dict[int, list[Gate]] = {}  # control qubit -> its open run
     closed: list[list[Gate]] = []
-
-    def close(wire: QubitRef) -> None:
-        run = open_runs.pop(wire, None)
-        if run:
-            closed.append(run)
-
     for g in circuit.gates:
         if g.kind in GROUPABLE:
-            open_runs.setdefault(g.operands[0], []).append(g)
-            close(g.operands[1])
+            control, target = g.operands
+            open_runs.setdefault(control, []).append(g)
+            if target in open_runs:
+                closed.append(open_runs.pop(target))
         else:
             for q in g.operands:
-                close(q)
-    for wire in list(open_runs):
-        close(wire)
+                if q in open_runs:
+                    closed.append(open_runs.pop(q))
+    closed += open_runs.values()
 
     closed.sort(key=lambda run: run[0].seq)
     return [GateGroup(id=i,

@@ -1,11 +1,11 @@
 """Hypergraph view of a circuit's non-local interactions.
 
-Every circuit qubit becomes a weight-1 vertex.  Without grouping, each
-CX/CZ/CP gate contributes a 2-pin edge (control, target) and each CCX/CCZ
-a 3-pin edge.  With grouping, each reuse group becomes one weight-0
-grouping vertex plus a single hyperedge over {grouping vertex, control,
-targets}; singleton groups keep their per-gate edges.  Single-qubit gates,
-MEASURE and BARRIER do not appear.
+Every circuit qubit becomes a weight-1 vertex whose id is the qubit's
+index.  Without grouping, each CX/CZ/CP gate contributes a 2-pin edge
+(control, target) and each CCX/CCZ a 3-pin edge.  With grouping, each
+reuse group becomes one weight-0 grouping vertex plus a single hyperedge
+over {grouping vertex, control, targets}; singleton groups keep their
+per-gate edges.  Single-qubit gates, MEASURE and BARRIER do not appear.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
 b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, QubitRef
+from .circuit import Circuit
 from .grouping import GROUPABLE, GateGroup
 
 
@@ -24,7 +24,6 @@ class Vertex:
 
     id: int
     weight: int = 1
-    ref: QubitRef | None = None
     anchor: int | None = None  # grouping vertex: vertex id of its control qubit
 
     @property
@@ -92,53 +91,31 @@ class Hypergraph:
 
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
     """Translate a circuit, optionally folding reuse groups into hyperedges."""
-    index = circuit.qubit_index()
-    vertices = [Vertex(id=i, weight=1, ref=q) for q, i in index.items()]
+    vertices = [Vertex(id=q) for q in range(circuit.width)]
 
     member_of: dict[int, GateGroup] = {}
-    if groups:
-        n_gates = len(circuit.gates)
-        for grp in groups:
-            for seq in grp.members:
-                if not 0 <= seq < n_gates or circuit.gates[seq].kind not in GROUPABLE:
-                    raise ValueError(f"group {grp.id} references gate {seq}, "
-                                     "which is not a groupable gate of this circuit")
-                member_of[seq] = grp
-
     gv_of: dict[int, int] = {}  # group id -> grouping vertex id
-    if groups:
-        for grp in groups:
-            if grp.is_reuse:
-                gv_of[grp.id] = len(vertices)
-                vertices.append(Vertex(id=len(vertices), weight=0,
-                                       anchor=index[grp.control]))
+    for grp in groups or ():
+        for seq in grp.members:
+            if not 0 <= seq < len(circuit.gates) or circuit.gates[seq].kind not in GROUPABLE:
+                raise ValueError(f"group {grp.id} references gate {seq}, "
+                                 "which is not a groupable gate of this circuit")
+            member_of[seq] = grp
+        if grp.is_reuse:
+            gv_of[grp.id] = len(vertices)
+            vertices.append(Vertex(id=len(vertices), weight=0, anchor=grp.control))
 
     edges: list[Hyperedge] = []
-    emitted_groups: set[int] = set()
     for g in circuit.gates:
-        if g.kind in (GateKind.CCX, GateKind.CCZ):
-            pins = tuple(index[q] for q in g.operands)
-            edges.append(Hyperedge(id=len(edges), pins=pins,
-                                   origin=("gate", g.seq), control=pins[0]))
-        elif g.kind in GROUPABLE:
-            grp = member_of.get(g.seq)
-            if grp is not None and grp.is_reuse:
-                if grp.id in emitted_groups:
-                    continue
-                emitted_groups.add(grp.id)
-                control = index[grp.control]
-                targets = []
-                for seq in grp.members:
-                    t = index[circuit.gates[seq].operands[1]]
-                    if t not in targets:
-                        targets.append(t)
-                pins = (gv_of[grp.id], control, *targets)
-                edges.append(Hyperedge(id=len(edges), pins=pins,
-                                       origin=("group", grp.id), control=control))
-            else:
-                pins = (index[g.operands[0]], index[g.operands[1]])
-                edges.append(Hyperedge(id=len(edges), pins=pins,
-                                       origin=("gate", g.seq), control=pins[0]))
+        grp = member_of.get(g.seq)
+        if grp is not None and grp.is_reuse:
+            if g.seq == grp.members[0]:  # one edge per group, at its first member
+                targets = dict.fromkeys(circuit.gates[s].operands[1] for s in grp.members)
+                edges.append(Hyperedge(id=len(edges), pins=(gv_of[grp.id], grp.control, *targets),
+                                       origin=("group", grp.id), control=grp.control))
+        elif g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
+            edges.append(Hyperedge(id=len(edges), pins=g.operands,
+                                   origin=("gate", g.seq), control=g.operands[0]))
     return Hypergraph(vertices, edges)
 
 

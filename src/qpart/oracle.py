@@ -42,7 +42,6 @@ def simulate(circuit: Circuit) -> np.ndarray:
     n = circuit.width
     if n > MAX_SIM_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator limit")
-    axis = circuit.qubit_index()
     state = np.zeros([2] * n, dtype=complex)
     state[(0,) * n] = 1.0
     for g in circuit.gates:
@@ -50,7 +49,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
             continue
         if g.kind in (GateKind.MEASURE, GateKind.OPAQUE):
             raise ValueError(f"cannot simulate {g.qasm_name}")
-        ax = [axis[q] for q in g.operands]
+        ax = g.operands
         if g.kind in _SQ or g.kind in (GateKind.RX, GateKind.RY, GateKind.RZ):
             u = _SQ[g.kind] if g.kind in _SQ else _rot(g.kind, g.params[0])
             state = np.tensordot(u, state, axes=([1], [ax[0]]))

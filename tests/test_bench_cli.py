@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
-                   PartitionConfig, QubitRef, build_hypergraph, find_groups,
+                   PartitionConfig, build_hypergraph, find_groups,
                    make_circuit, partition, plan_distribution, resolve_capacities)
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
                          _random_rows, format_summary, load_suite, run_suite,
@@ -198,7 +198,6 @@ def batch_instances(draw):
     n = draw(st.integers(2, 8))
     second = draw(st.integers(0, n - 1))
     regs = [(name, size) for name, size in (("q", n - second), ("r", second)) if size]
-    qs = [QubitRef(name, i) for name, size in regs for i in range(size)]
     cregs = draw(st.sampled_from([[], [("m", n)]]))
     kinds = [GateKind.H, GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER, GateKind.OPAQUE]
     if not draw(st.sampled_from([False, False, False, True])):   # edgeless
@@ -216,7 +215,7 @@ def batch_instances(draw):
             arity = draw(st.integers(1, n))
         else:
             arity = kind.n_qubits
-        ops = tuple(draw(st.permutations(qs))[:arity])
+        ops = tuple(draw(st.permutations(range(n)))[:arity])
         if kind is GateKind.MEASURE and cregs:
             cbit = ("m", draw(st.integers(0, n - 1)))
         gates.append(Gate(kind, ops, (0.5,) * kind.n_params, cbit=cbit, label=label))

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Circuit, Gate, GateKind, QasmError, QubitRef, emit_qasm,
-                   gate_layers, generate, make_circuit, parse_qasm)
+from qpart import (Circuit, Gate, GateKind, QasmError, emit_qasm,
+                   gate_layers, make_circuit, parse_qasm)
 
 from conftest import fixture_names, load_fixture
 
@@ -26,7 +26,7 @@ def test_qft_angles(qft4):
     # cp(pi / 2**(j - i)) with the control on the later qubit
     cps = [g for g in qft4.gates if g.kind is GateKind.CP]
     for g in cps:
-        j, i = g.operands[0].index, g.operands[1].index
+        j, i = g.operands
         assert j > i
         assert g.params[0] == pytest.approx(math.pi / 2 ** (j - i))
 
@@ -40,7 +40,7 @@ cx q[0],q[1];
 """)
     assert c.width == 2 and c.size == 2 and c.depth == 2
     assert [g.kind for g in c.gates] == [GateKind.H, GateKind.CX]
-    assert c.gates[1].operands == (QubitRef("q", 0), QubitRef("q", 1))
+    assert c.gates[1].operands == (0, 1)
     assert [g.seq for g in c.gates] == [0, 1]
 
 
@@ -55,7 +55,7 @@ h q[0];  // trailing comment
 
 def test_single_qubit_broadcast():
     c = parse_qasm("OPENQASM 2.0; qreg q[3]; h q;")
-    assert [g.operands[0] for g in c.gates] == [QubitRef("q", i) for i in range(3)]
+    assert [g.operands[0] for g in c.gates] == [0, 1, 2]
 
 
 def test_measure_register_broadcast():
@@ -66,7 +66,7 @@ def test_measure_register_broadcast():
 
 def test_measure_single_bit():
     c = parse_qasm("OPENQASM 2.0; qreg q[2]; creg c[2]; measure q[1] -> c[0];")
-    assert c.gates[0].operands == (QubitRef("q", 1),)
+    assert c.gates[0].operands == (1,)
     assert c.gates[0].cbit == ("c", 0)
 
 
@@ -100,7 +100,7 @@ mystery q[0],q[2];
     c = parse_qasm(text)
     g = c.gates[0]
     assert g.kind is GateKind.OPAQUE and g.label == "mystery"
-    assert g.operands == (QubitRef("q", 0), QubitRef("q", 2))
+    assert g.operands == (0, 2)
     again = parse_qasm(emit_qasm(c))
     assert again.gates == c.gates
 
@@ -141,6 +141,13 @@ def test_gate_validation_error_line(stmt):
     with pytest.raises(QasmError, match="distinct") as info:
         parse_qasm(text)
     assert info.value.line == 3
+
+
+def test_repeated_operand_named_as_written():
+    text = "OPENQASM 2.0;\nqreg a[1]; qreg q[2];\ncx q[0],q[0];\n"
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert str(info.value) == "line 3: cx operands must be distinct: q[0], q[0]"
 
 
 @pytest.mark.parametrize("text,line", [
@@ -199,7 +206,9 @@ def test_make_circuit_validation():
     with pytest.raises(ValueError, match="positive"):
         make_circuit("bad", [("q", 0)], [])
     with pytest.raises(QasmError, match="not declared"):
-        make_circuit("bad", [("q", 1)], [Gate(GateKind.H, (QubitRef("r", 0),))])
+        make_circuit("bad", [("q", 1)], [Gate(GateKind.H, (1,))])
+    with pytest.raises(QasmError, match="not declared"):
+        make_circuit("bad", [("q", 1)], [Gate(GateKind.H, (-1,))])
 
 
 def test_emit_parse_exact(ghz4, qft4):
@@ -213,7 +222,7 @@ def test_emit_parse_exact(ghz4, qft4):
 
 def test_emit_synthesises_creg():
     c = make_circuit("m", [("q", 2)],
-                     [Gate(GateKind.MEASURE, (QubitRef("q", 1),))])
+                     [Gate(GateKind.MEASURE, (1,))])
     text = emit_qasm(c)
     assert "creg c[2];" in text
     assert "measure q[1] -> c[1];" in text
@@ -232,18 +241,40 @@ _KINDS = st.sampled_from([GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ,
                           GateKind.CP, GateKind.CCX, GateKind.RZ])
 
 
-@st.composite
-def random_circuits(draw):
-    n = draw(st.integers(3, 6))
-    qs = [QubitRef("q", i) for i in range(n)]
+def _draw_gates(draw, width: int) -> list[Gate]:
     gates = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(_KINDS)
-        ops = draw(st.permutations(qs).map(lambda p: tuple(p[:kind.n_qubits])))
+        ops = draw(st.permutations(range(width)).map(lambda p: tuple(p[:kind.n_qubits])))
         params = tuple(draw(st.floats(-6.3, 6.3, allow_nan=False))
                        for _ in range(kind.n_params))
         gates.append(Gate(kind, ops, params))
-    return make_circuit("rand", [("q", n)], gates)
+    return gates
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(3, 6))
+    return make_circuit("rand", [("q", n)], _draw_gates(draw, n))
+
+
+@st.composite
+def multi_register_circuits(draw):
+    sizes = draw(st.tuples(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2)))
+    regs = [(name, n) for name, n in zip("abc", sizes) if n]
+    return make_circuit("regs", regs, _draw_gates(draw, sum(sizes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_register_circuits())
+def test_multi_register_roundtrip(c: Circuit):
+    text = emit_qasm(c)
+    assert parse_qasm(text, name="regs").gates == c.gates
+    # each operand is written as its entry in the name table
+    names = c.qubits()
+    for g, stmt in zip(c.gates, text.splitlines()[-len(c.gates):]):
+        written = stmt.split(" ", 1)[1].rstrip(";").split(",")
+        assert written == [str(names[q]) for q in g.operands]
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (CommModel, Gate, GateKind, InfeasibleError, Mode,
-                   PartitionConfig, QpuEnvironment, QubitRef, block_endpoints,
+                   PartitionConfig, QpuEnvironment, block_endpoints,
                    build_hypergraph, emit_qasm, emit_subcircuits,
                    feasibility_check, find_groups, generate,
                    make_circuit, parse_qasm, partition, plan_distribution,
@@ -89,6 +89,19 @@ def test_split_refusal_same_for_plan_and_batch(built, text, message):
     config = PartitionConfig(blocks=2, restarts=1, mode=Mode.RANDOM)
     with pytest.raises(InfeasibleError, match=match):
         _random_rows(CircuitJob(label=c.name), c, h, None, config, [1, 1], range(3))
+
+
+def test_plan_refuses_block_outside_env(ghz4):
+    h = build_hypergraph(ghz4)
+    env = QpuEnvironment(blocks=2, capacities=(2, 2))
+    with pytest.raises(ValueError, match=r"^vertex 2 assigned to invalid block 2$"):
+        plan_distribution(ghz4, h, [0, 0, 2, 2], env=env)
+
+
+def test_plan_refuses_short_assignment(ghz4):
+    h = build_hypergraph(ghz4)
+    with pytest.raises(ValueError, match=r"^assignment covers 3 of 4 vertices$"):
+        plan_distribution(ghz4, h, [0, 0, 1])
 
 
 def test_opaque_split_refused():
@@ -218,11 +231,12 @@ def test_emit_parses_back(qft4):
     for b, text in enumerate(emit_subcircuits(qft4, plan)):
         sub = parse_qasm(text, name=f"block{b}")
         local = {q for q, blk in zip(qft4.qubits(), plan.assignment) if blk == b}
+        names = sub.qubits()
         for g in sub.gates:
             if g.kind is GateKind.OPAQUE:
                 continue
             for q in g.operands:
-                assert q.register == "ebit" or q in local
+                assert names[q].register == "ebit" or names[q] in local
 
 
 def test_emit_measure_and_barrier():
@@ -304,7 +318,7 @@ _OPAQUE_ARITY = {"probe": 2, "tag": 1}
 def emitter_circuits(draw):
     regs = [("q", draw(st.integers(1, 4))), ("r", draw(st.integers(0, 3)))]
     regs = [(name, n) for name, n in regs if n]
-    qs = [QubitRef(name, i) for name, n in regs for i in range(n)]
+    qs = range(sum(n for _, n in regs))
     cregs = draw(st.sampled_from([[], [("m", len(qs))]]))
     kinds = [GateKind.H, GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER, GateKind.OPAQUE]
     if len(qs) >= 2:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qpart import (GateKind, QubitRef, find_groups, make_circuit, parse_qasm,
+from qpart import (GateKind, find_groups, make_circuit, parse_qasm,
                    segment_by_depth, segment_subcircuit)
 
 from conftest import fixture_names, load_fixture
@@ -14,15 +14,15 @@ def _groups(text: str):
 
 
 def members_by_control(groups):
-    return {str(g.control): g.members for g in groups}
+    return {g.control: g.members for g in groups}
 
 
 def test_qft4_groups(qft4):
     groups = find_groups(qft4)
     assert members_by_control(groups) == {
-        "q[1]": (1,),
-        "q[2]": (2, 5),
-        "q[3]": (3, 6, 8),
+        1: (1,),
+        2: (2, 5),
+        3: (3, 6, 8),
     }
     assert [g.is_reuse for g in groups] == [False, True, True]
     assert [g.id for g in groups] == [0, 1, 2]
@@ -30,20 +30,20 @@ def test_qft4_groups(qft4):
 
 def test_group_fields(qft4):
     g = find_groups(qft4)[2]
-    assert g.control == QubitRef("q", 3)
-    assert g.targets == frozenset(QubitRef("q", i) for i in range(3))
+    assert g.control == 3
+    assert g.targets == frozenset({0, 1, 2})
     assert g.kinds == frozenset({GateKind.CP})
 
 
 def test_spectator_wire_does_not_close():
     # h q[1] sits on a target wire; the q[0] run stays open across it
     _, groups = _groups("cx q[0],q[1]; h q[1]; cx q[0],q[2];")
-    assert members_by_control(groups) == {"q[0]": (0, 2)}
+    assert members_by_control(groups) == {0: (0, 2)}
 
 
 def test_gate_on_control_wire_closes():
     _, groups = _groups("cx q[0],q[1]; h q[0]; cx q[0],q[2];")
-    assert members_by_control(groups) == {"q[0]": (2,)} or len(groups) == 2
+    assert members_by_control(groups) == {0: (2,)} or len(groups) == 2
     assert all(not g.is_reuse for g in groups)
 
 
@@ -64,7 +64,7 @@ def test_ccx_never_groups():
 def test_allow_mixed_kinds():
     text = "cx q[0],q[1]; cz q[0],q[2];"
     _, mixed = _groups(text)
-    assert members_by_control(mixed) == {"q[0]": (0, 1)}
+    assert members_by_control(mixed) == {0: (0, 1)}
 
 
 def test_seq_restriction(qft4):
@@ -76,13 +76,13 @@ def test_seq_restriction(qft4):
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("phase_kernel_6.qasm", {"q[3]": (7, 11, 12, 13)}),
-    ("toffoli_mix_5.qasm", {"q[4]": (8, 10, 11)}),
-    ("ansatz_6.qasm", {"q[0]": (17, 18, 19), "q[5]": (20, 21)}),
+    ("phase_kernel_6.qasm", {3: (7, 11, 12, 13)}),
+    ("toffoli_mix_5.qasm", {4: (8, 10, 11)}),
+    ("ansatz_6.qasm", {0: (17, 18, 19), 5: (20, 21)}),
 ])
 def test_fixture_reuse_groups(name, expected):
     c = load_fixture(name)
-    reuse = {str(g.control): g.members for g in find_groups(c) if g.is_reuse}
+    reuse = {g.control: g.members for g in find_groups(c) if g.is_reuse}
     assert reuse == expected
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qpart import (Hyperedge, Hypergraph, QubitRef, Vertex, block_endpoints,
+from qpart import (Hyperedge, Hypergraph, Vertex, block_endpoints,
                    build_hypergraph, cut_cost, export_hmetis,
                    find_groups, import_hmetis, parse_qasm)
 
@@ -38,8 +38,7 @@ def test_qft4_grouped(qft4):
     assert [h.edges[e].origin for v in gvs for e in h.incidence[v.id]] == \
         [("group", 1), ("group", 2)]
     # each grouping vertex is anchored to its control qubit's vertex
-    index = qft4.qubit_index()
-    assert [v.anchor for v in gvs] == [index[QubitRef("q", 2)], index[QubitRef("q", 3)]]
+    assert [v.anchor for v in gvs] == [2, 3]
     assert sorted(len(e.pins) for e in h.edges) == [2, 4, 5]
     for e in h.edges:
         if e.origin[0] == "group":

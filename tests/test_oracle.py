@@ -92,7 +92,6 @@ _MATS = {
 
 def _reference_state(circuit) -> np.ndarray:
     n = circuit.width
-    axis = circuit.qubit_index()
     state = np.zeros(2 ** n, complex)
     state[0] = 1.0
     for g in circuit.gates:
@@ -107,7 +106,7 @@ def _reference_state(circuit) -> np.ndarray:
         else:
             u = _MATS[g.kind]
         state = _full_unitary(n, np.asarray(u, complex),
-                              [axis[q] for q in g.operands]) @ state
+                              g.operands) @ state
     return state
 
 
