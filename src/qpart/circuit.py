@@ -41,7 +41,15 @@ class QasmError(ValueError):
 
 class GateKind(Enum):
     """A gate kind: its QASM name, ``n_qubits`` operands (None for the
-    variable-arity BARRIER and OPAQUE) and ``n_params`` parameters."""
+    variable-arity BARRIER and OPAQUE) and ``n_params`` parameters.
+
+    Every multi-qubit kind is a controlled gate.  ``groupable`` marks the
+    two-qubit ones (CX/CZ/CP), whose runs on one control can share an
+    entangled pair; ``splittable`` marks them all, since each may run with
+    remote operands riding channels.  These and ``qasm``, the QASM name,
+    are plain member attributes, so per-gate code tests them without
+    hashing the member or reading the ``value`` descriptor.
+    """
 
     H = ("h", 1)
     X = ("x", 1)
@@ -63,9 +71,11 @@ class GateKind(Enum):
 
     def __new__(cls, name: str, n_qubits: int | None, n_params: int = 0):
         kind = object.__new__(cls)
-        kind._value_ = name
+        kind._value_ = kind.qasm = name
         kind.n_qubits = n_qubits
         kind.n_params = n_params
+        kind.groupable = n_qubits == 2
+        kind.splittable = n_qubits in (2, 3)
         return kind
 
 
@@ -119,7 +129,7 @@ class Gate:
 
     @property
     def qasm_name(self) -> str:
-        return self.label if self.kind is GateKind.OPAQUE else self.kind.value
+        return self.label if self.kind is GateKind.OPAQUE else self.kind.qasm
 
 
 @dataclass(frozen=True)

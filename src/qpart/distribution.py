@@ -106,10 +106,6 @@ class DistributionPlan:
     ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
 
 
-# gates that may run with remote operands riding channels
-_SPLITTABLE = {GateKind.CZ, GateKind.CP, GateKind.CCZ, GateKind.CX, GateKind.CCX}
-
-
 def _edge_of_gate(h: Hypergraph, groups: list[GateGroup] | None) -> dict[int, int]:
     """Map gate seq -> hyperedge id, resolving group edges to their members."""
     by_group: dict[int, int] = {}
@@ -163,7 +159,7 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
         if g.kind is GateKind.CCZ:
             majority.append((at, *cols))
         eid = seq_edge.get(g.seq)
-        if eid is not None and g.kind in _SPLITTABLE:
+        if eid is not None and g.kind.splittable:
             uses.extend((at, q, eid) for q in cols)
         else:
             rigid.extend((at, q) for q in cols)
@@ -183,7 +179,7 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
         if refused.any():
             row = refused.any(axis=1).argmax()
             g = placed[rigid_at[refused[row].argmax()]]
-            if g.kind in _SPLITTABLE:
+            if g.kind.splittable:
                 raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) is split "
                                       "but has no hyperedge")
             blocks = sorted({int(assign[row, q]) for q in g.operands})

@@ -35,6 +35,17 @@ Edge weights are non-negative, so both are lower bounds, and the pass
 stops as soon as either reaches the best feasible cost.  Only strictly
 better prefixes are kept, so the cutoff changes the work done, never the
 result.
+
+The restart driver stops the same way.  The second bound, written once
+as ``_Engine.least``, holds for every restart: the deal fills the same
+blocks whatever the seed, no pass empties a block of its qubit vertices
+and the snap moves only weight-0 vertices.  A winner whose lambda - 1
+meets that bound at zero balance deviation cannot be beaten by a later
+restart, which could at best tie and then loses on its restart index, so
+the driver stops there and returns what running every restart would.
+On GHZ chains the first restart usually meets it.  All restarts share
+one engine: the per-hypergraph tables are built once per driver call,
+and ``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
 """
 from __future__ import annotations
 
@@ -69,6 +80,8 @@ class PartitionConfig:
     capacities=None means an equal split of the qubit count over the
     blocks.  epsilon widens each block's bound to ceil((1+epsilon)*cap).
     restarts run the seeds seed, seed+1, ... and keep the best result.
+    It is an upper bound: the restarts stop early once one reaches a cost
+    no later restart can beat, with the result all of them would give.
     """
 
     blocks: int = 2
@@ -135,6 +148,9 @@ class _PassStats:
 # shared engine state
 
 class _Engine:
+    """Tables of one hypergraph under fixed block bounds, built once, plus
+    the state of the assignment being refined, which ``reset`` replaces."""
+
     def __init__(self, h: Hypergraph, blocks: int, bounds: list[int], assignment: list[int]):
         self.k = blocks
         self.bounds = bounds
@@ -142,16 +158,6 @@ class _Engine:
         self.ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         self.inc = h.incidence
-        self.assign = assignment
-        self.phi = [[0] * blocks for _ in h.edges]
-        for e, pins in enumerate(self.pins):
-            for p in pins:
-                self.phi[e][assignment[p]] += 1
-        self.load = [0] * blocks   # qubit weight per block
-        self.count = [0] * blocks  # qubit vertices per block
-        for v, b in enumerate(assignment):
-            self.load[b] += self.vw[v]
-            self.count[b] += 1 if self.vw[v] > 0 else 0
         # edge weights are non-negative, so no real gain lies below floor
         self.floor = -sum(self.ew)
         self.mask = 1 - 2 * self.floor
@@ -161,6 +167,31 @@ class _Engine:
         self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
         self.pieces = _pieces(len(self.vw), self.pins)
         self.w_min = min(self.ew, default=0)
+        self.reset(assignment)
+
+    def reset(self, assignment: list[int]) -> None:
+        """Refine ``assignment`` from now on, in place; only the per-edge
+        pin counts and the per-block loads are rebuilt."""
+        k = self.k
+        self.assign = assignment
+        self.phi = [[0] * k for _ in self.pins]
+        for row, pins in zip(self.phi, self.pins):
+            for p in pins:
+                row[assignment[p]] += 1
+        self.load = [0] * k   # qubit weight per block
+        self.count = [0] * k  # qubit vertices per block
+        for v, b in enumerate(assignment):
+            w = self.vw[v]
+            self.load[b] += w
+            self.count[b] += 1 if w > 0 else 0
+
+    def least(self) -> int:
+        """A lower bound on the cost of every assignment whose blocks holding
+        a qubit vertex include those that hold one now: a connected piece of
+        the hypergraph over b blocks costs at least (b - 1) times the
+        lightest edge, and every block in use holds some piece.  Never
+        below 0, the cost of any assignment."""
+        return max(0, self.w_min * (self.k - self.count.count(0) - self.pieces))
 
     def overloaded(self) -> int:
         return sum(1 for b in range(self.k) if self.load[b] > self.bounds[b])
@@ -221,13 +252,13 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
 
     Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
     and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
-    at each lock in O(deg v).  ``least`` is the lightest edge weight times
-    the blocks holding a qubit vertex less the hypergraph's connected
-    pieces.  Every later prefix costs at least both, so the pass stops once
-    either reaches the best feasible cost, before the first move when the
-    start cost is already that low.  Only strictly better feasible
-    prefixes are kept, so the prefix, the assignment and the result match
-    a pass run until no vertex may move.
+    at each lock in O(deg v).  ``least`` is ``eng.least()``: the lightest
+    edge weight times the blocks holding a qubit vertex less the
+    hypergraph's connected pieces.  Every later prefix costs at least
+    both, so the pass stops once either reaches the best feasible cost,
+    before the first move when the start cost is already that low.  Only
+    strictly better feasible prefixes are kept, so the prefix, the
+    assignment and the result match a pass run until no vertex may move.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
@@ -289,7 +320,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     locked_cost = 0
     # no block loses its last qubit vertex, so every prefix spans at least
     # the blocks that hold one now
-    least = eng.w_min * (k - count.count(0) - eng.pieces)
+    least = eng.least()
     cur = best_cost = start_cost
     best_prefix = 0
     over = eng.overloaded()
@@ -559,14 +590,27 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
     fails or ``_MAX_PASSES`` run, then snaps free vertices.  The winner has
     the lowest (lambda - 1, balance deviation from the capacities, r);
     returns its assignment, passes, gain updates and seed.
+
+    The restarts stop once the winner's key reaches (``_Engine.least()`` of
+    the deal, 0).  Every deal fills the same blocks, no pass empties a
+    block of its qubit vertices and the snap moves only weight-0 vertices,
+    so that bound holds for every restart after its snap; a later restart
+    can at best tie on both and then loses on r.  The result is the one
+    all ``config.restarts`` restarts give.  All restarts share one engine,
+    whose tables are built once.
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     n, total = _qubit_weight(h), sum(caps)
     snap = _snapper(h)
     deals = _deals(h, config, range(config.seed, config.seed + config.restarts))
+    eng = None
     best, best_key = None, None
     for r, row in enumerate(row for _, chunk in deals for row in chunk):
-        eng = _Engine(h, config.blocks, bounds, row.tolist())
+        if eng is None:
+            eng = _Engine(h, config.blocks, bounds, row.tolist())
+        else:
+            eng.reset(row.tolist())
+        least = eng.least()
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
@@ -580,6 +624,8 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
             best, best_key = (assignment, passes, stats.gain_updates, config.seed + r), key
+            if key[:2] == (least, 0):
+                break
     return best
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, gate_layers
 
-GROUPABLE = frozenset({GateKind.CX, GateKind.CZ, GateKind.CP})
+GROUPABLE = frozenset(k for k in GateKind if k.groupable)
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
     open_runs: dict[int, list[Gate]] = {}  # control qubit -> its open run
     closed: list[list[Gate]] = []
     for g in circuit.gates:
-        if g.kind in GROUPABLE:
+        if g.kind.groupable:
             control, target = g.operands
             open_runs.setdefault(control, []).append(g)
             if target in open_runs:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .grouping import GROUPABLE, GateGroup
+from .grouping import GateGroup
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) ->
     gv_of: dict[int, int] = {}  # group id -> grouping vertex id
     for grp in groups or ():
         for seq in grp.members:
-            if not 0 <= seq < len(circuit.gates) or circuit.gates[seq].kind not in GROUPABLE:
+            if not 0 <= seq < len(circuit.gates) or not circuit.gates[seq].kind.groupable:
                 raise ValueError(f"group {grp.id} references gate {seq}, "
                                  "which is not a groupable gate of this circuit")
             member_of[seq] = grp

@@ -5,10 +5,11 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, brute_force_mincut,
@@ -338,6 +339,110 @@ def test_partition_invariants(h, seed, k):
     rep = cut_cost(h, list(res.assignment), k)
     assert (rep.cut_edges, rep.lambda_minus_one, rep.ebits) == \
         (res.cut.cut_edges, res.cut.lambda_minus_one, res.cut.ebits)
+
+
+# -- the restart cutoff against every restart ------------------------------
+
+def every_restart(h, config, bounds):
+    """``_restart_driver`` without its cutoff: every restart refines its own
+    deal on a fresh engine, and the lowest (lambda - 1, balance deviation,
+    r) wins."""
+    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
+                              config.blocks)
+    n, total = sum(v.weight for v in h.vertices), sum(caps)
+    snap = _snapper(h)
+    best, best_key = None, None
+    for r in range(config.restarts):
+        eng = _Engine(h, config.blocks, bounds, deal(h, replace(config, seed=config.seed + r)))
+        stats = _PassStats()
+        passes = 0
+        while passes < _MAX_PASSES:
+            passes += 1
+            if not _pass(eng, stats):
+                break
+        row = np.array([eng.assign])
+        snap(row)
+        assignment = row[0].tolist()
+        key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
+               sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
+        if best_key is None or key < best_key:
+            best, best_key = (assignment, passes, stats.gain_updates, config.seed + r), key
+    return best
+
+
+@st.composite
+def restart_instances(draw):
+    """Every kind of hypergraph the driver sees, under two blocks, direct
+    k-way at k=3 and recursive bisection at k=4, at epsilon 0 and 0.2."""
+    kind = draw(st.sampled_from(["small", "circuit", "weighted", "edgeless", "disconnected"]))
+    if kind == "small":
+        h = draw(small_hypergraphs())
+    elif kind == "circuit":
+        c = generate(draw(st.sampled_from(["ghz", "qft", "random"])), draw(st.integers(6, 24)),
+                     seed=draw(st.integers(0, 9)))
+        h = build_hypergraph(c, find_groups(c) if draw(st.booleans()) else None)
+    elif kind == "weighted":
+        # hMETIS fmt 11: vertex weights above 1, so some deals overfill
+        h = draw(small_hypergraphs())
+        weights = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=h.n_vertices(),
+                                max_size=h.n_vertices()))
+        h = import_hmetis(export_hmetis(Hypergraph(
+            [Vertex(i, weight=w) for i, w in enumerate(weights)], h.edges)))
+    elif kind == "edgeless":  # w_min = 0
+        h = Hypergraph([Vertex(i) for i in range(draw(st.integers(4, 10)))], [])
+    else:  # chains side by side, maybe with idle vertices: pieces > 1
+        sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+        vertices, edges, start = [], [], 0
+        for size in sizes:
+            vertices += [Vertex(start + i) for i in range(size)]
+            edges += [Hyperedge(len(edges) + i, (start + i, start + i + 1),
+                                weight=draw(st.sampled_from([1, 2])))
+                      for i in range(size - 1)]
+            start += size
+        h = Hypergraph(vertices, edges)
+    blocks, mode = draw(st.sampled_from([(2, Mode.RECURSIVE_BISECT), (3, Mode.DIRECT_KWAY),
+                                         (4, Mode.RECURSIVE_BISECT)]))
+    assume(blocks <= h.n_qubit_vertices())
+    return h, PartitionConfig(blocks=blocks, mode=mode, epsilon=draw(st.sampled_from([0.0, 0.2])),
+                              restarts=draw(st.integers(1, 8)), seed=draw(st.integers(0, 99)))
+
+
+def outcome(h, config):
+    try:
+        res = partition(h, config)
+    except InfeasibleError as ex:
+        return str(ex)
+    return res.assignment, res.seed_used, res.passes_run, res.gain_updates, res.cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(restart_instances())
+@example((build_hypergraph(generate("ghz", 40)), PartitionConfig(blocks=4)))
+# restart 0 meets the floor at loads 2 and 4, restart 2 at 3 and 3
+@example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, epsilon=0.2)))
+@example((Hypergraph([Vertex(i) for i in range(6)], []),
+          PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
+def test_restart_cutoff_is_exact(instance):
+    # stopping at the floor returns what running every restart returns
+    h, cfg = instance
+    got = outcome(h, cfg)
+    with mock.patch("qpart.fm._restart_driver", every_restart):
+        assert got == outcome(h, cfg)
+
+
+def test_restart_cutoff_fires_at_the_floor(monkeypatch):
+    # the first deal of a ghz chain reaches 2 ebits, which no later restart
+    # can beat; qft never meets the floor, so every restart runs
+    resets = []
+    reset = _Engine.reset
+    monkeypatch.setattr(_Engine, "reset", lambda eng, a: resets.append(1) or reset(eng, a))
+    c = generate("ghz", 300)
+    res = partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
+    assert (len(resets), res.seed_used, res.cut.ebits) == (1, 5, 2)
+    resets.clear()
+    c = generate("qft", 16)
+    partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
+    assert len(resets) == 8
 
 
 # -- the gain-cache pass against a brute-force rescan ----------------------
