@@ -8,12 +8,20 @@ against the mean random ebits over that range, always on the same
 hypergraph the method itself was partitioned on.  A (circuit, k)'s Random
 rows are scored in one batch from the same seeded deals that
 ``fm.random_baseline`` prices, with each row's cut and per-block ledger
-equal to what ``partition`` and ``plan_distribution`` give for its seed; a
-Random row's ``runtime_ms`` is the batch time divided by the seed count.
+equal to what ``partition`` and ``plan_distribution`` give for its seed.
 FMGrouped's baseline is on the grouped hypergraph, which has no Random
 rows of its own, so it is scored with ``fm.random_baseline`` (ebits only).
 A row carries its figures, not its plan: build one with ``partition`` and
 ``plan_distribution`` for the row's seed and mode.
+
+A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
+into blocks (``fm._deals``: k, the capacities and the weights), each
+written once.  Qubit q is vertex q of both hypergraphs, so a suite
+shuffles each seed of its range once per circuit and deals that one draw,
+a seeds x width matrix of the smallest unsigned dtype, for the Random rows
+and the grouped baseline at every k.  A Random row's ``runtime_ms`` is its
+k's batch time plus the whole draw's time, divided by the seed count: each
+k's rows carry the draw as if that k had made it alone.
 
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
@@ -29,8 +37,8 @@ from pathlib import Path
 
 from .circuit import Circuit, parse_qasm
 from .distribution import _plan_ledger, plan_distribution
-from .fm import (Mode, PartitionConfig, _cut_rows, _deals, _snapper, partition,
-                 random_baseline, resolve_capacities)
+from .fm import (Mode, PartitionConfig, _cut_rows, _deals, _shuffles, _snapper,
+                 partition, random_baseline, resolve_capacities)
 from .generators import CircuitFamily, generate
 from .grouping import find_groups
 from .hypergraph import Hypergraph, build_hypergraph
@@ -162,25 +170,28 @@ def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
 
 
 def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
-                 config: PartitionConfig, caps: list[int], seeds) -> list[BenchRow]:
+                 config: PartitionConfig, caps: list[int], seeds,
+                 draw=None, draw_ms: float = 0.0) -> list[BenchRow]:
     """One Random row per seed, scored in one batch: the seeded deals of
     ``fm._deals`` snapped by ``fm._snapper``, their cut from ``fm._cut_rows``
-    and their o and e from ``distribution._plan_ledger``.  Each row equals
-    what ``_one_run`` makes for its seed, except that ``runtime_ms`` is the
-    batch time over the seed count.
+    and their o and e from ``distribution._plan_ledger``.  ``draw`` is the
+    seeds' ``fm._shuffles`` when the caller already made it, in
+    ``draw_ms``.  Each row equals what ``_one_run`` makes for its seed,
+    except that ``runtime_ms`` is the batch time, draw included, over the
+    seed count.
     """
     t0 = time.perf_counter()
     ledger = _plan_ledger(circuit, h, config.blocks, groups)
     snap = _snapper(h)
     scored = []
-    for chunk, assign in _deals(h, config, seeds):
+    for chunk, assign in _deals(h, config, seeds, draw):
         snap(assign)
         cut_edges, ebits = _cut_rows(h, assign, config.blocks)
         o, e = ledger(assign)
         used = assign.max(axis=1) + 1   # plan_distribution's block count
         scored.extend(zip(chunk, cut_edges.tolist(), ebits.tolist(), used.tolist(),
                           o.tolist(), e.tolist()))
-    ms = (time.perf_counter() - t0) * 1000.0 / len(scored)
+    ms = ((time.perf_counter() - t0) * 1000.0 + draw_ms) / len(scored)
     return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
                      depth=circuit.depth, method="Random", k=config.blocks,
                      capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
@@ -209,6 +220,13 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
         h_plain = build_hypergraph(circuit)
         groups = find_groups(circuit) if "FMGrouped" in spec.methods else None
         h_grouped = build_hypergraph(circuit, groups) if groups is not None else None
+        seeds = range(spec.seed_from, spec.seed_to)
+        draw, draw_ms = None, 0.0
+        if "Random" in spec.methods:
+            # qubit q is vertex q of both hypergraphs, so one draw deals both at every k
+            t0 = time.perf_counter()
+            draw = list(_shuffles(circuit.width, seeds))
+            draw_ms = (time.perf_counter() - t0) * 1000.0
 
         for ki, k in enumerate(spec.parts):
             caps_in = spec.capacities[ki] if spec.capacities is not None else None
@@ -226,7 +244,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
             if "Random" in spec.methods:
                 random_rows = _random_rows(job, circuit, h_plain, None,
                                            config(Mode.RANDOM, spec.seed_from, 1), caps,
-                                           range(spec.seed_from, spec.seed_to))
+                                           seeds, draw, draw_ms)
                 rows.extend(random_rows)
                 summary["random_mean_ebits"] = \
                     sum(r.ebits for r in random_rows) / len(random_rows)
@@ -248,7 +266,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                 if "Random" in spec.methods:
                     # baseline on the same (grouped) hypergraph the method saw
                     vals = random_baseline(h_grouped, config(Mode.RANDOM, spec.seed_from, 1),
-                                           range(spec.seed_from, spec.seed_to))
+                                           seeds, draw)
                     base = sum(vals) / len(vals)
                     if base:
                         summary["fm_grouped_improvement_pct"] = \

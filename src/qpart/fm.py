@@ -11,6 +11,12 @@ later splits of an already cut edge are charged exactly as the global
 metric charges them.  The deal and the snap are each written once, over
 a seeds x vertices block matrix (``_deals``, ``_snapper``): a restart,
 ``Mode.RANDOM`` and ``random_baseline`` all deal and snap through them.
+A deal has two halves.  The shuffle (``_shuffles``) depends only on the
+seed and the qubit vertex count, so one draw can serve many hypergraphs
+and block counts, as a bench suite's does per circuit; the deal turns it
+into blocks from the capacities, k, the weights and the anchors, handing
+the heaviest qubit vertices out first.  Callers without a draw shuffle
+chunk by chunk, so their memory stays flat in the seed count.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -432,26 +438,25 @@ def _qubit_weight(h: Hypergraph) -> int:
 # --------------------------------------------------------------------------
 # initial and random partitions
 
-def _deal_blocks(caps: list[int], n_qubits: int, k: int) -> list[int]:
-    """Block of the pos-th dealt qubit vertex, for pos in range(n_qubits).
+def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
+    """Block of the pos-th dealt qubit vertex, whose weight is weights[pos].
 
-    The first k go to blocks 0..k-1 so no block starts empty; each later
-    one goes to the block with the most remaining capacity (lowest id on
-    ties).  The sequence does not depend on the shuffle, so one deal
-    serves every seed.  Raises InfeasibleError when a block it picks is
-    already full.
+    Position pos < k goes to block pos when it fits there, so no block
+    starts empty; every other vertex goes to the block with the most
+    remaining capacity (lowest id on ties) and spends its weight there,
+    even when it fits nowhere: ``partition`` then reports that block over
+    its capacity.  With every weight 1 each vertex fits, and the sequence
+    is that of one capacity unit per vertex.
     """
     remaining = list(caps)
     blocks = []
-    for pos in range(n_qubits):
-        if pos < k:
+    for pos, w in enumerate(weights):
+        if pos < k and remaining[pos] >= w:
             b = pos
         else:
             b = max(range(k), key=lambda i: (remaining[i], -i))
-        if remaining[b] < 1:
-            raise InfeasibleError("capacities exhausted during the deal")
         blocks.append(b)
-        remaining[b] -= 1
+        remaining[b] -= w
     return blocks
 
 
@@ -470,22 +475,49 @@ def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
 _BASELINE_CHUNK = 128  # seeds dealt together; bounds the working set
 
 
-def _deals(h: Hypergraph, config: PartitionConfig, seeds):
+def _shuffles(n: int, seeds):
+    """The seeded shuffle of n qubit-vertex positions for each seed, in
+    chunks of ``_BASELINE_CHUNK`` seeds.
+
+    Returns an iterator of (chunk seeds, seeds x n position matrix in the
+    smallest unsigned dtype); row i is ``range(n)`` shuffled by
+    ``random.Random(seed)``.  It depends on nothing but the seeds and n, so
+    one draw serves every hypergraph with n qubit vertices and every k.
+    """
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    it = iter(seeds)
+    while chunk := list(itertools.islice(it, _BASELINE_CHUNK)):
+        perms = []
+        for seed in chunk:
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            perms.append(order)
+        yield chunk, np.array(perms, dtype=dtype).reshape(len(chunk), n)
+
+
+def _deals(h: Hypergraph, config: PartitionConfig, seeds, draw=None):
     """The seeded deal of each seed, in chunks of ``_BASELINE_CHUNK`` seeds.
 
     Returns an iterator of (chunk seeds, seeds x vertices block matrix).
-    Each seed shuffles the qubit vertices with ``random.Random(seed)`` and
-    hands them out in the order of ``_deal_blocks``, the same for every
-    seed.  Each weight-0 vertex then copies the block of its anchor
-    (vertex 0 without one), in vertex order, so an anchor that is a later
-    weight-0 vertex still reads 0.  Raises InfeasibleError as
-    ``_deal_blocks`` does, before the first chunk.
+    ``draw`` is ``_shuffles`` of the qubit vertex count for ``seeds`` when
+    the caller already holds it; otherwise the seeds are shuffled chunk by
+    chunk, so memory stays flat in the seed count.  Each seed's shuffled
+    qubit vertices, heaviest first and in shuffle order within a weight,
+    are handed out in the order of ``_deal_blocks``: the weights in that
+    order are the same for every seed, and so is the block sequence.  Each
+    weight-0 vertex then copies the block of its anchor (vertex 0 without
+    one), in vertex order, so an anchor that is a later weight-0 vertex
+    still reads 0.  Raises InfeasibleError as ``resolve_capacities`` does,
+    before the first chunk.
     """
     k = config.blocks
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
-    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
+    qubits = [v for v in h.vertices if v.is_qubit]
+    weights = np.array([v.weight for v in qubits], dtype=np.int64)
+    caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
-    deal = np.array(_deal_blocks(caps, len(qubit_vs), k), dtype=dtype)
+    deal = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
+                    dtype=dtype)
+    qubit_vs = np.array([v.id for v in qubits], dtype=np.intp)
     # column each weight-0 vertex copies; a later weight-0 column is still 0
     src = list(range(h.n_vertices()))
     for v in h.vertices:
@@ -493,18 +525,16 @@ def _deals(h: Hypergraph, config: PartitionConfig, seeds):
             src[v.id] = src[v.anchor if v.anchor is not None else 0]
     free = [v.id for v in h.vertices if not v.is_qubit]
     free_src = [src[v] for v in free]
+    if draw is None:
+        draw = _shuffles(len(qubits), seeds)
 
     def chunks():
-        it = iter(seeds)
-        while chunk := list(itertools.islice(it, _BASELINE_CHUNK)):
-            perms = []
-            for seed in chunk:
-                order = list(qubit_vs)
-                random.Random(seed).shuffle(order)
-                perms.append(order)
+        for chunk, perms in draw:
+            # heaviest first; the stable sort keeps the shuffle within a weight
+            perms = np.take_along_axis(
+                perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
             assign = np.zeros((len(chunk), h.n_vertices()), dtype=dtype)
-            rows = np.arange(len(chunk))[:, None]
-            assign[rows, np.array(perms, dtype=np.intp)] = deal
+            assign[np.arange(len(chunk))[:, None], qubit_vs[perms]] = deal
             assign[:, free] = assign[:, free_src]
             yield chunk, assign
 
@@ -559,16 +589,17 @@ def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np
     return (extra > 0).sum(axis=1), 2 * (extra @ weights)
 
 
-def random_baseline(h: Hypergraph, config: PartitionConfig, seeds) -> list[int]:
+def random_baseline(h: Hypergraph, config: PartitionConfig, seeds, draw=None) -> list[int]:
     """Ebits of the random deal for each seed, in order.
 
     Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
     one restart and ``Mode.RANDOM``, without building a PartitionResult:
-    the deals come from ``_deals``, are snapped by ``_snapper`` and priced
-    by ``_cut_rows``.  Memory does not grow with the number of seeds.
-    Raises InfeasibleError as the deal does.
+    the deals come from ``_deals`` (from ``draw`` when given), are snapped
+    by ``_snapper`` and priced by ``_cut_rows``.  Without a draw, memory
+    does not grow with the number of seeds.  Raises InfeasibleError as the
+    deal does.
     """
-    deals = _deals(h, config, seeds)
+    deals = _deals(h, config, seeds, draw)
     if not h.edges:
         return [0 for _ in seeds]
     snap = _snapper(h)
@@ -709,8 +740,8 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
 
     Raises InfeasibleError when the capacities cannot host the qubits, or
     when a block of the result holds more than ceil((1+epsilon)*cap): the
-    deal spends one capacity unit per qubit vertex, so hypergraph input
-    with vertex weights above 1 can leave a block over capacity.
+    deal puts a hypergraph vertex that fits in no block into the one with
+    the most room left, and FM keeps only prefixes within every bound.
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]

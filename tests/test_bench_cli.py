@@ -2,7 +2,10 @@
 
 import io
 import json
+import random
 import re
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qpart import (CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, build_hypergraph, find_groups,
                    make_circuit, partition, plan_distribution, resolve_capacities)
+from qpart import fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
                          _random_rows, format_summary, load_suite, run_suite,
                          write_csv)
@@ -144,6 +148,25 @@ def test_run_suite_edgeless_circuit(tmp_path):
     assert s["random_mean_ebits"] == 0
     assert s["fm_improvement_pct"] is None       # no baseline to improve on
     assert s["fm_grouped_improvement_pct"] is None
+
+
+def test_run_suite_shuffles_each_seed_once_per_circuit(monkeypatch):
+    # restarts=1 and direct k-way: each FM method deals seed_from once per k
+    drawn = Counter()
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            drawn[seed] += 1
+            super().__init__(seed)
+
+    monkeypatch.setattr(fm, "random", SimpleNamespace(Random=Counting))
+    spec = small_spec(circuits=(CircuitJob.parse("ghz:6"), CircuitJob.parse("qft:5")),
+                      parts=(2, 3), seed_from=10, seed_to=150, restarts=1,
+                      mode=Mode.DIRECT_KWAY)
+    run_suite(spec)
+    want = Counter({seed: len(spec.circuits) for seed in range(10, 150)})
+    want[10] += len(spec.circuits) * 2 * 2    # one restart deal per (FM method, k)
+    assert drawn == want
 
 
 def test_csv_shape():
@@ -381,6 +404,19 @@ def test_cli_partition_hmetis_over_capacity_exit2(tmp_path, capsys):
         assert main(["partition", str(path), "--parts", "2", "--method", method]) == 2
         err = capsys.readouterr().err
         assert re.search(r"block \d has load \d+, over its capacity 4", err), err
+
+
+def test_cli_partition_hmetis_weighted_deal_fits(tmp_path, capsys):
+    # only {1,3} / {2} fits 10,4; the deal must place both weight-5 vertices
+    # first, since FM may not move a block's last qubit vertex
+    path = tmp_path / "weighted.hmetis"
+    path.write_text("3 3 10\n1 3 2\n2 1\n3 2\n5\n1\n5\n")
+    for method in ("fm", "kway", "random"):
+        assert main(["partition", str(path), "--parts", "2", "--capacities", "10,4",
+                     "--method", method, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert [b["data"] for b in rep["blocks"]] == [10, 1]
+        assert rep["ebits"] == 6
 
 
 def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):

@@ -659,6 +659,29 @@ def test_kway_gain_updates_scale_linearly():
     assert abs(slope - 1.0) <= 0.15, (slope, pins, updates)
 
 
+# -- the deal ----------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, 5), min_size=k, max_size=9),
+    st.lists(st.integers(1, 12), min_size=k, max_size=k), st.integers(0, 10_000))))
+def test_deal_hands_out_heaviest_first(instance):
+    # the shuffle, heaviest first, then block pos for the first k positions
+    # when the vertex fits there and the roomiest block otherwise
+    k, weights, caps, seed = instance
+    assume(sum(caps) >= sum(weights))
+    h = Hypergraph([Vertex(i, weight=w) for i, w in enumerate(weights)], [])
+    order = list(range(len(weights)))
+    random.Random(seed).shuffle(order)
+    order.sort(key=lambda v: -weights[v])
+    remaining, want = list(caps), [0] * len(weights)
+    for pos, v in enumerate(order):
+        fits = pos < k and remaining[pos] >= weights[v]
+        want[v] = pos if fits else max(range(k), key=lambda b: (remaining[b], -b))
+        remaining[want[v]] -= weights[v]
+    assert deal(h, PartitionConfig(blocks=k, capacities=tuple(caps), seed=seed)) == want
+
+
 # -- the vectorised random baseline against one random partition per seed --
 
 @st.composite
