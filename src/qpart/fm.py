@@ -21,10 +21,13 @@ chunk by chunk, so their memory stays flat in the seed count.
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
 whose pin count in the source or target block crosses 0, 1 or 2, so a
-pass does work linear in the pins it touches.  Each cache write pushes
-the new gain on a lazy max-heap per (vertex kind, target); every move
-takes the highest gain, then the lowest vertex id, then the lowest
-target, with rollback to the best feasible prefix.  Balance is
+pass does work linear in the pins it touches.  Each cache write of a
+real gain g pushes one int, ``(top - g) * n + v``, on a lazy min-heap
+per (vertex kind, target).  ``top`` is the sum of the edge weights: a
+move changes each of v's edges' cost by at most its weight, so every
+real gain lies in [-top, top] and the smallest entry is the highest
+gain, then the lowest vertex id.  Every move takes that, then the
+lowest target, with rollback to the best feasible prefix.  Balance is
 capacity-driven: block loads count qubit vertices only, and a move may
 overfill the target by at most one unit while the pass explores;
 returned prefixes always satisfy the strict bound, so without that
@@ -164,10 +167,14 @@ class _Engine:
         self.ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         self.inc = h.incidence
-        # edge weights are non-negative, so no real gain lies below floor
-        self.floor = -sum(self.ew)
-        self.mask = 1 - 2 * self.floor
-        self.dead = 2 * self.floor - 2 * self.mask
+        self.qubits = [v.id for v in h.vertices if v.is_qubit]
+        self.free = [v.id for v in h.vertices if not v.is_qubit]
+        # edge weights are non-negative, so every real gain lies in
+        # [-top, top]; a masked or dead entry lies below -top
+        self.top = sum(self.ew)
+        self.mask = 1 + 2 * self.top
+        self.dead = -2 * self.top - 2 * self.mask
+        self.others = [[t for t in range(blocks) if t != b] for b in range(blocks)]
         # a move's gain before crediting the edges it leaves or already
         # touches in the target: minus v's weighted degree
         self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
@@ -202,19 +209,6 @@ class _Engine:
     def overloaded(self) -> int:
         return sum(1 for b in range(self.k) if self.load[b] > self.bounds[b])
 
-    def apply(self, v: int, target: int) -> None:
-        src = self.assign[v]
-        for e in self.inc[v]:
-            self.phi[e][src] -= 1
-            self.phi[e][target] += 1
-        self.assign[v] = target
-        w = self.vw[v]
-        self.load[src] -= w
-        self.load[target] += w
-        if w > 0:
-            self.count[src] -= 1
-            self.count[target] += 1
-
 
 def _pieces(n: int, pins: list[list[int]]) -> int:
     """Connected components of n vertices joined by the edges' pins."""
@@ -243,18 +237,28 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     """One FM pass over every block; mutates eng.assign, returns True when
     the best prefix strictly improved the cost.
 
-    ``gains[t][v]`` caches the gain of moving v to block t.  It is built in
-    one sweep over the cut edges, which also sums the start cost: v's gain
-    is ``away[v]`` plus the weight of its edges where v is the only pin of
-    its block, plus the weight of its edges that already touch t.  Entries
-    that may not move sit below every real gain: a vertex's own block and
-    locked vertices hold ``dead``, and the lone qubit vertex of a block
-    carries a ``-mask`` offset that delta updates leave exact.  Each cache
-    write pushes a real gain as ``(-gain, v)`` on a lazy heap per (kind,
-    target), with one set of k heaps for qubit vertices and one for
-    weight-0 vertices; selection pops the entries the cache no longer
-    holds.  Each move takes the highest gain over the feasible heaps, then
-    the lowest vertex id, then the lowest target.
+    ``gains[t][v]`` caches the gain of moving v to block t: ``away[v]``,
+    plus the weight of v's edges where v is the only pin of its block,
+    plus the weight of v's edges that already touch t.  One sweep over the
+    cut edges builds it and sums the start cost: each cut edge adds its
+    weight to its pins once, in a column shared by every target, and
+    subtracts it again from the blocks it misses, which at k=2 are none.
+    Entries that may not move sit below every real gain: a vertex's own
+    block and locked vertices hold ``dead``, and the lone qubit vertex of a
+    block carries a ``-mask`` offset that delta updates leave exact.
+
+    Each cache write of a real gain g pushes the one int ``(top - g) * n +
+    v`` on a lazy min-heap per (kind, target), with one set of k heaps for
+    qubit vertices and one for weight-0 vertices.  ``top`` is the sum of
+    the edge weights.  A move changes the cost of each of v's edges by at
+    most that edge's weight, so a real gain g lies in [-top, top], ``top -
+    g`` in [0, 2 * top], and the smallest entry is the highest gain, then
+    the lowest vertex id.  A masked gain is at most top - mask = -top - 1
+    and a dead one stays below it, so neither passes the push's ``g >=
+    -top`` test: masked entries never enter a heap, and every entry
+    decodes to a real gain.  Selection pops an entry once the key
+    recomputed from the cache no longer equals it, and takes the smallest
+    entry over the feasible heaps, then the lowest target.
 
     Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
     and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
@@ -265,14 +269,16 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     before the first move when the start cost is already that low.  Only
     strictly better feasible prefixes are kept, so the prefix, the
     assignment and the result match a pass run until no vertex may move.
+    The moves past the best prefix are then undone in reverse.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
-    load, count, bounds = eng.load, eng.count, eng.bounds
-    floor, mask, dead = eng.floor, eng.mask, eng.dead
+    load, count, bounds, others = eng.load, eng.count, eng.bounds, eng.others
+    top, mask, dead = eng.top, eng.mask, eng.dead
+    floor = -top
     n = len(vw)
-    own = list(eng.away)  # away plus the edges v alone holds in its block
-    touch = [[0] * n for _ in range(k)]
+    base = list(eng.away)  # plus every cut edge of v and those v alone holds
+    partial = []           # cut edges that miss some block
     start_cost = 0
     for e, row in enumerate(phi):
         spanned = k - row.count(0)
@@ -280,39 +286,38 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
             continue  # an uncut edge only touches its pins' own block
         w = ew[e]
         start_cost += w * (spanned - 1)
-        edge_pins = pins[e]
+        alone = w + w
+        for u in pins[e]:
+            base[u] += alone if row[assign[u]] == 1 else w
+        if spanned < k:
+            partial.append(e)
+    gains = [list(base) for _ in range(k)]
+    for e in partial:
+        w, row = ew[e], phi[e]
         for t in range(k):
-            if row[t]:
-                col = touch[t]
-                for u in edge_pins:
-                    col[u] += w
-        for u in edge_pins:
-            if row[assign[u]] == 1:
-                own[u] += w
-    gains = [[g + o for g, o in zip(col, own)] for col in touch]
+            if not row[t]:
+                col = gains[t]
+                for u in pins[e]:
+                    col[u] -= w
     members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
+    for v in eng.qubits:
+        members[assign[v]].add(v)
     for v in range(n):
-        src = assign[v]
-        gains[src][v] = dead
-        if vw[v] > 0:
-            members[src].add(v)
+        gains[assign[v]][v] = dead
     updates = n * (k - 1)
     qheaps, zheaps = (
-        [[(-col[v], v) for v in range(n) if (vw[v] > 0) == qubit and col[v] >= floor]
-         for col in gains]
-        for qubit in (True, False))
+        [[(top - g) * n + v for v in vs if (g := col[v]) >= floor] for col in gains]
+        for vs in (eng.qubits, eng.free))
     for hp in qheaps + zheaps:
         heapify(hp)
     heap_of = [qheaps if w > 0 else zheaps for w in vw]
 
     def shift(u: int, delta: int) -> None:
-        src = assign[u]
-        for t in range(k):
-            if t != src:
-                g = gains[t][u] + delta
-                gains[t][u] = g
-                if g >= floor:
-                    heappush(heap_of[u][t], (-g, u))
+        for t in others[assign[u]]:
+            g = gains[t][u] + delta
+            gains[t][u] = g
+            if g >= floor:
+                heappush(heap_of[u][t], (top - g) * n + u)
 
     # a block's lone qubit vertex is masked exactly while it is unlocked
     for b in range(k):
@@ -330,22 +335,24 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     cur = best_cost = start_cost
     best_prefix = 0
     over = eng.overloaded()
-    moves: list[tuple[int, int, int]] = []
+    limit = (2 * top + 1) * n  # above every entry
+    moves: list[tuple[int, int]] = []
 
     while locked_cost < best_cost and least < best_cost:
-        best_g, v, target = floor - 1, n, -1
+        best, target = limit, -1
         for t in range(k):
             col = gains[t]
             for hp in (qheaps[t], zheaps[t]) if load[t] <= bounds[t] else (zheaps[t],):
-                while hp and col[hp[0][1]] != -hp[0][0]:
+                while hp:
+                    x = hp[0]
+                    if col[x % n] == top - x // n:
+                        if x < best:
+                            best, target = x, t
+                        break
                     heappop(hp)
-                if hp:
-                    g, u = hp[0]
-                    g = -g
-                    if g > best_g or (g == best_g and u < v):
-                        best_g, v, target = g, u, t
         if target < 0:
             break
+        best_g, v = top - best // n, best % n
         src = assign[v]
         for t in range(k):
             gains[t][v] = dead
@@ -367,7 +374,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                         g = col[u] + w
                         col[u] = g
                         if g >= floor:
-                            heappush(heap_of[u][target], (-g, u))
+                            heappush(heap_of[u][target], (top - g) * n + u)
                         updates += 1
             elif row[target] == 1:
                 for u in pins[e]:
@@ -385,7 +392,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                         g = col[u] - w
                         col[u] = g
                         if g >= floor:
-                            heappush(heap_of[u][src], (-g, u))
+                            heappush(heap_of[u][src], (top - g) * n + u)
                         updates += 1
             elif row[src] == 1:
                 for u in pins[e]:
@@ -417,17 +424,27 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
             members[target].add(v)
 
         cur -= best_g
-        moves.append((v, src, target))
-        if stats:
-            stats.moves += 1
+        moves.append((v, src))
         if over == 0 and cur < best_cost:
             best_cost = cur
             best_prefix = len(moves)
 
     if stats:
+        stats.moves += len(moves)
         stats.gain_updates += updates
-    for v, src, target in reversed(moves[best_prefix:]):
-        eng.apply(v, src)
+    for v, src in reversed(moves[best_prefix:]):
+        target = assign[v]
+        for e in inc[v]:
+            row = phi[e]
+            row[target] -= 1
+            row[src] += 1
+        assign[v] = src
+        w = vw[v]
+        load[target] -= w
+        load[src] += w
+        if w > 0:
+            count[target] -= 1
+            count[src] += 1
     return best_cost < start_cost
 
 
@@ -714,7 +731,8 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
                 assignment[g] = block_ids[0]
             return
         left, right = split_blocks(block_ids)
-        sub_h = restrict(vertex_ids)
+        # the top split keeps every vertex and every edge: it runs on h
+        sub_h = h if len(vertex_ids) == h.n_vertices() else restrict(vertex_ids)
         weight_here = _qubit_weight(sub_h)
         bounds = [min(sum(math.ceil((1 + config.epsilon) * caps[b]) for b in side),
                       weight_here - len(other))

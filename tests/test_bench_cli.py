@@ -325,6 +325,27 @@ def test_cli_partition_random_has_no_improvement(capsys):
     assert "improvement_pct" not in rep
 
 
+@pytest.mark.parametrize("caps", ["5,1,1", "1,1,5"])
+def test_cli_partition_reports_and_emits_every_qpu(caps, tmp_path, capsys):
+    # both plans leave one QPU empty, 5,1,1 its last one; it is still a QPU
+    out = tmp_path / "emit"
+    assert main(["partition", "ghz:4", "--parts", "3", "--capacities", caps,
+                 "--json", "--emit", str(out)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["k"] == len(rep["blocks"]) == 3
+    assert sorted(b["data"] for b in rep["blocks"]) == [0, 1, 3]
+    assert sorted(p.name for p in out.iterdir()) == [f"ghz4_block{b}.qasm" for b in range(3)]
+
+
+def test_cli_random_with_more_parts_than_qubits(capsys):
+    # an equal split of 2 qubits over 3 QPUs gives the last a share of 0
+    assert main(["partition", "ghz:2", "--parts", "3", "--method", "random", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [b["data"] for b in rep["blocks"]] == [1, 1, 0]
+    assert main(["partition", "ghz:2", "--parts", "3", "--method", "random"]) == 0
+    assert "block 2: data=0 o=0 e=0 r=-" in capsys.readouterr().out
+
+
 def test_cli_infeasible_capacities_exit2(capsys):
     assert main(["partition", "ghz:4", "--parts", "2",
                  "--capacities", "1,1"]) == 2

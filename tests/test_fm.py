@@ -526,6 +526,21 @@ def _rescan_best_target(eng, v):
     return best
 
 
+def _apply(eng, v, target):
+    """Move v to target in the engine's pin counts, loads and counts."""
+    src = eng.assign[v]
+    for e in eng.inc[v]:
+        eng.phi[e][src] -= 1
+        eng.phi[e][target] += 1
+    eng.assign[v] = target
+    w = eng.vw[v]
+    eng.load[src] -= w
+    eng.load[target] += w
+    if w > 0:
+        eng.count[src] -= 1
+        eng.count[target] += 1
+
+
 def _rescan_pass(eng, stats, cutoff=False):
     """Reference pass: rescans every unlocked vertex x target per move.
 
@@ -553,7 +568,7 @@ def _rescan_pass(eng, stats, cutoff=False):
             break
         (g, _), v, target = chosen
         src = eng.assign[v]
-        eng.apply(v, target)
+        _apply(eng, v, target)
         locked[v] = True
         cur -= g
         moves.append((v, src, target))
@@ -562,7 +577,7 @@ def _rescan_pass(eng, stats, cutoff=False):
             best_cost = cur
             best_prefix = len(moves)
     for v, src, target in reversed(moves[best_prefix:]):
-        eng.apply(v, src)
+        _apply(eng, v, src)
     return best_cost < start_cost
 
 
