@@ -23,7 +23,7 @@ for ch in plan.channels:
 print("per block:")
 for b in plan.per_block:
     r = "-" if b.r is None else f"{b.r:.3f}"
-    print(f"  QPU {b.block}: data={b.data} ops={b.o} comm={b.e} r={r}")
+    print(f"  QPU {b.block}: data={b.data} ops={b.o} e={b.e} r={r}")
 print("total ebits:", plan.ebits)
 
 for i, text in enumerate(emit_subcircuits(qft, plan)):

@@ -19,9 +19,8 @@ from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
                  partition, resolve_capacities)
 from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
                      equivalent, simulate)
-from .distribution import (Channel, CommModel, DistributionPlan,
-                           QpuEnvironment, QpuPlan, emit_subcircuits,
-                           feasibility_check, plan_distribution)
+from .distribution import (Channel, DistributionPlan, QpuPlan,
+                           emit_subcircuits, plan_distribution)
 from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
                     format_summary, load_suite, run_suite, write_csv)
 
@@ -40,8 +39,8 @@ __all__ = [
     "partition", "resolve_capacities",
     "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
     "equivalent", "simulate",
-    "Channel", "CommModel", "DistributionPlan", "QpuEnvironment", "QpuPlan",
-    "emit_subcircuits", "feasibility_check", "plan_distribution",
+    "Channel", "DistributionPlan", "QpuPlan",
+    "emit_subcircuits", "plan_distribution",
     "CSV_COLUMNS", "METHODS", "BenchRow", "CircuitJob", "SuiteSpec",
     "format_summary", "load_suite", "run_suite", "write_csv",
     "__version__",

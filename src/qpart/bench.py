@@ -46,6 +46,24 @@ from .hypergraph import Hypergraph, build_hypergraph
 METHODS = ("Random", "FM", "FMGrouped")
 
 
+def _typed(field: str, value, kind, what: str):
+    """``value`` if it is a ``kind`` (a bool counts as no number), else a
+    ValueError naming the suite ``field``."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"suite field {field!r} must be {what}, not {value!r}")
+
+
+def _member(field: str, value, enum):
+    """The ``enum`` member whose value is ``value``, else a ValueError
+    naming the suite ``field``."""
+    for m in enum:
+        if m.value == value:
+            return m
+    raise ValueError(f"suite field {field!r} must be one of "
+                     f"{', '.join(m.value for m in enum)}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class CircuitJob:
     """One circuit to benchmark: a generated family or a QASM file."""
@@ -58,15 +76,20 @@ class CircuitJob:
 
     @classmethod
     def parse(cls, entry) -> "CircuitJob":
-        """Accepts {"family","n","seed"?}, {"file"}, "family:n[:seed]", or a path."""
+        """Accepts {"family","n","seed"?}, {"file"}, "family:n[:seed]", or a
+        path; any other entry is a ValueError naming the bad field."""
         if isinstance(entry, dict):
             if "file" in entry:
-                return cls(label=Path(entry["file"]).stem, path=entry["file"])
-            fam = CircuitFamily(entry["family"])
-            n = int(entry["n"])
-            seed = int(entry.get("seed", 0))
+                path = _typed("file", entry["file"], str, "a path")
+                return cls(label=Path(path).stem, path=path)
+            if "family" not in entry or "n" not in entry:
+                raise ValueError(f"circuit {entry!r} needs a 'file', or a 'family' and an 'n'")
+            fam = _member("family", entry["family"], CircuitFamily)
+            n = _typed("n", entry["n"], int, "an integer")
+            seed = _typed("seed", entry.get("seed", 0), int, "an integer")
             return cls(label=f"{fam.value}{n}", family=fam, n=n, gen_seed=seed)
-        text = str(entry)
+        text = _typed("circuits", entry, str,
+                      "a list of 'family:n[:seed]' strings, paths or objects")
         head = text.split(":", 1)[0]
         if ":" in text and head in {f.value for f in CircuitFamily}:
             parts = text.split(":")
@@ -102,27 +125,41 @@ class SuiteSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if any(k < 2 for k in self.parts):
+            raise ValueError(f"parts {list(self.parts)}: every k must be at least 2")
         if self.capacities is not None and len(self.capacities) != len(self.parts):
             raise ValueError("capacities must align with parts, one profile per k")
         if self.seed_to <= self.seed_from:
             raise ValueError("empty seed range")
 
     @classmethod
-    def from_json(cls, data: dict) -> "SuiteSpec":
-        seeds = data.get("seeds", {})
-        caps = data.get("capacities")
+    def from_json(cls, data) -> "SuiteSpec":
+        """The spec a suite file's JSON describes; a missing ``circuits`` or
+        a field of the wrong shape is a ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a suite must be a JSON object, not {data!r}")
+
+        def ints(field, value, what="a list of integers"):
+            return tuple(_typed(field, x, int, what) for x in _typed(field, value, list, what))
+
+        circuits = _typed("circuits", data.get("circuits"), list, "a list")
+        seeds = _typed("seeds", data.get("seeds", {}), dict, "an object")
+        per_k = "a list with one integer list or null per k"
+        caps = _typed("capacities", data.get("capacities"), (list, type(None)), per_k)
         if caps is not None:
-            caps = tuple(tuple(c) if c is not None else None for c in caps)
+            caps = tuple(None if c is None else ints("capacities", c, per_k) for c in caps)
         return cls(
-            circuits=tuple(CircuitJob.parse(c) for c in data["circuits"]),
-            methods=tuple(data.get("methods", METHODS)),
-            parts=tuple(data.get("parts", (2,))),
+            circuits=tuple(CircuitJob.parse(c) for c in circuits),
+            methods=tuple(_typed("methods", data.get("methods", list(METHODS)), list,
+                                 "a list of method names")),
+            parts=ints("parts", data.get("parts", [2])),
             capacities=caps,
-            seed_from=int(seeds.get("from", 0)),
-            seed_to=int(seeds.get("to", 1000)),
-            epsilon=float(data.get("epsilon", 0.0)),
-            restarts=int(data.get("restarts", 8)),
-            mode=Mode(data.get("mode", "fm")),
+            seed_from=_typed("seeds", seeds.get("from", 0), int, "integer 'from' and 'to'"),
+            seed_to=_typed("seeds", seeds.get("to", 1000), int, "integer 'from' and 'to'"),
+            epsilon=float(_typed("epsilon", data.get("epsilon", 0.0), (int, float),
+                                 "a number")),
+            restarts=_typed("restarts", data.get("restarts", 8), int, "an integer"),
+            mode=_member("mode", data.get("mode", "fm"), Mode),
         )
 
 

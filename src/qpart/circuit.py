@@ -444,10 +444,10 @@ def _cregs(circuit: Circuit) -> tuple[tuple[str, int], ...]:
 
 
 def _preamble(circuit: Circuit, gates, cregs, opaque: tuple[str, ...] = (),
-              comm_width: int = 0) -> list[str]:
+              e: int = 0) -> list[str]:
     """Header and declarations: the ``opaque`` lines given, one opaque per
-    label that ``gates`` call, the circuit's qregs, ``ebit[comm_width]``
-    when nonzero, then ``cregs``."""
+    label that ``gates`` call, the circuit's qregs, ``ebit[e]`` when e is
+    nonzero, then ``cregs``."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', *opaque]
     arity: dict[str, int] = {}
     for g in gates:
@@ -456,8 +456,8 @@ def _preamble(circuit: Circuit, gates, cregs, opaque: tuple[str, ...] = (),
     for label, n in arity.items():
         lines.append(f"opaque {label} {','.join(chr(ord('a') + i) for i in range(n))};")
     lines += [f"qreg {reg}[{n}];" for reg, n in circuit.registers]
-    if comm_width:
-        lines.append(f"qreg ebit[{comm_width}];")
+    if e:
+        lines.append(f"qreg ebit[{e}];")
     lines += [f"creg {reg}[{n}];" for reg, n in cregs]
     return lines
 

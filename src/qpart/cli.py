@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
 from .circuit import Circuit, QasmError, parse_qasm
-from .distribution import QpuEnvironment, emit_subcircuits, plan_distribution
+from .distribution import emit_subcircuits, plan_distribution
 from .fm import (InfeasibleError, Mode, PartitionConfig, partition, random_baseline,
                  resolve_capacities)
 from .grouping import find_groups, segment_by_depth, segment_subcircuit
@@ -119,11 +119,8 @@ def _run_pipeline(circuit: Circuit, args, config: PartitionConfig):
     groups = find_groups(circuit) if args.grouping == "on" else None
     h = build_hypergraph(circuit, groups)
     result = partition(h, config)
-    # the plan reads only the QPU count; an equal split of fewer qubits
-    # than QPUs gives some QPUs a share of 0, which QpuEnvironment refuses
-    caps = resolve_capacities(config.capacities, circuit.width, config.blocks)
-    env = QpuEnvironment(config.blocks, tuple(max(c, 1) for c in caps))
-    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups, env=env)
+    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                             blocks=config.blocks)
     return result, plan, _improvement(h, config, result.cut.ebits)
 
 

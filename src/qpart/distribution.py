@@ -7,7 +7,8 @@ qubit on the remote side, the remote gates use that copy as their
 control, and a cat disentangler releases it after the last use.  A
 channel consumes one entangled pair, i.e. two ebits, one endpoint per
 side, which is exactly how the connectivity-minus-one metric prices the
-edge.
+edge.  Every endpoint gets its own communication qubit, so a QPU's
+``ebit`` register is as wide as its ebit endpoint count e.
 
 Gates are executed where their target lives (CX/CCX) or where most of
 their operands live (the diagonal CZ/CP/CCZ, ties to the last operand).
@@ -25,7 +26,6 @@ counts without building its plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,36 +33,6 @@ from .circuit import Circuit, GateKind, _cregs, _gate_line, _preamble
 from .fm import InfeasibleError
 from .grouping import GateGroup
 from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
-
-
-class CommModel(Enum):
-    """How communication qubits are provisioned per QPU.
-
-    PER_CHANNEL gives every channel endpoint its own slot.  SINGLE_LINK
-    funnels all of a QPU's traffic through one slot, which is only
-    feasible when no two channel lifetimes overlap there.
-    """
-
-    PER_CHANNEL = "per-channel"
-    SINGLE_LINK = "single-link"
-
-
-@dataclass(frozen=True)
-class QpuEnvironment:
-    """Target hardware: QPU count, data-qubit capacities, comm model."""
-
-    blocks: int
-    capacities: tuple[int, ...]
-    comm: CommModel = CommModel.PER_CHANNEL
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "capacities", tuple(self.capacities))
-        if self.blocks < 1:
-            raise ValueError("need at least one QPU")
-        if len(self.capacities) != self.blocks:
-            raise ValueError(f"{self.blocks} QPUs but {len(self.capacities)} capacities")
-        if any(c < 1 for c in self.capacities):
-            raise ValueError("QPU capacities must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,22 +53,20 @@ class Channel:
 @dataclass(frozen=True)
 class QpuPlan:
     """Per-QPU ledger: resident data qubits, executed original gates o,
-    ebit endpoints e, their ratio r = e / o (None when o is zero), and
-    the comm register width of the emitted program."""
+    ebit endpoints e (also the width of the emitted program's ``ebit``
+    register), and their ratio r = e / o (None when o is zero)."""
 
     block: int
     data: int
     o: int
     e: int
     r: float | None
-    comm_width: int
 
 
 @dataclass(frozen=True)
 class DistributionPlan:
     assignment: tuple[int, ...]
     blocks: int
-    comm: CommModel
     channels: tuple[Channel, ...]
     exec_block: tuple[int, ...]  # per gate seq; -1 for BARRIER
     per_block: tuple[QpuPlan, ...]
@@ -192,19 +160,21 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
 
 def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
                       groups: list[GateGroup] | None = None,
-                      env: QpuEnvironment | None = None) -> DistributionPlan:
+                      blocks: int | None = None) -> DistributionPlan:
     """Place every gate, open the channels remote operands need, and
     account ebits and gate counts per QPU.
 
     ``assignment`` is the vertex -> block map from the partitioner, over
     the same hypergraph ``h`` (grouped graphs need the same ``groups``).
-    Gates are placed by ``_placement``, on its one-row case.  An
-    assignment that does not cover ``h``, or that names a block outside
-    ``env.blocks``, is a ValueError naming the vertex.
+    The plan covers ``blocks`` QPUs, also those the assignment leaves
+    empty; None means the blocks up to the highest one assigned.  Gates
+    are placed by ``_placement``, on its one-row case.  An assignment
+    that does not cover ``h``, or that names a block outside ``blocks``,
+    is a ValueError naming the vertex.
     """
-    blocks = env.blocks if env is not None else max(assignment, default=0) + 1
+    if blocks is None:
+        blocks = max(assignment, default=0) + 1
     _check_assignment(h, assignment, blocks)
-    comm = env.comm if env is not None else CommModel.PER_CHANNEL
     placed, uses, place = _placement(circuit, h, groups)
     at = place(np.array([assignment], dtype=np.intp))[0].tolist()
 
@@ -229,10 +199,6 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     for c in channels:
         e[c.home] += 1
         e[c.remote] += 1
-    if comm is CommModel.PER_CHANNEL:
-        widths = list(e)
-    else:
-        widths = [1 if x else 0 for x in e]
 
     data = [0] * blocks
     for v in h.vertices:
@@ -240,11 +206,10 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
             data[assignment[v.id]] += 1
 
     per_block = tuple(QpuPlan(block=b, data=data[b], o=o[b], e=e[b],
-                              r=e[b] / o[b] if o[b] else None,
-                              comm_width=widths[b])
+                              r=e[b] / o[b] if o[b] else None)
                       for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), blocks=blocks,
-                            comm=comm, channels=channels,
+                            channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
                             cut=cut_cost(h, list(assignment), blocks),
                             ebits=2 * len(channels))
@@ -289,72 +254,19 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
     return ledger
 
 
-def feasibility_check(plan: DistributionPlan,
-                      env: QpuEnvironment | None = None) -> list[str]:
-    """Problems that stop the plan running as written; empty means go.
-
-    Checks data capacities when an environment is given, and under
-    SINGLE_LINK that no two channels occupy a QPU's one comm slot at the
-    same time.  A remote copy occupies its slot from entangle to
-    disentangle; the home half is consumed by the entangler immediately.
-    """
-    problems = []
-    if env is not None:
-        for p in plan.per_block:
-            if p.data > env.capacities[p.block]:
-                problems.append(f"block {p.block} holds {p.data} data qubits, "
-                                f"capacity {env.capacities[p.block]}")
-    if plan.comm is CommModel.SINGLE_LINK:
-        for b in range(plan.blocks):
-            spans = [(c.first_use, c.last_use, c.id) for c in plan.channels
-                     if c.remote == b]
-            points = [(c.first_use, c.id) for c in plan.channels if c.home == b]
-            for lo, hi, cid in spans:
-                for lo2, hi2, cid2 in spans:
-                    if cid < cid2 and lo <= hi2 and lo2 <= hi:
-                        problems.append(f"block {b}: channels {cid} and {cid2} "
-                                        "overlap on the single comm slot")
-                for at, cid2 in points:
-                    # entangling for cid2 happens just before gate `at`
-                    if cid != cid2 and lo < at <= hi:
-                        problems.append(f"block {b}: channel {cid2} entangles "
-                                        f"while channel {cid} holds the comm slot")
-    return problems
-
-
 # --------------------------------------------------------------------------
 # subcircuit emission
-
-def _slot_maps(plan: DistributionPlan) -> tuple[dict[int, int], dict[int, int]]:
-    """Comm slot per channel endpoint, (home map, remote map) by channel id."""
-    home, remote = {}, {}
-    if plan.comm is CommModel.SINGLE_LINK:
-        for c in plan.channels:
-            home[c.id] = 0
-            remote[c.id] = 0
-        return home, remote
-    nxt = [0] * plan.blocks
-    for c in plan.channels:  # id order; one slot per endpoint
-        home[c.id] = nxt[c.home]
-        nxt[c.home] += 1
-        remote[c.id] = nxt[c.remote]
-        nxt[c.remote] += 1
-    return home, remote
-
 
 def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     """One OpenQASM program per QPU, in block order.
 
     Programs re-declare the original registers at full size and only touch
-    the slice that lives locally, plus an ``ebit`` register for their comm
-    slots.  Channel activity is marked with ``// channel`` comments; the
-    opaque cat primitives carry the nonlocal protocol.  One sweep over the
-    gates appends each line to the body of the block it runs on.
+    the slice that lives locally, plus an ``ebit`` register of e slots,
+    one per channel endpoint, numbered on each block in channel-id order.
+    Channel activity is marked with ``// channel`` comments; the opaque cat
+    primitives carry the nonlocal protocol.  One sweep over the gates
+    appends each line to the body of the block it runs on.
     """
-    bad = [p for p in feasibility_check(plan) if "comm slot" in p]
-    if bad:
-        raise InfeasibleError("; ".join(bad))
-    home_slot, remote_slot = _slot_maps(plan)
     names = [str(q) for q in circuit.qubits()]
     block_of = plan.assignment  # a qubit's index is its vertex id
 
@@ -362,7 +274,14 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     release_at: dict[int, list] = {}
     # (carries, remote) -> its channels; their use spans never overlap
     serving: dict[tuple[int, int], list[Channel]] = {}
+    home_slot: dict[int, int] = {}  # channel id -> its ebit slot on that side
+    remote_slot: dict[int, int] = {}
+    used = [0] * plan.blocks
     for c in plan.channels:
+        home_slot[c.id] = used[c.home]
+        used[c.home] += 1
+        remote_slot[c.id] = used[c.remote]
+        used[c.remote] += 1
         entangle_at.setdefault(c.first_use, []).append(c)
         release_at.setdefault(c.last_use, []).append(c)
         serving.setdefault((c.carries, c.remote), []).append(c)
@@ -403,6 +322,6 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     for b, body in enumerate(bodies):
         cat = (("opaque cat_entangler a,b;",) if b in homes else ()) + \
               (("opaque cat_disentangler a;",) if b in remotes else ())
-        lines = _preamble(circuit, opaque[b], cregs, cat, plan.per_block[b].comm_width)
+        lines = _preamble(circuit, opaque[b], cregs, cat, plan.per_block[b].e)
         texts.append("\n".join(lines + body) + "\n")
     return texts

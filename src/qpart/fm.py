@@ -131,7 +131,11 @@ def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """``loads`` is the vertex weight (data qubits) per block."""
+    """``loads`` is the vertex weight (data qubits) per block.
+
+    ``passes_run`` and ``gain_updates`` count the winning restart of each
+    driver call only, summed over the splits of recursive bisection; a
+    losing restart's passes show in the run time, not in these counts."""
 
     assignment: tuple[int, ...]
     blocks_used: int

@@ -528,6 +528,28 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec, names", [
+    ({}, "'circuits'"),
+    ([1], "JSON object"),
+    ({"circuits": ["ghz:4"], "parts": 2}, "'parts'"),
+    ({"circuits": ["ghz:4"], "parts": [0]}, "parts [0]"),
+    ({"circuits": ["ghz:4"], "capacities": [2]}, "'capacities'"),
+    ({"circuits": [{"n": 4}]}, "'family'"),
+    ({"circuits": "ghz:4"}, "'circuits'"),
+    ({"circuits": [4]}, "'circuits'"),
+], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
+        "circuit-number"])
+def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
+    # a malformed suite is one error line, not a traceback or an empty run
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(spec))
+    assert main(["bench", "--suite", str(suite)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and names in line
+
+
 def test_cli_bench_refuses_unsplittable_gate(tmp_path, capsys):
     # some seed deals the opaque two-qubit gate across both blocks; the
     # batched Random rows must refuse it as the per-seed plan does

@@ -6,12 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (CommModel, Gate, GateKind, InfeasibleError, Mode,
-                   PartitionConfig, QpuEnvironment, block_endpoints,
-                   build_hypergraph, emit_qasm, emit_subcircuits,
-                   feasibility_check, find_groups, generate,
-                   make_circuit, parse_qasm, partition, plan_distribution,
-                   resolve_capacities)
+from qpart import (Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
+                   block_endpoints, build_hypergraph, emit_qasm, emit_subcircuits,
+                   find_groups, generate, make_circuit, parse_qasm, partition,
+                   plan_distribution)
 from qpart.bench import CircuitJob, _random_rows
 
 from conftest import fixture_names, load_fixture
@@ -93,9 +91,8 @@ def test_split_refusal_same_for_plan_and_batch(built, text, message):
 
 def test_plan_refuses_block_outside_env(ghz4):
     h = build_hypergraph(ghz4)
-    env = QpuEnvironment(blocks=2, capacities=(2, 2))
     with pytest.raises(ValueError, match=r"^vertex 2 assigned to invalid block 2$"):
-        plan_distribution(ghz4, h, [0, 0, 2, 2], env=env)
+        plan_distribution(ghz4, h, [0, 0, 2, 2], blocks=2)
 
 
 def test_plan_refuses_short_assignment(ghz4):
@@ -150,51 +147,6 @@ def test_ccx_fallback_channel():
     # exceed the connectivity metric here
     assert plan.ebits == 4
     assert 2 * plan.cut.lambda_minus_one == 2
-
-
-def test_environment_validation():
-    env = QpuEnvironment(blocks=2, capacities=resolve_capacities(None, 6, 2))
-    assert env.capacities == (3, 3)
-    assert env.comm is CommModel.PER_CHANNEL
-    with pytest.raises(InfeasibleError):
-        QpuEnvironment(blocks=2, capacities=resolve_capacities((2, 2), 6, 2))
-    with pytest.raises(ValueError):
-        QpuEnvironment(blocks=2, capacities=(3,), comm=CommModel.PER_CHANNEL)
-
-
-def test_feasibility_capacity_report():
-    c = parse_qasm("OPENQASM 2.0; qreg q[4]; cx q[0],q[2]; cx q[1],q[3];")
-    h = build_hypergraph(c)
-    env = QpuEnvironment(blocks=2, capacities=(3, 1))
-    plan = plan_distribution(c, h, [0, 0, 1, 1], env=env)
-    assert feasibility_check(plan, env) == \
-        ["block 1 holds 2 data qubits, capacity 1"]
-
-
-def test_single_link_overlap_detected():
-    c = parse_qasm("OPENQASM 2.0; qreg q[4]; cz q[0],q[2]; cz q[1],q[3]; cz q[0],q[3];")
-    groups = find_groups(c)
-    h = build_hypergraph(c, groups)
-    env = QpuEnvironment(blocks=2, capacities=(2, 2), comm=CommModel.SINGLE_LINK)
-    plan = plan_distribution(c, h, [0, 0, 1, 1, 0], groups=groups, env=env)
-    assert feasibility_check(plan, env) == \
-        ["block 1: channels 0 and 1 overlap on the single comm slot"]
-    with pytest.raises(InfeasibleError, match="overlap"):
-        emit_subcircuits(c, plan)
-
-
-def test_single_link_sequential_ok():
-    c = parse_qasm("OPENQASM 2.0; qreg q[4]; cx q[0],q[2]; h q[0]; h q[2]; cx q[1],q[3];")
-    h = build_hypergraph(c)
-    env = QpuEnvironment(blocks=2, capacities=(2, 2), comm=CommModel.SINGLE_LINK)
-    plan = plan_distribution(c, h, [0, 0, 1, 1], env=env)
-    assert feasibility_check(plan, env) == []
-    assert [b.comm_width for b in plan.per_block] == [1, 1]
-    assert [b.e for b in plan.per_block] == [2, 2]
-    texts = emit_subcircuits(c, plan)
-    # both channels reuse the single ebit slot, one after the other
-    assert texts[1].count("qreg ebit[1];") == 1
-    assert texts[1].count("cat_disentangler ebit[0];") == 2
 
 
 def test_emit_ghz4_frozen(ghz4):
@@ -255,7 +207,6 @@ def test_plan_json(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
     plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
-    assert plan.comm is CommModel.PER_CHANNEL
     assert plan.ebits == 4 and plan.cut.lambda_minus_one == 2
     assert [b.o for b in plan.per_block] == [7, 3]
     assert (plan.channels[0].first_use, plan.channels[0].last_use) == (2, 5)
@@ -273,6 +224,10 @@ def test_fixture_plans_obey_accounting(name):
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
+    # a block's ebit register has one slot per endpoint, and none without any
+    for b, text in zip(plan.per_block, emit_subcircuits(c, plan)):
+        widths = re.findall(r"^qreg ebit\[(\d+)\];$", text, re.M)
+        assert widths == ([str(b.e)] if b.e else [])
 
 
 def _slot_misuse(text: str) -> list[str]:
