@@ -10,8 +10,7 @@ test suite; the bench module reproduces the random-vs-FM comparisons.
 from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
                       emit_qasm, gate_layers, make_circuit, parse_qasm)
 from .generators import CircuitFamily, generate
-from .grouping import (GROUPABLE, GateGroup, Segment, find_groups,
-                       segment_by_depth, segment_subcircuit)
+from .grouping import GROUPABLE, GateGroup, find_groups
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          export_hmetis, import_hmetis)
@@ -30,8 +29,7 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "QasmError", "QubitRef",
     "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
     "CircuitFamily", "generate",
-    "GROUPABLE", "GateGroup", "Segment",
-    "find_groups", "segment_by_depth", "segment_subcircuit",
+    "GROUPABLE", "GateGroup", "find_groups",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
     "block_endpoints", "build_hypergraph", "cut_cost",
     "export_hmetis", "import_hmetis",

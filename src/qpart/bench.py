@@ -54,6 +54,15 @@ def _typed(field: str, value, kind, what: str):
     raise ValueError(f"suite field {field!r} must be {what}, not {value!r}")
 
 
+def _known(what: str, obj: dict, keys: tuple[str, ...]) -> None:
+    """A ValueError naming the first key of ``obj`` that is not in ``keys``,
+    so that a misspelt field is refused rather than left at its default."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}; "
+                             f"expected {', '.join(map(repr, keys))}")
+
+
 def _member(field: str, value, enum):
     """The ``enum`` member whose value is ``value``, else a ValueError
     naming the suite ``field``."""
@@ -79,6 +88,8 @@ class CircuitJob:
         """Accepts {"family","n","seed"?}, {"file"}, "family:n[:seed]", or a
         path; any other entry is a ValueError naming the bad field."""
         if isinstance(entry, dict):
+            _known(f"circuit {entry!r}", entry,
+                   ("file",) if "file" in entry else ("family", "n", "seed"))
             if "file" in entry:
                 path = _typed("file", entry["file"], str, "a path")
                 return cls(label=Path(path).stem, path=path)
@@ -134,16 +145,20 @@ class SuiteSpec:
 
     @classmethod
     def from_json(cls, data) -> "SuiteSpec":
-        """The spec a suite file's JSON describes; a missing ``circuits`` or
-        a field of the wrong shape is a ValueError naming the field."""
+        """The spec a suite file's JSON describes; a missing ``circuits``, a
+        field of the wrong shape or an unknown key is a ValueError naming
+        it."""
         if not isinstance(data, dict):
             raise ValueError(f"a suite must be a JSON object, not {data!r}")
+        _known("suite", data, ("circuits", "methods", "parts", "capacities", "seeds",
+                               "epsilon", "restarts", "mode"))
 
         def ints(field, value, what="a list of integers"):
             return tuple(_typed(field, x, int, what) for x in _typed(field, value, list, what))
 
         circuits = _typed("circuits", data.get("circuits"), list, "a list")
         seeds = _typed("seeds", data.get("seeds", {}), dict, "an object")
+        _known("suite field 'seeds'", seeds, ("from", "to"))
         per_k = "a list with one integer list or null per k"
         caps = _typed("capacities", data.get("capacities"), (list, type(None)), per_k)
         if caps is not None:

@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
-from .circuit import Circuit, QasmError, parse_qasm
+from .circuit import Circuit, QasmError
 from .distribution import emit_subcircuits, plan_distribution
-from .fm import (InfeasibleError, Mode, PartitionConfig, partition, random_baseline,
-                 resolve_capacities)
-from .grouping import find_groups, segment_by_depth, segment_subcircuit
+from .fm import InfeasibleError, Mode, PartitionConfig, partition, random_baseline
+from .grouping import find_groups
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
 
 BASELINE_SEEDS = 1000
@@ -112,75 +111,28 @@ def _partition_hypergraph_file(args) -> int:
     return 0
 
 
-def _run_pipeline(circuit: Circuit, args, config: PartitionConfig):
-    """Partition one circuit and account it over every QPU of ``config``,
-    also those the assignment leaves empty; returns (result, plan,
-    improvement)."""
-    groups = find_groups(circuit) if args.grouping == "on" else None
-    h = build_hypergraph(circuit, groups)
-    result = partition(h, config)
-    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                             blocks=config.blocks)
-    return result, plan, _improvement(h, config, result.cut.ebits)
-
-
-def _plan_blocks(plan) -> list[dict]:
-    return [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
-
-
 def _cmd_partition(args) -> int:
     if args.file.endswith((".hmetis", ".hgr")):
-        for flag in ("segment_depth", "emit"):
-            if getattr(args, flag):
-                raise QasmError(f"--{flag.replace('_', '-')} needs a circuit, "
-                                "not a hypergraph file")
+        if args.emit:
+            raise QasmError("--emit needs a circuit, not a hypergraph file")
         return _partition_hypergraph_file(args)
     circuit = _load_circuit(args.file)
     config = _config(args)
-    # surface capacity infeasibility before any partitioning work
-    resolve_capacities(config.capacities, circuit.width, config.blocks)
-
-    if args.segment_depth:
-        # window block b runs on QPU b, so a data qubit whose block changes
-        # between windows is teleported: one ebit pair per move
-        segments = segment_by_depth(circuit, args.segment_depth)
-        reports = []
-        total_cut = total_ebits = migrations = 0
-        placed: tuple[int, ...] = ()
-        for seg in segments:
-            sub = segment_subcircuit(circuit, seg)
-            result, plan, improvement = _run_pipeline(sub, args, config)
-            reports.append(_report(f"{circuit.name}[{seg.index}]", sub.width,
-                                   args.method, args.parts, result.cut,
-                                   _plan_blocks(plan), improvement))
-            total_cut += result.cut.cut_edges
-            total_ebits += result.cut.ebits
-            here = result.assignment[:circuit.width]
-            migrations += sum(a != b for a, b in zip(placed, here))
-            placed = here
-            if args.emit:
-                _write_subcircuits(sub, plan, args.emit,
-                                   prefix=f"{circuit.name}_seg{seg.index}")
-        total_ebits += 2 * migrations
-        if args.json:
-            print(json.dumps({"circuit": circuit.name, "n": circuit.width,
-                              "method": args.method, "k": args.parts,
-                              "cut_edges": total_cut, "ebits": total_ebits,
-                              "migrations": migrations, "segments": reports},
-                             indent=2))
-        else:
-            for rep in reports:
-                print(f"{rep['circuit']}: cut_edges={rep['cut_edges']} "
-                      f"ebits={rep['ebits']}")
-            print(f"total: cut_edges={total_cut} ebits={total_ebits} "
-                  f"migrations={migrations}")
-        return 0
-
-    result, plan, improvement = _run_pipeline(circuit, args, config)
+    groups = find_groups(circuit) if args.grouping == "on" else None
+    h = build_hypergraph(circuit, groups)
+    result = partition(h, config)
+    # account every QPU of the config, also one the assignment leaves empty
+    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                             blocks=config.blocks)
+    improvement = _improvement(h, config, result.cut.ebits)
+    blocks = [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
     report = _report(circuit.name, circuit.width, args.method, args.parts,
-                     result.cut, _plan_blocks(plan), improvement)
+                     result.cut, blocks, improvement)
     if args.emit:
-        _write_subcircuits(circuit, plan, args.emit, prefix=circuit.name)
+        out = Path(args.emit)
+        out.mkdir(parents=True, exist_ok=True)
+        for b, text in enumerate(emit_subcircuits(circuit, plan)):
+            (out / f"{circuit.name}_block{b}.qasm").write_text(text)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -191,13 +143,6 @@ def _cmd_partition(args) -> int:
         if improvement is not None:
             print(f"improvement={improvement:.1f}%")
     return 0
-
-
-def _write_subcircuits(circuit: Circuit, plan, out_dir: str, prefix: str) -> None:
-    d = Path(out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    for b, text in enumerate(emit_subcircuits(circuit, plan)):
-        (d / f"{prefix}_block{b}.qasm").write_text(text)
 
 
 def _cmd_bench(args) -> int:
@@ -230,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=8)
-    s.add_argument("--segment-depth", type=int, default=0, metavar="W")
     s.add_argument("--emit", metavar="DIR", help="write per-QPU subcircuits here")
     s.add_argument("--json", action="store_true")
     s.set_defaults(fn=_cmd_partition)

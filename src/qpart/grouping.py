@@ -5,15 +5,12 @@ angles, driven by the same control qubit, with no intervening gate
 touching that control wire.  Gates on the
 target wires do not break a run.  The control of a symmetric gate (CZ, CP)
 is its syntactic first operand.  CCX/CCZ are never grouped.
-
-Also provides depth-window segmentation, used to partition deep circuits
-stage by stage.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind, gate_layers
+from .circuit import Circuit, Gate, GateKind
 
 GROUPABLE = frozenset(k for k in GateKind if k.groupable)
 
@@ -65,44 +62,3 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
                       targets=frozenset(g.operands[1] for g in run),
                       kinds=frozenset(g.kind for g in run))
             for i, run in enumerate(closed)]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A consecutive window of depth layers and the gates scheduled in it."""
-
-    index: int
-    layer_range: tuple[int, int]
-    gates: tuple[int, ...]
-
-
-def segment_by_depth(circuit: Circuit, window: int) -> list[Segment]:
-    """Split the ASAP layering into consecutive windows of ``window`` layers.
-
-    Every gate lands in the segment covering its layer; a trailing BARRIER
-    whose sync point equals the depth is clamped into the last segment.
-    Concatenating segments reproduces the circuit up to reordering of gates
-    on disjoint wires (per-wire order is always preserved).
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if not circuit.gates:
-        return []
-    layers = gate_layers(circuit)
-    depth = max(circuit.depth, 1)
-    n_seg = -(-depth // window)
-    buckets: list[list[int]] = [[] for _ in range(n_seg)]
-    for g, lay in zip(circuit.gates, layers):
-        buckets[min(lay // window, n_seg - 1)].append(g.seq)
-    return [Segment(index=s,
-                    layer_range=(s * window, min((s + 1) * window, depth)),
-                    gates=tuple(b))
-            for s, b in enumerate(buckets)]
-
-
-def segment_subcircuit(circuit: Circuit, segment: Segment) -> Circuit:
-    """Materialise one segment as a circuit over the same registers."""
-    from .circuit import make_circuit
-    gates = [circuit.gates[s] for s in segment.gates]
-    return make_circuit(f"{circuit.name}.seg{segment.index}",
-                        circuit.registers, gates, circuit.cregs)

@@ -7,20 +7,19 @@ PUBLIC = [
     "CutReport", "DistributionPlan", "GROUPABLE", "Gate", "GateGroup",
     "GateKind", "Hyperedge", "Hypergraph", "InfeasibleError", "MAX_SIM_QUBITS",
     "METHODS", "Mode", "OracleResult", "PartitionConfig", "PartitionResult",
-    "QasmError", "QpuPlan", "QubitRef", "Segment", "SuiteSpec",
+    "QasmError", "QpuPlan", "QubitRef", "SuiteSpec",
     "Vertex", "__version__", "block_endpoints", "brute_force_mincut",
     "build_hypergraph", "cut_cost", "emit_qasm", "emit_subcircuits",
     "equivalent", "export_hmetis",
     "find_groups", "format_summary", "gate_layers", "generate", "import_hmetis",
     "load_suite", "make_circuit", "parse_qasm", "partition", "plan_distribution",
-    "resolve_capacities", "run_suite", "segment_by_depth", "segment_subcircuit",
-    "simulate", "write_csv",
+    "resolve_capacities", "run_suite", "simulate", "write_csv",
 ]
 
 
 def test_public_api():
     # the public surface only shrinks: a new name is a deliberate change here
     assert sorted(qpart.__all__) == PUBLIC
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 49
     for name in qpart.__all__:
         getattr(qpart, name)

@@ -357,6 +357,8 @@ def test_cli_input_errors_exit1(capsys, tmp_path):
     assert main(["partition", "ghz:4", "--parts", "2", "--capacities", "a,b"]) == 1
     assert main(["partition", "ghz:4"]) == 1          # --parts is required
     assert main(["nonsense"]) == 1
+    # the depth-window flag was removed, so argparse refuses it
+    assert main(["partition", "qft:6", "--parts", "2", "--segment-depth", "4"]) == 1
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[1]; bogus q[0];")
     assert main(["stats", str(bad)]) == 1
@@ -451,9 +453,10 @@ def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
     out = tmp_path / "ghz4.hgr"
     main(["hmetis", "ghz:4", "--out", str(out)])
-    assert main(["partition", str(out), "--parts", "2",
-                 "--segment-depth", "2"]) == 1
+    qpus = tmp_path / "qpus"
+    assert main(["partition", str(out), "--parts", "2", "--emit", str(qpus)]) == 1
     assert "needs a circuit" in capsys.readouterr().err
+    assert not qpus.exists()
 
 
 def test_cli_emit(tmp_path, capsys):
@@ -465,26 +468,6 @@ def test_cli_emit(tmp_path, capsys):
     assert files == ["ghz4_block0.qasm", "ghz4_block1.qasm"]
     for p in d.iterdir():
         parse_qasm(p.read_text())
-
-
-def test_cli_segment_depth(capsys):
-    assert main(["partition", "qft:6", "--parts", "2", "--segment-depth", "4",
-                 "--json"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    windows = [s["ebits"] for s in rep["segments"]]
-    assert windows == [2, 4, 0]
-    # four data qubits change block between windows, each teleported once
-    assert rep["migrations"] == 4
-    assert rep["ebits"] == sum(windows) + 2 * rep["migrations"] == 14
-    assert rep["cut_edges"] == 3
-    assert rep["segments"][0]["circuit"] == "qft6[0]"
-
-
-def test_cli_segment_depth_text(capsys):
-    assert main(["partition", "qft:6", "--parts", "2",
-                 "--segment-depth", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "total: cut_edges=3 ebits=14 migrations=4" in out
 
 
 def test_cli_bench(tmp_path, capsys):
@@ -537,8 +520,11 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     ({"circuits": [{"n": 4}]}, "'family'"),
     ({"circuits": "ghz:4"}, "'circuits'"),
     ({"circuits": [4]}, "'circuits'"),
+    ({"circuits": ["ghz:4"], "method": ["FM"]}, "'method'"),
+    ({"circuits": ["ghz:4"], "seeds": {"from": 0, "too": 2}}, "'too'"),
+    ({"circuits": [{"family": "ghz", "n": 4, "sead": 1}]}, "'sead'"),
 ], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
-        "circuit-number"])
+        "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key"])
 def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
     # a malformed suite is one error line, not a traceback or an empty run
     suite = tmp_path / "suite.json"

@@ -1,11 +1,10 @@
-"""Control-wire run detection and depth segmentation."""
+"""Control-wire run detection."""
 
 import pytest
 
-from qpart import (GateKind, find_groups, make_circuit, parse_qasm,
-                   segment_by_depth, segment_subcircuit)
+from qpart import GateKind, find_groups, make_circuit, parse_qasm
 
-from conftest import fixture_names, load_fixture
+from conftest import load_fixture
 
 
 def _groups(text: str):
@@ -85,46 +84,3 @@ def test_fixture_reuse_groups(name, expected):
     reuse = {g.control: g.members for g in find_groups(c) if g.is_reuse}
     assert reuse == expected
 
-
-def test_segment_ghz4(ghz4):
-    segs = segment_by_depth(ghz4, 2)
-    assert [(s.layer_range, s.gates) for s in segs] == [
-        ((0, 2), (0, 1)),
-        ((2, 4), (2, 3)),
-    ]
-
-
-def test_segment_window_validation(ghz4):
-    with pytest.raises(ValueError, match="at least 1"):
-        segment_by_depth(ghz4, 0)
-
-
-def test_trailing_barrier_clamped():
-    c = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; barrier q;")
-    segs = segment_by_depth(c, 1)
-    assert len(segs) == 1
-    assert segs[0].gates == (0, 1)
-
-
-@pytest.mark.parametrize("name", fixture_names())
-@pytest.mark.parametrize("window", [1, 2, 3])
-def test_segments_partition_gates(name, window):
-    c = load_fixture(name)
-    segs = segment_by_depth(c, window)
-    concat = [s for seg in segs for s in seg.gates]
-    assert sorted(concat) == list(range(len(c.gates)))
-    # per-wire order survives concatenation
-    seen: dict = {}
-    for s in concat:
-        for q in c.gates[s].operands:
-            assert seen.get(q, -1) < s
-            seen[q] = s
-
-
-def test_segment_subcircuit(qft4):
-    segs = segment_by_depth(qft4, 3)
-    sub = segment_subcircuit(qft4, segs[0])
-    assert sub.registers == qft4.registers
-    assert sub.name == "qft4.seg0"
-    assert [g.kind for g in sub.gates] == [qft4.gates[s].kind for s in segs[0].gates]
-    assert sum(len(s.gates) for s in segs) == len(qft4.gates)
