@@ -128,7 +128,6 @@ class SuiteSpec:
     capacities: tuple[tuple[int, ...] | None, ...] | None = None
     seed_from: int = 0
     seed_to: int = 1000
-    epsilon: float = 0.0
     restarts: int = 8
     mode: Mode = Mode.RECURSIVE_BISECT
 
@@ -151,7 +150,7 @@ class SuiteSpec:
         if not isinstance(data, dict):
             raise ValueError(f"a suite must be a JSON object, not {data!r}")
         _known("suite", data, ("circuits", "methods", "parts", "capacities", "seeds",
-                               "epsilon", "restarts", "mode"))
+                               "restarts", "mode"))
 
         def ints(field, value, what="a list of integers"):
             return tuple(_typed(field, x, int, what) for x in _typed(field, value, list, what))
@@ -171,8 +170,6 @@ class SuiteSpec:
             capacities=caps,
             seed_from=_typed("seeds", seeds.get("from", 0), int, "integer 'from' and 'to'"),
             seed_to=_typed("seeds", seeds.get("to", 1000), int, "integer 'from' and 'to'"),
-            epsilon=float(_typed("epsilon", data.get("epsilon", 0.0), (int, float),
-                                 "a number")),
             restarts=_typed("restarts", data.get("restarts", 8), int, "an integer"),
             mode=_member("mode", data.get("mode", "fm"), Mode),
         )
@@ -289,8 +286,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                        "fm_grouped_ebits": None, "fm_grouped_improvement_pct": None}
 
             def config(method_mode: Mode, seed: int, restarts: int) -> PartitionConfig:
-                return PartitionConfig(blocks=k, capacities=caps_in,
-                                       epsilon=spec.epsilon, restarts=restarts,
+                return PartitionConfig(blocks=k, capacities=caps_in, restarts=restarts,
                                        seed=seed, mode=method_mode)
 
             if "Random" in spec.methods:

@@ -48,21 +48,6 @@ def _parse_caps(text: str | None) -> tuple[int, ...] | None:
     return caps
 
 
-def _report(circuit_label: str, n: int, method: str, k: int,
-            cut, blocks: list[dict], improvement: float | None) -> dict:
-    report = {"circuit": circuit_label, "n": n, "method": method, "k": k,
-              "cut_edges": cut.cut_edges, "ebits": cut.ebits, "blocks": blocks}
-    if improvement is not None:
-        report["improvement_pct"] = improvement
-    return report
-
-
-def _config(args) -> PartitionConfig:
-    return PartitionConfig(blocks=args.parts, capacities=_parse_caps(args.capacities),
-                           epsilon=args.epsilon, restarts=args.restarts,
-                           seed=args.seed, mode=Mode(args.method))
-
-
 def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
     """Percent of the mean random-deal ebits that ``ebits`` saves; None
     for the random method itself or a zero baseline."""
@@ -90,44 +75,36 @@ def _cmd_hmetis(args) -> int:
     return 0
 
 
-def _partition_hypergraph_file(args) -> int:
-    h = import_hmetis(Path(args.file).read_text())
-    config = _config(args)
-    result = partition(h, config)
-    improvement = _improvement(h, config, result.cut.ebits)
-    endpoints = block_endpoints(h, list(result.assignment), config.blocks)
-    blocks = [{"data": d, "e": e, "o": 0, "r": None}
-              for d, e in zip(result.loads, endpoints)]
-    report = _report(Path(args.file).stem, h.n_qubit_vertices(), args.method,
-                     args.parts, result.cut, blocks, improvement)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"cut_edges={result.cut.cut_edges} ebits={result.cut.ebits}")
-        for b in blocks:
-            print(f"  block data={b['data']} e={b['e']}")
-        if improvement is not None:
-            print(f"improvement={improvement:.1f}%")
-    return 0
-
-
 def _cmd_partition(args) -> int:
-    if args.file.endswith((".hmetis", ".hgr")):
+    config = PartitionConfig(blocks=args.parts, capacities=_parse_caps(args.capacities),
+                             restarts=args.restarts, seed=args.seed, mode=Mode(args.method))
+    hmetis = args.file.endswith((".hmetis", ".hgr"))
+    if hmetis:
         if args.emit:
             raise QasmError("--emit needs a circuit, not a hypergraph file")
-        return _partition_hypergraph_file(args)
-    circuit = _load_circuit(args.file)
-    config = _config(args)
-    groups = find_groups(circuit) if args.grouping == "on" else None
-    h = build_hypergraph(circuit, groups)
+        h = import_hmetis(Path(args.file).read_text())
+        name, n = Path(args.file).stem, h.n_qubit_vertices()
+    else:
+        circuit = _load_circuit(args.file)
+        groups = find_groups(circuit) if args.grouping == "on" else None
+        h = build_hypergraph(circuit, groups)
+        name, n = circuit.name, circuit.width
     result = partition(h, config)
-    # account every QPU of the config, also one the assignment leaves empty
-    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                             blocks=config.blocks)
+    if hmetis:  # a bare hypergraph has no operations to account
+        endpoints = block_endpoints(h, list(result.assignment), config.blocks)
+        blocks = [{"data": d, "e": e, "o": 0, "r": None}
+                  for d, e in zip(result.loads, endpoints)]
+    else:
+        # account every QPU of the config, also one the assignment leaves empty
+        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                                 blocks=config.blocks)
+        blocks = [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
     improvement = _improvement(h, config, result.cut.ebits)
-    blocks = [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
-    report = _report(circuit.name, circuit.width, args.method, args.parts,
-                     result.cut, blocks, improvement)
+    report = {"circuit": name, "n": n, "method": args.method, "k": args.parts,
+              "cut_edges": result.cut.cut_edges, "ebits": result.cut.ebits,
+              "blocks": blocks}
+    if improvement is not None:
+        report["improvement_pct"] = improvement
     if args.emit:
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
@@ -137,9 +114,9 @@ def _cmd_partition(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(f"cut_edges={result.cut.cut_edges} ebits={result.cut.ebits}")
-        for p in plan.per_block:
-            r = "-" if p.r is None else f"{p.r:.3f}"
-            print(f"  block {p.block}: data={p.data} o={p.o} e={p.e} r={r}")
+        for b, block in enumerate(blocks):
+            r = "-" if block["r"] is None else f"{block['r']:.3f}"
+            print(f"  block {b}: data={block['data']} o={block['o']} e={block['e']} r={r}")
         if improvement is not None:
             print(f"improvement={improvement:.1f}%")
     return 0
@@ -172,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--capacities", metavar="a,b,...")
     s.add_argument("--method", choices=["fm", "kway", "random"], default="fm")
     s.add_argument("--grouping", choices=["on", "off"], default="on")
-    s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=8)
     s.add_argument("--emit", metavar="DIR", help="write per-QPU subcircuits here")

@@ -6,11 +6,12 @@ until one fails, and snaps free weight-0 vertices onto their edge; the
 winner has the lowest (lambda - 1, balance deviation, restart index).
 Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks;
 recursive bisection calls it once per split, with that split's side
-bounds.  A split keeps the restriction of every edge inside each side, so
-later splits of an already cut edge are charged exactly as the global
-metric charges them.  The deal and the snap are each written once, over
-a seeds x vertices block matrix (``_deals``, ``_snapper``): a restart,
-``Mode.RANDOM`` and ``random_baseline`` all deal and snap through them.
+capacities.  A split keeps the restriction of every edge inside each
+side, so later splits of an already cut edge are charged exactly as the
+global metric charges them.  The deal and the snap are each written
+once, over a seeds x vertices block matrix (``_deals``, ``_snapper``): a
+restart, ``Mode.RANDOM`` and ``random_baseline`` all deal and snap
+through them.
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the qubit vertex count, so one draw can serve many hypergraphs
 and block counts, as a bench suite's does per circuit; the deal turns it
@@ -59,7 +60,6 @@ and ``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -87,15 +87,14 @@ class PartitionConfig:
     """Knobs of ``partition``, the one partitioning entry point.
 
     capacities=None means an equal split of the qubit count over the
-    blocks.  epsilon widens each block's bound to ceil((1+epsilon)*cap).
-    restarts run the seeds seed, seed+1, ... and keep the best result.
-    It is an upper bound: the restarts stop early once one reaches a cost
-    no later restart can beat, with the result all of them would give.
+    blocks; a block's capacity is its load bound.  restarts run the seeds
+    seed, seed+1, ... and keep the best result.  It is an upper bound: the
+    restarts stop early once one reaches a cost no later restart can beat,
+    with the result all of them would give.
     """
 
     blocks: int = 2
     capacities: tuple[int, ...] | None = None
-    epsilon: float = 0.0
     restarts: int = 8
     seed: int = 0
     mode: Mode = Mode.RECURSIVE_BISECT
@@ -103,8 +102,6 @@ class PartitionConfig:
     def __post_init__(self) -> None:
         if self.blocks < 2:
             raise ValueError("need at least 2 blocks")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.capacities is not None:
@@ -634,9 +631,8 @@ def random_baseline(h: Hypergraph, config: PartitionConfig, seeds, draw=None) ->
 # --------------------------------------------------------------------------
 # drivers
 
-def _restart_driver(h: Hypergraph, config: PartitionConfig,
-                    bounds: list[int]) -> tuple[list[int], int, int, int]:
-    """Seeded restarts under explicit per-block load bounds.
+def _restart_driver(h: Hypergraph, config: PartitionConfig) -> tuple[list[int], int, int, int]:
+    """Seeded restarts, each block's load bounded by its capacity.
 
     Restart r deals with seed config.seed + r, runs ``_pass`` until a pass
     fails or ``_MAX_PASSES`` run, then snaps free vertices.  The winner has
@@ -659,7 +655,7 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig,
     best, best_key = None, None
     for r, row in enumerate(row for _, chunk in deals for row in chunk):
         if eng is None:
-            eng = _Engine(h, config.blocks, bounds, row.tolist())
+            eng = _Engine(h, config.blocks, caps, row.tolist())
         else:
             eng.reset(row.tolist())
         least = eng.least()
@@ -687,13 +683,16 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
     assignment and the winning restarts' passes and gain updates, summed.
 
     The capacity list is split into two halves with greedily balanced
-    sums, and each split runs ``_restart_driver`` over two sides.  A side
-    may take at most its blocks' ceil((1+epsilon)*cap) sum, less what the
-    other side's blocks need to stay occupied.  The deal follows the side
-    capacity sums, or the side bounds when epsilon let this part outgrow
-    those sums.  Each side keeps the restriction of every edge with two or
-    more pins inside it, so later splits of an already cut edge are
-    charged exactly once more, matching the global metric.
+    sums, and each split runs ``_restart_driver`` over two sides.  A side's
+    capacity is its blocks' capacity sum, but at most the part's weight
+    less one unit for each block of the other side, so that every block
+    keeps a qubit vertex, and at least 1; the split is dealt and bounded by
+    it.  A part is lighter than its blocks only when the split above it
+    stayed over a side capacity, which takes weighted vertices; it still
+    splits, and leaves a block empty.  Each side keeps the restriction of
+    every edge with two or more pins inside it, so later splits of an
+    already cut edge are charged exactly once more, matching the global
+    metric.
     """
     assignment = [0] * h.n_vertices()
     passes_total = 0
@@ -738,14 +737,11 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         # the top split keeps every vertex and every edge: it runs on h
         sub_h = h if len(vertex_ids) == h.n_vertices() else restrict(vertex_ids)
         weight_here = _qubit_weight(sub_h)
-        bounds = [min(sum(math.ceil((1 + config.epsilon) * caps[b]) for b in side),
-                      weight_here - len(other))
-                  for side, other in ((left, right), (right, left))]
-        side_caps = (sum(caps[b] for b in left), sum(caps[b] for b in right))
-        if sum(side_caps) < weight_here:
-            side_caps = tuple(bounds)
+        side_caps = tuple(max(1, min(sum(caps[b] for b in side),
+                                     weight_here - len(other)))
+                          for side, other in ((left, right), (right, left)))
         sides, passes, updates, _ = _restart_driver(
-            sub_h, replace(config, blocks=2, capacities=side_caps), bounds)
+            sub_h, replace(config, blocks=2, capacities=side_caps))
         passes_total += passes
         updates_total += updates
         rec([g for i, g in enumerate(vertex_ids) if sides[i] == 0], left)
@@ -761,12 +757,11 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     recursive bisection built from that driver.
 
     Raises InfeasibleError when the capacities cannot host the qubits, or
-    when a block of the result holds more than ceil((1+epsilon)*cap): the
-    deal puts a hypergraph vertex that fits in no block into the one with
-    the most room left, and FM keeps only prefixes within every bound.
+    when a block of the result holds more than its capacity: the deal puts
+    a hypergraph vertex that fits in no block into the one with the most
+    room left, and FM keeps only prefixes within every capacity.
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
     if config.mode is Mode.RANDOM:
         _, deal = next(_deals(h, config, [config.seed]))
         _snapper(h)(deal)
@@ -777,12 +772,12 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
             raise ValueError(f"{config.blocks} blocks exceed the "
                              f"{h.n_qubit_vertices()} qubit vertices")
         if config.blocks == 2 or config.mode is Mode.DIRECT_KWAY:
-            assignment, passes, updates, seed = _restart_driver(h, config, bounds)
+            assignment, passes, updates, seed = _restart_driver(h, config)
         else:
             assignment, passes, updates = _recursive_bisection(h, config, caps)
             seed = config.seed
         result = _finalize(h, assignment, config.blocks, passes, seed, updates)
-    for b, (load, bound) in enumerate(zip(result.loads, bounds)):
-        if load > bound:
-            raise InfeasibleError(f"block {b} has load {load}, over its capacity {bound}")
+    for b, (load, cap) in enumerate(zip(result.loads, caps)):
+        if load > cap:
+            raise InfeasibleError(f"block {b} has load {load}, over its capacity {cap}")
     return result

@@ -98,8 +98,8 @@ class OracleResult:
 def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     """Exhaustive optimum of the connectivity-minus-one metric.
 
-    ``config`` is a PartitionConfig; its blocks, capacities and epsilon
-    define the feasible set.  Enumerates every capacity-feasible placement
+    ``config`` is a PartitionConfig; its blocks and capacities define the
+    feasible set.  Enumerates every capacity-feasible placement
     of the weighted vertices; weight-0 vertices are resolved to the
     cheapest block afterwards, which is exact because each belongs to at
     most one edge (one on two or more edges raises ValueError).  Guarded
@@ -122,7 +122,6 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
                              "the oracle resolves only one-edge weight-0 vertices")
     vweight = [h.vertices[v].weight for v in range(h.n_vertices())]
     caps = resolve_capacities(config.capacities, sum(vweight[v] for v in qubit_vs), blocks)
-    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
 
     edge_qpins = [tuple(p for p in e.pins if h.vertices[p].is_qubit) for e in h.edges]
     weights = [e.weight for e in h.edges]
@@ -151,7 +150,7 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
         v = qubit_vs[i]
         choices = range(1) if (symmetric and i == 0) else range(blocks)
         for b in choices:
-            if loads[b] + vweight[v] > bounds[b]:
+            if loads[b] + vweight[v] > caps[b]:
                 continue
             loads[b] += vweight[v]
             counts[b] += 1

@@ -1,6 +1,5 @@
 """Shared fixtures: generated circuits and the on-disk QASM corpus."""
 
-import math
 import pathlib
 
 import pytest
@@ -28,13 +27,12 @@ def deal(h, config):
 
 
 def fm_pass(h, assignment, config, stats=None):
-    """Run one FM pass over a copy of ``assignment`` under the config's
-    bounds; returns the copy and whether the pass improved the cost."""
+    """Run one FM pass over a copy of ``assignment``, each block bounded by
+    its capacity; returns the copy and whether the pass improved the cost."""
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
                               config.blocks)
-    bounds = [math.ceil((1 + config.epsilon) * c) for c in caps]
     work = list(assignment)
-    improved = _pass(_Engine(h, config.blocks, bounds, work), stats)
+    improved = _pass(_Engine(h, config.blocks, caps, work), stats)
     return work, improved
 
 

@@ -55,7 +55,6 @@ def test_suite_from_json_full():
         "parts": [2, 3],
         "capacities": [[3, 3], None],
         "seeds": {"from": 2, "to": 7},
-        "epsilon": 0.1,
         "restarts": 4,
         "mode": "kway",
     })
@@ -327,13 +326,14 @@ def test_cli_partition_random_has_no_improvement(capsys):
 
 @pytest.mark.parametrize("caps", ["5,1,1", "1,1,5"])
 def test_cli_partition_reports_and_emits_every_qpu(caps, tmp_path, capsys):
-    # both plans leave one QPU empty, 5,1,1 its last one; it is still a QPU
+    # recursive bisection leaves no QPU empty when one big QPU could hold
+    # every qubit; the report and --emit cover all three
     out = tmp_path / "emit"
     assert main(["partition", "ghz:4", "--parts", "3", "--capacities", caps,
                  "--json", "--emit", str(out)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["k"] == len(rep["blocks"]) == 3
-    assert sorted(b["data"] for b in rep["blocks"]) == [0, 1, 3]
+    assert sorted(b["data"] for b in rep["blocks"]) == [1, 1, 2]
     assert sorted(p.name for p in out.iterdir()) == [f"ghz4_block{b}.qasm" for b in range(3)]
 
 
@@ -359,6 +359,9 @@ def test_cli_input_errors_exit1(capsys, tmp_path):
     assert main(["nonsense"]) == 1
     # the depth-window flag was removed, so argparse refuses it
     assert main(["partition", "qft:6", "--parts", "2", "--segment-depth", "4"]) == 1
+    # capacities are the one load bound, so argparse refuses --epsilon
+    assert main(["partition", "qft:8", "--parts", "3", "--capacities", "3,3,2",
+                 "--epsilon", "0.3"]) == 1
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[1]; bogus q[0];")
     assert main(["stats", str(bad)]) == 1
@@ -386,6 +389,8 @@ def test_cli_partition_hmetis_file(tmp_path, capsys):
     assert rep["ebits"] == 2
     # no circuit accounting for a bare hypergraph
     assert rep["blocks"][0]["o"] == 0 and rep["blocks"][0]["r"] is None
+    assert main(["partition", str(out), "--parts", "2"]) == 0
+    assert "  block 0: data=2 o=0 e=1 r=-\n" in capsys.readouterr().out
 
 
 def test_cli_partition_hmetis_single_pin_edges(tmp_path, capsys):
@@ -523,8 +528,10 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     ({"circuits": ["ghz:4"], "method": ["FM"]}, "'method'"),
     ({"circuits": ["ghz:4"], "seeds": {"from": 0, "too": 2}}, "'too'"),
     ({"circuits": [{"family": "ghz", "n": 4, "sead": 1}]}, "'sead'"),
+    ({"circuits": ["ghz:4"], "epsilon": 0.2}, "'epsilon'"),
 ], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
-        "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key"])
+        "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key",
+        "epsilon"])
 def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
     # a malformed suite is one error line, not a traceback or an empty run
     suite = tmp_path / "suite.json"

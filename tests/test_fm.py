@@ -40,8 +40,6 @@ def triangle() -> Hypergraph:
 def test_config_validation():
     with pytest.raises(ValueError, match="at least 2 blocks"):
         PartitionConfig(blocks=1)
-    with pytest.raises(ValueError, match="epsilon"):
-        PartitionConfig(epsilon=1.0)
     with pytest.raises(ValueError, match="restarts"):
         PartitionConfig(restarts=0)
     with pytest.raises(ValueError, match="capacities"):
@@ -246,14 +244,6 @@ def test_initial_partition_occupies_every_block():
         assert set(a) == {0, 1, 2}
 
 
-def test_epsilon_allows_imbalance():
-    h = chain(6)
-    strict = partition(h, PartitionConfig(blocks=2, seed=1))
-    slack = partition(h, PartitionConfig(blocks=2, epsilon=0.34, seed=1))
-    assert max(slack.loads) <= 4     # ceil(1.34 * 3)
-    assert strict.cut.cut_edges == slack.cut.cut_edges == 1
-
-
 def test_gain_updates_counted():
     h = build_hypergraph(generate("ghz", 16))
     res = partition(h, PartitionConfig(blocks=2, restarts=1))
@@ -285,23 +275,31 @@ def slack_recursive_instances(draw):
     k = draw(st.integers(3, 5))
     caps = draw(st.one_of(st.none(), st.lists(st.integers(1, n), min_size=k, max_size=k)
                           .filter(lambda caps: sum(caps) >= n).map(tuple)))
-    epsilon = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
-    return h, PartitionConfig(blocks=k, capacities=caps, epsilon=epsilon, restarts=2,
+    return h, PartitionConfig(blocks=k, capacities=caps, restarts=2,
                               seed=draw(st.integers(0, 99)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(slack_recursive_instances())
-@example((build_hypergraph(generate("ghz", 16)), PartitionConfig(blocks=4, epsilon=0.3)))
-@example((build_hypergraph(generate("qft", 12)), PartitionConfig(blocks=3, epsilon=0.2)))
-def test_recursive_bisection_with_epsilon_stays_feasible(instance):
-    # epsilon lets a side outgrow its blocks' capacity sum; the next split
-    # must still deal it, and every block stays within its bound
+@example((build_hypergraph(generate("ghz", 4)), PartitionConfig(blocks=3, capacities=(5, 1, 1))))
+@example((build_hypergraph(generate("ghz", 4)), PartitionConfig(blocks=3, capacities=(1, 1, 5))))
+def test_recursive_bisection_fills_every_qpu_within_capacity(instance):
+    # a split side may hold its blocks' capacity sum, but never so much
+    # that a block of the other side is left without a qubit
     h, cfg = instance
     res = partition(h, cfg)
     caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
-    assert all(load <= math.ceil((1 + cfg.epsilon) * cap)
-               for load, cap in zip(res.loads, caps))
+    assert all(0 < load <= cap for load, cap in zip(res.loads, caps)), res.loads
+
+
+def test_recursive_bisection_side_lighter_than_its_blocks():
+    # weights 1, 3, 3 cannot fill QPUs of 7, 1 and 1: the top split leaves
+    # the two small QPUs weight 1 between them, and their split still runs
+    # on positive side capacities
+    h = Hypergraph([Vertex(0, weight=1), Vertex(1, weight=3), Vertex(2, weight=3)],
+                   [Hyperedge(0, (0, 1)), Hyperedge(1, (1, 2))])
+    res = partition(h, PartitionConfig(blocks=3, capacities=(7, 1, 1)))
+    assert sorted(res.loads) == [0, 1, 6]
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,7 +341,7 @@ def test_partition_invariants(h, seed, k):
 
 # -- the restart cutoff against every restart ------------------------------
 
-def every_restart(h, config, bounds):
+def every_restart(h, config):
     """``_restart_driver`` without its cutoff: every restart refines its own
     deal on a fresh engine, and the lowest (lambda - 1, balance deviation,
     r) wins."""
@@ -353,7 +351,7 @@ def every_restart(h, config, bounds):
     snap = _snapper(h)
     best, best_key = None, None
     for r in range(config.restarts):
-        eng = _Engine(h, config.blocks, bounds, deal(h, replace(config, seed=config.seed + r)))
+        eng = _Engine(h, config.blocks, caps, deal(h, replace(config, seed=config.seed + r)))
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
@@ -373,7 +371,8 @@ def every_restart(h, config, bounds):
 @st.composite
 def restart_instances(draw):
     """Every kind of hypergraph the driver sees, under two blocks, direct
-    k-way at k=3 and recursive bisection at k=4, at epsilon 0 and 0.2."""
+    k-way at k=3 and recursive bisection at k=4, with equal capacities or
+    up to two units of slack per block."""
     kind = draw(st.sampled_from(["small", "circuit", "weighted", "edgeless", "disconnected"]))
     if kind == "small":
         h = draw(small_hypergraphs())
@@ -403,7 +402,9 @@ def restart_instances(draw):
     blocks, mode = draw(st.sampled_from([(2, Mode.RECURSIVE_BISECT), (3, Mode.DIRECT_KWAY),
                                          (4, Mode.RECURSIVE_BISECT)]))
     assume(blocks <= h.n_qubit_vertices())
-    return h, PartitionConfig(blocks=blocks, mode=mode, epsilon=draw(st.sampled_from([0.0, 0.2])),
+    equal = resolve_capacities(None, sum(v.weight for v in h.vertices), blocks)
+    caps = draw(st.none() | st.tuples(*(st.integers(c, c + 2) for c in equal)))
+    return h, PartitionConfig(blocks=blocks, mode=mode, capacities=caps,
                               restarts=draw(st.integers(1, 8)), seed=draw(st.integers(0, 99)))
 
 
@@ -419,7 +420,7 @@ def outcome(h, config):
 @given(restart_instances())
 @example((build_hypergraph(generate("ghz", 40)), PartitionConfig(blocks=4)))
 # restart 0 meets the floor at loads 2 and 4, restart 2 at 3 and 3
-@example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, epsilon=0.2)))
+@example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, capacities=(4, 4))))
 @example((Hypergraph([Vertex(i) for i in range(6)], []),
           PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
 def test_restart_cutoff_is_exact(instance):
@@ -584,8 +585,9 @@ def _rescan_pass(eng, stats, cutoff=False):
 @st.composite
 def kway_instances(draw):
     """Small hypergraphs with anchored weight-0 vertices, k in {2, ..., 5},
-    equal, tight or slack capacities, and either a seeded deal or an
-    arbitrary (possibly empty-block, overloaded) assignment."""
+    equal, tight or slack capacities, engine bounds up to half again above
+    them, and either a seeded deal or an arbitrary (possibly empty-block,
+    overloaded) assignment."""
     k = draw(st.sampled_from([2, 3, 4, 5]))
     caps_kind = draw(st.sampled_from(["equal", "tight", "slack"]))
     nq = k if caps_kind == "tight" else draw(st.integers(k, 10))
@@ -607,14 +609,16 @@ def kway_instances(draw):
     h = Hypergraph(vertices, edges)
     caps = {"equal": None, "tight": (1,) * k,
             "slack": tuple(draw(st.integers(nq, nq + 3)) for _ in range(k))}[caps_kind]
-    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 99)),
-                          epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 99)))
     if draw(st.booleans()):
         assignment = deal(h, cfg)
     else:
         assignment = draw(st.lists(st.integers(0, k - 1), min_size=len(vertices),
                                    max_size=len(vertices)))
-    return h, cfg, assignment
+    # the engine's bounds may sit above the capacities the deal followed
+    slack = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    bounds = [math.ceil((1 + slack) * c) for c in resolve_capacities(caps, nq, k)]
+    return h, bounds, assignment
 
 
 @settings(max_examples=150, deadline=None)
@@ -622,12 +626,10 @@ def kway_instances(draw):
 def test_kway_gain_cache_matches_rescan(instance):
     # the full reference fixes the result of every pass; the reference
     # with the cutoff also fixes how many moves the pass makes
-    h, cfg, assignment = instance
-    caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
-    bounds = [math.ceil((1 + cfg.epsilon) * c) for c in caps]
-    cached = _Engine(h, cfg.blocks, bounds, list(assignment))
-    full = _Engine(h, cfg.blocks, bounds, list(assignment))
-    bounded = _Engine(h, cfg.blocks, bounds, list(assignment))
+    h, bounds, assignment = instance
+    cached = _Engine(h, len(bounds), bounds, list(assignment))
+    full = _Engine(h, len(bounds), bounds, list(assignment))
+    bounded = _Engine(h, len(bounds), bounds, list(assignment))
     for _ in range(4):
         got, want = _PassStats(), _PassStats()
         improved = _pass(cached, got)
@@ -703,7 +705,7 @@ def test_deal_hands_out_heaviest_first(instance):
 def baseline_instances(draw):
     """Small hypergraphs with weight-0 vertices anchored anywhere (or, after
     an hMETIS round-trip, not at all), k in {2, ..., 5}, equal, tight,
-    slack or exhausted capacities, epsilon, and seed counts on both sides
+    slack or exhausted capacities, and seed counts on both sides
     of the chunk edge."""
     k = draw(st.integers(2, 5))
     nq = draw(st.integers(k, 10))
@@ -741,8 +743,7 @@ def baseline_instances(draw):
         caps = tuple(draw(st.integers(nq // k + 1, nq + 3)) for _ in range(k))
     else:
         caps = tuple(draw(st.integers(1, max(1, (nq - 1) // k))) for _ in range(k))
-    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 10_000)),
-                          epsilon=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    cfg = PartitionConfig(blocks=k, capacities=caps, seed=draw(st.integers(0, 10_000)))
     count = draw(st.sampled_from([1, 127, 128, 129, 300]))
     return h, cfg, range(cfg.seed, cfg.seed + count)
 
@@ -754,7 +755,7 @@ def test_random_baseline_matches_random_partition(instance):
 
     def one(seed):
         return partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
-                                            epsilon=cfg.epsilon, restarts=1, seed=seed,
+                                            restarts=1, seed=seed,
                                             mode=Mode.RANDOM)).cut.ebits
 
     try:

@@ -213,11 +213,6 @@ def test_oracle_slack_capacities(ghz4):
     assert res.assignment == (0, 0, 0, 1)    # slack allows the cheap 3|1 split
 
 
-def test_oracle_epsilon():
-    res = brute_force_mincut(chain(6), PartitionConfig(blocks=2, epsilon=0.34))
-    assert res.lambda_minus_one == 1
-
-
 def test_oracle_weight0_resolution(qft4):
     from qpart import build_hypergraph, find_groups
     h = build_hypergraph(qft4, find_groups(qft4))
