@@ -10,7 +10,7 @@ test suite; the bench module reproduces the random-vs-FM comparisons.
 from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
                       emit_qasm, gate_layers, make_circuit, parse_qasm)
 from .generators import CircuitFamily, generate
-from .grouping import GROUPABLE, GateGroup, find_groups
+from .grouping import GateGroup, find_groups
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          block_endpoints, build_hypergraph, cut_cost,
                          export_hmetis, import_hmetis)
@@ -29,7 +29,7 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "QasmError", "QubitRef",
     "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
     "CircuitFamily", "generate",
-    "GROUPABLE", "GateGroup", "find_groups",
+    "GateGroup", "find_groups",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
     "block_endpoints", "build_hypergraph", "cut_cost",
     "export_hmetis", "import_hmetis",

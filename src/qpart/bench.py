@@ -6,22 +6,23 @@ account) for every requested combination and collects one BenchRow per
 row per seed in the suite's range, and a method's improvement is measured
 against the mean random ebits over that range, always on the same
 hypergraph the method itself was partitioned on.  A (circuit, k)'s Random
-rows are scored in one batch from the same seeded deals that
-``fm.random_baseline`` prices, with each row's cut and per-block ledger
-equal to what ``partition`` and ``plan_distribution`` give for its seed.
-FMGrouped's baseline is on the grouped hypergraph, which has no Random
-rows of its own, so it is scored with ``fm.random_baseline`` (ebits only).
-A row carries its figures, not its plan: build one with ``partition`` and
+rows are scored in one batch from ``fm.random_deals``, the random
+partition of every seed with its cut, plus the per-block ledger of
+``distribution._plan_ledger``; each row equals what ``partition`` and
+``plan_distribution`` give for its seed, over all k QPUs.  FMGrouped's
+baseline is on the grouped hypergraph, which has no Random rows of its
+own, so it is the mean ebits of ``fm.random_deals`` there.  A row carries
+its figures, not its plan: build one with ``partition`` and
 ``plan_distribution`` for the row's seed and mode.
 
 A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
-into blocks (``fm._deals``: k, the capacities and the weights), each
-written once.  Qubit q is vertex q of both hypergraphs, so a suite
-shuffles each seed of its range once per circuit and deals that one draw,
-a seeds x width matrix of the smallest unsigned dtype, for the Random rows
-and the grouped baseline at every k.  A Random row's ``runtime_ms`` is its
-k's batch time plus the whole draw's time, divided by the seed count: each
-k's rows carry the draw as if that k had made it alone.
+into blocks (k, the capacities and the weights).  Qubit q is vertex q of
+both hypergraphs, so a suite shuffles each seed of its range once per
+circuit and deals that one draw, seeds x width matrices of the smallest
+unsigned dtype, for the Random rows and the grouped baseline at every k.
+A Random row's ``runtime_ms`` is its k's batch time plus the whole draw's
+time, divided by the seed count: each k's rows carry the draw as if that
+k had made it alone.
 
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
@@ -37,8 +38,8 @@ from pathlib import Path
 
 from .circuit import Circuit, parse_qasm
 from .distribution import _plan_ledger, plan_distribution
-from .fm import (Mode, PartitionConfig, _cut_rows, _deals, _shuffles, _snapper,
-                 partition, random_baseline, resolve_capacities)
+from .fm import (Mode, PartitionConfig, _shuffles, partition, random_deals,
+                 resolve_capacities)
 from .generators import CircuitFamily, generate
 from .grouping import find_groups
 from .hypergraph import Hypergraph, build_hypergraph
@@ -209,7 +210,8 @@ def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
     t0 = time.perf_counter()
     result = partition(h, config)
     ms = (time.perf_counter() - t0) * 1000.0
-    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups)
+    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                             blocks=config.blocks)
     return BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
                     depth=circuit.depth, method=method, k=config.blocks,
                     capacities=tuple(caps), seed=config.seed,
@@ -219,35 +221,27 @@ def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
 
 
 def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
-                 config: PartitionConfig, caps: list[int], seeds,
-                 draw=None, draw_ms: float = 0.0) -> list[BenchRow]:
-    """One Random row per seed, scored in one batch: the seeded deals of
-    ``fm._deals`` snapped by ``fm._snapper``, their cut from ``fm._cut_rows``
-    and their o and e from ``distribution._plan_ledger``.  ``draw`` is the
-    seeds' ``fm._shuffles`` when the caller already made it, in
-    ``draw_ms``.  Each row equals what ``_one_run`` makes for its seed,
-    except that ``runtime_ms`` is the batch time, draw included, over the
-    seed count.
+                 config: PartitionConfig, caps: list[int], seeds, draw,
+                 draw_ms: float) -> list[BenchRow]:
+    """One Random row per seed, scored in one batch: ``fm.random_deals`` of
+    ``draw``, the seeds' ``fm._shuffles`` made in ``draw_ms``, with the o
+    and e of every QPU from ``distribution._plan_ledger``.  Each row equals
+    what ``_one_run`` makes for its seed, except that ``runtime_ms`` is the
+    batch time, draw included, over the seed count.
     """
     t0 = time.perf_counter()
     ledger = _plan_ledger(circuit, h, config.blocks, groups)
-    snap = _snapper(h)
     scored = []
-    for chunk, assign in _deals(h, config, seeds, draw):
-        snap(assign)
-        cut_edges, ebits = _cut_rows(h, assign, config.blocks)
+    for assign, cut_edges, ebits in random_deals(h, config, draw):
         o, e = ledger(assign)
-        used = assign.max(axis=1) + 1   # plan_distribution's block count
-        scored.extend(zip(chunk, cut_edges.tolist(), ebits.tolist(), used.tolist(),
-                          o.tolist(), e.tolist()))
+        scored.extend(zip(cut_edges.tolist(), ebits.tolist(), o.tolist(), e.tolist()))
     ms = ((time.perf_counter() - t0) * 1000.0 + draw_ms) / len(scored)
     return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
                      depth=circuit.depth, method="Random", k=config.blocks,
                      capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
-                     r_per_block=tuple(x / y if y else None
-                                       for x, y in zip(e[:used], o[:used])),
+                     r_per_block=tuple(x / y if y else None for x, y in zip(e, o)),
                      runtime_ms=ms)
-            for seed, cut, eb, used, o, e in scored]
+            for seed, (cut, eb, o, e) in zip(seeds, scored)]
 
 
 def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], list[dict]]:
@@ -313,9 +307,9 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                 summary["fm_grouped_ebits"] = row.ebits
                 if "Random" in spec.methods:
                     # baseline on the same (grouped) hypergraph the method saw
-                    vals = random_baseline(h_grouped, config(Mode.RANDOM, spec.seed_from, 1),
-                                           seeds, draw)
-                    base = sum(vals) / len(vals)
+                    deals = random_deals(h_grouped, config(Mode.RANDOM, spec.seed_from, 1),
+                                         draw)
+                    base = sum(int(ebits.sum()) for *_, ebits in deals) / len(seeds)
                     if base:
                         summary["fm_grouped_improvement_pct"] = \
                             100.0 * (base - row.ebits) / base

@@ -17,7 +17,7 @@ from pathlib import Path
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
 from .circuit import Circuit, QasmError
 from .distribution import emit_subcircuits, plan_distribution
-from .fm import InfeasibleError, Mode, PartitionConfig, partition, random_baseline
+from .fm import InfeasibleError, Mode, PartitionConfig, _shuffles, partition, random_deals
 from .grouping import find_groups
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
 
@@ -53,8 +53,9 @@ def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
     for the random method itself or a zero baseline."""
     if config.mode is Mode.RANDOM:
         return None
-    vals = random_baseline(h, config, range(config.seed, config.seed + BASELINE_SEEDS))
-    base = sum(vals) / len(vals)
+    draw = _shuffles(h.n_qubit_vertices(), range(config.seed, config.seed + BASELINE_SEEDS))
+    base = sum(int(deal_ebits.sum())
+               for *_, deal_ebits in random_deals(h, config, draw)) / BASELINE_SEEDS
     return 100.0 * (base - ebits) / base if base else None
 
 

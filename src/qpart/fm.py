@@ -9,15 +9,14 @@ recursive bisection calls it once per split, with that split's side
 capacities.  A split keeps the restriction of every edge inside each
 side, so later splits of an already cut edge are charged exactly as the
 global metric charges them.  The deal and the snap are each written
-once, over a seeds x vertices block matrix (``_deals``, ``_snapper``): a
-restart, ``Mode.RANDOM`` and ``random_baseline`` all deal and snap
-through them.
+once, over a seeds x vertices block matrix (``_dealer``, ``_snapper``).
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the qubit vertex count, so one draw can serve many hypergraphs
 and block counts, as a bench suite's does per circuit; the deal turns it
 into blocks from the capacities, k, the weights and the anchors, handing
-the heaviest qubit vertices out first.  Callers without a draw shuffle
-chunk by chunk, so their memory stays flat in the seed count.
+the heaviest qubit vertices out first.  ``random_deals`` deals, snaps and
+prices a draw one matrix of at most 128 seeds at a time; it is the one
+random partition, of ``Mode.RANDOM``, the CLI's baseline and the bench.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -490,51 +489,45 @@ def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
                            gain_updates=gain_updates)
 
 
-_BASELINE_CHUNK = 128  # seeds dealt together; bounds the working set
+_CHUNK = 128  # seeds shuffled together; bounds the working set
 
 
 def _shuffles(n: int, seeds):
-    """The seeded shuffle of n qubit-vertex positions for each seed, in
-    chunks of ``_BASELINE_CHUNK`` seeds.
-
-    Returns an iterator of (chunk seeds, seeds x n position matrix in the
-    smallest unsigned dtype); row i is ``range(n)`` shuffled by
+    """The seeded shuffle of n qubit-vertex positions for each seed, as an
+    iterator of seeds x n matrices of at most ``_CHUNK`` rows in the
+    smallest unsigned dtype; row i is ``range(n)`` shuffled by
     ``random.Random(seed)``.  It depends on nothing but the seeds and n, so
     one draw serves every hypergraph with n qubit vertices and every k.
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
     it = iter(seeds)
-    while chunk := list(itertools.islice(it, _BASELINE_CHUNK)):
+    while chunk := list(itertools.islice(it, _CHUNK)):
         perms = []
         for seed in chunk:
             order = list(range(n))
             random.Random(seed).shuffle(order)
             perms.append(order)
-        yield chunk, np.array(perms, dtype=dtype).reshape(len(chunk), n)
+        yield np.array(perms, dtype=dtype).reshape(len(chunk), n)
 
 
-def _deals(h: Hypergraph, config: PartitionConfig, seeds, draw=None):
-    """The seeded deal of each seed, in chunks of ``_BASELINE_CHUNK`` seeds.
-
-    Returns an iterator of (chunk seeds, seeds x vertices block matrix).
-    ``draw`` is ``_shuffles`` of the qubit vertex count for ``seeds`` when
-    the caller already holds it; otherwise the seeds are shuffled chunk by
-    chunk, so memory stays flat in the seed count.  Each seed's shuffled
-    qubit vertices, heaviest first and in shuffle order within a weight,
-    are handed out in the order of ``_deal_blocks``: the weights in that
-    order are the same for every seed, and so is the block sequence.  Each
-    weight-0 vertex then copies the block of its anchor (vertex 0 without
-    one), in vertex order, so an anchor that is a later weight-0 vertex
-    still reads 0.  Raises InfeasibleError as ``resolve_capacities`` does,
-    before the first chunk.
+def _dealer(h: Hypergraph, config: PartitionConfig):
+    """Returns ``deal(perms)``, which turns a seeds x n matrix of
+    ``_shuffles`` (n qubit vertices) into the seeds x vertices block matrix
+    of their deals.  Raises InfeasibleError as ``resolve_capacities`` does.
+    Each row's shuffled qubit vertices, heaviest first and in shuffle order
+    within a weight, are handed out in the order of ``_deal_blocks``: the
+    weights in that order are the same for every seed, and so is the block
+    sequence.  Each weight-0 vertex then copies the block of its anchor
+    (vertex 0 without one), in vertex order, so an anchor that is a later
+    weight-0 vertex still reads 0.
     """
     k = config.blocks
     qubits = [v for v in h.vertices if v.is_qubit]
     weights = np.array([v.weight for v in qubits], dtype=np.int64)
     caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
-    deal = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
-                    dtype=dtype)
+    order = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
+                     dtype=dtype)
     qubit_vs = np.array([v.id for v in qubits], dtype=np.intp)
     # column each weight-0 vertex copies; a later weight-0 column is still 0
     src = list(range(h.n_vertices()))
@@ -543,20 +536,17 @@ def _deals(h: Hypergraph, config: PartitionConfig, seeds, draw=None):
             src[v.id] = src[v.anchor if v.anchor is not None else 0]
     free = [v.id for v in h.vertices if not v.is_qubit]
     free_src = [src[v] for v in free]
-    if draw is None:
-        draw = _shuffles(len(qubits), seeds)
 
-    def chunks():
-        for chunk, perms in draw:
-            # heaviest first; the stable sort keeps the shuffle within a weight
-            perms = np.take_along_axis(
-                perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
-            assign = np.zeros((len(chunk), h.n_vertices()), dtype=dtype)
-            assign[np.arange(len(chunk))[:, None], qubit_vs[perms]] = deal
-            assign[:, free] = assign[:, free_src]
-            yield chunk, assign
+    def deal(perms: np.ndarray) -> np.ndarray:
+        # heaviest first; the stable sort keeps the shuffle within a weight
+        perms = np.take_along_axis(
+            perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
+        assign = np.zeros((len(perms), h.n_vertices()), dtype=dtype)
+        assign[np.arange(len(perms))[:, None], qubit_vs[perms]] = order
+        assign[:, free] = assign[:, free_src]
+        return assign
 
-    return chunks()
+    return deal
 
 
 def _snapper(h: Hypergraph):
@@ -607,25 +597,20 @@ def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np
     return (extra > 0).sum(axis=1), 2 * (extra @ weights)
 
 
-def random_baseline(h: Hypergraph, config: PartitionConfig, seeds, draw=None) -> list[int]:
-    """Ebits of the random deal for each seed, in order.
+def random_deals(h: Hypergraph, config: PartitionConfig, draw):
+    """The random partition of every seed of ``draw``, one matrix at a time.
 
-    Entry i equals ``partition(h, config).cut.ebits`` with seed seeds[i],
-    one restart and ``Mode.RANDOM``, without building a PartitionResult:
-    the deals come from ``_deals`` (from ``draw`` when given), are snapped
-    by ``_snapper`` and priced by ``_cut_rows``.  Without a draw, memory
-    does not grow with the number of seeds.  Raises InfeasibleError as the
-    deal does.
+    ``draw`` is ``_shuffles`` of the qubit vertex count.  For each of its
+    matrices, yields the snapped deals as a seeds x vertices block matrix,
+    and their cut edges and ebits from ``_cut_rows``; row i is the
+    assignment and cut that ``partition`` gives with ``Mode.RANDOM`` and
+    that row's seed.  Raises InfeasibleError as the deal does.
     """
-    deals = _deals(h, config, seeds, draw)
-    if not h.edges:
-        return [0 for _ in seeds]
-    snap = _snapper(h)
-    ebits: list[int] = []
-    for _, assign in deals:
+    deal, snap = _dealer(h, config), _snapper(h)
+    for perms in draw:
+        assign = deal(perms)
         snap(assign)
-        ebits.extend(_cut_rows(h, assign, config.blocks)[1].tolist())
-    return ebits
+        yield (assign, *_cut_rows(h, assign, config.blocks))
 
 
 # --------------------------------------------------------------------------
@@ -647,13 +632,14 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig) -> tuple[list[int], 
     all ``config.restarts`` restarts give.  All restarts share one engine,
     whose tables are built once.
     """
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
-    n, total = _qubit_weight(h), sum(caps)
-    snap = _snapper(h)
-    deals = _deals(h, config, range(config.seed, config.seed + config.restarts))
+    n = _qubit_weight(h)
+    caps = resolve_capacities(config.capacities, n, config.blocks)
+    total = sum(caps)
+    deal, snap = _dealer(h, config), _snapper(h)
+    draw = _shuffles(h.n_qubit_vertices(), range(config.seed, config.seed + config.restarts))
     eng = None
     best, best_key = None, None
-    for r, row in enumerate(row for _, chunk in deals for row in chunk):
+    for r, row in enumerate(row for perms in draw for row in deal(perms)):
         if eng is None:
             eng = _Engine(h, config.blocks, caps, row.tolist())
         else:
@@ -763,10 +749,9 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     if config.mode is Mode.RANDOM:
-        _, deal = next(_deals(h, config, [config.seed]))
-        _snapper(h)(deal)
-        assignment = deal[0].tolist()
-        result = _finalize(h, assignment, config.blocks, 0, config.seed, 0)
+        (assign, _, _), = random_deals(h, config, _shuffles(h.n_qubit_vertices(),
+                                                            [config.seed]))
+        result = _finalize(h, assign[0].tolist(), config.blocks, 0, config.seed, 0)
     else:
         if config.blocks > max(h.n_qubit_vertices(), 1):
             raise ValueError(f"{config.blocks} blocks exceed the "

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
 
-GROUPABLE = frozenset(k for k in GateKind if k.groupable)
-
 
 @dataclass(frozen=True)
 class GateGroup:

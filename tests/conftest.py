@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from qpart import generate, parse_qasm, resolve_capacities
-from qpart.fm import _deals, _Engine, _pass
+from qpart.fm import _dealer, _Engine, _pass, _shuffles
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,8 +22,8 @@ def fixture_names() -> list[str]:
 def deal(h, config):
     """The seeded deal of config.seed that a restart starts from, before
     any pass or snap, as a list."""
-    (_, rows), = _deals(h, config, [config.seed])
-    return rows[0].tolist()
+    (perms,) = _shuffles(h.n_qubit_vertices(), [config.seed])
+    return _dealer(h, config)(perms)[0].tolist()
 
 
 def fm_pass(h, assignment, config, stats=None):

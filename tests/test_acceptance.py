@@ -13,7 +13,7 @@ from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
                    emit_qasm, equivalent, find_groups, generate, parse_qasm,
                    partition, plan_distribution, simulate)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import _PassStats, random_baseline
+from qpart.fm import _PassStats, _shuffles, random_deals
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
 
@@ -25,8 +25,9 @@ def report(name: str, passed: bool, detail: str) -> str:
 
 
 def random_mean_ebits(h, blocks: int, seeds: int) -> float:
-    vals = random_baseline(h, PartitionConfig(blocks=blocks), range(seeds))
-    return sum(vals) / len(vals)
+    draw = _shuffles(h.n_qubit_vertices(), range(seeds))
+    deals = random_deals(h, PartitionConfig(blocks=blocks), draw)
+    return sum(int(ebits.sum()) for *_, ebits in deals) / seeds
 
 
 def test_criterion_1_grouped_fm_halves_random_baseline():

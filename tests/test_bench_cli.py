@@ -270,20 +270,42 @@ def test_random_rows_match_partition_and_plan(instance):
         result = partition(h, PartitionConfig(blocks=config.blocks,
                                               capacities=config.capacities,
                                               restarts=1, seed=seed, mode=Mode.RANDOM))
-        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups)
+        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                                 blocks=config.blocks)
         return (seed, result.cut.cut_edges, result.cut.ebits,
                 tuple(p.r for p in plan.per_block))
 
     job = CircuitJob(label=circuit.name)
+
+    def batch():
+        return _random_rows(job, circuit, h, groups, config, caps, seeds,
+                            fm._shuffles(circuit.width, seeds), 0.0)
+
     try:
         want = [one(seed) for seed in seeds]
     except InfeasibleError as ex:
         with pytest.raises(InfeasibleError, match=re.escape(str(ex))):
-            _random_rows(job, circuit, h, groups, config, caps, seeds)
+            batch()
         return
-    rows = _random_rows(job, circuit, h, groups, config, caps, seeds)
+    rows = batch()
     assert [(r.seed, r.cut_edges, r.ebits, r.r_per_block) for r in rows] == want
     assert all(r.method == "Random" and r.capacities == tuple(caps) for r in rows)
+
+
+def test_random_rows_cover_every_qpu(capsys):
+    # two qubits over three QPUs: the deal leaves block 2 empty, and its row
+    # still has an r cell for it, as the CLI report lists all three blocks
+    spec = SuiteSpec(circuits=(CircuitJob.parse("ghz:2"),), methods=("Random",),
+                     parts=(3,), seed_from=0, seed_to=3)
+    rows, _ = run_suite(spec)
+    assert len(rows) == 3
+    for row in rows:
+        assert row.csv_cells()[6] == "1;1;0"
+        assert row.csv_cells()[10] == "1.0;1.0;-"
+        assert main(["partition", "ghz:2", "--parts", "3", "--method", "random",
+                     "--seed", str(row.seed), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert row.r_per_block == tuple(b["r"] for b in report["blocks"])
 
 
 # -- command line ----------------------------------------------------------

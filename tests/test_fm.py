@@ -15,7 +15,8 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
-from qpart.fm import _MAX_PASSES, _Engine, _pass, _PassStats, _snapper, random_baseline
+from qpart.fm import (_MAX_PASSES, _Engine, _pass, _PassStats, _shuffles, _snapper,
+                      random_deals)
 
 from conftest import deal, fm_pass
 
@@ -748,40 +749,53 @@ def baseline_instances(draw):
     return h, cfg, range(cfg.seed, cfg.seed + count)
 
 
+def random_rows(h, cfg, seeds):
+    """(assignment, cut edges, ebits) of ``random_deals`` for each seed."""
+    return [(tuple(row), cut, ebits)
+            for assign, cuts, ebits_col in random_deals(
+                h, cfg, _shuffles(h.n_qubit_vertices(), seeds))
+            for row, cut, ebits in zip(assign.tolist(), cuts.tolist(), ebits_col.tolist())]
+
+
 @settings(max_examples=100, deadline=None)
 @given(baseline_instances())
 def test_random_baseline_matches_random_partition(instance):
     h, cfg, seeds = instance
 
     def one(seed):
-        return partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
-                                            restarts=1, seed=seed,
-                                            mode=Mode.RANDOM)).cut.ebits
+        result = partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
+                                              restarts=1, seed=seed, mode=Mode.RANDOM))
+        return result.assignment, result.cut.cut_edges, result.cut.ebits
 
     try:
         want = [one(seed) for seed in seeds]
     except InfeasibleError as ex:
         with pytest.raises(InfeasibleError, match=re.escape(str(ex))):
-            random_baseline(h, cfg, seeds)
+            random_rows(h, cfg, seeds)
         return
-    got = random_baseline(h, cfg, seeds)
+    got = random_rows(h, cfg, seeds)
     assert got == want
     if not h.edges:
-        assert got == [0] * len(seeds)
+        assert [ebits for *_, ebits in got] == [0] * len(seeds)
 
 
 def test_random_baseline_memory_flat_in_seed_count():
     c = generate("random", 24)
     h = build_hypergraph(c, find_groups(c))
     cfg = PartitionConfig(blocks=4)
-    random_baseline(h, cfg, range(10))
+
+    def mean_ebits(count):
+        deals = random_deals(h, cfg, _shuffles(h.n_qubit_vertices(), range(count)))
+        return sum(int(ebits.sum()) for *_, ebits in deals) / count
+
+    mean_ebits(10)
     peaks = {}
     tracemalloc.start()
     try:
         for count in (1000, 4000):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            random_baseline(h, cfg, range(count))
+            mean_ebits(count)
             peaks[count] = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
