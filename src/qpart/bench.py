@@ -11,15 +11,18 @@ partition of every seed with its cut, plus the per-block ledger of
 ``distribution._plan_ledger``; each row equals what ``partition`` and
 ``plan_distribution`` give for its seed, over all k QPUs.  FMGrouped's
 baseline is on the grouped hypergraph, which has no Random rows of its
-own, so it is the mean ebits of ``fm.random_deals`` there.  A row carries
+own, so it is ``fm.expected_ebits`` there: the exact mean over every
+random deal, which the Random rows' mean would only estimate.  FM's
+baseline stays the mean of its Random rows, so that the summary can be
+rebuilt from the CSV.  A row carries
 its figures, not its plan: build one with ``partition`` and
 ``plan_distribution`` for the row's seed and mode.
 
 A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
-into blocks (k, the capacities and the weights).  Qubit q is vertex q of
-both hypergraphs, so a suite shuffles each seed of its range once per
-circuit and deals that one draw, seeds x width matrices of the smallest
-unsigned dtype, for the Random rows and the grouped baseline at every k.
+into blocks (k, the capacities and the weights).  The shuffle does not
+depend on k, so a suite shuffles each seed of its range once per circuit
+and deals that one draw, seeds x width matrices of the smallest unsigned
+dtype, for the Random rows at every k.
 A Random row's ``runtime_ms`` is its k's batch time plus the whole draw's
 time, divided by the seed count: each k's rows carry the draw as if that
 k had made it alone.
@@ -38,8 +41,8 @@ from pathlib import Path
 
 from .circuit import Circuit, parse_qasm
 from .distribution import _plan_ledger, plan_distribution
-from .fm import (Mode, PartitionConfig, _shuffles, partition, random_deals,
-                 resolve_capacities)
+from .fm import (Mode, PartitionConfig, _shuffles, expected_ebits, partition,
+                 random_deals, resolve_capacities)
 from .generators import CircuitFamily, generate
 from .grouping import find_groups
 from .hypergraph import Hypergraph, build_hypergraph
@@ -266,7 +269,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
         seeds = range(spec.seed_from, spec.seed_to)
         draw, draw_ms = None, 0.0
         if "Random" in spec.methods:
-            # qubit q is vertex q of both hypergraphs, so one draw deals both at every k
+            # the shuffle does not depend on k, so one draw deals every k's rows
             t0 = time.perf_counter()
             draw = list(_shuffles(circuit.width, seeds))
             draw_ms = (time.perf_counter() - t0) * 1000.0
@@ -307,9 +310,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                 summary["fm_grouped_ebits"] = row.ebits
                 if "Random" in spec.methods:
                     # baseline on the same (grouped) hypergraph the method saw
-                    deals = random_deals(h_grouped, config(Mode.RANDOM, spec.seed_from, 1),
-                                         draw)
-                    base = sum(int(ebits.sum()) for *_, ebits in deals) / len(seeds)
+                    base = expected_ebits(h_grouped, config(Mode.RANDOM, spec.seed_from, 1))
                     if base:
                         summary["fm_grouped_improvement_pct"] = \
                             100.0 * (base - row.ebits) / base

@@ -17,11 +17,9 @@ from pathlib import Path
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
 from .circuit import Circuit, QasmError
 from .distribution import emit_subcircuits, plan_distribution
-from .fm import InfeasibleError, Mode, PartitionConfig, _shuffles, partition, random_deals
+from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
 from .grouping import find_groups
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
-
-BASELINE_SEEDS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,13 +47,12 @@ def _parse_caps(text: str | None) -> tuple[int, ...] | None:
 
 
 def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
-    """Percent of the mean random-deal ebits that ``ebits`` saves; None
-    for the random method itself or a zero baseline."""
+    """Percent of the exact mean random-deal ebits (``fm.expected_ebits``)
+    that ``ebits`` saves; None for the random method itself or a zero
+    baseline."""
     if config.mode is Mode.RANDOM:
         return None
-    draw = _shuffles(h.n_qubit_vertices(), range(config.seed, config.seed + BASELINE_SEEDS))
-    base = sum(int(deal_ebits.sum())
-               for *_, deal_ebits in random_deals(h, config, draw)) / BASELINE_SEEDS
+    base = expected_ebits(h, config)
     return 100.0 * (base - ebits) / base if base else None
 
 

@@ -16,7 +16,10 @@ and block counts, as a bench suite's does per circuit; the deal turns it
 into blocks from the capacities, k, the weights and the anchors, handing
 the heaviest qubit vertices out first.  ``random_deals`` deals, snaps and
 prices a draw one matrix of at most 128 seeds at a time; it is the one
-random partition, of ``Mode.RANDOM``, the CLI's baseline and the bench.
+random partition, of ``Mode.RANDOM`` and the bench's Random rows.
+``expected_ebits`` prices the mean of that partition over every shuffle
+in closed form, reading the same anchor sources and snap set; it is the
+CLI's baseline and the bench's grouped one.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -59,6 +62,7 @@ and ``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -477,14 +481,14 @@ def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
     return blocks
 
 
-def _finalize(h: Hypergraph, assignment: list[int], blocks: int, passes: int,
-              seed_used: int, gain_updates: int) -> PartitionResult:
+def _finalize(h: Hypergraph, assignment: list[int], blocks: int, cut: CutReport,
+              passes: int, seed_used: int, gain_updates: int) -> PartitionResult:
     loads = [0] * blocks
     for v in h.vertices:
         loads[assignment[v.id]] += v.weight
     return PartitionResult(assignment=tuple(assignment),
                            blocks_used=sum(1 for x in loads if x > 0),
-                           cut=cut_cost(h, assignment, blocks), loads=tuple(loads),
+                           cut=cut, loads=tuple(loads),
                            passes_run=passes, seed_used=seed_used,
                            gain_updates=gain_updates)
 
@@ -510,6 +514,36 @@ def _shuffles(n: int, seeds):
         yield np.array(perms, dtype=dtype).reshape(len(chunk), n)
 
 
+def _anchor_sources(h: Hypergraph) -> list[int]:
+    """The column each vertex's deal copies: a qubit vertex its own, a
+    weight-0 vertex that of its anchor (vertex 0 without one), resolved in
+    vertex order.  An anchor that is a later weight-0 vertex, or the vertex
+    itself, is still unresolved then, so the vertex copies that weight-0
+    column, which the deal leaves at block 0."""
+    src = list(range(h.n_vertices()))
+    for v in h.vertices:
+        if not v.is_qubit:
+            src[v.id] = src[v.anchor if v.anchor is not None else 0]
+    return src
+
+
+def _snapped(h: Hypergraph) -> dict[int, list[int]]:
+    """The qubit pins of each weight-0 vertex that the snap puts in a block
+    of its edge's qubit pins: one with exactly one edge, which has a qubit
+    pin.  Circuit
+    grouping vertices always have one edge; a weight-0 vertex on several
+    edges (hMETIS input) stays where it is, since its first edge alone does
+    not price a move, and so does one whose edge has no qubit pin."""
+    snapped = {}
+    for v in h.vertices:
+        if v.is_qubit or len(h.incidence[v.id]) != 1:
+            continue
+        pins = [p for p in h.edges[h.incidence[v.id][0]].pins if h.vertices[p].is_qubit]
+        if pins:
+            snapped[v.id] = pins
+    return snapped
+
+
 def _dealer(h: Hypergraph, config: PartitionConfig):
     """Returns ``deal(perms)``, which turns a seeds x n matrix of
     ``_shuffles`` (n qubit vertices) into the seeds x vertices block matrix
@@ -517,9 +551,8 @@ def _dealer(h: Hypergraph, config: PartitionConfig):
     Each row's shuffled qubit vertices, heaviest first and in shuffle order
     within a weight, are handed out in the order of ``_deal_blocks``: the
     weights in that order are the same for every seed, and so is the block
-    sequence.  Each weight-0 vertex then copies the block of its anchor
-    (vertex 0 without one), in vertex order, so an anchor that is a later
-    weight-0 vertex still reads 0.
+    sequence.  Each weight-0 vertex then copies its ``_anchor_sources``
+    column.
     """
     k = config.blocks
     qubits = [v for v in h.vertices if v.is_qubit]
@@ -529,11 +562,7 @@ def _dealer(h: Hypergraph, config: PartitionConfig):
     order = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
                      dtype=dtype)
     qubit_vs = np.array([v.id for v in qubits], dtype=np.intp)
-    # column each weight-0 vertex copies; a later weight-0 column is still 0
-    src = list(range(h.n_vertices()))
-    for v in h.vertices:
-        if not v.is_qubit:
-            src[v.id] = src[v.anchor if v.anchor is not None else 0]
+    src = _anchor_sources(h)
     free = [v.id for v in h.vertices if not v.is_qubit]
     free_src = [src[v] for v in free]
 
@@ -550,24 +579,17 @@ def _dealer(h: Hypergraph, config: PartitionConfig):
 
 
 def _snapper(h: Hypergraph):
-    """Returns ``snap(assign)``, which moves each weight-0 vertex with
-    exactly one edge, in every row of a seeds x vertices block matrix and
-    in place, to the lowest block that edge's qubit pins span, unless it
-    already sits in one of them.  The snap never increases the cut and
-    keeps every channel anchored to real qubits.  Circuit grouping vertices always
-    have one edge; a weight-0 vertex on several edges (hMETIS input) stays
-    where it is, since its first edge alone does not price a move, and so
-    does one whose edge has no qubit pin."""
+    """Returns ``snap(assign)``, which moves each ``_snapped`` vertex, in
+    every row of a seeds x vertices block matrix and in place, to the
+    lowest block its edge's qubit pins span, unless it already sits in one
+    of them.  The snap never increases the cut and keeps every channel
+    anchored to real qubits."""
     snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
-    for v in h.vertices:
-        if v.is_qubit or len(h.incidence[v.id]) != 1:
-            continue
-        pins = [p for p in h.edges[h.incidence[v.id][0]].pins if h.vertices[p].is_qubit]
-        if pins:
-            snap_vs.append(v.id)
-            snap_starts.append(len(snap_pins))
-            snap_pins.extend(pins)
-            snap_owner.extend([v.id] * len(pins))
+    for v, pins in _snapped(h).items():
+        snap_vs.append(v)
+        snap_starts.append(len(snap_pins))
+        snap_pins.extend(pins)
+        snap_owner.extend([v] * len(pins))
 
     def snap(assign: np.ndarray) -> None:
         if snap_vs:
@@ -611,6 +633,61 @@ def random_deals(h: Hypergraph, config: PartitionConfig, draw):
         assign = deal(perms)
         snap(assign)
         yield (assign, *_cut_rows(h, assign, config.blocks))
+
+
+def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
+    """The exact mean ebits of ``random_deals`` over every shuffle.
+
+    The deal fills a fixed block sequence from a uniform shuffle, so the
+    qubit vertices of each weight class take that class's dealt positions
+    as a uniform random bijection, independently of the other classes.  An
+    edge's blocks are decided by a set S of qubit vertices: its qubit pins
+    and the ``_anchor_sources`` of its weight-0 pins that the snap leaves;
+    a pin that the snap moves lands in a block the qubit pins already span.
+    A weight-0 source column reads block 0, which is then spanned for
+    certain.  Block b misses S with probability, over the weight classes w,
+    of the product of C(n_w - c_wb, m_w) / C(n_w, m_w), where the class has
+    n_w vertices, c_wb of its positions go to b and S holds m_w of it.
+    Edges are summed per (class counts, block 0 fixed) key, each key is
+    priced once in integers, and the exact sum is rounded to a float only
+    at the end, so ghz10 at k=2 prices to exactly 10.  Raises InfeasibleError as the deal does.
+    """
+    k = config.blocks
+    weights = sorted((v.weight for v in h.vertices if v.is_qubit), reverse=True)
+    caps = resolve_capacities(config.capacities, sum(weights), k)
+    classes = {w: i for i, w in enumerate(dict.fromkeys(weights))}
+    sizes = [0] * len(classes)
+    dealt = [[0] * k for _ in classes]  # c_wb
+    for w, b in zip(weights, _deal_blocks(caps, weights, k)):
+        sizes[classes[w]] += 1
+        dealt[classes[w]][b] += 1
+    src, snapped = _anchor_sources(h), _snapped(h)
+    keys: dict[tuple[tuple[int, ...], bool], int] = {}
+    for e in h.edges:
+        decided, fixed = set(), False
+        for p in e.pins:
+            if p not in snapped:
+                s = src[p]
+                if h.vertices[s].is_qubit:
+                    decided.add(s)
+                else:
+                    fixed = True
+        counts = [0] * len(classes)
+        for q in decided:
+            counts[classes[h.vertices[q].weight]] += 1
+        key = (tuple(counts), fixed)
+        keys[key] = keys.get(key, 0) + e.weight
+    num, den = 0, 1  # the exact sum of w_e * (E[spanned] - 1)
+    for (counts, fixed), w in keys.items():
+        # E[spanned] - 1 = (k - 1) - sum_b P(b misses S), over one denominator
+        whole = math.prod(math.comb(n, m) for n, m in zip(sizes, counts))
+        missed = sum(math.prod(math.comb(n - dealt[i][b], m)
+                               for i, (n, m) in enumerate(zip(sizes, counts)))
+                     for b in range(1 if fixed else 0, k))
+        lcm = math.lcm(den, whole)
+        num = num * (lcm // den) + w * ((k - 1) * whole - missed) * (lcm // whole)
+        den = lcm
+    return 2 * num / den  # int true division rounds the exact ratio once
 
 
 # --------------------------------------------------------------------------
@@ -749,9 +826,11 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """
     caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
     if config.mode is Mode.RANDOM:
-        (assign, _, _), = random_deals(h, config, _shuffles(h.n_qubit_vertices(),
-                                                            [config.seed]))
-        result = _finalize(h, assign[0].tolist(), config.blocks, 0, config.seed, 0)
+        (assign, (cut_edges,), (ebits,)), = random_deals(
+            h, config, _shuffles(h.n_qubit_vertices(), [config.seed]))
+        cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2,
+                        ebits=int(ebits))
+        result = _finalize(h, assign[0].tolist(), config.blocks, cut, 0, config.seed, 0)
     else:
         if config.blocks > max(h.n_qubit_vertices(), 1):
             raise ValueError(f"{config.blocks} blocks exceed the "
@@ -761,7 +840,8 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
         else:
             assignment, passes, updates = _recursive_bisection(h, config, caps)
             seed = config.seed
-        result = _finalize(h, assignment, config.blocks, passes, seed, updates)
+        result = _finalize(h, assignment, config.blocks,
+                           cut_cost(h, assignment, config.blocks), passes, seed, updates)
     for b, (load, cap) in enumerate(zip(result.loads, caps)):
         if load > cap:
             raise InfeasibleError(f"block {b} has load {load}, over its capacity {cap}")

@@ -1,10 +1,12 @@
 """Move-based refinement: gains, passes, drivers and feasibility."""
 
+import itertools
 import math
 import random
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,9 +18,9 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
 from qpart.fm import (_MAX_PASSES, _Engine, _pass, _PassStats, _shuffles, _snapper,
-                      random_deals)
+                      expected_ebits, random_deals)
 
-from conftest import deal, fm_pass
+from conftest import deal, fm_pass, load_fixture
 
 
 def chain(n: int) -> Hypergraph:
@@ -765,6 +767,8 @@ def test_random_baseline_matches_random_partition(instance):
     def one(seed):
         result = partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
                                               restarts=1, seed=seed, mode=Mode.RANDOM))
+        # the cut is built from the deal's own pricing, not priced again
+        assert result.cut == cut_cost(h, list(result.assignment), cfg.blocks)
         return result.assignment, result.cut.cut_edges, result.cut.ebits
 
     try:
@@ -800,3 +804,104 @@ def test_random_baseline_memory_flat_in_seed_count():
     finally:
         tracemalloc.stop()
     assert peaks[4000] <= 1.5 * peaks[1000], peaks
+
+
+# -- the exact random baseline against every deal and against sampling ----
+
+def every_deal_mean(h: Hypergraph, cfg: PartitionConfig) -> Fraction:
+    """The exact mean ebits of ``random_deals`` over all n! shuffles of the
+    n qubit vertices."""
+    n = h.n_qubit_vertices()
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    total = sum(int(ebits.sum()) for *_, ebits in random_deals(h, cfg, [perms]))
+    return Fraction(total, len(perms))
+
+
+def weighted_instance(seed: int) -> tuple[Hypergraph, PartitionConfig]:
+    """A seeded small hypergraph: at most 7 qubit vertices of weight 1-3,
+    up to 3 weight-0 vertices with any id and an anchor anywhere or none,
+    edges of 2-4 pins and weight 1-3, k in {2, 3} and slack capacities."""
+    rng = random.Random(seed)
+    nq, nz = rng.randint(2, 7), rng.randint(0, 3)
+    n = nq + nz
+    zero = set(rng.sample(range(n), nz))
+    vertices = [Vertex(i, weight=0, anchor=rng.choice([None, *range(n)])) if i in zero
+                else Vertex(i, weight=rng.randint(1, 3)) for i in range(n)]
+    edges = [Hyperedge(i, tuple(rng.sample(range(n), rng.randint(2, min(4, n)))),
+                       weight=rng.randint(1, 3)) for i in range(rng.randint(1, 8))]
+    k = rng.randint(2, 3)
+    total = sum(v.weight for v in vertices)
+    caps = tuple(math.ceil(1.2 * total / k) + rng.randint(0, 2) for _ in range(k))
+    return Hypergraph(vertices, edges), PartitionConfig(blocks=k, capacities=caps)
+
+
+def _q(i, w=1):
+    return Vertex(i, weight=w)
+
+
+def _z(i, anchor=None):
+    return Vertex(i, weight=0, anchor=anchor)
+
+
+# each names the weight-0 source or snap rule it exercises
+WEIGHT0_CASES = {
+    # grouping vertex anchored to a qubit on its one edge: the snap moves it
+    "anchored to a qubit": Hypergraph(
+        [_q(0), _q(1, 2), _q(2), _q(3), _z(4, anchor=1)],
+        [Hyperedge(0, (4, 1, 2, 3)), Hyperedge(1, (0, 1)), Hyperedge(2, (2, 3), weight=2)]),
+    # vertex 1's anchor is a later weight-0 vertex, so it reads block 0; on
+    # two edges it is not snapped
+    "anchored to a later weight-0 vertex": Hypergraph(
+        [_q(0), _z(1, anchor=4), _q(2, 2), _q(3), _z(4, anchor=0), _q(5)],
+        [Hyperedge(0, (1, 2)), Hyperedge(1, (1, 3, 5)), Hyperedge(2, (4, 0, 5))]),
+    # no anchor: vertex 0's block, and vertex 0 is a qubit
+    "anchored to nothing": Hypergraph(
+        [_q(0, 3), _q(1), _z(2), _q(3), _q(4, 2), _z(5)],
+        [Hyperedge(0, (2, 1)), Hyperedge(1, (2, 3, 4)), Hyperedge(2, (5, 4, 1))]),
+    # vertex 0 is weight-0, so every unanchored weight-0 vertex reads block 0
+    "vertex 0 is weight-0": Hypergraph(
+        [_z(0), _q(1), _q(2, 2), _z(3), _q(4), _q(5, 3)],
+        [Hyperedge(0, (0, 1, 2)), Hyperedge(1, (0, 4)), Hyperedge(2, (3, 5)),
+         Hyperedge(3, (3, 1, 2))]),
+    # a weight-0 vertex on two edges keeps its deal source on both
+    "weight-0 vertex on two edges": Hypergraph(
+        [_q(0), _q(1), _z(2, anchor=3), _q(3, 2), _q(4), _q(5)],
+        [Hyperedge(0, (2, 0, 1)), Hyperedge(1, (2, 4, 5), weight=3), Hyperedge(2, (3, 4))]),
+    # edge 0's only source is block 0: two unsnapped weight-0 columns
+    "only source is block 0": Hypergraph(
+        [_z(0), _q(1), _z(2), _q(3), _q(4), _q(5, 2)],
+        [Hyperedge(0, (0, 2)), Hyperedge(1, (0, 1, 3)), Hyperedge(2, (2, 4, 5)),
+         Hyperedge(3, (1, 5))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT0_CASES))
+@pytest.mark.parametrize("k", [2, 3])
+def test_expected_ebits_weight0_rules(name, k):
+    h = WEIGHT0_CASES[name]
+    total = sum(v.weight for v in h.vertices)
+    cfg = PartitionConfig(blocks=k, capacities=(math.ceil(1.2 * total / k),) * k)
+    assert expected_ebits(h, cfg) == float(every_deal_mean(h, cfg))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_expected_ebits_is_the_mean_over_every_deal(seed):
+    h, cfg = weighted_instance(seed)
+    assert expected_ebits(h, cfg) == float(every_deal_mean(h, cfg))
+
+
+def test_expected_ebits_refuses_what_the_deal_refuses():
+    with pytest.raises(InfeasibleError, match="capacities sum"):
+        expected_ebits(chain(5), PartitionConfig(blocks=2, capacities=(2, 2)))
+
+
+@pytest.mark.parametrize("c", [generate("qft", 6), generate("random", 8, 1),
+                               load_fixture("toffoli_mix_5.qasm")], ids=lambda c: c.name)
+def test_expected_ebits_within_sampling_error(c):
+    draw = list(_shuffles(c.width, range(20_000)))
+    for h in (build_hypergraph(c), build_hypergraph(c, find_groups(c))):
+        for k in (2, 3, 4):
+            cfg = PartitionConfig(blocks=k)
+            ebits = np.concatenate([col for *_, col in random_deals(h, cfg, draw)])
+            se = ebits.std(ddof=1) / math.sqrt(len(ebits))
+            assert abs(expected_ebits(h, cfg) - ebits.mean()) <= 4 * se, (c.name, k)

@@ -59,14 +59,14 @@ CELLS = {
 }
 
 SUMMARIES = {
-    ("ghz6", 2): "d8e88892e8413e01",
-    ("ghz6", 3): "ee58df109ad1bb32",
-    ("qft5", 2): "5cedb3f0bb7e733d",
-    ("qft5", 3): "371dc151ae595013",
-    ("random7", 2): "e3deba9393fa8605",
-    ("random7", 3): "7756b2241d9b7bd9",
-    ("toffoli_mix_5", 2): "cb861500e5c71a9b",
-    ("toffoli_mix_5", 3): "9c8842dfd2c395c9",
+    ("ghz6", 2): "c1296dc42678aca1",
+    ("ghz6", 3): "1256de8dd0eda62e",
+    ("qft5", 2): "c2c5e1290437a5c3",
+    ("qft5", 3): "6dcc34ed87d5b803",
+    ("random7", 2): "8d1581857b302196",
+    ("random7", 3): "5c720af25151b3b2",
+    ("toffoli_mix_5", 2): "ad2dab214c40a092",
+    ("toffoli_mix_5", 3): "c4af11c082f31c12",
 }
 
 
