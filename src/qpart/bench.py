@@ -5,27 +5,29 @@ account) for every requested combination and collects one BenchRow per
 (circuit, method, seed, k).  The Random method is the baseline: it has one
 row per seed in the suite's range, and a method's improvement is measured
 against the mean random ebits over that range, always on the same
-hypergraph the method itself was partitioned on.  A (circuit, k)'s Random
-rows are scored in one batch from ``fm.random_deals``, the random
-partition of every seed with its cut, plus the per-block ledger of
-``distribution._plan_ledger``; each row equals what ``partition`` and
-``plan_distribution`` give for its seed, over all k QPUs.  FMGrouped's
-baseline is on the grouped hypergraph, which has no Random rows of its
-own, so it is ``fm.expected_ebits`` there: the exact mean over every
-random deal, which the Random rows' mean would only estimate.  FM's
-baseline stays the mean of its Random rows, so that the summary can be
-rebuilt from the CSV.  A row carries
-its figures, not its plan: build one with ``partition`` and
-``plan_distribution`` for the row's seed and mode.
+hypergraph the method itself was partitioned on.  FMGrouped's is on the
+grouped hypergraph, which has no Random rows, so it is
+``fm.expected_ebits`` there, the exact mean over every random deal; FM's
+stays the mean of its Random rows, so the summary can be rebuilt from the
+CSV.
+
+Every row is scored by ``_rows``: a method hands it priced assignment
+matrices, and each QPU's o and e come from the batched
+``distribution._plan_ledger``, so a row equals what ``partition`` and
+``plan_distribution`` give for its seed, over all k QPUs, without a plan.
+The Random rows are ``fm.random_deals`` of every seed; the FM row is
+``partition`` at the range's first seed and shares their ledger of the
+plain hypergraph; FMGrouped's row gets one ledger of the grouped one.
 
 A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
 into blocks (k, the capacities and the weights).  The shuffle does not
-depend on k, so a suite shuffles each seed of its range once per circuit
-and deals that one draw, seeds x width matrices of the smallest unsigned
-dtype, for the Random rows at every k.
-A Random row's ``runtime_ms`` is its k's batch time plus the whole draw's
-time, divided by the seed count: each k's rows carry the draw as if that
-k had made it alone.
+depend on k, so a suite shuffles each seed once per circuit and deals that
+one draw, seeds x width matrices of the smallest unsigned dtype, at every
+k.  A row's ``runtime_ms`` is its method's time plus its scoring time
+(building its ledger, unless the Random rows did), over its seed count.
+A Random row's method time is the whole draw's, so each k's rows carry
+the draw as if that k had made it alone; FM's and FMGrouped's is
+``partition``'s.
 
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
@@ -39,8 +41,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import Circuit, parse_qasm
-from .distribution import _plan_ledger, plan_distribution
+from .distribution import _plan_ledger
 from .fm import (Mode, PartitionConfig, _shuffles, expected_ebits, partition,
                  random_deals, resolve_capacities)
 from .generators import CircuitFamily, generate
@@ -208,39 +212,30 @@ class BenchRow:
                 f"{self.runtime_ms:.3f}"]
 
 
-def _one_run(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
-             method: str, config: PartitionConfig, caps: list[int]) -> BenchRow:
-    t0 = time.perf_counter()
-    result = partition(h, config)
-    ms = (time.perf_counter() - t0) * 1000.0
-    plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                             blocks=config.blocks)
-    return BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
-                    depth=circuit.depth, method=method, k=config.blocks,
-                    capacities=tuple(caps), seed=config.seed,
-                    cut_edges=result.cut.cut_edges, ebits=result.cut.ebits,
-                    r_per_block=tuple(p.r for p in plan.per_block),
-                    runtime_ms=ms)
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
-def _random_rows(job: CircuitJob, circuit: Circuit, h: Hypergraph, groups,
-                 config: PartitionConfig, caps: list[int], seeds, draw,
-                 draw_ms: float) -> list[BenchRow]:
-    """One Random row per seed, scored in one batch: ``fm.random_deals`` of
-    ``draw``, the seeds' ``fm._shuffles`` made in ``draw_ms``, with the o
-    and e of every QPU from ``distribution._plan_ledger``.  Each row equals
-    what ``_one_run`` makes for its seed, except that ``runtime_ms`` is the
-    batch time, draw included, over the seed count.
+def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds,
+          ledger, priced, ms: float) -> list[BenchRow]:
+    """One row of ``method`` per seed of ``seeds``, in order.
+
+    ``priced`` yields (assign, cut_edges, ebits): a seeds x vertices block
+    matrix and each row's cut edges and ebits, as ``fm.random_deals`` does.
+    ``ledger`` is ``distribution._plan_ledger`` over the hypergraph they
+    partition, so a row's ``r_per_block`` is ``plan_distribution``'s, and a
+    row it refuses raises the plan's InfeasibleError.  ``runtime_ms`` is
+    ``ms``, the method's time, plus the time spent here, over the seed
+    count.
     """
     t0 = time.perf_counter()
-    ledger = _plan_ledger(circuit, h, config.blocks, groups)
     scored = []
-    for assign, cut_edges, ebits in random_deals(h, config, draw):
+    for assign, cut_edges, ebits in priced:
         o, e = ledger(assign)
         scored.extend(zip(cut_edges.tolist(), ebits.tolist(), o.tolist(), e.tolist()))
-    ms = ((time.perf_counter() - t0) * 1000.0 + draw_ms) / len(scored)
+    ms = (ms + _ms_since(t0)) / len(scored)
     return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
-                     depth=circuit.depth, method="Random", k=config.blocks,
+                     depth=circuit.depth, method=method, k=len(caps),
                      capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
                      r_per_block=tuple(x / y if y else None for x, y in zip(e, o)),
                      runtime_ms=ms)
@@ -272,7 +267,7 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
             # the shuffle does not depend on k, so one draw deals every k's rows
             t0 = time.perf_counter()
             draw = list(_shuffles(circuit.width, seeds))
-            draw_ms = (time.perf_counter() - t0) * 1000.0
+            draw_ms = _ms_since(t0)
 
         for ki, k in enumerate(spec.parts):
             caps_in = spec.capacities[ki] if spec.capacities is not None else None
@@ -286,34 +281,37 @@ def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], li
                 return PartitionConfig(blocks=k, capacities=caps_in, restarts=restarts,
                                        seed=seed, mode=method_mode)
 
+            plain = None  # h_plain's ledger, shared by the Random rows and FM
             if "Random" in spec.methods:
-                random_rows = _random_rows(job, circuit, h_plain, None,
-                                           config(Mode.RANDOM, spec.seed_from, 1), caps,
-                                           seeds, draw, draw_ms)
+                t0 = time.perf_counter()
+                plain = _plan_ledger(circuit, h_plain, k)
+                random_rows = _rows(job, circuit, "Random", caps, seeds, plain,
+                                    random_deals(h_plain, config(Mode.RANDOM, spec.seed_from, 1),
+                                                 draw), draw_ms + _ms_since(t0))
                 rows.extend(random_rows)
                 summary["random_mean_ebits"] = \
                     sum(r.ebits for r in random_rows) / len(random_rows)
 
-            if "FM" in spec.methods:
-                row = _one_run(job, circuit, h_plain, None, "FM",
-                               config(spec.mode, spec.seed_from, spec.restarts), caps)
+            for method, key, h, h_groups in (("FM", "fm", h_plain, None),
+                                             ("FMGrouped", "fm_grouped", h_grouped, groups)):
+                if method not in spec.methods:
+                    continue
+                t0 = time.perf_counter()
+                ledger = plain if method == "FM" and plain is not None else \
+                    _plan_ledger(circuit, h, k, h_groups)
+                result = partition(h, config(spec.mode, spec.seed_from, spec.restarts))
+                priced = (np.array([result.assignment], dtype=np.intp),
+                          np.array([result.cut.cut_edges]), np.array([result.cut.ebits]))
+                row, = _rows(job, circuit, method, caps, [spec.seed_from], ledger, [priced],
+                             _ms_since(t0))
                 rows.append(row)
-                summary["fm_ebits"] = row.ebits
-                base = summary["random_mean_ebits"]
-                if base:
-                    summary["fm_improvement_pct"] = 100.0 * (base - row.ebits) / base
-
-            if "FMGrouped" in spec.methods:
-                row = _one_run(job, circuit, h_grouped, groups, "FMGrouped",
-                               config(spec.mode, spec.seed_from, spec.restarts), caps)
-                rows.append(row)
-                summary["fm_grouped_ebits"] = row.ebits
+                summary[f"{key}_ebits"] = row.ebits
                 if "Random" in spec.methods:
-                    # baseline on the same (grouped) hypergraph the method saw
-                    base = expected_ebits(h_grouped, config(Mode.RANDOM, spec.seed_from, 1))
+                    # baseline on the same hypergraph the method saw
+                    base = summary["random_mean_ebits"] if h_groups is None else \
+                        expected_ebits(h, config(Mode.RANDOM, spec.seed_from, 1))
                     if base:
-                        summary["fm_grouped_improvement_pct"] = \
-                            100.0 * (base - row.ebits) / base
+                        summary[f"{key}_improvement_pct"] = 100.0 * (base - row.ebits) / base
 
             summaries.append(summary)
     return rows, summaries

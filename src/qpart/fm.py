@@ -4,12 +4,14 @@
 restart driver: each seeded restart deals the qubit vertices, runs passes
 until one fails, and snaps free weight-0 vertices onto their edge; the
 winner has the lowest (lambda - 1, balance deviation, restart index).
-Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks;
-recursive bisection calls it once per split, with that split's side
-capacities.  A split keeps the restriction of every edge inside each
-side, so later splits of an already cut edge are charged exactly as the
-global metric charges them.  The deal and the snap are each written
-once, over a seeds x vertices block matrix (``_dealer``, ``_snapper``).
+Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks,
+and the winner keeps the price its rank key was read from; recursive
+bisection calls it once per split, with that split's side capacities,
+and prices its result once.  A split keeps the restriction of every edge
+inside each side, so later splits of an already cut edge are charged
+exactly as the global metric charges them.  The deal and the snap are
+each written once, over a seeds x vertices block matrix (``_dealer``,
+``_snapper``).
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the qubit vertex count, so one draw can serve many hypergraphs
 and block counts, as a bench suite's does per circuit; the deal turns it
@@ -481,18 +483,6 @@ def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
     return blocks
 
 
-def _finalize(h: Hypergraph, assignment: list[int], blocks: int, cut: CutReport,
-              passes: int, seed_used: int, gain_updates: int) -> PartitionResult:
-    loads = [0] * blocks
-    for v in h.vertices:
-        loads[assignment[v.id]] += v.weight
-    return PartitionResult(assignment=tuple(assignment),
-                           blocks_used=sum(1 for x in loads if x > 0),
-                           cut=cut, loads=tuple(loads),
-                           passes_run=passes, seed_used=seed_used,
-                           gain_updates=gain_updates)
-
-
 _CHUNK = 128  # seeds shuffled together; bounds the working set
 
 
@@ -693,13 +683,15 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
 # --------------------------------------------------------------------------
 # drivers
 
-def _restart_driver(h: Hypergraph, config: PartitionConfig) -> tuple[list[int], int, int, int]:
+def _restart_driver(h: Hypergraph,
+                    config: PartitionConfig) -> tuple[list[int], CutReport, int, int, int]:
     """Seeded restarts, each block's load bounded by its capacity.
 
     Restart r deals with seed config.seed + r, runs ``_pass`` until a pass
     fails or ``_MAX_PASSES`` run, then snaps free vertices.  The winner has
     the lowest (lambda - 1, balance deviation from the capacities, r);
-    returns its assignment, passes, gain updates and seed.
+    returns its assignment, its ``CutReport`` (priced once, for that key),
+    passes, seed and gain updates.
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
     the deal, 0).  Every deal fills the same blocks, no pass empties a
@@ -731,10 +723,11 @@ def _restart_driver(h: Hypergraph, config: PartitionConfig) -> tuple[list[int], 
         row[:] = eng.assign
         snap(row[None])
         assignment = row.tolist()
-        key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
+        cut = cut_cost(h, assignment, config.blocks)
+        key = (cut.lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, passes, stats.gain_updates, config.seed + r), key
+            best, best_key = (assignment, cut, passes, config.seed + r, stats.gain_updates), key
             if key[:2] == (least, 0):
                 break
     return best
@@ -803,7 +796,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         side_caps = tuple(max(1, min(sum(caps[b] for b in side),
                                      weight_here - len(other)))
                           for side, other in ((left, right), (right, left)))
-        sides, passes, updates, _ = _restart_driver(
+        sides, _, passes, _, updates = _restart_driver(
             sub_h, replace(config, blocks=2, capacities=side_caps))
         passes_total += passes
         updates_total += updates
@@ -819,30 +812,39 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     driver over all blocks (two blocks, or ``Mode.DIRECT_KWAY``), or
     recursive bisection built from that driver.
 
+    Every mode gives an (assignment, cut, passes, seed, gain updates)
+    record, priced where it was made: the random row by ``random_deals``,
+    the driver's winner by the driver.  Only recursive bisection, which has
+    no single winner, is priced here with ``cut_cost``.
+
     Raises InfeasibleError when the capacities cannot host the qubits, or
     when a block of the result holds more than its capacity: the deal puts
     a hypergraph vertex that fits in no block into the one with the most
     room left, and FM keeps only prefixes within every capacity.
     """
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), config.blocks)
+    k = config.blocks
+    caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
     if config.mode is Mode.RANDOM:
         (assign, (cut_edges,), (ebits,)), = random_deals(
             h, config, _shuffles(h.n_qubit_vertices(), [config.seed]))
         cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2,
                         ebits=int(ebits))
-        result = _finalize(h, assign[0].tolist(), config.blocks, cut, 0, config.seed, 0)
+        run = (assign[0].tolist(), cut, 0, config.seed, 0)
+    elif k > max(h.n_qubit_vertices(), 1):
+        raise ValueError(f"{k} blocks exceed the {h.n_qubit_vertices()} qubit vertices")
+    elif k == 2 or config.mode is Mode.DIRECT_KWAY:
+        run = _restart_driver(h, config)
     else:
-        if config.blocks > max(h.n_qubit_vertices(), 1):
-            raise ValueError(f"{config.blocks} blocks exceed the "
-                             f"{h.n_qubit_vertices()} qubit vertices")
-        if config.blocks == 2 or config.mode is Mode.DIRECT_KWAY:
-            assignment, passes, updates, seed = _restart_driver(h, config)
-        else:
-            assignment, passes, updates = _recursive_bisection(h, config, caps)
-            seed = config.seed
-        result = _finalize(h, assignment, config.blocks,
-                           cut_cost(h, assignment, config.blocks), passes, seed, updates)
-    for b, (load, cap) in enumerate(zip(result.loads, caps)):
+        assignment, passes, updates = _recursive_bisection(h, config, caps)
+        run = (assignment, cut_cost(h, assignment, k), passes, config.seed, updates)
+    assignment, cut, passes, seed, updates = run
+    loads = [0] * k
+    for v in h.vertices:
+        loads[assignment[v.id]] += v.weight
+    for b, (load, cap) in enumerate(zip(loads, caps)):
         if load > cap:
             raise InfeasibleError(f"block {b} has load {load}, over its capacity {cap}")
-    return result
+    return PartitionResult(assignment=tuple(assignment),
+                           blocks_used=sum(1 for x in loads if x > 0),
+                           cut=cut, loads=tuple(loads), passes_run=passes,
+                           seed_used=seed, gain_updates=updates)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class GateGroup:
     control: int
     members: tuple[int, ...]
     targets: frozenset[int]
-    kinds: frozenset[GateKind]
 
     @property
     def is_reuse(self) -> bool:
@@ -57,6 +56,5 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
     return [GateGroup(id=i,
                       control=run[0].operands[0],
                       members=tuple(g.seq for g in run),
-                      targets=frozenset(g.operands[1] for g in run),
-                      kinds=frozenset(g.kind for g in run))
+                      targets=frozenset(g.operands[1] for g in run))
             for i, run in enumerate(closed)]

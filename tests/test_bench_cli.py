@@ -15,8 +15,8 @@ from qpart import (CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    make_circuit, partition, plan_distribution, resolve_capacities)
 from qpart import fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
-                         _random_rows, format_summary, load_suite, run_suite,
-                         write_csv)
+                         _rows, format_summary, load_suite, run_suite, write_csv)
+from qpart.distribution import _plan_ledger
 from qpart.cli import main
 
 from conftest import FIXTURES
@@ -278,8 +278,9 @@ def test_random_rows_match_partition_and_plan(instance):
     job = CircuitJob(label=circuit.name)
 
     def batch():
-        return _random_rows(job, circuit, h, groups, config, caps, seeds,
-                            fm._shuffles(circuit.width, seeds), 0.0)
+        return _rows(job, circuit, "Random", caps, seeds,
+                     _plan_ledger(circuit, h, config.blocks, groups),
+                     fm.random_deals(h, config, fm._shuffles(circuit.width, seeds)), 0.0)
 
     try:
         want = [one(seed) for seed in seeds]
@@ -290,6 +291,51 @@ def test_random_rows_match_partition_and_plan(instance):
     rows = batch()
     assert [(r.seed, r.cut_edges, r.ebits, r.r_per_block) for r in rows] == want
     assert all(r.method == "Random" and r.capacities == tuple(caps) for r in rows)
+
+
+@st.composite
+def refined_instances(draw):
+    """A circuit of ``batch_instances`` benched with FM and FMGrouped, in
+    ``fm`` or ``kway`` mode, with equal capacities or up to two units of
+    slack per block, one to three restarts and any first seed."""
+    circuit, _, _, config, _ = draw(batch_instances())
+    k = config.blocks
+    equal = resolve_capacities(None, circuit.width, k)
+    caps = draw(st.none() | st.tuples(*(st.integers(max(c, 1), c + 2) for c in equal)))
+    job = SimpleNamespace(label=circuit.name, load=lambda: circuit)
+    return circuit, SuiteSpec(circuits=(job,), methods=("FM", "FMGrouped"), parts=(k,),
+                              capacities=(caps,), seed_from=config.seed,
+                              seed_to=config.seed + 1, restarts=draw(st.integers(1, 3)),
+                              mode=draw(st.sampled_from([Mode.RECURSIVE_BISECT,
+                                                         Mode.DIRECT_KWAY])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(refined_instances())
+def test_refined_rows_match_partition_and_plan(instance):
+    # the FM row on the plain hypergraph and the FMGrouped row on the
+    # grouped one are what partition and plan_distribution give at seed_from
+    circuit, spec = instance
+    k, = spec.parts
+
+    def one(method, groups):
+        h = build_hypergraph(circuit, groups)
+        result = partition(h, PartitionConfig(blocks=k, capacities=spec.capacities[0],
+                                              restarts=spec.restarts, seed=spec.seed_from,
+                                              mode=spec.mode))
+        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
+                                 blocks=k)
+        return (method, spec.seed_from, result.cut.cut_edges, result.cut.ebits,
+                tuple(p.r for p in plan.per_block))
+
+    try:
+        want = [one("FM", None), one("FMGrouped", find_groups(circuit))]
+    except ValueError as ex:  # InfeasibleError included
+        with pytest.raises(type(ex), match=f"^{re.escape(str(ex))}$"):
+            run_suite(spec)
+        return
+    rows, _ = run_suite(spec)
+    assert [(r.method, r.seed, r.cut_edges, r.ebits, r.r_per_block) for r in rows] == want
 
 
 def test_random_rows_cover_every_qpu(capsys):

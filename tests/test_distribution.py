@@ -10,8 +10,9 @@ from qpart import (Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
                    block_endpoints, build_hypergraph, emit_qasm, emit_subcircuits,
                    find_groups, generate, make_circuit, parse_qasm, partition,
                    plan_distribution)
-from qpart.bench import CircuitJob, _random_rows
-from qpart.fm import _shuffles
+from qpart.bench import CircuitJob, _rows
+from qpart.distribution import _plan_ledger
+from qpart.fm import _shuffles, random_deals
 
 from conftest import fixture_names, load_fixture
 
@@ -87,8 +88,8 @@ def test_split_refusal_same_for_plan_and_batch(built, text, message):
     # every deal of two qubits over two blocks splits the gate
     config = PartitionConfig(blocks=2, restarts=1, mode=Mode.RANDOM)
     with pytest.raises(InfeasibleError, match=match):
-        _random_rows(CircuitJob(label=c.name), c, h, None, config, [1, 1], range(3),
-                     _shuffles(2, range(3)), 0.0)
+        _rows(CircuitJob(label=c.name), c, "Random", [1, 1], range(3), _plan_ledger(c, h, 2),
+              random_deals(h, config, _shuffles(2, range(3))), 0.0)
 
 
 def test_plan_refuses_block_outside_env(ghz4):

@@ -347,7 +347,7 @@ def test_partition_invariants(h, seed, k):
 def every_restart(h, config):
     """``_restart_driver`` without its cutoff: every restart refines its own
     deal on a fresh engine, and the lowest (lambda - 1, balance deviation,
-    r) wins."""
+    r) wins, returned with its cut, passes, seed and gain updates."""
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
                               config.blocks)
     n, total = sum(v.weight for v in h.vertices), sum(caps)
@@ -364,10 +364,11 @@ def every_restart(h, config):
         row = np.array([eng.assign])
         snap(row)
         assignment = row[0].tolist()
-        key = (cut_cost(h, assignment, config.blocks).lambda_minus_one,
+        cut = cut_cost(h, assignment, config.blocks)
+        key = (cut.lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, passes, stats.gain_updates, config.seed + r), key
+            best, best_key = (assignment, cut, passes, config.seed + r, stats.gain_updates), key
     return best
 
 
@@ -447,6 +448,27 @@ def test_restart_cutoff_fires_at_the_floor(monkeypatch):
     c = generate("qft", 16)
     partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
     assert len(resets) == 8
+
+
+def test_each_restart_winner_is_priced_once(monkeypatch):
+    # the driver keeps the CutReport it priced the winner with, so a driver
+    # call prices each restart once; only recursive bisection, which has no
+    # single winner, prices its result again
+    calls, restarts = [], []
+    monkeypatch.setattr("qpart.fm.cut_cost", lambda *a: calls.append(1) or cut_cost(*a))
+    reset = _Engine.reset  # once per restart, the first through __init__
+    monkeypatch.setattr(_Engine, "reset", lambda eng, a: restarts.append(1) or reset(eng, a))
+    c = generate("qft", 16)
+    h = build_hypergraph(c, find_groups(c))
+    for blocks, mode, beyond in ((2, Mode.RECURSIVE_BISECT, 0), (4, Mode.DIRECT_KWAY, 0),
+                                 (4, Mode.RECURSIVE_BISECT, 1)):
+        calls.clear()
+        restarts.clear()
+        res = partition(h, PartitionConfig(blocks=blocks, mode=mode, seed=5))
+        assert len(calls) == len(restarts) + beyond
+        if beyond == 0:
+            assert len(restarts) == 8  # qft never meets the floor
+        assert res.cut == cut_cost(h, list(res.assignment), blocks)
 
 
 # -- the gain-cache pass against a brute-force rescan ----------------------

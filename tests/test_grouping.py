@@ -2,7 +2,7 @@
 
 import pytest
 
-from qpart import GateKind, find_groups, make_circuit, parse_qasm
+from qpart import find_groups, make_circuit, parse_qasm
 
 from conftest import load_fixture
 
@@ -31,7 +31,6 @@ def test_group_fields(qft4):
     g = find_groups(qft4)[2]
     assert g.control == 3
     assert g.targets == frozenset({0, 1, 2})
-    assert g.kinds == frozenset({GateKind.CP})
 
 
 def test_spectator_wire_does_not_close():
