@@ -15,8 +15,7 @@ plan = plan_distribution(qft, h, list(res.assignment), groups=groups)
 print("assignment:", plan.assignment)
 print("channels:")
 for ch in plan.channels:
-    kind = "primary" if ch.primary else "fallback"
-    print(f"  {kind} channel {ch.id}: vertex {ch.carries} "
+    print(f"  channel {ch.id}: vertex {ch.carries} "
           f"from QPU {ch.home} to QPU {ch.remote}, live gates "
           f"{ch.first_use}..{ch.last_use}")
 

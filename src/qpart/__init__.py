@@ -3,8 +3,9 @@
 Pipeline: parse OpenQASM 2 (or generate a benchmark family), group gates
 that reuse a control, translate to a hypergraph, partition it under the
 connectivity-minus-one metric, then plan the distributed execution and
-emit per-QPU subcircuits.  Brute-force and statevector oracles back the
-test suite; the bench module reproduces the random-vs-FM comparisons.
+emit per-QPU subcircuits.  A brute-force min-cut oracle checks the
+partitioner on small instances; the bench module reproduces the
+random-vs-FM comparisons.
 """
 
 from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
@@ -16,8 +17,7 @@ from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
                  partition, resolve_capacities)
-from .oracle import (MAX_SIM_QUBITS, OracleResult, brute_force_mincut,
-                     equivalent, simulate)
+from .oracle import OracleResult, brute_force_mincut
 from .distribution import (Channel, DistributionPlan, QpuPlan,
                            emit_subcircuits, plan_distribution)
 from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
@@ -35,8 +35,7 @@ __all__ = [
     "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",
     "partition", "resolve_capacities",
-    "MAX_SIM_QUBITS", "OracleResult", "brute_force_mincut",
-    "equivalent", "simulate",
+    "OracleResult", "brute_force_mincut",
     "Channel", "DistributionPlan", "QpuPlan",
     "emit_subcircuits", "plan_distribution",
     "CSV_COLUMNS", "METHODS", "BenchRow", "CircuitJob", "SuiteSpec",

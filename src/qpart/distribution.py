@@ -38,7 +38,8 @@ from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 @dataclass(frozen=True)
 class Channel:
     """One shared anchor copy: ``carries`` (a vertex id) is entangled from
-    ``home`` into a comm qubit on ``remote`` over [first_use, last_use]."""
+    ``home`` into a comm qubit on ``remote`` over [first_use, last_use].
+    It is a fallback channel when ``carries`` is not its edge's control."""
 
     id: int
     edge: int
@@ -47,7 +48,6 @@ class Channel:
     remote: int
     first_use: int
     last_use: int
-    primary: bool = True
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
 
     channels = tuple(Channel(id=cid, edge=eid, carries=carries,
                              home=assignment[carries], remote=remote,
-                             first_use=seqs[0], last_use=seqs[-1],
-                             primary=carries == h.edges[eid].control)
+                             first_use=seqs[0], last_use=seqs[-1])
                      for cid, ((eid, carries, remote), seqs) in enumerate(served.items()))
 
     e = [0] * blocks

@@ -140,7 +140,6 @@ class PartitionResult:
     losing restart's passes show in the run time, not in these counts."""
 
     assignment: tuple[int, ...]
-    blocks_used: int
     cut: CutReport
     loads: tuple[int, ...]
     passes_run: int
@@ -844,7 +843,6 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     for b, (load, cap) in enumerate(zip(loads, caps)):
         if load > cap:
             raise InfeasibleError(f"block {b} has load {load}, over its capacity {cap}")
-    return PartitionResult(assignment=tuple(assignment),
-                           blocks_used=sum(1 for x in loads if x > 0),
-                           cut=cut, loads=tuple(loads), passes_run=passes,
+    return PartitionResult(assignment=tuple(assignment), cut=cut,
+                           loads=tuple(loads), passes_run=passes,
                            seed_used=seed, gain_updates=updates)

@@ -17,15 +17,14 @@ from .circuit import Circuit, Gate
 class GateGroup:
     """One run of controlled gates sharing a control qubit.
 
-    ``control`` and ``targets`` are qubit indices; ``members`` are gate seq
-    numbers in circuit order.  A group with two or more members is a reuse
+    ``control`` is a qubit index; ``members`` are gate seq numbers in
+    circuit order.  A group with two or more members is a reuse
     group: its control state can be shared once and reused by every member.
     """
 
     id: int
     control: int
     members: tuple[int, ...]
-    targets: frozenset[int]
 
     @property
     def is_reuse(self) -> bool:
@@ -55,6 +54,5 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
     closed.sort(key=lambda run: run[0].seq)
     return [GateGroup(id=i,
                       control=run[0].operands[0],
-                      members=tuple(g.seq for g in run),
-                      targets=frozenset(g.operands[1] for g in run))
+                      members=tuple(g.seq for g in run))
             for i, run in enumerate(closed)]

@@ -1,91 +1,17 @@
-"""Independent oracles: dense statevector simulation and exhaustive min-cut.
+"""Exhaustive min-cut: an independent reference for the partitioner.
 
-Both are deliberately simple and slow; they exist to check the fast paths.
+Deliberately simple and slow; it exists to check the fast paths on small
+instances.  The statevector simulator that checks the emitted programs
+lives with the tests, in ``tests/statevector.py``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import Circuit, GateKind
 from .hypergraph import Hypergraph
 
-MAX_SIM_QUBITS = 14
 MAX_ORACLE_QUBIT_VERTICES = 14
 MAX_ORACLE_BLOCKS = 4
-
-_SQ = {
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-}
-
-
-def _rot(kind: GateKind, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    if kind is GateKind.RX:
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind is GateKind.RY:
-        return np.array([[c, -s], [s, c]])
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
-
-
-def simulate(circuit: Circuit) -> np.ndarray:
-    """Statevector after the circuit, from |0...0>.  Qubit i is tensor axis i
-    (qubit 0 most significant).  MEASURE and opaque calls are rejected;
-    BARRIER is a no-op."""
-    n = circuit.width
-    if n > MAX_SIM_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator limit")
-    state = np.zeros([2] * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            continue
-        if g.kind in (GateKind.MEASURE, GateKind.OPAQUE):
-            raise ValueError(f"cannot simulate {g.qasm_name}")
-        ax = g.operands
-        if g.kind in _SQ or g.kind in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            u = _SQ[g.kind] if g.kind in _SQ else _rot(g.kind, g.params[0])
-            state = np.tensordot(u, state, axes=([1], [ax[0]]))
-            state = np.moveaxis(state, 0, ax[0])
-        elif g.kind is GateKind.CX:
-            c, t = ax
-            idx = _sel(n, {c: 1})
-            state[idx] = np.flip(state[idx], axis=t if t < c else t - 1)
-        elif g.kind is GateKind.CZ:
-            state[_sel(n, {ax[0]: 1, ax[1]: 1})] *= -1
-        elif g.kind is GateKind.CP:
-            state[_sel(n, {ax[0]: 1, ax[1]: 1})] *= np.exp(1j * g.params[0])
-        elif g.kind is GateKind.CCX:
-            c1, c2, t = ax
-            idx = _sel(n, {c1: 1, c2: 1})
-            shift = sum(1 for c in (c1, c2) if c < t)
-            state[idx] = np.flip(state[idx], axis=t - shift)
-        elif g.kind is GateKind.CCZ:
-            state[_sel(n, {ax[0]: 1, ax[1]: 1, ax[2]: 1})] *= -1
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled gate kind {g.kind}")
-    flat = state.reshape(-1)
-    assert abs(np.linalg.norm(flat) - 1.0) < 1e-9
-    return flat
-
-
-def _sel(n: int, fixed: dict[int, int]) -> tuple:
-    return tuple(fixed.get(i, slice(None)) for i in range(n))
-
-
-def equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Equality up to global phase: |<a|b>| within tol of 1."""
-    if a.shape != b.shape:
-        return False
-    overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return bool(overlap >= 1.0 - tol)
 
 
 @dataclass(frozen=True)

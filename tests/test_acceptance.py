@@ -10,12 +10,13 @@ import time
 import numpy as np
 
 from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
-                   emit_qasm, equivalent, find_groups, generate, parse_qasm,
-                   partition, plan_distribution, simulate)
+                   emit_qasm, find_groups, generate, parse_qasm, partition,
+                   plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
 from qpart.fm import _PassStats, _shuffles, random_deals
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
+from statevector import equivalent, simulate
 
 
 def report(name: str, passed: bool, detail: str) -> str:

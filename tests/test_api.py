@@ -5,21 +5,21 @@ import qpart
 PUBLIC = [
     "BenchRow", "CSV_COLUMNS", "Channel", "Circuit", "CircuitFamily", "CircuitJob",
     "CutReport", "DistributionPlan", "Gate", "GateGroup",
-    "GateKind", "Hyperedge", "Hypergraph", "InfeasibleError", "MAX_SIM_QUBITS",
+    "GateKind", "Hyperedge", "Hypergraph", "InfeasibleError",
     "METHODS", "Mode", "OracleResult", "PartitionConfig", "PartitionResult",
     "QasmError", "QpuPlan", "QubitRef", "SuiteSpec",
     "Vertex", "__version__", "block_endpoints", "brute_force_mincut",
     "build_hypergraph", "cut_cost", "emit_qasm", "emit_subcircuits",
-    "equivalent", "export_hmetis",
+    "export_hmetis",
     "find_groups", "format_summary", "gate_layers", "generate", "import_hmetis",
     "load_suite", "make_circuit", "parse_qasm", "partition", "plan_distribution",
-    "resolve_capacities", "run_suite", "simulate", "write_csv",
+    "resolve_capacities", "run_suite", "write_csv",
 ]
 
 
 def test_public_api():
     # the public surface only shrinks: a new name is a deliberate change here
     assert sorted(qpart.__all__) == PUBLIC
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 45
     for name in qpart.__all__:
         getattr(qpart, name)

@@ -33,7 +33,7 @@ def test_ghz4_plan(ghz4):
     (ch,) = plan.channels
     assert (ch.carries, ch.home, ch.remote) == (1, 0, 1)
     assert (ch.first_use, ch.last_use) == (2, 2)
-    assert ch.primary
+    assert ch.carries == h.edges[ch.edge].control
 
 
 def test_qft4_grouped_plan(qft4):
@@ -45,9 +45,9 @@ def test_qft4_grouped_plan(qft4):
     assert plan.ebits == 4 and plan.cut.cut_edges == 2
     assert [b.r for b in plan.per_block] == [pytest.approx(2 / 7),
                                              pytest.approx(2 / 3)]
-    # both channels carry a control qubit out of block 1 into block 0
-    assert [(c.carries, c.home, c.remote, c.primary) for c in plan.channels] == \
-        [(2, 1, 0, True), (3, 1, 0, True)]
+    # both channels carry their edge's control out of block 1 into block 0
+    assert [(c.carries, c.home, c.remote) for c in plan.channels] == [(2, 1, 0), (3, 1, 0)]
+    assert all(c.carries == h.edges[c.edge].control for c in plan.channels)
     assert [(c.first_use, c.last_use) for c in plan.channels] == [(2, 5), (3, 6)]
 
 
@@ -144,8 +144,8 @@ def test_ccx_fallback_channel():
     c = parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];")
     h = build_hypergraph(c)
     plan = plan_distribution(c, h, [0, 0, 1])
-    assert [(ch.carries, ch.home, ch.remote, ch.primary) for ch in plan.channels] == \
-        [(0, 0, 1, True), (1, 0, 1, False)]
+    assert [(ch.carries, ch.home, ch.remote, ch.carries == h.edges[ch.edge].control)
+            for ch in plan.channels] == [(0, 0, 1, True), (1, 0, 1, False)]
     # the secondary operand needs its own channel, so realized ebits
     # exceed the connectivity metric here
     assert plan.ebits == 4

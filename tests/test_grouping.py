@@ -30,7 +30,6 @@ def test_qft4_groups(qft4):
 def test_group_fields(qft4):
     g = find_groups(qft4)[2]
     assert g.control == 3
-    assert g.targets == frozenset({0, 1, 2})
 
 
 def test_spectator_wire_does_not_close():
