@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Translate a circuit into the hypergraph the partitioner works on.
 # Qubits become weight-1 vertices; each 2-qubit gate becomes a 2-pin edge.
-# A reuse group collapses into one hyperedge anchored by a weight-0
-# grouping vertex, which is what makes grouped partitions cheaper.
+# A reuse group collapses into one hyperedge over a weight-0 grouping
+# vertex, its control and its targets, which is what makes grouped
+# partitions cheaper.  A vertex or an edge is its position in its list.
 
 from qpart import (build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate)
@@ -17,8 +18,8 @@ groups = find_groups(qft)
 grouped = build_hypergraph(qft, groups)
 print(f"grouped:   {grouped.n_vertices()} vertices, {len(grouped.edges)} edges, "
       f"{grouped.total_pins()} pins")
-for e in grouped.edges:
-    print(f"  edge {e.id}: pins {e.pins} origin {e.origin}")
+for i, e in enumerate(grouped.edges):
+    print(f"  edge {i}: pins {e.pins} control {e.control} origin {e.origin}")
 
 # same assignment, different cost model: the grouped edges count each
 # spanned block once instead of once per gate

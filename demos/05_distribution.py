@@ -14,15 +14,15 @@ plan = plan_distribution(qft, h, list(res.assignment), groups=groups)
 
 print("assignment:", plan.assignment)
 print("channels:")
-for ch in plan.channels:
-    print(f"  channel {ch.id}: vertex {ch.carries} "
+for i, ch in enumerate(plan.channels):
+    print(f"  channel {i}: vertex {ch.carries} "
           f"from QPU {ch.home} to QPU {ch.remote}, live gates "
           f"{ch.first_use}..{ch.last_use}")
 
 print("per block:")
-for b in plan.per_block:
+for i, b in enumerate(plan.per_block):
     r = "-" if b.r is None else f"{b.r:.3f}"
-    print(f"  QPU {b.block}: data={b.data} ops={b.o} e={b.e} r={r}")
+    print(f"  QPU {i}: data={b.data} ops={b.o} e={b.e} r={r}")
 print("total ebits:", plan.ebits)
 
 for i, text in enumerate(emit_subcircuits(qft, plan)):

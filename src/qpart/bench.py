@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -242,22 +241,16 @@ def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds
             for seed, (cut, eb, o, e) in zip(seeds, scored)]
 
 
-def run_suite(spec: SuiteSpec, strict: bool = False) -> tuple[list[BenchRow], list[dict]]:
+def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
     """All rows in spec order plus one improvement summary per (circuit, k).
 
-    A missing circuit file is skipped with a warning unless ``strict``.
-    Improvement is None when there is no baseline or the baseline is zero.
+    A missing circuit file raises FileNotFoundError.  Improvement is None
+    when there is no baseline or the baseline is zero.
     """
     rows: list[BenchRow] = []
     summaries: list[dict] = []
     for job in spec.circuits:
-        try:
-            circuit = job.load()
-        except FileNotFoundError:
-            if strict:
-                raise
-            print(f"warning: skipping missing circuit file {job.path}", file=sys.stderr)
-            continue
+        circuit = job.load()
         h_plain = build_hypergraph(circuit)
         groups = find_groups(circuit) if "FMGrouped" in spec.methods else None
         h_grouped = build_hypergraph(circuit, groups) if groups is not None else None

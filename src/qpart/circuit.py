@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -101,16 +101,14 @@ class Gate:
     """One circuit statement.
 
     ``operands`` are dense qubit indices in register-declaration order;
-    ``Circuit.qubits()`` names them.  ``seq`` is the position in the
-    circuit's gate list and is assigned at circuit construction.  ``cbit``
-    carries the classical target of a MEASURE; ``label`` carries the
-    declared name of an OPAQUE call.
+    ``Circuit.qubits()`` names them.  A gate is identified by its position
+    in the circuit's gate list.  ``cbit`` carries the classical target of a
+    MEASURE; ``label`` carries the declared name of an OPAQUE call.
     """
 
     kind: GateKind
     operands: tuple[int, ...]
     params: tuple[float, ...] = ()
-    seq: int = 0
     cbit: tuple[str, int] | None = None
     label: str | None = None
 
@@ -161,8 +159,8 @@ def make_circuit(name: str,
                  registers: list[tuple[str, int]] | tuple[tuple[str, int], ...],
                  gates: list[Gate] | tuple[Gate, ...],
                  cregs: list[tuple[str, int]] | tuple[tuple[str, int], ...] = ()) -> Circuit:
-    """Build a validated Circuit; reassigns seq numbers to list positions.
-    Every operand must index one of the registers' qubits."""
+    """Build a validated Circuit.  Every operand must index one of the
+    registers' qubits."""
     registers = tuple(registers)
     cregs = tuple(cregs)
     names = [r for r, _ in registers] + [c for c, _ in cregs]
@@ -172,13 +170,11 @@ def make_circuit(name: str,
         if n < 1:
             raise ValueError("register size must be positive")
     width = sum(n for _, n in registers)
-    fixed = []
-    for i, g in enumerate(gates):
+    gates = tuple(gates)
+    for g in gates:
         for q in g.operands:
             if not 0 <= q < width:
                 raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
-        fixed.append(replace(g, seq=i) if g.seq != i else g)
-    gates = tuple(fixed)
     size = sum(1 for g in gates if g.kind is not GateKind.BARRIER)
     depth = max((lay + 1 for g, lay in zip(gates, _layers(gates, width))
                  if g.kind is not GateKind.BARRIER), default=0)
@@ -282,12 +278,12 @@ class _Parser:
 
     def _add(self, kind: GateKind, operands: tuple[int, ...],
              params: tuple[float, ...] = (), **extra) -> None:
-        """Append a gate numbered by its list position, as make_circuit
-        numbers it; repeated operands are refused by their written names."""
+        """Append a gate; repeated operands are refused by their written
+        names."""
         if len(operands) > 1 and len(set(operands)) != len(operands):
             raise QasmError(f"{kind.value} operands must be distinct: "
                             + ", ".join(self._name(q) for q in operands))
-        self.gates.append(Gate(kind, operands, params, seq=len(self.gates), **extra))
+        self.gates.append(Gate(kind, operands, params, **extra))
 
     def _name(self, q: int) -> str:
         """How qubit ``q`` is written: registers are numbered in order."""

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible capacities.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -122,7 +123,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = load_suite(args.suite)
-    rows, summaries = run_suite(spec, strict=args.strict)
+    rows, summaries = run_suite(spec)
     if args.out:
         write_csv(rows, args.out)
         print(format_summary(summaries))
@@ -132,7 +133,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build costs about
+    a millisecond, and ``parse_args`` leaves the parser as it was."""
     p = _Parser(prog="qpart",
                 description="circuit partitioning for distributed execution")
     sub = p.add_subparsers(dest="command", required=True)
@@ -162,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bench", help="run a benchmark suite to CSV")
     s.add_argument("--suite", required=True, metavar="SPEC.json")
     s.add_argument("--out", metavar="CSV")
-    s.add_argument("--strict", action="store_true",
-                   help="fail on missing circuit files instead of skipping")
     s.set_defaults(fn=_cmd_bench)
     return p
 

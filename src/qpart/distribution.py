@@ -1,8 +1,8 @@
 """Turn a partition into an executable multi-QPU plan.
 
-Each cut hyperedge needs its anchor state shared from its home block to
-every remote block it spans.  One shared copy is one channel: a cat
-entangler on the home side binds the anchor qubit to a communication
+Each cut hyperedge needs its control's state shared from its home block
+to every remote block it spans.  One shared copy is one channel: a cat
+entangler on the home side binds the control qubit to a communication
 qubit on the remote side, the remote gates use that copy as their
 control, and a cat disentangler releases it after the last use.  A
 channel consumes one entangled pair, i.e. two ebits, one endpoint per
@@ -12,7 +12,7 @@ edge.  Every endpoint gets its own communication qubit, so a QPU's
 
 Gates are executed where their target lives (CX/CCX) or where most of
 their operands live (the diagonal CZ/CP/CCZ, ties to the last operand).
-A remote operand that is not the edge anchor cannot ride an existing
+A remote operand that is not the edge's control cannot ride an existing
 channel; it gets a fallback channel of its own.  That only happens for
 three-qubit gates whose controls are split from the target, and it makes
 the realised ebit count exceed the metric; two-qubit and grouped
@@ -37,11 +37,13 @@ from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 
 @dataclass(frozen=True)
 class Channel:
-    """One shared anchor copy: ``carries`` (a vertex id) is entangled from
-    ``home`` into a comm qubit on ``remote`` over [first_use, last_use].
-    It is a fallback channel when ``carries`` is not its edge's control."""
+    """One shared qubit copy: ``carries`` (a vertex) is entangled from
+    ``home`` into a comm qubit on ``remote`` over [first_use, last_use],
+    the positions of the first and last gates that use it.  ``edge`` is
+    the index of its hyperedge; a channel is identified by its position in
+    ``DistributionPlan.channels``.  It is a fallback channel when
+    ``carries`` is not its edge's control."""
 
-    id: int
     edge: int
     carries: int
     home: int
@@ -54,9 +56,9 @@ class Channel:
 class QpuPlan:
     """Per-QPU ledger: resident data qubits, executed original gates o,
     ebit endpoints e (also the width of the emitted program's ``ebit``
-    register), and their ratio r = e / o (None when o is zero)."""
+    register), and their ratio r = e / o (None when o is zero).  QPU b's
+    ledger is ``DistributionPlan.per_block[b]``."""
 
-    block: int
     data: int
     o: int
     e: int
@@ -66,34 +68,27 @@ class QpuPlan:
 @dataclass(frozen=True)
 class DistributionPlan:
     assignment: tuple[int, ...]
-    blocks: int
     channels: tuple[Channel, ...]
-    exec_block: tuple[int, ...]  # per gate seq; -1 for BARRIER
+    exec_block: tuple[int, ...]  # per gate position; -1 for BARRIER
     per_block: tuple[QpuPlan, ...]
     cut: CutReport
     ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
 
 
 def _edge_of_gate(h: Hypergraph, groups: list[GateGroup] | None) -> dict[int, int]:
-    """Map gate seq -> hyperedge id, resolving group edges to their members."""
-    by_group: dict[int, int] = {}
+    """Map gate position -> hyperedge index, resolving group edges to
+    their members."""
     seq_edge: dict[int, int] = {}
-    for e in h.edges:
+    for eid, e in enumerate(h.edges):
         if e.origin is None:
             continue
-        kind, ident = e.origin
+        kind, at = e.origin
         if kind == "gate":
-            seq_edge[ident] = e.id
+            seq_edge[at] = eid
         elif kind == "group":
-            by_group[ident] = e.id
-    if by_group:
-        if groups is None:
-            raise ValueError("hypergraph has group edges; pass the groups used to build it")
-        for grp in groups:
-            eid = by_group.get(grp.id)
-            if eid is not None:
-                for seq in grp.members:
-                    seq_edge[seq] = eid
+            if groups is None or at >= len(groups):
+                raise ValueError("hypergraph has group edges; pass the groups used to build it")
+            seq_edge.update(dict.fromkeys(groups[at].members, eid))
     return seq_edge
 
 
@@ -101,10 +96,10 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
     """Where each gate runs and which channels its remote operands use,
     for any number of assignments over ``h`` at once.
 
-    Returns (placed, uses, place).  ``placed`` lists every gate but
-    BARRIER, in circuit order.  ``uses`` holds one (placed index, carried
-    vertex, edge) per operand of a CX/CCX or diagonal gate that has a
-    hyperedge; the operand needs a channel keyed (edge, carried vertex,
+    Returns (placed, uses, place).  ``placed`` lists the position of every
+    gate but BARRIER, in circuit order.  ``uses`` holds one (placed index,
+    carried vertex, edge) per operand of a CX/CCX or diagonal gate that has
+    a hyperedge; the operand needs a channel keyed (edge, carried vertex,
     remote block) when its block differs from the gate's.  ``place(assign)``
     maps a seeds x vertices block matrix to the seeds x placed exec blocks:
     the target's block for CX/CCX, the majority block for CZ/CP/CCZ (ties
@@ -115,18 +110,18 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
     """
     seq_edge = _edge_of_gate(h, groups)
     placed, exec_col, majority, rigid, uses = [], [], [], [], []
-    for g in circuit.gates:
+    for seq, g in enumerate(circuit.gates):
         if g.kind is GateKind.BARRIER:
             continue
         at = len(placed)
-        placed.append(g)
-        cols = g.operands  # a qubit's index is its vertex id
+        placed.append(seq)
+        cols = g.operands  # a qubit's index is its vertex
         exec_col.append(cols[-1])
         if len(cols) == 1:
             continue
         if g.kind is GateKind.CCZ:
             majority.append((at, *cols))
-        eid = seq_edge.get(g.seq)
+        eid = seq_edge.get(seq)
         if eid is not None and g.kind.splittable:
             uses.extend((at, q, eid) for q in cols)
         else:
@@ -146,12 +141,13 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
         refused = assign[:, rigid_q] != at[:, rigid_at]
         if refused.any():
             row = refused.any(axis=1).argmax()
-            g = placed[rigid_at[refused[row].argmax()]]
+            seq = placed[rigid_at[refused[row].argmax()]]
+            g = circuit.gates[seq]
             if g.kind.splittable:
-                raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) is split "
+                raise InfeasibleError(f"gate {seq} ({g.qasm_name}) is split "
                                       "but has no hyperedge")
             blocks = sorted({int(assign[row, q]) for q in g.operands})
-            raise InfeasibleError(f"gate {g.seq} ({g.qasm_name}) has operands on "
+            raise InfeasibleError(f"gate {seq} ({g.qasm_name}) has operands on "
                                   f"blocks {blocks} and cannot be split")
         return at
 
@@ -180,19 +176,18 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
 
     exec_block = [-1] * len(circuit.gates)  # BARRIER stays -1
     o = [0] * blocks
-    for g, b in zip(placed, at):
-        exec_block[g.seq] = b
+    for seq, b in zip(placed, at):
+        exec_block[seq] = b
         o[b] += 1
     served: dict[tuple[int, int, int], list[int]] = {}  # in creation order
     for i, carries, eid in uses:
         remote = at[i]
         if assignment[carries] != remote:
-            served.setdefault((eid, carries, remote), []).append(placed[i].seq)
+            served.setdefault((eid, carries, remote), []).append(placed[i])
 
-    channels = tuple(Channel(id=cid, edge=eid, carries=carries,
-                             home=assignment[carries], remote=remote,
-                             first_use=seqs[0], last_use=seqs[-1])
-                     for cid, ((eid, carries, remote), seqs) in enumerate(served.items()))
+    channels = tuple(Channel(edge=eid, carries=carries, home=assignment[carries],
+                             remote=remote, first_use=seqs[0], last_use=seqs[-1])
+                     for (eid, carries, remote), seqs in served.items())
 
     e = [0] * blocks
     for c in channels:
@@ -200,15 +195,14 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
         e[c.remote] += 1
 
     data = [0] * blocks
-    for v in h.vertices:
+    for b, v in zip(assignment, h.vertices):
         if v.is_qubit:
-            data[assignment[v.id]] += 1
+            data[b] += 1
 
-    per_block = tuple(QpuPlan(block=b, data=data[b], o=o[b], e=e[b],
+    per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b],
                               r=e[b] / o[b] if o[b] else None)
                       for b in range(blocks))
-    return DistributionPlan(assignment=tuple(assignment), blocks=blocks,
-                            channels=channels,
+    return DistributionPlan(assignment=tuple(assignment), channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
                             cut=cut_cost(h, list(assignment), blocks),
                             ebits=2 * len(channels))
@@ -261,38 +255,39 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
 
     Programs re-declare the original registers at full size and only touch
     the slice that lives locally, plus an ``ebit`` register of e slots,
-    one per channel endpoint, numbered on each block in channel-id order.
+    one per channel endpoint, numbered on each block in channel order.
     Channel activity is marked with ``// channel`` comments; the opaque cat
     primitives carry the nonlocal protocol.  One sweep over the gates
     appends each line to the body of the block it runs on.
     """
     names = [str(q) for q in circuit.qubits()]
-    block_of = plan.assignment  # a qubit's index is its vertex id
+    block_of = plan.assignment  # a qubit's index is its vertex
 
-    entangle_at: dict[int, list] = {}  # first-use seq -> channels
-    release_at: dict[int, list] = {}
+    channels = plan.channels
+    entangle_at: dict[int, list[int]] = {}  # first-use gate -> channels
+    release_at: dict[int, list[int]] = {}
     # (carries, remote) -> its channels; their use spans never overlap
-    serving: dict[tuple[int, int], list[Channel]] = {}
-    home_slot: dict[int, int] = {}  # channel id -> its ebit slot on that side
-    remote_slot: dict[int, int] = {}
-    used = [0] * plan.blocks
-    for c in plan.channels:
-        home_slot[c.id] = used[c.home]
+    serving: dict[tuple[int, int], list[int]] = {}
+    home_slot, remote_slot = [], []  # per channel: its ebit slot on that side
+    used = [0] * len(plan.per_block)
+    for i, c in enumerate(channels):
+        home_slot.append(used[c.home])
         used[c.home] += 1
-        remote_slot[c.id] = used[c.remote]
+        remote_slot.append(used[c.remote])
         used[c.remote] += 1
-        entangle_at.setdefault(c.first_use, []).append(c)
-        release_at.setdefault(c.last_use, []).append(c)
-        serving.setdefault((c.carries, c.remote), []).append(c)
+        entangle_at.setdefault(c.first_use, []).append(i)
+        release_at.setdefault(c.last_use, []).append(i)
+        serving.setdefault((c.carries, c.remote), []).append(i)
 
     cregs = _cregs(circuit)
-    bodies: list[list[str]] = [[] for _ in range(plan.blocks)]
-    opaque: list[list] = [[] for _ in range(plan.blocks)]  # opaque gates run there
-    for g in circuit.gates:
-        for c in entangle_at.get(g.seq, ()):
-            bodies[c.home] += (f"// channel {c.id}",
-                               f"cat_entangler {names[c.carries]},ebit[{home_slot[c.id]}];")
-        b = plan.exec_block[g.seq]
+    bodies: list[list[str]] = [[] for _ in plan.per_block]
+    opaque: list[list] = [[] for _ in plan.per_block]  # opaque gates run there
+    for seq, g in enumerate(circuit.gates):
+        for i in entangle_at.get(seq, ()):
+            c = channels[i]
+            bodies[c.home] += (f"// channel {i}",
+                               f"cat_entangler {names[c.carries]},ebit[{home_slot[i]}];")
+        b = plan.exec_block[seq]
         if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
             local: dict[int, list[str]] = {}
             for q in g.operands:
@@ -305,18 +300,18 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
                 if block_of[q] == b:
                     ops.append(names[q])
                 else:
-                    c = next(c for c in serving[(q, b)]
-                             if c.first_use <= g.seq <= c.last_use)
-                    ops.append(f"ebit[{remote_slot[c.id]}]")
+                    i = next(i for i in serving[(q, b)]
+                             if channels[i].first_use <= seq <= channels[i].last_use)
+                    ops.append(f"ebit[{remote_slot[i]}]")
             bodies[b].append(_gate_line(g, ops, cregs))
             if g.kind is GateKind.OPAQUE:
                 opaque[b].append(g)
-        for c in release_at.get(g.seq, ()):
-            bodies[c.remote] += (f"// channel {c.id}",
-                                 f"cat_disentangler ebit[{remote_slot[c.id]}];")
+        for i in release_at.get(seq, ()):
+            bodies[channels[i].remote] += (f"// channel {i}",
+                                           f"cat_disentangler ebit[{remote_slot[i]}];")
 
-    homes = {c.home for c in plan.channels}
-    remotes = {c.remote for c in plan.channels}
+    homes = {c.home for c in channels}
+    remotes = {c.remote for c in channels}
     texts = []
     for b, body in enumerate(bodies):
         cat = (("opaque cat_entangler a,b;",) if b in homes else ()) + \

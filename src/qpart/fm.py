@@ -15,12 +15,13 @@ each written once, over a seeds x vertices block matrix (``_dealer``,
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the qubit vertex count, so one draw can serve many hypergraphs
 and block counts, as a bench suite's does per circuit; the deal turns it
-into blocks from the capacities, k, the weights and the anchors, handing
-the heaviest qubit vertices out first.  ``random_deals`` deals, snaps and
+into blocks from the capacities, k, the weights and the edges' controls
+(a grouping vertex is dealt with its edge's control), handing the
+heaviest qubit vertices out first.  ``random_deals`` deals, snaps and
 prices a draw one matrix of at most 128 seeds at a time; it is the one
 random partition, of ``Mode.RANDOM`` and the bench's Random rows.
 ``expected_ebits`` prices the mean of that partition over every shuffle
-in closed form, reading the same anchor sources and snap set; it is the
+in closed form, reading the same ``_anchor_sources`` and snap set; it is the
 CLI's baseline and the bench's grouped one.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
@@ -31,7 +32,7 @@ real gain g pushes one int, ``(top - g) * n + v``, on a lazy min-heap
 per (vertex kind, target).  ``top`` is the sum of the edge weights: a
 move changes each of v's edges' cost by at most its weight, so every
 real gain lies in [-top, top] and the smallest entry is the highest
-gain, then the lowest vertex id.  Every move takes that, then the
+gain, then the lowest vertex index.  Every move takes that, then the
 lowest target, with rollback to the best feasible prefix.  Balance is
 capacity-driven: block loads count qubit vertices only, and a move may
 overfill the target by at most one unit while the pass explores;
@@ -72,7 +73,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .hypergraph import CutReport, Hyperedge, Hypergraph, Vertex, cut_cost
+from .hypergraph import CutReport, Hyperedge, Hypergraph, cut_cost
 
 _MAX_PASSES = 32  # FM passes per restart at most
 
@@ -118,13 +119,15 @@ class PartitionConfig:
 
 
 def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
-    """Explicit capacities, or an equal split of n over the blocks.
+    """Explicit capacities, or an equal split of n over the blocks that
+    gives every block at least one unit, as ``PartitionConfig`` requires of
+    explicit ones.
 
     Raises InfeasibleError when the total capacity cannot host n qubits.
     """
     if capacities is None:
         base, extra = divmod(n, blocks)
-        return [base + (1 if b < extra else 0) for b in range(blocks)]
+        return [max(1, base + (1 if b < extra else 0)) for b in range(blocks)]
     caps = list(capacities)
     if sum(caps) < n:
         raise InfeasibleError(f"capacities sum to {sum(caps)}, need at least {n}")
@@ -172,8 +175,8 @@ class _Engine:
         self.ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         self.inc = h.incidence
-        self.qubits = [v.id for v in h.vertices if v.is_qubit]
-        self.free = [v.id for v in h.vertices if not v.is_qubit]
+        self.qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
+        self.free = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top]; a masked or dead entry lies below -top
         self.top = sum(self.ew)
@@ -258,7 +261,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     the edge weights.  A move changes the cost of each of v's edges by at
     most that edge's weight, so a real gain g lies in [-top, top], ``top -
     g`` in [0, 2 * top], and the smallest entry is the highest gain, then
-    the lowest vertex id.  A masked gain is at most top - mask = -top - 1
+    the lowest vertex index.  A masked gain is at most top - mask = -top - 1
     and a dead one stays below it, so neither passes the push's ``g >=
     -top`` test: masked entries never enter a heap, and every entry
     decodes to a real gain.  Selection pops an entry once the key
@@ -465,7 +468,7 @@ def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
 
     Position pos < k goes to block pos when it fits there, so no block
     starts empty; every other vertex goes to the block with the most
-    remaining capacity (lowest id on ties) and spends its weight there,
+    remaining capacity (lowest index on ties) and spends its weight there,
     even when it fits nowhere: ``partition`` then reports that block over
     its capacity.  With every weight 1 each vertex fits, and the sequence
     is that of one capacity unit per vertex.
@@ -504,15 +507,16 @@ def _shuffles(n: int, seeds):
 
 
 def _anchor_sources(h: Hypergraph) -> list[int]:
-    """The column each vertex's deal copies: a qubit vertex its own, a
-    weight-0 vertex that of its anchor (vertex 0 without one), resolved in
-    vertex order.  An anchor that is a later weight-0 vertex, or the vertex
-    itself, is still unresolved then, so the vertex copies that weight-0
-    column, which the deal leaves at block 0."""
+    """The column each vertex's deal copies.  A qubit vertex copies its
+    own.  A weight-0 vertex on one edge copies that edge's ``control`` when
+    the control is a qubit vertex, as a circuit's grouping vertex copies
+    its group's control.  Every other weight-0 vertex copies vertex 0's
+    column, which the deal leaves at block 0 when vertex 0 is weight-0."""
     src = list(range(h.n_vertices()))
-    for v in h.vertices:
-        if not v.is_qubit:
-            src[v.id] = src[v.anchor if v.anchor is not None else 0]
+    for v, edges in enumerate(h.incidence):
+        if not h.vertices[v].is_qubit:
+            c = h.edges[edges[0]].control if len(edges) == 1 else None
+            src[v] = c if c is not None and h.vertices[c].is_qubit else 0
     return src
 
 
@@ -524,12 +528,12 @@ def _snapped(h: Hypergraph) -> dict[int, list[int]]:
     edges (hMETIS input) stays where it is, since its first edge alone does
     not price a move, and so does one whose edge has no qubit pin."""
     snapped = {}
-    for v in h.vertices:
-        if v.is_qubit or len(h.incidence[v.id]) != 1:
+    for v, edges in enumerate(h.incidence):
+        if h.vertices[v].is_qubit or len(edges) != 1:
             continue
-        pins = [p for p in h.edges[h.incidence[v.id][0]].pins if h.vertices[p].is_qubit]
+        pins = [p for p in h.edges[edges[0]].pins if h.vertices[p].is_qubit]
         if pins:
-            snapped[v.id] = pins
+            snapped[v] = pins
     return snapped
 
 
@@ -544,15 +548,15 @@ def _dealer(h: Hypergraph, config: PartitionConfig):
     column.
     """
     k = config.blocks
-    qubits = [v for v in h.vertices if v.is_qubit]
-    weights = np.array([v.weight for v in qubits], dtype=np.int64)
+    qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
+    weights = np.array([h.vertices[i].weight for i in qubits], dtype=np.int64)
     caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
     order = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
                      dtype=dtype)
-    qubit_vs = np.array([v.id for v in qubits], dtype=np.intp)
+    qubit_vs = np.array(qubits, dtype=np.intp)
     src = _anchor_sources(h)
-    free = [v.id for v in h.vertices if not v.is_qubit]
+    free = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
     free_src = [src[v] for v in free]
 
     def deal(perms: np.ndarray) -> np.ndarray:
@@ -572,7 +576,7 @@ def _snapper(h: Hypergraph):
     every row of a seeds x vertices block matrix and in place, to the
     lowest block its edge's qubit pins span, unless it already sits in one
     of them.  The snap never increases the cut and keeps every channel
-    anchored to real qubits."""
+    carrying a real qubit."""
     snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
     for v, pins in _snapped(h).items():
         snap_vs.append(v)
@@ -768,19 +772,13 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
 
     def restrict(vertex_ids: list[int]) -> Hypergraph:
         local = {g: i for i, g in enumerate(vertex_ids)}
-        verts = []
-        for g in vertex_ids:
-            v = h.vertices[g]
-            anchor = local.get(v.anchor) if v.anchor is not None else None
-            verts.append(Vertex(id=local[g], weight=v.weight, anchor=anchor))
         edges = []
         for e in h.edges:
             pins = tuple(local[p] for p in e.pins if p in local)
             if len(pins) >= 2:
-                edges.append(Hyperedge(id=len(edges), pins=pins, weight=e.weight,
-                                       origin=e.origin,
-                                       control=local.get(e.control) if e.control is not None else None))
-        return Hypergraph(verts, edges)
+                edges.append(Hyperedge(pins=pins, weight=e.weight, origin=e.origin,
+                                       control=local.get(e.control)))
+        return Hypergraph([h.vertices[g] for g in vertex_ids], edges)
 
     def rec(vertex_ids: list[int], block_ids: list[int]) -> None:
         nonlocal passes_total, updates_total
@@ -838,8 +836,8 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
         run = (assignment, cut_cost(h, assignment, k), passes, config.seed, updates)
     assignment, cut, passes, seed, updates = run
     loads = [0] * k
-    for v in h.vertices:
-        loads[assignment[v.id]] += v.weight
+    for b, v in zip(assignment, h.vertices):
+        loads[b] += v.weight
     for b, (load, cap) in enumerate(zip(loads, caps)):
         if load > cap:
             raise InfeasibleError(f"block {b} has load {load}, over its capacity {cap}")

@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 
 
 @dataclass(frozen=True)
 class GateGroup:
     """One run of controlled gates sharing a control qubit.
 
-    ``control`` is a qubit index; ``members`` are gate seq numbers in
-    circuit order.  A group with two or more members is a reuse
-    group: its control state can be shared once and reused by every member.
+    ``control`` is a qubit index; ``members`` are the positions of its
+    gates in the circuit's gate list, in circuit order.  A group is
+    identified by its position in the list ``find_groups`` returns.  A
+    group with two or more members is a reuse group: its control state can
+    be shared once and reused by every member.
     """
 
-    id: int
     control: int
     members: tuple[int, ...]
 
@@ -37,12 +38,12 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
     Gates of any of the three kinds, at any angle, share a run; a run of
     two or more gates is a reuse group, a lone gate is a singleton group.
     """
-    open_runs: dict[int, list[Gate]] = {}  # control qubit -> its open run
-    closed: list[list[Gate]] = []
-    for g in circuit.gates:
+    open_runs: dict[int, list[int]] = {}  # control qubit -> its open run
+    closed: list[list[int]] = []
+    for i, g in enumerate(circuit.gates):
         if g.kind.groupable:
             control, target = g.operands
-            open_runs.setdefault(control, []).append(g)
+            open_runs.setdefault(control, []).append(i)
             if target in open_runs:
                 closed.append(open_runs.pop(target))
         else:
@@ -51,8 +52,6 @@ def find_groups(circuit: Circuit) -> list[GateGroup]:
                     closed.append(open_runs.pop(q))
     closed += open_runs.values()
 
-    closed.sort(key=lambda run: run[0].seq)
-    return [GateGroup(id=i,
-                      control=run[0].operands[0],
-                      members=tuple(g.seq for g in run))
-            for i, run in enumerate(closed)]
+    closed.sort()
+    return [GateGroup(control=circuit.gates[run[0]].operands[0], members=tuple(run))
+            for run in closed]

@@ -1,11 +1,13 @@
 """Hypergraph view of a circuit's non-local interactions.
 
-Every circuit qubit becomes a weight-1 vertex whose id is the qubit's
+Every circuit qubit becomes a weight-1 vertex whose index is the qubit's
 index.  Without grouping, each CX/CZ/CP gate contributes a 2-pin edge
 (control, target) and each CCX/CCZ a 3-pin edge.  With grouping, each
 reuse group becomes one weight-0 grouping vertex plus a single hyperedge
 over {grouping vertex, control, targets}; singleton groups keep their
 per-gate edges.  Single-qubit gates, MEASURE and BARRIER do not appear.
+A vertex or an edge is identified by its position in the hypergraph's
+vertex or edge list.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
 b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
@@ -18,29 +20,28 @@ from .circuit import Circuit
 from .grouping import GateGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Vertex:
     """Weight-1 qubit vertex, weight-0 grouping vertex, or plain (imported)."""
 
-    id: int
     weight: int = 1
-    anchor: int | None = None  # grouping vertex: vertex id of its control qubit
 
     @property
     def is_qubit(self) -> bool:
         return self.weight > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Hyperedge:
-    """Pins are distinct vertex ids, at least two of them.
+    """Pins are distinct vertex indices, at least two of them.
 
-    ``origin`` records where the edge came from: ("gate", seq) or
-    ("group", group id).  ``control`` is the vertex id that anchors the
-    home side of the interaction.
+    ``origin`` records where the edge came from: ("gate", position in the
+    circuit's gate list) or ("group", position in the groups list).
+    ``control`` is the vertex whose state the interaction shares from its
+    home side.  A weight-0 vertex on this edge alone is dealt with the
+    control when the control is a qubit vertex.
     """
 
-    id: int
     pins: tuple[int, ...]
     weight: int = 1
     origin: tuple[str, int] | None = None
@@ -55,29 +56,25 @@ class Hypergraph:
         self.edges = list(edges)
         self.validate()
         self.incidence: list[list[int]] = [[] for _ in self.vertices]
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             for p in e.pins:
-                self.incidence[p].append(e.id)
+                self.incidence[p].append(i)
 
     def validate(self) -> None:
         n = len(self.vertices)
         for i, v in enumerate(self.vertices):
-            if v.id != i:
-                raise ValueError(f"vertex ids must be dense, got {v.id} at {i}")
             if v.weight < 0:
                 raise ValueError(f"vertex {i} has negative weight {v.weight}")
         for i, e in enumerate(self.edges):
-            if e.id != i:
-                raise ValueError(f"edge ids must be dense, got {e.id} at {i}")
             if e.weight < 0:
-                raise ValueError(f"edge {e.id} has negative weight {e.weight}")
+                raise ValueError(f"edge {i} has negative weight {e.weight}")
             if len(e.pins) < 2:
-                raise ValueError(f"edge {e.id} has fewer than 2 pins")
+                raise ValueError(f"edge {i} has fewer than 2 pins")
             if len(set(e.pins)) != len(e.pins):
-                raise ValueError(f"edge {e.id} has repeated pins {e.pins}")
+                raise ValueError(f"edge {i} has repeated pins {e.pins}")
             for p in e.pins:
                 if not 0 <= p < n:
-                    raise ValueError(f"edge {e.id} pin {p} out of range")
+                    raise ValueError(f"edge {i} pin {p} out of range")
 
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -90,32 +87,36 @@ class Hypergraph:
 
 
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
-    """Translate a circuit, optionally folding reuse groups into hyperedges."""
-    vertices = [Vertex(id=q) for q in range(circuit.width)]
+    """Translate a circuit, optionally folding reuse groups into hyperedges.
 
-    member_of: dict[int, GateGroup] = {}
-    gv_of: dict[int, int] = {}  # group id -> grouping vertex id
-    for grp in groups or ():
+    Each reuse group's grouping vertex follows the qubit vertices, in the
+    order of ``groups``; each group edge sits at its first member gate."""
+    vertices = [Vertex() for _ in range(circuit.width)]
+
+    member_of: dict[int, int] = {}  # gate position -> group position
+    gv_of: dict[int, int] = {}  # group position -> grouping vertex
+    for gi, grp in enumerate(groups or ()):
         for seq in grp.members:
             if not 0 <= seq < len(circuit.gates) or not circuit.gates[seq].kind.groupable:
-                raise ValueError(f"group {grp.id} references gate {seq}, "
+                raise ValueError(f"group {gi} references gate {seq}, "
                                  "which is not a groupable gate of this circuit")
-            member_of[seq] = grp
+            member_of[seq] = gi
         if grp.is_reuse:
-            gv_of[grp.id] = len(vertices)
-            vertices.append(Vertex(id=len(vertices), weight=0, anchor=grp.control))
+            gv_of[gi] = len(vertices)
+            vertices.append(Vertex(weight=0))
 
     edges: list[Hyperedge] = []
-    for g in circuit.gates:
-        grp = member_of.get(g.seq)
-        if grp is not None and grp.is_reuse:
-            if g.seq == grp.members[0]:  # one edge per group, at its first member
+    for seq, g in enumerate(circuit.gates):
+        gi = member_of.get(seq)
+        if gi in gv_of:
+            grp = groups[gi]
+            if seq == grp.members[0]:  # one edge per group, at its first member
                 targets = dict.fromkeys(circuit.gates[s].operands[1] for s in grp.members)
-                edges.append(Hyperedge(id=len(edges), pins=(gv_of[grp.id], grp.control, *targets),
-                                       origin=("group", grp.id), control=grp.control))
+                edges.append(Hyperedge(pins=(gv_of[gi], grp.control, *targets),
+                                       origin=("group", gi), control=grp.control))
         elif g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
-            edges.append(Hyperedge(id=len(edges), pins=g.operands,
-                                   origin=("gate", g.seq), control=g.operands[0]))
+            edges.append(Hyperedge(pins=g.operands, origin=("gate", seq),
+                                   control=g.operands[0]))
     return Hypergraph(vertices, edges)
 
 
@@ -192,7 +193,7 @@ def import_hmetis(text: str) -> Hypergraph:
     """Parse hMETIS format (fmt absent, 1, 10 or 11) into a plain hypergraph.
 
     Single-pin edges are dropped, since no partition cuts them; the
-    remaining edges are numbered densely in file order.
+    remaining edges keep their file order.
     """
     rows = [line.split("//")[0].split("%")[0].strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
@@ -224,10 +225,9 @@ def import_hmetis(text: str) -> Hypergraph:
             pins.append(p - 1)
         if len(pins) == 1:
             continue  # legal in hMETIS and never cut
-        edges.append(Hyperedge(id=len(edges), pins=tuple(pins), weight=weight))
+        edges.append(Hyperedge(pins=tuple(pins), weight=weight))
     if vertex_weighted:
-        weights = [int(r) for r in rows[1 + n_edges:]]
-        vertices = [Vertex(id=i, weight=w) for i, w in enumerate(weights)]
+        vertices = [Vertex(weight=int(r)) for r in rows[1 + n_edges:]]
     else:
-        vertices = [Vertex(id=i, weight=1) for i in range(n_vertices)]
+        vertices = [Vertex() for _ in range(n_vertices)]
     return Hypergraph(vertices, edges)

@@ -34,8 +34,8 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     from .fm import resolve_capacities  # local import, no cycle at module load
 
     blocks = config.blocks
-    qubit_vs = [v.id for v in h.vertices if v.is_qubit]
-    free_vs = [v.id for v in h.vertices if not v.is_qubit]
+    qubit_vs = [i for i, v in enumerate(h.vertices) if v.is_qubit]
+    free_vs = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
     if len(qubit_vs) > MAX_ORACLE_QUBIT_VERTICES:
         raise ValueError(f"{len(qubit_vs)} weighted vertices exceeds the oracle limit")
     if not 2 <= blocks <= MAX_ORACLE_BLOCKS:

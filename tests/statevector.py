@@ -115,28 +115,29 @@ def check_programs(circuit: Circuit, plan, texts: list[str]) -> None:
     operand on a remote block names the copy of the channel holding that
     remote slot; ``cat_disentangler ebit[s]`` becomes ``cx carried,r``,
     after which r must be back in |0> and returns to the pool.  Slots are
-    numbered on each block in channel-id order.
+    numbered on each block in channel order.
 
     Fails an assertion on a line of the wrong gate or one missing or left
     over, a data qubit that is not local, a copy that is not live or not
     released clean, or a final state other than the source state ⊗ |0...0>.
     """
-    home_of, remote_of = {}, {}  # (block, slot) -> channel
-    used = [0] * plan.blocks
-    opening: dict[int, list] = {}  # seq -> channels first used there
+    channels = plan.channels
+    home_of, remote_of = {}, {}  # (block, slot) -> channel index
+    used = [0] * len(plan.per_block)
+    opening: dict[int, list] = {}  # gate position -> channels first used there
     closing: dict[int, list] = {}
-    for c in plan.channels:
-        home_of[c.home, used[c.home]] = c
+    for i, c in enumerate(channels):
+        home_of[c.home, used[c.home]] = i
         used[c.home] += 1
-        remote_of[c.remote, used[c.remote]] = c
+        remote_of[c.remote, used[c.remote]] = i
         used[c.remote] += 1
         opening.setdefault(c.first_use, []).append(c)
         closing.setdefault(c.last_use, []).append(c)
-    peak = max((sum(1 for c in plan.channels if c.first_use <= s <= c.last_use)
+    peak = max((sum(1 for c in channels if c.first_use <= s <= c.last_use)
                 for s in opening), default=0)
     n = circuit.width
     free = list(range(n, n + peak))  # a sorted list is a heap
-    copy: dict[int, int] = {}  # channel id -> its pool slot
+    copy: dict[int, int] = {}  # channel index -> its pool slot
 
     data = {str(q): i for i, q in enumerate(circuit.qubits())}
     programs = []  # per block: its (gate, operand names) lines
@@ -163,32 +164,31 @@ def check_programs(circuit: Circuit, plan, texts: list[str]) -> None:
     def operand(name: str, b: int) -> int:
         if name in data:
             return local(name, b)
-        c = remote_of.get((b, slot(name)))
-        assert c is not None and c.id in copy, f"{name} on block {b} is not a live copy"
-        return copy[c.id]
+        i = remote_of.get((b, slot(name)))
+        assert i is not None and i in copy, f"{name} on block {b} is not a live copy"
+        return copy[i]
 
     state = _zero(n + peak)
-    for g in circuit.gates:
+    for seq, g in enumerate(circuit.gates):
         if g.kind is GateKind.BARRIER:
             continue
-        for c in opening.get(g.seq, ()):
+        for c in opening.get(seq, ()):
             line, (a, s) = next_line(c.home)
             assert line.label == "cat_entangler", (c, line)
-            opened = home_of[c.home, slot(s)]
-            copy[opened.id] = r = heapq.heappop(free)
+            copy[home_of[c.home, slot(s)]] = r = heapq.heappop(free)
             state = _apply(state, Gate(GateKind.CX, (local(a, c.home), r)))
-        b = plan.exec_block[g.seq]
+        b = plan.exec_block[seq]
         line, ops = next_line(b)
         assert (line.kind, line.params, line.label) == (g.kind, g.params, g.label), (g, line)
         state = _apply(state, replace(g, operands=tuple(operand(q, b) for q in ops)))
-        for c in closing.get(g.seq, ()):
+        for c in closing.get(seq, ()):
             line, (s,) = next_line(c.remote)
             assert line.label == "cat_disentangler", (c, line)
             released = remote_of[c.remote, slot(s)]
-            r = copy.pop(released.id)
-            state = _apply(state, Gate(GateKind.CX, (released.carries, r)))
+            r = copy.pop(released)
+            state = _apply(state, Gate(GateKind.CX, (channels[released].carries, r)))
             assert np.linalg.norm(np.take(state, 1, axis=r)) < 1e-9, \
-                f"channel {released.id} leaves its copy entangled"
+                f"channel {released} leaves its copy entangled"
             heapq.heappush(free, r)
     for b, lines in enumerate(programs):
         assert next(lines, None) is None, f"block {b} has lines left over"

@@ -83,8 +83,8 @@ def test_criterion_3_fm_matches_brute_force():
         for i in range(ne):
             arity = rng.randint(2, min(4, nv))
             pins = tuple(rng.sample(range(nv), arity))
-            edges.append(Hyperedge(i, pins, weight=rng.choice([1, 1, 1, 2, 3])))
-        h = Hypergraph([Vertex(i) for i in range(nv)], edges)
+            edges.append(Hyperedge(pins=pins, weight=rng.choice([1, 1, 1, 2, 3])))
+        h = Hypergraph([Vertex() for _ in range(nv)], edges)
         k = rng.choice([2, 2, 2, 3])
         cfg = PartitionConfig(blocks=k, restarts=16, seed=trial,
                               mode=Mode.DIRECT_KWAY if k == 3 else Mode.RECURSIVE_BISECT)

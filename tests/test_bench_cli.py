@@ -122,20 +122,11 @@ def test_run_suite_multi_k():
     assert [s["k"] for s in summaries] == [2, 4]
 
 
-def test_run_suite_missing_file_skips(capsys):
-    spec = small_spec(circuits=(CircuitJob.parse("no/such.qasm"),
-                                CircuitJob.parse("ghz:4")),
-                      methods=("FM",))
-    rows, summaries = run_suite(spec)
-    assert [r.circuit for r in rows] == ["ghz4"]
-    assert len(summaries) == 1
-    assert "skipping missing circuit file no/such.qasm" in capsys.readouterr().err
-
-
 def test_run_suite_missing_file_strict():
-    spec = small_spec(circuits=(CircuitJob.parse("no/such.qasm"),))
-    with pytest.raises(FileNotFoundError):
-        run_suite(spec, strict=True)
+    # a missing circuit file is refused, also after a circuit that loads
+    spec = small_spec(circuits=(CircuitJob.parse("ghz:4"), CircuitJob.parse("no/such.qasm")))
+    with pytest.raises(FileNotFoundError, match="no/such.qasm"):
+        run_suite(spec)
 
 
 def test_run_suite_edgeless_circuit(tmp_path):
@@ -340,13 +331,14 @@ def test_refined_rows_match_partition_and_plan(instance):
 
 def test_random_rows_cover_every_qpu(capsys):
     # two qubits over three QPUs: the deal leaves block 2 empty, and its row
-    # still has an r cell for it, as the CLI report lists all three blocks
+    # still has an r cell for it, as the CLI report lists all three blocks;
+    # the equal split gives every block one unit
     spec = SuiteSpec(circuits=(CircuitJob.parse("ghz:2"),), methods=("Random",),
                      parts=(3,), seed_from=0, seed_to=3)
     rows, _ = run_suite(spec)
     assert len(rows) == 3
     for row in rows:
-        assert row.csv_cells()[6] == "1;1;0"
+        assert row.csv_cells()[6] == "1;1;1"
         assert row.csv_cells()[10] == "1.0;1.0;-"
         assert main(["partition", "ghz:2", "--parts", "3", "--method", "random",
                      "--seed", str(row.seed), "--json"]) == 0
@@ -576,12 +568,15 @@ def test_cli_bench_stdout(tmp_path, capsys):
 
 
 def test_cli_bench_strict_missing(tmp_path, capsys):
+    # a missing circuit file exits 1 with one error line and writes no CSV
     suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({"circuits": ["gone.qasm"], "methods": ["FM"],
+    suite.write_text(json.dumps({"circuits": ["ghz:4", "gone.qasm"], "methods": ["FM"],
                                  "seeds": {"from": 0, "to": 2}}))
-    assert main(["bench", "--suite", str(suite), "--strict"]) == 1
-    assert main(["bench", "--suite", str(suite)]) == 0
-    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "gone.qasm" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, names", [

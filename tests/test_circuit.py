@@ -41,7 +41,6 @@ cx q[0],q[1];
     assert c.width == 2 and c.size == 2 and c.depth == 2
     assert [g.kind for g in c.gates] == [GateKind.H, GateKind.CX]
     assert c.gates[1].operands == (0, 1)
-    assert [g.seq for g in c.gates] == [0, 1]
 
 
 def test_comments_skipped():

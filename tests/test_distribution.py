@@ -11,7 +11,7 @@ from qpart import (Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
                    find_groups, generate, make_circuit, parse_qasm, partition,
                    plan_distribution)
 from qpart.bench import CircuitJob, _rows
-from qpart.distribution import _plan_ledger
+from qpart.distribution import _edge_of_gate, _plan_ledger
 from qpart.fm import _shuffles, random_deals
 
 from conftest import fixture_names, load_fixture
@@ -215,6 +215,29 @@ def test_plan_json(qft4):
     assert (plan.channels[0].first_use, plan.channels[0].last_use) == (2, 5)
 
 
+def test_groups_in_any_order_keep_their_edges():
+    # two reuse groups, on q[0] and on q[3], listed in reverse: each still
+    # gets its own grouping vertex and edge, every member gate maps to its
+    # own group's edge, and each channel carries that edge's control
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[1];\ncx q[0],q[2];\n"
+                   "h q[0];\ncx q[3],q[1];\ncx q[3],q[2];\n")
+    groups = find_groups(c)[::-1]
+    assert [(grp.control, grp.is_reuse) for grp in groups] == [(3, True), (0, True)]
+    h = build_hypergraph(c, groups)
+    assert h.n_vertices() == c.width + 2
+    for v, grp in zip((4, 5), groups):
+        (e,) = h.incidence[v]
+        assert h.edges[e].control == grp.control
+    edge_of = _edge_of_gate(h, groups)
+    for gi, grp in enumerate(groups):
+        for seq in grp.members:
+            assert h.edges[edge_of[seq]].origin == ("group", gi)
+            assert h.edges[edge_of[seq]].control == grp.control
+    plan = plan_distribution(c, h, [0, 1, 1, 1, 1, 0], groups=groups)
+    assert [(ch.carries, ch.home, ch.remote) for ch in plan.channels] == [(0, 0, 1)]
+    assert all(h.edges[ch.edge].control == ch.carries for ch in plan.channels)
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_plans_obey_accounting(name):
     c = load_fixture(name)
@@ -222,7 +245,8 @@ def test_fixture_plans_obey_accounting(name):
     h = build_hypergraph(c, groups)
     n = c.width
     a = [0 if i < (n + 1) // 2 else 1 for i in range(n)]
-    a += [a[h.vertices[v.id].anchor] for v in h.vertices if not v.is_qubit]
+    # each grouping vertex goes with its edge's control
+    a += [a[h.edges[h.incidence[v][0]].control] for v in range(n, h.n_vertices())]
     plan = plan_distribution(c, h, a, groups=groups)
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one

@@ -24,14 +24,14 @@ from conftest import deal, fm_pass, load_fixture
 
 
 def chain(n: int) -> Hypergraph:
-    return Hypergraph([Vertex(i) for i in range(n)],
-                      [Hyperedge(i, (i, i + 1)) for i in range(n - 1)])
+    return Hypergraph([Vertex() for _ in range(n)],
+                      [Hyperedge(pins=(i, i + 1)) for i in range(n - 1)])
 
 
 def complete(n: int) -> Hypergraph:
     edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return Hypergraph([Vertex(i) for i in range(n)],
-                      [Hyperedge(i, p) for i, p in enumerate(edges)])
+    return Hypergraph([Vertex() for _ in range(n)],
+                      [Hyperedge(pins=p) for p in edges])
 
 
 def triangle() -> Hypergraph:
@@ -59,6 +59,13 @@ def test_resolve_capacities():
         resolve_capacities((4, 4), 10, 2)
 
 
+def test_equal_split_gives_every_block_a_unit():
+    # more blocks than qubits: the equal split is one a config accepts
+    assert resolve_capacities(None, 2, 3) == [1, 1, 1]
+    config = PartitionConfig(blocks=3, capacities=resolve_capacities(None, 2, 3))
+    assert config.capacities == (1, 1, 1)
+
+
 # -- gains and a single pass -----------------------------------------------
 
 def test_gain_hand_computed():
@@ -75,7 +82,7 @@ def test_gain_hand_computed():
 
 
 def test_gain_weighted():
-    h = Hypergraph([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 1), weight=5)])
+    h = Hypergraph([Vertex(), Vertex()], [Hyperedge(pins=(0, 1), weight=5)])
     assert gain(h, [0, 1], 1, 0) == 5
 
 
@@ -204,23 +211,23 @@ def test_grouping_vertex_stays_on_its_edge(qft4):
     # qubit pins already span, so its channel is anchored to real qubits
     h = build_hypergraph(qft4, find_groups(qft4))
     res = partition(h, PartitionConfig(blocks=2))
-    for v in h.vertices:
-        if v.is_qubit:
+    for v, edges in enumerate(h.incidence):
+        if h.vertices[v].is_qubit:
             continue
-        e = h.edges[h.incidence[v.id][0]]
+        e = h.edges[edges[0]]
         spanned = {res.assignment[p] for p in e.pins if h.vertices[p].is_qubit}
-        assert res.assignment[v.id] in spanned
+        assert res.assignment[v] in spanned
 
 
 def test_snapper_moves_only_lone_edge_free_vertices():
     # qubits 0..3 sit on blocks 1, 2, 0, 2; weight-0 vertices 4..8
-    vertices = [Vertex(i) for i in range(4)] + [Vertex(i, weight=0) for i in range(4, 9)]
+    vertices = [Vertex() for _ in range(4)] + [Vertex(weight=0) for _ in range(4, 9)]
     h = Hypergraph(vertices, [
-        Hyperedge(0, (4, 0, 1)),      # 4: one edge over blocks {1, 2}
-        Hyperedge(1, (5, 2, 3)),      # 5: one edge over blocks {0, 2}
-        Hyperedge(2, (6, 2)),         # 6: two edges
-        Hyperedge(3, (6, 3)),
-        Hyperedge(4, (7, 8)),         # 7 and 8: an edge with no qubit pin
+        Hyperedge(pins=(4, 0, 1)),      # 4: one edge over blocks {1, 2}
+        Hyperedge(pins=(5, 2, 3)),      # 5: one edge over blocks {0, 2}
+        Hyperedge(pins=(6, 2)),         # 6: two edges
+        Hyperedge(pins=(6, 3)),
+        Hyperedge(pins=(7, 8)),         # 7 and 8: an edge with no qubit pin
     ])
     assign = np.array([[1, 2, 0, 2, 0, 2, 1, 2, 1],
                        [1, 2, 0, 2, 2, 0, 1, 2, 1]], dtype=np.uint8)
@@ -261,9 +268,9 @@ def small_hypergraphs(draw):
         arity = draw(st.integers(2, min(4, nv)))
         pins = draw(st.lists(st.integers(0, nv - 1), min_size=arity,
                              max_size=arity, unique=True))
-        edges.append(Hyperedge(i, tuple(pins),
+        edges.append(Hyperedge(pins=tuple(pins),
                                weight=draw(st.sampled_from([1, 1, 2, 3]))))
-    return Hypergraph([Vertex(i) for i in range(nv)], edges)
+    return Hypergraph([Vertex() for _ in range(nv)], edges)
 
 
 @st.composite
@@ -296,8 +303,8 @@ def test_recursive_bisection_side_lighter_than_its_blocks():
     # weights 1, 3, 3 cannot fill QPUs of 7, 1 and 1: the top split leaves
     # the two small QPUs weight 1 between them, and their split still runs
     # on positive side capacities
-    h = Hypergraph([Vertex(0, weight=1), Vertex(1, weight=3), Vertex(2, weight=3)],
-                   [Hyperedge(0, (0, 1)), Hyperedge(1, (1, 2))])
+    h = Hypergraph([Vertex(weight=1), Vertex(weight=3), Vertex(weight=3)],
+                   [Hyperedge(pins=(0, 1)), Hyperedge(pins=(1, 2))])
     res = partition(h, PartitionConfig(blocks=3, capacities=(7, 1, 1)))
     assert sorted(res.loads) == [0, 1, 6]
 
@@ -328,9 +335,9 @@ def test_partition_invariants(h, seed, k):
     res = partition(h, cfg)
     caps = resolve_capacities(None, h.n_qubit_vertices(), k)
     loads = [0] * k
-    for v in h.vertices:
-        assert 0 <= res.assignment[v.id] < k
-        loads[res.assignment[v.id]] += v.weight
+    for b, v in zip(res.assignment, h.vertices):
+        assert 0 <= b < k
+        loads[b] += v.weight
     assert all(load <= cap for load, cap in zip(loads, caps))
     assert all(load >= 1 for load in loads)       # no empty block, ever
     assert res.loads == tuple(loads)
@@ -387,15 +394,15 @@ def restart_instances(draw):
         weights = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=h.n_vertices(),
                                 max_size=h.n_vertices()))
         h = import_hmetis(export_hmetis(Hypergraph(
-            [Vertex(i, weight=w) for i, w in enumerate(weights)], h.edges)))
+            [Vertex(weight=w) for w in weights], h.edges)))
     elif kind == "edgeless":  # w_min = 0
-        h = Hypergraph([Vertex(i) for i in range(draw(st.integers(4, 10)))], [])
+        h = Hypergraph([Vertex() for _ in range(draw(st.integers(4, 10)))], [])
     else:  # chains side by side, maybe with idle vertices: pieces > 1
         sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
         vertices, edges, start = [], [], 0
         for size in sizes:
-            vertices += [Vertex(start + i) for i in range(size)]
-            edges += [Hyperedge(len(edges) + i, (start + i, start + i + 1),
+            vertices += [Vertex() for _ in range(size)]
+            edges += [Hyperedge(pins=(start + i, start + i + 1),
                                 weight=draw(st.sampled_from([1, 2])))
                       for i in range(size - 1)]
             start += size
@@ -422,7 +429,7 @@ def outcome(h, config):
 @example((build_hypergraph(generate("ghz", 40)), PartitionConfig(blocks=4)))
 # restart 0 meets the floor at loads 2 and 4, restart 2 at 3 and 3
 @example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, capacities=(4, 4))))
-@example((Hypergraph([Vertex(i) for i in range(6)], []),
+@example((Hypergraph([Vertex() for _ in range(6)], []),
           PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
 def test_restart_cutoff_is_exact(instance):
     # stopping at the floor returns what running every restart returns
@@ -606,7 +613,8 @@ def _rescan_pass(eng, stats, cutoff=False):
 
 @st.composite
 def kway_instances(draw):
-    """Small hypergraphs with anchored weight-0 vertices, k in {2, ..., 5},
+    """Small hypergraphs with weight-0 vertices each on one edge that a
+    qubit controls, as a grouping vertex is, k in {2, ..., 5},
     equal, tight or slack capacities, engine bounds up to half again above
     them, and either a seeded deal or an arbitrary (possibly empty-block,
     overloaded) assignment."""
@@ -614,19 +622,19 @@ def kway_instances(draw):
     caps_kind = draw(st.sampled_from(["equal", "tight", "slack"]))
     nq = k if caps_kind == "tight" else draw(st.integers(k, 10))
     nz = draw(st.integers(0, 3))
-    vertices = [Vertex(i) for i in range(nq)]
+    vertices = [Vertex() for _ in range(nq)]
     edges = []
     for z in range(nz):
-        anchor = draw(st.integers(0, nq - 1))
-        vertices.append(Vertex(nq + z, weight=0, anchor=anchor))
-        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != anchor),
+        control = draw(st.integers(0, nq - 1))
+        vertices.append(Vertex(weight=0))
+        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != control),
                                min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(len(edges), (nq + z, anchor, *others)))
+        edges.append(Hyperedge(pins=(nq + z, control, *others), control=control))
     for _ in range(draw(st.integers(2, 14))):
         arity = draw(st.integers(2, min(4, nq)))
         pins = draw(st.lists(st.integers(0, nq - 1), min_size=arity,
                              max_size=arity, unique=True))
-        edges.append(Hyperedge(len(edges), tuple(pins),
+        edges.append(Hyperedge(pins=tuple(pins),
                                weight=draw(st.sampled_from([1, 1, 2, 3]))))
     h = Hypergraph(vertices, edges)
     caps = {"equal": None, "tight": (1,) * k,
@@ -678,7 +686,7 @@ def test_converged_pass_stops_at_the_cutoff():
 
 
 def test_pass_at_zero_cost_makes_no_moves():
-    h = Hypergraph([Vertex(i) for i in range(4)], [Hyperedge(0, (0, 1)), Hyperedge(1, (2, 3))])
+    h = Hypergraph([Vertex() for _ in range(4)], [Hyperedge(pins=(0, 1)), Hyperedge(pins=(2, 3))])
     stats = _PassStats()
     out, improved = fm_pass(h, [0, 0, 1, 1], PartitionConfig(blocks=2), stats)
     assert not improved and out == [0, 0, 1, 1]
@@ -709,7 +717,7 @@ def test_deal_hands_out_heaviest_first(instance):
     # when the vertex fits there and the roomiest block otherwise
     k, weights, caps, seed = instance
     assume(sum(caps) >= sum(weights))
-    h = Hypergraph([Vertex(i, weight=w) for i, w in enumerate(weights)], [])
+    h = Hypergraph([Vertex(weight=w) for w in weights], [])
     order = list(range(len(weights)))
     random.Random(seed).shuffle(order)
     order.sort(key=lambda v: -weights[v])
@@ -725,29 +733,28 @@ def test_deal_hands_out_heaviest_first(instance):
 
 @st.composite
 def baseline_instances(draw):
-    """Small hypergraphs with weight-0 vertices anchored anywhere (or, after
-    an hMETIS round-trip, not at all), k in {2, ..., 5}, equal, tight,
-    slack or exhausted capacities, and seed counts on both sides
-    of the chunk edge."""
+    """Small hypergraphs with weight-0 vertices whose own edge's control is
+    any vertex or none (and, after an hMETIS round-trip, every control is
+    none), k in {2, ..., 5}, equal, tight, slack or exhausted capacities,
+    and seed counts on both sides of the chunk edge."""
     k = draw(st.integers(2, 5))
     nq = draw(st.integers(k, 10))
     nz = draw(st.integers(0, 3))
     n = nq + nz
     order = draw(st.permutations(range(n)))   # weight-0 vertices get any id
     zero_ids = set(order[nq:])
-    vertices = [Vertex(i, weight=0 if i in zero_ids else 1,
-                       anchor=draw(st.none() | st.integers(0, n - 1)) if i in zero_ids else None)
-                for i in range(n)]
+    vertices = [Vertex(weight=0 if i in zero_ids else 1) for i in range(n)]
     qubits = order[:nq]
     edges = []
     for z in order[nq:]:
         others = draw(st.lists(st.sampled_from(qubits), min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(len(edges), (z, *others)))
+        edges.append(Hyperedge(pins=(z, *others),
+                               control=draw(st.none() | st.integers(0, n - 1))))
     for _ in range(draw(st.integers(0, 12))):
         arity = draw(st.integers(2, min(4, n)))
         pins = draw(st.lists(st.integers(0, n - 1), min_size=arity,
                              max_size=arity, unique=True))
-        edges.append(Hyperedge(len(edges), tuple(pins),
+        edges.append(Hyperedge(pins=tuple(pins),
                                weight=draw(st.sampled_from([1, 1, 2, 3]))))
     if draw(st.sampled_from([False, False, False, True])):
         edges = []
@@ -838,59 +845,65 @@ def every_deal_mean(h: Hypergraph, cfg: PartitionConfig) -> Fraction:
 
 def weighted_instance(seed: int) -> tuple[Hypergraph, PartitionConfig]:
     """A seeded small hypergraph: at most 7 qubit vertices of weight 1-3,
-    up to 3 weight-0 vertices with any id and an anchor anywhere or none,
-    edges of 2-4 pins and weight 1-3, k in {2, 3} and slack capacities."""
+    up to 3 weight-0 vertices with any id, edges of 2-4 pins, weight 1-3
+    and a control anywhere or none, k in {2, 3} and slack capacities."""
     rng = random.Random(seed)
     nq, nz = rng.randint(2, 7), rng.randint(0, 3)
     n = nq + nz
     zero = set(rng.sample(range(n), nz))
-    vertices = [Vertex(i, weight=0, anchor=rng.choice([None, *range(n)])) if i in zero
-                else Vertex(i, weight=rng.randint(1, 3)) for i in range(n)]
-    edges = [Hyperedge(i, tuple(rng.sample(range(n), rng.randint(2, min(4, n)))),
-                       weight=rng.randint(1, 3)) for i in range(rng.randint(1, 8))]
+    vertices = [Vertex(weight=0 if i in zero else rng.randint(1, 3)) for i in range(n)]
+    edges = [Hyperedge(pins=tuple(rng.sample(range(n), rng.randint(2, min(4, n)))),
+                       weight=rng.randint(1, 3), control=rng.choice([None, *range(n)]))
+             for _ in range(rng.randint(1, 8))]
     k = rng.randint(2, 3)
     total = sum(v.weight for v in vertices)
     caps = tuple(math.ceil(1.2 * total / k) + rng.randint(0, 2) for _ in range(k))
     return Hypergraph(vertices, edges), PartitionConfig(blocks=k, capacities=caps)
 
 
-def _q(i, w=1):
-    return Vertex(i, weight=w)
+def _q(i, w=1):  # i is the vertex's position, for the reader
+    return Vertex(weight=w)
 
 
-def _z(i, anchor=None):
-    return Vertex(i, weight=0, anchor=anchor)
+def _z(i):
+    return Vertex(weight=0)
 
 
-# each names the weight-0 source or snap rule it exercises
+# each names the weight-0 source or snap rule it exercises; a weight-0
+# vertex on one edge is anchored to that edge's control
 WEIGHT0_CASES = {
     # grouping vertex anchored to a qubit on its one edge: the snap moves it
     "anchored to a qubit": Hypergraph(
-        [_q(0), _q(1, 2), _q(2), _q(3), _z(4, anchor=1)],
-        [Hyperedge(0, (4, 1, 2, 3)), Hyperedge(1, (0, 1)), Hyperedge(2, (2, 3), weight=2)]),
-    # vertex 1's anchor is a later weight-0 vertex, so it reads block 0; on
-    # two edges it is not snapped
+        [_q(0), _q(1, 2), _q(2), _q(3), _z(4)],
+        [Hyperedge(pins=(4, 1, 2, 3), control=1), Hyperedge(pins=(0, 1)),
+         Hyperedge(pins=(2, 3), weight=2)]),
+    # vertex 1's one edge has no qubit pin, so it is not snapped, and its
+    # control is the later weight-0 vertex 4, so it reads vertex 0's block
+    # as vertex 4 does on its two edges; a qubit control would split edge 0
     "anchored to a later weight-0 vertex": Hypergraph(
-        [_q(0), _z(1, anchor=4), _q(2, 2), _q(3), _z(4, anchor=0), _q(5)],
-        [Hyperedge(0, (1, 2)), Hyperedge(1, (1, 3, 5)), Hyperedge(2, (4, 0, 5))]),
+        [_q(0), _z(1), _q(2, 2), _q(3), _z(4), _q(5)],
+        [Hyperedge(pins=(1, 4), control=4), Hyperedge(pins=(4, 0, 5)),
+         Hyperedge(pins=(2, 3)), Hyperedge(pins=(3, 5))]),
     # no anchor: vertex 0's block, and vertex 0 is a qubit
     "anchored to nothing": Hypergraph(
         [_q(0, 3), _q(1), _z(2), _q(3), _q(4, 2), _z(5)],
-        [Hyperedge(0, (2, 1)), Hyperedge(1, (2, 3, 4)), Hyperedge(2, (5, 4, 1))]),
+        [Hyperedge(pins=(2, 1)), Hyperedge(pins=(2, 3, 4)), Hyperedge(pins=(5, 4, 1))]),
     # vertex 0 is weight-0, so every unanchored weight-0 vertex reads block 0
     "vertex 0 is weight-0": Hypergraph(
         [_z(0), _q(1), _q(2, 2), _z(3), _q(4), _q(5, 3)],
-        [Hyperedge(0, (0, 1, 2)), Hyperedge(1, (0, 4)), Hyperedge(2, (3, 5)),
-         Hyperedge(3, (3, 1, 2))]),
-    # a weight-0 vertex on two edges keeps its deal source on both
+        [Hyperedge(pins=(0, 1, 2)), Hyperedge(pins=(0, 4)), Hyperedge(pins=(3, 5)),
+         Hyperedge(pins=(3, 1, 2))]),
+    # a weight-0 vertex on two edges reads vertex 0's block on both, whatever
+    # their controls
     "weight-0 vertex on two edges": Hypergraph(
-        [_q(0), _q(1), _z(2, anchor=3), _q(3, 2), _q(4), _q(5)],
-        [Hyperedge(0, (2, 0, 1)), Hyperedge(1, (2, 4, 5), weight=3), Hyperedge(2, (3, 4))]),
+        [_q(0), _q(1), _z(2), _q(3, 2), _q(4), _q(5)],
+        [Hyperedge(pins=(2, 0, 1), control=1), Hyperedge(pins=(2, 4, 5), weight=3, control=4),
+         Hyperedge(pins=(3, 4))]),
     # edge 0's only source is block 0: two unsnapped weight-0 columns
     "only source is block 0": Hypergraph(
         [_z(0), _q(1), _z(2), _q(3), _q(4), _q(5, 2)],
-        [Hyperedge(0, (0, 2)), Hyperedge(1, (0, 1, 3)), Hyperedge(2, (2, 4, 5)),
-         Hyperedge(3, (1, 5))]),
+        [Hyperedge(pins=(0, 2)), Hyperedge(pins=(0, 1, 3)), Hyperedge(pins=(2, 4, 5)),
+         Hyperedge(pins=(1, 5))]),
 }
 
 

@@ -24,7 +24,6 @@ def test_qft4_groups(qft4):
         3: (3, 6, 8),
     }
     assert [g.is_reuse for g in groups] == [False, True, True]
-    assert [g.id for g in groups] == [0, 1, 2]
 
 
 def test_group_fields(qft4):

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpart import (Hyperedge, Hypergraph, Vertex, block_endpoints,
+from qpart import (Gate, GateKind, Hyperedge, Hypergraph, Vertex, block_endpoints,
                    build_hypergraph, cut_cost, export_hmetis,
-                   find_groups, import_hmetis, parse_qasm)
+                   find_groups, import_hmetis, make_circuit, parse_qasm)
+from qpart.fm import _anchor_sources
 
 from conftest import fixture_names, load_fixture
 
@@ -32,13 +34,13 @@ def test_qft4_grouped(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
     assert h.n_vertices() == 6
     assert h.n_qubit_vertices() == 4
-    gvs = [v for v in h.vertices if not v.is_qubit]
-    assert [v.weight for v in gvs] == [0, 0]
+    gvs = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
+    assert [h.vertices[v].weight for v in gvs] == [0, 0]
     # each grouping vertex has one edge, and that edge names its group
-    assert [h.edges[e].origin for v in gvs for e in h.incidence[v.id]] == \
+    assert [h.edges[e].origin for v in gvs for e in h.incidence[v]] == \
         [("group", 1), ("group", 2)]
-    # each grouping vertex is anchored to its control qubit's vertex
-    assert [v.anchor for v in gvs] == [2, 3]
+    # that edge's control is its group's control qubit
+    assert [h.edges[e].control for v in gvs for e in h.incidence[v]] == [2, 3]
     assert sorted(len(e.pins) for e in h.edges) == [2, 4, 5]
     for e in h.edges:
         if e.origin[0] == "group":
@@ -50,6 +52,47 @@ def test_group_rejects_foreign_seq(ghz4, qft4):
     groups = find_groups(qft4)
     with pytest.raises(ValueError, match="not a groupable gate"):
         build_hypergraph(ghz4, groups)
+
+
+_DRAWN_KINDS = [GateKind.CX, GateKind.CX, GateKind.CZ, GateKind.CP, GateKind.H, GateKind.CCX]
+
+
+@st.composite
+def grouping_circuits(draw):
+    """Circuits on few wires, so that two-qubit gates often share a control
+    and most draws hold several reuse groups."""
+    n = draw(st.integers(3, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(_DRAWN_KINDS))
+        ops = draw(st.permutations(range(n)))[:kind.n_qubits]
+        gates.append(Gate(kind, tuple(ops), (0.5,) * kind.n_params))
+    return make_circuit("drawn", [("q", n)], gates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouping_circuits())
+def test_grouping_vertex_is_dealt_with_its_control(c):
+    # grouping vertices follow the qubits in group order; each lies on one
+    # edge, whose control is its group's, and the deal copies that control
+    groups = find_groups(c)
+    reuse = [grp for grp in groups if grp.is_reuse]
+    h = build_hypergraph(c, groups)
+    assert h.n_vertices() == c.width + len(reuse)
+    src = _anchor_sources(h)
+    for v, grp in zip(range(c.width, h.n_vertices()), reuse):
+        assert h.vertices[v].weight == 0
+        (e,) = h.incidence[v]
+        assert h.edges[e].control == grp.control
+        assert src[v] == grp.control
+
+
+def test_vertex_and_edge_fields_are_keywords():
+    # a vertex is its position, so Vertex(3) is refused, not read as weight 3
+    with pytest.raises(TypeError):
+        Vertex(3)
+    with pytest.raises(TypeError):
+        Hyperedge((0, 1))
 
 
 def test_cut_cost_frozen(qft4):
@@ -70,8 +113,8 @@ def test_cut_cost_uncut(ghz4):
 
 
 def test_cut_cost_weighted():
-    h = Hypergraph([Vertex(i) for i in range(3)],
-                   [Hyperedge(0, (0, 1, 2), weight=3)])
+    h = Hypergraph([Vertex() for _ in range(3)],
+                   [Hyperedge(pins=(0, 1, 2), weight=3)])
     rep = cut_cost(h, [0, 1, 2], 3)
     assert rep.cut_edges == 1
     assert rep.lambda_minus_one == 6    # weight 3 times two extra blocks
@@ -161,14 +204,12 @@ def test_import_hmetis_errors(text, fragment):
 
 
 @pytest.mark.parametrize("vertices,edges,fragment", [
-    ([Vertex(0), Vertex(2)], [], "dense"),
-    ([Vertex(0), Vertex(1)], [Hyperedge(0, (0,))], "fewer than 2"),
-    ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 0))], "repeated"),
-    ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 5))], "out of range"),
-    ([Vertex(0), Vertex(1)], [Hyperedge(1, (0, 1))], "dense"),
-    ([Vertex(0), Vertex(1, weight=-1)], [], "negative weight"),
-    ([Vertex(0), Vertex(1)], [Hyperedge(0, (0, 1), weight=-2)], "edge 0 has negative weight"),
-], ids=["vertex-ids", "pins", "repeat", "range", "edge-ids", "vertex-weight", "edge-weight"])
+    ([Vertex(), Vertex()], [Hyperedge(pins=(0,))], "fewer than 2"),
+    ([Vertex(), Vertex()], [Hyperedge(pins=(0, 0))], "repeated"),
+    ([Vertex(), Vertex()], [Hyperedge(pins=(0, 5))], "out of range"),
+    ([Vertex(), Vertex(weight=-1)], [], "negative weight"),
+    ([Vertex(), Vertex()], [Hyperedge(pins=(0, 1), weight=-2)], "edge 0 has negative weight"),
+], ids=["pins", "repeat", "range", "vertex-weight", "edge-weight"])
 def test_validate_errors(vertices, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hypergraph(vertices, edges)
@@ -176,5 +217,5 @@ def test_validate_errors(vertices, edges, fragment):
 
 def test_import_hmetis_drops_single_pin_edges():
     h = import_hmetis("4 3 1\n5 2\n1 1 2\n7 3\n2 2 3\n")
-    assert [(e.id, e.pins, e.weight) for e in h.edges] == [(0, (0, 1), 1), (1, (1, 2), 2)]
+    assert [(e.pins, e.weight) for e in h.edges] == [((0, 1), 1), ((1, 2), 2)]
     assert h.incidence == [[0], [0, 1], [1]]

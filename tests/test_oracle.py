@@ -157,14 +157,14 @@ def test_equivalent_tolerance():
 # -- brute-force min cut ---------------------------------------------------
 
 def chain(n: int) -> Hypergraph:
-    return Hypergraph([Vertex(i) for i in range(n)],
-                      [Hyperedge(i, (i, i + 1)) for i in range(n - 1)])
+    return Hypergraph([Vertex() for _ in range(n)],
+                      [Hyperedge(pins=(i, i + 1)) for i in range(n - 1)])
 
 
 def complete(n: int) -> Hypergraph:
     edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return Hypergraph([Vertex(i) for i in range(n)],
-                      [Hyperedge(i, p) for i, p in enumerate(edges)])
+    return Hypergraph([Vertex() for _ in range(n)],
+                      [Hyperedge(pins=p) for p in edges])
 
 
 def test_oracle_chain():
@@ -180,8 +180,8 @@ def test_oracle_complete4():
 
 
 def test_oracle_star():
-    h = Hypergraph([Vertex(i) for i in range(4)],
-                   [Hyperedge(i, (0, i + 1)) for i in range(3)])
+    h = Hypergraph([Vertex() for _ in range(4)],
+                   [Hyperedge(pins=(0, i + 1)) for i in range(3)])
     res = brute_force_mincut(h, PartitionConfig(blocks=2))
     assert res.lambda_minus_one == 2
 
@@ -193,15 +193,15 @@ def test_oracle_triangle_three_blocks():
 
 
 def test_oracle_wide_hyperedge():
-    h = Hypergraph([Vertex(i) for i in range(3)],
-                   [Hyperedge(0, (0, 1, 2), weight=3)])
+    h = Hypergraph([Vertex() for _ in range(3)],
+                   [Hyperedge(pins=(0, 1, 2), weight=3)])
     res = brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 1)))
     assert res.lambda_minus_one == 3     # the edge must span both blocks
 
 
 def test_oracle_weighted_vertices():
-    h = Hypergraph([Vertex(0, weight=2), Vertex(1), Vertex(2)],
-                   [Hyperedge(0, (0, 1)), Hyperedge(1, (1, 2))])
+    h = Hypergraph([Vertex(weight=2), Vertex(), Vertex()],
+                   [Hyperedge(pins=(0, 1)), Hyperedge(pins=(1, 2))])
     res = brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 2)))
     assert res.lambda_minus_one == 1
     assert res.assignment[1] == res.assignment[2] != res.assignment[0]
@@ -233,11 +233,11 @@ def test_oracle_guards():
         brute_force_mincut(chain(3), PartitionConfig(blocks=4))
     with pytest.raises(InfeasibleError):
         brute_force_mincut(chain(4), PartitionConfig(blocks=2, capacities=(1, 1)))
-    h = Hypergraph([Vertex(0, weight=3), Vertex(1)], [Hyperedge(0, (0, 1))])
+    h = Hypergraph([Vertex(weight=3), Vertex()], [Hyperedge(pins=(0, 1))])
     with pytest.raises(ValueError, match="no capacity-feasible"):
         brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 2)))
     # a weight-0 vertex on two edges: its best block depends on both
-    h = Hypergraph([Vertex(0, weight=0), Vertex(1), Vertex(2), Vertex(3)],
-                   [Hyperedge(0, (0, 1)), Hyperedge(1, (0, 2, 3), weight=5)])
+    h = Hypergraph([Vertex(weight=0), Vertex(), Vertex(), Vertex()],
+                   [Hyperedge(pins=(0, 1)), Hyperedge(pins=(0, 2, 3), weight=5)])
     with pytest.raises(ValueError, match="weight-0 vertex 0 lies on 2 edges"):
         brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 1)))
