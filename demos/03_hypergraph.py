@@ -11,13 +11,13 @@ from qpart import (build_hypergraph, cut_cost, export_hmetis, find_groups,
 qft = generate("qft", 4)
 
 flat = build_hypergraph(qft)
-print(f"ungrouped: {flat.n_vertices()} vertices, {len(flat.edges)} edges, "
-      f"{flat.total_pins()} pins")
+print(f"ungrouped: {len(flat.vertices)} vertices, {len(flat.edges)} edges, "
+      f"{sum(len(e.pins) for e in flat.edges)} pins")
 
 groups = find_groups(qft)
 grouped = build_hypergraph(qft, groups)
-print(f"grouped:   {grouped.n_vertices()} vertices, {len(grouped.edges)} edges, "
-      f"{grouped.total_pins()} pins")
+print(f"grouped:   {len(grouped.vertices)} vertices, {len(grouped.edges)} edges, "
+      f"{sum(len(e.pins) for e in grouped.edges)} pins")
 for i, e in enumerate(grouped.edges):
     print(f"  edge {i}: pins {e.pins} control {e.control} origin {e.origin}")
 

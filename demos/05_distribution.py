@@ -16,7 +16,7 @@ print("assignment:", plan.assignment)
 print("channels:")
 for i, ch in enumerate(plan.channels):
     print(f"  channel {i}: vertex {ch.carries} "
-          f"from QPU {ch.home} to QPU {ch.remote}, live gates "
+          f"from QPU {plan.assignment[ch.carries]} to QPU {ch.remote}, live gates "
           f"{ch.first_use}..{ch.last_use}")
 
 print("per block:")

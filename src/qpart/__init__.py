@@ -8,8 +8,8 @@ partitioner on small instances; the bench module reproduces the
 random-vs-FM comparisons.
 """
 
-from .circuit import (Circuit, Gate, GateKind, QasmError, QubitRef,
-                      emit_qasm, gate_layers, make_circuit, parse_qasm)
+from .circuit import (Circuit, Gate, GateKind, QasmError, emit_qasm,
+                      gate_layers, parse_qasm)
 from .generators import CircuitFamily, generate
 from .grouping import GateGroup, find_groups
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
@@ -26,8 +26,8 @@ from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Gate", "GateKind", "QasmError", "QubitRef",
-    "emit_qasm", "gate_layers", "make_circuit", "parse_qasm",
+    "Circuit", "Gate", "GateKind", "QasmError",
+    "emit_qasm", "gate_layers", "parse_qasm",
     "CircuitFamily", "generate",
     "GateGroup", "find_groups",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",

@@ -2,14 +2,14 @@
 
 The model is deliberately small: named quantum registers, a fixed gate
 alphabet (H/X/Y/Z/S/T, RX/RY/RZ, CX/CZ/CP, CCX/CCZ, MEASURE, BARRIER) and
-one statement per gate.  Circuits are immutable once built; width, size and
-depth are computed at construction time.
+one statement per gate.  Circuits are immutable once built; construction
+checks the registers and operands and computes width, size and depth.
 
 A gate's operands are dense qubit indices: the registers' qubits numbered
 in declaration order, so in ``qreg a[2]; qreg b[3];`` ``b[0]`` is qubit 2.
 The parser resolves each operand once, and every later stage works on the
 indices.  ``Circuit.qubits()`` is the one name table: entry ``q`` is the
-``QubitRef`` written for qubit ``q`` in emitted programs and messages.
+name written for qubit ``q`` (``"b[0]"``) in emitted programs and messages.
 
 Parser coverage is the OpenQASM 2.0 fragment emitted by common circuit
 generators: header, optional include, register declarations, gate
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -86,17 +86,6 @@ _NAME_TO_KIND["cu1"] = GateKind.CP
 
 
 @dataclass(frozen=True)
-class QubitRef:
-    """A (register, index) pair: the written name of one qubit."""
-
-    register: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.register}[{self.index}]"
-
-
-@dataclass(frozen=True)
 class Gate:
     """One circuit statement.
 
@@ -132,71 +121,64 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list with precomputed metrics.
+    """Immutable, validated gate list with its metrics.
 
     ``registers`` are the quantum registers in declaration order; ``cregs``
-    the classical ones (kept only so MEASURE round-trips).  ``size`` counts
-    non-BARRIER gates.  ``depth`` is the greedy as-soon-as-possible layer
-    count: a gate lands one layer past the latest previous gate on any of
-    its operands, and BARRIER synchronises its operands without occupying a
-    layer of its own.
+    the classical ones (kept only so MEASURE round-trips).  Either may be
+    given as a list or a tuple; a tuple is stored.  Construction refuses
+    a repeated register name or a register size below 1 (ValueError) and
+    an operand that indexes none of the registers' qubits (QasmError).
+
+    ``width``, ``size`` and ``depth`` are derived, never passed:
+    ``width`` counts the registers' qubits, ``size`` the non-BARRIER
+    gates, and ``depth`` is the greedy as-soon-as-possible layer count of
+    ``gate_layers``, where BARRIER occupies no layer of its own.
     """
 
     name: str
     registers: tuple[tuple[str, int], ...]
     gates: tuple[Gate, ...]
     cregs: tuple[tuple[str, int], ...] = ()
-    width: int = 0
-    size: int = 0
-    depth: int = 0
+    width: int = field(init=False)
+    size: int = field(init=False)
+    depth: int = field(init=False)
 
-    def qubits(self) -> list[QubitRef]:
-        """The name of every qubit, indexed by its dense operand index."""
-        return [QubitRef(reg, i) for reg, n in self.registers for i in range(n)]
-
-
-def make_circuit(name: str,
-                 registers: list[tuple[str, int]] | tuple[tuple[str, int], ...],
-                 gates: list[Gate] | tuple[Gate, ...],
-                 cregs: list[tuple[str, int]] | tuple[tuple[str, int], ...] = ()) -> Circuit:
-    """Build a validated Circuit.  Every operand must index one of the
-    registers' qubits."""
-    registers = tuple(registers)
-    cregs = tuple(cregs)
-    names = [r for r, _ in registers] + [c for c, _ in cregs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate register name in {names}")
-    for _, n in registers + cregs:
-        if n < 1:
+    def __post_init__(self) -> None:
+        setattr_ = object.__setattr__
+        for attr in ("registers", "gates", "cregs"):
+            setattr_(self, attr, tuple(getattr(self, attr)))
+        names = [r for r, _ in self.registers] + [c for c, _ in self.cregs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate register name in {names}")
+        if any(n < 1 for _, n in self.registers + self.cregs):
             raise ValueError("register size must be positive")
-    width = sum(n for _, n in registers)
-    gates = tuple(gates)
-    for g in gates:
-        for q in g.operands:
-            if not 0 <= q < width:
-                raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
-    size = sum(1 for g in gates if g.kind is not GateKind.BARRIER)
-    depth = max((lay + 1 for g, lay in zip(gates, _layers(gates, width))
-                 if g.kind is not GateKind.BARRIER), default=0)
-    return Circuit(name=name, registers=registers, gates=gates, cregs=cregs,
-                   width=width, size=size, depth=depth)
+        width = sum(n for _, n in self.registers)
+        for g in self.gates:
+            for q in g.operands:
+                if not 0 <= q < width:
+                    raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
+        setattr_(self, "width", width)
+        setattr_(self, "size", sum(1 for g in self.gates if g.kind is not GateKind.BARRIER))
+        setattr_(self, "depth", max((lay + 1 for g, lay in zip(self.gates, gate_layers(self))
+                                     if g.kind is not GateKind.BARRIER), default=0))
+
+    def qubits(self) -> list[str]:
+        """The written name of every qubit (``"a[1]"``), indexed by its
+        dense operand index."""
+        return [f"{reg}[{i}]" for reg, n in self.registers for i in range(n)]
 
 
-def _layers(gates: tuple[Gate, ...], width: int) -> list[int]:
+def gate_layers(circuit: Circuit) -> list[int]:
     """Zero-based ASAP layer per gate; BARRIER records its sync point."""
-    frontier = [0] * width  # per qubit: the first layer free on its wire
+    frontier = [0] * circuit.width  # per qubit: the first layer free on its wire
     layers = []
-    for g in gates:
+    for g in circuit.gates:
         at = max([frontier[q] for q in g.operands], default=0)
         layers.append(at)
         free = at if g.kind is GateKind.BARRIER else at + 1
         for q in g.operands:
             frontier[q] = free
     return layers
-
-
-def gate_layers(circuit: Circuit) -> list[int]:
-    return _layers(circuit.gates, circuit.width)
 
 
 # --------------------------------------------------------------------------
@@ -306,8 +288,8 @@ class _Parser:
                 raise QasmError(str(exc), line) from None
         if not self.qregs:
             raise QasmError("no quantum register declared")
-        return make_circuit(self.name, [(reg, size) for reg, (_, size) in self.qregs.items()],
-                            self.gates, list(self.cregs.items()))
+        return Circuit(self.name, [(reg, size) for reg, (_, size) in self.qregs.items()],
+                       self.gates, list(self.cregs.items()))
 
     def _statement(self, body: str) -> None:
         m = _STATEMENT_RE.match(body)
@@ -474,6 +456,6 @@ def emit_qasm(circuit: Circuit) -> str:
     """Emit the circuit as OpenQASM 2.0; parse(emit(c)) is gate-for-gate c."""
     cregs = _cregs(circuit)
     lines = _preamble(circuit, circuit.gates, cregs)
-    names = [str(q) for q in circuit.qubits()]
+    names = circuit.qubits()
     lines += [_gate_line(g, [names[q] for q in g.operands], cregs) for g in circuit.gates]
     return "\n".join(lines) + "\n"

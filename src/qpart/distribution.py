@@ -37,16 +37,15 @@ from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 
 @dataclass(frozen=True)
 class Channel:
-    """One shared qubit copy: ``carries`` (a vertex) is entangled from
-    ``home`` into a comm qubit on ``remote`` over [first_use, last_use],
-    the positions of the first and last gates that use it.  ``edge`` is
-    the index of its hyperedge; a channel is identified by its position in
-    ``DistributionPlan.channels``.  It is a fallback channel when
-    ``carries`` is not its edge's control."""
+    """One shared qubit copy: ``carries`` (a vertex) is entangled from its
+    home block, ``plan.assignment[carries]``, into a comm qubit on
+    ``remote`` over [first_use, last_use], the positions of the first and
+    last gates that use it.  ``edge`` is the index of its hyperedge; a
+    channel is identified by its position in ``DistributionPlan.channels``.
+    It is a fallback channel when ``carries`` is not its edge's control."""
 
     edge: int
     carries: int
-    home: int
     remote: int
     first_use: int
     last_use: int
@@ -185,13 +184,13 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
         if assignment[carries] != remote:
             served.setdefault((eid, carries, remote), []).append(placed[i])
 
-    channels = tuple(Channel(edge=eid, carries=carries, home=assignment[carries],
-                             remote=remote, first_use=seqs[0], last_use=seqs[-1])
+    channels = tuple(Channel(edge=eid, carries=carries, remote=remote,
+                             first_use=seqs[0], last_use=seqs[-1])
                      for (eid, carries, remote), seqs in served.items())
 
     e = [0] * blocks
     for c in channels:
-        e[c.home] += 1
+        e[assignment[c.carries]] += 1
         e[c.remote] += 1
 
     data = [0] * blocks
@@ -222,7 +221,7 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
     """
     _, uses, place = _placement(circuit, h, groups)
     use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
-    width = h.n_vertices()
+    width = len(h.vertices)
     keys, use_channel = np.unique(use_edge * width + use_q, return_inverse=True)
     key_q = keys % width
 
@@ -255,38 +254,40 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
 
     Programs re-declare the original registers at full size and only touch
     the slice that lives locally, plus an ``ebit`` register of e slots,
-    one per channel endpoint, numbered on each block in channel order.
+    one per channel endpoint, numbered on each block as its channels open.
     Channel activity is marked with ``// channel`` comments; the opaque cat
     primitives carry the nonlocal protocol.  One sweep over the gates
-    appends each line to the body of the block it runs on.
+    appends each line to the body of the block it runs on.  A remote
+    operand reads the oldest open channel of its (carried qubit, block)
+    pair, from a table written at each entangler and cleared at its
+    disentangler.
     """
-    names = [str(q) for q in circuit.qubits()]
+    names = circuit.qubits()
     block_of = plan.assignment  # a qubit's index is its vertex
 
     channels = plan.channels
     entangle_at: dict[int, list[int]] = {}  # first-use gate -> channels
     release_at: dict[int, list[int]] = {}
-    # (carries, remote) -> its channels; their use spans never overlap
-    serving: dict[tuple[int, int], list[int]] = {}
-    home_slot, remote_slot = [], []  # per channel: its ebit slot on that side
-    used = [0] * len(plan.per_block)
     for i, c in enumerate(channels):
-        home_slot.append(used[c.home])
-        used[c.home] += 1
-        remote_slot.append(used[c.remote])
-        used[c.remote] += 1
         entangle_at.setdefault(c.first_use, []).append(i)
         release_at.setdefault(c.last_use, []).append(i)
-        serving.setdefault((c.carries, c.remote), []).append(i)
 
     cregs = _cregs(circuit)
     bodies: list[list[str]] = [[] for _ in plan.per_block]
     opaque: list[list] = [[] for _ in plan.per_block]  # opaque gates run there
+    used = [0] * len(plan.per_block)  # ebit slots opened so far, per block
+    remote_slot: dict[int, int] = {}  # open channel -> its slot on the remote side
+    live: dict[tuple[int, int], list[int]] = {}  # (carries, remote) -> open channels
     for seq, g in enumerate(circuit.gates):
         for i in entangle_at.get(seq, ()):
             c = channels[i]
-            bodies[c.home] += (f"// channel {i}",
-                               f"cat_entangler {names[c.carries]},ebit[{home_slot[i]}];")
+            home = block_of[c.carries]
+            bodies[home] += (f"// channel {i}",
+                             f"cat_entangler {names[c.carries]},ebit[{used[home]}];")
+            used[home] += 1
+            remote_slot[i] = used[c.remote]
+            used[c.remote] += 1
+            live.setdefault((c.carries, c.remote), []).append(i)
         b = plan.exec_block[seq]
         if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
             local: dict[int, list[str]] = {}
@@ -300,17 +301,17 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
                 if block_of[q] == b:
                     ops.append(names[q])
                 else:
-                    i = next(i for i in serving[(q, b)]
-                             if channels[i].first_use <= seq <= channels[i].last_use)
-                    ops.append(f"ebit[{remote_slot[i]}]")
+                    ops.append(f"ebit[{remote_slot[live[q, b][0]]}]")
             bodies[b].append(_gate_line(g, ops, cregs))
             if g.kind is GateKind.OPAQUE:
                 opaque[b].append(g)
         for i in release_at.get(seq, ()):
-            bodies[channels[i].remote] += (f"// channel {i}",
-                                           f"cat_disentangler ebit[{remote_slot[i]}];")
+            c = channels[i]
+            live[c.carries, c.remote].remove(i)
+            bodies[c.remote] += (f"// channel {i}",
+                                 f"cat_disentangler ebit[{remote_slot.pop(i)}];")
 
-    homes = {c.home for c in channels}
+    homes = {block_of[c.carries] for c in channels}
     remotes = {c.remote for c in channels}
     texts = []
     for b, body in enumerate(bodies):

@@ -69,6 +69,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -166,9 +167,10 @@ class _PassStats:
 
 class _Engine:
     """Tables of one hypergraph under fixed block bounds, built once, plus
-    the state of the assignment being refined, which ``reset`` replaces."""
+    the state of the assignment being refined, which ``reset`` sets before
+    each refinement."""
 
-    def __init__(self, h: Hypergraph, blocks: int, bounds: list[int], assignment: list[int]):
+    def __init__(self, h: Hypergraph, blocks: int, bounds: list[int]):
         self.k = blocks
         self.bounds = bounds
         self.pins = [list(e.pins) for e in h.edges]
@@ -188,7 +190,6 @@ class _Engine:
         self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
         self.pieces = _pieces(len(self.vw), self.pins)
         self.w_min = min(self.ew, default=0)
-        self.reset(assignment)
 
     def reset(self, assignment: list[int]) -> None:
         """Refine ``assignment`` from now on, in place; only the per-edge
@@ -512,7 +513,7 @@ def _anchor_sources(h: Hypergraph) -> list[int]:
     the control is a qubit vertex, as a circuit's grouping vertex copies
     its group's control.  Every other weight-0 vertex copies vertex 0's
     column, which the deal leaves at block 0 when vertex 0 is weight-0."""
-    src = list(range(h.n_vertices()))
+    src = list(range(len(h.vertices)))
     for v, edges in enumerate(h.incidence):
         if not h.vertices[v].is_qubit:
             c = h.edges[edges[0]].control if len(edges) == 1 else None
@@ -563,7 +564,7 @@ def _dealer(h: Hypergraph, config: PartitionConfig):
         # heaviest first; the stable sort keeps the shuffle within a weight
         perms = np.take_along_axis(
             perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
-        assign = np.zeros((len(perms), h.n_vertices()), dtype=dtype)
+        assign = np.zeros((len(perms), len(h.vertices)), dtype=dtype)
         assign[np.arange(len(perms))[:, None], qubit_vs[perms]] = order
         assign[:, free] = assign[:, free_src]
         return assign
@@ -670,17 +671,15 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
             counts[classes[h.vertices[q].weight]] += 1
         key = (tuple(counts), fixed)
         keys[key] = keys.get(key, 0) + e.weight
-    num, den = 0, 1  # the exact sum of w_e * (E[spanned] - 1)
+    total = Fraction(0)  # the exact sum of w_e * (E[spanned] - 1)
     for (counts, fixed), w in keys.items():
         # E[spanned] - 1 = (k - 1) - sum_b P(b misses S), over one denominator
         whole = math.prod(math.comb(n, m) for n, m in zip(sizes, counts))
         missed = sum(math.prod(math.comb(n - dealt[i][b], m)
                                for i, (n, m) in enumerate(zip(sizes, counts)))
                      for b in range(1 if fixed else 0, k))
-        lcm = math.lcm(den, whole)
-        num = num * (lcm // den) + w * ((k - 1) * whole - missed) * (lcm // whole)
-        den = lcm
-    return 2 * num / den  # int true division rounds the exact ratio once
+        total += Fraction(w * ((k - 1) * whole - missed), whole)
+    return float(2 * total)  # rounds the exact ratio once
 
 
 # --------------------------------------------------------------------------
@@ -709,13 +708,10 @@ def _restart_driver(h: Hypergraph,
     total = sum(caps)
     deal, snap = _dealer(h, config), _snapper(h)
     draw = _shuffles(h.n_qubit_vertices(), range(config.seed, config.seed + config.restarts))
-    eng = None
+    eng = _Engine(h, config.blocks, caps)
     best, best_key = None, None
     for r, row in enumerate(row for perms in draw for row in deal(perms)):
-        if eng is None:
-            eng = _Engine(h, config.blocks, caps, row.tolist())
-        else:
-            eng.reset(row.tolist())
+        eng.reset(row.tolist())
         least = eng.least()
         stats = _PassStats()
         passes = 0
@@ -753,7 +749,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
     already cut edge are charged exactly once more, matching the global
     metric.
     """
-    assignment = [0] * h.n_vertices()
+    assignment = [0] * len(h.vertices)
     passes_total = 0
     updates_total = 0
 
@@ -788,7 +784,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
             return
         left, right = split_blocks(block_ids)
         # the top split keeps every vertex and every edge: it runs on h
-        sub_h = h if len(vertex_ids) == h.n_vertices() else restrict(vertex_ids)
+        sub_h = h if len(vertex_ids) == len(h.vertices) else restrict(vertex_ids)
         weight_here = _qubit_weight(sub_h)
         side_caps = tuple(max(1, min(sum(caps[b] for b in side),
                                      weight_here - len(other)))
@@ -800,7 +796,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         rec([g for i, g in enumerate(vertex_ids) if sides[i] == 0], left)
         rec([g for i, g in enumerate(vertex_ids) if sides[i] == 1], right)
 
-    rec(list(range(h.n_vertices())), list(range(config.blocks)))
+    rec(list(range(len(h.vertices))), list(range(config.blocks)))
     return assignment, passes_total, updates_total
 
 

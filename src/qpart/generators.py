@@ -10,7 +10,7 @@ import math
 import random
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, make_circuit
+from .circuit import Circuit, Gate, GateKind
 
 
 class CircuitFamily(Enum):
@@ -37,7 +37,7 @@ def generate(kind: CircuitFamily | str, n: int, seed: int = 0) -> Circuit:
 def _ghz(n: int) -> Circuit:
     gates = [Gate(GateKind.H, (0,))]
     gates += [Gate(GateKind.CX, (i, i + 1)) for i in range(n - 1)]
-    return make_circuit(f"ghz{n}", [("q", n)], gates)
+    return Circuit(f"ghz{n}", [("q", n)], gates)
 
 
 def _qft(n: int) -> Circuit:
@@ -47,7 +47,7 @@ def _qft(n: int) -> Circuit:
         gates.append(Gate(GateKind.H, (i,)))
         for j in range(i + 1, n):
             gates.append(Gate(GateKind.CP, (j, i), (math.pi / 2 ** (j - i),)))
-    return make_circuit(f"qft{n}", [("q", n)], gates)
+    return Circuit(f"qft{n}", [("q", n)], gates)
 
 
 def _random_layered(n: int, seed: int) -> Circuit:
@@ -64,4 +64,4 @@ def _random_layered(n: int, seed: int) -> Circuit:
                 gates.append(Gate(rng.choice(_SINGLE_KINDS), (b,)))
         if n % 2:
             gates.append(Gate(rng.choice(_SINGLE_KINDS), (order[-1],)))
-    return make_circuit(f"random{n}_s{seed}", [("q", n)], gates)
+    return Circuit(f"random{n}_s{seed}", [("q", n)], gates)

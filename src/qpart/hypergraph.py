@@ -76,30 +76,38 @@ class Hypergraph:
                 if not 0 <= p < n:
                     raise ValueError(f"edge {i} pin {p} out of range")
 
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def n_qubit_vertices(self) -> int:
         return sum(1 for v in self.vertices if v.is_qubit)
-
-    def total_pins(self) -> int:
-        return sum(len(e.pins) for e in self.edges)
 
 
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
     """Translate a circuit, optionally folding reuse groups into hyperedges.
 
     Each reuse group's grouping vertex follows the qubit vertices, in the
-    order of ``groups``; each group edge sits at its first member gate."""
+    order of ``groups``; each group edge sits at its first member gate.
+    A ValueError names the group and the gate when a member is not a
+    groupable gate of the circuit (checked for every member first), when
+    its first operand is not the group's ``control``, or when a gate is
+    listed twice, in one group or in two."""
     vertices = [Vertex() for _ in range(circuit.width)]
-
-    member_of: dict[int, int] = {}  # gate position -> group position
-    gv_of: dict[int, int] = {}  # group position -> grouping vertex
-    for gi, grp in enumerate(groups or ()):
+    groups = groups or []
+    for gi, grp in enumerate(groups):
         for seq in grp.members:
             if not 0 <= seq < len(circuit.gates) or not circuit.gates[seq].kind.groupable:
                 raise ValueError(f"group {gi} references gate {seq}, "
                                  "which is not a groupable gate of this circuit")
+
+    member_of: dict[int, int] = {}  # gate position -> group position
+    gv_of: dict[int, int] = {}  # group position -> grouping vertex
+    for gi, grp in enumerate(groups):
+        for seq in grp.members:
+            control = circuit.gates[seq].operands[0]
+            if control != grp.control:
+                raise ValueError(f"group {gi} has control {grp.control}, but its gate "
+                                 f"{seq} is controlled by qubit {control}")
+            if seq in member_of:
+                raise ValueError(f"group {gi} lists gate {seq}, which group "
+                                 f"{member_of[seq]} already lists")
             member_of[seq] = gi
         if grp.is_reuse:
             gv_of[gi] = len(vertices)
@@ -132,8 +140,8 @@ class CutReport:
 
 
 def _check_assignment(h: Hypergraph, assignment: list[int], blocks: int) -> None:
-    if len(assignment) != h.n_vertices():
-        raise ValueError(f"assignment covers {len(assignment)} of {h.n_vertices()} vertices")
+    if len(assignment) != len(h.vertices):
+        raise ValueError(f"assignment covers {len(assignment)} of {len(h.vertices)} vertices")
     for v, b in enumerate(assignment):
         if b is None or not 0 <= b < blocks:
             raise ValueError(f"vertex {v} assigned to invalid block {b}")

@@ -46,14 +46,14 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
         if len(h.incidence[v]) > 1:
             raise ValueError(f"weight-0 vertex {v} lies on {len(h.incidence[v])} edges; "
                              "the oracle resolves only one-edge weight-0 vertices")
-    vweight = [h.vertices[v].weight for v in range(h.n_vertices())]
+    vweight = [v.weight for v in h.vertices]
     caps = resolve_capacities(config.capacities, sum(vweight[v] for v in qubit_vs), blocks)
 
     edge_qpins = [tuple(p for p in e.pins if h.vertices[p].is_qubit) for e in h.edges]
     weights = [e.weight for e in h.edges]
     symmetric = len(set(caps)) == 1
 
-    assign = [0] * h.n_vertices()
+    assign = [0] * len(h.vertices)
     best_cost = None
     best = None
     loads = [0] * blocks

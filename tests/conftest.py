@@ -26,13 +26,21 @@ def deal(h, config):
     return _dealer(h, config)(perms)[0].tolist()
 
 
+def engine(h, bounds, assignment):
+    """An engine over ``h`` with one bound per block, reset to refine
+    ``assignment`` in place."""
+    eng = _Engine(h, len(bounds), bounds)
+    eng.reset(assignment)
+    return eng
+
+
 def fm_pass(h, assignment, config, stats=None):
     """Run one FM pass over a copy of ``assignment``, each block bounded by
     its capacity; returns the copy and whether the pass improved the cost."""
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
                               config.blocks)
     work = list(assignment)
-    improved = _pass(_Engine(h, config.blocks, caps, work), stats)
+    improved = _pass(engine(h, caps, work), stats)
     return work, improved
 
 

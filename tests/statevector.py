@@ -127,8 +127,9 @@ def check_programs(circuit: Circuit, plan, texts: list[str]) -> None:
     opening: dict[int, list] = {}  # gate position -> channels first used there
     closing: dict[int, list] = {}
     for i, c in enumerate(channels):
-        home_of[c.home, used[c.home]] = i
-        used[c.home] += 1
+        home = plan.assignment[c.carries]
+        home_of[home, used[home]] = i
+        used[home] += 1
         remote_of[c.remote, used[c.remote]] = i
         used[c.remote] += 1
         opening.setdefault(c.first_use, []).append(c)
@@ -139,11 +140,11 @@ def check_programs(circuit: Circuit, plan, texts: list[str]) -> None:
     free = list(range(n, n + peak))  # a sorted list is a heap
     copy: dict[int, int] = {}  # channel index -> its pool slot
 
-    data = {str(q): i for i, q in enumerate(circuit.qubits())}
+    data = {q: i for i, q in enumerate(circuit.qubits())}
     programs = []  # per block: its (gate, operand names) lines
     for b, text in enumerate(texts):
         p = parse_qasm(text, name=f"block{b}")
-        names = [str(q) for q in p.qubits()]
+        names = p.qubits()
         programs.append(iter([(g, [names[q] for q in g.operands]) for g in p.gates
                               if g.kind is not GateKind.BARRIER]))
 
@@ -173,10 +174,11 @@ def check_programs(circuit: Circuit, plan, texts: list[str]) -> None:
         if g.kind is GateKind.BARRIER:
             continue
         for c in opening.get(seq, ()):
-            line, (a, s) = next_line(c.home)
+            home = plan.assignment[c.carries]
+            line, (a, s) = next_line(home)
             assert line.label == "cat_entangler", (c, line)
-            copy[home_of[c.home, slot(s)]] = r = heapq.heappop(free)
-            state = _apply(state, Gate(GateKind.CX, (local(a, c.home), r)))
+            copy[home_of[home, slot(s)]] = r = heapq.heappop(free)
+            state = _apply(state, Gate(GateKind.CX, (local(a, home), r)))
         b = plan.exec_block[seq]
         line, ops = next_line(b)
         assert (line.kind, line.params, line.label) == (g.kind, g.params, g.label), (g, line)

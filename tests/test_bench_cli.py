@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
+from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, build_hypergraph, find_groups,
-                   make_circuit, partition, plan_distribution, resolve_capacities)
+                   partition, plan_distribution, resolve_capacities)
 from qpart import fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
                          _rows, format_summary, load_suite, run_suite, write_csv)
@@ -232,7 +232,7 @@ def batch_instances(draw):
         if kind is GateKind.MEASURE and cregs:
             cbit = ("m", draw(st.integers(0, n - 1)))
         gates.append(Gate(kind, ops, (0.5,) * kind.n_params, cbit=cbit, label=label))
-    circuit = make_circuit("batch", regs, gates, cregs)
+    circuit = Circuit("batch", regs, gates, cregs)
     groups = find_groups(circuit) if draw(st.booleans()) else None
     h = build_hypergraph(circuit, groups)
     caps_kind = draw(st.sampled_from(["equal", "tight", "slack"] if n >= k

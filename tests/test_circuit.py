@@ -1,12 +1,13 @@
 """Parser, metrics and emission round-trip."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (Circuit, Gate, GateKind, QasmError, emit_qasm,
-                   gate_layers, make_circuit, parse_qasm)
+                   gate_layers, parse_qasm)
 
 from conftest import fixture_names, load_fixture
 
@@ -199,15 +200,30 @@ def test_barrier_synchronises_without_depth():
     assert c.size == 2
 
 
-def test_make_circuit_validation():
+def test_circuit_validation():
     with pytest.raises(ValueError, match="duplicate register"):
-        make_circuit("bad", [("q", 2), ("q", 3)], [])
+        Circuit("bad", [("q", 2), ("q", 3)], [])
     with pytest.raises(ValueError, match="positive"):
-        make_circuit("bad", [("q", 0)], [])
+        Circuit("bad", [("q", 0)], [])
     with pytest.raises(QasmError, match="not declared"):
-        make_circuit("bad", [("q", 1)], [Gate(GateKind.H, (1,))])
+        Circuit("bad", [("q", 1)], [Gate(GateKind.H, (1,))])
     with pytest.raises(QasmError, match="not declared"):
-        make_circuit("bad", [("q", 1)], [Gate(GateKind.H, (-1,))])
+        Circuit("bad", [("q", 1)], [Gate(GateKind.H, (-1,))])
+
+
+def test_circuit_derives_its_metrics():
+    gates = [Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 2)), Gate(GateKind.CX, (0, 2))]
+    c = Circuit("m", [("a", 1), ("b", 2)], gates)
+    assert (c.registers, c.gates, c.cregs) == ((("a", 1), ("b", 2)), tuple(gates), ())
+    assert (c.width, c.size, c.depth) == (3, 2, 2)
+    with pytest.raises(TypeError):
+        Circuit("m", [("q", 1)], [], width=5)
+    shorter = dataclasses.replace(c, gates=gates[:1])
+    assert (shorter.width, shorter.size, shorter.depth) == (3, 1, 1)
+    wider = dataclasses.replace(c, registers=[("a", 4)])
+    assert (wider.width, wider.size, wider.depth) == (4, 2, 2)
+    with pytest.raises(QasmError, match="not declared"):
+        dataclasses.replace(c, registers=[("a", 2)])
 
 
 def test_emit_parse_exact(ghz4, qft4):
@@ -220,8 +236,7 @@ def test_emit_parse_exact(ghz4, qft4):
 
 
 def test_emit_synthesises_creg():
-    c = make_circuit("m", [("q", 2)],
-                     [Gate(GateKind.MEASURE, (1,))])
+    c = Circuit("m", [("q", 2)], [Gate(GateKind.MEASURE, (1,))])
     text = emit_qasm(c)
     assert "creg c[2];" in text
     assert "measure q[1] -> c[1];" in text
@@ -254,14 +269,14 @@ def _draw_gates(draw, width: int) -> list[Gate]:
 @st.composite
 def random_circuits(draw):
     n = draw(st.integers(3, 6))
-    return make_circuit("rand", [("q", n)], _draw_gates(draw, n))
+    return Circuit("rand", [("q", n)], _draw_gates(draw, n))
 
 
 @st.composite
 def multi_register_circuits(draw):
     sizes = draw(st.tuples(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2)))
     regs = [(name, n) for name, n in zip("abc", sizes) if n]
-    return make_circuit("regs", regs, _draw_gates(draw, sum(sizes)))
+    return Circuit("regs", regs, _draw_gates(draw, sum(sizes)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +288,7 @@ def test_multi_register_roundtrip(c: Circuit):
     names = c.qubits()
     for g, stmt in zip(c.gates, text.splitlines()[-len(c.gates):]):
         written = stmt.split(" ", 1)[1].rstrip(";").split(",")
-        assert written == [str(names[q]) for q in g.operands]
+        assert written == [names[q] for q in g.operands]
 
 
 @settings(max_examples=60, deadline=None)

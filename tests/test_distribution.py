@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
+from qpart import (Circuit, Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
                    block_endpoints, build_hypergraph, emit_qasm, emit_subcircuits,
-                   find_groups, generate, make_circuit, parse_qasm, partition,
+                   find_groups, generate, parse_qasm, partition,
                    plan_distribution)
 from qpart.bench import CircuitJob, _rows
 from qpart.distribution import _edge_of_gate, _plan_ledger
@@ -31,7 +31,7 @@ def test_ghz4_plan(ghz4):
     assert plan.ebits == 2
     assert plan.exec_block == (0, 0, 1, 1)
     (ch,) = plan.channels
-    assert (ch.carries, ch.home, ch.remote) == (1, 0, 1)
+    assert (ch.carries, plan.assignment[ch.carries], ch.remote) == (1, 0, 1)
     assert (ch.first_use, ch.last_use) == (2, 2)
     assert ch.carries == h.edges[ch.edge].control
 
@@ -46,7 +46,7 @@ def test_qft4_grouped_plan(qft4):
     assert [b.r for b in plan.per_block] == [pytest.approx(2 / 7),
                                              pytest.approx(2 / 3)]
     # both channels carry their edge's control out of block 1 into block 0
-    assert [(c.carries, c.home, c.remote) for c in plan.channels] == [(2, 1, 0), (3, 1, 0)]
+    assert [(c.carries, plan.assignment[c.carries], c.remote) for c in plan.channels] == [(2, 1, 0), (3, 1, 0)]
     assert all(c.carries == h.edges[c.edge].control for c in plan.channels)
     assert [(c.first_use, c.last_use) for c in plan.channels] == [(2, 5), (3, 6)]
 
@@ -114,7 +114,7 @@ def test_opaque_split_refused():
 def test_operation_counts_sum_to_size(qft8):
     groups = find_groups(qft8)
     h = build_hypergraph(qft8, groups)
-    a = [0, 0, 0, 0, 1, 1, 1, 1] + [1] * (h.n_vertices() - 8)
+    a = [0, 0, 0, 0, 1, 1, 1, 1] + [1] * (len(h.vertices) - 8)
     plan = plan_distribution(qft8, h, a, groups=groups)
     assert sum(b.o for b in plan.per_block) == qft8.size
 
@@ -144,7 +144,8 @@ def test_ccx_fallback_channel():
     c = parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];")
     h = build_hypergraph(c)
     plan = plan_distribution(c, h, [0, 0, 1])
-    assert [(ch.carries, ch.home, ch.remote, ch.carries == h.edges[ch.edge].control)
+    assert [(ch.carries, plan.assignment[ch.carries], ch.remote,
+             ch.carries == h.edges[ch.edge].control)
             for ch in plan.channels] == [(0, 0, 1, True), (1, 0, 1, False)]
     # the secondary operand needs its own channel, so realized ebits
     # exceed the connectivity metric here
@@ -191,7 +192,7 @@ def test_emit_parses_back(qft4):
             if g.kind is GateKind.OPAQUE:
                 continue
             for q in g.operands:
-                assert names[q].register == "ebit" or names[q] in local
+                assert names[q].startswith("ebit[") or names[q] in local
 
 
 def test_emit_measure_and_barrier():
@@ -224,7 +225,7 @@ def test_groups_in_any_order_keep_their_edges():
     groups = find_groups(c)[::-1]
     assert [(grp.control, grp.is_reuse) for grp in groups] == [(3, True), (0, True)]
     h = build_hypergraph(c, groups)
-    assert h.n_vertices() == c.width + 2
+    assert len(h.vertices) == c.width + 2
     for v, grp in zip((4, 5), groups):
         (e,) = h.incidence[v]
         assert h.edges[e].control == grp.control
@@ -234,7 +235,8 @@ def test_groups_in_any_order_keep_their_edges():
             assert h.edges[edge_of[seq]].origin == ("group", gi)
             assert h.edges[edge_of[seq]].control == grp.control
     plan = plan_distribution(c, h, [0, 1, 1, 1, 1, 0], groups=groups)
-    assert [(ch.carries, ch.home, ch.remote) for ch in plan.channels] == [(0, 0, 1)]
+    assert [(ch.carries, plan.assignment[ch.carries], ch.remote)
+            for ch in plan.channels] == [(0, 0, 1)]
     assert all(h.edges[ch.edge].control == ch.carries for ch in plan.channels)
 
 
@@ -246,7 +248,7 @@ def test_fixture_plans_obey_accounting(name):
     n = c.width
     a = [0 if i < (n + 1) // 2 else 1 for i in range(n)]
     # each grouping vertex goes with its edge's control
-    a += [a[h.edges[h.incidence[v][0]].control] for v in range(n, h.n_vertices())]
+    a += [a[h.edges[h.incidence[v][0]].control] for v in range(n, len(h.vertices))]
     plan = plan_distribution(c, h, a, groups=groups)
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
@@ -325,12 +327,12 @@ def emitter_circuits(draw):
         params = tuple(draw(st.floats(-6.3, 6.3, allow_nan=False))
                        for _ in range(kind.n_params))
         gates.append(Gate(kind, ops, params, cbit=cbit, label=label))
-    return make_circuit("emit", regs, gates, cregs)
+    return Circuit("emit", regs, gates, cregs)
 
 
 def _single_qpu_texts(c):
     h = build_hypergraph(c)
-    return emit_subcircuits(c, plan_distribution(c, h, [0] * h.n_vertices()))
+    return emit_subcircuits(c, plan_distribution(c, h, [0] * len(h.vertices)))
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -6,9 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Gate, GateKind, Mode, PartitionConfig, build_hypergraph,
-                   emit_subcircuits, find_groups, generate, make_circuit,
-                   partition, plan_distribution)
+from qpart import (Circuit, Gate, GateGroup, GateKind, Mode, PartitionConfig,
+                   build_hypergraph, emit_subcircuits, find_groups, generate,
+                   parse_qasm, partition, plan_distribution)
 
 from conftest import fixture_names, load_fixture
 from statevector import check_programs
@@ -57,6 +57,19 @@ def test_fallback_channels_are_proved():
     assert any(c.carries != h.edges[c.edge].control for c in plan.channels)
 
 
+def test_overlapping_channels_are_proved():
+    # hand-built groups need not be maximal runs: (0, 2) and (1,) on q[0]
+    # open two channels to block 1 whose spans overlap at gate 1, which
+    # reads the older one
+    circuit = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
+                         "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
+    groups = [GateGroup(control=0, members=(1, 3)), GateGroup(control=0, members=(2,))]
+    h = build_hypergraph(circuit, groups)
+    plan = plan_distribution(circuit, h, [0, 1, 1, 1, 1], groups=groups)
+    assert [(c.first_use, c.last_use) for c in plan.channels] == [(1, 3), (2, 2)]
+    check_programs(circuit, plan, emit_subcircuits(circuit, plan))
+
+
 _KINDS = [GateKind.H, GateKind.T, GateKind.RZ, GateKind.CX, GateKind.CZ,
           GateKind.CP, GateKind.CCX, GateKind.CCZ]
 
@@ -72,7 +85,7 @@ def circuits(draw):
         ops = draw(st.permutations(range(n)))[:kind.n_qubits]
         params = tuple(draw(st.floats(-3.2, 3.2)) for _ in range(kind.n_params))
         gates.append(Gate(kind, tuple(ops), params))
-    return make_circuit("drawn", [("q", n)], gates)
+    return Circuit("drawn", [("q", n)], gates)
 
 
 @settings(max_examples=60, deadline=None)

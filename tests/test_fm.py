@@ -20,7 +20,7 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
 from qpart.fm import (_MAX_PASSES, _Engine, _pass, _PassStats, _shuffles, _snapper,
                       expected_ebits, random_deals)
 
-from conftest import deal, fm_pass, load_fixture
+from conftest import deal, engine, fm_pass, load_fixture
 
 
 def chain(n: int) -> Hypergraph:
@@ -358,7 +358,7 @@ def every_restart(h, config):
     snap = _snapper(h)
     best, best_key = None, None
     for r in range(config.restarts):
-        eng = _Engine(h, config.blocks, caps, deal(h, replace(config, seed=config.seed + r)))
+        eng = engine(h, caps, deal(h, replace(config, seed=config.seed + r)))
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
@@ -391,8 +391,8 @@ def restart_instances(draw):
     elif kind == "weighted":
         # hMETIS fmt 11: vertex weights above 1, so some deals overfill
         h = draw(small_hypergraphs())
-        weights = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=h.n_vertices(),
-                                max_size=h.n_vertices()))
+        weights = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=len(h.vertices),
+                                max_size=len(h.vertices)))
         h = import_hmetis(export_hmetis(Hypergraph(
             [Vertex(weight=w) for w in weights], h.edges)))
     elif kind == "edgeless":  # w_min = 0
@@ -460,7 +460,7 @@ def test_each_restart_winner_is_priced_once(monkeypatch):
     # single winner, prices its result again
     calls, restarts = [], []
     monkeypatch.setattr("qpart.fm.cut_cost", lambda *a: calls.append(1) or cut_cost(*a))
-    reset = _Engine.reset  # once per restart, the first through __init__
+    reset = _Engine.reset  # once per restart
     monkeypatch.setattr(_Engine, "reset", lambda eng, a: restarts.append(1) or reset(eng, a))
     c = generate("qft", 16)
     h = build_hypergraph(c, find_groups(c))
@@ -657,9 +657,7 @@ def test_kway_gain_cache_matches_rescan(instance):
     # the full reference fixes the result of every pass; the reference
     # with the cutoff also fixes how many moves the pass makes
     h, bounds, assignment = instance
-    cached = _Engine(h, len(bounds), bounds, list(assignment))
-    full = _Engine(h, len(bounds), bounds, list(assignment))
-    bounded = _Engine(h, len(bounds), bounds, list(assignment))
+    cached, full, bounded = (engine(h, bounds, list(assignment)) for _ in range(3))
     for _ in range(4):
         got, want = _PassStats(), _PassStats()
         improved = _pass(cached, got)
@@ -682,7 +680,7 @@ def test_converged_pass_stops_at_the_cutoff():
     out, improved = fm_pass(h, assignment, cfg, stats)
     assert not improved
     assert out == assignment
-    assert stats.moves < h.n_vertices()
+    assert stats.moves < len(h.vertices)
 
 
 def test_pass_at_zero_cost_makes_no_moves():
@@ -700,7 +698,7 @@ def test_kway_gain_updates_scale_linearly():
         cfg = PartitionConfig(blocks=4, seed=1, mode=Mode.DIRECT_KWAY)
         stats = _PassStats()
         fm_pass(h, deal(h, cfg), cfg, stats)
-        pins.append(h.total_pins())
+        pins.append(sum(len(e.pins) for e in h.edges))
         updates.append(stats.gain_updates)
     slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)
     assert abs(slope - 1.0) <= 0.15, (slope, pins, updates)

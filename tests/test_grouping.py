@@ -2,7 +2,7 @@
 
 import pytest
 
-from qpart import find_groups, make_circuit, parse_qasm
+from qpart import Circuit, find_groups, parse_qasm
 
 from conftest import load_fixture
 
@@ -65,7 +65,7 @@ def test_allow_mixed_kinds():
 
 def test_seq_restriction(qft4):
     # judged within the subset, the q[3] run loses its later members
-    sub = make_circuit("qft4.sub", qft4.registers, [qft4.gates[s] for s in (1, 2, 3)],
+    sub = Circuit("qft4.sub", qft4.registers, [qft4.gates[s] for s in (1, 2, 3)],
                        qft4.cregs)
     groups = find_groups(sub)
     assert all(not g.is_reuse for g in groups)

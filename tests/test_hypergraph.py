@@ -1,13 +1,14 @@
 """Circuit-to-hypergraph translation, cut metrics and hMETIS io."""
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qpart import (Gate, GateKind, Hyperedge, Hypergraph, Vertex, block_endpoints,
-                   build_hypergraph, cut_cost, export_hmetis,
-                   find_groups, import_hmetis, make_circuit, parse_qasm)
+from qpart import (Circuit, Gate, GateGroup, GateKind, Hyperedge, Hypergraph, Vertex,
+                   block_endpoints, build_hypergraph, cut_cost, export_hmetis,
+                   find_groups, import_hmetis, parse_qasm)
 from qpart.fm import _anchor_sources
 
 from conftest import fixture_names, load_fixture
@@ -15,10 +16,10 @@ from conftest import fixture_names, load_fixture
 
 def test_ghz4_hypergraph(ghz4):
     h = build_hypergraph(ghz4)
-    assert h.n_vertices() == 4
+    assert len(h.vertices) == 4
     assert h.n_qubit_vertices() == 4
     assert len(h.edges) == 3            # the h gate contributes no edge
-    assert h.total_pins() == 6
+    assert sum(len(e.pins) for e in h.edges) == 6
     for e in h.edges:
         assert len(e.pins) == 2 and e.weight == 1
         assert e.origin[0] == "gate"
@@ -27,12 +28,12 @@ def test_ghz4_hypergraph(ghz4):
 
 def test_qft4_ungrouped(qft4):
     h = build_hypergraph(qft4)
-    assert (h.n_vertices(), len(h.edges), h.total_pins()) == (4, 6, 12)
+    assert (len(h.vertices), len(h.edges), sum(len(e.pins) for e in h.edges)) == (4, 6, 12)
 
 
 def test_qft4_grouped(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
-    assert h.n_vertices() == 6
+    assert len(h.vertices) == 6
     assert h.n_qubit_vertices() == 4
     gvs = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
     assert [h.vertices[v].weight for v in gvs] == [0, 0]
@@ -54,6 +55,30 @@ def test_group_rejects_foreign_seq(ghz4, qft4):
         build_hypergraph(ghz4, groups)
 
 
+_FAN = "OPENQASM 2.0; qreg q[4]; cx q[0],q[1]; cx q[0],q[2];"
+
+
+def test_group_rejects_a_member_of_another_control():
+    # built, this group's edge (4, 3, 1, 2) would leave out q[0], and a plan
+    # at [0, 1, 1, 1, 1] would report a cut of 0 while spending 2 ebits
+    c = parse_qasm(_FAN)
+    with pytest.raises(ValueError, match="group 0 has control 3, but its gate 0 "
+                                         "is controlled by qubit 0"):
+        build_hypergraph(c, [GateGroup(control=3, members=(0, 1))])
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([GateGroup(control=0, members=(0, 1)), GateGroup(control=0, members=(1,))],
+     "group 1 lists gate 1, which group 0 already lists"),
+    ([GateGroup(control=0, members=(0, 0))],
+     "group 0 lists gate 0, which group 0 already lists"),
+], ids=["in-two-groups", "twice-in-one-group"])
+def test_group_rejects_a_gate_listed_twice(groups, message):
+    # a gate in two groups would put its target on two edges
+    with pytest.raises(ValueError, match=message):
+        build_hypergraph(parse_qasm(_FAN), groups)
+
+
 _DRAWN_KINDS = [GateKind.CX, GateKind.CX, GateKind.CZ, GateKind.CP, GateKind.H, GateKind.CCX]
 
 
@@ -67,7 +92,7 @@ def grouping_circuits(draw):
         kind = draw(st.sampled_from(_DRAWN_KINDS))
         ops = draw(st.permutations(range(n)))[:kind.n_qubits]
         gates.append(Gate(kind, tuple(ops), (0.5,) * kind.n_params))
-    return make_circuit("drawn", [("q", n)], gates)
+    return Circuit("drawn", [("q", n)], gates)
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,13 +103,31 @@ def test_grouping_vertex_is_dealt_with_its_control(c):
     groups = find_groups(c)
     reuse = [grp for grp in groups if grp.is_reuse]
     h = build_hypergraph(c, groups)
-    assert h.n_vertices() == c.width + len(reuse)
+    assert len(h.vertices) == c.width + len(reuse)
     src = _anchor_sources(h)
-    for v, grp in zip(range(c.width, h.n_vertices()), reuse):
+    for v, grp in zip(range(c.width, len(h.vertices)), reuse):
         assert h.vertices[v].weight == 0
         (e,) = h.incidence[v]
         assert h.edges[e].control == grp.control
         assert src[v] == grp.control
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouping_circuits(), st.data())
+def test_groups_are_accepted_until_a_member_changes_control(c, data):
+    # find_groups' output always builds; moving one member into a group of
+    # another control is refused
+    groups = find_groups(c)
+    build_hypergraph(c, groups)
+    assume(groups)
+    gi = data.draw(st.integers(0, len(groups) - 1))
+    grp = groups[gi]
+    seq = data.draw(st.sampled_from(grp.members))
+    control = data.draw(st.sampled_from([q for q in range(c.width) if q != grp.control]))
+    rest = dataclasses.replace(grp, members=tuple(m for m in grp.members if m != seq))
+    moved = groups[:gi] + [rest] + groups[gi + 1:] + [GateGroup(control=control, members=(seq,))]
+    with pytest.raises(ValueError, match=f"is controlled by qubit {grp.control}"):
+        build_hypergraph(c, moved)
 
 
 def test_vertex_and_edge_fields_are_keywords():
@@ -147,7 +190,7 @@ def test_block_endpoints_sum_law(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
     rng = random.Random(5)
     for _ in range(25):
-        a = [rng.randrange(3) for _ in range(h.n_vertices())]
+        a = [rng.randrange(3) for _ in range(len(h.vertices))]
         rep = cut_cost(h, a, 3)
         assert sum(block_endpoints(h, a, 3)) == 2 * rep.lambda_minus_one
 
@@ -181,7 +224,7 @@ def test_hmetis_roundtrip(name, grouped):
 
 def test_import_hmetis_comments():
     h = import_hmetis("% header comment\n2 3\n1 2\n2 3 // trailing\n")
-    assert len(h.edges) == 2 and h.n_vertices() == 3
+    assert len(h.edges) == 2 and len(h.vertices) == 3
     assert h.edges[1].pins == (1, 2)
 
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qpart import (GateKind, Hyperedge, Hypergraph, InfeasibleError,
+from qpart import (Circuit, GateKind, Hyperedge, Hypergraph, InfeasibleError,
                    PartitionConfig, Vertex, brute_force_mincut, cut_cost,
-                   generate, make_circuit, parse_qasm)
+                   generate, parse_qasm)
 
 from statevector import equivalent, simulate
 
@@ -133,7 +133,7 @@ def test_simulate_rejections():
     with pytest.raises(ValueError, match="shadow"):
         simulate(parse_qasm("OPENQASM 2.0; opaque shadow a; qreg q[1]; shadow q[0];"))
     with pytest.raises(ValueError, match="limit"):
-        simulate(make_circuit("big", [("q", 15)], []))
+        simulate(Circuit("big", [("q", 15)], []))
 
 
 def test_equivalent_global_phase():
