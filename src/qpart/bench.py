@@ -328,14 +328,11 @@ def format_summary(summaries: list[dict]) -> str:
         bits = [f"{s['circuit']} k={s['k']}"]
         if s["random_mean_ebits"] is not None:
             bits.append(f"random mean ebits {s['random_mean_ebits']:.2f}")
-        if s["fm_ebits"] is not None:
-            imp = s["fm_improvement_pct"]
-            bits.append(f"FM ebits {s['fm_ebits']}"
-                        + (f" ({imp:.1f}% better)" if imp is not None else ""))
-        if s["fm_grouped_ebits"] is not None:
-            imp = s["fm_grouped_improvement_pct"]
-            bits.append(f"FMGrouped ebits {s['fm_grouped_ebits']}"
-                        + (f" ({imp:.1f}% better)" if imp is not None else ""))
+        for method, key in (("FM", "fm"), ("FMGrouped", "fm_grouped")):
+            if s[f"{key}_ebits"] is not None:
+                imp = s[f"{key}_improvement_pct"]
+                bits.append(f"{method} ebits {s[f'{key}_ebits']}"
+                            + (f" ({imp:.1f}% better)" if imp is not None else ""))
         lines.append("  ".join(bits))
     return "\n".join(lines)
 

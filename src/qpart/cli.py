@@ -41,10 +41,9 @@ def _parse_caps(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
     try:
-        caps = tuple(int(c) for c in text.split(","))
+        return tuple(int(c) for c in text.split(","))
     except ValueError:
         raise QasmError(f"bad capacity list {text!r}; expected e.g. 3,3,2")
-    return caps
 
 
 def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
@@ -122,14 +121,10 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = load_suite(args.suite)
-    rows, summaries = run_suite(spec)
-    if args.out:
-        write_csv(rows, args.out)
-        print(format_summary(summaries))
-    else:
-        write_csv(rows, sys.stdout)
-        print(format_summary(summaries), file=sys.stderr)
+    rows, summaries = run_suite(load_suite(args.suite))
+    write_csv(rows, args.out or sys.stdout)
+    # the summary goes to stderr when the CSV takes stdout
+    print(format_summary(summaries), file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -12,11 +12,11 @@ edge.  Every endpoint gets its own communication qubit, so a QPU's
 
 Gates are executed where their target lives (CX/CCX) or where most of
 their operands live (the diagonal CZ/CP/CCZ, ties to the last operand).
-A remote operand that is not the edge's control cannot ride an existing
-channel; it gets a fallback channel of its own.  That only happens for
-three-qubit gates whose controls are split from the target, and it makes
-the realised ebit count exceed the metric; two-qubit and grouped
-interactions never need it.
+A remote operand that is not the edge's first pin, the qubit it shares,
+cannot ride an existing channel; it gets a fallback channel of its own.
+That only happens for three-qubit gates whose controls are split from
+the target, and it makes the realised ebit count exceed the metric;
+two-qubit and grouped interactions never need it.
 
 These rules are stated once, in ``_placement``, over a matrix of
 assignments: ``plan_distribution`` evaluates it on its one row, and
@@ -42,7 +42,7 @@ class Channel:
     ``remote`` over [first_use, last_use], the positions of the first and
     last gates that use it.  ``edge`` is the index of its hyperedge; a
     channel is identified by its position in ``DistributionPlan.channels``.
-    It is a fallback channel when ``carries`` is not its edge's control."""
+    It is a fallback channel when ``carries`` is not its edge's first pin."""
 
     edge: int
     carries: int
@@ -165,7 +165,9 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     empty; None means the blocks up to the highest one assigned.  Gates
     are placed by ``_placement``, on its one-row case.  An assignment
     that does not cover ``h``, or that names a block outside ``blocks``,
-    is a ValueError naming the vertex.
+    is a ValueError naming the vertex, and so is a plan where two channels
+    of one qubit to one block are open at once, as a hand-built ``h`` with
+    a group split by another edge of its control would give.
     """
     if blocks is None:
         blocks = max(assignment, default=0) + 1
@@ -187,17 +189,17 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     channels = tuple(Channel(edge=eid, carries=carries, remote=remote,
                              first_use=seqs[0], last_use=seqs[-1])
                      for (eid, carries, remote), seqs in served.items())
-
     e = [0] * blocks
-    for c in channels:
+    open_until: dict[tuple[int, int], int] = {}  # (carries, remote) -> last use
+    for i, c in enumerate(channels):  # in order of first use
+        if open_until.get((c.carries, c.remote), -1) >= c.first_use:
+            raise ValueError(f"channel {i} opens at gate {c.first_use} while another "
+                             f"channel of qubit {c.carries} to block {c.remote} is open")
+        open_until[c.carries, c.remote] = c.last_use
         e[assignment[c.carries]] += 1
         e[c.remote] += 1
 
-    data = [0] * blocks
-    for b, v in zip(assignment, h.vertices):
-        if v.is_qubit:
-            data[b] += 1
-
+    data = np.bincount(assignment, minlength=blocks).tolist()  # every vertex is a qubit
     per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b],
                               r=e[b] / o[b] if o[b] else None)
                       for b in range(blocks))
@@ -258,9 +260,11 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     Channel activity is marked with ``// channel`` comments; the opaque cat
     primitives carry the nonlocal protocol.  One sweep over the gates
     appends each line to the body of the block it runs on.  A remote
-    operand reads the oldest open channel of its (carried qubit, block)
-    pair, from a table written at each entangler and cleared at its
-    disentangler.
+    operand reads the slot of the open channel of its (carried qubit,
+    block) pair, from a table written at each entangler and cleared at its
+    disentangler.  A pair has at most one open channel, which
+    ``plan_distribution`` checks; ``build_hypergraph`` refuses the groups
+    that would open two.
     """
     names = circuit.qubits()
     block_of = plan.assignment  # a qubit's index is its vertex
@@ -276,8 +280,7 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     bodies: list[list[str]] = [[] for _ in plan.per_block]
     opaque: list[list] = [[] for _ in plan.per_block]  # opaque gates run there
     used = [0] * len(plan.per_block)  # ebit slots opened so far, per block
-    remote_slot: dict[int, int] = {}  # open channel -> its slot on the remote side
-    live: dict[tuple[int, int], list[int]] = {}  # (carries, remote) -> open channels
+    live: dict[tuple[int, int], int] = {}  # (carries, remote) -> its open channel's slot
     for seq, g in enumerate(circuit.gates):
         for i in entangle_at.get(seq, ()):
             c = channels[i]
@@ -285,9 +288,8 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
             bodies[home] += (f"// channel {i}",
                              f"cat_entangler {names[c.carries]},ebit[{used[home]}];")
             used[home] += 1
-            remote_slot[i] = used[c.remote]
+            live[c.carries, c.remote] = used[c.remote]
             used[c.remote] += 1
-            live.setdefault((c.carries, c.remote), []).append(i)
         b = plan.exec_block[seq]
         if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
             local: dict[int, list[str]] = {}
@@ -296,20 +298,15 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
             for lb, ops in local.items():
                 bodies[lb].append(_gate_line(g, ops, cregs))
         else:
-            ops = []
-            for q in g.operands:
-                if block_of[q] == b:
-                    ops.append(names[q])
-                else:
-                    ops.append(f"ebit[{remote_slot[live[q, b][0]]}]")
+            ops = [names[q] if block_of[q] == b else f"ebit[{live[q, b]}]"
+                   for q in g.operands]
             bodies[b].append(_gate_line(g, ops, cregs))
             if g.kind is GateKind.OPAQUE:
                 opaque[b].append(g)
         for i in release_at.get(seq, ()):
             c = channels[i]
-            live[c.carries, c.remote].remove(i)
             bodies[c.remote] += (f"// channel {i}",
-                                 f"cat_disentangler ebit[{remote_slot.pop(i)}];")
+                                 f"cat_disentangler ebit[{live.pop((c.carries, c.remote))}];")
 
     homes = {block_of[c.carries] for c in channels}
     remotes = {c.remote for c in channels}

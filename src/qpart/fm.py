@@ -1,9 +1,10 @@
 """Fiduccia-Mattheyses partitioning over circuit hypergraphs.
 
 ``partition`` is the one entry point.  Every FM mode runs through one
-restart driver: each seeded restart deals the qubit vertices, runs passes
-until one fails, and snaps free weight-0 vertices onto their edge; the
-winner has the lowest (lambda - 1, balance deviation, restart index).
+restart driver: each seeded restart deals a shuffled or a grown order of
+the qubit vertices, runs passes until one fails, and snaps free weight-0
+vertices onto their edge; the winner has the lowest (lambda - 1, balance
+deviation, restart index).
 Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks,
 and the winner keeps the price its rank key was read from; recursive
 bisection calls it once per split, with that split's side capacities,
@@ -14,53 +15,39 @@ each written once, over a seeds x vertices block matrix (``_dealer``,
 ``_snapper``).
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the qubit vertex count, so one draw can serve many hypergraphs
-and block counts, as a bench suite's does per circuit; the deal turns it
-into blocks from the capacities, k, the weights and the edges' controls
-(a grouping vertex is dealt with its edge's control), handing the
-heaviest qubit vertices out first.  ``random_deals`` deals, snaps and
-prices a draw one matrix of at most 128 seeds at a time; it is the one
-random partition, of ``Mode.RANDOM`` and the bench's Random rows.
+and block counts, as a bench suite's does per circuit.  Every other
+restart grows a breadth-first order from it (``_grown``), as the graph
+growing of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput.
+20(1), 1998).
+The deal turns an order into blocks from the capacities, k and the
+weights, heaviest first; a grown order fills each block in one run, with
+the shuffle's loads, and a weight-0 vertex goes with vertex 0.
+``random_deals`` deals, snaps and prices a draw one matrix of at most 128
+seeds at a time; it is the one random partition, of ``Mode.RANDOM`` and
+the bench's Random rows.
 ``expected_ebits`` prices the mean of that partition over every shuffle
-in closed form, reading the same ``_anchor_sources`` and snap set; it is the
-CLI's baseline and the bench's grouped one.
+in closed form, reading the same snap set; it is the CLI's baseline and
+the bench's grouped one.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
 whose pin count in the source or target block crosses 0, 1 or 2, so a
-pass does work linear in the pins it touches.  Each cache write of a
-real gain g pushes one int, ``(top - g) * n + v``, on a lazy min-heap
-per (vertex kind, target).  ``top`` is the sum of the edge weights: a
-move changes each of v's edges' cost by at most its weight, so every
-real gain lies in [-top, top] and the smallest entry is the highest
-gain, then the lowest vertex index.  Every move takes that, then the
-lowest target, with rollback to the best feasible prefix.  Balance is
-capacity-driven: block loads count qubit vertices only, and a move may
-overfill the target by at most one unit while the pass explores;
-returned prefixes always satisfy the strict bound, so without that
-transient slack an exactly filled balanced instance would admit no qubit
-moves at all.
+pass does work linear in the pins it touches.  Every move takes the
+highest gain, then the lowest vertex index and target, from lazy
+min-heaps of int entries (``_pass``), with rollback to the best feasible
+prefix.  Balance is capacity-driven: block loads count qubit vertices
+only, and a move may overfill the target by at most one unit while the
+pass explores; returned prefixes always satisfy the strict bound, so
+without that transient slack an exactly filled balanced instance would
+admit no qubit moves at all.
 
-A pass ends early once no later prefix can beat the best one.  A locked
-vertex never moves again within the pass, so every later prefix costs at
-least the sum over edges of w * (blocks spanned by the locked pins - 1).
-No block ever gives up its last qubit vertex, so every prefix spans at
-least the blocks that hold one at the start; a connected piece of the
-hypergraph over b blocks costs at least (b - 1) times the lightest edge.
-Edge weights are non-negative, so both are lower bounds, and the pass
-stops as soon as either reaches the best feasible cost.  Only strictly
-better prefixes are kept, so the cutoff changes the work done, never the
-result.
-
-The restart driver stops the same way.  The second bound, written once
-as ``_Engine.least``, holds for every restart: the deal fills the same
-blocks whatever the seed, no pass empties a block of its qubit vertices
-and the snap moves only weight-0 vertices.  A winner whose lambda - 1
-meets that bound at zero balance deviation cannot be beaten by a later
-restart, which could at best tie and then loses on its restart index, so
-the driver stops there and returns what running every restart would.
-On GHZ chains the first restart usually meets it.  All restarts share
-one engine: the per-hypergraph tables are built once per driver call,
-and ``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
+A pass ends early once no later prefix can beat the best one, and the
+restart driver once no later restart can beat its winner; both bounds
+are exact, so the cutoffs change the work done, never the result
+(``_pass``, ``_restart_driver``).  On GHZ chains the first restart
+usually meets the driver's bound.  All restarts share one engine: the
+per-hypergraph tables are built once per driver call, and
+``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
 """
 from __future__ import annotations
 
@@ -228,15 +215,10 @@ def _pieces(n: int, pins: list[list[int]]) -> int:
             parent[x] = x = parent[parent[x]]
         return x
 
-    pieces = n
     for edge_pins in pins:
-        r = root(edge_pins[0])
         for p in edge_pins[1:]:
-            q = root(p)
-            if q != r:
-                parent[q] = r
-                pieces -= 1
-    return pieces
+            parent[root(p)] = root(edge_pins[0])
+    return sum(1 for x in range(n) if root(x) == x)
 
 
 # --------------------------------------------------------------------------
@@ -457,10 +439,6 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     return best_cost < start_cost
 
 
-def _qubit_weight(h: Hypergraph) -> int:
-    return sum(v.weight for v in h.vertices)
-
-
 # --------------------------------------------------------------------------
 # initial and random partitions
 
@@ -507,27 +485,46 @@ def _shuffles(n: int, seeds):
         yield np.array(perms, dtype=dtype).reshape(len(chunk), n)
 
 
-def _anchor_sources(h: Hypergraph) -> list[int]:
-    """The column each vertex's deal copies.  A qubit vertex copies its
-    own.  A weight-0 vertex on one edge copies that edge's ``control`` when
-    the control is a qubit vertex, as a circuit's grouping vertex copies
-    its group's control.  Every other weight-0 vertex copies vertex 0's
-    column, which the deal leaves at block 0 when vertex 0 is weight-0."""
-    src = list(range(len(h.vertices)))
-    for v, edges in enumerate(h.incidence):
-        if not h.vertices[v].is_qubit:
-            c = h.edges[edges[0]].control if len(edges) == 1 else None
-            src[v] = c if c is not None and h.vertices[c].is_qubit else 0
-    return src
+def _grown(h: Hypergraph, perms: np.ndarray) -> np.ndarray:
+    """Each row of a seeds x n matrix of ``_shuffles`` (n qubit vertices)
+    grown into a breadth-first order of the same positions: from the row's
+    first vertex, through each vertex's unreached neighbours (the qubit
+    vertices on its edges) in the row's order, and again from the row's
+    first unreached vertex when a piece runs out.  The qubit pins of every
+    edge are found once, and each row expands an edge once."""
+    pos = {v: i for i, v in enumerate(v for v, x in enumerate(h.vertices) if x.is_qubit)}
+    pins = [[pos[p] for p in e.pins if p in pos] for e in h.edges]
+    inc = [h.incidence[v] for v in pos]
+    grown = np.empty_like(perms)
+    # a shuffle's argsort is its inverse: each vertex's rank in the row
+    for out, perm, rank in zip(grown, perms.tolist(), np.argsort(perms, axis=1).tolist()):
+        reached, expanded = [False] * len(perm), [False] * len(pins)
+        order, head, start = [], 0, 0  # order[head:] is the queue
+        while len(order) < len(perm):
+            if head == len(order):  # a piece ran out
+                while reached[perm[start]]:
+                    start += 1
+                reached[perm[start]] = True
+                order.append(perm[start])
+            nbrs = []
+            for e in inc[order[head]]:
+                if not expanded[e]:
+                    expanded[e] = True
+                    nbrs += [u for u in pins[e] if not reached[u]]
+                    for u in pins[e]:
+                        reached[u] = True
+            head += 1
+            order += sorted(nbrs, key=rank.__getitem__)
+        out[:] = order
+    return grown
 
 
 def _snapped(h: Hypergraph) -> dict[int, list[int]]:
     """The qubit pins of each weight-0 vertex that the snap puts in a block
     of its edge's qubit pins: one with exactly one edge, which has a qubit
-    pin.  Circuit
-    grouping vertices always have one edge; a weight-0 vertex on several
-    edges (hMETIS input) stays where it is, since its first edge alone does
-    not price a move, and so does one whose edge has no qubit pin."""
+    pin.  A weight-0 vertex on several edges stays where it is, since its
+    first edge alone does not price a move, and so does one whose edge has
+    no qubit pin."""
     snapped = {}
     for v, edges in enumerate(h.incidence):
         if h.vertices[v].is_qubit or len(edges) != 1:
@@ -538,35 +535,36 @@ def _snapped(h: Hypergraph) -> dict[int, list[int]]:
     return snapped
 
 
-def _dealer(h: Hypergraph, config: PartitionConfig):
-    """Returns ``deal(perms)``, which turns a seeds x n matrix of
-    ``_shuffles`` (n qubit vertices) into the seeds x vertices block matrix
-    of their deals.  Raises InfeasibleError as ``resolve_capacities`` does.
-    Each row's shuffled qubit vertices, heaviest first and in shuffle order
-    within a weight, are handed out in the order of ``_deal_blocks``: the
-    weights in that order are the same for every seed, and so is the block
-    sequence.  Each weight-0 vertex then copies its ``_anchor_sources``
-    column.
-    """
+def _dealer(h: Hypergraph, config: PartitionConfig, runs: bool = False):
+    """Returns ``deal(perms)``, which turns a seeds x n matrix of orders of
+    the n qubit vertices (``_shuffles`` or ``_grown``) into the seeds x
+    vertices block matrix of their deals.  Raises InfeasibleError as
+    ``resolve_capacities`` does.  Each row's qubit vertices, heaviest first
+    and in the row's order within a weight, are handed out in the order of
+    ``_deal_blocks``, the same for every seed.  ``runs`` sorts that sequence
+    within each weight: each block then takes one run of a weight's
+    vertices, with the same count.  Each weight-0 vertex then copies vertex
+    0's column, which reads block 0 when vertex 0 is weight-0."""
     k = config.blocks
     qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
     weights = np.array([h.vertices[i].weight for i in qubits], dtype=np.int64)
     caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
-    order = np.array(_deal_blocks(caps, sorted(weights.tolist(), reverse=True), k),
-                     dtype=dtype)
+    heaviest = sorted(weights.tolist(), reverse=True)
+    blocks = _deal_blocks(caps, heaviest, k)
+    if runs:
+        blocks = [b for _, b in sorted(zip([-w for w in heaviest], blocks))]
+    order = np.array(blocks, dtype=dtype)
     qubit_vs = np.array(qubits, dtype=np.intp)
-    src = _anchor_sources(h)
     free = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
-    free_src = [src[v] for v in free]
 
     def deal(perms: np.ndarray) -> np.ndarray:
-        # heaviest first; the stable sort keeps the shuffle within a weight
+        # heaviest first; the stable sort keeps the row's order within a weight
         perms = np.take_along_axis(
             perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
         assign = np.zeros((len(perms), len(h.vertices)), dtype=dtype)
         assign[np.arange(len(perms))[:, None], qubit_vs[perms]] = order
-        assign[:, free] = assign[:, free_src]
+        assign[:, free] = assign[:, :1]
         return assign
 
     return deal
@@ -635,16 +633,18 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     The deal fills a fixed block sequence from a uniform shuffle, so the
     qubit vertices of each weight class take that class's dealt positions
     as a uniform random bijection, independently of the other classes.  An
-    edge's blocks are decided by a set S of qubit vertices: its qubit pins
-    and the ``_anchor_sources`` of its weight-0 pins that the snap leaves;
-    a pin that the snap moves lands in a block the qubit pins already span.
-    A weight-0 source column reads block 0, which is then spanned for
-    certain.  Block b misses S with probability, over the weight classes w,
-    of the product of C(n_w - c_wb, m_w) / C(n_w, m_w), where the class has
-    n_w vertices, c_wb of its positions go to b and S holds m_w of it.
-    Edges are summed per (class counts, block 0 fixed) key, each key is
-    priced once in integers, and the exact sum is rounded to a float only
-    at the end, so ghz10 at k=2 prices to exactly 10.  Raises InfeasibleError as the deal does.
+    edge's blocks are decided by a set S of qubit vertices: its qubit pins,
+    and vertex 0 when the snap leaves a weight-0 pin there, since the deal
+    puts that pin in vertex 0's block; a pin that the snap moves lands in
+    a block the qubit pins already span.  When vertex 0 is weight-0 itself,
+    such a pin reads block 0, which is then spanned for certain.  Block b
+    misses S with probability, over the weight classes w, of the product
+    of C(n_w - c_wb, m_w) / C(n_w, m_w), where the class has n_w vertices,
+    c_wb of its positions go to b and S holds m_w of it.  Edges are summed
+    per (class counts, block 0 fixed) key, each key is priced once in
+    integers, and the exact sum is rounded to a float only at the end, so
+    ghz10 at k=2 prices to exactly 10.  Raises InfeasibleError as the deal
+    does.
     """
     k = config.blocks
     weights = sorted((v.weight for v in h.vertices if v.is_qubit), reverse=True)
@@ -655,13 +655,13 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     for w, b in zip(weights, _deal_blocks(caps, weights, k)):
         sizes[classes[w]] += 1
         dealt[classes[w]][b] += 1
-    src, snapped = _anchor_sources(h), _snapped(h)
+    snapped = _snapped(h)
     keys: dict[tuple[tuple[int, ...], bool], int] = {}
     for e in h.edges:
         decided, fixed = set(), False
         for p in e.pins:
             if p not in snapped:
-                s = src[p]
+                s = p if h.vertices[p].is_qubit else 0
                 if h.vertices[s].is_qubit:
                     decided.add(s)
                 else:
@@ -689,9 +689,15 @@ def _restart_driver(h: Hypergraph,
                     config: PartitionConfig) -> tuple[list[int], CutReport, int, int, int]:
     """Seeded restarts, each block's load bounded by its capacity.
 
-    Restart r deals with seed config.seed + r, runs ``_pass`` until a pass
-    fails or ``_MAX_PASSES`` run, then snaps free vertices.  The winner has
-    the lowest (lambda - 1, balance deviation from the capacities, r);
+    Restart r draws the shuffle of seed config.seed + r.  An even restart
+    deals it as ``Mode.RANDOM`` does, so on a hypergraph without weight-0
+    vertices, where the snap moves nothing, FM is never worse than the
+    random partition of config.seed; an odd restart deals ``_grown`` of
+    it, each block in one run.  Each kind is dealt in one matrix, and the
+    grown orders only once restart 0 misses the cutoff.  Each restart runs
+    ``_pass`` until a pass fails or ``_MAX_PASSES`` run, then snaps free
+    vertices.  The winner has the lowest (lambda - 1, balance deviation
+    from the capacities, r);
     returns its assignment, its ``CutReport`` (priced once, for that key),
     passes, seed and gain updates.
 
@@ -703,14 +709,23 @@ def _restart_driver(h: Hypergraph,
     all ``config.restarts`` restarts give.  All restarts share one engine,
     whose tables are built once.
     """
-    n = _qubit_weight(h)
+    n = sum(v.weight for v in h.vertices)
     caps = resolve_capacities(config.capacities, n, config.blocks)
     total = sum(caps)
-    deal, snap = _dealer(h, config), _snapper(h)
-    draw = _shuffles(h.n_qubit_vertices(), range(config.seed, config.seed + config.restarts))
+    snap = _snapper(h)
+    perms = np.concatenate([*_shuffles(h.n_qubit_vertices(),
+                                       range(config.seed, config.seed + config.restarts))])
     eng = _Engine(h, config.blocks, caps)
+
+    def deals():
+        shuffled = _dealer(h, config)(perms[::2])
+        yield shuffled[0]
+        grown = _dealer(h, config, runs=True)(_grown(h, perms[1::2]))
+        for r in range(1, len(perms)):
+            yield grown[r // 2] if r % 2 else shuffled[r // 2]
+
     best, best_key = None, None
-    for r, row in enumerate(row for perms in draw for row in deal(perms)):
+    for r, row in enumerate(deals()):
         eng.reset(row.tolist())
         least = eng.least()
         stats = _PassStats()
@@ -772,8 +787,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         for e in h.edges:
             pins = tuple(local[p] for p in e.pins if p in local)
             if len(pins) >= 2:
-                edges.append(Hyperedge(pins=pins, weight=e.weight, origin=e.origin,
-                                       control=local.get(e.control)))
+                edges.append(Hyperedge(pins=pins, weight=e.weight, origin=e.origin))
         return Hypergraph([h.vertices[g] for g in vertex_ids], edges)
 
     def rec(vertex_ids: list[int], block_ids: list[int]) -> None:
@@ -785,7 +799,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         left, right = split_blocks(block_ids)
         # the top split keeps every vertex and every edge: it runs on h
         sub_h = h if len(vertex_ids) == len(h.vertices) else restrict(vertex_ids)
-        weight_here = _qubit_weight(sub_h)
+        weight_here = sum(v.weight for v in sub_h.vertices)
         side_caps = tuple(max(1, min(sum(caps[b] for b in side),
                                      weight_here - len(other)))
                           for side, other in ((left, right), (right, left)))
@@ -816,7 +830,7 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     room left, and FM keeps only prefixes within every capacity.
     """
     k = config.blocks
-    caps = resolve_capacities(config.capacities, _qubit_weight(h), k)
+    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices), k)
     if config.mode is Mode.RANDOM:
         (assign, (cut_edges,), (ebits,)), = random_deals(
             h, config, _shuffles(h.n_qubit_vertices(), [config.seed]))

@@ -1,13 +1,12 @@
 """Hypergraph view of a circuit's non-local interactions.
 
-Every circuit qubit becomes a weight-1 vertex whose index is the qubit's
-index.  Without grouping, each CX/CZ/CP gate contributes a 2-pin edge
-(control, target) and each CCX/CCZ a 3-pin edge.  With grouping, each
-reuse group becomes one weight-0 grouping vertex plus a single hyperedge
-over {grouping vertex, control, targets}; singleton groups keep their
-per-gate edges.  Single-qubit gates, MEASURE and BARRIER do not appear.
-A vertex or an edge is identified by its position in the hypergraph's
-vertex or edge list.
+Qubits are a circuit hypergraph's only vertices: qubit q is vertex q, of
+weight 1 (weight-0 vertices come only from hMETIS files).  Each CX/CZ/CP
+gate contributes a 2-pin edge (control, target) and each CCX/CCZ a 3-pin
+edge over its operands; with grouping, each reuse group is one edge
+(control, *targets) instead.  Single-qubit gates, MEASURE and BARRIER do
+not appear.  An edge's first pin is the qubit whose state it shares from
+its home side.  A vertex or an edge is its position in its list.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
 b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
@@ -22,7 +21,7 @@ from .grouping import GateGroup
 
 @dataclass(frozen=True, kw_only=True)
 class Vertex:
-    """Weight-1 qubit vertex, weight-0 grouping vertex, or plain (imported)."""
+    """A qubit vertex of positive weight, or a weight-0 one (hMETIS only)."""
 
     weight: int = 1
 
@@ -33,19 +32,13 @@ class Vertex:
 
 @dataclass(frozen=True, kw_only=True)
 class Hyperedge:
-    """Pins are distinct vertex indices, at least two of them.
-
-    ``origin`` records where the edge came from: ("gate", position in the
-    circuit's gate list) or ("group", position in the groups list).
-    ``control`` is the vertex whose state the interaction shares from its
-    home side.  A weight-0 vertex on this edge alone is dealt with the
-    control when the control is a qubit vertex.
-    """
+    """Pins are distinct vertex indices, at least two of them.  ``origin``
+    records where the edge came from: ("gate", position in the circuit's
+    gate list) or ("group", position in the groups list)."""
 
     pins: tuple[int, ...]
     weight: int = 1
     origin: tuple[str, int] | None = None
-    control: int | None = None
 
 
 class Hypergraph:
@@ -83,13 +76,13 @@ class Hypergraph:
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
     """Translate a circuit, optionally folding reuse groups into hyperedges.
 
-    Each reuse group's grouping vertex follows the qubit vertices, in the
-    order of ``groups``; each group edge sits at its first member gate.
+    Each group edge (control, *targets) sits at its group's first member.
     A ValueError names the group and the gate when a member is not a
-    groupable gate of the circuit (checked for every member first), when
-    its first operand is not the group's ``control``, or when a gate is
-    listed twice, in one group or in two."""
-    vertices = [Vertex() for _ in range(circuit.width)]
+    groupable gate of the circuit, when its first operand is not the
+    group's ``control``, when a gate is listed twice, in one group or in
+    two, or when a gate outside the group acts on the control between its
+    members, whose remote copies would then read a stale control.  The
+    last rule is checked once every group has passed the others."""
     groups = groups or []
     for gi, grp in enumerate(groups):
         for seq in grp.members:
@@ -98,7 +91,6 @@ def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) ->
                                  "which is not a groupable gate of this circuit")
 
     member_of: dict[int, int] = {}  # gate position -> group position
-    gv_of: dict[int, int] = {}  # group position -> grouping vertex
     for gi, grp in enumerate(groups):
         for seq in grp.members:
             control = circuit.gates[seq].operands[0]
@@ -109,23 +101,26 @@ def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) ->
                 raise ValueError(f"group {gi} lists gate {seq}, which group "
                                  f"{member_of[seq]} already lists")
             member_of[seq] = gi
-        if grp.is_reuse:
-            gv_of[gi] = len(vertices)
-            vertices.append(Vertex(weight=0))
-
+    last = {gi: max(grp.members) for gi, grp in enumerate(groups) if grp.is_reuse}
+    open_on: dict[int, int] = {}  # control qubit -> the group whose span is open on it
     edges: list[Hyperedge] = []
     for seq, g in enumerate(circuit.gates):
         gi = member_of.get(seq)
-        if gi in gv_of:
+        for q in g.operands:
+            if open_on.get(q, gi) != gi:
+                raise ValueError(f"group {open_on[q]} spans gate {seq}, which acts on "
+                                 f"its control qubit {q}")
+        if gi is not None and groups[gi].is_reuse:
             grp = groups[gi]
+            open_on[grp.control] = gi
+            if seq == last[gi]:
+                del open_on[grp.control]
             if seq == grp.members[0]:  # one edge per group, at its first member
                 targets = dict.fromkeys(circuit.gates[s].operands[1] for s in grp.members)
-                edges.append(Hyperedge(pins=(gv_of[gi], grp.control, *targets),
-                                       origin=("group", gi), control=grp.control))
+                edges.append(Hyperedge(pins=(grp.control, *targets), origin=("group", gi)))
         elif g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
-            edges.append(Hyperedge(pins=g.operands, origin=("gate", seq),
-                                   control=g.operands[0]))
-    return Hypergraph(vertices, edges)
+            edges.append(Hyperedge(pins=g.operands, origin=("gate", seq)))
+    return Hypergraph([Vertex() for _ in range(circuit.width)], edges)
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,7 @@ def _check_assignment(h: Hypergraph, assignment: list[int], blocks: int) -> None
 def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
     """Evaluate an assignment under the connectivity-minus-one metric."""
     _check_assignment(h, assignment, blocks)
-    cut = 0
-    lam = 0
+    cut = lam = 0
     for e in h.edges:
         spanned = len({assignment[p] for p in e.pins})
         if spanned > 1:
@@ -163,18 +157,14 @@ def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
 def block_endpoints(h: Hypergraph, assignment: list[int], blocks: int) -> list[int]:
     """Communication endpoints per block: one per (cut edge, remote block)
     on the remote side plus one on the home side, the block of the edge's
-    control (or first pin).  Sums to 2*(lambda-1)."""
+    first pin.  Sums to 2*(lambda-1)."""
     _check_assignment(h, assignment, blocks)
     counts = [0] * blocks
     for e in h.edges:
-        spanned = sorted({assignment[p] for p in e.pins})
-        if len(spanned) < 2:
-            continue
-        home = assignment[e.control if e.control is not None else e.pins[0]]
-        for b in spanned:
-            if b != home:
-                counts[home] += e.weight
-                counts[b] += e.weight
+        home = assignment[e.pins[0]]
+        for b in {assignment[p] for p in e.pins} - {home}:
+            counts[home] += e.weight
+            counts[b] += e.weight
     return counts
 
 

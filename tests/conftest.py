@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from qpart import generate, parse_qasm, resolve_capacities
-from qpart.fm import _dealer, _Engine, _pass, _shuffles
+from qpart.fm import _dealer, _Engine, _grown, _pass, _shuffles
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,11 +19,15 @@ def fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.qasm"))
 
 
-def deal(h, config):
-    """The seeded deal of config.seed that a restart starts from, before
-    any pass or snap, as a list."""
+def deal(h, config, grown=False):
+    """The seeded deal of config.seed before any snap, as a list: the
+    shuffled deal of ``Mode.RANDOM`` and of a driver's even restarts, or
+    with ``grown`` the grown deal that an odd restart refines, each block
+    in one run."""
     (perms,) = _shuffles(h.n_qubit_vertices(), [config.seed])
-    return _dealer(h, config)(perms)[0].tolist()
+    if grown:
+        perms = _grown(h, perms)
+    return _dealer(h, config, runs=grown)(perms)[0].tolist()
 
 
 def engine(h, bounds, assignment):

@@ -436,7 +436,8 @@ def test_cli_hmetis_stdout(capsys):
 def test_cli_hmetis_grouped_out(tmp_path, capsys):
     out = tmp_path / "qft4.hmetis"
     assert main(["hmetis", "qft:4", "--grouping", "on", "--out", str(out)]) == 0
-    assert out.read_text().startswith("3 6 11\n")
+    # qubits are the only vertices: 3 edges over 4 unit-weight vertices
+    assert out.read_text().startswith("3 4\n")
     assert capsys.readouterr().out == ""
 
 

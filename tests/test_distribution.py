@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Circuit, Gate, GateKind, InfeasibleError, Mode, PartitionConfig,
-                   block_endpoints, build_hypergraph, emit_qasm, emit_subcircuits,
-                   find_groups, generate, parse_qasm, partition,
-                   plan_distribution)
+from qpart import (Circuit, Gate, GateGroup, GateKind, Hyperedge, Hypergraph,
+                   InfeasibleError, Mode, PartitionConfig, Vertex, block_endpoints,
+                   build_hypergraph, emit_qasm, emit_subcircuits, find_groups,
+                   generate, parse_qasm, partition, plan_distribution)
 from qpart.bench import CircuitJob, _rows
 from qpart.distribution import _edge_of_gate, _plan_ledger
 from qpart.fm import _shuffles, random_deals
@@ -33,21 +33,22 @@ def test_ghz4_plan(ghz4):
     (ch,) = plan.channels
     assert (ch.carries, plan.assignment[ch.carries], ch.remote) == (1, 0, 1)
     assert (ch.first_use, ch.last_use) == (2, 2)
-    assert ch.carries == h.edges[ch.edge].control
+    assert ch.carries == h.edges[ch.edge].pins[0]
 
 
 def test_qft4_grouped_plan(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
     assert [b.o for b in plan.per_block] == [7, 3]
     assert [b.e for b in plan.per_block] == [2, 2]
     assert plan.ebits == 4 and plan.cut.cut_edges == 2
     assert [b.r for b in plan.per_block] == [pytest.approx(2 / 7),
                                              pytest.approx(2 / 3)]
-    # both channels carry their edge's control out of block 1 into block 0
+    # both channels carry their edge's control, its first pin, out of block 1
+    # into block 0
     assert [(c.carries, plan.assignment[c.carries], c.remote) for c in plan.channels] == [(2, 1, 0), (3, 1, 0)]
-    assert all(c.carries == h.edges[c.edge].control for c in plan.channels)
+    assert all(c.carries == h.edges[c.edge].pins[0] for c in plan.channels)
     assert [(c.first_use, c.last_use) for c in plan.channels] == [(2, 5), (3, 6)]
 
 
@@ -114,7 +115,7 @@ def test_opaque_split_refused():
 def test_operation_counts_sum_to_size(qft8):
     groups = find_groups(qft8)
     h = build_hypergraph(qft8, groups)
-    a = [0, 0, 0, 0, 1, 1, 1, 1] + [1] * (len(h.vertices) - 8)
+    a = [0, 0, 0, 0, 1, 1, 1, 1]
     plan = plan_distribution(qft8, h, a, groups=groups)
     assert sum(b.o for b in plan.per_block) == qft8.size
 
@@ -122,7 +123,7 @@ def test_operation_counts_sum_to_size(qft8):
 def test_e_matches_block_endpoints(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
-    a = [0, 1, 0, 1, 0, 1]
+    a = [0, 1, 0, 1]
     plan = plan_distribution(qft4, h, a, groups=groups)
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
@@ -132,7 +133,7 @@ def test_group_channel_shared_once(qft4):
     # one channel serves every member of a reuse group on the remote side
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
     assert len(plan.channels) == 2
     ungrouped = build_hypergraph(qft4)
     flat = plan_distribution(qft4, ungrouped, [0, 0, 1, 1])
@@ -145,7 +146,7 @@ def test_ccx_fallback_channel():
     h = build_hypergraph(c)
     plan = plan_distribution(c, h, [0, 0, 1])
     assert [(ch.carries, plan.assignment[ch.carries], ch.remote,
-             ch.carries == h.edges[ch.edge].control)
+             ch.carries == h.edges[ch.edge].pins[0])
             for ch in plan.channels] == [(0, 0, 1, True), (1, 0, 1, False)]
     # the secondary operand needs its own channel, so realized ebits
     # exceed the connectivity metric here
@@ -183,7 +184,7 @@ def test_emit_ghz4_frozen(ghz4):
 def test_emit_parses_back(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
     for b, text in enumerate(emit_subcircuits(qft4, plan)):
         sub = parse_qasm(text, name=f"block{b}")
         local = {q for q, blk in zip(qft4.qubits(), plan.assignment) if blk == b}
@@ -210,7 +211,7 @@ def test_emit_measure_and_barrier():
 def test_plan_json(qft4):
     groups = find_groups(qft4)
     h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1, 1, 1], groups=groups)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
     assert plan.ebits == 4 and plan.cut.lambda_minus_one == 2
     assert [b.o for b in plan.per_block] == [7, 3]
     assert (plan.channels[0].first_use, plan.channels[0].last_use) == (2, 5)
@@ -218,26 +219,47 @@ def test_plan_json(qft4):
 
 def test_groups_in_any_order_keep_their_edges():
     # two reuse groups, on q[0] and on q[3], listed in reverse: each still
-    # gets its own grouping vertex and edge, every member gate maps to its
-    # own group's edge, and each channel carries that edge's control
+    # gets its own edge, whose first pin is its control, every member gate
+    # maps to its own group's edge, and each channel carries that control
     c = parse_qasm("OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[1];\ncx q[0],q[2];\n"
                    "h q[0];\ncx q[3],q[1];\ncx q[3],q[2];\n")
     groups = find_groups(c)[::-1]
     assert [(grp.control, grp.is_reuse) for grp in groups] == [(3, True), (0, True)]
     h = build_hypergraph(c, groups)
-    assert len(h.vertices) == c.width + 2
-    for v, grp in zip((4, 5), groups):
-        (e,) = h.incidence[v]
-        assert h.edges[e].control == grp.control
+    assert [e.pins for e in h.edges] == [(0, 1, 2), (3, 1, 2)]
     edge_of = _edge_of_gate(h, groups)
     for gi, grp in enumerate(groups):
         for seq in grp.members:
             assert h.edges[edge_of[seq]].origin == ("group", gi)
-            assert h.edges[edge_of[seq]].control == grp.control
-    plan = plan_distribution(c, h, [0, 1, 1, 1, 1, 0], groups=groups)
+            assert h.edges[edge_of[seq]].pins[0] == grp.control
+    plan = plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
     assert [(ch.carries, plan.assignment[ch.carries], ch.remote)
             for ch in plan.channels] == [(0, 0, 1)]
-    assert all(h.edges[ch.edge].control == ch.carries for ch in plan.channels)
+    assert all(h.edges[ch.edge].pins[0] == ch.carries for ch in plan.channels)
+
+
+def test_plan_refuses_overlapping_channels():
+    # build_hypergraph refuses groups (1, 3) and (2,) on q[0], but a
+    # hand-built hypergraph may still hold their edges; at [0, 1, 1, 1] the
+    # group's channel of q[0] to block 1 is open at gate 2, where gate 2's
+    # own edge opens another, and the emitter serves one open channel per
+    # (qubit, block) pair
+    c = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
+                   "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
+    groups = [GateGroup(control=0, members=(1, 3)), GateGroup(control=0, members=(2,))]
+    h = Hypergraph([Vertex() for _ in range(4)],
+                   [Hyperedge(pins=(0, 1, 3), origin=("group", 0)),
+                    Hyperedge(pins=(0, 2), origin=("gate", 2))])
+    with pytest.raises(ValueError, match="channel 1 opens at gate 2 while another "
+                                         "channel of qubit 0 to block 1 is open"):
+        plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
+    # apart, the same channels pass: the group (1, 2) and gate 3's edge
+    groups = [GateGroup(control=0, members=(1, 2)), GateGroup(control=0, members=(3,))]
+    h = Hypergraph(h.vertices, [Hyperedge(pins=(0, 1, 2), origin=("group", 0)),
+                                Hyperedge(pins=(0, 3), origin=("gate", 3))])
+    plan = plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
+    assert [(ch.first_use, ch.last_use) for ch in plan.channels] == [(1, 2), (3, 3)]
+    assert plan.ebits == 4
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -247,8 +269,6 @@ def test_fixture_plans_obey_accounting(name):
     h = build_hypergraph(c, groups)
     n = c.width
     a = [0 if i < (n + 1) // 2 else 1 for i in range(n)]
-    # each grouping vertex goes with its edge's control
-    a += [a[h.edges[h.incidence[v][0]].control] for v in range(n, len(h.vertices))]
     plan = plan_distribution(c, h, a, groups=groups)
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one

@@ -99,7 +99,7 @@ SUBCIRCUITS = {
     ("toffoli_mix_5.qasm", 3, False): ("5d9d43f4d92f9bb5", "611b6f24d98a39a7", "ffbebdb467b79f3a"),
     ("random:10:1", 2, True): ("48769e9d812f5d7e", "3310654ec9048e8c"),
     ("random:10:1", 2, False): ("9280d18e5eefbcbe", "d1c478bbac5d9ef5"),
-    ("random:10:1", 3, True): ("522d1821a03bf75d", "fe72bec5a54a33f2", "5ea1741318a17f3c"),
+    ("random:10:1", 3, True): ("522d1821a03bf75d", "5ea1741318a17f3c", "fe72bec5a54a33f2"),
     ("random:10:1", 3, False): ("ce135dd36f36da77", "51c0a3c5c3ed9b6a", "19c8453725006c5d"),
     ("qft:7:0", 2, True): ("b63c77f6a835225b", "cc36f16ac6c5122d"),
     ("qft:7:0", 2, False): ("83d89bbc68c2cea1", "ee36892214f7f670"),

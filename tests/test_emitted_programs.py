@@ -6,9 +6,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Circuit, Gate, GateGroup, GateKind, Mode, PartitionConfig,
-                   build_hypergraph, emit_subcircuits, find_groups, generate,
-                   parse_qasm, partition, plan_distribution)
+from qpart import (Circuit, Gate, GateKind, Mode, PartitionConfig, build_hypergraph,
+                   emit_subcircuits, find_groups, generate, partition, plan_distribution)
 
 from conftest import fixture_names, load_fixture
 from statevector import check_programs
@@ -54,20 +53,7 @@ def test_fallback_channels_are_proved():
     circuit = load_fixture("toffoli_mix_5.qasm")
     plan = prove(circuit, 3, Mode.RANDOM, False, 0)
     h = build_hypergraph(circuit)
-    assert any(c.carries != h.edges[c.edge].control for c in plan.channels)
-
-
-def test_overlapping_channels_are_proved():
-    # hand-built groups need not be maximal runs: (0, 2) and (1,) on q[0]
-    # open two channels to block 1 whose spans overlap at gate 1, which
-    # reads the older one
-    circuit = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
-                         "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
-    groups = [GateGroup(control=0, members=(1, 3)), GateGroup(control=0, members=(2,))]
-    h = build_hypergraph(circuit, groups)
-    plan = plan_distribution(circuit, h, [0, 1, 1, 1, 1], groups=groups)
-    assert [(c.first_use, c.last_use) for c in plan.channels] == [(1, 3), (2, 2)]
-    check_programs(circuit, plan, emit_subcircuits(circuit, plan))
+    assert any(c.carries != h.edges[c.edge].pins[0] for c in plan.channels)
 
 
 _KINDS = [GateKind.H, GateKind.T, GateKind.RZ, GateKind.CX, GateKind.CZ,

@@ -17,8 +17,8 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
-from qpart.fm import (_MAX_PASSES, _Engine, _pass, _PassStats, _shuffles, _snapper,
-                      expected_ebits, random_deals)
+from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _PassStats, _shuffles,
+                      _snapper, expected_ebits, random_deals)
 
 from conftest import deal, engine, fm_pass, load_fixture
 
@@ -198,25 +198,11 @@ def test_infeasible_capacities():
         partition(h, PartitionConfig(blocks=2, capacities=(1, 1)))
 
 
-def test_grouping_vertices_are_weightless(qft4):
+def test_grouped_qft4_bisection(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
     res = partition(h, PartitionConfig(blocks=2))
-    # four data qubits split 2/2; grouping vertices ride along for free
     assert sorted(res.loads) == [2, 2]
     assert res.cut.ebits == 4
-
-
-def test_grouping_vertex_stays_on_its_edge(qft4):
-    # after the final snap, a weight-0 vertex sits in a block its edge's
-    # qubit pins already span, so its channel is anchored to real qubits
-    h = build_hypergraph(qft4, find_groups(qft4))
-    res = partition(h, PartitionConfig(blocks=2))
-    for v, edges in enumerate(h.incidence):
-        if h.vertices[v].is_qubit:
-            continue
-        e = h.edges[edges[0]]
-        spanned = {res.assignment[p] for p in e.pins if h.vertices[p].is_qubit}
-        assert res.assignment[v] in spanned
 
 
 def test_snapper_moves_only_lone_edge_free_vertices():
@@ -350,15 +336,16 @@ def test_partition_invariants(h, seed, k):
 
 def every_restart(h, config):
     """``_restart_driver`` without its cutoff: every restart refines its own
-    deal on a fresh engine, and the lowest (lambda - 1, balance deviation,
-    r) wins, returned with its cut, passes, seed and gain updates."""
+    deal (shuffled at even r, grown at odd r) on a fresh engine, and the
+    lowest (lambda - 1, balance deviation, r) wins, returned with its cut,
+    passes, seed and gain updates."""
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
                               config.blocks)
     n, total = sum(v.weight for v in h.vertices), sum(caps)
     snap = _snapper(h)
     best, best_key = None, None
     for r in range(config.restarts):
-        eng = engine(h, caps, deal(h, replace(config, seed=config.seed + r)))
+        eng = engine(h, caps, deal(h, replace(config, seed=config.seed + r), grown=r % 2 == 1))
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
@@ -613,8 +600,8 @@ def _rescan_pass(eng, stats, cutoff=False):
 
 @st.composite
 def kway_instances(draw):
-    """Small hypergraphs with weight-0 vertices each on one edge that a
-    qubit controls, as a grouping vertex is, k in {2, ..., 5},
+    """Small hypergraphs with weight-0 vertices each on one edge with qubit
+    pins, k in {2, ..., 5},
     equal, tight or slack capacities, engine bounds up to half again above
     them, and either a seeded deal or an arbitrary (possibly empty-block,
     overloaded) assignment."""
@@ -625,11 +612,11 @@ def kway_instances(draw):
     vertices = [Vertex() for _ in range(nq)]
     edges = []
     for z in range(nz):
-        control = draw(st.integers(0, nq - 1))
+        first = draw(st.integers(0, nq - 1))
         vertices.append(Vertex(weight=0))
-        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != control),
+        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != first),
                                min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(pins=(nq + z, control, *others), control=control))
+        edges.append(Hyperedge(pins=(nq + z, first, *others)))
     for _ in range(draw(st.integers(2, 14))):
         arity = draw(st.integers(2, min(4, nq)))
         pins = draw(st.lists(st.integers(0, nq - 1), min_size=arity,
@@ -727,14 +714,86 @@ def test_deal_hands_out_heaviest_first(instance):
     assert deal(h, PartitionConfig(blocks=k, capacities=tuple(caps), seed=seed)) == want
 
 
+@st.composite
+def grown_instances(draw):
+    """Qubit vertices in several pieces, some isolated, some with no edge at
+    all, unit or hMETIS weights with weight-0 vertices at any id, and k in
+    {2, 3, 4} under equal or slack capacities."""
+    k = draw(st.integers(2, 4))
+    nq = draw(st.integers(k, 12))
+    nz = draw(st.integers(0, 3))
+    weights = [1] * nq if draw(st.booleans()) else \
+        draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=nq, max_size=nq))
+    ids = draw(st.permutations(range(nq + nz)))  # vertex ids of the qubits, then weight-0
+    vertices = [None] * (nq + nz)
+    for q, w in zip(ids, weights):
+        vertices[q] = Vertex(weight=w)
+    for z in ids[nq:]:
+        vertices[z] = Vertex(weight=0)
+    piece = draw(st.lists(st.integers(0, 3), min_size=nq + nz, max_size=nq + nz))
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        p = draw(st.integers(0, 3))
+        members = [v for v in range(nq + nz) if piece[v] == p]
+        if len(members) >= 2:
+            pins = draw(st.lists(st.sampled_from(members), min_size=2,
+                                 max_size=min(4, len(members)), unique=True))
+            edges.append(Hyperedge(pins=tuple(pins)))
+    total = sum(weights)
+    caps = draw(st.none() | st.just(tuple(math.ceil(1.3 * total / k) for _ in range(k))))
+    return Hypergraph(vertices, edges), PartitionConfig(blocks=k, capacities=caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grown_instances())
+def test_grown_deal_keeps_the_shuffled_loads(instance):
+    # the grown order of each seed 0-20 is a breadth-first permutation of the
+    # qubit vertices, and its deal fills every block with that seed's
+    # shuffled load, in one run per block at unit weights
+    h, cfg = instance
+    qubits = [v for v, vx in enumerate(h.vertices) if vx.is_qubit]
+    (perms,) = _shuffles(len(qubits), range(21))
+    grown = _grown(h, perms)
+    shuffled, dealt = _dealer(h, cfg)(perms), _dealer(h, cfg, runs=True)(grown)
+    pieces = list(range(len(h.vertices)))  # union-find over the edges' qubit pins
+
+    def root(v):
+        while pieces[v] != v:
+            v = pieces[v]
+        return v
+
+    for e in h.edges:
+        pins = [p for p in e.pins if h.vertices[p].is_qubit]
+        for p in pins[1:]:
+            pieces[root(p)] = root(pins[0])
+    for order, perm, a, b in zip(grown.tolist(), perms.tolist(), shuffled, dealt):
+        assert sorted(order) == list(range(len(qubits)))
+        assert order[0] == perm[0]
+        loads = [[0] * cfg.blocks for _ in range(2)]
+        for v, vx in enumerate(h.vertices):
+            loads[0][a[v]] += vx.weight
+            loads[1][b[v]] += vx.weight
+        assert loads[0] == loads[1]
+        # a vertex that opens no piece shares an edge with an earlier one
+        seen = set()
+        for i in order:
+            v = qubits[i]
+            if root(v) in {root(u) for u in seen}:
+                assert any(u in seen for e in h.incidence[v] for u in h.edges[e].pins)
+            seen.add(v)
+        if all(h.vertices[v].weight == 1 for v in qubits):
+            blocks = [int(b[qubits[i]]) for i in order]
+            assert blocks == sorted(blocks)
+
+
 # -- the vectorised random baseline against one random partition per seed --
 
 @st.composite
 def baseline_instances(draw):
-    """Small hypergraphs with weight-0 vertices whose own edge's control is
-    any vertex or none (and, after an hMETIS round-trip, every control is
-    none), k in {2, ..., 5}, equal, tight, slack or exhausted capacities,
-    and seed counts on both sides of the chunk edge."""
+    """Small hypergraphs with weight-0 vertices with any id, each on an edge
+    of its own with qubit pins and maybe on others, sometimes after an
+    hMETIS round-trip, k in {2, ..., 5}, equal, tight, slack or exhausted
+    capacities, and seed counts on both sides of the chunk edge."""
     k = draw(st.integers(2, 5))
     nq = draw(st.integers(k, 10))
     nz = draw(st.integers(0, 3))
@@ -746,8 +805,7 @@ def baseline_instances(draw):
     edges = []
     for z in order[nq:]:
         others = draw(st.lists(st.sampled_from(qubits), min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(pins=(z, *others),
-                               control=draw(st.none() | st.integers(0, n - 1))))
+        edges.append(Hyperedge(pins=(z, *others)))
     for _ in range(draw(st.integers(0, 12))):
         arity = draw(st.integers(2, min(4, n)))
         pins = draw(st.lists(st.integers(0, n - 1), min_size=arity,
@@ -843,15 +901,15 @@ def every_deal_mean(h: Hypergraph, cfg: PartitionConfig) -> Fraction:
 
 def weighted_instance(seed: int) -> tuple[Hypergraph, PartitionConfig]:
     """A seeded small hypergraph: at most 7 qubit vertices of weight 1-3,
-    up to 3 weight-0 vertices with any id, edges of 2-4 pins, weight 1-3
-    and a control anywhere or none, k in {2, 3} and slack capacities."""
+    up to 3 weight-0 vertices with any id, edges of 2-4 pins and weight
+    1-3, k in {2, 3} and slack capacities."""
     rng = random.Random(seed)
     nq, nz = rng.randint(2, 7), rng.randint(0, 3)
     n = nq + nz
     zero = set(rng.sample(range(n), nz))
     vertices = [Vertex(weight=0 if i in zero else rng.randint(1, 3)) for i in range(n)]
     edges = [Hyperedge(pins=tuple(rng.sample(range(n), rng.randint(2, min(4, n)))),
-                       weight=rng.randint(1, 3), control=rng.choice([None, *range(n)]))
+                       weight=rng.randint(1, 3))
              for _ in range(rng.randint(1, 8))]
     k = rng.randint(2, 3)
     total = sum(v.weight for v in vertices)
@@ -867,35 +925,34 @@ def _z(i):
     return Vertex(weight=0)
 
 
-# each names the weight-0 source or snap rule it exercises; a weight-0
-# vertex on one edge is anchored to that edge's control
+# each names the weight-0 source or snap rule it exercises; the deal puts
+# every weight-0 vertex in vertex 0's block, and the snap may then move it
 WEIGHT0_CASES = {
-    # grouping vertex anchored to a qubit on its one edge: the snap moves it
+    # a weight-0 vertex on one edge with qubit pins: the snap moves it there
     "anchored to a qubit": Hypergraph(
         [_q(0), _q(1, 2), _q(2), _q(3), _z(4)],
-        [Hyperedge(pins=(4, 1, 2, 3), control=1), Hyperedge(pins=(0, 1)),
+        [Hyperedge(pins=(4, 1, 2, 3)), Hyperedge(pins=(0, 1)),
          Hyperedge(pins=(2, 3), weight=2)]),
-    # vertex 1's one edge has no qubit pin, so it is not snapped, and its
-    # control is the later weight-0 vertex 4, so it reads vertex 0's block
-    # as vertex 4 does on its two edges; a qubit control would split edge 0
+    # vertex 1's one edge holds only the later weight-0 vertex 4 besides it,
+    # so it is not snapped and reads vertex 0's block, as vertex 4 does on
+    # its two edges
     "anchored to a later weight-0 vertex": Hypergraph(
         [_q(0), _z(1), _q(2, 2), _q(3), _z(4), _q(5)],
-        [Hyperedge(pins=(1, 4), control=4), Hyperedge(pins=(4, 0, 5)),
+        [Hyperedge(pins=(1, 4)), Hyperedge(pins=(4, 0, 5)),
          Hyperedge(pins=(2, 3)), Hyperedge(pins=(3, 5))]),
-    # no anchor: vertex 0's block, and vertex 0 is a qubit
+    # vertex 2 lies on two edges, so it reads vertex 0's block, a qubit's
     "anchored to nothing": Hypergraph(
         [_q(0, 3), _q(1), _z(2), _q(3), _q(4, 2), _z(5)],
         [Hyperedge(pins=(2, 1)), Hyperedge(pins=(2, 3, 4)), Hyperedge(pins=(5, 4, 1))]),
-    # vertex 0 is weight-0, so every unanchored weight-0 vertex reads block 0
+    # vertex 0 is weight-0, so every unsnapped weight-0 vertex reads block 0
     "vertex 0 is weight-0": Hypergraph(
         [_z(0), _q(1), _q(2, 2), _z(3), _q(4), _q(5, 3)],
         [Hyperedge(pins=(0, 1, 2)), Hyperedge(pins=(0, 4)), Hyperedge(pins=(3, 5)),
          Hyperedge(pins=(3, 1, 2))]),
-    # a weight-0 vertex on two edges reads vertex 0's block on both, whatever
-    # their controls
+    # a weight-0 vertex on two edges reads vertex 0's block on both
     "weight-0 vertex on two edges": Hypergraph(
         [_q(0), _q(1), _z(2), _q(3, 2), _q(4), _q(5)],
-        [Hyperedge(pins=(2, 0, 1), control=1), Hyperedge(pins=(2, 4, 5), weight=3, control=4),
+        [Hyperedge(pins=(2, 0, 1)), Hyperedge(pins=(2, 4, 5), weight=3),
          Hyperedge(pins=(3, 4))]),
     # edge 0's only source is block 0: two unsnapped weight-0 columns
     "only source is block 0": Hypergraph(

@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qpart import (Circuit, Gate, GateGroup, GateKind, Hyperedge, Hypergraph, Vertex,
                    block_endpoints, build_hypergraph, cut_cost, export_hmetis,
-                   find_groups, import_hmetis, parse_qasm)
-from qpart.fm import _anchor_sources
+                   find_groups, generate, import_hmetis, parse_qasm)
 
 from conftest import fixture_names, load_fixture
 
@@ -23,7 +22,7 @@ def test_ghz4_hypergraph(ghz4):
     for e in h.edges:
         assert len(e.pins) == 2 and e.weight == 1
         assert e.origin[0] == "gate"
-        assert e.control == e.pins[0]
+        assert e.pins == ghz4.gates[e.origin[1]].operands
 
 
 def test_qft4_ungrouped(qft4):
@@ -33,20 +32,11 @@ def test_qft4_ungrouped(qft4):
 
 def test_qft4_grouped(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
-    assert len(h.vertices) == 6
+    assert len(h.vertices) == 4
     assert h.n_qubit_vertices() == 4
-    gvs = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
-    assert [h.vertices[v].weight for v in gvs] == [0, 0]
-    # each grouping vertex has one edge, and that edge names its group
-    assert [h.edges[e].origin for v in gvs for e in h.incidence[v]] == \
-        [("group", 1), ("group", 2)]
-    # that edge's control is its group's control qubit
-    assert [h.edges[e].control for v in gvs for e in h.incidence[v]] == [2, 3]
-    assert sorted(len(e.pins) for e in h.edges) == [2, 4, 5]
-    for e in h.edges:
-        if e.origin[0] == "group":
-            assert e.control in e.pins
-            assert h.vertices[e.control].is_qubit
+    # one edge per reuse group, over its control and then its targets
+    assert [(e.origin, e.pins) for e in h.edges] == [
+        (("gate", 1), (1, 0)), (("group", 1), (2, 0, 1)), (("group", 2), (3, 0, 1, 2))]
 
 
 def test_group_rejects_foreign_seq(ghz4, qft4):
@@ -79,6 +69,27 @@ def test_group_rejects_a_gate_listed_twice(groups, message):
         build_hypergraph(parse_qasm(_FAN), groups)
 
 
+def test_group_rejects_a_gate_on_its_control_between_members():
+    # the x on q[0] changes the control between the group's two members, so
+    # the second would read a stale remote copy of it; a plan of this group
+    # at [0, 1, 1] leaves that copy entangled after the programs run
+    c = parse_qasm("OPENQASM 2.0; qreg q[3]; h q[0]; h q[2]; "
+                   "cx q[0],q[1]; x q[0]; cx q[0],q[1];")
+    with pytest.raises(ValueError, match="group 0 spans gate 3, which acts on its "
+                                         "control qubit 0"):
+        build_hypergraph(c, [GateGroup(control=0, members=(2, 4))])
+    # a gate of another group on the same control splits the run as well;
+    # built, the two groups would open a channel that no gate reads
+    c = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
+                   "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
+    with pytest.raises(ValueError, match="group 0 spans gate 2"):
+        build_hypergraph(c, [GateGroup(control=0, members=(1, 3)),
+                             GateGroup(control=0, members=(2,))])
+    with pytest.raises(ValueError, match="group 1 spans gate 2"):
+        build_hypergraph(c, [GateGroup(control=0, members=(2,)),
+                             GateGroup(control=0, members=(1, 3))])
+
+
 _DRAWN_KINDS = [GateKind.CX, GateKind.CX, GateKind.CZ, GateKind.CP, GateKind.H, GateKind.CCX]
 
 
@@ -95,21 +106,25 @@ def grouping_circuits(draw):
     return Circuit("drawn", [("q", n)], gates)
 
 
-@settings(max_examples=100, deadline=None)
-@given(grouping_circuits())
-def test_grouping_vertex_is_dealt_with_its_control(c):
-    # grouping vertices follow the qubits in group order; each lies on one
-    # edge, whose control is its group's, and the deal copies that control
-    groups = find_groups(c)
-    reuse = [grp for grp in groups if grp.is_reuse]
-    h = build_hypergraph(c, groups)
-    assert len(h.vertices) == c.width + len(reuse)
-    src = _anchor_sources(h)
-    for v, grp in zip(range(c.width, len(h.vertices)), reuse):
-        assert h.vertices[v].weight == 0
-        (e,) = h.incidence[v]
-        assert h.edges[e].control == grp.control
-        assert src[v] == grp.control
+def test_circuit_hypergraph_shape():
+    # qubits are the only vertices, with or without grouping; a gate edge is
+    # its operands, and a group edge is its control and then its targets
+    circuits = [load_fixture(name) for name in fixture_names()] + \
+        [generate(family, n, seed) for family, n in (("ghz", 12), ("qft", 9), ("random", 16))
+         for seed in range(3)]
+    for c in circuits:
+        for groups in (None, find_groups(c)):
+            h = build_hypergraph(c, groups)
+            assert len(h.vertices) == c.width
+            assert all(v.weight == 1 for v in h.vertices)
+            for e in h.edges:
+                kind, at = e.origin
+                if kind == "gate":
+                    assert e.pins == c.gates[at].operands
+                else:
+                    grp = groups[at]
+                    targets = dict.fromkeys(c.gates[s].operands[1] for s in grp.members)
+                    assert e.pins == (grp.control, *targets)
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,8 +159,7 @@ def test_cut_cost_frozen(qft4):
     assert (rep.cut_edges, rep.lambda_minus_one, rep.ebits) == (4, 4, 8)
 
     grouped = build_hypergraph(qft4, find_groups(qft4))
-    # grouping vertices ride with their control qubits (q2, q3 -> block 1)
-    rep = cut_cost(grouped, [0, 0, 1, 1, 1, 1], 2)
+    rep = cut_cost(grouped, [0, 0, 1, 1], 2)
     assert (rep.cut_edges, rep.lambda_minus_one, rep.ebits) == (2, 2, 4)
 
 
@@ -173,7 +187,7 @@ def test_cut_cost_validation(ghz4):
 
 
 def test_edge_home():
-    # a CCX edge over three blocks: its control's block is the home and
+    # a CCX edge over three blocks: its first pin's block is the home and
     # holds one endpoint per remote block
     h = build_hypergraph(parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];"))
     assert block_endpoints(h, [2, 0, 1], 3) == [1, 1, 2]
@@ -202,13 +216,7 @@ def test_export_hmetis_ghz4(ghz4):
 
 def test_export_hmetis_qft4_grouped(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
-    assert export_hmetis(h) == (
-        "3 6 11\n"
-        "1 2 1\n"
-        "1 5 3 1 2\n"
-        "1 6 4 1 2 3\n"
-        "1\n1\n1\n1\n0\n0\n"
-    )
+    assert export_hmetis(h) == "3 4\n2 1\n3 1 2\n4 1 2 3\n"
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -56,54 +56,54 @@ def _digest(name: str, k: int, mode: str, grouped: bool, slack: float) -> str:
 
 # the first 16 hex digits of each sha256; any changed field changes them
 RESULTS = {
-    ("ansatz_6.qasm", 2, "fm", True, 0.0): "70afce80a8b791c9",
-    ("ansatz_6.qasm", 2, "fm", True, 0.2): "0ba1ea2f5d00d07a",
+    ("ansatz_6.qasm", 2, "fm", True, 0.0): "f5a5db0dd39df87e",
+    ("ansatz_6.qasm", 2, "fm", True, 0.2): "67ad81d54e90566c",
     ("ansatz_6.qasm", 2, "fm", False, 0.0): "29e361ec53fd441a",
     ("ansatz_6.qasm", 2, "fm", False, 0.2): "29e361ec53fd441a",
-    ("ansatz_6.qasm", 2, "kway", True, 0.0): "70afce80a8b791c9",
-    ("ansatz_6.qasm", 2, "kway", True, 0.2): "0ba1ea2f5d00d07a",
+    ("ansatz_6.qasm", 2, "kway", True, 0.0): "f5a5db0dd39df87e",
+    ("ansatz_6.qasm", 2, "kway", True, 0.2): "67ad81d54e90566c",
     ("ansatz_6.qasm", 2, "kway", False, 0.0): "29e361ec53fd441a",
     ("ansatz_6.qasm", 2, "kway", False, 0.2): "29e361ec53fd441a",
-    ("ansatz_6.qasm", 3, "fm", True, 0.0): "752203b14562b923",
-    ("ansatz_6.qasm", 3, "fm", True, 0.2): "f07cb49ce808198c",
+    ("ansatz_6.qasm", 3, "fm", True, 0.0): "581a198c251cee83",
+    ("ansatz_6.qasm", 3, "fm", True, 0.2): "4bf96bd49695ec94",
     ("ansatz_6.qasm", 3, "fm", False, 0.0): "39a943a49fee825c",
     ("ansatz_6.qasm", 3, "fm", False, 0.2): "4d454e5494545a05",
-    ("ansatz_6.qasm", 3, "kway", True, 0.0): "c90a9e10094917c0",
-    ("ansatz_6.qasm", 3, "kway", True, 0.2): "a46eed4414ab7719",
+    ("ansatz_6.qasm", 3, "kway", True, 0.0): "3ef63ed501cbea61",
+    ("ansatz_6.qasm", 3, "kway", True, 0.2): "a1a33e2f3da872c0",
     ("ansatz_6.qasm", 3, "kway", False, 0.0): "fb8535d2a79e1c64",
     ("ansatz_6.qasm", 3, "kway", False, 0.2): "0e6733c91a86dc01",
-    ("ansatz_6.qasm", 4, "fm", True, 0.0): "635fab555160ad24",
-    ("ansatz_6.qasm", 4, "fm", True, 0.2): "882da99461dfa9a6",
+    ("ansatz_6.qasm", 4, "fm", True, 0.0): "fe45f992a2957afa",
+    ("ansatz_6.qasm", 4, "fm", True, 0.2): "b5d781cf0a8f603a",
     ("ansatz_6.qasm", 4, "fm", False, 0.0): "0b8c913ddd4efc33",
     ("ansatz_6.qasm", 4, "fm", False, 0.2): "55b7ac737a5dbe16",
-    ("ansatz_6.qasm", 4, "kway", True, 0.0): "3414d47d8f36b52f",
-    ("ansatz_6.qasm", 4, "kway", True, 0.2): "fa937d5465ce7c48",
-    ("ansatz_6.qasm", 4, "kway", False, 0.0): "2d94e818eb363740",
+    ("ansatz_6.qasm", 4, "kway", True, 0.0): "1c89431d9a22ffde",
+    ("ansatz_6.qasm", 4, "kway", True, 0.2): "90128ad2cd1b1eb3",
+    ("ansatz_6.qasm", 4, "kway", False, 0.0): "fcc75b67f9edab73",
     ("ansatz_6.qasm", 4, "kway", False, 0.2): "fff20258df9e1037",
-    ("ansatz_8.qasm", 2, "fm", True, 0.0): "7567c0519970b6a6",
-    ("ansatz_8.qasm", 2, "fm", True, 0.2): "7567c0519970b6a6",
+    ("ansatz_8.qasm", 2, "fm", True, 0.0): "1faf416acb95f72a",
+    ("ansatz_8.qasm", 2, "fm", True, 0.2): "1faf416acb95f72a",
     ("ansatz_8.qasm", 2, "fm", False, 0.0): "fd74afd5d6449af0",
     ("ansatz_8.qasm", 2, "fm", False, 0.2): "fd74afd5d6449af0",
-    ("ansatz_8.qasm", 2, "kway", True, 0.0): "7567c0519970b6a6",
-    ("ansatz_8.qasm", 2, "kway", True, 0.2): "7567c0519970b6a6",
+    ("ansatz_8.qasm", 2, "kway", True, 0.0): "1faf416acb95f72a",
+    ("ansatz_8.qasm", 2, "kway", True, 0.2): "1faf416acb95f72a",
     ("ansatz_8.qasm", 2, "kway", False, 0.0): "fd74afd5d6449af0",
     ("ansatz_8.qasm", 2, "kway", False, 0.2): "fd74afd5d6449af0",
-    ("ansatz_8.qasm", 3, "fm", True, 0.0): "cfb25176e006cbd6",
-    ("ansatz_8.qasm", 3, "fm", True, 0.2): "83a60e80a33d768f",
+    ("ansatz_8.qasm", 3, "fm", True, 0.0): "f891a4de886dc511",
+    ("ansatz_8.qasm", 3, "fm", True, 0.2): "184a1b552a21eec7",
     ("ansatz_8.qasm", 3, "fm", False, 0.0): "314af6da70e7bd49",
     ("ansatz_8.qasm", 3, "fm", False, 0.2): "a10dc8476712c73e",
-    ("ansatz_8.qasm", 3, "kway", True, 0.0): "aaaf7fa5bb176f54",
-    ("ansatz_8.qasm", 3, "kway", True, 0.2): "728d57e588d1fad6",
+    ("ansatz_8.qasm", 3, "kway", True, 0.0): "149b220d7e2326b3",
+    ("ansatz_8.qasm", 3, "kway", True, 0.2): "f95b42f947d33ac2",
     ("ansatz_8.qasm", 3, "kway", False, 0.0): "e768964062104421",
     ("ansatz_8.qasm", 3, "kway", False, 0.2): "a20b551aa26e5095",
-    ("ansatz_8.qasm", 4, "fm", True, 0.0): "741f4e09f28be70d",
-    ("ansatz_8.qasm", 4, "fm", True, 0.2): "42ed6f76a8c0795c",
+    ("ansatz_8.qasm", 4, "fm", True, 0.0): "397913b2f28ccd42",
+    ("ansatz_8.qasm", 4, "fm", True, 0.2): "397913b2f28ccd42",
     ("ansatz_8.qasm", 4, "fm", False, 0.0): "06ebe3dee3de2195",
-    ("ansatz_8.qasm", 4, "fm", False, 0.2): "d0e96ba4b26d8bdf",
-    ("ansatz_8.qasm", 4, "kway", True, 0.0): "24396f348b1b9fd7",
-    ("ansatz_8.qasm", 4, "kway", True, 0.2): "6cca73d90267a8e2",
-    ("ansatz_8.qasm", 4, "kway", False, 0.0): "abeacd7bde2973da",
-    ("ansatz_8.qasm", 4, "kway", False, 0.2): "d244a3d450ac67c3",
+    ("ansatz_8.qasm", 4, "fm", False, 0.2): "6e057508bc5f2147",
+    ("ansatz_8.qasm", 4, "kway", True, 0.0): "83aeeca076066fce",
+    ("ansatz_8.qasm", 4, "kway", True, 0.2): "b193f6c022925a97",
+    ("ansatz_8.qasm", 4, "kway", False, 0.0): "bc4c6575716ce3d6",
+    ("ansatz_8.qasm", 4, "kway", False, 0.2): "69dcdc617e9f2903",
     ("ghz_4.qasm", 2, "fm", True, 0.0): "45d1439cba294511",
     ("ghz_4.qasm", 2, "fm", True, 0.2): "201a2f518cf6981e",
     ("ghz_4.qasm", 2, "fm", False, 0.0): "45d1439cba294511",
@@ -113,13 +113,13 @@ RESULTS = {
     ("ghz_4.qasm", 2, "kway", False, 0.0): "45d1439cba294511",
     ("ghz_4.qasm", 2, "kway", False, 0.2): "201a2f518cf6981e",
     ("ghz_4.qasm", 3, "fm", True, 0.0): "77eef618606afabc",
-    ("ghz_4.qasm", 3, "fm", True, 0.2): "895b1d53380ae272",
+    ("ghz_4.qasm", 3, "fm", True, 0.2): "77eef618606afabc",
     ("ghz_4.qasm", 3, "fm", False, 0.0): "77eef618606afabc",
-    ("ghz_4.qasm", 3, "fm", False, 0.2): "895b1d53380ae272",
-    ("ghz_4.qasm", 3, "kway", True, 0.0): "fbe24bf314905b73",
-    ("ghz_4.qasm", 3, "kway", True, 0.2): "fbe24bf314905b73",
-    ("ghz_4.qasm", 3, "kway", False, 0.0): "fbe24bf314905b73",
-    ("ghz_4.qasm", 3, "kway", False, 0.2): "fbe24bf314905b73",
+    ("ghz_4.qasm", 3, "fm", False, 0.2): "77eef618606afabc",
+    ("ghz_4.qasm", 3, "kway", True, 0.0): "753c3ad98ee0503d",
+    ("ghz_4.qasm", 3, "kway", True, 0.2): "753c3ad98ee0503d",
+    ("ghz_4.qasm", 3, "kway", False, 0.0): "753c3ad98ee0503d",
+    ("ghz_4.qasm", 3, "kway", False, 0.2): "753c3ad98ee0503d",
     ("ghz_4.qasm", 4, "fm", True, 0.0): "6455a7e0fc73d3a6",
     ("ghz_4.qasm", 4, "fm", True, 0.2): "6455a7e0fc73d3a6",
     ("ghz_4.qasm", 4, "fm", False, 0.0): "6455a7e0fc73d3a6",
@@ -128,114 +128,114 @@ RESULTS = {
     ("ghz_4.qasm", 4, "kway", True, 0.2): "2f233c8ed3b41347",
     ("ghz_4.qasm", 4, "kway", False, 0.0): "2f233c8ed3b41347",
     ("ghz_4.qasm", 4, "kway", False, 0.2): "2f233c8ed3b41347",
-    ("phase_kernel_6.qasm", 2, "fm", True, 0.0): "3f9f721772a317fc",
-    ("phase_kernel_6.qasm", 2, "fm", True, 0.2): "a8398368ebe266a9",
+    ("phase_kernel_6.qasm", 2, "fm", True, 0.0): "a14ed67600ced976",
+    ("phase_kernel_6.qasm", 2, "fm", True, 0.2): "e6ced467719de968",
     ("phase_kernel_6.qasm", 2, "fm", False, 0.0): "73307fab26b9e203",
     ("phase_kernel_6.qasm", 2, "fm", False, 0.2): "7d9a42e826905fa2",
-    ("phase_kernel_6.qasm", 2, "kway", True, 0.0): "3f9f721772a317fc",
-    ("phase_kernel_6.qasm", 2, "kway", True, 0.2): "a8398368ebe266a9",
+    ("phase_kernel_6.qasm", 2, "kway", True, 0.0): "a14ed67600ced976",
+    ("phase_kernel_6.qasm", 2, "kway", True, 0.2): "e6ced467719de968",
     ("phase_kernel_6.qasm", 2, "kway", False, 0.0): "73307fab26b9e203",
     ("phase_kernel_6.qasm", 2, "kway", False, 0.2): "7d9a42e826905fa2",
-    ("phase_kernel_6.qasm", 3, "fm", True, 0.0): "84d011c084d687ff",
-    ("phase_kernel_6.qasm", 3, "fm", True, 0.2): "af44f3a4101f1732",
-    ("phase_kernel_6.qasm", 3, "fm", False, 0.0): "6766f76c9d093cee",
+    ("phase_kernel_6.qasm", 3, "fm", True, 0.0): "09317c590dd52241",
+    ("phase_kernel_6.qasm", 3, "fm", True, 0.2): "a5f8c2d0a5c2bdf2",
+    ("phase_kernel_6.qasm", 3, "fm", False, 0.0): "69f8c372964df758",
     ("phase_kernel_6.qasm", 3, "fm", False, 0.2): "cc8b8446cb273a1b",
-    ("phase_kernel_6.qasm", 3, "kway", True, 0.0): "2964dcf41a4dad42",
-    ("phase_kernel_6.qasm", 3, "kway", True, 0.2): "ab15a40eb17aed45",
+    ("phase_kernel_6.qasm", 3, "kway", True, 0.0): "85e17add3205edd4",
+    ("phase_kernel_6.qasm", 3, "kway", True, 0.2): "091b0a0c654d3618",
     ("phase_kernel_6.qasm", 3, "kway", False, 0.0): "996b8aba50ab2a31",
     ("phase_kernel_6.qasm", 3, "kway", False, 0.2): "5a5905772134e7b0",
-    ("phase_kernel_6.qasm", 4, "fm", True, 0.0): "d96e5d07e6fbeb0b",
-    ("phase_kernel_6.qasm", 4, "fm", True, 0.2): "0b191b0d5cded601",
+    ("phase_kernel_6.qasm", 4, "fm", True, 0.0): "0405903e3848447e",
+    ("phase_kernel_6.qasm", 4, "fm", True, 0.2): "99a3be510a0839a8",
     ("phase_kernel_6.qasm", 4, "fm", False, 0.0): "8ab819577f1b6c0d",
     ("phase_kernel_6.qasm", 4, "fm", False, 0.2): "8df5f52cd7c35183",
-    ("phase_kernel_6.qasm", 4, "kway", True, 0.0): "22de2b6ee2a4af39",
-    ("phase_kernel_6.qasm", 4, "kway", True, 0.2): "3fbc8d35dbb85ee8",
+    ("phase_kernel_6.qasm", 4, "kway", True, 0.0): "7d362e5e2d006452",
+    ("phase_kernel_6.qasm", 4, "kway", True, 0.2): "3a9f7c75188cfa20",
     ("phase_kernel_6.qasm", 4, "kway", False, 0.0): "2240d245fecb4417",
     ("phase_kernel_6.qasm", 4, "kway", False, 0.2): "97fc49230c8ddee9",
-    ("phase_kernel_8.qasm", 2, "fm", True, 0.0): "701509aa91e80dd4",
-    ("phase_kernel_8.qasm", 2, "fm", True, 0.2): "e71b9bcfe71b82da",
+    ("phase_kernel_8.qasm", 2, "fm", True, 0.0): "d70a7b601f605a8e",
+    ("phase_kernel_8.qasm", 2, "fm", True, 0.2): "7f7c507ad5b382e6",
     ("phase_kernel_8.qasm", 2, "fm", False, 0.0): "49e029eb5bfbd396",
     ("phase_kernel_8.qasm", 2, "fm", False, 0.2): "b42c8447b7953cca",
-    ("phase_kernel_8.qasm", 2, "kway", True, 0.0): "701509aa91e80dd4",
-    ("phase_kernel_8.qasm", 2, "kway", True, 0.2): "e71b9bcfe71b82da",
+    ("phase_kernel_8.qasm", 2, "kway", True, 0.0): "d70a7b601f605a8e",
+    ("phase_kernel_8.qasm", 2, "kway", True, 0.2): "7f7c507ad5b382e6",
     ("phase_kernel_8.qasm", 2, "kway", False, 0.0): "49e029eb5bfbd396",
     ("phase_kernel_8.qasm", 2, "kway", False, 0.2): "b42c8447b7953cca",
-    ("phase_kernel_8.qasm", 3, "fm", True, 0.0): "a1e76c747d93bed2",
-    ("phase_kernel_8.qasm", 3, "fm", True, 0.2): "9b761758b041a077",
-    ("phase_kernel_8.qasm", 3, "fm", False, 0.0): "e2d563a20b3b165a",
+    ("phase_kernel_8.qasm", 3, "fm", True, 0.0): "dd3eb45413d80df5",
+    ("phase_kernel_8.qasm", 3, "fm", True, 0.2): "246faa686ec5f41b",
+    ("phase_kernel_8.qasm", 3, "fm", False, 0.0): "0058895e3a47dd3a",
     ("phase_kernel_8.qasm", 3, "fm", False, 0.2): "fa81725dfa0ce437",
-    ("phase_kernel_8.qasm", 3, "kway", True, 0.0): "cd1a2938d45d3348",
-    ("phase_kernel_8.qasm", 3, "kway", True, 0.2): "d8ae66c11b0d8cd4",
-    ("phase_kernel_8.qasm", 3, "kway", False, 0.0): "b1575da814aa8fb0",
-    ("phase_kernel_8.qasm", 3, "kway", False, 0.2): "9cc709990571eb49",
-    ("phase_kernel_8.qasm", 4, "fm", True, 0.0): "7b5ffd197137f7ce",
-    ("phase_kernel_8.qasm", 4, "fm", True, 0.2): "1955ca291f0f6ddf",
+    ("phase_kernel_8.qasm", 3, "kway", True, 0.0): "c51d4ed4be998fdf",
+    ("phase_kernel_8.qasm", 3, "kway", True, 0.2): "a1f762c6943b7433",
+    ("phase_kernel_8.qasm", 3, "kway", False, 0.0): "fd601224cd08a4f7",
+    ("phase_kernel_8.qasm", 3, "kway", False, 0.2): "6f303372cbcc6f28",
+    ("phase_kernel_8.qasm", 4, "fm", True, 0.0): "6daf1450e9932ed3",
+    ("phase_kernel_8.qasm", 4, "fm", True, 0.2): "49b6f97c8a4fa7aa",
     ("phase_kernel_8.qasm", 4, "fm", False, 0.0): "5d1601b18591a735",
-    ("phase_kernel_8.qasm", 4, "fm", False, 0.2): "261e4af7ec02fe82",
-    ("phase_kernel_8.qasm", 4, "kway", True, 0.0): "a3696951744556de",
-    ("phase_kernel_8.qasm", 4, "kway", True, 0.2): "4a79e299e3a0b3b6",
-    ("phase_kernel_8.qasm", 4, "kway", False, 0.0): "7e9085a66f85308e",
-    ("phase_kernel_8.qasm", 4, "kway", False, 0.2): "e789495ddf6f5a83",
-    ("toffoli_mix_5.qasm", 2, "fm", True, 0.0): "db74891ca14d0e3f",
-    ("toffoli_mix_5.qasm", 2, "fm", True, 0.2): "db74891ca14d0e3f",
+    ("phase_kernel_8.qasm", 4, "fm", False, 0.2): "ae98903df856775e",
+    ("phase_kernel_8.qasm", 4, "kway", True, 0.0): "d1f9b437844d02cb",
+    ("phase_kernel_8.qasm", 4, "kway", True, 0.2): "ec97dc6204ecceb4",
+    ("phase_kernel_8.qasm", 4, "kway", False, 0.0): "235657da39887a81",
+    ("phase_kernel_8.qasm", 4, "kway", False, 0.2): "1c267e41b201e81c",
+    ("toffoli_mix_5.qasm", 2, "fm", True, 0.0): "f816123972b4696f",
+    ("toffoli_mix_5.qasm", 2, "fm", True, 0.2): "f816123972b4696f",
     ("toffoli_mix_5.qasm", 2, "fm", False, 0.0): "c6e594755f64fd3f",
     ("toffoli_mix_5.qasm", 2, "fm", False, 0.2): "aeb26a63a2dc1885",
-    ("toffoli_mix_5.qasm", 2, "kway", True, 0.0): "db74891ca14d0e3f",
-    ("toffoli_mix_5.qasm", 2, "kway", True, 0.2): "db74891ca14d0e3f",
+    ("toffoli_mix_5.qasm", 2, "kway", True, 0.0): "f816123972b4696f",
+    ("toffoli_mix_5.qasm", 2, "kway", True, 0.2): "f816123972b4696f",
     ("toffoli_mix_5.qasm", 2, "kway", False, 0.0): "c6e594755f64fd3f",
     ("toffoli_mix_5.qasm", 2, "kway", False, 0.2): "aeb26a63a2dc1885",
-    ("toffoli_mix_5.qasm", 3, "fm", True, 0.0): "9b05b88b79879da9",
-    ("toffoli_mix_5.qasm", 3, "fm", True, 0.2): "fb6ed5dd0a548519",
+    ("toffoli_mix_5.qasm", 3, "fm", True, 0.0): "c7f2fdc9cc5d82f3",
+    ("toffoli_mix_5.qasm", 3, "fm", True, 0.2): "50a439d42240f904",
     ("toffoli_mix_5.qasm", 3, "fm", False, 0.0): "ce57080962d7455a",
     ("toffoli_mix_5.qasm", 3, "fm", False, 0.2): "1e83ad3b074e1499",
-    ("toffoli_mix_5.qasm", 3, "kway", True, 0.0): "f2adfb778de2b71d",
-    ("toffoli_mix_5.qasm", 3, "kway", True, 0.2): "b2507089cee81cff",
-    ("toffoli_mix_5.qasm", 3, "kway", False, 0.0): "fc948725255323d2",
-    ("toffoli_mix_5.qasm", 3, "kway", False, 0.2): "826d5a31079ab150",
-    ("toffoli_mix_5.qasm", 4, "fm", True, 0.0): "eb33c8ede34fb477",
-    ("toffoli_mix_5.qasm", 4, "fm", True, 0.2): "efecab28318a6035",
+    ("toffoli_mix_5.qasm", 3, "kway", True, 0.0): "12ba5604b39cf9c8",
+    ("toffoli_mix_5.qasm", 3, "kway", True, 0.2): "537bc644199c56d9",
+    ("toffoli_mix_5.qasm", 3, "kway", False, 0.0): "397cc3e279dea803",
+    ("toffoli_mix_5.qasm", 3, "kway", False, 0.2): "db200e5db81e255d",
+    ("toffoli_mix_5.qasm", 4, "fm", True, 0.0): "aa622e83aa518d34",
+    ("toffoli_mix_5.qasm", 4, "fm", True, 0.2): "82dc505099c9c7df",
     ("toffoli_mix_5.qasm", 4, "fm", False, 0.0): "d7bac443aa86ed3a",
     ("toffoli_mix_5.qasm", 4, "fm", False, 0.2): "e7e0c334cca5c83d",
-    ("toffoli_mix_5.qasm", 4, "kway", True, 0.0): "b1c58952cbbda4d3",
-    ("toffoli_mix_5.qasm", 4, "kway", True, 0.2): "b1c58952cbbda4d3",
+    ("toffoli_mix_5.qasm", 4, "kway", True, 0.0): "c9692ddf6190ef8e",
+    ("toffoli_mix_5.qasm", 4, "kway", True, 0.2): "c9692ddf6190ef8e",
     ("toffoli_mix_5.qasm", 4, "kway", False, 0.0): "e33dba483378a662",
     ("toffoli_mix_5.qasm", 4, "kway", False, 0.2): "e33dba483378a662",
     ("ghz:60", 2, "fm", True, 0.0): "4109011c2f6cf7e0",
     ("ghz:60", 2, "kway", False, 0.0): "4109011c2f6cf7e0",
     ("ghz:60", 3, "fm", True, 0.2): "65c586c829ab0afd",
-    ("ghz:60", 3, "kway", False, 0.2): "89091667efd497b4",
+    ("ghz:60", 3, "kway", False, 0.2): "f19d705f2f41c64d",
     ("ghz:60", 4, "fm", True, 0.0): "6b0e99d9a349cabf",
-    ("ghz:60", 4, "kway", False, 0.0): "079c67956d2f8e7f",
-    ("ghz:400", 2, "fm", False, 0.2): "6eb6f9a843c5296b",
-    ("ghz:400", 2, "kway", True, 0.2): "6eb6f9a843c5296b",
-    ("ghz:400", 3, "fm", False, 0.0): "a1cc3d6612ba9a88",
-    ("ghz:400", 3, "kway", True, 0.0): "0d4a2d1e0a8d7b3e",
-    ("ghz:400", 4, "fm", False, 0.2): "201181f85adf5af1",
-    ("ghz:400", 4, "kway", True, 0.2): "a1ecede26b5ba783",
-    ("qft:16", 2, "fm", True, 0.0): "048a974d9d7eab0f",
+    ("ghz:60", 4, "kway", False, 0.0): "5a3efa0db0febcea",
+    ("ghz:400", 2, "fm", False, 0.2): "f70556cf1ba64c91",
+    ("ghz:400", 2, "kway", True, 0.2): "f70556cf1ba64c91",
+    ("ghz:400", 3, "fm", False, 0.0): "6b4150a1d7d77a87",
+    ("ghz:400", 3, "kway", True, 0.0): "816056f32e12abec",
+    ("ghz:400", 4, "fm", False, 0.2): "1dcc73ebe4d13063",
+    ("ghz:400", 4, "kway", True, 0.2): "2525a9208aa7c546",
+    ("qft:16", 2, "fm", True, 0.0): "ce78d005614ffab3",
     ("qft:16", 2, "kway", False, 0.0): "2ed37655e3137110",
-    ("qft:16", 3, "fm", True, 0.2): "780fe967f6d6e391",
+    ("qft:16", 3, "fm", True, 0.2): "a6110614194f053f",
     ("qft:16", 3, "kway", False, 0.2): "9dea8d1412b37186",
-    ("qft:16", 4, "fm", True, 0.0): "78a12bb49f229cf8",
+    ("qft:16", 4, "fm", True, 0.0): "09c4fc68d5da5b53",
     ("qft:16", 4, "kway", False, 0.0): "8e2dafa01633dbba",
     ("qft:32", 2, "fm", False, 0.2): "a3cec70b8b8886fa",
-    ("qft:32", 2, "kway", True, 0.2): "be433706fa5381bc",
+    ("qft:32", 2, "kway", True, 0.2): "ebebf27491d5159f",
     ("qft:32", 3, "fm", False, 0.0): "37d7fc29e2f4f888",
-    ("qft:32", 3, "kway", True, 0.0): "a477c85c3bc84801",
+    ("qft:32", 3, "kway", True, 0.0): "69897c72bf896d27",
     ("qft:32", 4, "fm", False, 0.2): "21182a15133036d0",
-    ("qft:32", 4, "kway", True, 0.2): "456dd6db89045fd4",
-    ("random:24:1", 2, "fm", True, 0.0): "ea6468306f4bbaeb",
-    ("random:24:1", 2, "kway", False, 0.0): "47315559fde75877",
-    ("random:24:1", 3, "fm", True, 0.2): "93b05d52b3691b52",
-    ("random:24:1", 3, "kway", False, 0.2): "ae6f48cf010fc791",
-    ("random:24:1", 4, "fm", True, 0.0): "64ee52453c9c9310",
+    ("qft:32", 4, "kway", True, 0.2): "a78e16a7b9ed7869",
+    ("random:24:1", 2, "fm", True, 0.0): "562d621521601ed8",
+    ("random:24:1", 2, "kway", False, 0.0): "17641746f07a5753",
+    ("random:24:1", 3, "fm", True, 0.2): "7f7ec805996e28c6",
+    ("random:24:1", 3, "kway", False, 0.2): "b497ee6b38cc5b34",
+    ("random:24:1", 4, "fm", True, 0.0): "673579a5d0ceb73f",
     ("random:24:1", 4, "kway", False, 0.0): "6d44feaf90e5367f",
-    ("random:40:2", 2, "fm", False, 0.2): "bb6990abf7917adb",
-    ("random:40:2", 2, "kway", True, 0.2): "76a543d0cb76807a",
-    ("random:40:2", 3, "fm", False, 0.0): "881219fb5ef17975",
-    ("random:40:2", 3, "kway", True, 0.0): "38750fd5b1220d2c",
-    ("random:40:2", 4, "fm", False, 0.2): "15afab633fe1f807",
-    ("random:40:2", 4, "kway", True, 0.2): "077cecaf1054fef2",
+    ("random:40:2", 2, "fm", False, 0.2): "d0a5206c67ed8d0b",
+    ("random:40:2", 2, "kway", True, 0.2): "11ef65fceb74c8e3",
+    ("random:40:2", 3, "fm", False, 0.0): "7c279d73fc7ffd1c",
+    ("random:40:2", 3, "kway", True, 0.0): "13d50e620297f4ea",
+    ("random:40:2", 4, "fm", False, 0.2): "8885d7cfc561b990",
+    ("random:40:2", 4, "kway", True, 0.2): "64c427202be5f322",
 }
 
 
