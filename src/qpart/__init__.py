@@ -17,11 +17,11 @@ from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          export_hmetis, import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
                  partition, resolve_capacities)
-from .oracle import OracleResult, brute_force_mincut
+from .oracle import brute_force_mincut
 from .distribution import (Channel, DistributionPlan, QpuPlan,
                            emit_subcircuits, plan_distribution)
-from .bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
-                    format_summary, load_suite, run_suite, write_csv)
+from .bench import (CircuitJob, SuiteSpec, format_summary, load_suite,
+                    run_suite, write_csv)
 
 __version__ = "0.1.0"
 
@@ -35,10 +35,10 @@ __all__ = [
     "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",
     "partition", "resolve_capacities",
-    "OracleResult", "brute_force_mincut",
+    "brute_force_mincut",
     "Channel", "DistributionPlan", "QpuPlan",
     "emit_subcircuits", "plan_distribution",
-    "CSV_COLUMNS", "METHODS", "BenchRow", "CircuitJob", "SuiteSpec",
+    "CircuitJob", "SuiteSpec",
     "format_summary", "load_suite", "run_suite", "write_csv",
     "__version__",
 ]

@@ -2,32 +2,33 @@
 
 ``partition`` is the one entry point.  Every FM mode runs through one
 restart driver: each seeded restart deals a shuffled or a grown order of
-the qubit vertices, runs passes until one fails, and snaps free weight-0
-vertices onto their edge; the winner has the lowest (lambda - 1, balance
-deviation, restart index).
+the vertices and runs passes until one fails; the winner has the lowest
+(lambda - 1, balance deviation, restart index).
 Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks,
 and the winner keeps the price its rank key was read from; recursive
 bisection calls it once per split, with that split's side capacities,
 and prices its result once.  A split keeps the restriction of every edge
 inside each side, so later splits of an already cut edge are charged
-exactly as the global metric charges them.  The deal and the snap are
-each written once, over a seeds x vertices block matrix (``_dealer``,
-``_snapper``).
+exactly as the global metric charges them.  The deal is written once,
+over a seeds x vertices block matrix (``_dealer``).
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
-seed and the qubit vertex count, so one draw can serve many hypergraphs
-and block counts, as a bench suite's does per circuit.  Every other
-restart grows a breadth-first order from it (``_grown``), as the graph
-growing of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput.
-20(1), 1998).
+seed and the vertex count, so one draw can serve many hypergraphs and
+block counts, as a bench suite's does per circuit.  Every other restart
+grows a breadth-first order from it (``_grown``), as the graph growing
+of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput. 20(1),
+1998).
 The deal turns an order into blocks from the capacities, k and the
 weights, heaviest first; a grown order fills each block in one run, with
-the shuffle's loads, and a weight-0 vertex goes with vertex 0.
-``random_deals`` deals, snaps and prices a draw one matrix of at most 128
-seeds at a time; it is the one random partition, of ``Mode.RANDOM`` and
-the bench's Random rows.
+the shuffle's loads.
+``random_deals`` deals and prices a draw one matrix of at most 128 seeds
+at a time; it is the one random partition, of ``Mode.RANDOM`` and the
+bench's Random rows.
 ``expected_ebits`` prices the mean of that partition over every shuffle
-in closed form, reading the same snap set; it is the CLI's baseline and
-the bench's grouped one.
+in closed form; it is the CLI's baseline and the bench's grouped one.
+
+A vertex weight counts only toward the load bound, as in hMETIS, and a
+weight-0 vertex (hMETIS files only) is the lightest weight class and
+nothing else: it is shuffled, dealt, moved and priced like any other.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -35,11 +36,10 @@ whose pin count in the source or target block crosses 0, 1 or 2, so a
 pass does work linear in the pins it touches.  Every move takes the
 highest gain, then the lowest vertex index and target, from lazy
 min-heaps of int entries (``_pass``), with rollback to the best feasible
-prefix.  Balance is capacity-driven: block loads count qubit vertices
-only, and a move may overfill the target by at most one unit while the
-pass explores; returned prefixes always satisfy the strict bound, so
-without that transient slack an exactly filled balanced instance would
-admit no qubit moves at all.
+prefix.  Balance is capacity-driven: a move may overfill the target by
+at most the mover's weight while the pass explores; returned prefixes
+always satisfy the strict bound, so without that transient slack an
+exactly filled balanced instance would admit no moves at all.
 
 A pass ends early once no later prefix can beat the best one, and the
 restart driver once no later restart can beat its winner; both bounds
@@ -165,7 +165,6 @@ class _Engine:
         self.vw = [v.weight for v in h.vertices]
         self.inc = h.incidence
         self.qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
-        self.free = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top]; a masked or dead entry lies below -top
         self.top = sum(self.ew)
@@ -238,18 +237,18 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     block and locked vertices hold ``dead``, and the lone qubit vertex of a
     block carries a ``-mask`` offset that delta updates leave exact.
 
-    Each cache write of a real gain g pushes the one int ``(top - g) * n +
-    v`` on a lazy min-heap per (kind, target), with one set of k heaps for
-    qubit vertices and one for weight-0 vertices.  ``top`` is the sum of
-    the edge weights.  A move changes the cost of each of v's edges by at
-    most that edge's weight, so a real gain g lies in [-top, top], ``top -
-    g`` in [0, 2 * top], and the smallest entry is the highest gain, then
-    the lowest vertex index.  A masked gain is at most top - mask = -top - 1
+    Each cache write of a real gain g of a move to t pushes the one int
+    ``(top - g) * n + v`` on t's lazy min-heap, whatever v weighs.  ``top``
+    is the sum of the edge weights.  A move changes the cost of each of v's
+    edges by at most that edge's weight, so a real gain g lies in [-top,
+    top], ``top - g`` in [0, 2 * top], and the smallest entry is the
+    highest gain, then the lowest vertex index.  A masked gain is at most top - mask = -top - 1
     and a dead one stays below it, so neither passes the push's ``g >=
     -top`` test: masked entries never enter a heap, and every entry
-    decodes to a real gain.  Selection pops an entry once the key
-    recomputed from the cache no longer equals it, and takes the smallest
-    entry over the feasible heaps, then the lowest target.
+    decodes to a real gain.  Selection skips every target over its bound,
+    pops an entry once the key recomputed from the cache no longer equals
+    it, and takes the smallest entry over the other heaps, then the lowest
+    target.
 
     Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
     and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
@@ -296,19 +295,17 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     for v in range(n):
         gains[assign[v]][v] = dead
     updates = n * (k - 1)
-    qheaps, zheaps = (
-        [[(top - g) * n + v for v in vs if (g := col[v]) >= floor] for col in gains]
-        for vs in (eng.qubits, eng.free))
-    for hp in qheaps + zheaps:
+    heaps = [[(top - g) * n + v for v in range(n) if (g := col[v]) >= floor]
+             for col in gains]
+    for hp in heaps:
         heapify(hp)
-    heap_of = [qheaps if w > 0 else zheaps for w in vw]
 
     def shift(u: int, delta: int) -> None:
         for t in others[assign[u]]:
             g = gains[t][u] + delta
             gains[t][u] = g
             if g >= floor:
-                heappush(heap_of[u][t], (top - g) * n + u)
+                heappush(heaps[t], (top - g) * n + u)
 
     # a block's lone qubit vertex is masked exactly while it is unlocked
     for b in range(k):
@@ -332,15 +329,16 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     while locked_cost < best_cost and least < best_cost:
         best, target = limit, -1
         for t in range(k):
-            col = gains[t]
-            for hp in (qheaps[t], zheaps[t]) if load[t] <= bounds[t] else (zheaps[t],):
-                while hp:
-                    x = hp[0]
-                    if col[x % n] == top - x // n:
-                        if x < best:
-                            best, target = x, t
-                        break
-                    heappop(hp)
+            if load[t] > bounds[t]:
+                continue
+            col, hp = gains[t], heaps[t]
+            while hp:
+                x = hp[0]
+                if col[x % n] == top - x // n:
+                    if x < best:
+                        best, target = x, t
+                    break
+                heappop(hp)
         if target < 0:
             break
         best_g, v = top - best // n, best % n
@@ -365,7 +363,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                         g = col[u] + w
                         col[u] = g
                         if g >= floor:
-                            heappush(heap_of[u][target], (top - g) * n + u)
+                            heappush(heaps[target], (top - g) * n + u)
                         updates += 1
             elif row[target] == 1:
                 for u in pins[e]:
@@ -383,7 +381,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                         g = col[u] - w
                         col[u] = g
                         if g >= floor:
-                            heappush(heap_of[u][src], (top - g) * n + u)
+                            heappush(heaps[src], (top - g) * n + u)
                         updates += 1
             elif row[src] == 1:
                 for u in pins[e]:
@@ -443,7 +441,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
 # initial and random partitions
 
 def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
-    """Block of the pos-th dealt qubit vertex, whose weight is weights[pos].
+    """Block of the pos-th dealt vertex, whose weight is weights[pos].
 
     Position pos < k goes to block pos when it fits there, so no block
     starts empty; every other vertex goes to the block with the most
@@ -468,11 +466,11 @@ _CHUNK = 128  # seeds shuffled together; bounds the working set
 
 
 def _shuffles(n: int, seeds):
-    """The seeded shuffle of n qubit-vertex positions for each seed, as an
+    """The seeded shuffle of n vertex positions for each seed, as an
     iterator of seeds x n matrices of at most ``_CHUNK`` rows in the
     smallest unsigned dtype; row i is ``range(n)`` shuffled by
     ``random.Random(seed)``.  It depends on nothing but the seeds and n, so
-    one draw serves every hypergraph with n qubit vertices and every k.
+    one draw serves every hypergraph with n vertices and every k.
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
     it = iter(seeds)
@@ -486,15 +484,12 @@ def _shuffles(n: int, seeds):
 
 
 def _grown(h: Hypergraph, perms: np.ndarray) -> np.ndarray:
-    """Each row of a seeds x n matrix of ``_shuffles`` (n qubit vertices)
-    grown into a breadth-first order of the same positions: from the row's
-    first vertex, through each vertex's unreached neighbours (the qubit
-    vertices on its edges) in the row's order, and again from the row's
-    first unreached vertex when a piece runs out.  The qubit pins of every
-    edge are found once, and each row expands an edge once."""
-    pos = {v: i for i, v in enumerate(v for v, x in enumerate(h.vertices) if x.is_qubit)}
-    pins = [[pos[p] for p in e.pins if p in pos] for e in h.edges]
-    inc = [h.incidence[v] for v in pos]
+    """Each row of a seeds x vertices matrix of ``_shuffles`` grown into a
+    breadth-first order of the same vertices: from the row's first vertex,
+    through each vertex's unreached neighbours (the pins of its edges) in
+    the row's order, and again from the row's first unreached vertex when
+    a piece runs out.  Each row expands an edge once."""
+    pins, inc = [e.pins for e in h.edges], h.incidence
     grown = np.empty_like(perms)
     # a shuffle's argsort is its inverse: each vertex's rank in the row
     for out, perm, rank in zip(grown, perms.tolist(), np.argsort(perms, axis=1).tolist()):
@@ -519,35 +514,17 @@ def _grown(h: Hypergraph, perms: np.ndarray) -> np.ndarray:
     return grown
 
 
-def _snapped(h: Hypergraph) -> dict[int, list[int]]:
-    """The qubit pins of each weight-0 vertex that the snap puts in a block
-    of its edge's qubit pins: one with exactly one edge, which has a qubit
-    pin.  A weight-0 vertex on several edges stays where it is, since its
-    first edge alone does not price a move, and so does one whose edge has
-    no qubit pin."""
-    snapped = {}
-    for v, edges in enumerate(h.incidence):
-        if h.vertices[v].is_qubit or len(edges) != 1:
-            continue
-        pins = [p for p in h.edges[edges[0]].pins if h.vertices[p].is_qubit]
-        if pins:
-            snapped[v] = pins
-    return snapped
-
-
 def _dealer(h: Hypergraph, config: PartitionConfig, runs: bool = False):
     """Returns ``deal(perms)``, which turns a seeds x n matrix of orders of
-    the n qubit vertices (``_shuffles`` or ``_grown``) into the seeds x
-    vertices block matrix of their deals.  Raises InfeasibleError as
-    ``resolve_capacities`` does.  Each row's qubit vertices, heaviest first
-    and in the row's order within a weight, are handed out in the order of
+    the n vertices (``_shuffles`` or ``_grown``) into the seeds x n block
+    matrix of their deals.  Raises InfeasibleError as
+    ``resolve_capacities`` does.  Each row's vertices, heaviest first and
+    in the row's order within a weight, are handed out in the order of
     ``_deal_blocks``, the same for every seed.  ``runs`` sorts that sequence
     within each weight: each block then takes one run of a weight's
-    vertices, with the same count.  Each weight-0 vertex then copies vertex
-    0's column, which reads block 0 when vertex 0 is weight-0."""
+    vertices, with the same count."""
     k = config.blocks
-    qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
-    weights = np.array([h.vertices[i].weight for i in qubits], dtype=np.int64)
+    weights = np.array([v.weight for v in h.vertices], dtype=np.int64)
     caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
     heaviest = sorted(weights.tolist(), reverse=True)
@@ -555,43 +532,16 @@ def _dealer(h: Hypergraph, config: PartitionConfig, runs: bool = False):
     if runs:
         blocks = [b for _, b in sorted(zip([-w for w in heaviest], blocks))]
     order = np.array(blocks, dtype=dtype)
-    qubit_vs = np.array(qubits, dtype=np.intp)
-    free = [i for i, v in enumerate(h.vertices) if not v.is_qubit]
 
     def deal(perms: np.ndarray) -> np.ndarray:
         # heaviest first; the stable sort keeps the row's order within a weight
         perms = np.take_along_axis(
             perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
-        assign = np.zeros((len(perms), len(h.vertices)), dtype=dtype)
-        assign[np.arange(len(perms))[:, None], qubit_vs[perms]] = order
-        assign[:, free] = assign[:, :1]
+        assign = np.empty(perms.shape, dtype=dtype)
+        assign[np.arange(len(perms))[:, None], perms] = order
         return assign
 
     return deal
-
-
-def _snapper(h: Hypergraph):
-    """Returns ``snap(assign)``, which moves each ``_snapped`` vertex, in
-    every row of a seeds x vertices block matrix and in place, to the
-    lowest block its edge's qubit pins span, unless it already sits in one
-    of them.  The snap never increases the cut and keeps every channel
-    carrying a real qubit."""
-    snap_vs, snap_starts, snap_pins, snap_owner = [], [], [], []
-    for v, pins in _snapped(h).items():
-        snap_vs.append(v)
-        snap_starts.append(len(snap_pins))
-        snap_pins.extend(pins)
-        snap_owner.extend([v] * len(pins))
-
-    def snap(assign: np.ndarray) -> None:
-        if snap_vs:
-            got = assign[:, snap_pins]
-            spanned = np.logical_or.reduceat(got == assign[:, snap_owner],
-                                             snap_starts, axis=1)
-            assign[:, snap_vs] = np.where(spanned, assign[:, snap_vs],
-                                          np.minimum.reduceat(got, snap_starts, axis=1))
-
-    return snap
 
 
 def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -614,16 +564,15 @@ def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np
 def random_deals(h: Hypergraph, config: PartitionConfig, draw):
     """The random partition of every seed of ``draw``, one matrix at a time.
 
-    ``draw`` is ``_shuffles`` of the qubit vertex count.  For each of its
-    matrices, yields the snapped deals as a seeds x vertices block matrix,
-    and their cut edges and ebits from ``_cut_rows``; row i is the
-    assignment and cut that ``partition`` gives with ``Mode.RANDOM`` and
-    that row's seed.  Raises InfeasibleError as the deal does.
+    ``draw`` is ``_shuffles`` of the vertex count.  For each of its
+    matrices, yields the deals as a seeds x vertices block matrix, and
+    their cut edges and ebits from ``_cut_rows``; row i is the assignment
+    and cut that ``partition`` gives with ``Mode.RANDOM`` and that row's
+    seed.  Raises InfeasibleError as the deal does.
     """
-    deal, snap = _dealer(h, config), _snapper(h)
+    deal = _dealer(h, config)
     for perms in draw:
         assign = deal(perms)
-        snap(assign)
         yield (assign, *_cut_rows(h, assign, config.blocks))
 
 
@@ -631,23 +580,18 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     """The exact mean ebits of ``random_deals`` over every shuffle.
 
     The deal fills a fixed block sequence from a uniform shuffle, so the
-    qubit vertices of each weight class take that class's dealt positions
-    as a uniform random bijection, independently of the other classes.  An
-    edge's blocks are decided by a set S of qubit vertices: its qubit pins,
-    and vertex 0 when the snap leaves a weight-0 pin there, since the deal
-    puts that pin in vertex 0's block; a pin that the snap moves lands in
-    a block the qubit pins already span.  When vertex 0 is weight-0 itself,
-    such a pin reads block 0, which is then spanned for certain.  Block b
-    misses S with probability, over the weight classes w, of the product
-    of C(n_w - c_wb, m_w) / C(n_w, m_w), where the class has n_w vertices,
-    c_wb of its positions go to b and S holds m_w of it.  Edges are summed
-    per (class counts, block 0 fixed) key, each key is priced once in
-    integers, and the exact sum is rounded to a float only at the end, so
-    ghz10 at k=2 prices to exactly 10.  Raises InfeasibleError as the deal
-    does.
+    vertices of each weight class, weight 0 included, take that class's
+    dealt positions as a uniform random bijection, independently of the
+    other classes.  Block b misses an edge's pins with probability, over
+    the weight classes w, of the product of C(n_w - c_wb, m_w) / C(n_w,
+    m_w), where the class has n_w vertices, c_wb of its positions go to b
+    and the edge has m_w pins in it.  Edges are summed per class-count
+    key, each key is priced once in integers, and the exact sum is rounded
+    to a float only at the end, so ghz10 at k=2 prices to exactly 10.
+    Raises InfeasibleError as the deal does.
     """
     k = config.blocks
-    weights = sorted((v.weight for v in h.vertices if v.is_qubit), reverse=True)
+    weights = sorted((v.weight for v in h.vertices), reverse=True)
     caps = resolve_capacities(config.capacities, sum(weights), k)
     classes = {w: i for i, w in enumerate(dict.fromkeys(weights))}
     sizes = [0] * len(classes)
@@ -655,29 +599,20 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     for w, b in zip(weights, _deal_blocks(caps, weights, k)):
         sizes[classes[w]] += 1
         dealt[classes[w]][b] += 1
-    snapped = _snapped(h)
-    keys: dict[tuple[tuple[int, ...], bool], int] = {}
+    keys: dict[tuple[int, ...], int] = {}
     for e in h.edges:
-        decided, fixed = set(), False
-        for p in e.pins:
-            if p not in snapped:
-                s = p if h.vertices[p].is_qubit else 0
-                if h.vertices[s].is_qubit:
-                    decided.add(s)
-                else:
-                    fixed = True
         counts = [0] * len(classes)
-        for q in decided:
-            counts[classes[h.vertices[q].weight]] += 1
-        key = (tuple(counts), fixed)
+        for p in e.pins:
+            counts[classes[h.vertices[p].weight]] += 1
+        key = tuple(counts)
         keys[key] = keys.get(key, 0) + e.weight
     total = Fraction(0)  # the exact sum of w_e * (E[spanned] - 1)
-    for (counts, fixed), w in keys.items():
-        # E[spanned] - 1 = (k - 1) - sum_b P(b misses S), over one denominator
+    for counts, w in keys.items():
+        # E[spanned] - 1 = (k - 1) - sum_b P(b misses the pins), over one denominator
         whole = math.prod(math.comb(n, m) for n, m in zip(sizes, counts))
         missed = sum(math.prod(math.comb(n - dealt[i][b], m)
                                for i, (n, m) in enumerate(zip(sizes, counts)))
-                     for b in range(1 if fixed else 0, k))
+                     for b in range(k))
         total += Fraction(w * ((k - 1) * whole - missed), whole)
     return float(2 * total)  # rounds the exact ratio once
 
@@ -690,30 +625,27 @@ def _restart_driver(h: Hypergraph,
     """Seeded restarts, each block's load bounded by its capacity.
 
     Restart r draws the shuffle of seed config.seed + r.  An even restart
-    deals it as ``Mode.RANDOM`` does, so on a hypergraph without weight-0
-    vertices, where the snap moves nothing, FM is never worse than the
-    random partition of config.seed; an odd restart deals ``_grown`` of
-    it, each block in one run.  Each kind is dealt in one matrix, and the
-    grown orders only once restart 0 misses the cutoff.  Each restart runs
-    ``_pass`` until a pass fails or ``_MAX_PASSES`` run, then snaps free
-    vertices.  The winner has the lowest (lambda - 1, balance deviation
-    from the capacities, r);
-    returns its assignment, its ``CutReport`` (priced once, for that key),
-    passes, seed and gain updates.
+    deals it as ``Mode.RANDOM`` does, and a pass keeps only a prefix that
+    lowers the cost, so FM is never worse than the random partition of
+    config.seed; an odd restart deals ``_grown`` of it, each block in one
+    run.  Each kind is dealt in one matrix, and the grown orders only once
+    restart 0 misses the cutoff.  Each restart runs ``_pass`` until a pass
+    fails or ``_MAX_PASSES`` run.  The winner has the lowest (lambda - 1,
+    balance deviation from the capacities, r); returns its assignment, its
+    ``CutReport`` (priced once, for that key), passes, seed and gain
+    updates.
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
-    the deal, 0).  Every deal fills the same blocks, no pass empties a
-    block of its qubit vertices and the snap moves only weight-0 vertices,
-    so that bound holds for every restart after its snap; a later restart
-    can at best tie on both and then loses on r.  The result is the one
+    the deal, 0).  Every deal fills the same blocks and no pass empties a
+    block of its qubit vertices, so that bound holds for every restart; a
+    later restart can at best tie on both and then loses on r.  The result is the one
     all ``config.restarts`` restarts give.  All restarts share one engine,
     whose tables are built once.
     """
     n = sum(v.weight for v in h.vertices)
     caps = resolve_capacities(config.capacities, n, config.blocks)
     total = sum(caps)
-    snap = _snapper(h)
-    perms = np.concatenate([*_shuffles(h.n_qubit_vertices(),
+    perms = np.concatenate([*_shuffles(len(h.vertices),
                                        range(config.seed, config.seed + config.restarts))])
     eng = _Engine(h, config.blocks, caps)
 
@@ -726,7 +658,8 @@ def _restart_driver(h: Hypergraph,
 
     best, best_key = None, None
     for r, row in enumerate(deals()):
-        eng.reset(row.tolist())
+        assignment = row.tolist()
+        eng.reset(assignment)  # refined in place
         least = eng.least()
         stats = _PassStats()
         passes = 0
@@ -734,9 +667,6 @@ def _restart_driver(h: Hypergraph,
             passes += 1
             if not _pass(eng, stats):
                 break
-        row[:] = eng.assign
-        snap(row[None])
-        assignment = row.tolist()
         cut = cut_cost(h, assignment, config.blocks)
         key = (cut.lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
@@ -833,7 +763,7 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices), k)
     if config.mode is Mode.RANDOM:
         (assign, (cut_edges,), (ebits,)), = random_deals(
-            h, config, _shuffles(h.n_qubit_vertices(), [config.seed]))
+            h, config, _shuffles(len(h.vertices), [config.seed]))
         cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2,
                         ebits=int(ebits))
         run = (assign[0].tolist(), cut, 0, config.seed, 0)

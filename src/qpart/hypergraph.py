@@ -191,7 +191,9 @@ def import_hmetis(text: str) -> Hypergraph:
     """Parse hMETIS format (fmt absent, 1, 10 or 11) into a plain hypergraph.
 
     Single-pin edges are dropped, since no partition cuts them; the
-    remaining edges keep their file order.
+    remaining edges keep their file order.  Every file edge is checked
+    before the drop, so an error names the edge by its index in the file
+    and gives its pins as written.
     """
     rows = [line.split("//")[0].split("%")[0].strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
@@ -216,6 +218,12 @@ def import_hmetis(text: str) -> Hypergraph:
         weight = 1
         if edge_weighted:
             weight, fields = fields[0], fields[1:]
+        if weight < 0:
+            raise ValueError(f"edge {i} has negative weight {weight}")
+        if not fields:
+            raise ValueError(f"edge {i} has no pins")
+        if len(set(fields)) != len(fields):
+            raise ValueError(f"edge {i} has repeated pins {tuple(fields)}")
         pins = []
         for p in fields:
             if not 1 <= p <= n_vertices:

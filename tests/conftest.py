@@ -20,11 +20,10 @@ def fixture_names() -> list[str]:
 
 
 def deal(h, config, grown=False):
-    """The seeded deal of config.seed before any snap, as a list: the
-    shuffled deal of ``Mode.RANDOM`` and of a driver's even restarts, or
-    with ``grown`` the grown deal that an odd restart refines, each block
-    in one run."""
-    (perms,) = _shuffles(h.n_qubit_vertices(), [config.seed])
+    """The seeded deal of config.seed, as a list: the shuffled deal of
+    ``Mode.RANDOM`` and of a driver's even restarts, or with ``grown`` the
+    grown deal that an odd restart refines, each block in one run."""
+    (perms,) = _shuffles(len(h.vertices), [config.seed])
     if grown:
         perms = _grown(h, perms)
     return _dealer(h, config, runs=grown)(perms)[0].tolist()

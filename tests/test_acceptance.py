@@ -26,7 +26,7 @@ def report(name: str, passed: bool, detail: str) -> str:
 
 
 def random_mean_ebits(h, blocks: int, seeds: int) -> float:
-    draw = _shuffles(h.n_qubit_vertices(), range(seeds))
+    draw = _shuffles(len(h.vertices), range(seeds))
     deals = random_deals(h, PartitionConfig(blocks=blocks), draw)
     return sum(int(ebits.sum()) for *_, ebits in deals) / seeds
 

@@ -474,8 +474,8 @@ def test_cli_partition_hmetis_single_pin_edges(tmp_path, capsys):
 
 def test_cli_partition_hmetis_multi_edge_free_vertex(tmp_path, capsys):
     # weight-0 vertex 1 lies on a weight-1 edge to vertex 2 and a weight-5
-    # edge to vertices 3 and 4; snapping it to its first edge would cut the
-    # heavy one (10 ebits), leaving it with 3 and 4 costs 2
+    # edge to vertices 3 and 4; with 2 apart from 3 and 4, putting it with
+    # 2 cuts the heavy edge (10 ebits), and putting it with 3 and 4 costs 2
     path = tmp_path / "free.hmetis"
     path.write_text("2 4 11\n1 1 2\n5 1 3 4\n0\n1\n1\n1\n")
     for method in ("fm", "kway"):

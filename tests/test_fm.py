@@ -18,7 +18,7 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
 from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _PassStats, _shuffles,
-                      _snapper, expected_ebits, random_deals)
+                      expected_ebits, random_deals)
 
 from conftest import deal, engine, fm_pass, load_fixture
 
@@ -160,9 +160,7 @@ def test_slack_capacities_keep_blocks_occupied():
 def test_mode_dispatch():
     h = build_hypergraph(generate("ghz", 8))
     cfg = PartitionConfig(blocks=4, mode=Mode.RANDOM, restarts=2)
-    a = np.array([deal(h, cfg)])
-    _snapper(h)(a)
-    assert partition(h, cfg).assignment == tuple(a[0].tolist())
+    assert partition(h, cfg).assignment == tuple(deal(h, cfg))
     # two blocks, and direct k-way: the seeded deal, refined by passes
     # until one fails
     for cfg in (PartitionConfig(blocks=2, restarts=1),
@@ -205,23 +203,6 @@ def test_grouped_qft4_bisection(qft4):
     assert res.cut.ebits == 4
 
 
-def test_snapper_moves_only_lone_edge_free_vertices():
-    # qubits 0..3 sit on blocks 1, 2, 0, 2; weight-0 vertices 4..8
-    vertices = [Vertex() for _ in range(4)] + [Vertex(weight=0) for _ in range(4, 9)]
-    h = Hypergraph(vertices, [
-        Hyperedge(pins=(4, 0, 1)),      # 4: one edge over blocks {1, 2}
-        Hyperedge(pins=(5, 2, 3)),      # 5: one edge over blocks {0, 2}
-        Hyperedge(pins=(6, 2)),         # 6: two edges
-        Hyperedge(pins=(6, 3)),
-        Hyperedge(pins=(7, 8)),         # 7 and 8: an edge with no qubit pin
-    ])
-    assign = np.array([[1, 2, 0, 2, 0, 2, 1, 2, 1],
-                       [1, 2, 0, 2, 2, 0, 1, 2, 1]], dtype=np.uint8)
-    _snapper(h)(assign)
-    assert assign.tolist() == [[1, 2, 0, 2, 1, 2, 1, 2, 1],   # 4 moves to the lowest
-                               [1, 2, 0, 2, 2, 0, 1, 2, 1]]   # both inside: stay
-
-
 def test_random_partition_balanced():
     h = build_hypergraph(generate("ghz", 10))
     res = partition(h, PartitionConfig(blocks=2, seed=3, restarts=1, mode=Mode.RANDOM))
@@ -247,7 +228,11 @@ def test_gain_updates_counted():
 
 @st.composite
 def small_hypergraphs(draw):
-    nv = draw(st.integers(4, 10))
+    """4-10 unit vertices and up to 3 weight-0 ones, all at any id and on
+    any edges."""
+    nq, nz = draw(st.integers(4, 10)), draw(st.integers(0, 3))
+    nv = nq + nz
+    zero = set(draw(st.permutations(range(nv)))[:nz])
     ne = draw(st.integers(3, 14))
     edges = []
     for i in range(ne):
@@ -256,7 +241,14 @@ def small_hypergraphs(draw):
                              max_size=arity, unique=True))
         edges.append(Hyperedge(pins=tuple(pins),
                                weight=draw(st.sampled_from([1, 1, 2, 3]))))
-    return Hypergraph([Vertex() for _ in range(nv)], edges)
+    return Hypergraph([Vertex(weight=0 if v in zero else 1) for v in range(nv)], edges)
+
+
+# hMETIS fmt 11 with weight-0 vertices 2 and 5, each on two edges: at seed
+# 99 with one restart, a rule that moves them after the passes can end FM
+# above the random partition of that seed
+TWO_FREE = import_hmetis("5 6 11\n1 3 1\n2 5 4 3\n1 2 3 4\n1 6 3\n3 1 6 4 2\n"
+                         "1\n0\n1\n1\n0\n1\n")
 
 
 @st.composite
@@ -295,19 +287,25 @@ def test_recursive_bisection_side_lighter_than_its_blocks():
     assert sorted(res.loads) == [0, 1, 6]
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_hypergraphs(), st.integers(0, 99))
-def test_fm_never_worse_than_random(h, seed):
-    cfg = PartitionConfig(blocks=2, seed=seed, restarts=2)
+@settings(max_examples=60, deadline=None)
+@given(small_hypergraphs(), st.integers(0, 99), st.integers(1, 2), st.sampled_from([2, 3]))
+@example(TWO_FREE, 99, 1, 2)
+@example(TWO_FREE, 99, 1, 3)
+def test_fm_never_worse_than_random(h, seed, restarts, k):
+    # restart 0 refines the random deal of the seed, at two blocks and in
+    # k-way mode, and a pass keeps only a prefix that lowers the cost
+    cfg = PartitionConfig(blocks=k, seed=seed, restarts=restarts,
+                          mode=Mode.DIRECT_KWAY if k == 3 else Mode.RECURSIVE_BISECT)
     fm = partition(h, cfg)
     rnd = partition(h, replace(cfg, mode=Mode.RANDOM))
     assert fm.cut.lambda_minus_one <= rnd.cut.lambda_minus_one
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_hypergraphs(), st.integers(0, 99))
-def test_fm_never_beats_oracle(h, seed):
-    cfg = PartitionConfig(blocks=2, seed=seed, restarts=4)
+@given(small_hypergraphs(), st.integers(0, 99), st.integers(1, 4))
+@example(TWO_FREE, 99, 1)
+def test_fm_never_beats_oracle(h, seed, restarts):
+    cfg = PartitionConfig(blocks=2, seed=seed, restarts=restarts)
     fm = partition(h, cfg)
     best = brute_force_mincut(h, cfg)
     assert fm.cut.lambda_minus_one >= best.lambda_minus_one
@@ -342,7 +340,6 @@ def every_restart(h, config):
     caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
                               config.blocks)
     n, total = sum(v.weight for v in h.vertices), sum(caps)
-    snap = _snapper(h)
     best, best_key = None, None
     for r in range(config.restarts):
         eng = engine(h, caps, deal(h, replace(config, seed=config.seed + r), grown=r % 2 == 1))
@@ -352,9 +349,7 @@ def every_restart(h, config):
             passes += 1
             if not _pass(eng, stats):
                 break
-        row = np.array([eng.assign])
-        snap(row)
-        assignment = row[0].tolist()
+        assignment = eng.assign
         cut = cut_cost(h, assignment, config.blocks)
         key = (cut.lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
@@ -523,13 +518,11 @@ def _move_ok(eng, v, target):
     src = eng.assign[v]
     if target == src:
         return False
-    if eng.vw[v] == 0:
-        return True
     # the mover itself may overfill the target by its own weight while the
     # pass explores; prefixes are re-checked against the strict bound
     if eng.load[target] > eng.bounds[target]:
         return False
-    return eng.count[src] > 1  # a block must keep at least one qubit vertex
+    return eng.vw[v] == 0 or eng.count[src] > 1  # a block keeps a qubit vertex
 
 
 def _rescan_best_target(eng, v):
@@ -600,26 +593,20 @@ def _rescan_pass(eng, stats, cutoff=False):
 
 @st.composite
 def kway_instances(draw):
-    """Small hypergraphs with weight-0 vertices each on one edge with qubit
-    pins, k in {2, ..., 5},
-    equal, tight or slack capacities, engine bounds up to half again above
-    them, and either a seeded deal or an arbitrary (possibly empty-block,
+    """Small hypergraphs with up to 3 weight-0 vertices on any edges, some
+    of whose edges may hold only weight-0 pins, k in {2, ..., 5}, equal,
+    tight or slack capacities, engine bounds up to half again above them,
+    and either a seeded deal or an arbitrary (possibly empty-block,
     overloaded) assignment."""
     k = draw(st.sampled_from([2, 3, 4, 5]))
     caps_kind = draw(st.sampled_from(["equal", "tight", "slack"]))
     nq = k if caps_kind == "tight" else draw(st.integers(k, 10))
     nz = draw(st.integers(0, 3))
-    vertices = [Vertex() for _ in range(nq)]
+    vertices = [Vertex() for _ in range(nq)] + [Vertex(weight=0) for _ in range(nz)]
     edges = []
-    for z in range(nz):
-        first = draw(st.integers(0, nq - 1))
-        vertices.append(Vertex(weight=0))
-        others = draw(st.lists(st.integers(0, nq - 1).filter(lambda p: p != first),
-                               min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(pins=(nq + z, first, *others)))
     for _ in range(draw(st.integers(2, 14))):
-        arity = draw(st.integers(2, min(4, nq)))
-        pins = draw(st.lists(st.integers(0, nq - 1), min_size=arity,
+        arity = draw(st.integers(2, min(4, nq + nz)))
+        pins = draw(st.lists(st.integers(0, nq + nz - 1), min_size=arity,
                              max_size=arity, unique=True))
         edges.append(Hyperedge(pins=tuple(pins),
                                weight=draw(st.sampled_from([1, 1, 2, 3]))))
@@ -716,8 +703,8 @@ def test_deal_hands_out_heaviest_first(instance):
 
 @st.composite
 def grown_instances(draw):
-    """Qubit vertices in several pieces, some isolated, some with no edge at
-    all, unit or hMETIS weights with weight-0 vertices at any id, and k in
+    """Vertices in several pieces, some isolated, some with no edge at all,
+    unit or hMETIS weights with weight-0 vertices at any id, and k in
     {2, 3, 4} under equal or slack capacities."""
     k = draw(st.integers(2, 4))
     nq = draw(st.integers(k, 12))
@@ -748,14 +735,14 @@ def grown_instances(draw):
 @given(grown_instances())
 def test_grown_deal_keeps_the_shuffled_loads(instance):
     # the grown order of each seed 0-20 is a breadth-first permutation of the
-    # qubit vertices, and its deal fills every block with that seed's
-    # shuffled load, in one run per block at unit weights
+    # vertices, and its deal fills every block with that seed's shuffled
+    # load, in one run per block within each weight
     h, cfg = instance
-    qubits = [v for v, vx in enumerate(h.vertices) if vx.is_qubit]
-    (perms,) = _shuffles(len(qubits), range(21))
+    n = len(h.vertices)
+    (perms,) = _shuffles(n, range(21))
     grown = _grown(h, perms)
     shuffled, dealt = _dealer(h, cfg)(perms), _dealer(h, cfg, runs=True)(grown)
-    pieces = list(range(len(h.vertices)))  # union-find over the edges' qubit pins
+    pieces = list(range(n))  # union-find over the edges' pins
 
     def root(v):
         while pieces[v] != v:
@@ -763,11 +750,10 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
         return v
 
     for e in h.edges:
-        pins = [p for p in e.pins if h.vertices[p].is_qubit]
-        for p in pins[1:]:
-            pieces[root(p)] = root(pins[0])
+        for p in e.pins[1:]:
+            pieces[root(p)] = root(e.pins[0])
     for order, perm, a, b in zip(grown.tolist(), perms.tolist(), shuffled, dealt):
-        assert sorted(order) == list(range(len(qubits)))
+        assert sorted(order) == list(range(n))
         assert order[0] == perm[0]
         loads = [[0] * cfg.blocks for _ in range(2)]
         for v, vx in enumerate(h.vertices):
@@ -776,13 +762,12 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
         assert loads[0] == loads[1]
         # a vertex that opens no piece shares an edge with an earlier one
         seen = set()
-        for i in order:
-            v = qubits[i]
+        for v in order:
             if root(v) in {root(u) for u in seen}:
                 assert any(u in seen for e in h.incidence[v] for u in h.edges[e].pins)
             seen.add(v)
-        if all(h.vertices[v].weight == 1 for v in qubits):
-            blocks = [int(b[qubits[i]]) for i in order]
+        for w in {vx.weight for vx in h.vertices}:
+            blocks = [int(b[v]) for v in order if h.vertices[v].weight == w]
             assert blocks == sorted(blocks)
 
 
@@ -790,8 +775,8 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
 
 @st.composite
 def baseline_instances(draw):
-    """Small hypergraphs with weight-0 vertices with any id, each on an edge
-    of its own with qubit pins and maybe on others, sometimes after an
+    """Small hypergraphs with up to 3 weight-0 vertices with any id on any
+    edges, some of which may hold only weight-0 pins, sometimes after an
     hMETIS round-trip, k in {2, ..., 5}, equal, tight, slack or exhausted
     capacities, and seed counts on both sides of the chunk edge."""
     k = draw(st.integers(2, 5))
@@ -801,11 +786,7 @@ def baseline_instances(draw):
     order = draw(st.permutations(range(n)))   # weight-0 vertices get any id
     zero_ids = set(order[nq:])
     vertices = [Vertex(weight=0 if i in zero_ids else 1) for i in range(n)]
-    qubits = order[:nq]
     edges = []
-    for z in order[nq:]:
-        others = draw(st.lists(st.sampled_from(qubits), min_size=1, max_size=3, unique=True))
-        edges.append(Hyperedge(pins=(z, *others)))
     for _ in range(draw(st.integers(0, 12))):
         arity = draw(st.integers(2, min(4, n)))
         pins = draw(st.lists(st.integers(0, n - 1), min_size=arity,
@@ -837,7 +818,7 @@ def random_rows(h, cfg, seeds):
     """(assignment, cut edges, ebits) of ``random_deals`` for each seed."""
     return [(tuple(row), cut, ebits)
             for assign, cuts, ebits_col in random_deals(
-                h, cfg, _shuffles(h.n_qubit_vertices(), seeds))
+                h, cfg, _shuffles(len(h.vertices), seeds))
             for row, cut, ebits in zip(assign.tolist(), cuts.tolist(), ebits_col.tolist())]
 
 
@@ -871,7 +852,7 @@ def test_random_baseline_memory_flat_in_seed_count():
     cfg = PartitionConfig(blocks=4)
 
     def mean_ebits(count):
-        deals = random_deals(h, cfg, _shuffles(h.n_qubit_vertices(), range(count)))
+        deals = random_deals(h, cfg, _shuffles(len(h.vertices), range(count)))
         return sum(int(ebits.sum()) for *_, ebits in deals) / count
 
     mean_ebits(10)
@@ -890,13 +871,42 @@ def test_random_baseline_memory_flat_in_seed_count():
 
 # -- the exact random baseline against every deal and against sampling ----
 
+def arrangements(counts: list[int]):
+    """Every distinct sequence holding counts[b] copies of each b."""
+    if not any(counts):
+        yield ()
+        return
+    for b, c in enumerate(counts):
+        if c:
+            counts[b] -= 1
+            for rest in arrangements(counts):
+                yield (b, *rest)
+            counts[b] += 1
+
+
 def every_deal_mean(h: Hypergraph, cfg: PartitionConfig) -> Fraction:
     """The exact mean ebits of ``random_deals`` over all n! shuffles of the
-    n qubit vertices."""
-    n = h.n_qubit_vertices()
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    total = sum(int(ebits.sum()) for *_, ebits in random_deals(h, cfg, [perms]))
-    return Fraction(total, len(perms))
+    n vertices.  Every shuffle gives each weight class the blocks of the
+    seed-0 deal, c_wb of them in block b, so each distinct deal comes from
+    the product of c_wb! over classes and blocks shuffles, and the mean over
+    the distinct deals, priced with ``cut_cost``, is the mean over every
+    shuffle."""
+    first = deal(h, cfg)
+    classes = {}  # weight -> its vertices, and their blocks per block
+    for v, vx in enumerate(h.vertices):
+        vs, counts = classes.setdefault(vx.weight, ([], [0] * cfg.blocks))
+        vs.append(v)
+        counts[first[v]] += 1
+    total = count = 0
+    for blocks in itertools.product(*(list(arrangements(counts))
+                                      for _, counts in classes.values())):
+        assignment = [0] * len(h.vertices)
+        for (vs, _), bs in zip(classes.values(), blocks):
+            for v, b in zip(vs, bs):
+                assignment[v] = b
+        total += cut_cost(h, assignment, cfg.blocks).ebits
+        count += 1
+    return Fraction(total, count)
 
 
 def weighted_instance(seed: int) -> tuple[Hypergraph, PartitionConfig]:
@@ -925,36 +935,34 @@ def _z(i):
     return Vertex(weight=0)
 
 
-# each names the weight-0 source or snap rule it exercises; the deal puts
-# every weight-0 vertex in vertex 0's block, and the snap may then move it
+# each names a shape of weight-0 vertices and edges; weight 0 is one more
+# weight class of the deal
 WEIGHT0_CASES = {
-    # a weight-0 vertex on one edge with qubit pins: the snap moves it there
+    # a weight-0 vertex on one edge with unit and weight-2 pins
     "anchored to a qubit": Hypergraph(
         [_q(0), _q(1, 2), _q(2), _q(3), _z(4)],
         [Hyperedge(pins=(4, 1, 2, 3)), Hyperedge(pins=(0, 1)),
          Hyperedge(pins=(2, 3), weight=2)]),
-    # vertex 1's one edge holds only the later weight-0 vertex 4 besides it,
-    # so it is not snapped and reads vertex 0's block, as vertex 4 does on
-    # its two edges
+    # an edge of two weight-0 pins, one of which lies on a second edge
     "anchored to a later weight-0 vertex": Hypergraph(
         [_q(0), _z(1), _q(2, 2), _q(3), _z(4), _q(5)],
         [Hyperedge(pins=(1, 4)), Hyperedge(pins=(4, 0, 5)),
          Hyperedge(pins=(2, 3)), Hyperedge(pins=(3, 5))]),
-    # vertex 2 lies on two edges, so it reads vertex 0's block, a qubit's
+    # two weight-0 vertices, one on two edges, one on an edge of three pins
     "anchored to nothing": Hypergraph(
         [_q(0, 3), _q(1), _z(2), _q(3), _q(4, 2), _z(5)],
         [Hyperedge(pins=(2, 1)), Hyperedge(pins=(2, 3, 4)), Hyperedge(pins=(5, 4, 1))]),
-    # vertex 0 is weight-0, so every unsnapped weight-0 vertex reads block 0
+    # vertex 0 is weight-0, and both weight-0 vertices lie on two edges
     "vertex 0 is weight-0": Hypergraph(
         [_z(0), _q(1), _q(2, 2), _z(3), _q(4), _q(5, 3)],
         [Hyperedge(pins=(0, 1, 2)), Hyperedge(pins=(0, 4)), Hyperedge(pins=(3, 5)),
          Hyperedge(pins=(3, 1, 2))]),
-    # a weight-0 vertex on two edges reads vertex 0's block on both
+    # a weight-0 vertex on two edges, one of them heavy
     "weight-0 vertex on two edges": Hypergraph(
         [_q(0), _q(1), _z(2), _q(3, 2), _q(4), _q(5)],
         [Hyperedge(pins=(2, 0, 1)), Hyperedge(pins=(2, 4, 5), weight=3),
          Hyperedge(pins=(3, 4))]),
-    # edge 0's only source is block 0: two unsnapped weight-0 columns
+    # an edge of only weight-0 pins, each of which lies on one more edge
     "only source is block 0": Hypergraph(
         [_z(0), _q(1), _z(2), _q(3), _q(4), _q(5, 2)],
         [Hyperedge(pins=(0, 2)), Hyperedge(pins=(0, 1, 3)), Hyperedge(pins=(2, 4, 5)),

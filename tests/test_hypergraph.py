@@ -248,7 +248,11 @@ def test_import_hmetis_fmt1():
     ("1 2 99\n1 2\n", "unsupported"),
     ("2 3\n1 2\n", "expected"),
     ("1 2\n1 3\n", "out of range"),
-], ids=["empty", "header", "fmt", "linecount", "pin"])
+    # a dropped single-pin edge comes first: the error names the file's edge
+    ("3 3 1\n1 1\n2\n1 2 3\n", "^edge 1 has no pins$"),
+    ("3 3\n1\n1 1 2\n2 3\n", r"^edge 1 has repeated pins \(1, 1, 2\)$"),
+    ("2 2 1\n1 1\n-2 1 2\n", "^edge 1 has negative weight -2$"),
+], ids=["empty", "header", "fmt", "linecount", "pin", "no-pins", "repeat", "negative"])
 def test_import_hmetis_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         import_hmetis(text)

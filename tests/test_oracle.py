@@ -236,8 +236,9 @@ def test_oracle_guards():
     h = Hypergraph([Vertex(weight=3), Vertex()], [Hyperedge(pins=(0, 1))])
     with pytest.raises(ValueError, match="no capacity-feasible"):
         brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 2)))
-    # a weight-0 vertex on two edges: its best block depends on both
+    # a weight-0 vertex on two edges is enumerated like any other: it joins
+    # the heavy edge's pins and cuts only the light edge
     h = Hypergraph([Vertex(weight=0), Vertex(), Vertex(), Vertex()],
                    [Hyperedge(pins=(0, 1)), Hyperedge(pins=(0, 2, 3), weight=5)])
-    with pytest.raises(ValueError, match="weight-0 vertex 0 lies on 2 edges"):
-        brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 1)))
+    res = brute_force_mincut(h, PartitionConfig(blocks=2, capacities=(2, 1)))
+    assert res.lambda_minus_one == 1
