@@ -93,7 +93,8 @@ class CircuitJob:
     @classmethod
     def parse(cls, entry) -> "CircuitJob":
         """Accepts {"family","n","seed"?}, {"file"}, "family:n[:seed]", or a
-        path; any other entry is a ValueError naming the bad field."""
+        path; any other entry, or a shorthand with an extra or a non-integer
+        field, is a ValueError naming the bad field or the shorthand."""
         if isinstance(entry, dict):
             _known(f"circuit {entry!r}", entry,
                    ("file",) if "file" in entry else ("family", "n", "seed"))
@@ -108,13 +109,14 @@ class CircuitJob:
             return cls(label=f"{fam.value}{n}", family=fam, n=n, gen_seed=seed)
         text = _typed("circuits", entry, str,
                       "a list of 'family:n[:seed]' strings, paths or objects")
-        head = text.split(":", 1)[0]
-        if ":" in text and head in {f.value for f in CircuitFamily}:
-            parts = text.split(":")
-            fam = CircuitFamily(parts[0])
-            n = int(parts[1])
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            return cls(label=f"{fam.value}{n}", family=fam, n=n, gen_seed=seed)
+        family, *fields = text.split(":")
+        if fields and family in {f.value for f in CircuitFamily}:
+            try:  # one field is n; a third one fails to unpack
+                n, seed = map(int, fields if len(fields) == 2 else [*fields, 0])
+            except ValueError:
+                raise ValueError(f"circuit {text!r} is not of the form family:n[:seed] "
+                                 "with an integer n and seed") from None
+            return cls(label=f"{family}{n}", family=CircuitFamily(family), n=n, gen_seed=seed)
         return cls(label=Path(text).stem, path=text)
 
     def load(self) -> Circuit:
@@ -148,6 +150,8 @@ class SuiteSpec:
             raise ValueError("capacities must align with parts, one profile per k")
         if self.seed_to <= self.seed_from:
             raise ValueError("empty seed range")
+        if self.mode is Mode.RANDOM:  # the FM rows would be random deals labelled FM
+            raise ValueError("suite field 'mode' must be fm or kway, not 'random'")
 
     @classmethod
     def from_json(cls, data) -> "SuiteSpec":

@@ -81,7 +81,7 @@ def _cmd_partition(args) -> int:
         if args.emit:
             raise QasmError("--emit needs a circuit, not a hypergraph file")
         h = import_hmetis(Path(args.file).read_text())
-        name, n = Path(args.file).stem, h.n_qubit_vertices()
+        name, n = Path(args.file).stem, len(h.vertices)
     else:
         circuit = _load_circuit(args.file)
         groups = find_groups(circuit) if args.grouping == "on" else None

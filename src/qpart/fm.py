@@ -28,7 +28,8 @@ in closed form; it is the CLI's baseline and the bench's grouped one.
 
 A vertex weight counts only toward the load bound, as in hMETIS, and a
 weight-0 vertex (hMETIS files only) is the lightest weight class and
-nothing else: it is shuffled, dealt, moved and priced like any other.
+nothing else: it is shuffled, dealt, moved and priced like any other,
+and it keeps its block in use.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
 cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
@@ -80,8 +81,8 @@ class Mode(Enum):
 class PartitionConfig:
     """Knobs of ``partition``, the one partitioning entry point.
 
-    capacities=None means an equal split of the qubit count over the
-    blocks; a block's capacity is its load bound.  restarts run the seeds
+    capacities=None means an equal split of the total vertex weight over
+    the blocks; a block's capacity is its load bound.  restarts run the seeds
     seed, seed+1, ... and keep the best result.  It is an upper bound: the
     restarts stop early once one reaches a cost no later restart can beat,
     with the result all of them would give.
@@ -111,7 +112,8 @@ def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
     gives every block at least one unit, as ``PartitionConfig`` requires of
     explicit ones.
 
-    Raises InfeasibleError when the total capacity cannot host n qubits.
+    Raises InfeasibleError when the total capacity is below n, the total
+    vertex weight.
     """
     if capacities is None:
         base, extra = divmod(n, blocks)
@@ -164,7 +166,6 @@ class _Engine:
         self.ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         self.inc = h.incidence
-        self.qubits = [i for i, v in enumerate(h.vertices) if v.is_qubit]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top]; a masked or dead entry lies below -top
         self.top = sum(self.ew)
@@ -179,26 +180,27 @@ class _Engine:
 
     def reset(self, assignment: list[int]) -> None:
         """Refine ``assignment`` from now on, in place; only the per-edge
-        pin counts and the per-block loads are rebuilt."""
+        pin counts and the per-block tallies are rebuilt."""
         k = self.k
         self.assign = assignment
         self.phi = [[0] * k for _ in self.pins]
         for row, pins in zip(self.phi, self.pins):
             for p in pins:
                 row[assignment[p]] += 1
-        self.load = [0] * k   # qubit weight per block
-        self.count = [0] * k  # qubit vertices per block
+        self.load = [0] * k   # vertex weight per block
+        self.count = [0] * k  # vertices per block
+        self.xor = [0] * k    # XOR of the block's vertex ids: its lone vertex at count 1
         for v, b in enumerate(assignment):
-            w = self.vw[v]
-            self.load[b] += w
-            self.count[b] += 1 if w > 0 else 0
+            self.load[b] += self.vw[v]
+            self.count[b] += 1
+            self.xor[b] ^= v
 
     def least(self) -> int:
-        """A lower bound on the cost of every assignment whose blocks holding
-        a qubit vertex include those that hold one now: a connected piece of
-        the hypergraph over b blocks costs at least (b - 1) times the
-        lightest edge, and every block in use holds some piece.  Never
-        below 0, the cost of any assignment."""
+        """A lower bound on the cost of every assignment whose occupied
+        blocks include those occupied now: a connected piece of the
+        hypergraph over b blocks costs at least (b - 1) times the lightest
+        edge, and every block in use holds some piece.  Never below 0, the
+        cost of any assignment."""
         return max(0, self.w_min * (self.k - self.count.count(0) - self.pieces))
 
     def overloaded(self) -> int:
@@ -234,8 +236,9 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     weight to its pins once, in a column shared by every target, and
     subtracts it again from the blocks it misses, which at k=2 are none.
     Entries that may not move sit below every real gain: a vertex's own
-    block and locked vertices hold ``dead``, and the lone qubit vertex of a
-    block carries a ``-mask`` offset that delta updates leave exact.
+    block and locked vertices hold ``dead``, and the lone vertex of a block,
+    ``eng.xor[b]`` while ``eng.count[b]`` is 1, carries a ``-mask`` offset
+    that delta updates leave exact.
 
     Each cache write of a real gain g of a move to t pushes the one int
     ``(top - g) * n + v`` on t's lazy min-heap, whatever v weighs.  ``top``
@@ -253,17 +256,17 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
     and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
     at each lock in O(deg v).  ``least`` is ``eng.least()``: the lightest
-    edge weight times the blocks holding a qubit vertex less the
-    hypergraph's connected pieces.  Every later prefix costs at least
-    both, so the pass stops once either reaches the best feasible cost,
-    before the first move when the start cost is already that low.  Only
-    strictly better feasible prefixes are kept, so the prefix, the
-    assignment and the result match a pass run until no vertex may move.
+    edge weight times the occupied blocks less the hypergraph's connected
+    pieces.  Every later prefix costs at least both, so the pass stops
+    once either reaches the best feasible cost, before the first move when
+    the start cost is already that low.  Only strictly better feasible
+    prefixes are kept, so the prefix, the assignment and the result match
+    a pass run until no vertex may move.
     The moves past the best prefix are then undone in reverse.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
-    load, count, bounds, others = eng.load, eng.count, eng.bounds, eng.others
+    load, count, xor, bounds, others = eng.load, eng.count, eng.xor, eng.bounds, eng.others
     top, mask, dead = eng.top, eng.mask, eng.dead
     floor = -top
     n = len(vw)
@@ -289,9 +292,6 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                 col = gains[t]
                 for u in pins[e]:
                     col[u] -= w
-    members: list[set[int]] = [set() for _ in range(k)]  # qubit vertices
-    for v in eng.qubits:
-        members[assign[v]].add(v)
     for v in range(n):
         gains[assign[v]][v] = dead
     updates = n * (k - 1)
@@ -307,18 +307,17 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
             if g >= floor:
                 heappush(heaps[t], (top - g) * n + u)
 
-    # a block's lone qubit vertex is masked exactly while it is unlocked
+    # a block's lone vertex is masked exactly while it is unlocked
     for b in range(k):
         if count[b] == 1:
-            (u,) = members[b]
-            shift(u, -mask)
+            shift(xor[b], -mask)
             updates += k - 1
 
     locked = [False] * n
     seen = [0] * len(pins)
     locked_cost = 0
-    # no block loses its last qubit vertex, so every prefix spans at least
-    # the blocks that hold one now
+    # no block loses its last vertex, so every prefix spans at least the
+    # blocks occupied now
     least = eng.least()
     cur = best_cost = start_cost
     best_prefix = 0
@@ -392,25 +391,20 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
                         break
         assign[v] = target
         w = vw[v]
-        if w > 0:
-            over -= (load[src] > bounds[src]) + (load[target] > bounds[target])
-            load[src] -= w
-            load[target] += w
-            over += (load[src] > bounds[src]) + (load[target] > bounds[target])
-            count[src] -= 1
-            count[target] += 1
-            members[src].remove(v)
-            if count[src] == 1:
-                (u,) = members[src]
-                if not locked[u]:
-                    shift(u, -mask)
-                    updates += k - 1
-            if count[target] == 2:
-                (u,) = members[target]
-                if not locked[u]:
-                    shift(u, mask)
-                    updates += k - 1
-            members[target].add(v)
+        over -= (load[src] > bounds[src]) + (load[target] > bounds[target])
+        load[src] -= w
+        load[target] += w
+        over += (load[src] > bounds[src]) + (load[target] > bounds[target])
+        count[src] -= 1
+        count[target] += 1
+        xor[src] ^= v
+        xor[target] ^= v
+        if count[src] == 1 and not locked[u := xor[src]]:
+            shift(u, -mask)
+            updates += k - 1
+        if count[target] == 2 and not locked[u := xor[target] ^ v]:
+            shift(u, mask)
+            updates += k - 1
 
         cur -= best_g
         moves.append((v, src))
@@ -428,12 +422,12 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
             row[target] -= 1
             row[src] += 1
         assign[v] = src
-        w = vw[v]
-        load[target] -= w
-        load[src] += w
-        if w > 0:
-            count[target] -= 1
-            count[src] += 1
+        load[target] -= vw[v]
+        load[src] += vw[v]
+        count[target] -= 1
+        count[src] += 1
+        xor[target] ^= v
+        xor[src] ^= v
     return best_cost < start_cost
 
 
@@ -444,17 +438,18 @@ def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
     """Block of the pos-th dealt vertex, whose weight is weights[pos].
 
     Position pos < k goes to block pos when it fits there, so no block
-    starts empty; every other vertex goes to the block with the most
-    remaining capacity (lowest index on ties) and spends its weight there,
-    even when it fits nowhere: ``partition`` then reports that block over
-    its capacity.  With every weight 1 each vertex fits, and the sequence
-    is that of one capacity unit per vertex.
+    starts empty; a weight-0 vertex takes no capacity and goes to block
+    pos % k.  Every other vertex goes to the block with the most remaining
+    capacity (lowest index on ties) and spends its weight there, even when
+    it fits nowhere: ``partition`` then reports that block over its
+    capacity.  With every weight 1 each vertex fits, and the sequence is
+    that of one capacity unit per vertex.
     """
     remaining = list(caps)
     blocks = []
     for pos, w in enumerate(weights):
-        if pos < k and remaining[pos] >= w:
-            b = pos
+        if w == 0 or pos < k and remaining[pos] >= w:
+            b = pos % k
         else:
             b = max(range(k), key=lambda i: (remaining[i], -i))
         blocks.append(b)
@@ -637,9 +632,9 @@ def _restart_driver(h: Hypergraph,
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
     the deal, 0).  Every deal fills the same blocks and no pass empties a
-    block of its qubit vertices, so that bound holds for every restart; a
-    later restart can at best tie on both and then loses on r.  The result is the one
-    all ``config.restarts`` restarts give.  All restarts share one engine,
+    block, so that bound holds for every restart; a later restart can at
+    best tie on both and then loses on r.  The result is the one all
+    ``config.restarts`` restarts give.  All restarts share one engine,
     whose tables are built once.
     """
     n = sum(v.weight for v in h.vertices)
@@ -686,13 +681,14 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
     sums, and each split runs ``_restart_driver`` over two sides.  A side's
     capacity is its blocks' capacity sum, but at most the part's weight
     less one unit for each block of the other side, so that every block
-    keeps a qubit vertex, and at least 1; the split is dealt and bounded by
-    it.  A part is lighter than its blocks only when the split above it
-    stayed over a side capacity, which takes weighted vertices; it still
-    splits, and leaves a block empty.  Each side keeps the restriction of
-    every edge with two or more pins inside it, so later splits of an
-    already cut edge are charged exactly once more, matching the global
-    metric.
+    keeps a vertex of weight 1 or more, and at least 1; the split is dealt
+    and bounded by it.  ``partition`` sends input lighter than its blocks
+    to the one driver, so a part is lighter than its blocks only when the
+    split above it stayed over a side capacity, which takes vertices
+    heavier than 1; it still splits, and leaves a block empty.  Each side
+    keeps the restriction of every edge with two or more pins inside it,
+    so later splits of an already cut edge are charged exactly once more,
+    matching the global metric.
     """
     assignment = [0] * len(h.vertices)
     passes_total = 0
@@ -747,29 +743,35 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
 def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """Partition ``h`` as config.mode says: the random deal, one restart
     driver over all blocks (two blocks, or ``Mode.DIRECT_KWAY``), or
-    recursive bisection built from that driver.
+    recursive bisection built from that driver.  Bisection reserves one
+    unit of weight for each block of the other side at every split, so
+    input that weighs less than its block count, which only weight-0
+    vertices can fill, runs the one driver, whose pass keeps every block in
+    use.
 
     Every mode gives an (assignment, cut, passes, seed, gain updates)
     record, priced where it was made: the random row by ``random_deals``,
     the driver's winner by the driver.  Only recursive bisection, which has
     no single winner, is priced here with ``cut_cost``.
 
-    Raises InfeasibleError when the capacities cannot host the qubits, or
+    Raises ValueError when there are more blocks than vertices, and
+    InfeasibleError when the capacities cannot host the vertex weights, or
     when a block of the result holds more than its capacity: the deal puts
     a hypergraph vertex that fits in no block into the one with the most
     room left, and FM keeps only prefixes within every capacity.
     """
     k = config.blocks
-    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices), k)
+    weight = sum(v.weight for v in h.vertices)
+    caps = resolve_capacities(config.capacities, weight, k)
     if config.mode is Mode.RANDOM:
         (assign, (cut_edges,), (ebits,)), = random_deals(
             h, config, _shuffles(len(h.vertices), [config.seed]))
         cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2,
                         ebits=int(ebits))
         run = (assign[0].tolist(), cut, 0, config.seed, 0)
-    elif k > max(h.n_qubit_vertices(), 1):
-        raise ValueError(f"{k} blocks exceed the {h.n_qubit_vertices()} qubit vertices")
-    elif k == 2 or config.mode is Mode.DIRECT_KWAY:
+    elif k > len(h.vertices):
+        raise ValueError(f"{k} blocks exceed the {len(h.vertices)} vertices")
+    elif k == 2 or config.mode is Mode.DIRECT_KWAY or weight < k:
         run = _restart_driver(h, config)
     else:
         assignment, passes, updates = _recursive_bisection(h, config, caps)

@@ -21,7 +21,10 @@ from .grouping import GateGroup
 
 @dataclass(frozen=True, kw_only=True)
 class Vertex:
-    """A qubit vertex of positive weight, or a weight-0 one (hMETIS only)."""
+    """A vertex: a qubit of weight 1, or an hMETIS vertex of any weight
+    from 0 up.  The weight counts only toward the load bound; a vertex of
+    any weight, 0 included, keeps its block in use.  ``is_qubit`` is read
+    only by perfbench's tests."""
 
     weight: int = 1
 
@@ -68,9 +71,6 @@ class Hypergraph:
             for p in e.pins:
                 if not 0 <= p < n:
                     raise ValueError(f"edge {i} pin {p} out of range")
-
-    def n_qubit_vertices(self) -> int:
-        return sum(1 for v in self.vertices if v.is_qubit)
 
 
 def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:

@@ -26,20 +26,19 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
 
     ``config`` is a PartitionConfig; its blocks and capacities define the
     feasible set.  Enumerates every capacity-feasible placement of every
-    vertex in which each block holds a vertex of positive weight; a
-    weight-0 vertex fits in any block.  Guarded to small instances on
-    purpose.
+    vertex in which each block holds a vertex; a weight-0 vertex fits in
+    any block and keeps it in use.  Guarded to small instances on purpose.
     """
     from .fm import resolve_capacities  # local import, no cycle at module load
 
     blocks = config.blocks
-    n, n_qubits = len(h.vertices), h.n_qubit_vertices()
+    n = len(h.vertices)
     if n > MAX_ORACLE_VERTICES:
         raise ValueError(f"{n} vertices exceeds the oracle limit")
     if not 2 <= blocks <= MAX_ORACLE_BLOCKS:
         raise ValueError(f"oracle handles 2..{MAX_ORACLE_BLOCKS} blocks, got {blocks}")
-    if blocks > n_qubits:
-        raise ValueError(f"{blocks} blocks exceed the {n_qubits} weighted vertices")
+    if blocks > n:
+        raise ValueError(f"{blocks} blocks exceed the {n} vertices")
     vweight = [v.weight for v in h.vertices]
     caps = resolve_capacities(config.capacities, sum(vweight), blocks)
 
@@ -51,12 +50,12 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     best_cost = None
     best = None
     loads = [0] * blocks
-    counts = [0] * blocks  # vertices of positive weight
+    counts = [0] * blocks  # vertices per block
 
     def walk(v: int):
         nonlocal best_cost, best
         if v == n:
-            if 0 in counts:  # every block must host a qubit vertex
+            if 0 in counts:  # every block must host a vertex
                 return
             cost = 0
             for pins, w in zip(edge_pins, weights):
@@ -68,16 +67,15 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
                 best = assign.copy()
             return
         choices = range(1) if (symmetric and v == 0) else range(blocks)
-        qubit = vweight[v] > 0
         for b in choices:
             if loads[b] + vweight[v] > caps[b]:
                 continue
             loads[b] += vweight[v]
-            counts[b] += qubit
+            counts[b] += 1
             assign[v] = b
             walk(v + 1)
             loads[b] -= vweight[v]
-            counts[b] -= qubit
+            counts[b] -= 1
         assign[v] = 0
 
     walk(0)

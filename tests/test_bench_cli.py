@@ -31,6 +31,7 @@ def test_job_parse_shorthand():
     assert (job.label, job.family, job.n) == ("ghz10", CircuitFamily.GHZ, 10)
     job = CircuitJob.parse("random:8:3")
     assert (job.family, job.n, job.gen_seed) == (CircuitFamily.RANDOM_LAYERED, 8, 3)
+    assert CircuitJob.parse("random:8:-3").gen_seed == -3
 
 
 def test_job_parse_dict_and_path():
@@ -426,6 +427,11 @@ def test_cli_input_errors_exit1(capsys, tmp_path):
     bad.write_text("OPENQASM 2.0; qreg q[1]; bogus q[0];")
     assert main(["stats", str(bad)]) == 1
     capsys.readouterr()
+    # a shorthand with an extra or a non-integer field names itself and its form
+    for arg in ("ghz:4:1:9", "ghz:x"):
+        assert main(["stats", arg]) == 1
+        assert capsys.readouterr().err == (f"error: circuit {arg!r} is not of the form "
+                                           "family:n[:seed] with an integer n and seed\n")
 
 
 def test_cli_hmetis_stdout(capsys):
@@ -497,7 +503,7 @@ def test_cli_partition_hmetis_over_capacity_exit2(tmp_path, capsys):
 
 def test_cli_partition_hmetis_weighted_deal_fits(tmp_path, capsys):
     # only {1,3} / {2} fits 10,4; the deal must place both weight-5 vertices
-    # first, since FM may not move a block's last qubit vertex
+    # first, since FM may not move a block's last vertex
     path = tmp_path / "weighted.hmetis"
     path.write_text("3 3 10\n1 3 2\n2 1\n3 2\n5\n1\n5\n")
     for method in ("fm", "kway", "random"):
@@ -593,9 +599,12 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     ({"circuits": ["ghz:4"], "seeds": {"from": 0, "too": 2}}, "'too'"),
     ({"circuits": [{"family": "ghz", "n": 4, "sead": 1}]}, "'sead'"),
     ({"circuits": ["ghz:4"], "epsilon": 0.2}, "'epsilon'"),
+    # the FM and FMGrouped rows of a random mode would be random deals labelled FM
+    ({"circuits": ["ghz:4"], "mode": "random"}, "'mode'"),
+    ({"circuits": ["ghz:4:1:9"]}, "'ghz:4:1:9'"),
 ], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
         "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key",
-        "epsilon"])
+        "epsilon", "mode-random", "shorthand-extra-field"])
 def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
     # a malformed suite is one error line, not a traceback or an empty run
     suite = tmp_path / "suite.json"

@@ -273,7 +273,7 @@ def test_recursive_bisection_fills_every_qpu_within_capacity(instance):
     # that a block of the other side is left without a qubit
     h, cfg = instance
     res = partition(h, cfg)
-    caps = resolve_capacities(cfg.capacities, h.n_qubit_vertices(), cfg.blocks)
+    caps = resolve_capacities(cfg.capacities, len(h.vertices), cfg.blocks)
     assert all(0 < load <= cap for load, cap in zip(res.loads, caps)), res.loads
 
 
@@ -311,13 +311,56 @@ def test_fm_never_beats_oracle(h, seed, restarts):
     assert fm.cut.lambda_minus_one >= best.lambda_minus_one
 
 
+@st.composite
+def weight0_instances(draw):
+    """hMETIS-style graphs of 1-5 unit vertices and 1-3 weight-0 ones at any
+    id, k from 2 up to the vertex count (at most the oracle's 4 blocks),
+    equal capacities or any of at least one unit each, in either FM mode."""
+    nq, nz = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = nq + nz
+    zero = set(draw(st.permutations(range(n)))[:nz])
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        arity = draw(st.integers(2, min(4, n)))
+        pins = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True))
+        edges.append(Hyperedge(pins=tuple(pins), weight=draw(st.sampled_from([1, 1, 2, 3]))))
+    h = Hypergraph([Vertex(weight=0 if v in zero else 1) for v in range(n)], edges)
+    k = draw(st.integers(2, min(n, 4)))
+    caps = draw(st.none() | st.tuples(*[st.integers(1, nq + 1)] * k))
+    return h, PartitionConfig(blocks=k, capacities=caps, restarts=draw(st.integers(1, 3)),
+                              seed=draw(st.integers(0, 99)),
+                              mode=draw(st.sampled_from([Mode.RECURSIVE_BISECT,
+                                                         Mode.DIRECT_KWAY])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight0_instances())
+# one unit vertex and two weight-0 ones on a chain, over three QPUs
+@example((import_hmetis("2 3 11\n1 1 2\n1 2 3\n1\n0\n0\n"), PartitionConfig(blocks=3)))
+@example((import_hmetis("2 3 11\n1 1 2\n1 2 3\n1\n0\n0\n"),
+          PartitionConfig(blocks=3, seed=1)))
+def test_weight0_vertices_keep_every_qpu_in_use(instance):
+    # a vertex of any weight keeps its block in use, so FM fills every QPU
+    # within its capacity, and refuses only what the oracle cannot place
+    h, cfg = instance
+    try:
+        res = partition(h, cfg)
+    except InfeasibleError:
+        with pytest.raises(ValueError, match="capacities sum|no capacity-feasible"):
+            brute_force_mincut(h, cfg)
+        return
+    caps = resolve_capacities(cfg.capacities, sum(v.weight for v in h.vertices), cfg.blocks)
+    assert all(load <= cap for load, cap in zip(res.loads, caps)), (res.loads, caps)
+    assert set(res.assignment) == set(range(cfg.blocks)), res.assignment
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_hypergraphs(), st.integers(0, 99), st.sampled_from([2, 3]))
 def test_partition_invariants(h, seed, k):
     cfg = PartitionConfig(blocks=k, seed=seed, restarts=2,
                           mode=Mode.DIRECT_KWAY if k == 3 else Mode.RECURSIVE_BISECT)
     res = partition(h, cfg)
-    caps = resolve_capacities(None, h.n_qubit_vertices(), k)
+    caps = resolve_capacities(None, sum(v.weight for v in h.vertices), k)
     loads = [0] * k
     for b, v in zip(res.assignment, h.vertices):
         assert 0 <= b < k
@@ -391,7 +434,7 @@ def restart_instances(draw):
         h = Hypergraph(vertices, edges)
     blocks, mode = draw(st.sampled_from([(2, Mode.RECURSIVE_BISECT), (3, Mode.DIRECT_KWAY),
                                          (4, Mode.RECURSIVE_BISECT)]))
-    assume(blocks <= h.n_qubit_vertices())
+    assume(blocks <= len(h.vertices))
     equal = resolve_capacities(None, sum(v.weight for v in h.vertices), blocks)
     caps = draw(st.none() | st.tuples(*(st.integers(c, c + 2) for c in equal)))
     return h, PartitionConfig(blocks=blocks, mode=mode, capacities=caps,
@@ -501,15 +544,15 @@ def _locked_bound(eng, locked):
 
 def _spread_bound(eng):
     """Least cost of any assignment whose vertices span at least the blocks
-    that hold a qubit vertex now: a connected piece over b blocks cuts at
-    least b - 1 times the lightest edge."""
+    that hold a vertex now: a connected piece over b blocks cuts at least
+    b - 1 times the lightest edge."""
     n = len(eng.vw)
     piece = list(range(n))
     for pins in eng.pins:                 # merge the pieces the edge touches
         merged = {piece[p] for p in pins}
         piece = [min(merged) if x in merged else x for x in piece]
     pieces = len(set(piece))
-    spanned = len({b for b, w in zip(eng.assign, eng.vw) if w > 0})
+    spanned = len(set(eng.assign))
     return min(eng.ew, default=0) * (spanned - pieces)
 
 
@@ -522,7 +565,7 @@ def _move_ok(eng, v, target):
     # pass explores; prefixes are re-checked against the strict bound
     if eng.load[target] > eng.bounds[target]:
         return False
-    return eng.vw[v] == 0 or eng.count[src] > 1  # a block keeps a qubit vertex
+    return eng.assign.count(src) > 1  # a block keeps a vertex, whatever it weighs
 
 
 def _rescan_best_target(eng, v):
@@ -537,18 +580,14 @@ def _rescan_best_target(eng, v):
 
 
 def _apply(eng, v, target):
-    """Move v to target in the engine's pin counts, loads and counts."""
+    """Move v to target in the engine's pin counts and loads."""
     src = eng.assign[v]
     for e in eng.inc[v]:
         eng.phi[e][src] -= 1
         eng.phi[e][target] += 1
     eng.assign[v] = target
-    w = eng.vw[v]
-    eng.load[src] -= w
-    eng.load[target] += w
-    if w > 0:
-        eng.count[src] -= 1
-        eng.count[target] += 1
+    eng.load[src] -= eng.vw[v]
+    eng.load[target] += eng.vw[v]
 
 
 def _rescan_pass(eng, stats, cutoff=False):
@@ -637,6 +676,9 @@ def test_kway_gain_cache_matches_rescan(instance):
         improved = _pass(cached, got)
         assert improved == _rescan_pass(full, _PassStats())
         assert cached.assign == full.assign
+        # the moves and the rollback leave every per-block tally exact
+        fresh = engine(h, bounds, list(cached.assign))
+        assert (cached.load, cached.count, cached.xor) == (fresh.load, fresh.count, fresh.xor)
         assert improved == _rescan_pass(bounded, want, cutoff=True)
         assert got.moves == want.moves
         if not improved:
@@ -682,11 +724,12 @@ def test_kway_gain_updates_scale_linearly():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.integers(1, 5), min_size=k, max_size=9),
+    st.just(k), st.lists(st.integers(0, 5), min_size=k, max_size=9),
     st.lists(st.integers(1, 12), min_size=k, max_size=k), st.integers(0, 10_000))))
 def test_deal_hands_out_heaviest_first(instance):
-    # the shuffle, heaviest first, then block pos for the first k positions
-    # when the vertex fits there and the roomiest block otherwise
+    # the shuffle, heaviest first, then block pos % k for a weight-0 vertex
+    # and block pos for the first k positions when the vertex fits there,
+    # and the roomiest block otherwise
     k, weights, caps, seed = instance
     assume(sum(caps) >= sum(weights))
     h = Hypergraph([Vertex(weight=w) for w in weights], [])
@@ -695,10 +738,20 @@ def test_deal_hands_out_heaviest_first(instance):
     order.sort(key=lambda v: -weights[v])
     remaining, want = list(caps), [0] * len(weights)
     for pos, v in enumerate(order):
-        fits = pos < k and remaining[pos] >= weights[v]
-        want[v] = pos if fits else max(range(k), key=lambda b: (remaining[b], -b))
+        fits = weights[v] == 0 or pos < k and remaining[pos] >= weights[v]
+        want[v] = pos % k if fits else max(range(k), key=lambda b: (remaining[b], -b))
         remaining[want[v]] -= weights[v]
     assert deal(h, PartitionConfig(blocks=k, capacities=tuple(caps), seed=seed)) == want
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_deal_spreads_weight0_vertices(k):
+    # once the unit vertices fill the capacities, each weight-0 vertex still
+    # lands in more than one block over seeds 0-199
+    perms = np.concatenate([*_shuffles(len(TWO_FREE.vertices), range(200))])
+    blocks = _dealer(TWO_FREE, PartitionConfig(blocks=k))(perms)
+    for v in (1, 4):  # vertices 2 and 5 of the file
+        assert len(set(blocks[:, v].tolist())) > 1, (v, k)
 
 
 @st.composite
@@ -910,7 +963,7 @@ def every_deal_mean(h: Hypergraph, cfg: PartitionConfig) -> Fraction:
 
 
 def weighted_instance(seed: int) -> tuple[Hypergraph, PartitionConfig]:
-    """A seeded small hypergraph: at most 7 qubit vertices of weight 1-3,
+    """A seeded small hypergraph: at most 7 vertices of weight 1-3,
     up to 3 weight-0 vertices with any id, edges of 2-4 pins and weight
     1-3, k in {2, 3} and slack capacities."""
     rng = random.Random(seed)

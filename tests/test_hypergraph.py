@@ -16,7 +16,7 @@ from conftest import fixture_names, load_fixture
 def test_ghz4_hypergraph(ghz4):
     h = build_hypergraph(ghz4)
     assert len(h.vertices) == 4
-    assert h.n_qubit_vertices() == 4
+    assert all(v.weight == 1 for v in h.vertices)
     assert len(h.edges) == 3            # the h gate contributes no edge
     assert sum(len(e.pins) for e in h.edges) == 6
     for e in h.edges:
@@ -33,7 +33,7 @@ def test_qft4_ungrouped(qft4):
 def test_qft4_grouped(qft4):
     h = build_hypergraph(qft4, find_groups(qft4))
     assert len(h.vertices) == 4
-    assert h.n_qubit_vertices() == 4
+    assert all(v.weight == 1 for v in h.vertices)
     # one edge per reuse group, over its control and then its targets
     assert [(e.origin, e.pins) for e in h.edges] == [
         (("gate", 1), (1, 0)), (("group", 1), (2, 0, 1)), (("group", 2), (3, 0, 1, 2))]

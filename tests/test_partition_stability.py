@@ -47,7 +47,7 @@ def _digest(name: str, k: int, mode: str, grouped: bool, slack: float) -> str:
     caps = None
     if slack:
         caps = [math.ceil((1 + slack) * cap)
-                for cap in resolve_capacities(None, h.n_qubit_vertices(), k)]
+                for cap in resolve_capacities(None, len(h.vertices), k)]
     res = partition(h, PartitionConfig(blocks=k, capacities=caps, seed=k, mode=Mode(mode)))
     text = json.dumps([res.assignment, res.seed_used, res.passes_run, res.gain_updates,
                        [res.cut.cut_edges, res.cut.lambda_minus_one, res.cut.ebits]])
