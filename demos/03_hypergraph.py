@@ -3,11 +3,10 @@
 # Qubits become weight-1 vertices, and they are the only vertices; each
 # 2-qubit gate becomes a 2-pin edge.  A reuse group collapses into one
 # hyperedge over its control and its targets, control first, which is what
-# makes grouped partitions cheaper.  A vertex or an edge is its position in
-# its list.
+# makes grouped partitions cheaper.  Each edge lists the gates it stands
+# for.  A vertex or an edge is its position in its list.
 
-from qpart import (build_hypergraph, cut_cost, export_hmetis, find_groups,
-                   generate)
+from qpart import build_hypergraph, cut_cost, export_hmetis, generate
 
 qft = generate("qft", 4)
 
@@ -15,12 +14,11 @@ flat = build_hypergraph(qft)
 print(f"ungrouped: {len(flat.vertices)} vertices, {len(flat.edges)} edges, "
       f"{sum(len(e.pins) for e in flat.edges)} pins")
 
-groups = find_groups(qft)
-grouped = build_hypergraph(qft, groups)
+grouped = build_hypergraph(qft, grouped=True)
 print(f"grouped:   {len(grouped.vertices)} vertices, {len(grouped.edges)} edges, "
       f"{sum(len(e.pins) for e in grouped.edges)} pins")
 for i, e in enumerate(grouped.edges):
-    print(f"  edge {i}: pins {e.pins} shares {e.pins[0]} origin {e.origin}")
+    print(f"  edge {i}: pins {e.pins} shares {e.pins[0]} gates {e.gates}")
 
 # same assignment, different cost model: the grouped edges count each
 # spanned block once instead of once per gate

@@ -3,7 +3,7 @@
 # small case against the exhaustive reference.
 
 from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
-                   find_groups, generate, partition)
+                   generate, partition)
 
 # a 10-qubit chain: the ideal bipartition severs exactly one link
 ghz = build_hypergraph(generate("ghz", 10))
@@ -24,7 +24,7 @@ print("ghz10 k=3 caps(5,3,2):", "ebits", res.cut.ebits,
 
 # grouped qft: refinement matches the brute-force optimum here
 qft = generate("qft", 8)
-h = build_hypergraph(qft, find_groups(qft))
+h = build_hypergraph(qft, grouped=True)
 cfg = PartitionConfig(blocks=2, restarts=16)
 fm = partition(h, cfg)
 best = brute_force_mincut(h, cfg)

@@ -4,13 +4,12 @@
 # program looks like with explicit entangle/disentangle calls.
 
 from qpart import (PartitionConfig, build_hypergraph, emit_subcircuits,
-                   find_groups, generate, partition, plan_distribution)
+                   generate, partition, plan_distribution)
 
 qft = generate("qft", 4)
-groups = find_groups(qft)
-h = build_hypergraph(qft, groups)
+h = build_hypergraph(qft, grouped=True)
 res = partition(h, PartitionConfig(blocks=2))
-plan = plan_distribution(qft, h, list(res.assignment), groups=groups)
+plan = plan_distribution(qft, h, list(res.assignment))  # edges name their gates
 
 print("assignment:", plan.assignment)
 print("channels:")

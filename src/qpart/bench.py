@@ -1,11 +1,11 @@
 """Seeded experiment suite over circuits x methods x block counts.
 
-A suite runs the full pipeline (parse -> [group] -> build -> partition ->
-account) for every requested combination and collects one BenchRow per
-(circuit, method, seed, k).  The Random method is the baseline: it has one
-row per seed in the suite's range, and a method's improvement is measured
-against the mean random ebits over that range, always on the same
-hypergraph the method itself was partitioned on.  FMGrouped's is on the
+A suite runs the full pipeline (parse -> build, grouped for FMGrouped ->
+partition -> account) for every requested combination and collects one
+BenchRow per (circuit, method, seed, k).  The Random method is the
+baseline: it has one row per seed in the suite's range, and a method's
+improvement is measured against the mean random ebits over that range,
+always on the same hypergraph the method itself was partitioned on.  FMGrouped's is on the
 grouped hypergraph, which has no Random rows, so it is
 ``fm.expected_ebits`` there, the exact mean over every random deal; FM's
 stays the mean of its Random rows, so the summary can be rebuilt from the
@@ -47,7 +47,6 @@ from .distribution import _plan_ledger
 from .fm import (Mode, PartitionConfig, _shuffles, expected_ebits, partition,
                  random_deals, resolve_capacities)
 from .generators import CircuitFamily, generate
-from .grouping import find_groups
 from .hypergraph import Hypergraph, build_hypergraph
 
 METHODS = ("Random", "FM", "FMGrouped")
@@ -256,8 +255,8 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
     for job in spec.circuits:
         circuit = job.load()
         h_plain = build_hypergraph(circuit)
-        groups = find_groups(circuit) if "FMGrouped" in spec.methods else None
-        h_grouped = build_hypergraph(circuit, groups) if groups is not None else None
+        h_grouped = build_hypergraph(circuit, grouped=True) \
+            if "FMGrouped" in spec.methods else None
         seeds = range(spec.seed_from, spec.seed_to)
         draw, draw_ms = None, 0.0
         if "Random" in spec.methods:
@@ -289,13 +288,12 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
                 summary["random_mean_ebits"] = \
                     sum(r.ebits for r in random_rows) / len(random_rows)
 
-            for method, key, h, h_groups in (("FM", "fm", h_plain, None),
-                                             ("FMGrouped", "fm_grouped", h_grouped, groups)):
+            for method, key, h in (("FM", "fm", h_plain), ("FMGrouped", "fm_grouped", h_grouped)):
                 if method not in spec.methods:
                     continue
                 t0 = time.perf_counter()
                 ledger = plain if method == "FM" and plain is not None else \
-                    _plan_ledger(circuit, h, k, h_groups)
+                    _plan_ledger(circuit, h, k)
                 result = partition(h, config(spec.mode, spec.seed_from, spec.restarts))
                 priced = (np.array([result.assignment], dtype=np.intp),
                           np.array([result.cut.cut_edges]), np.array([result.cut.ebits]))
@@ -305,7 +303,7 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
                 summary[f"{key}_ebits"] = row.ebits
                 if "Random" in spec.methods:
                     # baseline on the same hypergraph the method saw
-                    base = summary["random_mean_ebits"] if h_groups is None else \
+                    base = summary["random_mean_ebits"] if method == "FM" else \
                         expected_ebits(h, config(Mode.RANDOM, spec.seed_from, 1))
                     if base:
                         summary[f"{key}_improvement_pct"] = 100.0 * (base - row.ebits) / base

@@ -19,7 +19,6 @@ from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
 from .circuit import Circuit, QasmError
 from .distribution import emit_subcircuits, plan_distribution
 from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
-from .grouping import find_groups
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
 
 
@@ -64,8 +63,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_hmetis(args) -> int:
     c = _load_circuit(args.file)
-    groups = find_groups(c) if args.grouping == "on" else None
-    text = export_hmetis(build_hypergraph(c, groups))
+    text = export_hmetis(build_hypergraph(c, args.grouping == "on"))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -84,8 +82,7 @@ def _cmd_partition(args) -> int:
         name, n = Path(args.file).stem, len(h.vertices)
     else:
         circuit = _load_circuit(args.file)
-        groups = find_groups(circuit) if args.grouping == "on" else None
-        h = build_hypergraph(circuit, groups)
+        h = build_hypergraph(circuit, args.grouping == "on")
         name, n = circuit.name, circuit.width
     result = partition(h, config)
     if hmetis:  # a bare hypergraph has no operations to account
@@ -94,8 +91,7 @@ def _cmd_partition(args) -> int:
                   for d, e in zip(result.loads, endpoints)]
     else:
         # account every QPU of the config, also one the assignment leaves empty
-        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                                 blocks=config.blocks)
+        plan = plan_distribution(circuit, h, list(result.assignment), blocks=config.blocks)
         blocks = [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
     improvement = _improvement(h, config, result.cut.ebits)
     report = {"circuit": name, "n": n, "method": args.method, "k": args.parts,

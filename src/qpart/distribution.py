@@ -31,7 +31,6 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, _cregs, _gate_line, _preamble
 from .fm import InfeasibleError
-from .grouping import GateGroup
 from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 
 
@@ -74,24 +73,20 @@ class DistributionPlan:
     ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
 
 
-def _edge_of_gate(h: Hypergraph, groups: list[GateGroup] | None) -> dict[int, int]:
-    """Map gate position -> hyperedge index, resolving group edges to
-    their members."""
+def _edge_of_gate(h: Hypergraph) -> dict[int, int]:
+    """Map gate position -> the index of the hyperedge whose ``gates`` list
+    it.  A gate listed twice, on two edges or on one, is a ValueError
+    naming both."""
     seq_edge: dict[int, int] = {}
     for eid, e in enumerate(h.edges):
-        if e.origin is None:
-            continue
-        kind, at = e.origin
-        if kind == "gate":
-            seq_edge[at] = eid
-        elif kind == "group":
-            if groups is None or at >= len(groups):
-                raise ValueError("hypergraph has group edges; pass the groups used to build it")
-            seq_edge.update(dict.fromkeys(groups[at].members, eid))
+        for seq in e.gates:
+            if seq in seq_edge:
+                raise ValueError(f"gate {seq} is listed on edges {seq_edge[seq]} and {eid}")
+            seq_edge[seq] = eid
     return seq_edge
 
 
-def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
+def _placement(circuit: Circuit, h: Hypergraph):
     """Where each gate runs and which channels its remote operands use,
     for any number of assignments over ``h`` at once.
 
@@ -105,9 +100,11 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
     to the last operand: the first two operands' block for a CCZ when they
     agree, else the last), the operands' one block otherwise.  It raises
     InfeasibleError for the first row, and that row's first gate, that
-    splits a gate other than those, or one with no hyperedge.
+    splits a gate other than those, or one with no hyperedge.  A gate
+    whose edge leaves out one of its operands is a ValueError: the cut
+    would not count the channel that operand needs.
     """
-    seq_edge = _edge_of_gate(h, groups)
+    seq_edge = _edge_of_gate(h)
     placed, exec_col, majority, rigid, uses = [], [], [], [], []
     for seq, g in enumerate(circuit.gates):
         if g.kind is GateKind.BARRIER:
@@ -121,6 +118,11 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
         if g.kind is GateKind.CCZ:
             majority.append((at, *cols))
         eid = seq_edge.get(seq)
+        if eid is not None:
+            for q in cols:
+                if q not in h.edges[eid].pins:
+                    raise ValueError(f"gate {seq} acts on qubit {q}, which its "
+                                     f"edge {eid} does not hold")
         if eid is not None and g.kind.splittable:
             uses.extend((at, q, eid) for q in cols)
         else:
@@ -154,25 +156,26 @@ def _placement(circuit: Circuit, h: Hypergraph, groups: list[GateGroup] | None):
 
 
 def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
-                      groups: list[GateGroup] | None = None,
-                      blocks: int | None = None) -> DistributionPlan:
+                      groups=None, blocks: int | None = None) -> DistributionPlan:
     """Place every gate, open the channels remote operands need, and
     account ebits and gate counts per QPU.
 
     ``assignment`` is the vertex -> block map from the partitioner, over
-    the same hypergraph ``h`` (grouped graphs need the same ``groups``).
+    the same hypergraph ``h``, whose edges name their gates.  ``groups`` is
+    unused; it is kept only for the call at ``perfbench/workloads.py:259``.
     The plan covers ``blocks`` QPUs, also those the assignment leaves
     empty; None means the blocks up to the highest one assigned.  Gates
     are placed by ``_placement``, on its one-row case.  An assignment
     that does not cover ``h``, or that names a block outside ``blocks``,
-    is a ValueError naming the vertex, and so is a plan where two channels
-    of one qubit to one block are open at once, as a hand-built ``h`` with
-    a group split by another edge of its control would give.
+    is a ValueError naming the vertex.  So is a gate listed twice, an
+    edge that leaves out an operand of one of its gates, and a plan where two channels of one qubit to one block are open at
+    once, as a hand-built ``h`` with a group split by another edge of its
+    control would give.
     """
     if blocks is None:
         blocks = max(assignment, default=0) + 1
     _check_assignment(h, assignment, blocks)
-    placed, uses, place = _placement(circuit, h, groups)
+    placed, uses, place = _placement(circuit, h)
     at = place(np.array([assignment], dtype=np.intp))[0].tolist()
 
     exec_block = [-1] * len(circuit.gates)  # BARRIER stays -1
@@ -209,8 +212,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
                             ebits=2 * len(channels))
 
 
-def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
-                 groups: list[GateGroup] | None = None):
+def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
     """``plan_distribution``'s per-block o and e for many assignments at once.
 
     Returns ``ledger(assign) -> (o, e)``: ``assign`` is a seeds x vertices
@@ -221,7 +223,7 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int,
     remote block) key, so CCX fallback channels and group edges shared by
     several gates count as the plan counts them.
     """
-    _, uses, place = _placement(circuit, h, groups)
+    _, uses, place = _placement(circuit, h)
     use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
     width = len(h.vertices)
     keys, use_channel = np.unique(use_edge * width + use_q, return_inverse=True)
@@ -263,8 +265,8 @@ def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     operand reads the slot of the open channel of its (carried qubit,
     block) pair, from a table written at each entangler and cleared at its
     disentangler.  A pair has at most one open channel, which
-    ``plan_distribution`` checks; ``build_hypergraph`` refuses the groups
-    that would open two.
+    ``plan_distribution`` checks; the runs of ``find_groups`` never open
+    two, since a run ends at any other gate on its control.
     """
     names = circuit.qubits()
     block_of = plan.assignment  # a qubit's index is its vertex

@@ -713,7 +713,7 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         for e in h.edges:
             pins = tuple(local[p] for p in e.pins if p in local)
             if len(pins) >= 2:
-                edges.append(Hyperedge(pins=pins, weight=e.weight, origin=e.origin))
+                edges.append(Hyperedge(pins=pins, weight=e.weight))
         return Hypergraph([h.vertices[g] for g in vertex_ids], edges)
 
     def rec(vertex_ids: list[int], block_ids: list[int]) -> None:

@@ -3,10 +3,13 @@
 Qubits are a circuit hypergraph's only vertices: qubit q is vertex q, of
 weight 1 (weight-0 vertices come only from hMETIS files).  Each CX/CZ/CP
 gate contributes a 2-pin edge (control, target) and each CCX/CCZ a 3-pin
-edge over its operands; with grouping, each reuse group is one edge
-(control, *targets) instead.  Single-qubit gates, MEASURE and BARRIER do
+edge over its operands; with grouping, each reuse group of
+``grouping.find_groups`` is one edge (control, *targets) instead, so the
+run rule lives only there.  Single-qubit gates, MEASURE and BARRIER do
 not appear.  An edge's first pin is the qubit whose state it shares from
-its home side.  A vertex or an edge is its position in its list.
+its home side, and its ``gates`` are the gates it stands for, which the
+distribution plan reads.  A vertex or an edge is its position in its
+list.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
 b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .grouping import GateGroup
+from .grouping import find_groups
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -35,13 +38,14 @@ class Vertex:
 
 @dataclass(frozen=True, kw_only=True)
 class Hyperedge:
-    """Pins are distinct vertex indices, at least two of them.  ``origin``
-    records where the edge came from: ("gate", position in the circuit's
-    gate list) or ("group", position in the groups list)."""
+    """Pins are distinct vertex indices, at least two of them.  ``gates``
+    are the positions, in the circuit's gate list, of the gates the edge
+    stands for: one gate, or a reuse group's members (none for an hMETIS
+    edge)."""
 
     pins: tuple[int, ...]
     weight: int = 1
-    origin: tuple[str, int] | None = None
+    gates: tuple[int, ...] = ()
 
 
 class Hypergraph:
@@ -73,53 +77,26 @@ class Hypergraph:
                     raise ValueError(f"edge {i} pin {p} out of range")
 
 
-def build_hypergraph(circuit: Circuit, groups: list[GateGroup] | None = None) -> Hypergraph:
-    """Translate a circuit, optionally folding reuse groups into hyperedges.
-
-    Each group edge (control, *targets) sits at its group's first member.
-    A ValueError names the group and the gate when a member is not a
-    groupable gate of the circuit, when its first operand is not the
-    group's ``control``, when a gate is listed twice, in one group or in
-    two, or when a gate outside the group acts on the control between its
-    members, whose remote copies would then read a stale control.  The
-    last rule is checked once every group has passed the others."""
-    groups = groups or []
-    for gi, grp in enumerate(groups):
-        for seq in grp.members:
-            if not 0 <= seq < len(circuit.gates) or not circuit.gates[seq].kind.groupable:
-                raise ValueError(f"group {gi} references gate {seq}, "
-                                 "which is not a groupable gate of this circuit")
-
-    member_of: dict[int, int] = {}  # gate position -> group position
-    for gi, grp in enumerate(groups):
-        for seq in grp.members:
-            control = circuit.gates[seq].operands[0]
-            if control != grp.control:
-                raise ValueError(f"group {gi} has control {grp.control}, but its gate "
-                                 f"{seq} is controlled by qubit {control}")
-            if seq in member_of:
-                raise ValueError(f"group {gi} lists gate {seq}, which group "
-                                 f"{member_of[seq]} already lists")
-            member_of[seq] = gi
-    last = {gi: max(grp.members) for gi, grp in enumerate(groups) if grp.is_reuse}
-    open_on: dict[int, int] = {}  # control qubit -> the group whose span is open on it
+def build_hypergraph(circuit: Circuit, grouped: bool = False) -> Hypergraph:
+    """Translate a circuit; when ``grouped`` is true, fold each reuse group
+    of ``find_groups`` into one edge, placed at its first member.
+    ``grouped`` is read for its truth value, so a caller that passes
+    ``find_groups(c)``, as perfbench does, gets the same graph: an empty
+    list means the circuit has no CX/CZ/CP, and then both graphs agree."""
+    group_of: dict[int, tuple[int, ...]] = {}  # reuse-group member -> the group's members
+    if grouped:
+        for grp in find_groups(circuit):
+            if grp.is_reuse:
+                group_of.update(dict.fromkeys(grp.members, grp.members))
     edges: list[Hyperedge] = []
     for seq, g in enumerate(circuit.gates):
-        gi = member_of.get(seq)
-        for q in g.operands:
-            if open_on.get(q, gi) != gi:
-                raise ValueError(f"group {open_on[q]} spans gate {seq}, which acts on "
-                                 f"its control qubit {q}")
-        if gi is not None and groups[gi].is_reuse:
-            grp = groups[gi]
-            open_on[grp.control] = gi
-            if seq == last[gi]:
-                del open_on[grp.control]
-            if seq == grp.members[0]:  # one edge per group, at its first member
-                targets = dict.fromkeys(circuit.gates[s].operands[1] for s in grp.members)
-                edges.append(Hyperedge(pins=(grp.control, *targets), origin=("group", gi)))
-        elif g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
-            edges.append(Hyperedge(pins=g.operands, origin=("gate", seq)))
+        members = group_of.get(seq)
+        if members is None:
+            if g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
+                edges.append(Hyperedge(pins=g.operands, gates=(seq,)))
+        elif seq == members[0]:
+            targets = dict.fromkeys(circuit.gates[s].operands[1] for s in members)
+            edges.append(Hyperedge(pins=(g.operands[0], *targets), gates=members))
     return Hypergraph([Vertex() for _ in range(circuit.width)], edges)
 
 

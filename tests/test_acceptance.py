@@ -142,16 +142,15 @@ def _rows_with_plans(spec):
         if key not in graphs:
             (job,) = [j for j in spec.circuits if j.label == row.circuit]
             c = job.load()
-            groups = find_groups(c) if key[1] else None
-            graphs[key] = c, build_hypergraph(c, groups), groups
-        c, h, groups = graphs[key]
+            graphs[key] = c, build_hypergraph(c, grouped=key[1])
+        c, h = graphs[key]
         caps = spec.capacities[spec.parts.index(row.k)] if spec.capacities else None
         mode, restarts = ((Mode.RANDOM, 1) if row.method == "Random"
                           else (spec.mode, spec.restarts))
         result = partition(h, PartitionConfig(blocks=row.k, capacities=caps,
                                               restarts=restarts, seed=row.seed, mode=mode))
         assert (result.cut.cut_edges, result.cut.ebits) == (row.cut_edges, row.ebits), row
-        yield row, plan_distribution(c, h, list(result.assignment), groups=groups)
+        yield row, plan_distribution(c, h, list(result.assignment))
 
 
 def test_criterion_5_accounting_identities():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
-                   PartitionConfig, build_hypergraph, find_groups,
+                   PartitionConfig, build_hypergraph,
                    partition, plan_distribution, resolve_capacities)
 from qpart import fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
@@ -234,8 +234,7 @@ def batch_instances(draw):
             cbit = ("m", draw(st.integers(0, n - 1)))
         gates.append(Gate(kind, ops, (0.5,) * kind.n_params, cbit=cbit, label=label))
     circuit = Circuit("batch", regs, gates, cregs)
-    groups = find_groups(circuit) if draw(st.booleans()) else None
-    h = build_hypergraph(circuit, groups)
+    h = build_hypergraph(circuit, grouped=draw(st.booleans()))
     caps_kind = draw(st.sampled_from(["equal", "tight", "slack"] if n >= k
                                      else ["equal", "slack"]))
     if caps_kind == "equal":
@@ -249,21 +248,20 @@ def batch_instances(draw):
     config = PartitionConfig(blocks=k, capacities=caps, restarts=1, mode=Mode.RANDOM,
                              seed=draw(st.integers(0, 10_000)))
     count = draw(st.sampled_from([1, 127, 128, 129, 300]))
-    return circuit, h, groups, config, range(config.seed, config.seed + count)
+    return circuit, h, config, range(config.seed, config.seed + count)
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch_instances())
 def test_random_rows_match_partition_and_plan(instance):
-    circuit, h, groups, config, seeds = instance
+    circuit, h, config, seeds = instance
     caps = resolve_capacities(config.capacities, circuit.width, config.blocks)
 
     def one(seed):
         result = partition(h, PartitionConfig(blocks=config.blocks,
                                               capacities=config.capacities,
                                               restarts=1, seed=seed, mode=Mode.RANDOM))
-        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                                 blocks=config.blocks)
+        plan = plan_distribution(circuit, h, list(result.assignment), blocks=config.blocks)
         return (seed, result.cut.cut_edges, result.cut.ebits,
                 tuple(p.r for p in plan.per_block))
 
@@ -271,7 +269,7 @@ def test_random_rows_match_partition_and_plan(instance):
 
     def batch():
         return _rows(job, circuit, "Random", caps, seeds,
-                     _plan_ledger(circuit, h, config.blocks, groups),
+                     _plan_ledger(circuit, h, config.blocks),
                      fm.random_deals(h, config, fm._shuffles(circuit.width, seeds)), 0.0)
 
     try:
@@ -290,7 +288,7 @@ def refined_instances(draw):
     """A circuit of ``batch_instances`` benched with FM and FMGrouped, in
     ``fm`` or ``kway`` mode, with equal capacities or up to two units of
     slack per block, one to three restarts and any first seed."""
-    circuit, _, _, config, _ = draw(batch_instances())
+    circuit, _, config, _ = draw(batch_instances())
     k = config.blocks
     equal = resolve_capacities(None, circuit.width, k)
     caps = draw(st.none() | st.tuples(*(st.integers(max(c, 1), c + 2) for c in equal)))
@@ -310,18 +308,17 @@ def test_refined_rows_match_partition_and_plan(instance):
     circuit, spec = instance
     k, = spec.parts
 
-    def one(method, groups):
-        h = build_hypergraph(circuit, groups)
+    def one(method, grouped):
+        h = build_hypergraph(circuit, grouped)
         result = partition(h, PartitionConfig(blocks=k, capacities=spec.capacities[0],
                                               restarts=spec.restarts, seed=spec.seed_from,
                                               mode=spec.mode))
-        plan = plan_distribution(circuit, h, list(result.assignment), groups=groups,
-                                 blocks=k)
+        plan = plan_distribution(circuit, h, list(result.assignment), blocks=k)
         return (method, spec.seed_from, result.cut.cut_edges, result.cut.ebits,
                 tuple(p.r for p in plan.per_block))
 
     try:
-        want = [one("FM", None), one("FMGrouped", find_groups(circuit))]
+        want = [one("FM", False), one("FMGrouped", True)]
     except ValueError as ex:  # InfeasibleError included
         with pytest.raises(type(ex), match=f"^{re.escape(str(ex))}$"):
             run_suite(spec)

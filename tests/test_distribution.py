@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpart import (Circuit, Gate, GateGroup, GateKind, Hyperedge, Hypergraph,
+from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph,
                    InfeasibleError, Mode, PartitionConfig, Vertex, block_endpoints,
                    build_hypergraph, emit_qasm, emit_subcircuits, find_groups,
                    generate, parse_qasm, partition, plan_distribution)
@@ -37,9 +37,8 @@ def test_ghz4_plan(ghz4):
 
 
 def test_qft4_grouped_plan(qft4):
-    groups = find_groups(qft4)
-    h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
+    h = build_hypergraph(qft4, grouped=True)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1])
     assert [b.o for b in plan.per_block] == [7, 3]
     assert [b.e for b in plan.per_block] == [2, 2]
     assert plan.ebits == 4 and plan.cut.cut_edges == 2
@@ -113,27 +112,24 @@ def test_opaque_split_refused():
 
 
 def test_operation_counts_sum_to_size(qft8):
-    groups = find_groups(qft8)
-    h = build_hypergraph(qft8, groups)
+    h = build_hypergraph(qft8, grouped=True)
     a = [0, 0, 0, 0, 1, 1, 1, 1]
-    plan = plan_distribution(qft8, h, a, groups=groups)
+    plan = plan_distribution(qft8, h, a)
     assert sum(b.o for b in plan.per_block) == qft8.size
 
 
 def test_e_matches_block_endpoints(qft4):
-    groups = find_groups(qft4)
-    h = build_hypergraph(qft4, groups)
+    h = build_hypergraph(qft4, grouped=True)
     a = [0, 1, 0, 1]
-    plan = plan_distribution(qft4, h, a, groups=groups)
+    plan = plan_distribution(qft4, h, a)
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
 
 
 def test_group_channel_shared_once(qft4):
     # one channel serves every member of a reuse group on the remote side
-    groups = find_groups(qft4)
-    h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
+    h = build_hypergraph(qft4, grouped=True)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1])
     assert len(plan.channels) == 2
     ungrouped = build_hypergraph(qft4)
     flat = plan_distribution(qft4, ungrouped, [0, 0, 1, 1])
@@ -182,9 +178,8 @@ def test_emit_ghz4_frozen(ghz4):
 
 
 def test_emit_parses_back(qft4):
-    groups = find_groups(qft4)
-    h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
+    h = build_hypergraph(qft4, grouped=True)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1])
     for b, text in enumerate(emit_subcircuits(qft4, plan)):
         sub = parse_qasm(text, name=f"block{b}")
         local = {q for q, blk in zip(qft4.qubits(), plan.assignment) if blk == b}
@@ -209,67 +204,78 @@ def test_emit_measure_and_barrier():
 
 
 def test_plan_json(qft4):
-    groups = find_groups(qft4)
-    h = build_hypergraph(qft4, groups)
-    plan = plan_distribution(qft4, h, [0, 0, 1, 1], groups=groups)
+    h = build_hypergraph(qft4, grouped=True)
+    plan = plan_distribution(qft4, h, [0, 0, 1, 1])
     assert plan.ebits == 4 and plan.cut.lambda_minus_one == 2
     assert [b.o for b in plan.per_block] == [7, 3]
     assert (plan.channels[0].first_use, plan.channels[0].last_use) == (2, 5)
 
 
 def test_groups_in_any_order_keep_their_edges():
-    # two reuse groups, on q[0] and on q[3], listed in reverse: each still
-    # gets its own edge, whose first pin is its control, every member gate
-    # maps to its own group's edge, and each channel carries that control
+    # two reuse groups, on q[0] and on q[3], with their edges listed in
+    # reverse: each edge's first pin is its control and its gates are the
+    # group's members, every member maps to its own group's edge, and each
+    # channel carries that control
     c = parse_qasm("OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[1];\ncx q[0],q[2];\n"
                    "h q[0];\ncx q[3],q[1];\ncx q[3],q[2];\n")
-    groups = find_groups(c)[::-1]
-    assert [(grp.control, grp.is_reuse) for grp in groups] == [(3, True), (0, True)]
-    h = build_hypergraph(c, groups)
-    assert [e.pins for e in h.edges] == [(0, 1, 2), (3, 1, 2)]
-    edge_of = _edge_of_gate(h, groups)
-    for gi, grp in enumerate(groups):
+    h = build_hypergraph(c, grouped=True)
+    assert [(e.pins, e.gates) for e in h.edges] == [((0, 1, 2), (0, 1)), ((3, 1, 2), (3, 4))]
+    h = Hypergraph(h.vertices, h.edges[::-1])
+    edge_of = _edge_of_gate(h)
+    for grp in find_groups(c):
         for seq in grp.members:
-            assert h.edges[edge_of[seq]].origin == ("group", gi)
+            assert h.edges[edge_of[seq]].gates == grp.members
             assert h.edges[edge_of[seq]].pins[0] == grp.control
-    plan = plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
+    plan = plan_distribution(c, h, [0, 1, 1, 1])
     assert [(ch.carries, plan.assignment[ch.carries], ch.remote)
             for ch in plan.channels] == [(0, 0, 1)]
     assert all(h.edges[ch.edge].pins[0] == ch.carries for ch in plan.channels)
 
 
 def test_plan_refuses_overlapping_channels():
-    # build_hypergraph refuses groups (1, 3) and (2,) on q[0], but a
-    # hand-built hypergraph may still hold their edges; at [0, 1, 1, 1] the
-    # group's channel of q[0] to block 1 is open at gate 2, where gate 2's
-    # own edge opens another, and the emitter serves one open channel per
-    # (qubit, block) pair
+    # find_groups never runs (1, 3) on q[0] across gate 2, but a hand-built
+    # hypergraph may hold such edges; at [0, 1, 1, 1] the run's channel of
+    # q[0] to block 1 is open at gate 2, where gate 2's own edge opens
+    # another, and the emitter serves one open channel per (qubit, block)
+    # pair
     c = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
                    "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
-    groups = [GateGroup(control=0, members=(1, 3)), GateGroup(control=0, members=(2,))]
     h = Hypergraph([Vertex() for _ in range(4)],
-                   [Hyperedge(pins=(0, 1, 3), origin=("group", 0)),
-                    Hyperedge(pins=(0, 2), origin=("gate", 2))])
+                   [Hyperedge(pins=(0, 1, 3), gates=(1, 3)),
+                    Hyperedge(pins=(0, 2), gates=(2,))])
     with pytest.raises(ValueError, match="channel 1 opens at gate 2 while another "
                                          "channel of qubit 0 to block 1 is open"):
-        plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
-    # apart, the same channels pass: the group (1, 2) and gate 3's edge
-    groups = [GateGroup(control=0, members=(1, 2)), GateGroup(control=0, members=(3,))]
-    h = Hypergraph(h.vertices, [Hyperedge(pins=(0, 1, 2), origin=("group", 0)),
-                                Hyperedge(pins=(0, 3), origin=("gate", 3))])
-    plan = plan_distribution(c, h, [0, 1, 1, 1], groups=groups)
+        plan_distribution(c, h, [0, 1, 1, 1])
+    # apart, the same channels pass: the run (1, 2) and gate 3's edge
+    h = Hypergraph(h.vertices, [Hyperedge(pins=(0, 1, 2), gates=(1, 2)),
+                                Hyperedge(pins=(0, 3), gates=(3,))])
+    plan = plan_distribution(c, h, [0, 1, 1, 1])
     assert [(ch.first_use, ch.last_use) for ch in plan.channels] == [(1, 2), (3, 3)]
     assert plan.ebits == 4
+
+
+def test_plan_and_ledger_refuse_a_gate_on_two_edges():
+    # gate 0 on edges (0, 1) and (0, 1, 2): a plan that read either edge
+    # alone would price 2 ebits at [0, 1, 1] against a cut of 4
+    c = parse_qasm("OPENQASM 2.0; qreg q[3]; cx q[0],q[1]; cx q[1],q[2];")
+    h = Hypergraph([Vertex() for _ in range(3)],
+                   [Hyperedge(pins=(0, 1), gates=(0,)),
+                    Hyperedge(pins=(0, 1, 2), gates=(0,)),
+                    Hyperedge(pins=(1, 2), gates=(1,))])
+    message = "gate 0 is listed on edges 0 and 1"
+    with pytest.raises(ValueError, match=message):
+        plan_distribution(c, h, [0, 1, 1])
+    with pytest.raises(ValueError, match=message):
+        _plan_ledger(c, h, 2)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_plans_obey_accounting(name):
     c = load_fixture(name)
-    groups = find_groups(c)
-    h = build_hypergraph(c, groups)
+    h = build_hypergraph(c, grouped=True)
     n = c.width
     a = [0 if i < (n + 1) // 2 else 1 for i in range(n)]
-    plan = plan_distribution(c, h, a, groups=groups)
+    plan = plan_distribution(c, h, a)
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
@@ -303,10 +309,9 @@ def test_emit_serves_each_use_from_its_own_channel():
     # block on two channels; each gate must name the slot of the channel
     # open at that gate, not the last one planned for the pair
     c = generate("random", 12, seed=3)
-    groups = find_groups(c)
-    h = build_hypergraph(c, groups)
+    h = build_hypergraph(c, grouped=True)
     res = partition(h, PartitionConfig(blocks=2))
-    plan = plan_distribution(c, h, list(res.assignment), groups=groups)
+    plan = plan_distribution(c, h, list(res.assignment))
     pairs = Counter((ch.carries, ch.remote) for ch in plan.channels)
     assert any(n > 1 for n in pairs.values())
     for text in emit_subcircuits(c, plan):

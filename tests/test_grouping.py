@@ -1,10 +1,12 @@
 """Control-wire run detection."""
 
 import pytest
+from hypothesis import example, given, settings
 
 from qpart import Circuit, find_groups, parse_qasm
 
-from conftest import load_fixture
+from conftest import fixture_names, load_fixture
+from test_hypergraph import grouping_circuits
 
 
 def _groups(text: str):
@@ -81,3 +83,25 @@ def test_fixture_reuse_groups(name, expected):
     reuse = {g.control: g.members for g in find_groups(c) if g.is_reuse}
     assert reuse == expected
 
+
+def _with_fixture_examples(test):
+    for name in fixture_names():
+        test = example(load_fixture(name))(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouping_circuits())
+@_with_fixture_examples
+def test_find_groups_runs_keep_their_control_live(c):
+    # every CX/CZ/CP gate is in exactly one group, every member is driven by
+    # the group's control, and no other gate acts on that control between
+    # the first and last member: the emitter keeps one open channel per
+    # (qubit, block) pair, and a remote member must not read a stale copy
+    groups = find_groups(c)
+    groupable = [seq for seq, g in enumerate(c.gates) if g.kind.groupable]
+    assert sorted(seq for grp in groups for seq in grp.members) == groupable
+    for grp in groups:
+        assert all(c.gates[seq].operands[0] == grp.control for seq in grp.members)
+        for seq in range(grp.members[0], grp.members[-1] + 1):
+            assert seq in grp.members or grp.control not in c.gates[seq].operands

@@ -1,14 +1,14 @@
 """Circuit-to-hypergraph translation, cut metrics and hMETIS io."""
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qpart import (Circuit, Gate, GateGroup, GateKind, Hyperedge, Hypergraph, Vertex,
+from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph, Vertex,
                    block_endpoints, build_hypergraph, cut_cost, export_hmetis,
-                   find_groups, generate, import_hmetis, parse_qasm)
+                   find_groups, generate, import_hmetis, parse_qasm, plan_distribution)
+from qpart.distribution import _plan_ledger
 
 from conftest import fixture_names, load_fixture
 
@@ -21,8 +21,8 @@ def test_ghz4_hypergraph(ghz4):
     assert sum(len(e.pins) for e in h.edges) == 6
     for e in h.edges:
         assert len(e.pins) == 2 and e.weight == 1
-        assert e.origin[0] == "gate"
-        assert e.pins == ghz4.gates[e.origin[1]].operands
+        seq, = e.gates
+        assert e.pins == ghz4.gates[seq].operands
 
 
 def test_qft4_ungrouped(qft4):
@@ -31,63 +31,68 @@ def test_qft4_ungrouped(qft4):
 
 
 def test_qft4_grouped(qft4):
-    h = build_hypergraph(qft4, find_groups(qft4))
+    h = build_hypergraph(qft4, grouped=True)
     assert len(h.vertices) == 4
     assert all(v.weight == 1 for v in h.vertices)
     # one edge per reuse group, over its control and then its targets
-    assert [(e.origin, e.pins) for e in h.edges] == [
-        (("gate", 1), (1, 0)), (("group", 1), (2, 0, 1)), (("group", 2), (3, 0, 1, 2))]
+    assert [(e.gates, e.pins) for e in h.edges] == [
+        ((1,), (1, 0)), ((2, 5), (2, 0, 1)), ((3, 6, 8), (3, 0, 1, 2))]
 
 
-def test_group_rejects_foreign_seq(ghz4, qft4):
-    groups = find_groups(qft4)
-    with pytest.raises(ValueError, match="not a groupable gate"):
-        build_hypergraph(ghz4, groups)
+def test_grouped_is_read_for_its_truth_value(qft4, ghz4):
+    # find_groups' list, as perfbench passes it, builds the grouped graph,
+    # and an empty one the plain graph
+    assert build_hypergraph(qft4, find_groups(qft4)).edges == \
+        build_hypergraph(qft4, grouped=True).edges
+    assert build_hypergraph(ghz4, []).edges == build_hypergraph(ghz4).edges
 
 
 _FAN = "OPENQASM 2.0; qreg q[4]; cx q[0],q[1]; cx q[0],q[2];"
 
 
-def test_group_rejects_a_member_of_another_control():
-    # built, this group's edge (4, 3, 1, 2) would leave out q[0], and a plan
-    # at [0, 1, 1, 1, 1] would report a cut of 0 while spending 2 ebits
-    c = parse_qasm(_FAN)
-    with pytest.raises(ValueError, match="group 0 has control 3, but its gate 0 "
-                                         "is controlled by qubit 0"):
-        build_hypergraph(c, [GateGroup(control=3, members=(0, 1))])
-
-
-@pytest.mark.parametrize("groups, message", [
-    ([GateGroup(control=0, members=(0, 1)), GateGroup(control=0, members=(1,))],
-     "group 1 lists gate 1, which group 0 already lists"),
-    ([GateGroup(control=0, members=(0, 0))],
-     "group 0 lists gate 0, which group 0 already lists"),
-], ids=["in-two-groups", "twice-in-one-group"])
-def test_group_rejects_a_gate_listed_twice(groups, message):
-    # a gate in two groups would put its target on two edges
+def _refused(c, edges, message):
+    # the plan and the ledger refuse a hand-built hypergraph alike
+    h = Hypergraph([Vertex() for _ in range(c.width)], edges)
     with pytest.raises(ValueError, match=message):
-        build_hypergraph(parse_qasm(_FAN), groups)
+        plan_distribution(c, h, [0] * c.width)
+    with pytest.raises(ValueError, match=message):
+        _plan_ledger(c, h, 2)
+
+
+def test_group_rejects_a_member_of_another_control():
+    # an edge (3, 1, 2) over the run on q[0] leaves out q[0], and a plan at
+    # [0, 1, 1, 1] would report a cut of 0 while spending 2 ebits
+    _refused(parse_qasm(_FAN), [Hyperedge(pins=(3, 1, 2), gates=(0, 1))],
+             "gate 0 acts on qubit 0, which its edge 0 does not hold")
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([Hyperedge(pins=(0, 1, 2), gates=(0, 1)), Hyperedge(pins=(0, 2), gates=(1,))],
+     "gate 1 is listed on edges 0 and 1"),
+    ([Hyperedge(pins=(0, 1), gates=(0, 0)), Hyperedge(pins=(0, 2), gates=(1,))],
+     "gate 0 is listed on edges 0 and 0"),
+], ids=["in-two-groups", "twice-in-one-group"])
+def test_group_rejects_a_gate_listed_twice(edges, message):
+    # a gate on two edges would put its target on both
+    _refused(parse_qasm(_FAN), edges, message)
 
 
 def test_group_rejects_a_gate_on_its_control_between_members():
-    # the x on q[0] changes the control between the group's two members, so
-    # the second would read a stale remote copy of it; a plan of this group
-    # at [0, 1, 1] leaves that copy entangled after the programs run
+    # the x on q[0] changes the control between the two cx, so the grouped
+    # build closes the run there: a second member would read a stale copy
     c = parse_qasm("OPENQASM 2.0; qreg q[3]; h q[0]; h q[2]; "
                    "cx q[0],q[1]; x q[0]; cx q[0],q[1];")
-    with pytest.raises(ValueError, match="group 0 spans gate 3, which acts on its "
-                                         "control qubit 0"):
-        build_hypergraph(c, [GateGroup(control=0, members=(2, 4))])
-    # a gate of another group on the same control splits the run as well;
-    # built, the two groups would open a channel that no gate reads
+    assert [e.gates for e in build_hypergraph(c, grouped=True).edges] == [(2,), (4,)]
+    # a hand-built run split by another edge of its control, in either
+    # order, opens a channel that no gate reads, and the plan refuses it
     c = parse_qasm("OPENQASM 2.0; qreg q[4]; h q[0]; "
                    "cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[3];")
-    with pytest.raises(ValueError, match="group 0 spans gate 2"):
-        build_hypergraph(c, [GateGroup(control=0, members=(1, 3)),
-                             GateGroup(control=0, members=(2,))])
-    with pytest.raises(ValueError, match="group 1 spans gate 2"):
-        build_hypergraph(c, [GateGroup(control=0, members=(2,)),
-                             GateGroup(control=0, members=(1, 3))])
+    run, split = Hyperedge(pins=(0, 1, 3), gates=(1, 3)), Hyperedge(pins=(0, 2), gates=(2,))
+    for edges in ([run, split], [split, run]):
+        h = Hypergraph([Vertex() for _ in range(4)], edges)
+        with pytest.raises(ValueError, match="opens at gate 2 while another channel "
+                                             "of qubit 0 to block 1 is open"):
+            plan_distribution(c, h, [0, 1, 1, 1])
 
 
 _DRAWN_KINDS = [GateKind.CX, GateKind.CX, GateKind.CZ, GateKind.CP, GateKind.H, GateKind.CCX]
@@ -107,42 +112,49 @@ def grouping_circuits(draw):
 
 
 def test_circuit_hypergraph_shape():
-    # qubits are the only vertices, with or without grouping; a gate edge is
-    # its operands, and a group edge is its control and then its targets
+    # qubits are the only vertices, with or without grouping; every 2- and
+    # 3-qubit gate is on exactly one edge, each edge's pins are its gates'
+    # operands in order of first use, and the grouped graph's many-gate
+    # edges are find_groups' reuse groups
     circuits = [load_fixture(name) for name in fixture_names()] + \
         [generate(family, n, seed) for family, n in (("ghz", 12), ("qft", 9), ("random", 16))
          for seed in range(3)]
     for c in circuits:
-        for groups in (None, find_groups(c)):
-            h = build_hypergraph(c, groups)
+        wide = [seq for seq, g in enumerate(c.gates) if g.kind.n_qubits in (2, 3)]
+        for grouped in (False, True):
+            h = build_hypergraph(c, grouped)
             assert len(h.vertices) == c.width
             assert all(v.weight == 1 for v in h.vertices)
+            assert sorted(seq for e in h.edges for seq in e.gates) == wide
             for e in h.edges:
-                kind, at = e.origin
-                if kind == "gate":
-                    assert e.pins == c.gates[at].operands
-                else:
-                    grp = groups[at]
-                    targets = dict.fromkeys(c.gates[s].operands[1] for s in grp.members)
-                    assert e.pins == (grp.control, *targets)
+                assert e.pins == tuple(dict.fromkeys(q for seq in e.gates
+                                                     for q in c.gates[seq].operands))
+            reuse = {grp.members for grp in find_groups(c) if grp.is_reuse}
+            assert {e.gates for e in h.edges if len(e.gates) > 1} == \
+                (reuse if grouped else set())
 
 
 @settings(max_examples=100, deadline=None)
 @given(grouping_circuits(), st.data())
 def test_groups_are_accepted_until_a_member_changes_control(c, data):
-    # find_groups' output always builds; moving one member into a group of
+    # the grouped build always plans; moving one member onto an edge of
     # another control is refused
-    groups = find_groups(c)
-    build_hypergraph(c, groups)
-    assume(groups)
-    gi = data.draw(st.integers(0, len(groups) - 1))
-    grp = groups[gi]
-    seq = data.draw(st.sampled_from(grp.members))
-    control = data.draw(st.sampled_from([q for q in range(c.width) if q != grp.control]))
-    rest = dataclasses.replace(grp, members=tuple(m for m in grp.members if m != seq))
-    moved = groups[:gi] + [rest] + groups[gi + 1:] + [GateGroup(control=control, members=(seq,))]
-    with pytest.raises(ValueError, match=f"is controlled by qubit {grp.control}"):
-        build_hypergraph(c, moved)
+    h = build_hypergraph(c, grouped=True)
+    plan_distribution(c, h, [0] * c.width)
+    assume(h.edges)
+    eid = data.draw(st.integers(0, len(h.edges) - 1))
+    seq = data.draw(st.sampled_from(h.edges[eid].gates))
+    g = c.gates[seq]
+    assume(g.kind.groupable)
+    control = data.draw(st.sampled_from([q for q in range(c.width) if q not in g.operands]))
+    rest = [s for s in h.edges[eid].gates if s != seq]
+    edges = h.edges[:eid] + h.edges[eid + 1:] + [Hyperedge(pins=(control, g.operands[1]),
+                                                           gates=(seq,))]
+    if rest:
+        pins = tuple(dict.fromkeys(q for s in rest for q in c.gates[s].operands))
+        edges.append(Hyperedge(pins=pins, gates=tuple(rest)))
+    with pytest.raises(ValueError, match=f"gate {seq} acts on qubit {g.operands[0]}"):
+        plan_distribution(c, Hypergraph(h.vertices, edges), [0] * c.width)
 
 
 def test_vertex_and_edge_fields_are_keywords():
