@@ -20,7 +20,7 @@ for i, ch in enumerate(plan.channels):
 
 print("per block:")
 for i, b in enumerate(plan.per_block):
-    r = "-" if b.r is None else f"{b.r:.3f}"
+    r = f"{b.e / b.o:.3f}" if b.o else "-"
     print(f"  QPU {i}: data={b.data} ops={b.o} e={b.e} r={r}")
 print("total ebits:", plan.ebits)
 

@@ -1,4 +1,4 @@
-"""Circuit IR and OpenQASM 2 subset parser/emitter.
+"""Circuit IR, the OpenQASM 2 subset parser, and the one QASM writer.
 
 The model is deliberately small: named quantum registers, a fixed gate
 alphabet (H/X/Y/Z/S/T, RX/RY/RZ, CX/CZ/CP, CCX/CCZ, MEASURE, BARRIER) and
@@ -14,11 +14,22 @@ name written for qubit ``q`` (``"b[0]"``) in emitted programs and messages.
 Parser coverage is the OpenQASM 2.0 fragment emitted by common circuit
 generators: header, optional include, register declarations, gate
 applications with literal or pi-rational parameters, measure, barrier, and
-``opaque`` declarations (used by the distribution emitter).  Gate
+``opaque`` declarations (used by the distributed programs).  Gate
 definitions and ``if`` statements are rejected.  Statements end with ``;``
 and may share a line or span lines; ``//`` starts a comment that runs to
 the end of its line.  A parse error names the line where its statement
 starts.
+
+All program text is written here, by ``_programs``: one sweep over the
+gates writes one program per block.  ``emit_qasm`` is its case of one
+block and no channels; ``distribution.emit_subcircuits`` passes it a plan.
+Every circuit that construction accepts writes as text the parser reads
+back: a register name and an opaque label are identifiers, a label is no
+statement word, and a measure writes to a declared bit, or to a ``c``
+register of its own when the circuit declares no creg and no ``c``.
+Distributed programs also declare an ``ebit`` register and call the cat
+primitives ``cat_entangler`` and ``cat_disentangler``, so when a plan has
+a channel the writer refuses a circuit that uses those names.
 """
 from __future__ import annotations
 
@@ -109,8 +120,10 @@ class Gate:
             raise ValueError(f"{kind.value} operands must be distinct: "
                              f"{', '.join(map(str, self.operands))}")
         if kind is GateKind.OPAQUE:
-            if not self.label:
-                raise ValueError("opaque gate needs a label")
+            # no label may shadow a statement word the parser dispatches on
+            if not _IDENT_RE.fullmatch(self.label or "") or self.label in _KEYWORDS + _UNSUPPORTED:
+                raise ValueError(f"opaque gate needs a label that is an identifier and "
+                                 f"no statement word, got {self.label!r}")
         elif len(self.params) != kind.n_params:
             raise ValueError(f"{kind.value} takes {kind.n_params} parameter(s), got {len(self.params)}")
 
@@ -126,8 +139,11 @@ class Circuit:
     ``registers`` are the quantum registers in declaration order; ``cregs``
     the classical ones (kept only so MEASURE round-trips).  Either may be
     given as a list or a tuple; a tuple is stored.  Construction refuses
-    a repeated register name or a register size below 1 (ValueError) and
-    an operand that indexes none of the registers' qubits (QasmError).
+    a register name that is repeated or no identifier, a register size
+    below 1, and a measure without a classical bit in a circuit that
+    declares a creg or a register named ``c`` (ValueError); and an
+    operand that indexes none of the registers' qubits or a measure bit
+    that no creg holds (QasmError).
 
     ``width``, ``size`` and ``depth`` are derived, never passed:
     ``width`` counts the registers' qubits, ``size`` the non-BARRIER
@@ -150,6 +166,9 @@ class Circuit:
         names = [r for r, _ in self.registers] + [c for c, _ in self.cregs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate register name in {names}")
+        bad = [name for name in names if not _IDENT_RE.fullmatch(name)]
+        if bad:
+            raise ValueError(f"register name {bad[0]!r} is not an identifier")
         if any(n < 1 for _, n in self.registers + self.cregs):
             raise ValueError("register size must be positive")
         width = sum(n for _, n in self.registers)
@@ -157,6 +176,13 @@ class Circuit:
             for q in g.operands:
                 if not 0 <= q < width:
                     raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
+        targets = {g.cbit for g in self.gates if g.kind is GateKind.MEASURE}
+        bad = targets - {(reg, i) for reg, n in self.cregs for i in range(n)} - {None}
+        if bad:
+            reg, bit = min(bad)
+            raise QasmError(f"bit {reg}[{bit}] is not declared")
+        if None in targets and (self.cregs or "c" in names):  # a bare measure writes to c
+            raise ValueError("a measure without a bit needs no creg and no register c")
         setattr_(self, "width", width)
         setattr_(self, "size", sum(1 for g in self.gates if g.kind is not GateKind.BARRIER))
         setattr_(self, "depth", max((lay + 1 for g, lay in zip(self.gates, gate_layers(self))
@@ -184,22 +210,24 @@ def gate_layers(circuit: Circuit) -> list[int]:
 # --------------------------------------------------------------------------
 # parsing
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)  # also a register name and an opaque label
 # a quoted string is kept whole, so a "//" inside it is not a comment
 _COMMENT_RE = re.compile(r'("[^"\n]*")|//[^\n]*')
 # word [ (params) ] rest
-_STATEMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?(.*)", re.S)
+_STATEMENT_RE = re.compile(rf"({_IDENT})\s*(?:\(([^()]*)\))?(.*)", re.S)
 # name [ [index] ]
-_ARG_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\s*")
+_ARG_RE = re.compile(rf"\s*({_IDENT})\s*(?:\[\s*(\d+)\s*\])?\s*")
 _STRING_RE = re.compile(r'\s*"[^"\n]*"\s*')
 # name param (, param)*
-_OPAQUE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+[A-Za-z_][A-Za-z0-9_]*"
-                        r"((?:\s*,\s*[A-Za-z_][A-Za-z0-9_]*)*)\s*")
+_OPAQUE_RE = re.compile(rf"\s*({_IDENT})\s+{_IDENT}((?:\s*,\s*{_IDENT})*)\s*")
 _SIGNS_RE = re.compile(r"\s*((?:[+-]\s*)*)")
 _OPERATOR_RE = re.compile(r"([*/])")
 # literal | pi
 _ATOM_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                       r"|\d+(?:[eE][+-]?\d+)?)|pi)\s*")
 _KEYWORDS = ("include", "qreg", "creg", "opaque", "measure", "barrier")
+_UNSUPPORTED = ("gate", "if", "reset")
 
 
 def _statements(text: str):
@@ -296,7 +324,7 @@ class _Parser:
         if m is None:
             raise QasmError(f"malformed statement {body!r}")
         word, params, rest = m.groups()
-        if word in ("gate", "if", "reset"):
+        if word in _UNSUPPORTED:
             raise QasmError(f"'{word}' statements are not supported")
         if word not in _KEYWORDS:
             self._application(word, params, rest)
@@ -407,55 +435,107 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 
 
 # --------------------------------------------------------------------------
-# emission
+# writing
 
-def _fmt_param(x: float) -> str:
-    # repr is the shortest string that re-parses to exactly the same float
-    return repr(float(x))
-
-
-def _cregs(circuit: Circuit) -> tuple[tuple[str, int], ...]:
-    """Declared cregs, or ``c[width]`` when the circuit measures without any."""
-    if not circuit.cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        return (("c", circuit.width),)
-    return circuit.cregs
-
-
-def _preamble(circuit: Circuit, gates, cregs, opaque: tuple[str, ...] = (),
-              e: int = 0) -> list[str]:
-    """Header and declarations: the ``opaque`` lines given, one opaque per
-    label that ``gates`` call, the circuit's qregs, ``ebit[e]`` when e is
-    nonzero, then ``cregs``."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', *opaque]
-    arity: dict[str, int] = {}
-    for g in gates:
-        if g.kind is GateKind.OPAQUE:
-            arity.setdefault(g.label, len(g.operands))
-    for label, n in arity.items():
-        lines.append(f"opaque {label} {','.join(chr(ord('a') + i) for i in range(n))};")
-    lines += [f"qreg {reg}[{n}];" for reg, n in circuit.registers]
-    if e:
-        lines.append(f"qreg ebit[{e}];")
-    lines += [f"creg {reg}[{n}];" for reg, n in cregs]
-    return lines
-
-
-def _gate_line(g: Gate, ops: list[str], cregs) -> str:
+def _gate_line(g: Gate, ops: list[str]) -> str:
     """One statement applying ``g`` to the operand strings ``ops``; a
-    measure without a classical target writes to ``cregs[0]`` at the
-    qubit's index."""
+    measure without a classical bit writes to ``c`` at its qubit's index."""
     if g.kind is GateKind.MEASURE:
-        cb = g.cbit if g.cbit is not None else (cregs[0][0], g.operands[0])
-        return f"measure {ops[0]} -> {cb[0]}[{cb[1]}];"
+        reg, bit = g.cbit or ("c", g.operands[0])
+        return f"measure {ops[0]} -> {reg}[{bit}];"
     if g.params:
-        return f"{g.qasm_name}({','.join(_fmt_param(p) for p in g.params)}) {','.join(ops)};"
+        # repr is the shortest string that re-parses to exactly the same float
+        return f"{g.qasm_name}({','.join(repr(float(p)) for p in g.params)}) {','.join(ops)};"
     return f"{g.qasm_name} {','.join(ops)};"
 
 
-def emit_qasm(circuit: Circuit) -> str:
-    """Emit the circuit as OpenQASM 2.0; parse(emit(c)) is gate-for-gate c."""
-    cregs = _cregs(circuit)
-    lines = _preamble(circuit, circuit.gates, cregs)
+def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[str]:
+    """One OpenQASM 2.0 program per block, in block order.
+
+    Qubit ``q`` lives on block ``block_of[q]``, gate ``seq`` runs on
+    ``exec_block[seq]`` (a BARRIER's entry is not read), and block ``b``
+    declares ``ebit[widths[b]]``, one slot per channel endpoint, numbered
+    on each block as its channels open; a width of 0 declares none.
+    ``channels`` are ``distribution.Channel``s.  Every program re-declares
+    the circuit's registers at full size and names only its own qubits
+    and slots.  One sweep over the gates appends each line to the body of
+    the block it runs on; a BARRIER goes to every block that holds one of
+    its qubits, narrowed to those.  A channel opens before its first use
+    with a ``cat_entangler`` on the carried qubit's block and closes after
+    its last use with a ``cat_disentangler`` on its remote block, each
+    after a ``// channel i`` comment.  A remote operand reads the slot of
+    the open channel of its (carried qubit, block) pair, from a table
+    written at each entangler and cleared at its disentangler; a pair has
+    at most one open channel, which ``plan_distribution`` checks (the runs
+    of ``find_groups`` never open two, since a run ends at any other gate
+    on its control).
+
+    A program declares the cat primitives it calls, one opaque per label
+    its gates call (at the arity of the first call), the registers, its
+    ``ebit`` register, then the cregs, or ``creg c[width]`` for a circuit
+    that measures without any.  With a channel, a register named ``ebit``
+    or an opaque gate named like a cat primitive would be declared twice,
+    so it is a ValueError naming it.
+    """
     names = circuit.qubits()
-    lines += [_gate_line(g, [names[q] for q in g.operands], cregs) for g in circuit.gates]
-    return "\n".join(lines) + "\n"
+    entangle_at: dict[int, list[int]] = {}  # first-use gate -> channels
+    release_at: dict[int, list[int]] = {}
+    for i, c in enumerate(channels):
+        entangle_at.setdefault(c.first_use, []).append(i)
+        release_at.setdefault(c.last_use, []).append(i)
+
+    bodies: list[list[str]] = [[] for _ in widths]
+    arity: list[dict[str, int]] = [{} for _ in widths]  # opaque label -> operands, per block
+    used = [0] * len(widths)  # ebit slots opened so far, per block
+    live: dict[tuple[int, int], int] = {}  # (carries, remote) -> its open channel's slot
+    for seq, g in enumerate(circuit.gates):
+        for i in entangle_at.get(seq, ()):
+            c = channels[i]
+            home = block_of[c.carries]
+            bodies[home] += (f"// channel {i}",
+                             f"cat_entangler {names[c.carries]},ebit[{used[home]}];")
+            used[home] += 1
+            live[c.carries, c.remote] = used[c.remote]
+            used[c.remote] += 1
+        if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
+            local: dict[int, list[str]] = {}
+            for q in g.operands:
+                local.setdefault(block_of[q], []).append(names[q])
+            for lb, ops in local.items():
+                bodies[lb].append(_gate_line(g, ops))
+        else:
+            b = exec_block[seq]
+            ops = [names[q] if block_of[q] == b else f"ebit[{live[q, b]}]"
+                   for q in g.operands]
+            bodies[b].append(_gate_line(g, ops))
+            if g.kind is GateKind.OPAQUE:
+                arity[b].setdefault(g.label, len(g.operands))
+        for i in release_at.get(seq, ()):
+            c = channels[i]
+            bodies[c.remote] += (f"// channel {i}",
+                                 f"cat_disentangler ebit[{live.pop((c.carries, c.remote))}];")
+
+    clash = [f"register {n!r}" for n, _ in circuit.registers + circuit.cregs if n == "ebit"]
+    clash += [f"opaque gate {lb!r}" for labels in arity for lb in labels
+              if lb in ("cat_entangler", "cat_disentangler")]
+    if channels and clash:
+        raise ValueError(f"{clash[0]} is reserved for the programs' channels; rename it")
+    bare = not circuit.cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates)
+    cregs = [f"creg {reg}[{n}];" for reg, n in ((("c", circuit.width),) if bare else circuit.cregs)]
+    qregs = [f"qreg {reg}[{n}];" for reg, n in circuit.registers]
+    homes = {block_of[c.carries] for c in channels}
+    remotes = {c.remote for c in channels}
+    return ["\n".join(["OPENQASM 2.0;", 'include "qelib1.inc";',
+                       *(["opaque cat_entangler a,b;"] if b in homes else []),
+                       *(["opaque cat_disentangler a;"] if b in remotes else []),
+                       *(f"opaque {lb} {','.join(chr(ord('a') + i) for i in range(n))};"
+                         for lb, n in arity[b].items()),
+                       *qregs, *([f"qreg ebit[{widths[b]}];"] if widths[b] else []),
+                       *cregs, *body]) + "\n"
+            for b, body in enumerate(bodies)]
+
+
+def emit_qasm(circuit: Circuit) -> str:
+    """Emit the circuit as OpenQASM 2.0, the writer's program for one QPU
+    that runs every gate; parse(emit(c)) is gate-for-gate c."""
+    return _programs(circuit, [0] * circuit.width, [0] * len(circuit.gates), (), [0])[0]

@@ -87,12 +87,12 @@ def _cmd_partition(args) -> int:
     result = partition(h, config)
     if hmetis:  # a bare hypergraph has no operations to account
         endpoints = block_endpoints(h, list(result.assignment), config.blocks)
-        blocks = [{"data": d, "e": e, "o": 0, "r": None}
-                  for d, e in zip(result.loads, endpoints)]
+        rows = [(d, 0, e) for d, e in zip(result.loads, endpoints)]
     else:
         # account every QPU of the config, also one the assignment leaves empty
         plan = plan_distribution(circuit, h, list(result.assignment), blocks=config.blocks)
-        blocks = [{"data": p.data, "e": p.e, "o": p.o, "r": p.r} for p in plan.per_block]
+        rows = [(p.data, p.o, p.e) for p in plan.per_block]
+    blocks = [{"data": d, "e": e, "o": o, "r": e / o if o else None} for d, o, e in rows]
     improvement = _improvement(h, config, result.cut.ebits)
     report = {"circuit": name, "n": n, "method": args.method, "k": args.parts,
               "cut_edges": result.cut.cut_edges, "ebits": result.cut.ebits,
@@ -100,9 +100,10 @@ def _cmd_partition(args) -> int:
     if improvement is not None:
         report["improvement_pct"] = improvement
     if args.emit:
+        texts = emit_subcircuits(circuit, plan)  # a refused circuit writes nothing
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
-        for b, text in enumerate(emit_subcircuits(circuit, plan)):
+        for b, text in enumerate(texts):
             (out / f"{circuit.name}_block{b}.qasm").write_text(text)
     if args.json:
         print(json.dumps(report, indent=2))

@@ -22,6 +22,11 @@ These rules are stated once, in ``_placement``, over a matrix of
 assignments: ``plan_distribution`` evaluates it on its one row, and
 ``_plan_ledger`` on a batch of seeded deals to give each row's per-block
 counts without building its plan.
+
+This module computes numbers only.  ``emit_subcircuits`` hands a plan's
+assignment, placement, channels and per-QPU widths to the one QASM
+writer, ``circuit._programs``, which owns every statement, declaration,
+the ``ebit`` register and the cat primitives.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, _cregs, _gate_line, _preamble
+from .circuit import Circuit, GateKind, _programs
 from .fm import InfeasibleError
 from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
 
@@ -52,15 +57,13 @@ class Channel:
 
 @dataclass(frozen=True)
 class QpuPlan:
-    """Per-QPU ledger: resident data qubits, executed original gates o,
+    """Per-QPU ledger: resident data qubits, executed original gates o and
     ebit endpoints e (also the width of the emitted program's ``ebit``
-    register), and their ratio r = e / o (None when o is zero).  QPU b's
-    ledger is ``DistributionPlan.per_block[b]``."""
+    register).  QPU b's ledger is ``DistributionPlan.per_block[b]``."""
 
     data: int
     o: int
     e: int
-    r: float | None
 
 
 @dataclass(frozen=True)
@@ -203,9 +206,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
         e[c.remote] += 1
 
     data = np.bincount(assignment, minlength=blocks).tolist()  # every vertex is a qubit
-    per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b],
-                              r=e[b] / o[b] if o[b] else None)
-                      for b in range(blocks))
+    per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b]) for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
                             cut=cut_cost(h, list(assignment), blocks),
@@ -254,68 +255,10 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
 # subcircuit emission
 
 def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
-    """One OpenQASM program per QPU, in block order.
-
-    Programs re-declare the original registers at full size and only touch
-    the slice that lives locally, plus an ``ebit`` register of e slots,
-    one per channel endpoint, numbered on each block as its channels open.
-    Channel activity is marked with ``// channel`` comments; the opaque cat
-    primitives carry the nonlocal protocol.  One sweep over the gates
-    appends each line to the body of the block it runs on.  A remote
-    operand reads the slot of the open channel of its (carried qubit,
-    block) pair, from a table written at each entangler and cleared at its
-    disentangler.  A pair has at most one open channel, which
-    ``plan_distribution`` checks; the runs of ``find_groups`` never open
-    two, since a run ends at any other gate on its control.
-    """
-    names = circuit.qubits()
-    block_of = plan.assignment  # a qubit's index is its vertex
-
-    channels = plan.channels
-    entangle_at: dict[int, list[int]] = {}  # first-use gate -> channels
-    release_at: dict[int, list[int]] = {}
-    for i, c in enumerate(channels):
-        entangle_at.setdefault(c.first_use, []).append(i)
-        release_at.setdefault(c.last_use, []).append(i)
-
-    cregs = _cregs(circuit)
-    bodies: list[list[str]] = [[] for _ in plan.per_block]
-    opaque: list[list] = [[] for _ in plan.per_block]  # opaque gates run there
-    used = [0] * len(plan.per_block)  # ebit slots opened so far, per block
-    live: dict[tuple[int, int], int] = {}  # (carries, remote) -> its open channel's slot
-    for seq, g in enumerate(circuit.gates):
-        for i in entangle_at.get(seq, ()):
-            c = channels[i]
-            home = block_of[c.carries]
-            bodies[home] += (f"// channel {i}",
-                             f"cat_entangler {names[c.carries]},ebit[{used[home]}];")
-            used[home] += 1
-            live[c.carries, c.remote] = used[c.remote]
-            used[c.remote] += 1
-        b = plan.exec_block[seq]
-        if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
-            local: dict[int, list[str]] = {}
-            for q in g.operands:
-                local.setdefault(block_of[q], []).append(names[q])
-            for lb, ops in local.items():
-                bodies[lb].append(_gate_line(g, ops, cregs))
-        else:
-            ops = [names[q] if block_of[q] == b else f"ebit[{live[q, b]}]"
-                   for q in g.operands]
-            bodies[b].append(_gate_line(g, ops, cregs))
-            if g.kind is GateKind.OPAQUE:
-                opaque[b].append(g)
-        for i in release_at.get(seq, ()):
-            c = channels[i]
-            bodies[c.remote] += (f"// channel {i}",
-                                 f"cat_disentangler ebit[{live.pop((c.carries, c.remote))}];")
-
-    homes = {block_of[c.carries] for c in channels}
-    remotes = {c.remote for c in channels}
-    texts = []
-    for b, body in enumerate(bodies):
-        cat = (("opaque cat_entangler a,b;",) if b in homes else ()) + \
-              (("opaque cat_disentangler a;",) if b in remotes else ())
-        lines = _preamble(circuit, opaque[b], cregs, cat, plan.per_block[b].e)
-        texts.append("\n".join(lines + body) + "\n")
-    return texts
+    """One OpenQASM program per QPU, in block order: ``circuit._programs``
+    on the plan's assignment, gate placement and channels, with an
+    ``ebit`` register of e slots on each QPU.  A circuit that names a
+    register ``ebit``, or an opaque gate like a cat primitive, is a
+    ValueError when the plan has a channel."""
+    return _programs(circuit, plan.assignment, plan.exec_block, plan.channels,
+                     [p.e for p in plan.per_block])

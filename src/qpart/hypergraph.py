@@ -92,7 +92,7 @@ def build_hypergraph(circuit: Circuit, grouped: bool = False) -> Hypergraph:
     for seq, g in enumerate(circuit.gates):
         members = group_of.get(seq)
         if members is None:
-            if g.kind.n_qubits in (2, 3):  # CX/CZ/CP and CCX/CCZ
+            if g.kind.splittable:  # CX/CZ/CP and CCX/CCZ
                 edges.append(Hyperedge(pins=g.operands, gates=(seq,)))
         elif seq == members[0]:
             targets = dict.fromkeys(circuit.gates[s].operands[1] for s in members)

@@ -263,7 +263,7 @@ def test_random_rows_match_partition_and_plan(instance):
                                               restarts=1, seed=seed, mode=Mode.RANDOM))
         plan = plan_distribution(circuit, h, list(result.assignment), blocks=config.blocks)
         return (seed, result.cut.cut_edges, result.cut.ebits,
-                tuple(p.r for p in plan.per_block))
+                tuple(p.e / p.o if p.o else None for p in plan.per_block))
 
     job = CircuitJob(label=circuit.name)
 
@@ -315,7 +315,7 @@ def test_refined_rows_match_partition_and_plan(instance):
                                               mode=spec.mode))
         plan = plan_distribution(circuit, h, list(result.assignment), blocks=k)
         return (method, spec.seed_from, result.cut.cut_edges, result.cut.ebits,
-                tuple(p.r for p in plan.per_block))
+                tuple(p.e / p.o if p.o else None for p in plan.per_block))
 
     try:
         want = [one("FM", False), one("FMGrouped", True)]
@@ -393,6 +393,26 @@ def test_cli_partition_reports_and_emits_every_qpu(caps, tmp_path, capsys):
     assert rep["k"] == len(rep["blocks"]) == 3
     assert sorted(b["data"] for b in rep["blocks"]) == [1, 1, 2]
     assert sorted(p.name for p in out.iterdir()) == [f"ghz4_block{b}.qasm" for b in range(3)]
+
+
+EBIT_QASM = ("OPENQASM 2.0;\nqreg ebit[2];\nqreg q[2];\ncx ebit[0],q[0];\ncx q[0],ebit[1];\n"
+             "cx ebit[1],q[1];\ncx q[1],ebit[0];\ncx ebit[0],ebit[1];\ncx q[0],q[1];\n")
+
+
+def test_cli_emit_refuses_a_register_named_ebit(tmp_path, capsys):
+    # a program over two QPUs declares its own `qreg ebit`, so a source
+    # register of that name exits 1 with one error line and writes nothing
+    src = tmp_path / "ebit.qasm"
+    src.write_text(EBIT_QASM)
+    out = tmp_path / "emit"
+    assert main(["partition", str(src), "--parts", "2", "--emit", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: register 'ebit' ") and captured.err.count("\n") == 1
+    assert list(out.glob("*.qasm")) == []
+    # without --emit the plan is reported as before
+    assert main(["partition", str(src), "--parts", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ebits"] > 0
 
 
 def test_cli_random_with_more_parts_than_qubits(capsys):

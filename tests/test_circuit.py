@@ -243,6 +243,54 @@ def test_emit_synthesises_creg():
     parse_qasm(text)
 
 
+# -- every Circuit writes as QASM that parses back --------------------------
+
+@pytest.mark.parametrize("name", ["q-1", "1q", "", "q[0]"])
+def test_register_name_must_be_an_identifier(name):
+    # `qreg q-1[2];` would not parse; a creg is held to the same rule
+    with pytest.raises(ValueError, match="not an identifier"):
+        Circuit("bad", [(name, 2)], [])
+    with pytest.raises(ValueError, match="not an identifier"):
+        Circuit("bad", [("q", 2)], [], [(name, 2)])
+
+
+@pytest.mark.parametrize("label", ["measure", "barrier", "opaque", "include", "qreg",
+                                   "creg", "gate", "if", "reset", "my-gate", "2x"])
+def test_opaque_label_must_be_a_gate_name_the_parser_reads(label):
+    # `opaque measure a;` does not re-parse, and a `barrier` label would come
+    # back as a BARRIER
+    with pytest.raises(ValueError, match="identifier and no statement word"):
+        Gate(GateKind.OPAQUE, (0,), label=label)
+
+
+def test_opaque_label_may_be_any_other_identifier():
+    c = Circuit("ok", [("q", 2)], [Gate(GateKind.OPAQUE, (1, 0), label="OPENQASM"),
+                                   Gate(GateKind.OPAQUE, (0,), label="_tag9")])
+    assert parse_qasm(emit_qasm(c)).gates == c.gates
+
+
+@pytest.mark.parametrize("cbit", [("z", 0), ("m", 2), ("m", -1)])
+def test_measure_bit_must_be_declared(cbit):
+    # `-> z[9];` names a register the program does not declare
+    with pytest.raises(QasmError, match=r"bit .* is not declared"):
+        Circuit("bad", [("q", 2)], [Gate(GateKind.MEASURE, (0,), cbit=cbit)], [("m", 2)])
+
+
+def test_bare_measure_needs_a_circuit_without_cregs():
+    # with `creg m[2]`, a bare measure of qubit 5 has no bit to write to
+    with pytest.raises(ValueError, match="no creg and no register c"):
+        Circuit("bad", [("q", 6)], [Gate(GateKind.MEASURE, (5,))], [("m", 2)])
+
+
+def test_bare_measure_refuses_a_quantum_register_named_c():
+    # the writer would declare `creg c[2];` next to `qreg c[2];`
+    with pytest.raises(ValueError, match="no creg and no register c"):
+        Circuit("bad", [("c", 2)], [Gate(GateKind.MEASURE, (0,))])
+    # without a bare measure, a register c is an ordinary name
+    c = Circuit("ok", [("c", 2)], [Gate(GateKind.H, (0,))])
+    assert parse_qasm(emit_qasm(c)).gates == c.gates
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_roundtrip(name):
     c = load_fixture(name)

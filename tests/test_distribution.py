@@ -2,9 +2,10 @@
 
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph,
                    InfeasibleError, Mode, PartitionConfig, Vertex, block_endpoints,
@@ -26,7 +27,6 @@ def test_ghz4_plan(ghz4):
     h, plan = ghz4_plan(ghz4)
     assert [b.o for b in plan.per_block] == [2, 2]
     assert [b.e for b in plan.per_block] == [1, 1]
-    assert [b.r for b in plan.per_block] == [0.5, 0.5]
     assert [b.data for b in plan.per_block] == [2, 2]
     assert plan.ebits == 2
     assert plan.exec_block == (0, 0, 1, 1)
@@ -42,8 +42,6 @@ def test_qft4_grouped_plan(qft4):
     assert [b.o for b in plan.per_block] == [7, 3]
     assert [b.e for b in plan.per_block] == [2, 2]
     assert plan.ebits == 4 and plan.cut.cut_edges == 2
-    assert [b.r for b in plan.per_block] == [pytest.approx(2 / 7),
-                                             pytest.approx(2 / 3)]
     # both channels carry their edge's control, its first pin, out of block 1
     # into block 0
     assert [(c.carries, plan.assignment[c.carries], c.remote) for c in plan.channels] == [(2, 1, 0), (3, 1, 0)]
@@ -320,15 +318,21 @@ def test_emit_serves_each_use_from_its_own_channel():
 
 # -- one writer: a single-QPU plan emits the source program ----------------
 
-_OPAQUE_ARITY = {"probe": 2, "tag": 1}
+_OPAQUE_ARITY = {"probe": 2, "tag": 1, "cat_entangler": 2}
 
 
 @st.composite
 def emitter_circuits(draw):
-    regs = [("q", draw(st.integers(1, 4))), ("r", draw(st.integers(0, 3)))]
+    """Up to two registers named from a pool that holds ``c`` and ``ebit``,
+    an optional creg, and gates of every kind; a measure writes to the
+    creg, or carries no bit when there is none.  Arguments that
+    construction refuses, a repeated name or a bare measure next to a
+    register ``c``, are rejected."""
+    names = draw(st.permutations(["q", "r", "c", "ebit"]))
+    regs = [(names[0], draw(st.integers(1, 4))), (names[1], draw(st.integers(0, 3)))]
     regs = [(name, n) for name, n in regs if n]
     qs = range(sum(n for _, n in regs))
-    cregs = draw(st.sampled_from([[], [("m", len(qs))]]))
+    cregs = draw(st.sampled_from([[]] + [[(name, len(qs))] for name in ("m", "c", "ebit")]))
     kinds = [GateKind.H, GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER, GateKind.OPAQUE]
     if len(qs) >= 2:
         kinds += [GateKind.CX, GateKind.CP]
@@ -348,11 +352,20 @@ def emitter_circuits(draw):
             arity = kind.n_qubits
         ops = tuple(draw(st.permutations(qs))[:arity])
         if kind is GateKind.MEASURE and cregs:
-            cbit = ("m", draw(st.integers(0, len(qs) - 1)))
+            cbit = (cregs[0][0], draw(st.integers(0, len(qs) - 1)))
         params = tuple(draw(st.floats(-6.3, 6.3, allow_nan=False))
                        for _ in range(kind.n_params))
         gates.append(Gate(kind, ops, params, cbit=cbit, label=label))
-    return Circuit("emit", regs, gates, cregs)
+    declared = [name for name, _ in regs + cregs]
+    bare = any(g.kind is GateKind.MEASURE and g.cbit is None for g in gates)
+    refused = len(set(declared)) < len(declared) or (bare and "c" in declared)
+    try:
+        c = Circuit("emit", regs, gates, cregs)
+    except ValueError:
+        assert refused
+        reject()
+    assert not refused
+    return c
 
 
 def _single_qpu_texts(c):
@@ -370,3 +383,57 @@ def test_single_qpu_emit_is_emit_qasm_fixtures(name):
 @given(emitter_circuits())
 def test_single_qpu_emit_is_emit_qasm(c):
     assert _single_qpu_texts(c) == [emit_qasm(c)]
+
+
+_RESERVED = ("ebit", "cat_entangler", "cat_disentangler")
+
+
+@settings(max_examples=150, deadline=None)
+@given(emitter_circuits(), st.data())
+def test_written_programs_parse_back(c, data):
+    # emit_qasm gives back every gate, a bare measure with the bit of the
+    # c register written for it
+    want = tuple(replace(g, cbit=("c", g.operands[0]))
+                 if g.kind is GateKind.MEASURE and g.cbit is None else g for g in c.gates)
+    assert parse_qasm(emit_qasm(c)).gates == want
+    # every program of a plan over two QPUs parses back, or the writer
+    # names the reserved name that it would declare twice
+    assignment = data.draw(st.lists(st.integers(0, 1), min_size=c.width, max_size=c.width))
+    try:
+        plan = plan_distribution(c, build_hypergraph(c), assignment, blocks=2)
+    except InfeasibleError:  # a split opaque gate or a split gate of one edge
+        return
+    taken = {name for name, _ in c.registers + c.cregs} | {g.label for g in c.gates}
+    clash = sorted(taken & set(_RESERVED))
+    if plan.channels and clash:
+        with pytest.raises(ValueError, match="|".join(f"'{name}'" for name in clash)):
+            emit_subcircuits(c, plan)
+        return
+    for text in emit_subcircuits(c, plan):
+        parse_qasm(text)
+
+
+def _reserved_circuit(decl: str, call: str = ""):
+    return parse_qasm(f"OPENQASM 2.0; {decl} qreg q[2]; {call} cx q[0],q[1];")
+
+
+@pytest.mark.parametrize("decl,call,named", [
+    ("qreg ebit[1];", "", "register 'ebit'"),
+    ("creg ebit[1];", "", "register 'ebit'"),
+    ("opaque cat_entangler a;", "cat_entangler q[0];", "opaque gate 'cat_entangler'"),
+    ("opaque cat_disentangler a;", "cat_disentangler q[1];", "opaque gate 'cat_disentangler'"),
+], ids=["qreg", "creg", "entangler", "disentangler"])
+def test_writer_refuses_its_own_names_with_a_channel(decl, call, named):
+    # the programs of a plan with a channel declare `qreg ebit` and the cat
+    # primitives, so a circuit that uses those names would declare them twice
+    c = _reserved_circuit(decl, call)
+    h = build_hypergraph(c)
+    n = c.width
+    together = plan_distribution(c, h, [0] * n, blocks=2)
+    assert not together.channels
+    for text in emit_subcircuits(c, together):
+        parse_qasm(text)
+    apart = plan_distribution(c, h, [0] * (n - 1) + [1], blocks=2)
+    assert apart.channels
+    with pytest.raises(ValueError, match=re.escape(named)):
+        emit_subcircuits(c, apart)
