@@ -2,8 +2,10 @@
 
 The model is deliberately small: named quantum registers, a fixed gate
 alphabet (H/X/Y/Z/S/T, RX/RY/RZ, CX/CZ/CP, CCX/CCZ, MEASURE, BARRIER) and
-one statement per gate.  Circuits are immutable once built; construction
-checks the registers and operands and computes width, size and depth.
+one statement per gate.  Gates and circuits are immutable once built.  A
+gate is checked once, as it is built; a circuit checks its registers, and
+one sweep over its gates checks their operands and derives width, size
+and depth.
 
 A gate's operands are dense qubit indices: the registers' qubits numbered
 in declaration order, so in ``qreg a[2]; qreg b[3];`` ``b[0]`` is qubit 2.
@@ -14,7 +16,8 @@ name written for qubit ``q`` (``"b[0]"``) in emitted programs and messages.
 Parser coverage is the OpenQASM 2.0 fragment emitted by common circuit
 generators: header, optional include, register declarations, gate
 applications with literal or pi-rational parameters, measure, barrier, and
-``opaque`` declarations (used by the distributed programs).  Gate
+``opaque`` declarations (used by the distributed programs); an opaque may
+not redeclare a built-in gate, nor an opaque at another arity.  Gate
 definitions and ``if`` statements are rejected.  Statements end with ``;``
 and may share a line or span lines; ``//`` starts a comment that runs to
 the end of its line.  A parse error names the line where its statement
@@ -25,7 +28,8 @@ gates writes one program per block.  ``emit_qasm`` is its case of one
 block and no channels; ``distribution.emit_subcircuits`` passes it a plan.
 Every circuit that construction accepts writes as text the parser reads
 back: a register name and an opaque label are identifiers, a label is no
-statement word, and a measure writes to a declared bit, or to a ``c``
+statement word and no built-in gate name and is called at one arity, a
+parameter is finite, and a measure writes to a declared bit, or to a ``c``
 register of its own when the circuit declares no creg and no ``c``.
 Distributed programs also declare an ``ebit`` register and call the cat
 primitives ``cat_entangler`` and ``cat_disentangler``, so when a plan has
@@ -94,16 +98,30 @@ class GateKind(Enum):
 _NAME_TO_KIND = {k.value: k for k in GateKind
                  if k not in (GateKind.OPAQUE, GateKind.MEASURE, GateKind.BARRIER)}
 _NAME_TO_KIND["cu1"] = GateKind.CP
+# per-gate code reads the member once, here: a member read off the enum
+# class goes through EnumType's attribute hook, several times slower than
+# reading a plain class attribute
+_OPAQUE = GateKind.OPAQUE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
-    """One circuit statement.
+    """One circuit statement, checked once as it is built and frozen after.
 
     ``operands`` are dense qubit indices in register-declaration order;
     ``Circuit.qubits()`` names them.  A gate is identified by its position
     in the circuit's gate list.  ``cbit`` carries the classical target of a
     MEASURE; ``label`` carries the declared name of an OPAQUE call.
+
+    Construction refuses (ValueError) an operand count other than the
+    kind's, a repeated operand, a parameter count other than the kind's
+    (an OPAQUE takes any), a parameter that is not finite, and an OPAQUE
+    label that is no identifier, or is a statement word or a built-in gate
+    name: each would write as text that does not read back as this gate.
+    The ``__init__`` is written out, so the checks run in it with no
+    ``__post_init__`` call; assignment still raises ``FrozenInstanceError``,
+    and ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` are the
+    dataclass's.
     """
 
     kind: GateKind
@@ -112,24 +130,37 @@ class Gate:
     cbit: tuple[str, int] | None = None
     label: str | None = None
 
-    def __post_init__(self) -> None:
-        kind, n = self.kind, len(self.operands)
+    def __init__(self, kind: GateKind, operands: tuple[int, ...], params: tuple[float, ...] = (),
+                 cbit: tuple[str, int] | None = None, label: str | None = None) -> None:
+        n = len(operands)
         if kind.n_qubits is not None and n != kind.n_qubits:
             raise ValueError(f"{kind.value} takes {kind.n_qubits} operand(s), got {n}")
-        if n > 1 and len(set(self.operands)) != n:
+        if n > 1 and len(set(operands)) != n:
             raise ValueError(f"{kind.value} operands must be distinct: "
-                             f"{', '.join(map(str, self.operands))}")
-        if kind is GateKind.OPAQUE:
-            # no label may shadow a statement word the parser dispatches on
-            if not _IDENT_RE.fullmatch(self.label or "") or self.label in _KEYWORDS + _UNSUPPORTED:
+                             f"{', '.join(map(str, operands))}")
+        if kind is _OPAQUE:
+            # no label may shadow a statement word or a gate the parser dispatches on
+            if not _IDENT_RE.fullmatch(label or "") or label in _NO_LABEL:
                 raise ValueError(f"opaque gate needs a label that is an identifier and "
-                                 f"no statement word, got {self.label!r}")
-        elif len(self.params) != kind.n_params:
-            raise ValueError(f"{kind.value} takes {kind.n_params} parameter(s), got {len(self.params)}")
+                                 f"no statement word or built-in gate name, got {label!r}")
+        elif len(params) != kind.n_params:
+            raise ValueError(f"{kind.value} takes {kind.n_params} parameter(s), got {len(params)}")
+        for p in params:
+            if not math.isfinite(p):
+                raise ValueError(f"{kind.value} parameter {p!r} is not finite")
+        # object.__setattr__ stores into the instance's inline values;
+        # writing to self.__dict__ would build a dict object per gate, which
+        # costs memory and slows every later attribute read
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "operands", operands)
+        set_(self, "params", params)
+        set_(self, "cbit", cbit)
+        set_(self, "label", label)
 
     @property
     def qasm_name(self) -> str:
-        return self.label if self.kind is GateKind.OPAQUE else self.kind.qasm
+        return self.label if self.kind is _OPAQUE else self.kind.qasm
 
 
 @dataclass(frozen=True)
@@ -140,15 +171,16 @@ class Circuit:
     the classical ones (kept only so MEASURE round-trips).  Either may be
     given as a list or a tuple; a tuple is stored.  Construction refuses
     a register name that is repeated or no identifier, a register size
-    below 1, and a measure without a classical bit in a circuit that
-    declares a creg or a register named ``c`` (ValueError); and an
-    operand that indexes none of the registers' qubits or a measure bit
-    that no creg holds (QasmError).
+    below 1, one opaque label called with two operand counts, and a
+    measure without a classical bit in a circuit that declares a creg or a
+    register named ``c`` (ValueError); and an operand that indexes none of
+    the registers' qubits or a measure bit that no creg holds (QasmError).
 
     ``width``, ``size`` and ``depth`` are derived, never passed:
     ``width`` counts the registers' qubits, ``size`` the non-BARRIER
     gates, and ``depth`` is the greedy as-soon-as-possible layer count of
-    ``gate_layers``, where BARRIER occupies no layer of its own.
+    ``gate_layers``, where BARRIER occupies no layer of its own.  One
+    sweep over the gates, ``_sweep``, checks them and derives the metrics.
     """
 
     name: str
@@ -172,11 +204,7 @@ class Circuit:
         if any(n < 1 for _, n in self.registers + self.cregs):
             raise ValueError("register size must be positive")
         width = sum(n for _, n in self.registers)
-        for g in self.gates:
-            for q in g.operands:
-                if not 0 <= q < width:
-                    raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
-        targets = {g.cbit for g in self.gates if g.kind is GateKind.MEASURE}
+        _, size, depth, targets = _sweep(self.gates, width)
         bad = targets - {(reg, i) for reg, n in self.cregs for i in range(n)} - {None}
         if bad:
             reg, bit = min(bad)
@@ -184,9 +212,8 @@ class Circuit:
         if None in targets and (self.cregs or "c" in names):  # a bare measure writes to c
             raise ValueError("a measure without a bit needs no creg and no register c")
         setattr_(self, "width", width)
-        setattr_(self, "size", sum(1 for g in self.gates if g.kind is not GateKind.BARRIER))
-        setattr_(self, "depth", max((lay + 1 for g, lay in zip(self.gates, gate_layers(self))
-                                     if g.kind is not GateKind.BARRIER), default=0))
+        setattr_(self, "size", size)
+        setattr_(self, "depth", depth)
 
     def qubits(self) -> list[str]:
         """The written name of every qubit (``"a[1]"``), indexed by its
@@ -194,17 +221,50 @@ class Circuit:
         return [f"{reg}[{i}]" for reg, n in self.registers for i in range(n)]
 
 
+def _sweep(gates, width: int) -> tuple[list[int], int, int, set]:
+    """One pass over ``gates`` on ``width`` qubits: (the zero-based ASAP
+    layer per gate, the size, the depth, the measure targets).
+
+    A gate takes the first layer free on all its wires and frees the next;
+    a BARRIER records its sync point and occupies no layer, so it counts
+    toward neither size nor depth.  Refuses an operand outside
+    ``range(width)`` (QasmError) and one opaque label at two operand
+    counts (ValueError)."""
+    barrier, measure, opaque = GateKind.BARRIER, GateKind.MEASURE, GateKind.OPAQUE
+    frontier = [0] * width  # per qubit: the first layer free on its wire
+    layers = []
+    targets = set()
+    arity: dict[str, int] = {}  # opaque label -> operands
+    size = depth = 0
+    for g in gates:
+        kind, ops = g.kind, g.operands
+        at = 0
+        for q in ops:
+            if not 0 <= q < width:
+                raise QasmError(f"qubit {q} is not declared; the registers hold {width}")
+            if frontier[q] > at:
+                at = frontier[q]
+        layers.append(at)
+        if kind is barrier:
+            free = at
+        else:
+            free = at + 1
+            size += 1
+            if free > depth:
+                depth = free
+            if kind is measure:
+                targets.add(g.cbit)
+            elif kind is opaque and arity.setdefault(g.label, len(ops)) != len(ops):
+                raise ValueError(f"opaque gate {g.label!r} is called with "
+                                 f"{arity[g.label]} and {len(ops)} operands")
+        for q in ops:
+            frontier[q] = free
+    return layers, size, depth, targets
+
+
 def gate_layers(circuit: Circuit) -> list[int]:
     """Zero-based ASAP layer per gate; BARRIER records its sync point."""
-    frontier = [0] * circuit.width  # per qubit: the first layer free on its wire
-    layers = []
-    for g in circuit.gates:
-        at = max([frontier[q] for q in g.operands], default=0)
-        layers.append(at)
-        free = at if g.kind is GateKind.BARRIER else at + 1
-        for q in g.operands:
-            frontier[q] = free
-    return layers
+    return _sweep(circuit.gates, circuit.width)[0]
 
 
 # --------------------------------------------------------------------------
@@ -228,22 +288,16 @@ _ATOM_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                       r"|\d+(?:[eE][+-]?\d+)?)|pi)\s*")
 _KEYWORDS = ("include", "qreg", "creg", "opaque", "measure", "barrier")
 _UNSUPPORTED = ("gate", "if", "reset")
+# what an opaque label may not be: a statement word or a built-in gate
+_NO_LABEL = frozenset(_KEYWORDS + _UNSUPPORTED + tuple(_NAME_TO_KIND))
 
 
-def _statements(text: str):
-    """Yield (line, statement) per ``;``-terminated statement, comments
-    blanked and leading blanks stripped; ``line`` is where the statement
-    starts.  Non-blank text after the last ``;`` is an error."""
-    *statements, tail = _COMMENT_RE.sub(r"\1", text).split(";")
-    line = 1
-    for stmt in statements:
-        body = stmt.lstrip()
-        line += stmt.count("\n", 0, len(stmt) - len(body))
-        yield line, body
-        line += body.count("\n")
-    body = tail.lstrip()
-    if body:
-        raise QasmError("unexpected end of input", line + tail.count("\n", 0, len(tail) - len(body)))
+def _line(pieces: list[str], i: int) -> int:
+    """The line where ``pieces[i]`` starts, past its leading blanks; the
+    pieces are the text split at each ``;``.  Counted only for an error."""
+    piece = pieces[i]
+    lead = len(piece) - len(piece.lstrip())
+    return 1 + sum(p.count("\n") for p in pieces[:i]) + piece.count("\n", 0, lead)
 
 
 def _arg(text: str) -> tuple[str, int | None]:
@@ -277,6 +331,14 @@ def _param(text: str) -> float:
 
 
 class _Parser:
+    """One parse.  Each gate is built, and so checked, once.  Two memos
+    skip repeated work: parameter text -> values, and argument text ->
+    the one qubit it names.  An error ends the parse, so both hold
+    successes only; a statement whose every argument is in the second
+    memo skips the argument syntax and register lookups, which it would
+    pass, so its faults are reported in the order they would be without
+    the memo."""
+
     def __init__(self, name: str):
         self.name = name
         # name -> (index of its first qubit, size), in declaration order
@@ -285,15 +347,20 @@ class _Parser:
         self.cregs: dict[str, int] = {}
         self.opaque: dict[str, int] = {}  # declared name -> arity
         self.gates: list[Gate] = []
+        self.values: dict[str, tuple[float, ...]] = {}  # parameter text -> values
+        self.qubit: dict[str, int] = {}  # argument text -> the indexed qubit it names
 
-    def _add(self, kind: GateKind, operands: tuple[int, ...],
-             params: tuple[float, ...] = (), **extra) -> None:
-        """Append a gate; repeated operands are refused by their written
-        names."""
-        if len(operands) > 1 and len(set(operands)) != len(operands):
-            raise QasmError(f"{kind.value} operands must be distinct: "
-                            + ", ".join(self._name(q) for q in operands))
-        self.gates.append(Gate(kind, operands, params, **extra))
+    def _add(self, kind: GateKind, operands: tuple[int, ...], params: tuple[float, ...] = (),
+             cbit: tuple[str, int] | None = None, label: str | None = None) -> None:
+        """Append a gate.  A repeated operand is refused by its written
+        names, before any other fault of the gate."""
+        try:
+            self.gates.append(Gate(kind, operands, params, cbit, label))
+        except ValueError:
+            if len(set(operands)) != len(operands):
+                raise QasmError(f"{kind.value} operands must be distinct: "
+                                + ", ".join(self._name(q) for q in operands)) from None
+            raise
 
     def _name(self, q: int) -> str:
         """How qubit ``q`` is written: registers are numbered in order."""
@@ -302,18 +369,24 @@ class _Parser:
                 return f"{reg}[{q - first}]"
 
     def parse(self, text: str) -> Circuit:
-        statements = _statements(text)
-        line, body = next(statements, (1, ""))
-        m = _STATEMENT_RE.match(body)
+        # the ;-terminated statements with comments blanked, then the text
+        # after the last ;, which must be blank
+        pieces = _COMMENT_RE.sub(r"\1", text).split(";")
+        last = len(pieces) - 1
+        if not last and pieces[0].strip():
+            raise QasmError("unexpected end of input", _line(pieces, 0))
+        m = _STATEMENT_RE.match(pieces[0].lstrip())
         if m is None or m[1] != "OPENQASM":
-            raise QasmError("file must start with 'OPENQASM 2.0;'", line)
+            raise QasmError("file must start with 'OPENQASM 2.0;'", _line(pieces, 0) if last else 1)
         if m[2] is not None or m[3].strip() != "2.0":
-            raise QasmError(f"unsupported OPENQASM version {m[3].strip()}", line)
-        for line, body in statements:
+            raise QasmError(f"unsupported OPENQASM version {m[3].strip()}", _line(pieces, 0))
+        for i in range(1, last):
             try:
-                self._statement(body)
+                self._statement(pieces[i].lstrip())
             except ValueError as exc:  # gate validation included
-                raise QasmError(str(exc), line) from None
+                raise QasmError(str(exc), _line(pieces, i)) from None
+        if pieces[last].strip():
+            raise QasmError("unexpected end of input", _line(pieces, last))
         if not self.qregs:
             raise QasmError("no quantum register declared")
         return Circuit(self.name, [(reg, size) for reg, (_, size) in self.qregs.items()],
@@ -351,20 +424,25 @@ class _Parser:
             decl = _OPAQUE_RE.fullmatch(rest)
             if decl is None:
                 raise QasmError(f"malformed opaque declaration {rest.strip()!r}")
-            self.opaque[decl[1]] = decl[2].count(",") + 1
+            name, arity = decl[1], decl[2].count(",") + 1
+            if name in _NAME_TO_KIND:
+                raise QasmError(f"opaque {name!r} redeclares a built-in gate")
+            if self.opaque.setdefault(name, arity) != arity:
+                raise QasmError(f"opaque {name!r} is already declared with "
+                                f"{self.opaque[name]} operand(s)")
         elif word == "measure":
             self._measure(rest)
         else:
             qubits = []
             for a in rest.split(","):
-                qubits.extend(self._expand(_arg(a)))
+                qubits.extend(self._expand(a, _arg(a)))
             self._add(GateKind.BARRIER, tuple(qubits))
 
     def _measure(self, rest: str) -> None:
         src, arrow, dst = rest.partition("->")
         if not arrow:
             raise QasmError("measure needs '->'")
-        squbits = self._expand(_arg(src))
+        squbits = self._expand(src, _arg(src))
         creg, bit = _arg(dst)
         if creg not in self.cregs:
             raise QasmError(f"classical register {creg!r} is not declared")
@@ -382,10 +460,17 @@ class _Parser:
             self._add(GateKind.MEASURE, (q,), cbit=c)
 
     def _application(self, word: str, params: str | None, rest: str) -> None:
-        values = () if params is None else tuple(_param(p) for p in params.split(","))
-        args = [_arg(a) for a in rest.split(",")]
+        if params is None:
+            values = ()
+        elif (values := self.values.get(params)) is None:
+            values = self.values[params] = tuple(_param(p) for p in params.split(","))
+        texts = rest.strip().split(",")
+        operands = tuple(map(self.qubit.get, texts))
+        if None in operands:  # an argument this parse has not yet resolved
+            operands, args = None, [_arg(a) for a in texts]
         if word in self.opaque:
-            operands = self._indexed(word, args)
+            if operands is None:
+                operands = self._indexed(word, texts, args)
             if len(operands) != self.opaque[word]:
                 raise QasmError(f"{word} takes {self.opaque[word]} operand(s)")
             self._add(GateKind.OPAQUE, operands, values, label=word)
@@ -395,28 +480,33 @@ class _Parser:
             raise QasmError(f"unknown gate {word!r}")
         if len(values) != kind.n_params:
             raise QasmError(f"{word} takes {kind.n_params} parameter(s), got {len(values)}")
-        if kind.n_qubits == 1:
+        if operands is None and kind.n_qubits == 1:
             # bare register broadcasts over its qubits
-            qubit_lists = [self._expand(a) for a in args]
+            qubit_lists = [self._expand(t, a) for t, a in zip(texts, args)]
             if len(qubit_lists) != 1:
                 raise QasmError(f"{word} takes 1 operand")
             for q in qubit_lists[0]:
                 self._add(kind, (q,), values)
-        else:
-            self._add(kind, self._indexed(word, args), values)
+            return
+        if operands is None:
+            operands = self._indexed(word, texts, args)
+        elif kind.n_qubits == 1 and len(operands) != 1:
+            raise QasmError(f"{word} takes 1 operand")
+        self._add(kind, operands, values)
 
-    def _indexed(self, word: str, args) -> tuple[int, ...]:
+    def _indexed(self, word: str, texts: list[str], args) -> tuple[int, ...]:
         """One qubit per argument of ``word``."""
         operands = []
-        for a in args:
-            got = self._expand(a)
+        for text, a in zip(texts, args):
+            got = self._expand(text, a)
             if len(got) != 1:
                 raise QasmError(f"{word} operands must be indexed qubits")
             operands.append(got[0])
         return tuple(operands)
 
-    def _expand(self, arg: tuple[str, int | None]) -> list[int]:
-        """Resolve an argument to qubit indices, broadcasting bare registers."""
+    def _expand(self, text: str, arg: tuple[str, int | None]) -> list[int]:
+        """Resolve the argument ``text``, read as ``arg``, to qubit indices,
+        broadcasting bare registers; an indexed qubit goes in the memo."""
         name, idx = arg
         reg = self.qregs.get(name)
         if reg is None:
@@ -426,7 +516,8 @@ class _Parser:
             return list(range(first, first + size))
         if idx >= size:
             raise QasmError(f"qubit {name}[{idx}] out of range")
-        return [first + idx]
+        q = self.qubit[text] = first + idx
+        return [q]
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -447,6 +538,14 @@ def _gate_line(g: Gate, ops: list[str]) -> str:
         # repr is the shortest string that re-parses to exactly the same float
         return f"{g.qasm_name}({','.join(repr(float(p)) for p in g.params)}) {','.join(ops)};"
     return f"{g.qasm_name} {','.join(ops)};"
+
+
+def _formals(n: int) -> str:
+    """The parameter names of an opaque declaration of ``n`` operands:
+    ``a`` to ``z`` up to 26, else ``a0`` to ``a{n-1}``."""
+    if n <= 26:
+        return ",".join(chr(ord("a") + i) for i in range(n))
+    return ",".join(f"a{i}" for i in range(n))
 
 
 def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[str]:
@@ -471,7 +570,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
     on its control).
 
     A program declares the cat primitives it calls, one opaque per label
-    its gates call (at the arity of the first call), the registers, its
+    its gates call (``Circuit`` holds each label to one arity), the registers, its
     ``ebit`` register, then the cregs, or ``creg c[width]`` for a circuit
     that measures without any.  With a channel, a register named ``ebit``
     or an opaque gate named like a cat primitive would be declared twice,
@@ -528,8 +627,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
     return ["\n".join(["OPENQASM 2.0;", 'include "qelib1.inc";',
                        *(["opaque cat_entangler a,b;"] if b in homes else []),
                        *(["opaque cat_disentangler a;"] if b in remotes else []),
-                       *(f"opaque {lb} {','.join(chr(ord('a') + i) for i in range(n))};"
-                         for lb, n in arity[b].items()),
+                       *(f"opaque {lb} {_formals(n)};" for lb, n in arity[b].items()),
                        *qregs, *([f"qreg ebit[{widths[b]}];"] if widths[b] else []),
                        *cregs, *body]) + "\n"
             for b, body in enumerate(bodies)]

@@ -134,6 +134,31 @@ def test_parse_error_position():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize("stmt,first", [
+    ("bogus r[0];", "unknown gate 'bogus'"),
+    ("rz q[5];", "rz takes 1 parameter(s), got 0"),
+    ("h(pi) q[;", "malformed argument 'q['"),
+    ("rz(pi/0) r[0];", "division by zero in parameter"),
+    ("cx q[0],q[0],q[1];", "cx operands must be distinct: q[0], q[0], q[1]"),
+    ("cx q,r[0];", "cx operands must be indexed qubits"),
+    ("h q[0],q[5];", "qubit q[5] out of range"),
+    ("h q[0],q[1];", "h takes 1 operand"),
+    ("mystery q[1],q[1],q[0];", "mystery takes 2 operand(s)"),
+    ("rz(1e400) q[5];", "qubit q[5] out of range"),
+], ids=["unknown-undeclared", "params-range", "syntax-params", "param-undeclared",
+        "repeat-arity", "bare-undeclared", "range-count", "count", "opaque-arity-repeat",
+        "range-nonfinite"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_first_fault_of_a_statement_is_reported(stmt, first, warm):
+    # a statement with two faults reports the same one whether or not its
+    # qubits were named by earlier statements
+    earlier = "cx q[0],q[1]; h q[0]; h q[1];" if warm else ""
+    text = f"OPENQASM 2.0;\nopaque mystery a,b; qreg q[2];\n{earlier}\n{stmt}\n"
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert str(info.value) == f"line 4: {first}"
+
+
 @pytest.mark.parametrize("stmt", ["barrier q[0],q[0];", "mystery q[1],q[1];"],
                          ids=["barrier", "opaque"])
 def test_gate_validation_error_line(stmt):
@@ -269,6 +294,61 @@ def test_opaque_label_may_be_any_other_identifier():
     assert parse_qasm(emit_qasm(c)).gates == c.gates
 
 
+# every gate name the parser dispatches on, the cu1 alias included
+_BUILTIN_NAMES = sorted({k.qasm for k in GateKind} | {"cu1"})
+
+
+@pytest.mark.parametrize("label", _BUILTIN_NAMES)
+def test_opaque_label_may_not_be_a_built_in_gate(label):
+    # `opaque h a;` next to a real `h` would read back as two opaque gates
+    with pytest.raises(ValueError, match="or built-in gate name"):
+        Gate(GateKind.OPAQUE, (0,), label=label)
+
+
+def test_parser_refuses_an_opaque_that_redeclares_a_built_in():
+    text = "OPENQASM 2.0;\nqreg q[2];\nopaque h a;\nh q[0];\n"
+    with pytest.raises(QasmError, match="^line 3: opaque 'h' redeclares a built-in gate$"):
+        parse_qasm(text)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_gate_refuses_a_parameter_that_is_not_finite(value):
+    # the writer would write `rz(inf)`, which the parser refuses
+    with pytest.raises(ValueError, match="is not finite"):
+        Gate(GateKind.RZ, (0,), (value,))
+    with pytest.raises(ValueError, match="is not finite"):
+        Gate(GateKind.OPAQUE, (0,), (0.5, value), label="tag")
+
+
+@pytest.mark.parametrize("expr", ["1e400", "-1e400", "1e200*1e200"])
+def test_an_overflowing_parameter_is_refused_at_its_line(expr):
+    text = f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\nh q[0];\n"
+    with pytest.raises(QasmError, match="is not finite") as info:
+        parse_qasm(text)
+    assert info.value.line == 3
+
+
+def test_circuit_refuses_one_opaque_label_at_two_arities():
+    # the writer declares one arity per label, so the other call would not re-parse
+    gates = [Gate(GateKind.OPAQUE, (0,), label="p"), Gate(GateKind.OPAQUE, (0, 1), label="p")]
+    with pytest.raises(ValueError, match="'p' is called with 1 and 2 operands"):
+        Circuit("bad", [("q", 2)], gates)
+    text = "OPENQASM 2.0;\nqreg q[2];\nopaque p a;\nopaque p a;\nopaque p a,b;\n"
+    with pytest.raises(QasmError, match="^line 5: opaque 'p' is already declared with 1"):
+        parse_qasm(text)
+
+
+@pytest.mark.parametrize("n", [26, 27, 30])
+def test_wide_opaque_declares_identifier_parameters(n):
+    c = Circuit("wide", [("q", 30)], [Gate(GateKind.OPAQUE, tuple(range(n)), label="wide")])
+    text = emit_qasm(c)
+    assert parse_qasm(text).gates == c.gates
+    # up to 26 operands the parameters stay a to z, so no pinned program moves
+    decl = "a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s,t,u,v,w,x,y,z" if n == 26 else \
+        ",".join(f"a{i}" for i in range(n))
+    assert f"opaque wide {decl};" in text.splitlines()
+
+
 @pytest.mark.parametrize("cbit", [("z", 0), ("m", 2), ("m", -1)])
 def test_measure_bit_must_be_declared(cbit):
     # `-> z[9];` names a register the program does not declare
@@ -297,6 +377,8 @@ def test_fixture_roundtrip(name):
     again = parse_qasm(emit_qasm(c), name=c.name)
     assert again.gates == c.gates
     assert again.registers == c.registers
+    # emit . parse is a fixed point
+    assert emit_qasm(again) == emit_qasm(c)
 
 
 _KINDS = st.sampled_from([GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ,
@@ -339,8 +421,44 @@ def test_multi_register_roundtrip(c: Circuit):
         assert written == [names[q] for q in g.operands]
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_circuits())
+_LABELS = st.sampled_from(["tag", "probe", "q", "OPENQASM"] + _BUILTIN_NAMES)
+_ANY_FLOAT = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def accepted_circuits(draw):
+    """Circuits that construction accepts, drawn from gates it may refuse:
+    opaque labels that include built-in names, opaque gates of 1-30
+    operands, and parameters that need not be finite.  A refused gate is
+    dropped, after checking that it is refused for one of those faults."""
+    n = draw(st.integers(1, 30))
+    kinds = [k for k in (GateKind.H, GateKind.T, GateKind.RZ, GateKind.CX, GateKind.CP,
+                         GateKind.CCX, GateKind.OPAQUE) if (k.n_qubits or 1) <= n]
+    arity = {}  # opaque label -> the operand count of its first call
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        opaque = kind is GateKind.OPAQUE
+        ops = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n)) if opaque
+                                                   else kind.n_qubits])
+        params = tuple(draw(_ANY_FLOAT)
+                       for _ in range(draw(st.integers(0, 2)) if opaque else kind.n_params))
+        label = draw(_LABELS) if opaque else None
+        refused = label in _BUILTIN_NAMES or not all(map(math.isfinite, params))
+        try:
+            gate = Gate(kind, ops, params, label=label)
+        except ValueError:
+            assert refused
+            continue
+        assert not refused
+        if opaque and arity.setdefault(label, len(ops)) != len(ops):
+            continue  # Circuit refuses a label at two arities
+        gates.append(gate)
+    return Circuit("rand", [("q", n)], gates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_circuits())
 def test_roundtrip_property(c: Circuit):
     again = parse_qasm(emit_qasm(c), name="rand")
     assert again.gates == c.gates
