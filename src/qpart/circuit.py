@@ -101,7 +101,7 @@ _NAME_TO_KIND["cu1"] = GateKind.CP
 # per-gate code reads the member once, here: a member read off the enum
 # class goes through EnumType's attribute hook, several times slower than
 # reading a plain class attribute
-_OPAQUE = GateKind.OPAQUE
+_OPAQUE, _MEASURE = GateKind.OPAQUE, GateKind.MEASURE
 
 
 @dataclass(frozen=True, init=False)
@@ -531,7 +531,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 def _gate_line(g: Gate, ops: list[str]) -> str:
     """One statement applying ``g`` to the operand strings ``ops``; a
     measure without a classical bit writes to ``c`` at its qubit's index."""
-    if g.kind is GateKind.MEASURE:
+    if g.kind is _MEASURE:
         reg, bit = g.cbit or ("c", g.operands[0])
         return f"measure {ops[0]} -> {reg}[{bit}];"
     if g.params:
@@ -548,13 +548,13 @@ def _formals(n: int) -> str:
     return ",".join(f"a{i}" for i in range(n))
 
 
-def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[str]:
-    """One OpenQASM 2.0 program per block, in block order.
+def _programs(circuit: Circuit, block_of, exec_block, channels, blocks: int) -> list[str]:
+    """One OpenQASM 2.0 program for each of ``blocks`` blocks, in block order.
 
     Qubit ``q`` lives on block ``block_of[q]``, gate ``seq`` runs on
-    ``exec_block[seq]`` (a BARRIER's entry is not read), and block ``b``
-    declares ``ebit[widths[b]]``, one slot per channel endpoint, numbered
-    on each block as its channels open; a width of 0 declares none.
+    ``exec_block[seq]`` (a BARRIER's entry is not read), and a block
+    declares ``ebit[n]`` for the n slots it opened, one per channel
+    endpoint, numbered as its channels open; n = 0 declares none.
     ``channels`` are ``distribution.Channel``s.  Every program re-declares
     the circuit's registers at full size and names only its own qubits
     and slots.  One sweep over the gates appends each line to the body of
@@ -576,6 +576,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
     or an opaque gate named like a cat primitive would be declared twice,
     so it is a ValueError naming it.
     """
+    barrier, measure, opaque = GateKind.BARRIER, GateKind.MEASURE, GateKind.OPAQUE
     names = circuit.qubits()
     entangle_at: dict[int, list[int]] = {}  # first-use gate -> channels
     release_at: dict[int, list[int]] = {}
@@ -583,9 +584,9 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
         entangle_at.setdefault(c.first_use, []).append(i)
         release_at.setdefault(c.last_use, []).append(i)
 
-    bodies: list[list[str]] = [[] for _ in widths]
-    arity: list[dict[str, int]] = [{} for _ in widths]  # opaque label -> operands, per block
-    used = [0] * len(widths)  # ebit slots opened so far, per block
+    bodies: list[list[str]] = [[] for _ in range(blocks)]
+    arity: list[dict[str, int]] = [{} for _ in range(blocks)]  # opaque label -> operands, per block
+    used = [0] * blocks  # ebit slots opened so far, per block
     live: dict[tuple[int, int], int] = {}  # (carries, remote) -> its open channel's slot
     for seq, g in enumerate(circuit.gates):
         for i in entangle_at.get(seq, ()):
@@ -596,7 +597,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
             used[home] += 1
             live[c.carries, c.remote] = used[c.remote]
             used[c.remote] += 1
-        if g.kind is GateKind.BARRIER:  # each block synchronises its own wires
+        if g.kind is barrier:  # each block synchronises its own wires
             local: dict[int, list[str]] = {}
             for q in g.operands:
                 local.setdefault(block_of[q], []).append(names[q])
@@ -607,7 +608,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
             ops = [names[q] if block_of[q] == b else f"ebit[{live[q, b]}]"
                    for q in g.operands]
             bodies[b].append(_gate_line(g, ops))
-            if g.kind is GateKind.OPAQUE:
+            if g.kind is opaque:
                 arity[b].setdefault(g.label, len(g.operands))
         for i in release_at.get(seq, ()):
             c = channels[i]
@@ -619,7 +620,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
               if lb in ("cat_entangler", "cat_disentangler")]
     if channels and clash:
         raise ValueError(f"{clash[0]} is reserved for the programs' channels; rename it")
-    bare = not circuit.cregs and any(g.kind is GateKind.MEASURE for g in circuit.gates)
+    bare = not circuit.cregs and any(g.kind is measure for g in circuit.gates)
     cregs = [f"creg {reg}[{n}];" for reg, n in ((("c", circuit.width),) if bare else circuit.cregs)]
     qregs = [f"qreg {reg}[{n}];" for reg, n in circuit.registers]
     homes = {block_of[c.carries] for c in channels}
@@ -628,7 +629,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
                        *(["opaque cat_entangler a,b;"] if b in homes else []),
                        *(["opaque cat_disentangler a;"] if b in remotes else []),
                        *(f"opaque {lb} {_formals(n)};" for lb, n in arity[b].items()),
-                       *qregs, *([f"qreg ebit[{widths[b]}];"] if widths[b] else []),
+                       *qregs, *([f"qreg ebit[{used[b]}];"] if used[b] else []),
                        *cregs, *body]) + "\n"
             for b, body in enumerate(bodies)]
 
@@ -636,4 +637,4 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, widths) -> list[
 def emit_qasm(circuit: Circuit) -> str:
     """Emit the circuit as OpenQASM 2.0, the writer's program for one QPU
     that runs every gate; parse(emit(c)) is gate-for-gate c."""
-    return _programs(circuit, [0] * circuit.width, [0] * len(circuit.gates), (), [0])[0]
+    return _programs(circuit, [0] * circuit.width, [0] * len(circuit.gates), (), 1)[0]

@@ -24,9 +24,9 @@ assignments: ``plan_distribution`` evaluates it on its one row, and
 counts without building its plan.
 
 This module computes numbers only.  ``emit_subcircuits`` hands a plan's
-assignment, placement, channels and per-QPU widths to the one QASM
-writer, ``circuit._programs``, which owns every statement, declaration,
-the ``ebit`` register and the cat primitives.
+assignment, placement, channels and QPU count to the one QASM writer,
+``circuit._programs``, which owns every statement, declaration, the
+``ebit`` register and its width, and the cat primitives.
 """
 from __future__ import annotations
 
@@ -73,7 +73,8 @@ class DistributionPlan:
     exec_block: tuple[int, ...]  # per gate position; -1 for BARRIER
     per_block: tuple[QpuPlan, ...]
     cut: CutReport
-    ebits: int  # realised: 2 per channel; equals cut.ebits without fallbacks
+    # realised: 2 per channel; equals cut.ebits without fallbacks
+    ebits = property(lambda self: 2 * len(self.channels))
 
 
 def _edge_of_gate(h: Hypergraph) -> dict[int, int]:
@@ -108,9 +109,10 @@ def _placement(circuit: Circuit, h: Hypergraph):
     would not count the channel that operand needs.
     """
     seq_edge = _edge_of_gate(h)
+    barrier, ccz = GateKind.BARRIER, GateKind.CCZ
     placed, exec_col, majority, rigid, uses = [], [], [], [], []
     for seq, g in enumerate(circuit.gates):
-        if g.kind is GateKind.BARRIER:
+        if g.kind is barrier:
             continue
         at = len(placed)
         placed.append(seq)
@@ -118,7 +120,7 @@ def _placement(circuit: Circuit, h: Hypergraph):
         exec_col.append(cols[-1])
         if len(cols) == 1:
             continue
-        if g.kind is GateKind.CCZ:
+        if g.kind is ccz:
             majority.append((at, *cols))
         eid = seq_edge.get(seq)
         if eid is not None:
@@ -209,8 +211,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b]) for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
-                            cut=cut_cost(h, list(assignment), blocks),
-                            ebits=2 * len(channels))
+                            cut=cut_cost(h, list(assignment), blocks))
 
 
 def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
@@ -256,9 +257,9 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
 
 def emit_subcircuits(circuit: Circuit, plan: DistributionPlan) -> list[str]:
     """One OpenQASM program per QPU, in block order: ``circuit._programs``
-    on the plan's assignment, gate placement and channels, with an
-    ``ebit`` register of e slots on each QPU.  A circuit that names a
-    register ``ebit``, or an opaque gate like a cat primitive, is a
-    ValueError when the plan has a channel."""
+    on the plan's assignment, gate placement and channels; each QPU's
+    ``ebit`` register has its e slots.  A circuit that names a register
+    ``ebit``, or an opaque gate like a cat primitive, is a ValueError when
+    the plan has a channel."""
     return _programs(circuit, plan.assignment, plan.exec_block, plan.channels,
-                     [p.e for p in plan.per_block])
+                     len(plan.per_block))

@@ -3,14 +3,14 @@
 ``partition`` is the one entry point.  Every FM mode runs through one
 restart driver: each seeded restart deals a shuffled or a grown order of
 the vertices and runs passes until one fails; the winner has the lowest
-(lambda - 1, balance deviation, restart index).
+(lambda - 1 as its last pass kept it, balance deviation, restart index).
 Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks,
-and the winner keeps the price its rank key was read from; recursive
-bisection calls it once per split, with that split's side capacities,
-and prices its result once.  A split keeps the restriction of every edge
-inside each side, so later splits of an already cut edge are charged
-exactly as the global metric charges them.  The deal is written once,
-over a seeds x vertices block matrix (``_dealer``).
+recursive bisection once per split with its side capacities.  Only
+``partition`` reads the config, and it prices the result once.  A split
+keeps the restriction of every edge inside each side, so later splits of
+an already cut edge are charged exactly as the global metric charges
+them.  The deal is written once, over a seeds x vertices block matrix
+(``_dealer``).
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the vertex count, so one draw can serve many hypergraphs and
 block counts, as a bench suite's does per circuit.  Every other restart
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -157,7 +157,7 @@ class _PassStats:
 class _Engine:
     """Tables of one hypergraph under fixed block bounds, built once, plus
     the state of the assignment being refined, which ``reset`` sets before
-    each refinement."""
+    each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left."""
 
     def __init__(self, h: Hypergraph, blocks: int, bounds: list[int]):
         self.k = blocks
@@ -262,7 +262,8 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     the start cost is already that low.  Only strictly better feasible
     prefixes are kept, so the prefix, the assignment and the result match
     a pass run until no vertex may move.
-    The moves past the best prefix are then undone in reverse.
+    The moves past the best prefix are then undone in reverse, and
+    ``eng.cost`` keeps that prefix's cost, exact as every gain is.
     """
     k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
                                          eng.pins, eng.ew, eng.phi)
@@ -415,6 +416,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     if stats:
         stats.moves += len(moves)
         stats.gain_updates += updates
+    eng.cost = best_cost
     for v, src in reversed(moves[best_prefix:]):
         target = assign[v]
         for e in inc[v]:
@@ -509,18 +511,16 @@ def _grown(h: Hypergraph, perms: np.ndarray) -> np.ndarray:
     return grown
 
 
-def _dealer(h: Hypergraph, config: PartitionConfig, runs: bool = False):
+def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
     """Returns ``deal(perms)``, which turns a seeds x n matrix of orders of
     the n vertices (``_shuffles`` or ``_grown``) into the seeds x n block
-    matrix of their deals.  Raises InfeasibleError as
-    ``resolve_capacities`` does.  Each row's vertices, heaviest first and
-    in the row's order within a weight, are handed out in the order of
-    ``_deal_blocks``, the same for every seed.  ``runs`` sorts that sequence
-    within each weight: each block then takes one run of a weight's
-    vertices, with the same count."""
-    k = config.blocks
+    matrix of their deals over one block per resolved capacity.  Each
+    row's vertices, heaviest first and in the row's order within a weight,
+    are handed out in the order of ``_deal_blocks``, the same for every
+    seed.  ``runs`` sorts that sequence within each weight: each block then
+    takes one run of a weight's vertices, with the same count."""
+    k = len(caps)
     weights = np.array([v.weight for v in h.vertices], dtype=np.int64)
-    caps = resolve_capacities(config.capacities, int(weights.sum()), k)
     dtype = np.min_scalar_type(k)
     heaviest = sorted(weights.tolist(), reverse=True)
     blocks = _deal_blocks(caps, heaviest, k)
@@ -563,9 +563,11 @@ def random_deals(h: Hypergraph, config: PartitionConfig, draw):
     matrices, yields the deals as a seeds x vertices block matrix, and
     their cut edges and ebits from ``_cut_rows``; row i is the assignment
     and cut that ``partition`` gives with ``Mode.RANDOM`` and that row's
-    seed.  Raises InfeasibleError as the deal does.
+    seed.  Resolves the capacities once, and raises InfeasibleError as
+    ``resolve_capacities`` does.
     """
-    deal = _dealer(h, config)
+    deal = _dealer(h, resolve_capacities(config.capacities,
+                                         sum(v.weight for v in h.vertices), config.blocks))
     for perms in draw:
         assign = deal(perms)
         yield (assign, *_cut_rows(h, assign, config.blocks))
@@ -583,7 +585,7 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     and the edge has m_w pins in it.  Edges are summed per class-count
     key, each key is priced once in integers, and the exact sum is rounded
     to a float only at the end, so ghz10 at k=2 prices to exactly 10.
-    Raises InfeasibleError as the deal does.
+    Raises InfeasibleError as ``resolve_capacities`` does.
     """
     k = config.blocks
     weights = sorted((v.weight for v in h.vertices), reverse=True)
@@ -615,39 +617,35 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
 # --------------------------------------------------------------------------
 # drivers
 
-def _restart_driver(h: Hypergraph,
-                    config: PartitionConfig) -> tuple[list[int], CutReport, int, int, int]:
-    """Seeded restarts, each block's load bounded by its capacity.
+def _restart_driver(h: Hypergraph, caps: list[int],
+                    seeds: range) -> tuple[list[int], int, int, int]:
+    """Seeded restarts over ``len(caps)`` blocks, each load bounded by its capacity.
 
-    Restart r draws the shuffle of seed config.seed + r.  An even restart
-    deals it as ``Mode.RANDOM`` does, and a pass keeps only a prefix that
-    lowers the cost, so FM is never worse than the random partition of
-    config.seed; an odd restart deals ``_grown`` of it, each block in one
-    run.  Each kind is dealt in one matrix, and the grown orders only once
-    restart 0 misses the cutoff.  Each restart runs ``_pass`` until a pass
-    fails or ``_MAX_PASSES`` run.  The winner has the lowest (lambda - 1,
-    balance deviation from the capacities, r); returns its assignment, its
-    ``CutReport`` (priced once, for that key), passes, seed and gain
-    updates.
+    Restart r draws the shuffle of seeds[r].  An even restart deals it as
+    ``Mode.RANDOM`` does, and a pass keeps only a prefix that lowers the
+    cost, so FM is never worse than the random partition of seeds[0]; an
+    odd restart deals ``_grown`` of it, each block in one run.  Each kind
+    is dealt in one matrix, and the grown orders only once restart 0
+    misses the cutoff.  Each restart runs ``_pass`` until a pass fails or
+    ``_MAX_PASSES`` run.  The winner has the lowest (``eng.cost``, balance
+    deviation from the capacities, r); returns its assignment, passes,
+    seed and gain updates.
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
     the deal, 0).  Every deal fills the same blocks and no pass empties a
     block, so that bound holds for every restart; a later restart can at
     best tie on both and then loses on r.  The result is the one all
-    ``config.restarts`` restarts give.  All restarts share one engine,
-    whose tables are built once.
+    restarts give.  All restarts share one engine, built once.
     """
     n = sum(v.weight for v in h.vertices)
-    caps = resolve_capacities(config.capacities, n, config.blocks)
     total = sum(caps)
-    perms = np.concatenate([*_shuffles(len(h.vertices),
-                                       range(config.seed, config.seed + config.restarts))])
-    eng = _Engine(h, config.blocks, caps)
+    perms = np.concatenate([*_shuffles(len(h.vertices), seeds)])
+    eng = _Engine(h, len(caps), caps)
 
     def deals():
-        shuffled = _dealer(h, config)(perms[::2])
+        shuffled = _dealer(h, caps)(perms[::2])
         yield shuffled[0]
-        grown = _dealer(h, config, runs=True)(_grown(h, perms[1::2]))
+        grown = _dealer(h, caps, runs=True)(_grown(h, perms[1::2]))
         for r in range(1, len(perms)):
             yield grown[r // 2] if r % 2 else shuffled[r // 2]
 
@@ -662,20 +660,19 @@ def _restart_driver(h: Hypergraph,
             passes += 1
             if not _pass(eng, stats):
                 break
-        cut = cut_cost(h, assignment, config.blocks)
-        key = (cut.lambda_minus_one,
-               sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
+        key = (eng.cost, sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, cut, passes, config.seed + r, stats.gain_updates), key
+            best, best_key = (assignment, passes, seeds[r], stats.gain_updates), key
             if key[:2] == (least, 0):
                 break
     return best
 
 
-def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
-                         caps: list[int]) -> tuple[list[int], int, int]:
+def _recursive_bisection(h: Hypergraph, caps: list[int],
+                         seeds: range) -> tuple[list[int], int, int, int]:
     """Recursive bisection down to the capacity list; returns the
-    assignment and the winning restarts' passes and gain updates, summed.
+    assignment, the winning restarts' passes, seeds[0] and the winners'
+    gain updates, each count summed over the splits.
 
     The capacity list is split into two halves with greedily balanced
     sums, and each split runs ``_restart_driver`` over two sides.  A side's
@@ -685,10 +682,11 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
     and bounded by it.  ``partition`` sends input lighter than its blocks
     to the one driver, so a part is lighter than its blocks only when the
     split above it stayed over a side capacity, which takes vertices
-    heavier than 1; it still splits, and leaves a block empty.  Each side
-    keeps the restriction of every edge with two or more pins inside it,
-    so later splits of an already cut edge are charged exactly once more,
-    matching the global metric.
+    heavier than 1; it still splits, and leaves a block empty, or raises
+    InfeasibleError if the side capacities sum below the part's weight.
+    Each side keeps the restriction of every edge with two or more pins
+    inside it, so later splits of an already cut edge are charged exactly
+    once more, matching the global metric.
     """
     assignment = [0] * len(h.vertices)
     passes_total = 0
@@ -726,18 +724,17 @@ def _recursive_bisection(h: Hypergraph, config: PartitionConfig,
         # the top split keeps every vertex and every edge: it runs on h
         sub_h = h if len(vertex_ids) == len(h.vertices) else restrict(vertex_ids)
         weight_here = sum(v.weight for v in sub_h.vertices)
-        side_caps = tuple(max(1, min(sum(caps[b] for b in side),
-                                     weight_here - len(other)))
-                          for side, other in ((left, right), (right, left)))
-        sides, _, passes, _, updates = _restart_driver(
-            sub_h, replace(config, blocks=2, capacities=side_caps))
+        side_caps = resolve_capacities(
+            [max(1, min(sum(caps[b] for b in side), weight_here - len(other)))
+             for side, other in ((left, right), (right, left))], weight_here, 2)
+        sides, passes, _, updates = _restart_driver(sub_h, side_caps, seeds)
         passes_total += passes
         updates_total += updates
         rec([g for i, g in enumerate(vertex_ids) if sides[i] == 0], left)
         rec([g for i, g in enumerate(vertex_ids) if sides[i] == 1], right)
 
-    rec(list(range(len(h.vertices))), list(range(config.blocks)))
-    return assignment, passes_total, updates_total
+    rec(list(range(len(h.vertices))), list(range(len(caps))))
+    return assignment, passes_total, seeds[0], updates_total
 
 
 def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
@@ -749,10 +746,10 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     vertices can fill, runs the one driver, whose pass keeps every block in
     use.
 
-    Every mode gives an (assignment, cut, passes, seed, gain updates)
-    record, priced where it was made: the random row by ``random_deals``,
-    the driver's winner by the driver.  Only recursive bisection, which has
-    no single winner, is priced here with ``cut_cost``.
+    The capacities are resolved once, here, and the driver and the
+    bisection take them and the restarts' seeds, not the config.  Each
+    result is priced once: the random row by ``random_deals``, and the
+    driver's or the bisection's assignment here, with one ``cut_cost``.
 
     Raises ValueError when there are more blocks than vertices, and
     InfeasibleError when the capacities cannot host the vertex weights, or
@@ -766,17 +763,16 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     if config.mode is Mode.RANDOM:
         (assign, (cut_edges,), (ebits,)), = random_deals(
             h, config, _shuffles(len(h.vertices), [config.seed]))
-        cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2,
-                        ebits=int(ebits))
-        run = (assign[0].tolist(), cut, 0, config.seed, 0)
+        cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2)
+        assignment, passes, seed, updates = assign[0].tolist(), 0, config.seed, 0
     elif k > len(h.vertices):
         raise ValueError(f"{k} blocks exceed the {len(h.vertices)} vertices")
-    elif k == 2 or config.mode is Mode.DIRECT_KWAY or weight < k:
-        run = _restart_driver(h, config)
     else:
-        assignment, passes, updates = _recursive_bisection(h, config, caps)
-        run = (assignment, cut_cost(h, assignment, k), passes, config.seed, updates)
-    assignment, cut, passes, seed, updates = run
+        refine = (_restart_driver if k == 2 or config.mode is Mode.DIRECT_KWAY or weight < k
+                  else _recursive_bisection)
+        assignment, passes, seed, updates = refine(
+            h, caps, range(config.seed, config.seed + config.restarts))
+        cut = cut_cost(h, assignment, k)
     loads = [0] * k
     for b, v in zip(assignment, h.vertices):
         loads[b] += v.weight

@@ -108,7 +108,7 @@ class CutReport:
 
     cut_edges: int
     lambda_minus_one: int
-    ebits: int
+    ebits = property(lambda self: 2 * self.lambda_minus_one)
 
 
 def _check_assignment(h: Hypergraph, assignment: list[int], blocks: int) -> None:
@@ -128,7 +128,7 @@ def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
         if spanned > 1:
             cut += 1
             lam += (spanned - 1) * e.weight
-    return CutReport(cut_edges=cut, lambda_minus_one=lam, ebits=2 * lam)
+    return CutReport(cut_edges=cut, lambda_minus_one=lam)
 
 
 def block_endpoints(h: Hypergraph, assignment: list[int], blocks: int) -> list[int]:

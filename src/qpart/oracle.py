@@ -17,8 +17,8 @@ MAX_ORACLE_BLOCKS = 4
 @dataclass(frozen=True)
 class OracleResult:
     lambda_minus_one: int
-    ebits: int
     assignment: tuple[int, ...]
+    ebits = property(lambda self: 2 * self.lambda_minus_one)
 
 
 def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
@@ -81,4 +81,4 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     walk(0)
     if best is None:
         raise ValueError("no capacity-feasible assignment exists")
-    return OracleResult(lambda_minus_one=best_cost, ebits=2 * best_cost, assignment=tuple(best))
+    return OracleResult(lambda_minus_one=best_cost, assignment=tuple(best))

@@ -19,6 +19,12 @@ def fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.qasm"))
 
 
+def caps_of(h, config):
+    """The config's capacities for ``h``, resolved as ``partition`` does."""
+    return resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
+                              config.blocks)
+
+
 def deal(h, config, grown=False):
     """The seeded deal of config.seed, as a list: the shuffled deal of
     ``Mode.RANDOM`` and of a driver's even restarts, or with ``grown`` the
@@ -26,7 +32,7 @@ def deal(h, config, grown=False):
     (perms,) = _shuffles(len(h.vertices), [config.seed])
     if grown:
         perms = _grown(h, perms)
-    return _dealer(h, config, runs=grown)(perms)[0].tolist()
+    return _dealer(h, caps_of(h, config), runs=grown)(perms)[0].tolist()
 
 
 def engine(h, bounds, assignment):
@@ -40,10 +46,8 @@ def engine(h, bounds, assignment):
 def fm_pass(h, assignment, config, stats=None):
     """Run one FM pass over a copy of ``assignment``, each block bounded by
     its capacity; returns the copy and whether the pass improved the cost."""
-    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
-                              config.blocks)
     work = list(assignment)
-    improved = _pass(engine(h, caps, work), stats)
+    improved = _pass(engine(h, caps_of(h, config), work), stats)
     return work, improved
 
 

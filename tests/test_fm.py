@@ -20,7 +20,7 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
 from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _PassStats, _shuffles,
                       expected_ebits, random_deals)
 
-from conftest import deal, engine, fm_pass, load_fixture
+from conftest import caps_of, deal, engine, fm_pass, load_fixture
 
 
 def chain(n: int) -> Hypergraph:
@@ -375,17 +375,17 @@ def test_partition_invariants(h, seed, k):
 
 # -- the restart cutoff against every restart ------------------------------
 
-def every_restart(h, config):
+def every_restart(h, caps, seeds):
     """``_restart_driver`` without its cutoff: every restart refines its own
     deal (shuffled at even r, grown at odd r) on a fresh engine, and the
-    lowest (lambda - 1, balance deviation, r) wins, returned with its cut,
-    passes, seed and gain updates."""
-    caps = resolve_capacities(config.capacities, sum(v.weight for v in h.vertices),
-                              config.blocks)
+    lowest (lambda - 1, balance deviation, r) wins, returned with its
+    passes, seed and gain updates.  Each restart is priced with
+    ``cut_cost``, not with the engine's own cost, so this checks that too."""
     n, total = sum(v.weight for v in h.vertices), sum(caps)
     best, best_key = None, None
-    for r in range(config.restarts):
-        eng = engine(h, caps, deal(h, replace(config, seed=config.seed + r), grown=r % 2 == 1))
+    for r, seed in enumerate(seeds):
+        cfg = PartitionConfig(blocks=len(caps), capacities=tuple(caps), seed=seed)
+        eng = engine(h, caps, deal(h, cfg, grown=r % 2 == 1))
         stats = _PassStats()
         passes = 0
         while passes < _MAX_PASSES:
@@ -393,11 +393,10 @@ def every_restart(h, config):
             if not _pass(eng, stats):
                 break
         assignment = eng.assign
-        cut = cut_cost(h, assignment, config.blocks)
-        key = (cut.lambda_minus_one,
+        key = (cut_cost(h, assignment, len(caps)).lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, cut, passes, config.seed + r, stats.gain_updates), key
+            best, best_key = (assignment, passes, seed, stats.gain_updates), key
     return best
 
 
@@ -479,24 +478,25 @@ def test_restart_cutoff_fires_at_the_floor(monkeypatch):
     assert len(resets) == 8
 
 
-def test_each_restart_winner_is_priced_once(monkeypatch):
-    # the driver keeps the CutReport it priced the winner with, so a driver
-    # call prices each restart once; only recursive bisection, which has no
-    # single winner, prices its result again
+def test_each_partition_is_priced_once(monkeypatch):
+    # the driver ranks restarts by the cost their passes kept, so one
+    # partition call prices its result once, however many restarts and
+    # splits ran; the random mode keeps the price random_deals gave
     calls, restarts = [], []
     monkeypatch.setattr("qpart.fm.cut_cost", lambda *a: calls.append(1) or cut_cost(*a))
     reset = _Engine.reset  # once per restart
     monkeypatch.setattr(_Engine, "reset", lambda eng, a: restarts.append(1) or reset(eng, a))
     c = generate("qft", 16)
     h = build_hypergraph(c, find_groups(c))
-    for blocks, mode, beyond in ((2, Mode.RECURSIVE_BISECT, 0), (4, Mode.DIRECT_KWAY, 0),
-                                 (4, Mode.RECURSIVE_BISECT, 1)):
+    # qft never meets the floor, so each driver call runs all 8 restarts,
+    # over the 3 splits of k=4 bisection
+    for blocks, mode, priced, runs in ((2, Mode.RECURSIVE_BISECT, 1, 8),
+                                       (4, Mode.RECURSIVE_BISECT, 1, 24),
+                                       (4, Mode.DIRECT_KWAY, 1, 8), (4, Mode.RANDOM, 0, 0)):
         calls.clear()
         restarts.clear()
         res = partition(h, PartitionConfig(blocks=blocks, mode=mode, seed=5))
-        assert len(calls) == len(restarts) + beyond
-        if beyond == 0:
-            assert len(restarts) == 8  # qft never meets the floor
+        assert (len(calls), len(restarts)) == (priced, runs)
         assert res.cut == cut_cost(h, list(res.assignment), blocks)
 
 
@@ -674,6 +674,7 @@ def test_kway_gain_cache_matches_rescan(instance):
     for _ in range(4):
         got, want = _PassStats(), _PassStats()
         improved = _pass(cached, got)
+        assert cached.cost == cut_cost(h, cached.assign, len(bounds)).lambda_minus_one
         assert improved == _rescan_pass(full, _PassStats())
         assert cached.assign == full.assign
         # the moves and the rollback leave every per-block tally exact
@@ -749,7 +750,7 @@ def test_deal_spreads_weight0_vertices(k):
     # once the unit vertices fill the capacities, each weight-0 vertex still
     # lands in more than one block over seeds 0-199
     perms = np.concatenate([*_shuffles(len(TWO_FREE.vertices), range(200))])
-    blocks = _dealer(TWO_FREE, PartitionConfig(blocks=k))(perms)
+    blocks = _dealer(TWO_FREE, caps_of(TWO_FREE, PartitionConfig(blocks=k)))(perms)
     for v in (1, 4):  # vertices 2 and 5 of the file
         assert len(set(blocks[:, v].tolist())) > 1, (v, k)
 
@@ -794,7 +795,8 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
     n = len(h.vertices)
     (perms,) = _shuffles(n, range(21))
     grown = _grown(h, perms)
-    shuffled, dealt = _dealer(h, cfg)(perms), _dealer(h, cfg, runs=True)(grown)
+    caps = caps_of(h, cfg)
+    shuffled, dealt = _dealer(h, caps)(perms), _dealer(h, caps, runs=True)(grown)
     pieces = list(range(n))  # union-find over the edges' pins
 
     def root(v):
