@@ -15,18 +15,20 @@ Every row is scored by ``_rows``: a method hands it priced assignment
 matrices, and each QPU's o and e come from the batched
 ``distribution._plan_ledger``, so a row equals what ``partition`` and
 ``plan_distribution`` give for its seed, over all k QPUs, without a plan.
-The Random rows are ``fm.random_deals`` of every seed; the FM row is
-``partition`` at the range's first seed and shares their ledger of the
-plain hypergraph; FMGrouped's row gets one ledger of the grouped one.
+The Random rows deal every seed (``fm.random_deals``), and FM and
+FMGrouped ``partition`` at the range's first seed, under one
+``PartitionConfig`` per (circuit, k), built before anything is resolved.
 
 A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
 into blocks (k, the capacities and the weights).  The shuffle does not
 depend on k, so a suite shuffles each seed once per circuit and deals that
 one draw, seeds x width matrices of the smallest unsigned dtype, at every
-k.  A row's ``runtime_ms`` is its method's time plus its scoring time
-(building its ledger, unless the Random rows did), over its seed count.
-A Random row's method time is the whole draw's, so each k's rows carry
-the draw as if that k had made it alone; FM's and FMGrouped's is
+k.  A hypergraph's ledger places its gates once and serves every k and
+method on it (the Random rows and FM share the plain one); like the
+hypergraph, it is per-circuit set-up charged to no row.  A row's
+``runtime_ms`` is its method's time plus its scoring time, over its seed
+count.  A Random row's method time is the whole draw's, so each k's rows
+carry the draw as if that k had made it alone; FM's and FMGrouped's is
 ``partition``'s.
 
 Row order is deterministic and the CSV is byte-stable for a given spec
@@ -120,6 +122,8 @@ class CircuitJob:
 
     def load(self) -> Circuit:
         if self.path is not None:
+            if not Path(self.path).exists():
+                raise FileNotFoundError(f"no such file: {self.path}")
             return parse_qasm(Path(self.path).read_text(), name=self.label)
         return generate(self.family, self.n, self.gen_seed)
 
@@ -225,15 +229,15 @@ def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds
     ``priced`` yields (assign, cut_edges, ebits): a seeds x vertices block
     matrix and each row's cut edges and ebits, as ``fm.random_deals`` does.
     ``ledger`` is ``distribution._plan_ledger`` over the hypergraph they
-    partition, so a row's ``r_per_block`` is ``plan_distribution``'s, and a
-    row it refuses raises the plan's InfeasibleError.  ``runtime_ms`` is
-    ``ms``, the method's time, plus the time spent here, over the seed
-    count.
+    partition, read at ``len(caps)`` blocks, so a row's ``r_per_block`` is
+    ``plan_distribution``'s, and a row it refuses raises the plan's
+    InfeasibleError.  ``runtime_ms`` is ``ms``, the method's time, plus the
+    time spent here, over the seed count.
     """
     t0 = time.perf_counter()
     scored = []
     for assign, cut_edges, ebits in priced:
-        o, e = ledger(assign)
+        o, e = ledger(assign, len(caps))
         scored.extend(zip(cut_edges.tolist(), ebits.tolist(), o.tolist(), e.tolist()))
     ms = (ms + _ms_since(t0)) / len(scored)
     return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
@@ -252,12 +256,18 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
     """
     rows: list[BenchRow] = []
     summaries: list[dict] = []
+    seeds = range(spec.seed_from, spec.seed_to)
     for job in spec.circuits:
         circuit = job.load()
-        h_plain = build_hypergraph(circuit)
-        h_grouped = build_hypergraph(circuit, grouped=True) \
-            if "FMGrouped" in spec.methods else None
-        seeds = range(spec.seed_from, spec.seed_to)
+        # set-up charged to no row: each hypergraph a method reads, and its
+        # ledger, which serves every k and method
+        if {"Random", "FM"} & set(spec.methods):
+            h_plain = build_hypergraph(circuit)
+            plain = _plan_ledger(circuit, h_plain)
+        refined = [("FM", "fm", h_plain, plain)] if "FM" in spec.methods else []
+        if "FMGrouped" in spec.methods:
+            h = build_hypergraph(circuit, grouped=True)
+            refined.append(("FMGrouped", "fm_grouped", h, _plan_ledger(circuit, h)))
         draw, draw_ms = None, 0.0
         if "Random" in spec.methods:
             # the shuffle does not depend on k, so one draw deals every k's rows
@@ -266,35 +276,24 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
             draw_ms = _ms_since(t0)
 
         for ki, k in enumerate(spec.parts):
-            caps_in = spec.capacities[ki] if spec.capacities is not None else None
-            caps = resolve_capacities(caps_in, circuit.width, k)
+            config = PartitionConfig(blocks=k, capacities=spec.capacities and spec.capacities[ki],
+                                     restarts=spec.restarts, seed=spec.seed_from, mode=spec.mode)
+            caps = resolve_capacities(config.capacities, circuit.width, k)
             summary = {"circuit": job.label, "n": circuit.width, "k": k,
                        "random_mean_ebits": None,
                        "fm_ebits": None, "fm_improvement_pct": None,
                        "fm_grouped_ebits": None, "fm_grouped_improvement_pct": None}
 
-            def config(method_mode: Mode, seed: int, restarts: int) -> PartitionConfig:
-                return PartitionConfig(blocks=k, capacities=caps_in, restarts=restarts,
-                                       seed=seed, mode=method_mode)
-
-            plain = None  # h_plain's ledger, shared by the Random rows and FM
             if "Random" in spec.methods:
-                t0 = time.perf_counter()
-                plain = _plan_ledger(circuit, h_plain, k)
                 random_rows = _rows(job, circuit, "Random", caps, seeds, plain,
-                                    random_deals(h_plain, config(Mode.RANDOM, spec.seed_from, 1),
-                                                 draw), draw_ms + _ms_since(t0))
+                                    random_deals(h_plain, config, draw), draw_ms)
                 rows.extend(random_rows)
                 summary["random_mean_ebits"] = \
                     sum(r.ebits for r in random_rows) / len(random_rows)
 
-            for method, key, h in (("FM", "fm", h_plain), ("FMGrouped", "fm_grouped", h_grouped)):
-                if method not in spec.methods:
-                    continue
+            for method, key, h, ledger in refined:
                 t0 = time.perf_counter()
-                ledger = plain if method == "FM" and plain is not None else \
-                    _plan_ledger(circuit, h, k)
-                result = partition(h, config(spec.mode, spec.seed_from, spec.restarts))
+                result = partition(h, config)
                 priced = (np.array([result.assignment], dtype=np.intp),
                           np.array([result.cut.cut_edges]), np.array([result.cut.ebits]))
                 row, = _rows(job, circuit, method, caps, [spec.seed_from], ledger, [priced],
@@ -304,7 +303,7 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
                 if "Random" in spec.methods:
                     # baseline on the same hypergraph the method saw
                     base = summary["random_mean_ebits"] if method == "FM" else \
-                        expected_ebits(h, config(Mode.RANDOM, spec.seed_from, 1))
+                        expected_ebits(h, config)
                     if base:
                         summary[f"{key}_improvement_pct"] = 100.0 * (base - row.ebits) / base
 

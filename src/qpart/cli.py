@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
-from .circuit import Circuit, QasmError
+from .circuit import QasmError
 from .distribution import emit_subcircuits, plan_distribution
 from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
@@ -27,13 +27,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _load_circuit(arg: str) -> Circuit:
-    job = CircuitJob.parse(arg)
-    if job.path is not None and not Path(job.path).exists():
-        raise FileNotFoundError(f"no such file: {job.path}")
-    return job.load()
 
 
 def _parse_caps(text: str | None) -> tuple[int, ...] | None:
@@ -56,13 +49,13 @@ def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
 
 
 def _cmd_stats(args) -> int:
-    c = _load_circuit(args.file)
+    c = CircuitJob.parse(args.file).load()
     print(f"width={c.width} size={c.size} depth={c.depth}")
     return 0
 
 
 def _cmd_hmetis(args) -> int:
-    c = _load_circuit(args.file)
+    c = CircuitJob.parse(args.file).load()
     text = export_hmetis(build_hypergraph(c, args.grouping == "on"))
     if args.out:
         Path(args.out).write_text(text)
@@ -81,7 +74,7 @@ def _cmd_partition(args) -> int:
         h = import_hmetis(Path(args.file).read_text())
         name, n = Path(args.file).stem, len(h.vertices)
     else:
-        circuit = _load_circuit(args.file)
+        circuit = CircuitJob.parse(args.file).load()
         h = build_hypergraph(circuit, args.grouping == "on")
         name, n = circuit.name, circuit.width
     result = partition(h, config)

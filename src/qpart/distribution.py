@@ -214,16 +214,16 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
                             cut=cut_cost(h, list(assignment), blocks))
 
 
-def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
+def _plan_ledger(circuit: Circuit, h: Hypergraph):
     """``plan_distribution``'s per-block o and e for many assignments at once.
 
-    Returns ``ledger(assign) -> (o, e)``: ``assign`` is a seeds x vertices
-    block matrix over ``h``, and o and e are seeds x blocks int matrices
-    equal to the plan's per-block counts for every row.  Gates are placed
-    by ``_placement``, which raises the plan's InfeasibleError for a
-    refused row.  Channels are counted once per (edge, carried vertex,
-    remote block) key, so CCX fallback channels and group edges shared by
-    several gates count as the plan counts them.
+    Places ``h``'s gates once (``_placement``) and returns ``ledger(assign,
+    blocks) -> (o, e)`` for any block count: ``assign`` is a seeds x
+    vertices block matrix over ``h``, and o and e are seeds x blocks int
+    matrices equal to the plan's per-block counts for every row; a refused
+    row raises the plan's InfeasibleError.  Channels are counted once per
+    (edge, carried vertex, remote block) key, so CCX fallback channels and
+    group edges shared by several gates count as the plan counts them.
     """
     _, uses, place = _placement(circuit, h)
     use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
@@ -231,7 +231,7 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph, blocks: int):
     keys, use_channel = np.unique(use_edge * width + use_q, return_inverse=True)
     key_q = keys % width
 
-    def ledger(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def ledger(assign: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
         seeds = len(assign)
         at = place(assign)
         offset = blocks * np.arange(seeds)[:, None]

@@ -17,9 +17,9 @@ block counts, as a bench suite's does per circuit.  Every other restart
 grows a breadth-first order from it (``_grown``), as the graph growing
 of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput. 20(1),
 1998).
-The deal turns an order into blocks from the capacities, k and the
-weights, heaviest first; a grown order fills each block in one run, with
-the shuffle's loads.
+The deal turns an order into blocks, one per capacity, from the
+capacities and the weights, heaviest first; a grown order fills each
+block in one run, with the shuffle's loads.
 ``random_deals`` deals and prices a draw one matrix of at most 128 seeds
 at a time; it is the one random partition, of ``Mode.RANDOM`` and the
 bench's Random rows.
@@ -159,8 +159,8 @@ class _Engine:
     the state of the assignment being refined, which ``reset`` sets before
     each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left."""
 
-    def __init__(self, h: Hypergraph, blocks: int, bounds: list[int]):
-        self.k = blocks
+    def __init__(self, h: Hypergraph, bounds: list[int]):
+        self.k = k = len(bounds)
         self.bounds = bounds
         self.pins = [list(e.pins) for e in h.edges]
         self.ew = [e.weight for e in h.edges]
@@ -171,7 +171,7 @@ class _Engine:
         self.top = sum(self.ew)
         self.mask = 1 + 2 * self.top
         self.dead = -2 * self.top - 2 * self.mask
-        self.others = [[t for t in range(blocks) if t != b] for b in range(blocks)]
+        self.others = [[t for t in range(k) if t != b] for b in range(k)]
         # a move's gain before crediting the edges it leaves or already
         # touches in the target: minus v's weighted degree
         self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
@@ -436,17 +436,18 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
 # --------------------------------------------------------------------------
 # initial and random partitions
 
-def _deal_blocks(caps: list[int], weights: list[int], k: int) -> list[int]:
+def _deal_blocks(caps: list[int], weights: list[int]) -> list[int]:
     """Block of the pos-th dealt vertex, whose weight is weights[pos].
 
-    Position pos < k goes to block pos when it fits there, so no block
-    starts empty; a weight-0 vertex takes no capacity and goes to block
-    pos % k.  Every other vertex goes to the block with the most remaining
-    capacity (lowest index on ties) and spends its weight there, even when
-    it fits nowhere: ``partition`` then reports that block over its
-    capacity.  With every weight 1 each vertex fits, and the sequence is
-    that of one capacity unit per vertex.
+    Position pos < k = len(caps) goes to block pos when it fits there, so
+    no block starts empty; a weight-0 vertex takes no capacity and goes to
+    block pos % k.  Every other vertex goes to the block with the most
+    remaining capacity (lowest index on ties) and spends its weight there,
+    even when it fits nowhere: ``partition`` then reports that block over
+    its capacity.  With every weight 1 each vertex fits, and the sequence
+    is that of one capacity unit per vertex.
     """
+    k = len(caps)
     remaining = list(caps)
     blocks = []
     for pos, w in enumerate(weights):
@@ -519,11 +520,10 @@ def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
     are handed out in the order of ``_deal_blocks``, the same for every
     seed.  ``runs`` sorts that sequence within each weight: each block then
     takes one run of a weight's vertices, with the same count."""
-    k = len(caps)
     weights = np.array([v.weight for v in h.vertices], dtype=np.int64)
-    dtype = np.min_scalar_type(k)
+    dtype = np.min_scalar_type(len(caps))
     heaviest = sorted(weights.tolist(), reverse=True)
-    blocks = _deal_blocks(caps, heaviest, k)
+    blocks = _deal_blocks(caps, heaviest)
     if runs:
         blocks = [b for _, b in sorted(zip([-w for w in heaviest], blocks))]
     order = np.array(blocks, dtype=dtype)
@@ -593,7 +593,7 @@ def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
     classes = {w: i for i, w in enumerate(dict.fromkeys(weights))}
     sizes = [0] * len(classes)
     dealt = [[0] * k for _ in classes]  # c_wb
-    for w, b in zip(weights, _deal_blocks(caps, weights, k)):
+    for w, b in zip(weights, _deal_blocks(caps, weights)):
         sizes[classes[w]] += 1
         dealt[classes[w]][b] += 1
     keys: dict[tuple[int, ...], int] = {}
@@ -640,7 +640,7 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)
     perms = np.concatenate([*_shuffles(len(h.vertices), seeds)])
-    eng = _Engine(h, len(caps), caps)
+    eng = _Engine(h, caps)
 
     def deals():
         shuffled = _dealer(h, caps)(perms[::2])
@@ -751,7 +751,8 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     result is priced once: the random row by ``random_deals``, and the
     driver's or the bisection's assignment here, with one ``cut_cost``.
 
-    Raises ValueError when there are more blocks than vertices, and
+    Raises ValueError when an FM mode gets more blocks than vertices
+    (``Mode.RANDOM`` deals them and leaves the blocks it misses empty), and
     InfeasibleError when the capacities cannot host the vertex weights, or
     when a block of the result holds more than its capacity: the deal puts
     a hypergraph vertex that fits in no block into the one with the most

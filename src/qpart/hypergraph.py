@@ -170,7 +170,8 @@ def import_hmetis(text: str) -> Hypergraph:
     Single-pin edges are dropped, since no partition cuts them; the
     remaining edges keep their file order.  Every file edge is checked
     before the drop, so an error names the edge by its index in the file
-    and gives its pins as written.
+    and gives its pins as written; a field that is not an integer is named
+    as written, with its edge or vertex.
     """
     rows = [line.split("//")[0].split("%")[0].strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
@@ -189,12 +190,17 @@ def import_hmetis(text: str) -> Hypergraph:
     if len(rows) != expect:
         raise ValueError(f"expected {expect} lines, got {len(rows)}")
 
+    def integer(field: str, owner: str, i: int, what: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"{owner} {i} has non-integer {what} {field!r}") from None
+
     edges = []
     for i, row in enumerate(rows[1:1 + n_edges]):
-        fields = [int(f) for f in row.split()]
-        weight = 1
-        if edge_weighted:
-            weight, fields = fields[0], fields[1:]
+        fields = row.split()
+        weight = integer(fields.pop(0), "edge", i, "weight") if edge_weighted else 1
+        fields = [integer(f, "edge", i, "pin") for f in fields]
         if weight < 0:
             raise ValueError(f"edge {i} has negative weight {weight}")
         if not fields:
@@ -209,8 +215,6 @@ def import_hmetis(text: str) -> Hypergraph:
         if len(pins) == 1:
             continue  # legal in hMETIS and never cut
         edges.append(Hyperedge(pins=tuple(pins), weight=weight))
-    if vertex_weighted:
-        vertices = [Vertex(weight=int(r)) for r in rows[1 + n_edges:]]
-    else:
-        vertices = [Vertex() for _ in range(n_vertices)]
+    weights = rows[1 + n_edges:] if vertex_weighted else ["1"] * n_vertices
+    vertices = [Vertex(weight=integer(w, "vertex", v, "weight")) for v, w in enumerate(weights)]
     return Hypergraph(vertices, edges)

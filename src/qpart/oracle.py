@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fm import resolve_capacities
 from .hypergraph import Hypergraph
 
 MAX_ORACLE_VERTICES = 14
@@ -29,8 +30,6 @@ def brute_force_mincut(h: Hypergraph, config) -> OracleResult:
     vertex in which each block holds a vertex; a weight-0 vertex fits in
     any block and keeps it in use.  Guarded to small instances on purpose.
     """
-    from .fm import resolve_capacities  # local import, no cycle at module load
-
     blocks = config.blocks
     n = len(h.vertices)
     if n > MAX_ORACLE_VERTICES:

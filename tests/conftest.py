@@ -38,7 +38,7 @@ def deal(h, config, grown=False):
 def engine(h, bounds, assignment):
     """An engine over ``h`` with one bound per block, reset to refine
     ``assignment`` in place."""
-    eng = _Engine(h, len(bounds), bounds)
+    eng = _Engine(h, bounds)
     eng.reset(assignment)
     return eng
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, build_hypergraph,
                    partition, plan_distribution, resolve_capacities)
-from qpart import fm
+from qpart import bench, distribution, fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
                          _rows, format_summary, load_suite, run_suite, write_csv)
 from qpart.distribution import _plan_ledger
@@ -160,6 +160,24 @@ def test_run_suite_shuffles_each_seed_once_per_circuit(monkeypatch):
     assert drawn == want
 
 
+@pytest.mark.parametrize("methods, sweeps", [
+    (METHODS, 4), (("Random", "FM"), 2), (("FM",), 2), (("FMGrouped",), 2),
+], ids=["all", "plain-pair", "fm", "fm-grouped"])
+def test_run_suite_places_each_hypergraph_once(monkeypatch, methods, sweeps):
+    # a hypergraph's ledger serves every k and method, so each circuit builds
+    # and places once each hypergraph a requested method reads
+    built, placed = [], []
+    build, placement = bench.build_hypergraph, distribution._placement
+    monkeypatch.setattr(bench, "build_hypergraph",
+                        lambda c, grouped=False: built.append(1) or build(c, grouped=grouped))
+    monkeypatch.setattr(distribution, "_placement",
+                        lambda *a: placed.append(1) or placement(*a))
+    spec = small_spec(circuits=(CircuitJob.parse("ghz:6"), CircuitJob.parse("qft:5")),
+                      parts=(2, 3), methods=methods)
+    run_suite(spec)
+    assert len(built) == len(placed) == sweeps
+
+
 def test_csv_shape():
     rows, _ = run_suite(small_spec(methods=("FM", "FMGrouped")))
     buf = io.StringIO()
@@ -269,7 +287,7 @@ def test_random_rows_match_partition_and_plan(instance):
 
     def batch():
         return _rows(job, circuit, "Random", caps, seeds,
-                     _plan_ledger(circuit, h, config.blocks),
+                     _plan_ledger(circuit, h),
                      fm.random_deals(h, config, fm._shuffles(circuit.width, seeds)), 0.0)
 
     try:
@@ -619,9 +637,14 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     # the FM and FMGrouped rows of a random mode would be random deals labelled FM
     ({"circuits": ["ghz:4"], "mode": "random"}, "'mode'"),
     ({"circuits": ["ghz:4:1:9"]}, "'ghz:4:1:9'"),
+    # a profile is checked as partition --capacities checks it, before it is
+    # resolved, so a short one is refused whatever it sums to
+    ({"circuits": ["ghz:4"], "capacities": [[3]]}, "2 blocks but 1 capacities"),
+    ({"circuits": ["ghz:4"], "capacities": [[0, 3]]}, "capacities must be positive"),
 ], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
         "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key",
-        "epsilon", "mode-random", "shorthand-extra-field"])
+        "epsilon", "mode-random", "shorthand-extra-field", "capacities-short",
+        "capacities-zero"])
 def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
     # a malformed suite is one error line, not a traceback or an empty run
     suite = tmp_path / "suite.json"

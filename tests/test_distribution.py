@@ -86,7 +86,7 @@ def test_split_refusal_same_for_plan_and_batch(built, text, message):
     # every deal of two qubits over two blocks splits the gate
     config = PartitionConfig(blocks=2, restarts=1, mode=Mode.RANDOM)
     with pytest.raises(InfeasibleError, match=match):
-        _rows(CircuitJob(label=c.name), c, "Random", [1, 1], range(3), _plan_ledger(c, h, 2),
+        _rows(CircuitJob(label=c.name), c, "Random", [1, 1], range(3), _plan_ledger(c, h),
               random_deals(h, config, _shuffles(2, range(3))), 0.0)
 
 
@@ -264,7 +264,7 @@ def test_plan_and_ledger_refuse_a_gate_on_two_edges():
     with pytest.raises(ValueError, match=message):
         plan_distribution(c, h, [0, 1, 1])
     with pytest.raises(ValueError, match=message):
-        _plan_ledger(c, h, 2)
+        _plan_ledger(c, h)
 
 
 @pytest.mark.parametrize("name", fixture_names())

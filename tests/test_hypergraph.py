@@ -56,7 +56,7 @@ def _refused(c, edges, message):
     with pytest.raises(ValueError, match=message):
         plan_distribution(c, h, [0] * c.width)
     with pytest.raises(ValueError, match=message):
-        _plan_ledger(c, h, 2)
+        _plan_ledger(c, h)
 
 
 def test_group_rejects_a_member_of_another_control():
@@ -264,7 +264,13 @@ def test_import_hmetis_fmt1():
     ("3 3 1\n1 1\n2\n1 2 3\n", "^edge 1 has no pins$"),
     ("3 3\n1\n1 1 2\n2 3\n", r"^edge 1 has repeated pins \(1, 1, 2\)$"),
     ("2 2 1\n1 1\n-2 1 2\n", "^edge 1 has negative weight -2$"),
-], ids=["empty", "header", "fmt", "linecount", "pin", "no-pins", "repeat", "negative"])
+    # a field that is not an integer is named as written, with its edge or vertex
+    ("2 2\n1 2\n1 2 extra\n", "^edge 1 has non-integer pin 'extra'$"),
+    ("1 2 1\n1.5 1 2\n", r"^edge 0 has non-integer weight '1\.5'$"),
+    ("1 2 10\n1 2\nx\n1\n", "^vertex 0 has non-integer weight 'x'$"),
+    ("1 2 10\n1 2\n1\n1 2\n", "^vertex 1 has non-integer weight '1 2'$"),
+], ids=["empty", "header", "fmt", "linecount", "pin", "no-pins", "repeat", "negative",
+        "text-pin", "float-weight", "text-vertex-weight", "two-vertex-weights"])
 def test_import_hmetis_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         import_hmetis(text)
