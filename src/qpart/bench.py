@@ -122,10 +122,16 @@ class CircuitJob:
 
     def load(self) -> Circuit:
         if self.path is not None:
-            if not Path(self.path).exists():
-                raise FileNotFoundError(f"no such file: {self.path}")
-            return parse_qasm(Path(self.path).read_text(), name=self.label)
+            return parse_qasm(read_file(self.path), name=self.label)
         return generate(self.family, self.n, self.gen_seed)
+
+
+def read_file(path: str) -> str:
+    """The text of an input file; a missing one is a FileNotFoundError
+    whose message is ``no such file: PATH``."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    return Path(path).read_text()
 
 
 @dataclass(frozen=True)
@@ -339,5 +345,4 @@ def format_summary(summaries: list[dict]) -> str:
 
 
 def load_suite(path: str) -> SuiteSpec:
-    with open(path) as fh:
-        return SuiteSpec.from_json(json.load(fh))
+    return SuiteSpec.from_json(json.loads(read_file(path)))

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import CircuitJob, format_summary, load_suite, run_suite, write_csv
+from .bench import CircuitJob, format_summary, load_suite, read_file, run_suite, write_csv
 from .circuit import QasmError
 from .distribution import emit_subcircuits, plan_distribution
 from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
@@ -71,7 +71,7 @@ def _cmd_partition(args) -> int:
     if hmetis:
         if args.emit:
             raise QasmError("--emit needs a circuit, not a hypergraph file")
-        h = import_hmetis(Path(args.file).read_text())
+        h = import_hmetis(read_file(args.file))
         name, n = Path(args.file).stem, len(h.vertices)
     else:
         circuit = CircuitJob.parse(args.file).load()

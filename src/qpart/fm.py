@@ -32,9 +32,13 @@ nothing else: it is shuffled, dealt, moved and priced like any other,
 and it keeps its block in use.
 
 Every k runs the same FM pass.  It keeps a per-(vertex, target) gain
-cache, as in KaHyPar's k-way FM; a move adjusts only the pins of edges
-whose pin count in the source or target block crosses 0, 1 or 2, so a
-pass does work linear in the pins it touches.  Every move takes the
+cache, as in KaHyPar's k-way FM.  Edges come in two kinds.  A two-pin
+edge, most edges of a circuit hypergraph, is a graph edge, as in FM's own
+update rule (Fiduccia & Mattheyses, DAC 1982): a move adjusts the gains of
+its unlocked mate once, from the mate's block alone.  A wider edge keeps
+its pin count per block, and a move adjusts only the pins of those whose
+count in the source or target block crosses 0, 1 or 2.  So a pass does
+work linear in the pins it touches.  Every move takes the
 highest gain, then the lowest vertex index and target, from lazy
 min-heaps of int entries (``_pass``), with rollback to the best feasible
 prefix.  Balance is capacity-driven: a move may overfill the target by
@@ -48,7 +52,7 @@ are exact, so the cutoffs change the work done, never the result
 (``_pass``, ``_restart_driver``).  On GHZ chains the first restart
 usually meets the driver's bound.  All restarts share one engine: the
 per-hypergraph tables are built once per driver call, and
-``_Engine.reset`` rebuilds only the assignment's pin counts and loads.
+``_Engine.reset`` rebuilds only the wider edges' pin counts and the loads.
 """
 from __future__ import annotations
 
@@ -157,35 +161,51 @@ class _PassStats:
 class _Engine:
     """Tables of one hypergraph under fixed block bounds, built once, plus
     the state of the assignment being refined, which ``reset`` sets before
-    each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left."""
+    each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left.
+
+    Edges come in two kinds.  A two-pin edge is a graph edge: ``pairs``
+    lists it once as (a, b, weight), and ``mates[v]`` holds (mate, weight)
+    for each two-pin edge of v, so a move prices it from the two blocks
+    alone.  ``wide`` lists the ids of the wider edges and ``winc[v]`` those
+    of v; each keeps a row of pin counts per block, ``phi[e]``, and ``phi``
+    holds None for every two-pin edge.  ``pins`` and ``ew`` list every
+    edge."""
 
     def __init__(self, h: Hypergraph, bounds: list[int]):
         self.k = k = len(bounds)
         self.bounds = bounds
         self.pins = [list(e.pins) for e in h.edges]
-        self.ew = [e.weight for e in h.edges]
+        self.ew = ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
-        self.inc = h.incidence
+        self.pairs = [(*pins, ew[e]) for e, pins in enumerate(self.pins) if len(pins) == 2]
+        self.mates = [[] for _ in self.vw]
+        for a, b, w in self.pairs:
+            self.mates[a].append((b, w))
+            self.mates[b].append((a, w))
+        self.wide = [e for e, pins in enumerate(self.pins) if len(pins) > 2]
+        self.winc = [[e for e in edges if len(self.pins[e]) > 2] for edges in h.incidence]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top]; a masked or dead entry lies below -top
-        self.top = sum(self.ew)
+        self.top = sum(ew)
         self.mask = 1 + 2 * self.top
         self.dead = -2 * self.top - 2 * self.mask
         self.others = [[t for t in range(k) if t != b] for b in range(k)]
         # a move's gain before crediting the edges it leaves or already
         # touches in the target: minus v's weighted degree
-        self.away = [-sum(self.ew[e] for e in edges) for edges in self.inc]
+        self.away = [-sum(ew[e] for e in edges) for edges in h.incidence]
         self.pieces = _pieces(len(self.vw), self.pins)
-        self.w_min = min(self.ew, default=0)
+        self.w_min = min(ew, default=0)
 
     def reset(self, assignment: list[int]) -> None:
-        """Refine ``assignment`` from now on, in place; only the per-edge
-        pin counts and the per-block tallies are rebuilt."""
+        """Refine ``assignment`` from now on, in place; only the wider
+        edges' pin counts and the per-block tallies are rebuilt, since a
+        two-pin edge is priced from its pins' blocks."""
         k = self.k
         self.assign = assignment
-        self.phi = [[0] * k for _ in self.pins]
-        for row, pins in zip(self.phi, self.pins):
-            for p in pins:
+        self.phi = phi = [None] * len(self.pins)
+        for e in self.wide:
+            phi[e] = row = [0] * k
+            for p in self.pins[e]:
                 row[assignment[p]] += 1
         self.load = [0] * k   # vertex weight per block
         self.count = [0] * k  # vertices per block
@@ -232,9 +252,11 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     ``gains[t][v]`` caches the gain of moving v to block t: ``away[v]``,
     plus the weight of v's edges where v is the only pin of its block,
     plus the weight of v's edges that already touch t.  One sweep over the
-    cut edges builds it and sums the start cost: each cut edge adds its
-    weight to its pins once, in a column shared by every target, and
-    subtracts it again from the blocks it misses, which at k=2 are none.
+    cut edges builds it and sums the start cost.  A cut two-pin edge adds
+    its weight to both pins in a column shared by every target, and once
+    more in the column of the mate's block.  A cut wider edge adds its
+    weight to its pins once, in the shared column, and subtracts it again
+    from the blocks it misses, which at k=2 are none.
     Entries that may not move sit below every real gain: a vertex's own
     block and locked vertices hold ``dead``, and the lone vertex of a block,
     ``eng.xor[b]`` while ``eng.count[b]`` is 1, carries a ``-mask`` offset
@@ -253,28 +275,46 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     it, and takes the smallest entry over the other heaps, then the lowest
     target.
 
-    Cutoff: ``seen[e]`` holds the blocks of e's locked pins as a bitmask,
-    and ``locked_cost`` sums w_e * (blocks in seen[e] - 1), kept up to date
-    at each lock in O(deg v).  ``least`` is ``eng.least()``: the lightest
-    edge weight times the occupied blocks less the hypergraph's connected
-    pieces.  Every later prefix costs at least both, so the pass stops
-    once either reaches the best feasible cost, before the first move when
-    the start cost is already that low.  Only strictly better feasible
-    prefixes are kept, so the prefix, the assignment and the result match
-    a pass run until no vertex may move.
+    Moving v from src to target changes the gains of the unlocked mate u
+    of a two-pin edge of weight w by one rule, with no pin scan: with u in
+    src, +2w toward target and +w toward every other block; with u in
+    target, -2w toward src and -w toward every other block; with u in a
+    third block, +w toward target and -w toward src.  These count k, k and
+    2 gain updates, as the pin-count rule of a wider edge would.  A wider
+    edge's pins are adjusted only where its count in src or target crosses
+    0, 1 or 2.
+
+    Cutoff: ``locked_cost`` sums w_e * (blocks of e's locked pins - 1),
+    kept up to date at each lock in O(deg v).  A two-pin edge adds its
+    weight when v locks away from a locked mate's block; a wider edge
+    keeps those blocks as a bitmask, ``seen[e]``.  ``least`` is
+    ``eng.least()``: the lightest edge weight times the occupied blocks
+    less the hypergraph's connected pieces.  Every later prefix costs at
+    least both, so the pass stops once either reaches the best feasible
+    cost, before the first move when the start cost is already that low.
+    Only strictly better feasible prefixes are kept, so the prefix, the
+    assignment and the result match a pass run until no vertex may move.
     The moves past the best prefix are then undone in reverse, and
     ``eng.cost`` keeps that prefix's cost, exact as every gain is.
     """
-    k, assign, vw, inc, pins, ew, phi = (eng.k, eng.assign, eng.vw, eng.inc,
-                                         eng.pins, eng.ew, eng.phi)
+    k, assign, vw, pins, ew, phi = eng.k, eng.assign, eng.vw, eng.pins, eng.ew, eng.phi
+    mates, winc = eng.mates, eng.winc
     load, count, xor, bounds, others = eng.load, eng.count, eng.xor, eng.bounds, eng.others
     top, mask, dead = eng.top, eng.mask, eng.dead
     floor = -top
     n = len(vw)
     base = list(eng.away)  # plus every cut edge of v and those v alone holds
-    partial = []           # cut edges that miss some block
+    partial = []           # cut wider edges that miss some block
+    split = []             # cut two-pin edges
     start_cost = 0
-    for e, row in enumerate(phi):
+    for a, b, w in eng.pairs:
+        if assign[a] != assign[b]:
+            start_cost += w
+            base[a] += w
+            base[b] += w
+            split.append((a, b, w))
+    for e in eng.wide:
+        row = phi[e]
         spanned = k - row.count(0)
         if spanned == 1:
             continue  # an uncut edge only touches its pins' own block
@@ -286,6 +326,9 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
         if spanned < k:
             partial.append(e)
     gains = [list(base) for _ in range(k)]
+    for a, b, w in split:  # a cut two-pin edge credits the mate's block once more
+        gains[assign[b]][a] += w
+        gains[assign[a]][b] += w
     for e in partial:
         w, row = ew[e], phi[e]
         for t in range(k):
@@ -348,7 +391,36 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
         locked[v] = True
         bit = 1 << target
 
-        for e in inc[v]:
+        for u, w in mates[v]:
+            b = assign[u]
+            if locked[u]:
+                if b != target:
+                    locked_cost += w
+            elif b == src:  # the edge becomes cut: u gains w more toward target
+                for t in others[b]:
+                    g = gains[t][u] + (w + w if t == target else w)
+                    gains[t][u] = g
+                    if g >= floor:
+                        heappush(heaps[t], (top - g) * n + u)
+                updates += k
+            elif b == target:  # the edge becomes uncut: u loses w more toward src
+                for t in others[b]:
+                    g = gains[t][u] - (w + w if t == src else w)
+                    gains[t][u] = g
+                    if g >= floor:
+                        heappush(heaps[t], (top - g) * n + u)
+                updates += k
+            else:  # the credit for joining v's block moves from src to target
+                g = gains[target][u] + w
+                gains[target][u] = g
+                if g >= floor:
+                    heappush(heaps[target], (top - g) * n + u)
+                g = gains[src][u] - w
+                gains[src][u] = g
+                if g >= floor:
+                    heappush(heaps[src], (top - g) * n + u)
+                updates += 2
+        for e in winc[v]:
             w = ew[e]
             blocks = seen[e]
             if not blocks & bit:
@@ -419,7 +491,7 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
     eng.cost = best_cost
     for v, src in reversed(moves[best_prefix:]):
         target = assign[v]
-        for e in inc[v]:
+        for e in winc[v]:
             row = phi[e]
             row[target] -= 1
             row[src] += 1

@@ -609,6 +609,18 @@ def test_cli_bench_stdout(tmp_path, capsys):
     assert "ghz4 k=2" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["partition", "--parts", "2", "no/such.qasm"],
+    ["partition", "--parts", "2", "no/such.hmetis"],
+    ["stats", "no/such.qasm"],
+    ["bench", "--suite", "no/such.json"],
+])
+def test_cli_missing_input_file_exits1_naming_it(argv, capsys):
+    # every input file, circuit, hypergraph or suite, is refused by one message
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: no such file: {argv[-1]}\n"
+
+
 def test_cli_bench_strict_missing(tmp_path, capsys):
     # a missing circuit file exits 1 with one error line and writes no CSV
     suite = tmp_path / "suite.json"
