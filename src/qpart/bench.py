@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -195,10 +195,6 @@ class SuiteSpec:
         )
 
 
-CSV_COLUMNS = ("circuit", "n", "size", "depth", "method", "k", "capacities",
-               "seed", "cut_edges", "ebits", "r_per_block", "runtime_ms")
-
-
 @dataclass(frozen=True)
 class BenchRow:
     circuit: str
@@ -222,6 +218,9 @@ class BenchRow:
                 ";".join("-" if r is None else str(round(r, 4))
                          for r in self.r_per_block),
                 f"{self.runtime_ms:.3f}"]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def _ms_since(t0: float) -> float:

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .bench import CircuitJob, format_summary, load_suite, read_file, run_suite, write_csv
-from .circuit import QasmError
 from .distribution import emit_subcircuits, plan_distribution
 from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
 from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
@@ -35,7 +34,7 @@ def _parse_caps(text: str | None) -> tuple[int, ...] | None:
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise QasmError(f"bad capacity list {text!r}; expected e.g. 3,3,2")
+        raise ValueError(f"bad capacity list {text!r}; expected e.g. 3,3,2") from None
 
 
 def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
@@ -70,7 +69,7 @@ def _cmd_partition(args) -> int:
     hmetis = args.file.endswith((".hmetis", ".hgr"))
     if hmetis:
         if args.emit:
-            raise QasmError("--emit needs a circuit, not a hypergraph file")
+            raise ValueError("--emit needs a circuit, not a hypergraph file")
         h = import_hmetis(read_file(args.file))
         name, n = Path(args.file).stem, len(h.vertices)
     else:
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--parts", type=int, required=True, metavar="K")
     s.add_argument("--capacities", metavar="a,b,...")
-    s.add_argument("--method", choices=["fm", "kway", "random"], default="fm")
+    s.add_argument("--method", choices=[m.value for m in Mode], default="fm")
     s.add_argument("--grouping", choices=["on", "off"], default="on")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=8)
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
     except InfeasibleError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except (QasmError, FileNotFoundError, ValueError, OSError) as ex:
+    except (ValueError, OSError) as ex:  # QasmError and FileNotFoundError included
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -20,9 +20,10 @@ of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput. 20(1),
 The deal turns an order into blocks, one per capacity, from the
 capacities and the weights, heaviest first; a grown order fills each
 block in one run, with the shuffle's loads.
-``random_deals`` deals and prices a draw one matrix of at most 128 seeds
-at a time; it is the one random partition, of ``Mode.RANDOM`` and the
-bench's Random rows.
+The random partition of a seed is the shuffled deal of that seed:
+``Mode.RANDOM`` deals one row, and ``random_deals`` deals and prices a
+draw one matrix of at most 128 seeds at a time for the bench's Random
+rows.
 ``expected_ebits`` prices the mean of that partition over every shuffle
 in closed form; it is the CLI's baseline and the bench's grouped one.
 
@@ -144,17 +145,6 @@ class PartitionResult:
     gain_updates: int = 0
 
 
-@dataclass
-class _PassStats:
-    """Instrumentation for one pass; gain_updates counts every
-    (vertex, target) gain-cache entry computed or adjusted.  Both counts
-    cover the work done before the pass's cutoff, not the moves a pass
-    without it would have made and rolled back."""
-
-    moves: int = 0
-    gain_updates: int = 0
-
-
 # --------------------------------------------------------------------------
 # shared engine state
 
@@ -162,6 +152,11 @@ class _Engine:
     """Tables of one hypergraph under fixed block bounds, built once, plus
     the state of the assignment being refined, which ``reset`` sets before
     each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left.
+    ``reset`` also zeroes the refinement's work counts, which each
+    ``_pass`` adds to: ``passes``, ``moves`` and ``gain_updates``, every
+    (vertex, target) gain-cache entry computed or adjusted.  The counts
+    cover the work done before each pass's cutoff, not the moves a pass
+    without it would have made and rolled back.
 
     Edges come in two kinds.  A two-pin edge is a graph edge: ``pairs``
     lists it once as (a, b, weight), and ``mates[v]`` holds (mate, weight)
@@ -202,6 +197,7 @@ class _Engine:
         two-pin edge is priced from its pins' blocks."""
         k = self.k
         self.assign = assignment
+        self.passes = self.moves = self.gain_updates = 0
         self.phi = phi = [None] * len(self.pins)
         for e in self.wide:
             phi[e] = row = [0] * k
@@ -245,9 +241,10 @@ def _pieces(n: int, pins: list[list[int]]) -> int:
 # --------------------------------------------------------------------------
 # passes
 
-def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
+def _pass(eng: _Engine) -> bool:
     """One FM pass over every block; mutates eng.assign, returns True when
-    the best prefix strictly improved the cost.
+    the best prefix strictly improved the cost, and adds the pass and its
+    work to the engine's counts.
 
     ``gains[t][v]`` caches the gain of moving v to block t: ``away[v]``,
     plus the weight of v's edges where v is the only pin of its block,
@@ -485,10 +482,10 @@ def _pass(eng: _Engine, stats: _PassStats | None = None) -> bool:
             best_cost = cur
             best_prefix = len(moves)
 
-    if stats:
-        stats.moves += len(moves)
-        stats.gain_updates += updates
     eng.cost = best_cost
+    eng.passes += 1
+    eng.moves += len(moves)
+    eng.gain_updates += updates
     for v, src in reversed(moves[best_prefix:]):
         target = assign[v]
         for e in winc[v]:
@@ -698,10 +695,11 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     cost, so FM is never worse than the random partition of seeds[0]; an
     odd restart deals ``_grown`` of it, each block in one run.  Each kind
     is dealt in one matrix, and the grown orders only once restart 0
-    misses the cutoff.  Each restart runs ``_pass`` until a pass fails or
-    ``_MAX_PASSES`` run.  The winner has the lowest (``eng.cost``, balance
-    deviation from the capacities, r); returns its assignment, passes,
-    seed and gain updates.
+    misses the cutoff.  Each restart runs ``_pass`` on a fresh list until a
+    pass fails or ``_MAX_PASSES`` run; the engine is its one record.  The
+    winner has the lowest (``eng.cost``, balance deviation from the
+    capacities, r); returns its engine's assignment, passes and gain
+    updates, and its seed.
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
     the deal, 0).  Every deal fills the same blocks and no pass empties a
@@ -723,18 +721,13 @@ def _restart_driver(h: Hypergraph, caps: list[int],
 
     best, best_key = None, None
     for r, row in enumerate(deals()):
-        assignment = row.tolist()
-        eng.reset(assignment)  # refined in place
+        eng.reset(row.tolist())  # a fresh list, refined in place
         least = eng.least()
-        stats = _PassStats()
-        passes = 0
-        while passes < _MAX_PASSES:
-            passes += 1
-            if not _pass(eng, stats):
-                break
+        while _pass(eng) and eng.passes < _MAX_PASSES:
+            pass
         key = (eng.cost, sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, passes, seeds[r], stats.gain_updates), key
+            best, best_key = (eng.assign, eng.passes, seeds[r], eng.gain_updates), key
             if key[:2] == (least, 0):
                 break
     return best
@@ -812,16 +805,16 @@ def _recursive_bisection(h: Hypergraph, caps: list[int],
 def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     """Partition ``h`` as config.mode says: the random deal, one restart
     driver over all blocks (two blocks, or ``Mode.DIRECT_KWAY``), or
-    recursive bisection built from that driver.  Bisection reserves one
-    unit of weight for each block of the other side at every split, so
-    input that weighs less than its block count, which only weight-0
-    vertices can fill, runs the one driver, whose pass keeps every block in
-    use.
+    recursive bisection built from that driver.  The random deal is the
+    config seed's row of the deal ``random_deals`` makes.  Bisection
+    reserves one unit of weight for each block of the other side at every
+    split, so input that weighs less than its block count, which only
+    weight-0 vertices can fill, runs the one driver, whose pass keeps every
+    block in use.
 
     The capacities are resolved once, here, and the driver and the
-    bisection take them and the restarts' seeds, not the config.  Each
-    result is priced once: the random row by ``random_deals``, and the
-    driver's or the bisection's assignment here, with one ``cut_cost``.
+    bisection take them and the restarts' seeds, not the config.  Every
+    mode's result is priced once, here, with one ``cut_cost``.
 
     Raises ValueError when an FM mode gets more blocks than vertices
     (``Mode.RANDOM`` deals them and leaves the blocks it misses empty), and
@@ -834,10 +827,9 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     weight = sum(v.weight for v in h.vertices)
     caps = resolve_capacities(config.capacities, weight, k)
     if config.mode is Mode.RANDOM:
-        (assign, (cut_edges,), (ebits,)), = random_deals(
-            h, config, _shuffles(len(h.vertices), [config.seed]))
-        cut = CutReport(cut_edges=int(cut_edges), lambda_minus_one=int(ebits) // 2)
-        assignment, passes, seed, updates = assign[0].tolist(), 0, config.seed, 0
+        perms, = _shuffles(len(h.vertices), [config.seed])
+        assignment = _dealer(h, caps)(perms)[0].tolist()
+        passes, seed, updates = 0, config.seed, 0
     elif k > len(h.vertices):
         raise ValueError(f"{k} blocks exceed the {len(h.vertices)} vertices")
     else:
@@ -845,7 +837,7 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
                   else _recursive_bisection)
         assignment, passes, seed, updates = refine(
             h, caps, range(config.seed, config.seed + config.restarts))
-        cut = cut_cost(h, assignment, k)
+    cut = cut_cost(h, assignment, k)
     loads = [0] * k
     for b, v in zip(assignment, h.vertices):
         loads[b] += v.weight

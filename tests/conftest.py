@@ -43,12 +43,13 @@ def engine(h, bounds, assignment):
     return eng
 
 
-def fm_pass(h, assignment, config, stats=None):
+def fm_pass(h, assignment, config):
     """Run one FM pass over a copy of ``assignment``, each block bounded by
-    its capacity; returns the copy and whether the pass improved the cost."""
+    its capacity; returns the copy, whether the pass improved the cost, and
+    the engine, which holds the pass's counts."""
     work = list(assignment)
-    improved = _pass(engine(h, caps_of(h, config), work), stats)
-    return work, improved
+    eng = engine(h, caps_of(h, config), work)
+    return work, _pass(eng), eng
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
                    emit_qasm, find_groups, generate, parse_qasm, partition,
                    plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import _PassStats, _shuffles, random_deals
+from qpart.fm import _shuffles, random_deals
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
 from statevector import equivalent, simulate
@@ -221,10 +221,9 @@ def test_criterion_8_gain_updates_scale_linearly():
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=2, seed=1)
         a = deal(h, cfg)
-        stats = _PassStats()
-        fm_pass(h, a, cfg, stats)
+        _, _, eng = fm_pass(h, a, cfg)
         pins.append(sum(len(e.pins) for e in h.edges))
-        updates.append(stats.gain_updates)
+        updates.append(eng.gain_updates)
     slope, intercept = np.polyfit(np.log(pins), np.log(updates), 1)
     fit = slope * np.log(pins) + intercept
     resid = np.log(updates) - fit

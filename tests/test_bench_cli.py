@@ -272,6 +272,8 @@ def batch_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(batch_instances())
 def test_random_rows_match_partition_and_plan(instance):
+    # partition prices its random deal with cut_cost, so each batch row's
+    # price is checked against cut_cost
     circuit, h, config, seeds = instance
     caps = resolve_capacities(config.capacities, circuit.width, config.blocks)
 
@@ -450,7 +452,9 @@ def test_cli_infeasible_capacities_exit2(capsys):
 
 def test_cli_input_errors_exit1(capsys, tmp_path):
     assert main(["partition", "no/such.qasm", "--parts", "2"]) == 1
+    capsys.readouterr()
     assert main(["partition", "ghz:4", "--parts", "2", "--capacities", "a,b"]) == 1
+    assert capsys.readouterr().err == "error: bad capacity list 'a,b'; expected e.g. 3,3,2\n"
     assert main(["partition", "ghz:4"]) == 1          # --parts is required
     assert main(["nonsense"]) == 1
     # the depth-window flag was removed, so argparse refuses it
@@ -653,10 +657,14 @@ def test_cli_bench_strict_missing(tmp_path, capsys):
     # resolved, so a short one is refused whatever it sums to
     ({"circuits": ["ghz:4"], "capacities": [[3]]}, "2 blocks but 1 capacities"),
     ({"circuits": ["ghz:4"], "capacities": [[0, 3]]}, "capacities must be positive"),
+    ({"circuits": [{"family": "bogus", "n": 4}]},
+     "suite field 'family' must be one of ghz, qft, random, not 'bogus'"),
+    ({"circuits": ["ghz:4"], "mode": "fast"},
+     "suite field 'mode' must be one of fm, kway, random, not 'fast'"),
 ], ids=["empty", "array", "parts", "parts-zero", "capacities", "no-family", "circuits-string",
         "circuit-number", "unknown-key", "unknown-seeds-key", "unknown-circuit-key",
         "epsilon", "mode-random", "shorthand-extra-field", "capacities-short",
-        "capacities-zero"])
+        "capacities-zero", "family-unknown", "mode-unknown"])
 def test_cli_bench_malformed_suite_exit1(tmp_path, capsys, spec, names):
     # a malformed suite is one error line, not a traceback or an empty run
     suite = tmp_path / "suite.json"

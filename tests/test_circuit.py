@@ -124,6 +124,35 @@ def test_parse_errors(text, fragment):
         parse_qasm(text)
 
 
+_DECLARED = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("OPENQASM 2.0", "line 1: unexpected end of input"),
+    (_DECLARED + "3 q[0];", "line 4: malformed statement '3 q[0]'"),
+    (_DECLARED + "qreg(2) q[1];", "line 4: qreg takes no parameters"),
+    (_DECLARED + "include qelib1.inc;", "line 4: include needs a quoted file name"),
+    (_DECLARED + "qreg q;", "line 4: qreg needs a size"),
+    (_DECLARED + "opaque 1x a;", "line 4: malformed opaque declaration '1x a'"),
+    (_DECLARED + "measure q[0] c[0];", "line 4: measure needs '->'"),
+    (_DECLARED + "measure q -> c;", "line 4: measure register sizes differ"),
+    (_DECLARED + "measure q[0] -> c[1];", "line 4: bit c[1] out of range"),
+    (_DECLARED + "measure q -> c[0];", "line 4: cannot measure a register into one bit"),
+], ids=["no-semicolon", "malformed", "keyword-params", "include-unquoted", "qreg-no-size",
+        "opaque-malformed", "measure-no-arrow", "measure-sizes", "measure-bit-range",
+        "measure-register-to-bit"])
+def test_each_statement_refusal_names_its_line(text, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert str(info.value) == message
+
+
+def test_gate_refuses_a_missing_parameter():
+    # the parser checks parameter counts first, so only a built gate gets here
+    with pytest.raises(ValueError, match=r"^rz takes 1 parameter\(s\), got 0$"):
+        Gate(GateKind.RZ, (0,))
+
+
 def test_parse_error_position():
     try:
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nbogus q[0];\n")

@@ -17,7 +17,7 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, brute_force_mincut,
                    build_hypergraph, cut_cost, export_hmetis, find_groups,
                    generate, import_hmetis, partition, resolve_capacities)
-from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _PassStats, _shuffles,
+from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _shuffles,
                       expected_ebits, random_deals)
 
 from conftest import caps_of, deal, engine, fm_pass, load_fixture
@@ -90,18 +90,17 @@ def test_fm_pass_adversarial_split():
     h = chain(4)
     a = [0, 1, 0, 1]
     cfg = PartitionConfig(blocks=2)
-    stats = _PassStats()
-    out, improved = fm_pass(h, a, cfg, stats)
+    out, improved, eng = fm_pass(h, a, cfg)
     assert improved
     assert a == [0, 1, 0, 1]              # input untouched
     assert cut_cost(h, out, 2).cut_edges == 1
     assert sorted(out.count(b) for b in range(2)) == [2, 2]
-    assert stats.moves > 0 and stats.gain_updates > 0
+    assert eng.passes == 1 and eng.moves > 0 and eng.gain_updates > 0
 
 
 def test_fm_pass_keeps_balance():
     h = chain(6)
-    out, _ = fm_pass(h, [0, 1, 0, 1, 0, 1], PartitionConfig(blocks=2))
+    out, _, _ = fm_pass(h, [0, 1, 0, 1, 0, 1], PartitionConfig(blocks=2))
     assert sorted(out.count(b) for b in range(2)) == [3, 3]
 
 
@@ -167,7 +166,7 @@ def test_mode_dispatch():
                 PartitionConfig(blocks=4, mode=Mode.DIRECT_KWAY, restarts=1)):
         a = deal(h, cfg)
         for _ in range(_MAX_PASSES):
-            a, improved = fm_pass(h, a, cfg)
+            a, improved, _ = fm_pass(h, a, cfg)
             if not improved:
                 break
         assert partition(h, cfg).assignment == tuple(a)
@@ -386,17 +385,12 @@ def every_restart(h, caps, seeds):
     for r, seed in enumerate(seeds):
         cfg = PartitionConfig(blocks=len(caps), capacities=tuple(caps), seed=seed)
         eng = engine(h, caps, deal(h, cfg, grown=r % 2 == 1))
-        stats = _PassStats()
-        passes = 0
-        while passes < _MAX_PASSES:
-            passes += 1
-            if not _pass(eng, stats):
-                break
-        assignment = eng.assign
-        key = (cut_cost(h, assignment, len(caps)).lambda_minus_one,
+        while _pass(eng) and eng.passes < _MAX_PASSES:
+            pass
+        key = (cut_cost(h, eng.assign, len(caps)).lambda_minus_one,
                sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
-            best, best_key = (assignment, passes, seed, stats.gain_updates), key
+            best, best_key = (eng.assign, eng.passes, seed, eng.gain_updates), key
     return best
 
 
@@ -481,7 +475,7 @@ def test_restart_cutoff_fires_at_the_floor(monkeypatch):
 def test_each_partition_is_priced_once(monkeypatch):
     # the driver ranks restarts by the cost their passes kept, so one
     # partition call prices its result once, however many restarts and
-    # splits ran; the random mode keeps the price random_deals gave
+    # splits ran; the random mode prices its deal the same way
     calls, restarts = [], []
     monkeypatch.setattr("qpart.fm.cut_cost", lambda *a: calls.append(1) or cut_cost(*a))
     reset = _Engine.reset  # once per restart
@@ -492,7 +486,7 @@ def test_each_partition_is_priced_once(monkeypatch):
     # over the 3 splits of k=4 bisection
     for blocks, mode, priced, runs in ((2, Mode.RECURSIVE_BISECT, 1, 8),
                                        (4, Mode.RECURSIVE_BISECT, 1, 24),
-                                       (4, Mode.DIRECT_KWAY, 1, 8), (4, Mode.RANDOM, 0, 0)):
+                                       (4, Mode.DIRECT_KWAY, 1, 8), (4, Mode.RANDOM, 1, 0)):
         calls.clear()
         restarts.clear()
         res = partition(h, PartitionConfig(blocks=blocks, mode=mode, seed=5))
@@ -590,8 +584,9 @@ def _apply(eng, v, target):
     eng.load[target] += eng.vw[v]
 
 
-def _rescan_pass(eng, stats, cutoff=False):
-    """Reference pass: rescans every unlocked vertex x target per move.
+def _rescan_pass(eng, cutoff=False):
+    """Reference pass: rescans every unlocked vertex x target per move, and
+    counts its moves on the engine, as ``_pass`` does.
 
     With ``cutoff`` it stops, as ``_pass`` does, once the locked vertices
     or the blocks in use force a cost no lower than the best feasible
@@ -621,7 +616,7 @@ def _rescan_pass(eng, stats, cutoff=False):
         locked[v] = True
         cur -= g
         moves.append((v, src, target))
-        stats.moves += 1
+        eng.moves += 1
         if eng.overloaded() == 0 and cur < best_cost:
             best_cost = cur
             best_prefix = len(moves)
@@ -677,16 +672,15 @@ def test_kway_gain_cache_matches_rescan(instance):
     h, bounds, assignment = instance
     cached, full, bounded = (engine(h, bounds, list(assignment)) for _ in range(3))
     for _ in range(4):
-        got, want = _PassStats(), _PassStats()
-        improved = _pass(cached, got)
+        improved = _pass(cached)
         assert cached.cost == cut_cost(h, cached.assign, len(bounds)).lambda_minus_one
-        assert improved == _rescan_pass(full, _PassStats())
+        assert improved == _rescan_pass(full)
         assert cached.assign == full.assign
         # the moves and the rollback leave every per-block tally exact
         fresh = engine(h, bounds, list(cached.assign))
         assert (cached.load, cached.count, cached.xor) == (fresh.load, fresh.count, fresh.xor)
-        assert improved == _rescan_pass(bounded, want, cutoff=True)
-        assert got.moves == want.moves
+        assert improved == _rescan_pass(bounded, cutoff=True)
+        assert cached.moves == bounded.moves
         if not improved:
             break
 
@@ -698,19 +692,17 @@ def test_converged_pass_stops_at_the_cutoff():
     cfg = PartitionConfig(blocks=2)
     assignment = list(partition(h, cfg).assignment)
     assert cut_cost(h, assignment, 2).lambda_minus_one == 1
-    stats = _PassStats()
-    out, improved = fm_pass(h, assignment, cfg, stats)
+    out, improved, eng = fm_pass(h, assignment, cfg)
     assert not improved
     assert out == assignment
-    assert stats.moves < len(h.vertices)
+    assert eng.moves < len(h.vertices)
 
 
 def test_pass_at_zero_cost_makes_no_moves():
     h = Hypergraph([Vertex() for _ in range(4)], [Hyperedge(pins=(0, 1)), Hyperedge(pins=(2, 3))])
-    stats = _PassStats()
-    out, improved = fm_pass(h, [0, 0, 1, 1], PartitionConfig(blocks=2), stats)
+    out, improved, eng = fm_pass(h, [0, 0, 1, 1], PartitionConfig(blocks=2))
     assert not improved and out == [0, 0, 1, 1]
-    assert stats.moves == 0
+    assert eng.moves == 0
 
 
 def test_kway_gain_updates_scale_linearly():
@@ -718,10 +710,9 @@ def test_kway_gain_updates_scale_linearly():
     for n in (16, 32, 64, 128):
         h = build_hypergraph(generate("ghz", n))
         cfg = PartitionConfig(blocks=4, seed=1, mode=Mode.DIRECT_KWAY)
-        stats = _PassStats()
-        fm_pass(h, deal(h, cfg), cfg, stats)
+        _, _, eng = fm_pass(h, deal(h, cfg), cfg)
         pins.append(sum(len(e.pins) for e in h.edges))
-        updates.append(stats.gain_updates)
+        updates.append(eng.gain_updates)
     slope, _ = np.polyfit(np.log(pins), np.log(updates), 1)
     assert abs(slope - 1.0) <= 0.15, (slope, pins, updates)
 
@@ -890,7 +881,7 @@ def test_random_baseline_matches_random_partition(instance):
     def one(seed):
         result = partition(h, PartitionConfig(blocks=cfg.blocks, capacities=cfg.capacities,
                                               restarts=1, seed=seed, mode=Mode.RANDOM))
-        # the cut is built from the deal's own pricing, not priced again
+        # partition prices its deal with cut_cost, as it prices every mode
         assert result.cut == cut_cost(h, list(result.assignment), cfg.blocks)
         return result.assignment, result.cut.cut_edges, result.cut.ebits
 
