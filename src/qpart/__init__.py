@@ -3,9 +3,8 @@
 Pipeline: parse OpenQASM 2 (or generate a benchmark family), group gates
 that reuse a control, translate to a hypergraph, partition it under the
 connectivity-minus-one metric, then plan the distributed execution and
-emit per-QPU subcircuits.  A brute-force min-cut oracle checks the
-partitioner on small instances; the bench module reproduces the
-random-vs-FM comparisons.
+emit per-QPU subcircuits.  The bench module, behind ``qpart bench``,
+reproduces the random-vs-FM comparisons.
 """
 
 from .circuit import (Circuit, Gate, GateKind, QasmError, emit_qasm,
@@ -13,15 +12,12 @@ from .circuit import (Circuit, Gate, GateKind, QasmError, emit_qasm,
 from .generators import CircuitFamily, generate
 from .grouping import GateGroup, find_groups
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
-                         block_endpoints, build_hypergraph, cut_cost,
-                         export_hmetis, import_hmetis)
+                         build_hypergraph, cut_cost, export_hmetis,
+                         import_hmetis)
 from .fm import (InfeasibleError, Mode, PartitionConfig, PartitionResult,
-                 partition, resolve_capacities)
-from .oracle import brute_force_mincut
+                 partition)
 from .distribution import (Channel, DistributionPlan, QpuPlan,
                            emit_subcircuits, plan_distribution)
-from .bench import (CircuitJob, SuiteSpec, format_summary, load_suite,
-                    run_suite, write_csv)
 
 __version__ = "0.1.0"
 
@@ -31,14 +27,10 @@ __all__ = [
     "CircuitFamily", "generate",
     "GateGroup", "find_groups",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
-    "block_endpoints", "build_hypergraph", "cut_cost",
-    "export_hmetis", "import_hmetis",
+    "build_hypergraph", "cut_cost", "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",
-    "partition", "resolve_capacities",
-    "brute_force_mincut",
+    "partition",
     "Channel", "DistributionPlan", "QpuPlan",
     "emit_subcircuits", "plan_distribution",
-    "CircuitJob", "SuiteSpec",
-    "format_summary", "load_suite", "run_suite", "write_csv",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 from .bench import CircuitJob, format_summary, load_suite, read_file, run_suite, write_csv
 from .distribution import emit_subcircuits, plan_distribution
 from .fm import InfeasibleError, Mode, PartitionConfig, expected_ebits, partition
-from .hypergraph import block_endpoints, build_hypergraph, export_hmetis, import_hmetis
+from .hypergraph import _check_assignment, build_hypergraph, export_hmetis, import_hmetis
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +45,21 @@ def _improvement(h, config: PartitionConfig, ebits: int) -> float | None:
         return None
     base = expected_ebits(h, config)
     return 100.0 * (base - ebits) / base if base else None
+
+
+def _block_endpoints(h, assignment: list[int], blocks: int) -> list[int]:
+    """Communication endpoints per block: one per (cut edge, remote block)
+    on the remote side plus one on the home side, the block of the edge's
+    first pin.  Sums to 2*(lambda-1).  The hMETIS report's ``e``, where a
+    bare hypergraph has no plan to count channels."""
+    _check_assignment(h, assignment, blocks)
+    counts = [0] * blocks
+    for e in h.edges:
+        home = assignment[e.pins[0]]
+        for b in {assignment[p] for p in e.pins} - {home}:
+            counts[home] += e.weight
+            counts[b] += e.weight
+    return counts
 
 
 def _cmd_stats(args) -> int:
@@ -78,7 +93,7 @@ def _cmd_partition(args) -> int:
         name, n = circuit.name, circuit.width
     result = partition(h, config)
     if hmetis:  # a bare hypergraph has no operations to account
-        endpoints = block_endpoints(h, list(result.assignment), config.blocks)
+        endpoints = _block_endpoints(h, list(result.assignment), config.blocks)
         rows = [(d, 0, e) for d, e in zip(result.loads, endpoints)]
     else:
         # account every QPU of the config, also one the assignment leaves empty

@@ -693,13 +693,15 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     Restart r draws the shuffle of seeds[r].  An even restart deals it as
     ``Mode.RANDOM`` does, and a pass keeps only a prefix that lowers the
     cost, so FM is never worse than the random partition of seeds[0]; an
-    odd restart deals ``_grown`` of it, each block in one run.  Each kind
-    is dealt in one matrix, and the grown orders only once restart 0
-    misses the cutoff.  Each restart runs ``_pass`` on a fresh list until a
-    pass fails or ``_MAX_PASSES`` run; the engine is its one record.  The
-    winner has the lowest (``eng.cost``, balance deviation from the
-    capacities, r); returns its engine's assignment, passes and gain
-    updates, and its seed.
+    odd restart deals ``_grown`` of it, each block in one run.  The seeds
+    are drawn one ``_shuffles`` chunk at a time, and none after the cutoff
+    below.  A chunk deals each kind in one matrix, and grows its orders
+    only once its first restart misses the cutoff; ``_CHUNK`` is even, so a
+    row's parity is its restart's.  Each restart runs ``_pass`` on a fresh
+    list until a pass fails or ``_MAX_PASSES`` run; the engine is its one
+    record.  The winner has the lowest (``eng.cost``, balance deviation
+    from the capacities, r); returns its engine's assignment, passes and
+    gain updates, and its seed.
 
     The restarts stop once the winner's key reaches (``_Engine.least()`` of
     the deal, 0).  Every deal fills the same blocks and no pass empties a
@@ -709,15 +711,17 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     """
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)
-    perms = np.concatenate([*_shuffles(len(h.vertices), seeds)])
     eng = _Engine(h, caps)
 
     def deals():
-        shuffled = _dealer(h, caps)(perms[::2])
-        yield shuffled[0]
-        grown = _dealer(h, caps, runs=True)(_grown(h, perms[1::2]))
-        for r in range(1, len(perms)):
-            yield grown[r // 2] if r % 2 else shuffled[r // 2]
+        deal, deal_runs = _dealer(h, caps), None  # the run dealer is built on first use
+        for perms in _shuffles(len(h.vertices), seeds):
+            shuffled = deal(perms[::2])
+            yield shuffled[0]
+            deal_runs = deal_runs or _dealer(h, caps, runs=True)
+            grown = deal_runs(_grown(h, perms[1::2]))
+            for i in range(1, len(perms)):
+                yield grown[i // 2] if i % 2 else shuffled[i // 2]
 
     best, best_key = None, None
     for r, row in enumerate(deals()):

@@ -16,6 +16,7 @@ b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .circuit import Circuit
@@ -62,10 +63,16 @@ class Hypergraph:
 
     def validate(self) -> None:
         n = len(self.vertices)
+        # weights are integers from 0 up; the exact type test spares a
+        # plain int the slow abstract-class check
         for i, v in enumerate(self.vertices):
+            if type(v.weight) is not int and not isinstance(v.weight, numbers.Integral):
+                raise ValueError(f"vertex {i} has non-integer weight {v.weight!r}")
             if v.weight < 0:
                 raise ValueError(f"vertex {i} has negative weight {v.weight}")
         for i, e in enumerate(self.edges):
+            if type(e.weight) is not int and not isinstance(e.weight, numbers.Integral):
+                raise ValueError(f"edge {i} has non-integer weight {e.weight!r}")
             if e.weight < 0:
                 raise ValueError(f"edge {i} has negative weight {e.weight}")
             if len(e.pins) < 2:
@@ -115,7 +122,9 @@ def _check_assignment(h: Hypergraph, assignment: list[int], blocks: int) -> None
     if len(assignment) != len(h.vertices):
         raise ValueError(f"assignment covers {len(assignment)} of {len(h.vertices)} vertices")
     for v, b in enumerate(assignment):
-        if b is None or not 0 <= b < blocks:
+        if type(b) is not int and not isinstance(b, numbers.Integral):
+            raise ValueError(f"vertex {v} assigned to non-integer block {b!r}")
+        if not 0 <= b < blocks:
             raise ValueError(f"vertex {v} assigned to invalid block {b}")
 
 
@@ -129,20 +138,6 @@ def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
             cut += 1
             lam += (spanned - 1) * e.weight
     return CutReport(cut_edges=cut, lambda_minus_one=lam)
-
-
-def block_endpoints(h: Hypergraph, assignment: list[int], blocks: int) -> list[int]:
-    """Communication endpoints per block: one per (cut edge, remote block)
-    on the remote side plus one on the home side, the block of the edge's
-    first pin.  Sums to 2*(lambda-1)."""
-    _check_assignment(h, assignment, blocks)
-    counts = [0] * blocks
-    for e in h.edges:
-        home = assignment[e.pins[0]]
-        for b in {assignment[p] for p in e.pins} - {home}:
-            counts[home] += e.weight
-            counts[b] += e.weight
-    return counts
 
 
 # --------------------------------------------------------------------------

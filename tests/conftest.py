@@ -4,8 +4,8 @@ import pathlib
 
 import pytest
 
-from qpart import generate, parse_qasm, resolve_capacities
-from qpart.fm import _dealer, _Engine, _grown, _pass, _shuffles
+from qpart import generate, parse_qasm
+from qpart.fm import _dealer, _Engine, _grown, _pass, _shuffles, resolve_capacities
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,15 +1,14 @@
 """Exhaustive min-cut: an independent reference for the partitioner.
 
 Deliberately simple and slow; it exists to check the fast paths on small
-instances.  The statevector simulator that checks the emitted programs
-lives with the tests, in ``tests/statevector.py``.
+instances, as ``statevector.py`` checks the emitted programs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fm import resolve_capacities
-from .hypergraph import Hypergraph
+from qpart import Hypergraph
+from qpart.fm import resolve_capacities
 
 MAX_ORACLE_VERTICES = 14
 MAX_ORACLE_BLOCKS = 4

@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 
-from qpart import (Mode, PartitionConfig, brute_force_mincut, build_hypergraph,
-                   emit_qasm, find_groups, generate, parse_qasm, partition,
-                   plan_distribution)
+from qpart import (Mode, PartitionConfig, build_hypergraph, emit_qasm,
+                   find_groups, generate, parse_qasm, partition, plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
 from qpart.fm import _shuffles, random_deals
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
+from oracle import brute_force_mincut
 from statevector import equivalent, simulate
 
 

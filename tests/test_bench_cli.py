@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
-                   PartitionConfig, build_hypergraph,
-                   partition, plan_distribution, resolve_capacities)
+                   PartitionConfig, build_hypergraph, partition, plan_distribution)
 from qpart import bench, distribution, fm
 from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
                          _rows, format_summary, load_suite, run_suite, write_csv)
 from qpart.distribution import _plan_ledger
 from qpart.cli import main
+from qpart.fm import resolve_capacities
 
 from conftest import FIXTURES
 

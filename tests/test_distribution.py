@@ -4,14 +4,16 @@ import re
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph,
-                   InfeasibleError, Mode, PartitionConfig, Vertex, block_endpoints,
-                   build_hypergraph, emit_qasm, emit_subcircuits, find_groups,
-                   generate, parse_qasm, partition, plan_distribution)
+                   InfeasibleError, Mode, PartitionConfig, Vertex, build_hypergraph,
+                   cut_cost, emit_qasm, emit_subcircuits, find_groups, generate, parse_qasm,
+                   partition, plan_distribution)
 from qpart.bench import CircuitJob, _rows
+from qpart.cli import _block_endpoints as block_endpoints
 from qpart.distribution import _edge_of_gate, _plan_ledger
 from qpart.fm import _shuffles, random_deals
 
@@ -94,6 +96,19 @@ def test_plan_refuses_block_outside_env(ghz4):
     h = build_hypergraph(ghz4)
     with pytest.raises(ValueError, match=r"^vertex 2 assigned to invalid block 2$"):
         plan_distribution(ghz4, h, [0, 0, 2, 2], blocks=2)
+
+
+def test_float_block_is_refused_by_name(ghz4):
+    # a float is not priced as a block of its own, and 1.0 is not block 1;
+    # numpy integers are blocks
+    h = build_hypergraph(ghz4)
+    with pytest.raises(ValueError, match=r"^vertex 1 assigned to non-integer block 1\.5$"):
+        cut_cost(h, [0, 1.5, 1, 1], 2)
+    with pytest.raises(ValueError, match=r"^vertex 1 assigned to non-integer block 1\.0$"):
+        plan_distribution(ghz4, h, [0, 1.0, 1, 1], blocks=2)
+    blocks = list(np.array([0, 0, 1, 1]))
+    assert cut_cost(h, blocks, 2).lambda_minus_one == 1
+    assert plan_distribution(ghz4, h, blocks, blocks=2).ebits == 2
 
 
 def test_plan_refuses_short_assignment(ghz4):

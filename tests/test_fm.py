@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
-                   PartitionConfig, Vertex, brute_force_mincut,
-                   build_hypergraph, cut_cost, export_hmetis, find_groups,
-                   generate, import_hmetis, partition, resolve_capacities)
+                   PartitionConfig, Vertex, build_hypergraph, cut_cost,
+                   export_hmetis, find_groups, generate, import_hmetis, partition)
 from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _shuffles,
-                      expected_ebits, random_deals)
+                      expected_ebits, random_deals, resolve_capacities)
 
 from conftest import caps_of, deal, engine, fm_pass, load_fixture
+from oracle import brute_force_mincut
 
 
 def chain(n: int) -> Hypergraph:
@@ -449,6 +449,9 @@ def outcome(h, config):
 @example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, capacities=(4, 4))))
 @example((Hypergraph([Vertex() for _ in range(6)], []),
           PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
+# qft never meets the floor, so its restarts cross into a second chunk of seeds
+@example((build_hypergraph(generate("qft", 8), grouped=True),
+          PartitionConfig(blocks=2, restarts=131)))
 def test_restart_cutoff_is_exact(instance):
     # stopping at the floor returns what running every restart returns
     h, cfg = instance
@@ -470,6 +473,23 @@ def test_restart_cutoff_fires_at_the_floor(monkeypatch):
     c = generate("qft", 16)
     partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
     assert len(resets) == 8
+
+
+def test_restarts_draw_their_seeds_one_chunk_at_a_time(monkeypatch):
+    # restart 0 of a ghz chain meets the floor, so of 10000 restarts only
+    # the first chunk of seeds is shuffled
+    drawn = []
+
+    def counted(n, seeds):
+        for perms in _shuffles(n, seeds):
+            drawn.append(len(perms))
+            yield perms
+
+    monkeypatch.setattr("qpart.fm._shuffles", counted)
+    res = partition(build_hypergraph(generate("ghz", 64)),
+                    PartitionConfig(blocks=2, restarts=10_000))
+    assert (res.seed_used, res.cut.ebits) == (0, 2)
+    assert sum(drawn) <= 128
 
 
 def test_each_partition_is_priced_once(monkeypatch):

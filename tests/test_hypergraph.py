@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph, Vertex,
-                   block_endpoints, build_hypergraph, cut_cost, export_hmetis,
-                   find_groups, generate, import_hmetis, parse_qasm, plan_distribution)
+                   build_hypergraph, cut_cost, export_hmetis, find_groups, generate,
+                   import_hmetis, parse_qasm, plan_distribution)
+from qpart.cli import _block_endpoints as block_endpoints
 from qpart.distribution import _plan_ledger
 
 from conftest import fixture_names, load_fixture
@@ -282,7 +283,12 @@ def test_import_hmetis_errors(text, fragment):
     ([Vertex(), Vertex()], [Hyperedge(pins=(0, 5))], "out of range"),
     ([Vertex(), Vertex(weight=-1)], [], "negative weight"),
     ([Vertex(), Vertex()], [Hyperedge(pins=(0, 1), weight=-2)], "edge 0 has negative weight"),
-], ids=["pins", "repeat", "range", "vertex-weight", "edge-weight"])
+    ([Vertex(weight=1.5), Vertex(), Vertex(weight=0.5)], [Hyperedge(pins=(0, 1))],
+     r"^vertex 0 has non-integer weight 1\.5$"),
+    ([Vertex(), Vertex(), Vertex()], [Hyperedge(pins=(0, 1)), Hyperedge(pins=(1, 2), weight=2.5)],
+     r"^edge 1 has non-integer weight 2\.5$"),
+], ids=["pins", "repeat", "range", "vertex-weight", "edge-weight", "vertex-float-weight",
+        "edge-float-weight"])
 def test_validate_errors(vertices, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hypergraph(vertices, edges)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qpart import (Circuit, GateKind, Hyperedge, Hypergraph, InfeasibleError,
-                   PartitionConfig, Vertex, brute_force_mincut, cut_cost,
-                   generate, parse_qasm)
+                   PartitionConfig, Vertex, cut_cost, generate, parse_qasm)
 
+from oracle import brute_force_mincut
 from statevector import equivalent, simulate
 
 INV_SQRT2 = 1 / math.sqrt(2)

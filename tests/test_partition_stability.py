@@ -13,8 +13,8 @@ from itertools import product
 
 import pytest
 
-from qpart import (Mode, PartitionConfig, build_hypergraph, find_groups, generate, partition,
-                   resolve_capacities)
+from qpart import Mode, PartitionConfig, build_hypergraph, find_groups, generate, partition
+from qpart.fm import resolve_capacities
 
 from conftest import fixture_names, load_fixture
 
