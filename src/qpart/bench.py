@@ -31,16 +31,24 @@ count.  A Random row's method time is the whole draw's, so each k's rows
 carry the draw as if that k had made it alone; FM's and FMGrouped's is
 ``partition``'s.
 
+A Random row costs little Python: ``_shuffles`` writes out the stdlib
+shuffle's draw, the deal sorts nothing when every vertex weighs the same,
+a ``BenchRow`` is a named tuple that extends its batch's shared head, and
+each matrix's r values are one numpy division.  ``write_csv`` writes the
+bytes ``csv.writer`` would, formatting each distinct head and r cell once.
+
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,8 +203,11 @@ class SuiteSpec:
         )
 
 
-@dataclass(frozen=True)
-class BenchRow:
+def _r_cell(r_per_block: tuple[float | None, ...]) -> str:
+    return ";".join("-" if r is None else str(round(r, 4)) for r in r_per_block)
+
+
+class BenchRow(NamedTuple):
     circuit: str
     n: int
     size: int
@@ -215,12 +226,11 @@ class BenchRow:
                 self.method, str(self.k),
                 ";".join(str(c) for c in self.capacities),
                 str(self.seed), str(self.cut_edges), str(self.ebits),
-                ";".join("-" if r is None else str(round(r, 4))
-                         for r in self.r_per_block),
-                f"{self.runtime_ms:.3f}"]
+                _r_cell(self.r_per_block), f"{self.runtime_ms:.3f}"]
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
+CSV_COLUMNS = BenchRow._fields
+_HEAD = CSV_COLUMNS.index("seed")  # the cells a row shares with its batch
 
 
 def _ms_since(t0: float) -> float:
@@ -236,21 +246,25 @@ def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds
     ``ledger`` is ``distribution._plan_ledger`` over the hypergraph they
     partition, read at ``len(caps)`` blocks, so a row's ``r_per_block`` is
     ``plan_distribution``'s, and a row it refuses raises the plan's
-    InfeasibleError.  ``runtime_ms`` is ``ms``, the method's time, plus the
-    time spent here, over the seed count.
+    InfeasibleError.  Each matrix's r values come from one float64 ``e / o``
+    division, which equals Python's ``e / o`` for counts below 2**53, and a
+    block with no o reads None.  Every row extends one head tuple, the
+    cells up to ``seed`` that the batch shares.  ``runtime_ms`` is ``ms``,
+    the method's time, plus the time spent here, over the seed count.
     """
     t0 = time.perf_counter()
     scored = []
     for assign, cut_edges, ebits in priced:
         o, e = ledger(assign, len(caps))
-        scored.extend(zip(cut_edges.tolist(), ebits.tolist(), o.tolist(), e.tolist()))
+        r = np.divide(e, o, out=np.zeros(o.shape), where=o > 0).tolist()
+        if not o.all():
+            r = [[x if y else None for x, y in zip(rs, os)] for rs, os in zip(r, o.tolist())]
+        scored.extend(zip(cut_edges.tolist(), ebits.tolist(), map(tuple, r)))
     ms = (ms + _ms_since(t0)) / len(scored)
-    return [BenchRow(circuit=job.label, n=circuit.width, size=circuit.size,
-                     depth=circuit.depth, method=method, k=len(caps),
-                     capacities=tuple(caps), seed=seed, cut_edges=cut, ebits=eb,
-                     r_per_block=tuple(x / y if y else None for x, y in zip(e, o)),
-                     runtime_ms=ms)
-            for seed, (cut, eb, o, e) in zip(seeds, scored)]
+    head = (job.label, circuit.width, circuit.size, circuit.depth, method, len(caps),
+            tuple(caps))
+    return [BenchRow._make((*head, seed, cut, eb, r, ms))
+            for seed, (cut, eb, r) in zip(seeds, scored)]
 
 
 def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
@@ -317,15 +331,33 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
 
 
 def write_csv(rows: list[BenchRow], out) -> None:
-    """Write rows to a path or file object, header first, spec order."""
-    if hasattr(out, "write"):
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for row in rows:
-            w.writerow(row.csv_cells())
+    """Write rows to a path or file object, header first, spec order, one
+    line per row, as ``csv.writer`` writes ``CSV_COLUMNS`` and each row's
+    ``csv_cells()``.  A row's head, its cells up to ``seed``, goes through
+    ``csv.writer`` (a circuit label can need quoting) once per distinct
+    head, and its r cell is formatted once per distinct ``r_per_block``;
+    the other cells are numbers, which need no quoting."""
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            write_csv(rows, fh)
         return
-    with open(out, "w", newline="") as fh:
-        write_csv(rows, fh)
+    csv.writer(out, lineterminator="\n").writerow(CSV_COLUMNS)
+    heads: dict[tuple, str] = {}
+    r_cells: dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        key = row[:_HEAD]
+        head = heads.get(key)
+        if head is None:
+            buf = io.StringIO()  # the row writer's terminator, which a quote decision reads
+            csv.writer(buf, lineterminator="\n").writerow(row.csv_cells()[:_HEAD])
+            head = heads[key] = buf.getvalue()[:-1] + ","
+        r = r_cells.get(row.r_per_block)
+        if r is None:
+            r = r_cells[row.r_per_block] = _r_cell(row.r_per_block)
+        lines.append(f"{head}{row.seed},{row.cut_edges},{row.ebits},{r},"
+                     f"{row.runtime_ms:.3f}\n")
+    out.write("".join(lines))
 
 
 def format_summary(summaries: list[dict]) -> str:

@@ -538,14 +538,25 @@ def _shuffles(n: int, seeds):
     smallest unsigned dtype; row i is ``range(n)`` shuffled by
     ``random.Random(seed)``.  It depends on nothing but the seeds and n, so
     one draw serves every hypergraph with n vertices and every k.
+
+    The draw is ``random.Random(seed).shuffle``'s written out, without its
+    call per swap: for i from n - 1 down to 1 it swaps position i with the
+    first ``getrandbits((i + 1).bit_length())`` that is at most i, as
+    CPython's ``_randbelow_with_getrandbits`` picks it.
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
+    swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     it = iter(seeds)
     while chunk := list(itertools.islice(it, _CHUNK)):
         perms = []
         for seed in chunk:
+            bits = random.Random(seed).getrandbits
             order = list(range(n))
-            random.Random(seed).shuffle(order)
+            for i, width in swaps:
+                j = bits(width)
+                while j > i:
+                    j = bits(width)
+                order[i], order[j] = order[j], order[i]
             perms.append(order)
         yield np.array(perms, dtype=dtype).reshape(len(chunk), n)
 
@@ -588,8 +599,11 @@ def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
     row's vertices, heaviest first and in the row's order within a weight,
     are handed out in the order of ``_deal_blocks``, the same for every
     seed.  ``runs`` sorts that sequence within each weight: each block then
-    takes one run of a weight's vertices, with the same count."""
+    takes one run of a weight's vertices, with the same count.  When every
+    vertex weighs the same, as in every circuit hypergraph, the row's order
+    is already heaviest first and ``deal`` sorts nothing."""
     weights = np.array([v.weight for v in h.vertices], dtype=np.int64)
+    uniform = not len(weights) or (weights == weights[0]).all()
     dtype = np.min_scalar_type(len(caps))
     heaviest = sorted(weights.tolist(), reverse=True)
     blocks = _deal_blocks(caps, heaviest)
@@ -599,8 +613,9 @@ def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
 
     def deal(perms: np.ndarray) -> np.ndarray:
         # heaviest first; the stable sort keeps the row's order within a weight
-        perms = np.take_along_axis(
-            perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
+        if not uniform:
+            perms = np.take_along_axis(
+                perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
         assign = np.empty(perms.shape, dtype=dtype)
         assign[np.arange(len(perms))[:, None], perms] = order
         return assign

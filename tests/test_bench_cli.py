@@ -1,5 +1,6 @@
 """Suite runner rows/summaries and the command-line front end."""
 
+import csv
 import io
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, build_hypergraph, partition, plan_distribution)
 from qpart import bench, distribution, fm
-from qpart.bench import (CSV_COLUMNS, METHODS, CircuitJob, SuiteSpec,
+from qpart.bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
                          _rows, format_summary, load_suite, run_suite, write_csv)
 from qpart.distribution import _plan_ledger
 from qpart.cli import main
@@ -189,6 +190,32 @@ def test_csv_shape():
     assert cells[:6] == ["ghz6", "6", "6", "6", "FM", "2"]
     assert cells[6] == "3;3"
     assert cells[10].count(";") == 1             # one r entry per block
+
+
+def test_write_csv_is_the_plain_csv_writer():
+    # write_csv formats each distinct head and r cell once, and its bytes are
+    # csv.writer's over every row's cells: quoted labels, a '-' r cell, and
+    # heads that interleave and repeat
+    def row(label, method, seed, r, ms):
+        return BenchRow(label, 4, 5, 3, method, len(r), (2,) * len(r), seed, seed % 3,
+                        2 * (seed % 3), r, ms)
+
+    rows = [row("a,b", "Random", 0, (0.5, 1 / 3), 0.25),
+            row('x"y', "Random", 0, (0.5, 1 / 3), 0.25),
+            row("a,b", "Random", 1, (1.0, None), 0.25),
+            row("a,b", "FM", 0, (2 / 3, 0.125, None), 12.0),
+            row('x"y', "Random", 1, (0.5, 1 / 3), 0.0005),
+            row("ghz4", "Random", 7, (None, None), 1234.5678)]
+    for rs in (rows, []):
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(CSV_COLUMNS)
+        for r in rs:
+            w.writerow(r.csv_cells())
+        got = io.StringIO()
+        write_csv(rs, got)
+        assert got.getvalue() == want.getvalue()
+    assert got.getvalue() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_csv_to_path(tmp_path):

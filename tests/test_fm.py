@@ -209,6 +209,15 @@ def test_random_partition_balanced():
     assert res.cut.cut_edges >= 1
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_random_partition_of_no_vertices(k):
+    # the deal's uniform-weight check holds for an empty weight list, so a
+    # hypergraph with no vertices deals nothing and leaves every block empty
+    res = partition(Hypergraph([], []), PartitionConfig(blocks=k, seed=4, mode=Mode.RANDOM))
+    assert (res.assignment, res.loads, res.seed_used) == ((), (0,) * k, 4)
+    assert (res.cut.cut_edges, res.cut.ebits) == (0, 0)
+
+
 def test_initial_partition_occupies_every_block():
     h = chain(5)
     for seed in range(20):
@@ -738,6 +747,20 @@ def test_kway_gain_updates_scale_linearly():
 
 
 # -- the deal ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [*range(71), 127, 128, 129, 255, 256, 257])
+def test_shuffles_are_the_stdlib_shuffle(n):
+    # _shuffles writes out random.Random(seed).shuffle's draw; a row that
+    # drifts from this interpreter's stdlib fails here, bit-length edges
+    # of the swap positions and a seed above 2**32 included
+    seeds = [*range(100), 2**32 + 17]
+    want = []
+    for seed in seeds:
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        want.append(order)
+    assert [row for perms in _shuffles(n, seeds) for row in perms.tolist()] == want
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
