@@ -334,10 +334,10 @@ class _Parser:
     """One parse.  Each gate is built, and so checked, once.  Two memos
     skip repeated work: parameter text -> values, and argument text ->
     the one qubit it names.  An error ends the parse, so both hold
-    successes only; a statement whose every argument is in the second
-    memo skips the argument syntax and register lookups, which it would
-    pass, so its faults are reported in the order they would be without
-    the memo."""
+    successes only; a statement skips the argument syntax and register
+    lookups of each argument in the second memo, which that argument
+    would pass, and resolves the others in order, so its faults are
+    reported in the order they would be without the memo."""
 
     def __init__(self, name: str):
         self.name = name
@@ -466,11 +466,12 @@ class _Parser:
             values = self.values[params] = tuple(_param(p) for p in params.split(","))
         texts = rest.strip().split(",")
         operands = tuple(map(self.qubit.get, texts))
-        if None in operands:  # an argument this parse has not yet resolved
-            operands, args = None, [_arg(a) for a in texts]
+        if None in operands:  # some argument this parse has not yet resolved
+            known, operands = operands, None
+            args = [None if q is not None else _arg(t) for t, q in zip(texts, known)]
         if word in self.opaque:
             if operands is None:
-                operands = self._indexed(word, texts, args)
+                operands = self._indexed(word, texts, known, args)
             if len(operands) != self.opaque[word]:
                 raise QasmError(f"{word} takes {self.opaque[word]} operand(s)")
             self._add(GateKind.OPAQUE, operands, values, label=word)
@@ -482,26 +483,30 @@ class _Parser:
             raise QasmError(f"{word} takes {kind.n_params} parameter(s), got {len(values)}")
         if operands is None and kind.n_qubits == 1:
             # bare register broadcasts over its qubits
-            qubit_lists = [self._expand(t, a) for t, a in zip(texts, args)]
+            qubit_lists = [[q] if q is not None else self._expand(t, a)
+                           for t, q, a in zip(texts, known, args)]
             if len(qubit_lists) != 1:
                 raise QasmError(f"{word} takes 1 operand")
             for q in qubit_lists[0]:
                 self._add(kind, (q,), values)
             return
         if operands is None:
-            operands = self._indexed(word, texts, args)
+            operands = self._indexed(word, texts, known, args)
         elif kind.n_qubits == 1 and len(operands) != 1:
             raise QasmError(f"{word} takes 1 operand")
         self._add(kind, operands, values)
 
-    def _indexed(self, word: str, texts: list[str], args) -> tuple[int, ...]:
-        """One qubit per argument of ``word``."""
+    def _indexed(self, word: str, texts: list[str], known, args) -> tuple[int, ...]:
+        """One qubit per argument of ``word``: the memoised one where
+        ``known`` has it, else the one ``_expand`` resolves."""
         operands = []
-        for text, a in zip(texts, args):
-            got = self._expand(text, a)
-            if len(got) != 1:
-                raise QasmError(f"{word} operands must be indexed qubits")
-            operands.append(got[0])
+        for text, q, a in zip(texts, known, args):
+            if q is None:
+                got = self._expand(text, a)
+                if len(got) != 1:
+                    raise QasmError(f"{word} operands must be indexed qubits")
+                q = got[0]
+            operands.append(q)
         return tuple(operands)
 
     def _expand(self, text: str, arg: tuple[str, int | None]) -> list[int]:

@@ -41,25 +41,31 @@ its pin count per block, and a move adjusts only the pins of those whose
 count in the source or target block crosses 0, 1 or 2.  So a pass does
 work linear in the pins it touches.  Every move takes the
 highest gain, then the lowest vertex index and target, from lazy
-min-heaps of int entries (``_pass``), with rollback to the best feasible
-prefix.  Balance is capacity-driven: a move may overfill the target by
-at most the mover's weight while the pass explores; returned prefixes
-always satisfy the strict bound, so without that transient slack an
-exactly filled balanced instance would admit no moves at all.
+min-heaps of int keys, which the cache stores as they are pushed
+(``_pass``), with rollback to the best feasible prefix.  Balance is
+capacity-driven: a move may overfill the target by at most the mover's
+weight while the pass explores; returned prefixes always satisfy the
+strict bound, so without that transient slack an exactly filled balanced
+instance would admit no moves at all.
 
 A pass ends early once no later prefix can beat the best one, and the
 restart driver once no later restart can beat its winner; both bounds
 are exact, so the cutoffs change the work done, never the result
-(``_pass``, ``_restart_driver``).  On GHZ chains the first restart
-usually meets the driver's bound.  All restarts share one engine: the
-per-hypergraph tables are built once per driver call, and
-``_Engine.reset`` rebuilds only the wider edges' pin counts and the loads.
+(``_pass``, ``_restart_driver``).  The driver's bound is the larger of
+two: the cost of spanning the blocks in use, which the first restart on
+a GHZ chain usually meets, and, when every vertex weighs 1, the capacity
+floor, which prices each edge at the fewest blocks its pins can fill
+within the bounds; grouped qft meets it at every bisection split.  All
+restarts share one engine: the per-hypergraph tables are built once per
+driver call, and ``_Engine.reset`` rebuilds only the wider edges' pin
+counts and the loads.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -159,12 +165,18 @@ class _Engine:
     without it would have made and rolled back.
 
     Edges come in two kinds.  A two-pin edge is a graph edge: ``pairs``
-    lists it once as (a, b, weight), and ``mates[v]`` holds (mate, weight)
-    for each two-pin edge of v, so a move prices it from the two blocks
-    alone.  ``wide`` lists the ids of the wider edges and ``winc[v]`` those
-    of v; each keeps a row of pin counts per block, ``phi[e]``, and ``phi``
-    holds None for every two-pin edge.  ``pins`` and ``ew`` list every
-    edge."""
+    lists it once as (a, b, weight, weight * n), and ``mates[v]`` holds
+    (mate, weight, weight * n) for each two-pin edge of v, so a move
+    prices it from the two blocks alone.  ``wide`` lists the ids of the
+    wider edges and ``winc[v]`` those of v; each keeps a row of pin counts
+    per block, ``phi[e]``, and ``phi`` holds None for every two-pin edge.
+    ``pins``, ``ew`` and ``ewn``, each weight times n, list every edge.
+
+    ``floor`` is the capacity floor: a lower bound on the cost of every
+    assignment within the bounds when every vertex weighs 1, and 0
+    otherwise.  With ``big`` the running sums of the bounds, largest
+    first, an edge of p pins spans at least ``bisect_left(big, p) + 1``
+    blocks, and the floor sums its weight times that count less one."""
 
     def __init__(self, h: Hypergraph, bounds: list[int]):
         self.k = k = len(bounds)
@@ -172,24 +184,35 @@ class _Engine:
         self.pins = [list(e.pins) for e in h.edges]
         self.ew = ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
-        self.pairs = [(*pins, ew[e]) for e, pins in enumerate(self.pins) if len(pins) == 2]
+        n = len(self.vw)
+        # a pass caches each gain g of a move of v as its heap key
+        # (top - g) * n + v, so a change of w in a gain moves the key by w * n
+        self.ewn = ewn = [w * n for w in ew]
+        self.pairs = [(*pins, ew[e], ewn[e]) for e, pins in enumerate(self.pins)
+                      if len(pins) == 2]
         self.mates = [[] for _ in self.vw]
-        for a, b, w in self.pairs:
-            self.mates[a].append((b, w))
-            self.mates[b].append((a, w))
+        for a, b, w, wn in self.pairs:
+            self.mates[a].append((b, w, wn))
+            self.mates[b].append((a, w, wn))
         self.wide = [e for e, pins in enumerate(self.pins) if len(pins) > 2]
         self.winc = [[e for e in edges if len(self.pins[e]) > 2] for edges in h.incidence]
         # edge weights are non-negative, so every real gain lies in
-        # [-top, top]; a masked or dead entry lies below -top
-        self.top = sum(ew)
-        self.mask = 1 + 2 * self.top
-        self.dead = -2 * self.top - 2 * self.mask
+        # [-top, top] and its key in [0, limit); a masked key is its real
+        # key plus limit, and a dead one lies above every masked key
+        self.top = top = sum(ew)
+        self.limit = (1 + 2 * top) * n
+        self.dead = 2 * self.limit
         self.others = [[t for t in range(k) if t != b] for b in range(k)]
-        # a move's gain before crediting the edges it leaves or already
-        # touches in the target: minus v's weighted degree
-        self.away = [-sum(ew[e] for e in edges) for edges in h.incidence]
-        self.pieces = _pieces(len(self.vw), self.pins)
+        # the key of a move's gain before crediting the edges it leaves or
+        # already touches in the target: that gain is minus v's weighted degree
+        self.away = [(top + sum(ew[e] for e in edges)) * n + v
+                     for v, edges in enumerate(h.incidence)]
+        self.pieces = _pieces(n, self.pins)
         self.w_min = min(ew, default=0)
+        self.floor = 0
+        if all(w == 1 for w in self.vw):
+            big = list(itertools.accumulate(sorted(bounds, reverse=True)))
+            self.floor = sum(w * bisect_left(big, len(pins)) for pins, w in zip(self.pins, ew))
 
     def reset(self, assignment: list[int]) -> None:
         """Refine ``assignment`` from now on, in place; only the wider
@@ -246,31 +269,31 @@ def _pass(eng: _Engine) -> bool:
     the best prefix strictly improved the cost, and adds the pass and its
     work to the engine's counts.
 
-    ``gains[t][v]`` caches the gain of moving v to block t: ``away[v]``,
-    plus the weight of v's edges where v is the only pin of its block,
-    plus the weight of v's edges that already touch t.  One sweep over the
-    cut edges builds it and sums the start cost.  A cut two-pin edge adds
-    its weight to both pins in a column shared by every target, and once
-    more in the column of the mate's block.  A cut wider edge adds its
-    weight to its pins once, in the shared column, and subtracts it again
-    from the blocks it misses, which at k=2 are none.
-    Entries that may not move sit below every real gain: a vertex's own
+    ``gains[t][v]`` caches the gain g of moving v to block t as its heap
+    key ``(top - g) * n + v``.  ``top`` is the sum of the edge weights.  A
+    move changes the cost of each of v's edges by at most that edge's
+    weight, so a real gain lies in [-top, top], its key in [0, ``limit``),
+    and the smallest key is the highest gain, then the lowest vertex index,
+    whatever v weighs.  A gain is minus v's weighted degree, whose key is
+    ``away[v]``, plus the weight of v's edges where v is the only pin of
+    its block, plus the weight of v's edges that already touch t; a change
+    of w in a gain moves its key by ``w * n``, kept per edge.  One sweep
+    over the cut edges builds the cache and sums the start cost.  A cut
+    two-pin edge credits its weight to both pins in a column shared by
+    every target, and once more in the column of the mate's block.  A cut
+    wider edge credits its weight to its pins once, in the shared column,
+    and takes it back in the blocks it misses, which at k=2 are none.
+    Entries that may not move sit at or above ``limit``: a vertex's own
     block and locked vertices hold ``dead``, and the lone vertex of a block,
-    ``eng.xor[b]`` while ``eng.count[b]`` is 1, carries a ``-mask`` offset
-    that delta updates leave exact.
+    ``eng.xor[b]`` while ``eng.count[b]`` is 1, carries an offset of
+    ``limit`` that delta updates leave exact.
 
-    Each cache write of a real gain g of a move to t pushes the one int
-    ``(top - g) * n + v`` on t's lazy min-heap, whatever v weighs.  ``top``
-    is the sum of the edge weights.  A move changes the cost of each of v's
-    edges by at most that edge's weight, so a real gain g lies in [-top,
-    top], ``top - g`` in [0, 2 * top], and the smallest entry is the
-    highest gain, then the lowest vertex index.  A masked gain is at most top - mask = -top - 1
-    and a dead one stays below it, so neither passes the push's ``g >=
-    -top`` test: masked entries never enter a heap, and every entry
-    decodes to a real gain.  Selection skips every target over its bound,
-    pops an entry once the key recomputed from the cache no longer equals
-    it, and takes the smallest entry over the other heaps, then the lowest
-    target.
+    Each cache write of a key below ``limit`` pushes that int on t's lazy
+    min-heap, so masked and dead entries never enter a heap, and an entry
+    names its vertex as ``x % n`` and its gain as ``top - x // n``.
+    Selection skips every target over its bound, pops an entry once the
+    cache no longer holds it, and takes the smallest entry over the other
+    heaps, then the lowest target.
 
     Moving v from src to target changes the gains of the unlocked mate u
     of a two-pin edge of weight w by one rule, with no pin scan: with u in
@@ -289,69 +312,71 @@ def _pass(eng: _Engine) -> bool:
     less the hypergraph's connected pieces.  Every later prefix costs at
     least both, so the pass stops once either reaches the best feasible
     cost, before the first move when the start cost is already that low.
+    The engine's capacity floor is left to the restart driver: it bounds
+    only prefixes within the bounds, and a pass stopped by it would count
+    other work.
     Only strictly better feasible prefixes are kept, so the prefix, the
     assignment and the result match a pass run until no vertex may move.
     The moves past the best prefix are then undone in reverse, and
     ``eng.cost`` keeps that prefix's cost, exact as every gain is.
     """
-    k, assign, vw, pins, ew, phi = eng.k, eng.assign, eng.vw, eng.pins, eng.ew, eng.phi
-    mates, winc = eng.mates, eng.winc
+    k, assign, vw, pins, phi = eng.k, eng.assign, eng.vw, eng.pins, eng.phi
+    ew, ewn, mates, winc = eng.ew, eng.ewn, eng.mates, eng.winc
     load, count, xor, bounds, others = eng.load, eng.count, eng.xor, eng.bounds, eng.others
-    top, mask, dead = eng.top, eng.mask, eng.dead
-    floor = -top
+    top, limit, dead = eng.top, eng.limit, eng.dead
+    mask = limit  # a masked key lies in [limit, 2 * limit)
     n = len(vw)
-    base = list(eng.away)  # plus every cut edge of v and those v alone holds
+    base = list(eng.away)  # less every cut edge of v and those v alone holds
     partial = []           # cut wider edges that miss some block
     split = []             # cut two-pin edges
     start_cost = 0
-    for a, b, w in eng.pairs:
+    for a, b, w, wn in eng.pairs:
         if assign[a] != assign[b]:
             start_cost += w
-            base[a] += w
-            base[b] += w
-            split.append((a, b, w))
+            base[a] -= wn
+            base[b] -= wn
+            split.append((a, b, wn))
     for e in eng.wide:
         row = phi[e]
         spanned = k - row.count(0)
         if spanned == 1:
             continue  # an uncut edge only touches its pins' own block
-        w = ew[e]
-        start_cost += w * (spanned - 1)
-        alone = w + w
+        start_cost += ew[e] * (spanned - 1)
+        wn = ewn[e]
+        alone = wn + wn
         for u in pins[e]:
-            base[u] += alone if row[assign[u]] == 1 else w
+            base[u] -= alone if row[assign[u]] == 1 else wn
         if spanned < k:
             partial.append(e)
     gains = [list(base) for _ in range(k)]
-    for a, b, w in split:  # a cut two-pin edge credits the mate's block once more
-        gains[assign[b]][a] += w
-        gains[assign[a]][b] += w
+    for a, b, wn in split:  # a cut two-pin edge credits the mate's block once more
+        gains[assign[b]][a] -= wn
+        gains[assign[a]][b] -= wn
     for e in partial:
-        w, row = ew[e], phi[e]
+        wn, row = ewn[e], phi[e]
         for t in range(k):
             if not row[t]:
                 col = gains[t]
                 for u in pins[e]:
-                    col[u] -= w
+                    col[u] += wn
     for v in range(n):
         gains[assign[v]][v] = dead
     updates = n * (k - 1)
-    heaps = [[(top - g) * n + v for v in range(n) if (g := col[v]) >= floor]
-             for col in gains]
+    heaps = [[x for x in col if x < limit] for col in gains]
     for hp in heaps:
         heapify(hp)
 
-    def shift(u: int, delta: int) -> None:
+    def shift(u: int, dx: int) -> None:
         for t in others[assign[u]]:
-            g = gains[t][u] + delta
-            gains[t][u] = g
-            if g >= floor:
-                heappush(heaps[t], (top - g) * n + u)
+            x = gains[t][u] + dx
+            gains[t][u] = x
+            if x < limit:
+                heappush(heaps[t], x)
 
     # a block's lone vertex is masked exactly while it is unlocked
     for b in range(k):
         if count[b] == 1:
-            shift(xor[b], -mask)
+            shift(xor[b], mask)
             updates += k - 1
 
     locked = [False] * n
@@ -363,7 +388,6 @@ def _pass(eng: _Engine) -> bool:
     cur = best_cost = start_cost
     best_prefix = 0
     over = eng.overloaded()
-    limit = (2 * top + 1) * n  # above every entry
     moves: list[tuple[int, int]] = []
 
     while locked_cost < best_cost and least < best_cost:
@@ -374,7 +398,7 @@ def _pass(eng: _Engine) -> bool:
             col, hp = gains[t], heaps[t]
             while hp:
                 x = hp[0]
-                if col[x % n] == top - x // n:
+                if col[x % n] == x:
                     if x < best:
                         best, target = x, t
                     break
@@ -388,75 +412,74 @@ def _pass(eng: _Engine) -> bool:
         locked[v] = True
         bit = 1 << target
 
-        for u, w in mates[v]:
+        for u, w, wn in mates[v]:
             b = assign[u]
             if locked[u]:
                 if b != target:
                     locked_cost += w
             elif b == src:  # the edge becomes cut: u gains w more toward target
                 for t in others[b]:
-                    g = gains[t][u] + (w + w if t == target else w)
-                    gains[t][u] = g
-                    if g >= floor:
-                        heappush(heaps[t], (top - g) * n + u)
+                    x = gains[t][u] - (wn + wn if t == target else wn)
+                    gains[t][u] = x
+                    if x < limit:
+                        heappush(heaps[t], x)
                 updates += k
             elif b == target:  # the edge becomes uncut: u loses w more toward src
                 for t in others[b]:
-                    g = gains[t][u] - (w + w if t == src else w)
-                    gains[t][u] = g
-                    if g >= floor:
-                        heappush(heaps[t], (top - g) * n + u)
+                    x = gains[t][u] + (wn + wn if t == src else wn)
+                    gains[t][u] = x
+                    if x < limit:
+                        heappush(heaps[t], x)
                 updates += k
             else:  # the credit for joining v's block moves from src to target
-                g = gains[target][u] + w
-                gains[target][u] = g
-                if g >= floor:
-                    heappush(heaps[target], (top - g) * n + u)
-                g = gains[src][u] - w
-                gains[src][u] = g
-                if g >= floor:
-                    heappush(heaps[src], (top - g) * n + u)
+                x = gains[target][u] - wn
+                gains[target][u] = x
+                if x < limit:
+                    heappush(heaps[target], x)
+                x = gains[src][u] + wn
+                gains[src][u] = x
+                if x < limit:
+                    heappush(heaps[src], x)
                 updates += 2
         for e in winc[v]:
-            w = ew[e]
             blocks = seen[e]
             if not blocks & bit:
                 if blocks:
-                    locked_cost += w
+                    locked_cost += ew[e]
                 seen[e] = blocks | bit
-            row = phi[e]
+            wn, row = ewn[e], phi[e]
             if row[target] == 0:
-                col = gains[target]
+                col, hp = gains[target], heaps[target]
                 for u in pins[e]:
                     if not locked[u]:
-                        g = col[u] + w
-                        col[u] = g
-                        if g >= floor:
-                            heappush(heaps[target], (top - g) * n + u)
+                        x = col[u] - wn
+                        col[u] = x
+                        if x < limit:
+                            heappush(hp, x)
                         updates += 1
             elif row[target] == 1:
                 for u in pins[e]:
                     if assign[u] == target:
                         if not locked[u]:
-                            shift(u, -w)
+                            shift(u, wn)
                             updates += k - 1
                         break
             row[src] -= 1
             row[target] += 1
             if row[src] == 0:
-                col = gains[src]
+                col, hp = gains[src], heaps[src]
                 for u in pins[e]:
                     if not locked[u]:
-                        g = col[u] - w
-                        col[u] = g
-                        if g >= floor:
-                            heappush(heaps[src], (top - g) * n + u)
+                        x = col[u] + wn
+                        col[u] = x
+                        if x < limit:
+                            heappush(hp, x)
                         updates += 1
             elif row[src] == 1:
                 for u in pins[e]:
                     if u != v and assign[u] == src:
                         if not locked[u]:
-                            shift(u, w)
+                            shift(u, -wn)
                             updates += k - 1
                         break
         assign[v] = target
@@ -470,10 +493,10 @@ def _pass(eng: _Engine) -> bool:
         xor[src] ^= v
         xor[target] ^= v
         if count[src] == 1 and not locked[u := xor[src]]:
-            shift(u, -mask)
+            shift(u, mask)
             updates += k - 1
         if count[target] == 2 and not locked[u := xor[target] ^ v]:
-            shift(u, mask)
+            shift(u, -mask)
             updates += k - 1
 
         cur -= best_g
@@ -718,11 +741,14 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     from the capacities, r); returns its engine's assignment, passes and
     gain updates, and its seed.
 
-    The restarts stop once the winner's key reaches (``_Engine.least()`` of
-    the deal, 0).  Every deal fills the same blocks and no pass empties a
-    block, so that bound holds for every restart; a later restart can at
-    best tie on both and then loses on r.  The result is the one all
-    restarts give.  All restarts share one engine, built once.
+    The restarts stop once the winner's key reaches (the larger of
+    ``_Engine.least()`` of the deal and the engine's capacity ``floor``,
+    0).  Every deal fills the same blocks and no pass empties a block, so
+    ``least`` holds for every restart.  The floor is 0 unless every vertex
+    weighs 1; then every deal is within the bounds and a pass keeps only
+    prefixes within them, so every restart ends at or above it.  A later
+    restart can at best tie on both and then loses on r.  The result is
+    the one all restarts give.  All restarts share one engine, built once.
     """
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)
@@ -741,13 +767,13 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     best, best_key = None, None
     for r, row in enumerate(deals()):
         eng.reset(row.tolist())  # a fresh list, refined in place
-        least = eng.least()
+        bound = max(eng.least(), eng.floor)
         while _pass(eng) and eng.passes < _MAX_PASSES:
             pass
         key = (eng.cost, sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
         if best_key is None or key < best_key:
             best, best_key = (eng.assign, eng.passes, seeds[r], eng.gain_updates), key
-            if key[:2] == (least, 0):
+            if key[:2] == (bound, 0):
                 break
     return best
 

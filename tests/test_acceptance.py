@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end checks, each with an explicit tolerance.
+"""Acceptance gate: nine end-to-end checks, each with an explicit tolerance.
 
 Each test prints one PASS/FAIL line with its measured figures (visible
 with ``pytest -sv``; pytest's own -v line mirrors the verdict).
@@ -12,7 +12,7 @@ import numpy as np
 from qpart import (Mode, PartitionConfig, build_hypergraph, emit_qasm,
                    find_groups, generate, parse_qasm, partition, plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import _shuffles, random_deals
+from qpart.fm import _Engine, _shuffles, random_deals, resolve_capacities
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
 from oracle import brute_force_mincut
@@ -240,4 +240,21 @@ def test_criterion_8_gain_updates_scale_linearly():
                   f"R^2 {r2:.4f} (bound 0.95), pins {pins} -> updates {updates}; "
                   f"ghz100 partition {elapsed * 1000:.0f}ms (bound 1s), "
                   f"cut {res.cut.cut_edges}")
+    assert ok, line
+
+
+def test_criterion_9_grouped_qft_meets_the_capacity_floor():
+    # every assignment within equal capacities costs at least the capacity
+    # floor, so where FM's lambda - 1 equals it, FM is optimal
+    got, floors = {}, {}
+    for n in (16, 32, 64):
+        h = build_hypergraph(generate("qft", n), grouped=True)
+        for k in (2, 4):
+            got[n, k] = partition(h, PartitionConfig(blocks=k)).cut.lambda_minus_one
+            floors[n, k] = _Engine(h, resolve_capacities(None, n, k)).floor
+    expected = {(16, 2): 8, (32, 2): 16, (64, 2): 32, (16, 4): 24, (32, 4): 48, (64, 4): 96}
+    ok = got == floors == expected
+    line = report("grouped qft at the capacity floor", ok,
+                  ", ".join(f"qft{n} k={k} lambda-1 {got[n, k]} floor {floors[n, k]}"
+                            for n, k in sorted(got, key=lambda nk: (nk[1], nk[0]))))
     assert ok, line

@@ -188,6 +188,34 @@ def test_first_fault_of_a_statement_is_reported(stmt, first, warm):
     assert str(info.value) == f"line 4: {first}"
 
 
+@pytest.mark.parametrize("stmt,first", [
+    ("cx q[0],q[;", "malformed argument 'q['"),
+    ("bogus q[0],q[;", "malformed argument 'q['"),
+    ("cx q[0],r[0];", "quantum register 'r' is not declared"),
+    ("cx q[0],q[5];", "qubit q[5] out of range"),
+    ("cx q[0],q;", "cx operands must be indexed qubits"),
+    ("mystery q[0],q;", "mystery operands must be indexed qubits"),
+    ("h q[0],q;", "h takes 1 operand"),
+], ids=["malformed", "malformed-unknown", "undeclared", "range", "bare", "opaque-bare",
+        "broadcast-count"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_memoised_first_argument_keeps_the_fault_of_the_second(stmt, first, warm):
+    # only the arguments not in the memo are resolved, in order, so a
+    # statement whose first argument was named before fails as on a cold memo
+    earlier = "h q[0];" if warm else ""
+    text = f"OPENQASM 2.0;\nopaque mystery a,b; qreg q[2];\n{earlier}\n{stmt}\n"
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert str(info.value) == f"line 4: {first}"
+
+
+def test_memoised_arguments_resolve_as_written():
+    # a ghz chain's control was named by the statement before it
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+                   "cx q[2], q[0];\n")
+    assert [g.operands for g in c.gates] == [(0,), (0, 1), (1, 2), (2, 0)]
+
+
 @pytest.mark.parametrize("stmt", ["barrier q[0],q[0];", "mystery q[1],q[1];"],
                          ids=["barrier", "opaque"])
 def test_gate_validation_error_line(stmt):

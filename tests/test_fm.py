@@ -458,9 +458,12 @@ def outcome(h, config):
 @example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, capacities=(4, 4))))
 @example((Hypergraph([Vertex() for _ in range(6)], []),
           PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
-# qft never meets the floor, so its restarts cross into a second chunk of seeds
-@example((build_hypergraph(generate("qft", 8), grouped=True),
-          PartitionConfig(blocks=2, restarts=131)))
+# plain qft, all of whose edges have 2 pins, never meets the driver's bound, so its
+# restarts cross into a second chunk of seeds
+@example((build_hypergraph(generate("qft", 8)), PartitionConfig(blocks=2, restarts=131)))
+# grouped qft meets the capacity floor at restart 0, at k=2 and at each split of k=4
+@example((build_hypergraph(generate("qft", 16), grouped=True), PartitionConfig(blocks=2)))
+@example((build_hypergraph(generate("qft", 16), grouped=True), PartitionConfig(blocks=4)))
 def test_restart_cutoff_is_exact(instance):
     # stopping at the floor returns what running every restart returns
     h, cfg = instance
@@ -471,7 +474,7 @@ def test_restart_cutoff_is_exact(instance):
 
 def test_restart_cutoff_fires_at_the_floor(monkeypatch):
     # the first deal of a ghz chain reaches 2 ebits, which no later restart
-    # can beat; qft never meets the floor, so every restart runs
+    # can beat; plain qft never meets the driver's bound, so every restart runs
     resets = []
     reset = _Engine.reset
     monkeypatch.setattr(_Engine, "reset", lambda eng, a: resets.append(1) or reset(eng, a))
@@ -480,8 +483,28 @@ def test_restart_cutoff_fires_at_the_floor(monkeypatch):
     assert (len(resets), res.seed_used, res.cut.ebits) == (1, 5, 2)
     resets.clear()
     c = generate("qft", 16)
-    partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
+    partition(build_hypergraph(c), PartitionConfig(blocks=2, seed=5))
     assert len(resets) == 8
+    # grouped qft16 meets the capacity floor at restart 0 of each bisection
+    # split, but not under direct k-way
+    h = build_hypergraph(c, find_groups(c))
+    for blocks, mode, runs in ((2, Mode.RECURSIVE_BISECT, 1), (4, Mode.RECURSIVE_BISECT, 3),
+                               (4, Mode.DIRECT_KWAY, 8)):
+        resets.clear()
+        partition(h, PartitionConfig(blocks=blocks, mode=mode, seed=5))
+        assert len(resets) == runs, (blocks, mode)
+
+
+@pytest.mark.parametrize("bounds, floor", [([2, 2, 2], 4), ([3, 3], 2), ([1] * 6, 9)])
+def test_capacity_floor(bounds, floor):
+    # a 5-pin edge of weight 2 spans at least 3 blocks of 2 and 2 blocks of
+    # 3; a 2-pin edge is cut only when every block holds one vertex
+    edges = [Hyperedge(pins=(0, 1, 2, 3, 4), weight=2), Hyperedge(pins=(4, 5))]
+    assert _Engine(Hypergraph([Vertex() for _ in range(6)], edges), bounds).floor == floor
+    # with a vertex of another weight a deal may overfill a block, so no floor
+    for w in (0, 2):
+        weighted = [Vertex(weight=w)] + [Vertex() for _ in range(5)]
+        assert _Engine(Hypergraph(weighted, edges), bounds).floor == 0
 
 
 def test_restarts_draw_their_seeds_one_chunk_at_a_time(monkeypatch):
@@ -509,10 +532,9 @@ def test_each_partition_is_priced_once(monkeypatch):
     monkeypatch.setattr("qpart.fm.cut_cost", lambda *a: calls.append(1) or cut_cost(*a))
     reset = _Engine.reset  # once per restart
     monkeypatch.setattr(_Engine, "reset", lambda eng, a: restarts.append(1) or reset(eng, a))
-    c = generate("qft", 16)
-    h = build_hypergraph(c, find_groups(c))
-    # qft never meets the floor, so each driver call runs all 8 restarts,
-    # over the 3 splits of k=4 bisection
+    h = build_hypergraph(generate("qft", 16))
+    # plain qft never meets the driver's bound, so each driver call runs all 8
+    # restarts, over the 3 splits of k=4 bisection
     for blocks, mode, priced, runs in ((2, Mode.RECURSIVE_BISECT, 1, 8),
                                        (4, Mode.RECURSIVE_BISECT, 1, 24),
                                        (4, Mode.DIRECT_KWAY, 1, 8), (4, Mode.RANDOM, 1, 0)):
