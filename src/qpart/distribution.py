@@ -224,6 +224,9 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph):
     row raises the plan's InfeasibleError.  Channels are counted once per
     (edge, carried vertex, remote block) key, so CCX fallback channels and
     group edges shared by several gates count as the plan counts them.
+    Each remote use marks its (row, key, remote block) cell in one flat
+    bool array; every marked cell is one channel, which adds 1 to e at its
+    remote block and 1 at the home block of the key's carried vertex.
     """
     _, uses, place = _placement(circuit, h)
     use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
@@ -233,21 +236,21 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph):
 
     def ledger(assign: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
         seeds = len(assign)
+
+        def per_block(cells):
+            return np.bincount(cells.ravel(), minlength=seeds * blocks).reshape(seeds, blocks)
+
         at = place(assign)
-        offset = blocks * np.arange(seeds)[:, None]
-
-        def per_block(cells, weights=None):
-            return np.bincount((cells + offset).ravel(), weights=weights,
-                               minlength=seeds * blocks).reshape(seeds, blocks)
-
-        o = per_block(at)
+        o = per_block(at + blocks * np.arange(seeds)[:, None])
         remote = at[:, use_at]
         row, use = np.nonzero(assign[:, use_q] != remote)
-        opened = np.zeros((seeds, len(keys), blocks), dtype=bool)
-        opened[row, use_channel[use], remote[row, use]] = True
-        home = assign[:, key_q].astype(np.intp)
-        e = opened.sum(axis=1) + per_block(home, opened.sum(axis=2).ravel()).astype(np.int64)
-        return o, e
+        opened = np.zeros(seeds * len(keys) * blocks, dtype=bool)
+        opened[(row * len(keys) + use_channel[use]) * blocks + remote[row, use]] = True
+        row_key, far = np.divmod(np.flatnonzero(opened), blocks)
+        row, key = np.divmod(row_key, len(keys))
+        home = assign[row, key_q[key]].astype(np.intp)
+        row *= blocks  # the row's first cell in the flat seeds x blocks count
+        return o, per_block(row + far) + per_block(row + home)
 
     return ledger
 

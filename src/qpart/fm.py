@@ -256,8 +256,9 @@ def _pieces(n: int, pins: list[list[int]]) -> int:
         return x
 
     for edge_pins in pins:
+        first = root(edge_pins[0])  # stays a root: only other roots join it
         for p in edge_pins[1:]:
-            parent[root(p)] = root(edge_pins[0])
+            parent[root(p)] = first
     return sum(1 for x in range(n) if root(x) == x)
 
 
@@ -660,7 +661,7 @@ def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np
     extra = np.full((len(assign), len(h.edges)), -1, dtype=np.int32)  # spanned - 1
     for b in range(k):
         extra += np.logical_or.reduceat(got == b, starts, axis=1)
-    return (extra > 0).sum(axis=1), 2 * (extra @ weights)
+    return np.count_nonzero(extra > 0, axis=1), 2 * (extra @ weights)
 
 
 def random_deals(h: Hypergraph, config: PartitionConfig, draw):

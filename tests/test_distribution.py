@@ -139,6 +139,14 @@ def test_e_matches_block_endpoints(qft4):
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
 
 
+def assert_ledger_reads_plan(c, h, plan):
+    """``_plan_ledger`` on the plan's one assignment gives its per-block o and e."""
+    o, e = _plan_ledger(c, h)(np.array([plan.assignment]), len(plan.per_block))
+    assert o.dtype == e.dtype == np.int64
+    assert o.tolist() == [[b.o for b in plan.per_block]]
+    assert e.tolist() == [[b.e for b in plan.per_block]]
+
+
 def test_group_channel_shared_once(qft4):
     # one channel serves every member of a reuse group on the remote side
     h = build_hypergraph(qft4, grouped=True)
@@ -148,6 +156,10 @@ def test_group_channel_shared_once(qft4):
     flat = plan_distribution(qft4, ungrouped, [0, 0, 1, 1])
     assert len(flat.channels) == 4
     assert plan.ebits < flat.ebits
+    # the ledger counts each group channel once, over its several uses
+    assert any(ch.first_use < ch.last_use for ch in plan.channels)
+    assert_ledger_reads_plan(qft4, h, plan)
+    assert_ledger_reads_plan(qft4, ungrouped, flat)
 
 
 def test_ccx_fallback_channel():
@@ -161,6 +173,8 @@ def test_ccx_fallback_channel():
     # exceed the connectivity metric here
     assert plan.ebits == 4
     assert 2 * plan.cut.lambda_minus_one == 2
+    # the ledger counts the fallback channel as the plan does
+    assert_ledger_reads_plan(c, h, plan)
 
 
 def test_emit_ghz4_frozen(ghz4):
@@ -292,6 +306,7 @@ def test_fixture_plans_obey_accounting(name):
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
     assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
+    assert_ledger_reads_plan(c, h, plan)
     # a block's ebit register has one slot per endpoint, and none without any
     for b, text in zip(plan.per_block, emit_subcircuits(c, plan)):
         widths = re.findall(r"^qreg ebit\[(\d+)\];$", text, re.M)
