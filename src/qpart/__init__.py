@@ -10,7 +10,7 @@ reproduces the random-vs-FM comparisons.
 from .circuit import (Circuit, Gate, GateKind, QasmError, emit_qasm,
                       gate_layers, parse_qasm)
 from .generators import CircuitFamily, generate
-from .grouping import GateGroup, find_groups
+from .grouping import find_groups
 from .hypergraph import (CutReport, Hyperedge, Hypergraph, Vertex,
                          build_hypergraph, cut_cost, export_hmetis,
                          import_hmetis)
@@ -25,7 +25,7 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "QasmError",
     "emit_qasm", "gate_layers", "parse_qasm",
     "CircuitFamily", "generate",
-    "GateGroup", "find_groups",
+    "find_groups",
     "CutReport", "Hyperedge", "Hypergraph", "Vertex",
     "build_hypergraph", "cut_cost", "export_hmetis", "import_hmetis",
     "InfeasibleError", "Mode", "PartitionConfig", "PartitionResult",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, _programs
 from .fm import InfeasibleError
-from .hypergraph import CutReport, Hypergraph, _check_assignment, cut_cost
+from .hypergraph import CutReport, Hypergraph, cut_cost
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     """
     if blocks is None:
         blocks = max(assignment, default=0) + 1
-    _check_assignment(h, assignment, blocks)
+    cut = cut_cost(h, list(assignment), blocks)  # checks the assignment first
     placed, uses, place = _placement(circuit, h)
     at = place(np.array([assignment], dtype=np.intp))[0].tolist()
 
@@ -211,7 +211,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b]) for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
-                            cut=cut_cost(h, list(assignment), blocks))
+                            cut=cut)
 
 
 def _plan_ledger(circuit: Circuit, h: Hypergraph):
@@ -243,7 +243,7 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph):
         at = place(assign)
         o = per_block(at + blocks * np.arange(seeds)[:, None])
         remote = at[:, use_at]
-        row, use = np.nonzero(assign[:, use_q] != remote)
+        row, use = np.divmod(np.flatnonzero(assign[:, use_q] != remote), len(use_q))
         opened = np.zeros(seeds * len(keys) * blocks, dtype=bool)
         opened[(row * len(keys) + use_channel[use]) * blocks + remote[row, use]] = True
         row_key, far = np.divmod(np.flatnonzero(opened), blocks)

@@ -73,7 +73,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .hypergraph import CutReport, Hyperedge, Hypergraph, cut_cost
+from .hypergraph import CutReport, Hyperedge, Hypergraph, _cut_rows, cut_cost
 
 _MAX_PASSES = 32  # FM passes per restart at most
 
@@ -647,32 +647,15 @@ def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
     return deal
 
 
-def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cut_cost``'s cut edges and ebits for each row of a seeds x vertices
-    block matrix; the blocks each edge spans are summed per block from
-    ``logical_or.reduceat`` over the edges' pins."""
-    if not h.edges:
-        zero = np.zeros(len(assign), dtype=np.int64)
-        return zero, zero
-    pins = [p for e in h.edges for p in e.pins]
-    starts = np.cumsum([0] + [len(e.pins) for e in h.edges[:-1]])
-    weights = np.array([e.weight for e in h.edges], dtype=np.int64)
-    got = assign[:, pins]
-    extra = np.full((len(assign), len(h.edges)), -1, dtype=np.int32)  # spanned - 1
-    for b in range(k):
-        extra += np.logical_or.reduceat(got == b, starts, axis=1)
-    return np.count_nonzero(extra > 0, axis=1), 2 * (extra @ weights)
-
-
 def random_deals(h: Hypergraph, config: PartitionConfig, draw):
     """The random partition of every seed of ``draw``, one matrix at a time.
 
     ``draw`` is ``_shuffles`` of the vertex count.  For each of its
     matrices, yields the deals as a seeds x vertices block matrix, and
-    their cut edges and ebits from ``_cut_rows``; row i is the assignment
-    and cut that ``partition`` gives with ``Mode.RANDOM`` and that row's
-    seed.  Resolves the capacities once, and raises InfeasibleError as
-    ``resolve_capacities`` does.
+    their cut edges and ebits from ``hypergraph._cut_rows``; row i is the
+    assignment and cut that ``partition`` gives with ``Mode.RANDOM`` and
+    that row's seed.  Resolves the capacities once, and raises
+    InfeasibleError as ``resolve_capacities`` does.
     """
     deal = _dealer(h, resolve_capacities(config.capacities,
                                          sum(v.weight for v in h.vertices), config.blocks))

@@ -12,12 +12,16 @@ distribution plan reads.  A vertex or an edge is its position in its
 list.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
-b - 1, and every unit of cost is one entangled pair, i.e. two ebits.
+b - 1, and every unit of cost is one entangled pair: two ebits, one
+endpoint per side.  It is priced here only (``cut_cost``, and ``_cut_rows``
+for batches), apart from FM's incremental cost and ``fm.expected_ebits``.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import Circuit
 from .grouping import find_groups
@@ -110,11 +114,15 @@ def build_hypergraph(circuit: Circuit, grouped: bool = False) -> Hypergraph:
 @dataclass(frozen=True)
 class CutReport:
     """cut_edges: edges spanning more than one block.
-    lambda_minus_one: sum over edges of (blocks spanned - 1).
+    lambda_minus_one: sum over edges of (blocks spanned - 1) * weight.
+    endpoints: each block's share of ebits.  A cut edge gives its weight to
+    each block it spans other than its home, its first pin's block, and
+    its home as much as all of those together.
     ebits: 2 * lambda_minus_one, one entangled pair per unit of cost."""
 
     cut_edges: int
     lambda_minus_one: int
+    endpoints: tuple[int, ...]
     ebits = property(lambda self: 2 * self.lambda_minus_one)
 
 
@@ -129,15 +137,37 @@ def _check_assignment(h: Hypergraph, assignment: list[int], blocks: int) -> None
 
 
 def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
-    """Evaluate an assignment under the connectivity-minus-one metric."""
+    """Price an assignment under the connectivity-minus-one metric: the
+    scalar reference that tests compare ``_cut_rows`` against."""
     _check_assignment(h, assignment, blocks)
     cut = lam = 0
+    endpoints = [0] * blocks
     for e in h.edges:
-        spanned = len({assignment[p] for p in e.pins})
-        if spanned > 1:
+        spanned = {assignment[p] for p in e.pins}
+        if len(spanned) > 1:
             cut += 1
-            lam += (spanned - 1) * e.weight
-    return CutReport(cut_edges=cut, lambda_minus_one=lam)
+            lam += (len(spanned) - 1) * e.weight
+            for b in spanned:
+                endpoints[b] += e.weight
+            endpoints[assignment[e.pins[0]]] += (len(spanned) - 2) * e.weight
+    return CutReport(cut_edges=cut, lambda_minus_one=lam, endpoints=tuple(endpoints))
+
+
+def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cut_cost``'s cut edges and ebits for each row of a seeds x vertices
+    block matrix; the blocks each edge spans are summed per block from
+    ``logical_or.reduceat`` over the edges' pins.  The bench's batch path."""
+    if not h.edges:
+        zero = np.zeros(len(assign), dtype=np.int64)
+        return zero, zero
+    pins = [p for e in h.edges for p in e.pins]
+    starts = np.cumsum([0] + [len(e.pins) for e in h.edges[:-1]])
+    weights = np.array([e.weight for e in h.edges], dtype=np.int64)
+    got = assign[:, pins]
+    extra = np.full((len(assign), len(h.edges)), -1, dtype=np.int32)  # spanned - 1
+    for b in range(k):
+        extra += np.logical_or.reduceat(got == b, starts, axis=1)
+    return np.count_nonzero(extra > 0, axis=1), 2 * (extra @ weights)
 
 
 # --------------------------------------------------------------------------

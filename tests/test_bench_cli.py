@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpart import (Circuit, CircuitFamily, Gate, GateKind, InfeasibleError, Mode,
                    PartitionConfig, build_hypergraph, partition, plan_distribution)
-from qpart import bench, distribution, fm
+from qpart import bench, cli, distribution, fm, hypergraph
 from qpart.bench import (CSV_COLUMNS, METHODS, BenchRow, CircuitJob, SuiteSpec,
                          _rows, format_summary, load_suite, run_suite, write_csv)
 from qpart.distribution import _plan_ledger
@@ -578,6 +578,38 @@ def test_cli_partition_hmetis_weighted_deal_fits(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().out)
         assert [b["data"] for b in rep["blocks"]] == [10, 1]
         assert rep["ebits"] == 6
+
+
+def test_cli_partition_hmetis_endpoints_by_hand(tmp_path, capsys):
+    # four vertices of weights 0-3 over four QPUs: direct k-way FM keeps
+    # every QPU in use, so each QPU holds one vertex, named by its load.  An
+    # edge gives its weight to each pin but the first, and (pins - 1) times
+    # it to the first: vertex 0 gets 2 + 1, vertex 1 gets 2 + 2*3, vertex 2
+    # gets 3 + 0 and vertex 3 gets 3 + 1
+    path = tmp_path / "weighted.hmetis"
+    path.write_text("4 4 11\n2 1 2\n3 2 3 4\n1 4 1\n0 3 1\n0\n1\n2\n3\n")
+    assert main(["partition", str(path), "--parts", "4", "--capacities", "3,3,3,3",
+                 "--method", "kway", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert {b["data"]: b["e"] for b in rep["blocks"]} == {0: 3, 1: 8, 2: 3, 3: 4}
+    assert rep["ebits"] == 18
+
+
+def test_cli_checks_each_assignment_once(tmp_path, monkeypatch):
+    # the partition's one cut_cost checks its assignment, and the hMETIS
+    # report reads its endpoints; a circuit's plan checks it once more
+    calls = []
+    check = hypergraph._check_assignment
+    for module in (hypergraph, cli, distribution):
+        if hasattr(module, "_check_assignment"):
+            monkeypatch.setattr(module, "_check_assignment",
+                                lambda *a: calls.append(1) or check(*a))
+    path = tmp_path / "ghz4.hmetis"
+    assert main(["hmetis", "ghz:4", "--out", str(path)]) == 0
+    for arg, checks in ((str(path), 1), ("ghz:4", 2)):
+        calls.clear()
+        assert main(["partition", arg, "--parts", "2", "--json"]) == 0
+        assert len(calls) == checks
 
 
 def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):

@@ -13,7 +13,6 @@ from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph,
                    cut_cost, emit_qasm, emit_subcircuits, find_groups, generate, parse_qasm,
                    partition, plan_distribution)
 from qpart.bench import CircuitJob, _rows
-from qpart.cli import _block_endpoints as block_endpoints
 from qpart.distribution import _edge_of_gate, _plan_ledger
 from qpart.fm import _shuffles, random_deals
 
@@ -135,7 +134,7 @@ def test_e_matches_block_endpoints(qft4):
     h = build_hypergraph(qft4, grouped=True)
     a = [0, 1, 0, 1]
     plan = plan_distribution(qft4, h, a)
-    assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
+    assert [b.e for b in plan.per_block] == list(cut_cost(h, a, 2).endpoints)
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
 
 
@@ -305,7 +304,7 @@ def test_fixture_plans_obey_accounting(name):
     plan = plan_distribution(c, h, a)
     assert sum(b.o for b in plan.per_block) == c.size
     assert sum(b.e for b in plan.per_block) == 2 * plan.cut.lambda_minus_one
-    assert [b.e for b in plan.per_block] == block_endpoints(h, a, 2)
+    assert [b.e for b in plan.per_block] == list(cut_cost(h, a, 2).endpoints)
     assert_ledger_reads_plan(c, h, plan)
     # a block's ebit register has one slot per endpoint, and none without any
     for b, text in zip(plan.per_block, emit_subcircuits(c, plan)):

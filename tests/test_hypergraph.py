@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph, Vertex,
                    build_hypergraph, cut_cost, export_hmetis, find_groups, generate,
                    import_hmetis, parse_qasm, plan_distribution)
-from qpart.cli import _block_endpoints as block_endpoints
 from qpart.distribution import _plan_ledger
 
 from conftest import fixture_names, load_fixture
@@ -203,14 +202,14 @@ def test_edge_home():
     # a CCX edge over three blocks: its first pin's block is the home and
     # holds one endpoint per remote block
     h = build_hypergraph(parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];"))
-    assert block_endpoints(h, [2, 0, 1], 3) == [1, 1, 2]
-    assert block_endpoints(h, [0, 2, 1], 3) == [2, 1, 1]
+    assert cut_cost(h, [2, 0, 1], 3).endpoints == (1, 1, 2)
+    assert cut_cost(h, [0, 2, 1], 3).endpoints == (2, 1, 1)
 
 
 def test_block_endpoints_chain(ghz4):
     h = build_hypergraph(ghz4)
-    assert block_endpoints(h, [0, 0, 1, 1], 2) == [1, 1]
-    assert block_endpoints(h, [0, 1, 0, 1], 2) == [3, 3]
+    assert cut_cost(h, [0, 0, 1, 1], 2).endpoints == (1, 1)
+    assert cut_cost(h, [0, 1, 0, 1], 2).endpoints == (3, 3)
 
 
 def test_block_endpoints_sum_law(qft4):
@@ -219,7 +218,41 @@ def test_block_endpoints_sum_law(qft4):
     for _ in range(25):
         a = [rng.randrange(3) for _ in range(len(h.vertices))]
         rep = cut_cost(h, a, 3)
-        assert sum(block_endpoints(h, a, 3)) == 2 * rep.lambda_minus_one
+        assert sum(rep.endpoints) == 2 * rep.lambda_minus_one
+
+
+@st.composite
+def weighted_assignments(draw):
+    """Hypergraphs of 2-4 pins per edge, edge weights 0-3 and vertex weights
+    0-2, with an assignment over 1-5 blocks that may leave blocks empty."""
+    n = draw(st.integers(2, 8))
+    pins = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(4, n), unique=True)
+    edges = draw(st.lists(st.tuples(pins, st.integers(0, 3)), max_size=10))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = draw(st.integers(1, 5))
+    assignment = draw(st.lists(st.integers(0, blocks - 1), min_size=n, max_size=n))
+    h = Hypergraph([Vertex(weight=w) for w in weights],
+                   [Hyperedge(pins=tuple(p), weight=w) for p, w in edges])
+    return h, assignment, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_assignments())
+def test_cut_endpoints_count_each_pair_end(case):
+    # a cut edge needs one entangled pair per unit of weight for each block
+    # it spans besides its home, its first pin's block: one end there and
+    # one at home
+    h, assignment, blocks = case
+    rep = cut_cost(h, assignment, blocks)
+    count = [0] * blocks
+    for e in h.edges:
+        home = assignment[e.pins[0]]
+        for remote in {assignment[p] for p in e.pins} - {home}:
+            count[home] += e.weight
+            count[remote] += e.weight
+    assert len(rep.endpoints) == blocks
+    assert sum(rep.endpoints) == rep.ebits
+    assert list(rep.endpoints) == count
 
 
 def test_export_hmetis_ghz4(ghz4):
