@@ -21,11 +21,12 @@ FMGrouped ``partition`` at the range's first seed, under one
 
 A deal is a shuffle (``fm._shuffles``: the seed and the qubit count) dealt
 into blocks (k, the capacities and the weights).  The shuffle does not
-depend on k, so a suite shuffles each seed once per circuit and deals that
-one draw, seeds x width matrices of the smallest unsigned dtype, at every
-k.  A hypergraph's ledger places its gates once and serves every k and
-method on it (the Random rows and FM share the plain one); like the
-hypergraph, it is per-circuit set-up charged to no row.  A row's
+depend on k, so a suite shuffles each seed once per circuit, and
+``_draw`` packs those Python rows once into seeds x width matrices of the
+smallest unsigned dtype, which ``fm.random_deals`` deals at every k.  A
+hypergraph's ledger places its gates once and serves every k and method
+on it (the Random rows and FM share the plain one); like the hypergraph,
+it is per-circuit set-up charged to no row.  A row's
 ``runtime_ms`` is its method's time plus its scoring time, over its seed
 count.  A Random row's method time is the whole draw's, so each k's rows
 carry the draw as if that k had made it alone; FM's and FMGrouped's is
@@ -37,6 +38,11 @@ a ``BenchRow`` is a named tuple that extends its batch's shared head, and
 each matrix's r values are one numpy division.  ``write_csv`` writes the
 bytes ``csv.writer`` would, formatting each distinct head and r cell once.
 
+numpy is imported only inside the batch paths: this module's suite
+functions, ``fm.random_deals``, ``hypergraph._cut_rows`` and
+``distribution._plan_ledger``.  So the CLI, which imports this module for
+its circuit jobs, loads numpy only when it runs a suite.
+
 Row order is deterministic and the CSV is byte-stable for a given spec
 apart from the runtime column.
 """
@@ -44,13 +50,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .circuit import Circuit, parse_qasm
 from .distribution import _plan_ledger
@@ -237,6 +242,21 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+_CHUNK = 128  # seeds dealt together; bounds the working set
+
+
+def _draw(n: int, seeds):
+    """``fm._shuffles`` of n for each seed, as an iterator of seeds x n
+    matrices of at most ``_CHUNK`` rows in the smallest unsigned dtype,
+    which ``fm.random_deals`` deals."""
+    import numpy as np
+
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    rows = _shuffles(n, seeds)
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        yield np.array(chunk, dtype=dtype).reshape(len(chunk), n)
+
+
 def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds,
           ledger, priced, ms: float) -> list[BenchRow]:
     """One row of ``method`` per seed of ``seeds``, in order.
@@ -252,6 +272,8 @@ def _rows(job: CircuitJob, circuit: Circuit, method: str, caps: list[int], seeds
     cells up to ``seed`` that the batch shares.  ``runtime_ms`` is ``ms``,
     the method's time, plus the time spent here, over the seed count.
     """
+    import numpy as np
+
     t0 = time.perf_counter()
     scored = []
     for assign, cut_edges, ebits in priced:
@@ -273,6 +295,8 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
     A missing circuit file raises FileNotFoundError.  Improvement is None
     when there is no baseline or the baseline is zero.
     """
+    import numpy as np
+
     rows: list[BenchRow] = []
     summaries: list[dict] = []
     seeds = range(spec.seed_from, spec.seed_to)
@@ -291,7 +315,7 @@ def run_suite(spec: SuiteSpec) -> tuple[list[BenchRow], list[dict]]:
         if "Random" in spec.methods:
             # the shuffle does not depend on k, so one draw deals every k's rows
             t0 = time.perf_counter()
-            draw = list(_shuffles(circuit.width, seeds))
+            draw = list(_draw(circuit.width, seeds))
             draw_ms = _ms_since(t0)
 
         for ki, k in enumerate(spec.parts):

@@ -533,16 +533,25 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 # --------------------------------------------------------------------------
 # writing
 
-def _gate_line(g: Gate, ops: list[str]) -> str:
+def _gate_line(g: Gate, ops: list[str], heads: dict[tuple, str]) -> str:
     """One statement applying ``g`` to the operand strings ``ops``; a
-    measure without a classical bit writes to ``c`` at its qubit's index."""
+    measure without a classical bit writes to ``c`` at its qubit's index.
+    A parametrised gate's text before its operands is formatted once per
+    distinct (name, params) and kept in ``heads``, except when a parameter
+    is zero: 0.0 and -0.0 are one key but write as two texts."""
     if g.kind is _MEASURE:
         reg, bit = g.cbit or ("c", g.operands[0])
         return f"measure {ops[0]} -> {reg}[{bit}];"
-    if g.params:
+    if not g.params:
+        return f"{g.qasm_name} {','.join(ops)};"
+    key = (g.qasm_name, g.params)
+    head = heads.get(key)
+    if head is None:
         # repr is the shortest string that re-parses to exactly the same float
-        return f"{g.qasm_name}({','.join(repr(float(p)) for p in g.params)}) {','.join(ops)};"
-    return f"{g.qasm_name} {','.join(ops)};"
+        head = f"{g.qasm_name}({','.join(repr(float(p)) for p in g.params)}) "
+        if 0 not in g.params:
+            heads[key] = head
+    return f"{head}{','.join(ops)};"
 
 
 def _formals(n: int) -> str:
@@ -593,6 +602,7 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, blocks: int) -> 
     arity: list[dict[str, int]] = [{} for _ in range(blocks)]  # opaque label -> operands, per block
     used = [0] * blocks  # ebit slots opened so far, per block
     live: dict[tuple[int, int], int] = {}  # (carries, remote) -> its open channel's slot
+    heads: dict[tuple, str] = {}  # see _gate_line
     for seq, g in enumerate(circuit.gates):
         for i in entangle_at.get(seq, ()):
             c = channels[i]
@@ -607,12 +617,12 @@ def _programs(circuit: Circuit, block_of, exec_block, channels, blocks: int) -> 
             for q in g.operands:
                 local.setdefault(block_of[q], []).append(names[q])
             for lb, ops in local.items():
-                bodies[lb].append(_gate_line(g, ops))
+                bodies[lb].append(_gate_line(g, ops, heads))
         else:
             b = exec_block[seq]
             ops = [names[q] if block_of[q] == b else f"ebit[{live[q, b]}]"
                    for q in g.operands]
-            bodies[b].append(_gate_line(g, ops))
+            bodies[b].append(_gate_line(g, ops, heads))
             if g.kind is opaque:
                 arity[b].setdefault(g.label, len(g.operands))
         for i in release_at.get(seq, ()):

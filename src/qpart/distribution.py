@@ -18,10 +18,14 @@ That only happens for three-qubit gates whose controls are split from
 the target, and it makes the realised ebit count exceed the metric;
 two-qubit and grouped interactions never need it.
 
-These rules are stated once, in ``_placement``, over a matrix of
-assignments: ``plan_distribution`` evaluates it on its one row, and
-``_plan_ledger`` on a batch of seeded deals to give each row's per-block
-counts without building its plan.
+These rules are stated once, in ``_placement``, as column lists that
+say which operand's block runs each gate, which operands must share it
+and which use a channel.  Two evaluators read them: ``_place`` on the
+one assignment of ``plan_distribution``, in plain Python, and
+``_plan_ledger`` on a numpy matrix of seeded deals, to give each row's
+per-block counts without building its plan.  The bench's ledger is the
+only code here that imports numpy, and the tests pin it to the plan row
+for row.
 
 This module computes numbers only.  ``emit_subcircuits`` hands a plan's
 assignment, placement, channels and QPU count to the one QASM writer,
@@ -31,8 +35,7 @@ assignment, placement, channels and QPU count to the one QASM writer,
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .circuit import Circuit, GateKind, _programs
 from .fm import InfeasibleError
@@ -90,27 +93,46 @@ def _edge_of_gate(h: Hypergraph) -> dict[int, int]:
     return seq_edge
 
 
-def _placement(circuit: Circuit, h: Hypergraph):
-    """Where each gate runs and which channels its remote operands use,
-    for any number of assignments over ``h`` at once.
+class _Placement(NamedTuple):
+    """The placement rules of one circuit over its hypergraph, as column
+    lists that any assignment is read through.  Index i counts the placed
+    gates, every gate but BARRIER, in circuit order: ``placed[i]`` is its
+    circuit position and ``exec_col[i]`` its last operand, whose block runs
+    it unless ``majority`` says otherwise.  ``majority`` holds (i, a, b, c)
+    for each CCZ, which runs on a's block when b's agrees and on c's
+    otherwise.  ``rigid`` holds (i, q) for each operand q that must be on
+    gate i's block, and ``uses`` (i, q, edge) for each operand that needs a
+    channel of that edge when q's block is not gate i's."""
 
-    Returns (placed, uses, place).  ``placed`` lists the position of every
-    gate but BARRIER, in circuit order.  ``uses`` holds one (placed index,
-    carried vertex, edge) per operand of a CX/CCX or diagonal gate that has
-    a hyperedge; the operand needs a channel keyed (edge, carried vertex,
-    remote block) when its block differs from the gate's.  ``place(assign)``
-    maps a seeds x vertices block matrix to the seeds x placed exec blocks:
-    the target's block for CX/CCX, the majority block for CZ/CP/CCZ (ties
-    to the last operand: the first two operands' block for a CCZ when they
-    agree, else the last), the operands' one block otherwise.  It raises
-    InfeasibleError for the first row, and that row's first gate, that
-    splits a gate other than those, or one with no hyperedge.  A gate
-    whose edge leaves out one of its operands is a ValueError: the cut
-    would not count the channel that operand needs.
+    placed: list[int]
+    exec_col: list[int]
+    majority: list[tuple[int, int, int, int]]
+    rigid: list[tuple[int, int]]
+    uses: list[tuple[int, int, int]]
+
+
+def _placement(circuit: Circuit, h: Hypergraph) -> _Placement:
+    """Where each gate runs and which channels its remote operands use,
+    for any assignment over ``h``.
+
+    A CX/CCX runs on its target's block, a CZ/CP/CCZ on its majority block
+    (ties to the last operand: the first two operands' block for a CCZ
+    when they agree, else the last), and any other gate on its operands'
+    one block.  Each operand of a CX/CCX or diagonal gate that has a
+    hyperedge is a use: it needs a channel keyed (edge, carried vertex,
+    remote block) when its block differs from the gate's.  Every other
+    operand of a gate of two or more is rigid, and an assignment that
+    puts it elsewhere is refused (``_refusal``).  The rules are read two
+    ways: ``_place`` on one assignment for ``plan_distribution``, and
+    ``_plan_ledger`` on a numpy matrix of them for the bench.  A gate whose
+    edge leaves out one of its operands is a ValueError: the cut would not
+    count the channel that operand needs.
     """
     seq_edge = _edge_of_gate(h)
     barrier, ccz = GateKind.BARRIER, GateKind.CCZ
     placed, exec_col, majority, rigid, uses = [], [], [], [], []
+    # a wide edge's pins as a set, so that the check below is flat in its width
+    held = [set(e.pins) if len(e.pins) > 3 else e.pins for e in h.edges]
     for seq, g in enumerate(circuit.gates):
         if g.kind is barrier:
             continue
@@ -125,39 +147,38 @@ def _placement(circuit: Circuit, h: Hypergraph):
         eid = seq_edge.get(seq)
         if eid is not None:
             for q in cols:
-                if q not in h.edges[eid].pins:
+                if q not in held[eid]:
                     raise ValueError(f"gate {seq} acts on qubit {q}, which its "
                                      f"edge {eid} does not hold")
         if eid is not None and g.kind.splittable:
             uses.extend((at, q, eid) for q in cols)
         else:
             rigid.extend((at, q) for q in cols)
+    return _Placement(placed, exec_col, majority, rigid, uses)
 
-    def columns(rows, width):
-        return np.array(rows, dtype=np.intp).reshape(-1, width).T
 
-    exec_col = np.array(exec_col, dtype=np.intp)
-    maj_at, maj_a, maj_b, maj_c = columns(majority, 4)
-    rigid_at, rigid_q = columns(rigid, 2)
+def _refusal(circuit: Circuit, seq: int, block_of) -> InfeasibleError:
+    """The error for gate ``seq``, split by the assignment ``block_of``
+    although it has no hyperedge or cannot be split."""
+    g = circuit.gates[seq]
+    if g.kind.splittable:
+        return InfeasibleError(f"gate {seq} ({g.qasm_name}) is split but has no hyperedge")
+    blocks = sorted({int(block_of[q]) for q in g.operands})
+    return InfeasibleError(f"gate {seq} ({g.qasm_name}) has operands on "
+                           f"blocks {blocks} and cannot be split")
 
-    def place(assign: np.ndarray) -> np.ndarray:
-        at = assign[:, exec_col].astype(np.intp)
-        a, b = assign[:, maj_a], assign[:, maj_b]
-        at[:, maj_at] = np.where(a == b, a, assign[:, maj_c])
-        refused = assign[:, rigid_q] != at[:, rigid_at]
-        if refused.any():
-            row = refused.any(axis=1).argmax()
-            seq = placed[rigid_at[refused[row].argmax()]]
-            g = circuit.gates[seq]
-            if g.kind.splittable:
-                raise InfeasibleError(f"gate {seq} ({g.qasm_name}) is split "
-                                      "but has no hyperedge")
-            blocks = sorted({int(assign[row, q]) for q in g.operands})
-            raise InfeasibleError(f"gate {seq} ({g.qasm_name}) has operands on "
-                                  f"blocks {blocks} and cannot be split")
-        return at
 
-    return placed, uses, place
+def _place(circuit: Circuit, p: _Placement, assignment: list[int]) -> list[int]:
+    """The block that runs each placed gate under one assignment; raises
+    ``_refusal`` for the first gate it splits that may not be split."""
+    at = [assignment[q] for q in p.exec_col]
+    for i, a, b, c in p.majority:
+        a = assignment[a]
+        at[i] = a if a == assignment[b] else assignment[c]
+    for i, q in p.rigid:
+        if assignment[q] != at[i]:
+            raise _refusal(circuit, p.placed[i], assignment)
+    return at
 
 
 def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
@@ -170,18 +191,21 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     unused; it is kept only for the call at ``perfbench/workloads.py:259``.
     The plan covers ``blocks`` QPUs, also those the assignment leaves
     empty; None means the blocks up to the highest one assigned.  Gates
-    are placed by ``_placement``, on its one-row case.  An assignment
-    that does not cover ``h``, or that names a block outside ``blocks``,
-    is a ValueError naming the vertex.  So is a gate listed twice, an
-    edge that leaves out an operand of one of its gates, and a plan where two channels of one qubit to one block are open at
-    once, as a hand-built ``h`` with a group split by another edge of its
-    control would give.
+    are placed by ``_place`` under the rules of ``_placement``.  An
+    assignment that does not cover ``h``, or that names a block outside
+    ``blocks``, is a ValueError naming the vertex.  So is a gate listed
+    twice, an edge that leaves out an operand of one of its gates, and a
+    plan where two channels of one qubit to one block are open at once, as
+    a hand-built ``h`` with a group split by another edge of its control
+    would give.
     """
     if blocks is None:
         blocks = max(assignment, default=0) + 1
     cut = cut_cost(h, list(assignment), blocks)  # checks the assignment first
-    placed, uses, place = _placement(circuit, h)
-    at = place(np.array([assignment], dtype=np.intp))[0].tolist()
+    block_of = [int(b) for b in assignment]  # numpy integers are blocks too
+    p = _placement(circuit, h)
+    at = _place(circuit, p, block_of)
+    placed, uses = p.placed, p.uses
 
     exec_block = [-1] * len(circuit.gates)  # BARRIER stays -1
     o = [0] * blocks
@@ -191,7 +215,7 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
     served: dict[tuple[int, int, int], list[int]] = {}  # in creation order
     for i, carries, eid in uses:
         remote = at[i]
-        if assignment[carries] != remote:
+        if block_of[carries] != remote:
             served.setdefault((eid, carries, remote), []).append(placed[i])
 
     channels = tuple(Channel(edge=eid, carries=carries, remote=remote,
@@ -204,10 +228,12 @@ def plan_distribution(circuit: Circuit, h: Hypergraph, assignment: list[int],
             raise ValueError(f"channel {i} opens at gate {c.first_use} while another "
                              f"channel of qubit {c.carries} to block {c.remote} is open")
         open_until[c.carries, c.remote] = c.last_use
-        e[assignment[c.carries]] += 1
+        e[block_of[c.carries]] += 1
         e[c.remote] += 1
 
-    data = np.bincount(assignment, minlength=blocks).tolist()  # every vertex is a qubit
+    data = [0] * blocks  # every vertex is a qubit
+    for b in block_of:
+        data[b] += 1
     per_block = tuple(QpuPlan(data=data[b], o=o[b], e=e[b]) for b in range(blocks))
     return DistributionPlan(assignment=tuple(assignment), channels=channels,
                             exec_block=tuple(exec_block), per_block=per_block,
@@ -228,11 +254,31 @@ def _plan_ledger(circuit: Circuit, h: Hypergraph):
     bool array; every marked cell is one channel, which adds 1 to e at its
     remote block and 1 at the home block of the key's carried vertex.
     """
-    _, uses, place = _placement(circuit, h)
-    use_at, use_q, use_edge = np.array(uses, dtype=np.intp).reshape(-1, 3).T
+    import numpy as np
+
+    p = _placement(circuit, h)
+
+    def columns(rows, width):
+        return np.array(rows, dtype=np.intp).reshape(-1, width).T
+
+    exec_col = np.array(p.exec_col, dtype=np.intp)
+    maj_at, maj_a, maj_b, maj_c = columns(p.majority, 4)
+    rigid_at, rigid_q = columns(p.rigid, 2)
+    use_at, use_q, use_edge = columns(p.uses, 3)
     width = len(h.vertices)
     keys, use_channel = np.unique(use_edge * width + use_q, return_inverse=True)
     key_q = keys % width
+
+    def place(assign):
+        # _place on every row: its first refused row raises _place's error
+        at = assign[:, exec_col].astype(np.intp)
+        a, b = assign[:, maj_a], assign[:, maj_b]
+        at[:, maj_at] = np.where(a == b, a, assign[:, maj_c])
+        refused = assign[:, rigid_q] != at[:, rigid_at]
+        if refused.any():
+            row = refused.any(axis=1).argmax()
+            raise _refusal(circuit, p.placed[rigid_at[refused[row].argmax()]], assign[row])
+        return at
 
     def ledger(assign: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
         seeds = len(assign)

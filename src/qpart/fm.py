@@ -9,8 +9,7 @@ recursive bisection once per split with its side capacities.  Only
 ``partition`` reads the config, and it prices the result once.  A split
 keeps the restriction of every edge inside each side, so later splits of
 an already cut edge are charged exactly as the global metric charges
-them.  The deal is written once, over a seeds x vertices block matrix
-(``_dealer``).
+them.
 A deal has two halves.  The shuffle (``_shuffles``) depends only on the
 seed and the vertex count, so one draw can serve many hypergraphs and
 block counts, as a bench suite's does per circuit.  Every other restart
@@ -19,11 +18,14 @@ of METIS and hMETIS does (Karypis & Kumar, SIAM J. Sci. Comput. 20(1),
 1998).
 The deal turns an order into blocks, one per capacity, from the
 capacities and the weights, heaviest first; a grown order fills each
-block in one run, with the shuffle's loads.
-The random partition of a seed is the shuffled deal of that seed:
-``Mode.RANDOM`` deals one row, and ``random_deals`` deals and prices a
-draw one matrix of at most 128 seeds at a time for the bench's Random
-rows.
+block in one run, with the shuffle's loads.  Its block sequence is
+stated once (``_dealt``) and dealt two ways: one Python row at a time
+(``_dealer``), which is all a restart or ``Mode.RANDOM`` needs, and a
+seeds x vertices numpy matrix at a time in ``random_deals``, which deals
+and prices the bench's Random rows.  The random partition of a seed is
+the shuffled deal of that seed, and the tests pin the two ways to each
+other row for row.  Only ``random_deals`` imports numpy, so the
+partition path never loads it.
 ``expected_ebits`` prices the mean of that partition over every shuffle
 in closed form; it is the CLI's baseline and the bench's grouped one.
 
@@ -70,8 +72,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-
-import numpy as np
 
 from .hypergraph import CutReport, Hyperedge, Hypergraph, _cut_rows, cut_cost
 
@@ -195,7 +195,6 @@ class _Engine:
             self.mates[a].append((b, w, wn))
             self.mates[b].append((a, w, wn))
         self.wide = [e for e, pins in enumerate(self.pins) if len(pins) > 2]
-        self.winc = [[e for e in edges if len(self.pins[e]) > 2] for edges in h.incidence]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top] and its key in [0, limit); a masked key is its real
         # key plus limit, and a dead one lies above every masked key
@@ -205,8 +204,16 @@ class _Engine:
         self.others = [[t for t in range(k) if t != b] for b in range(k)]
         # the key of a move's gain before crediting the edges it leaves or
         # already touches in the target: that gain is minus v's weighted degree
-        self.away = [(top + sum(ew[e] for e in edges)) * n + v
-                     for v, edges in enumerate(h.incidence)]
+        self.winc, self.away = winc, away = [], []
+        is_wide = [len(pins) > 2 for pins in self.pins]
+        for v, edges in enumerate(h.incidence):  # one sweep builds both
+            key, mine = top, []
+            for e in edges:
+                key += ew[e]
+                if is_wide[e]:
+                    mine.append(e)
+            winc.append(mine)
+            away.append(key * n + v)
         self.pieces = _pieces(n, self.pins)
         self.w_min = min(ew, default=0)
         self.floor = 0
@@ -553,95 +560,88 @@ def _deal_blocks(caps: list[int], weights: list[int]) -> list[int]:
     return blocks
 
 
-_CHUNK = 128  # seeds shuffled together; bounds the working set
-
-
 def _shuffles(n: int, seeds):
-    """The seeded shuffle of n vertex positions for each seed, as an
-    iterator of seeds x n matrices of at most ``_CHUNK`` rows in the
-    smallest unsigned dtype; row i is ``range(n)`` shuffled by
-    ``random.Random(seed)``.  It depends on nothing but the seeds and n, so
-    one draw serves every hypergraph with n vertices and every k.
+    """The seeded shuffle of n vertex positions for each seed, one list at
+    a time: ``range(n)`` shuffled by ``random.Random(seed)``.  It depends
+    on nothing but the seed and n, so one draw serves every hypergraph
+    with n vertices and every k.
 
     The draw is ``random.Random(seed).shuffle``'s written out, without its
     call per swap: for i from n - 1 down to 1 it swaps position i with the
     first ``getrandbits((i + 1).bit_length())`` that is at most i, as
     CPython's ``_randbelow_with_getrandbits`` picks it.
     """
-    dtype = np.min_scalar_type(max(n - 1, 0))
     swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    it = iter(seeds)
-    while chunk := list(itertools.islice(it, _CHUNK)):
-        perms = []
-        for seed in chunk:
-            bits = random.Random(seed).getrandbits
-            order = list(range(n))
-            for i, width in swaps:
+    for seed in seeds:
+        bits = random.Random(seed).getrandbits
+        order = list(range(n))
+        for i, width in swaps:
+            j = bits(width)
+            while j > i:
                 j = bits(width)
-                while j > i:
-                    j = bits(width)
-                order[i], order[j] = order[j], order[i]
-            perms.append(order)
-        yield np.array(perms, dtype=dtype).reshape(len(chunk), n)
+            order[i], order[j] = order[j], order[i]
+        yield order
 
 
-def _grown(h: Hypergraph, perms: np.ndarray) -> np.ndarray:
-    """Each row of a seeds x vertices matrix of ``_shuffles`` grown into a
-    breadth-first order of the same vertices: from the row's first vertex,
-    through each vertex's unreached neighbours (the pins of its edges) in
-    the row's order, and again from the row's first unreached vertex when
-    a piece runs out.  Each row expands an edge once."""
+def _grown(h: Hypergraph, perm: list[int]) -> list[int]:
+    """A ``_shuffles`` row grown into a breadth-first order of the same
+    vertices: from the row's first vertex, through each vertex's unreached
+    neighbours (the pins of its edges) in the row's order, and again from
+    the row's first unreached vertex when a piece runs out.  Each edge is
+    expanded once."""
     pins, inc = [e.pins for e in h.edges], h.incidence
-    grown = np.empty_like(perms)
-    # a shuffle's argsort is its inverse: each vertex's rank in the row
-    for out, perm, rank in zip(grown, perms.tolist(), np.argsort(perms, axis=1).tolist()):
-        reached, expanded = [False] * len(perm), [False] * len(pins)
-        order, head, start = [], 0, 0  # order[head:] is the queue
-        while len(order) < len(perm):
-            if head == len(order):  # a piece ran out
-                while reached[perm[start]]:
-                    start += 1
-                reached[perm[start]] = True
-                order.append(perm[start])
-            nbrs = []
-            for e in inc[order[head]]:
-                if not expanded[e]:
-                    expanded[e] = True
-                    nbrs += [u for u in pins[e] if not reached[u]]
-                    for u in pins[e]:
-                        reached[u] = True
-            head += 1
-            order += sorted(nbrs, key=rank.__getitem__)
-        out[:] = order
-    return grown
+    rank = [0] * len(perm)  # each vertex's position in the row
+    for i, v in enumerate(perm):
+        rank[v] = i
+    reached, expanded = [False] * len(perm), [False] * len(pins)
+    order, head, start = [], 0, 0  # order[head:] is the queue
+    while len(order) < len(perm):
+        if head == len(order):  # a piece ran out
+            while reached[perm[start]]:
+                start += 1
+            reached[perm[start]] = True
+            order.append(perm[start])
+        nbrs = []
+        for e in inc[order[head]]:
+            if not expanded[e]:
+                expanded[e] = True
+                nbrs += [u for u in pins[e] if not reached[u]]
+                for u in pins[e]:
+                    reached[u] = True
+        head += 1
+        order += sorted(nbrs, key=rank.__getitem__)
+    return order
 
 
-def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
-    """Returns ``deal(perms)``, which turns a seeds x n matrix of orders of
-    the n vertices (``_shuffles`` or ``_grown``) into the seeds x n block
-    matrix of their deals over one block per resolved capacity.  Each
-    row's vertices, heaviest first and in the row's order within a weight,
-    are handed out in the order of ``_deal_blocks``, the same for every
-    seed.  ``runs`` sorts that sequence within each weight: each block then
-    takes one run of a weight's vertices, with the same count.  When every
-    vertex weighs the same, as in every circuit hypergraph, the row's order
-    is already heaviest first and ``deal`` sorts nothing."""
-    weights = np.array([v.weight for v in h.vertices], dtype=np.int64)
-    uniform = not len(weights) or (weights == weights[0]).all()
-    dtype = np.min_scalar_type(len(caps))
-    heaviest = sorted(weights.tolist(), reverse=True)
+def _dealt(h: Hypergraph, caps: list[int], runs: bool = False):
+    """The deal of ``h`` over one block per resolved capacity, as (key,
+    blocks).  An order's vertices, heaviest first and in the order within a
+    weight, take the blocks of ``blocks`` in turn: the ``_deal_blocks``
+    sequence, the same for every order.  ``runs`` sorts that sequence
+    within each weight, so each block takes one run of a weight's vertices,
+    with the same count.  ``key`` lists the vertex weights to sort an order
+    by, or is None when every vertex weighs the same, as in every circuit
+    hypergraph: the order is then already heaviest first."""
+    weights = [v.weight for v in h.vertices]
+    heaviest = sorted(weights, reverse=True)
     blocks = _deal_blocks(caps, heaviest)
     if runs:
         blocks = [b for _, b in sorted(zip([-w for w in heaviest], blocks))]
-    order = np.array(blocks, dtype=dtype)
+    return (None if len(set(weights)) < 2 else weights), blocks
 
-    def deal(perms: np.ndarray) -> np.ndarray:
-        # heaviest first; the stable sort keeps the row's order within a weight
-        if not uniform:
-            perms = np.take_along_axis(
-                perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
-        assign = np.empty(perms.shape, dtype=dtype)
-        assign[np.arange(len(perms))[:, None], perms] = order
+
+def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
+    """Returns ``deal(order)``, which turns one order of the vertices (a
+    ``_shuffles`` row or ``_grown`` of one) into the list of their blocks
+    under ``_dealt``."""
+    key, blocks = _dealt(h, caps, runs)
+
+    def deal(order: list[int]) -> list[int]:
+        if key is not None:  # heaviest first; the sort is stable
+            order = sorted(order, key=key.__getitem__, reverse=True)
+        assign = [0] * len(order)
+        for v, b in zip(order, blocks):
+            assign[v] = b
         return assign
 
     return deal
@@ -650,18 +650,31 @@ def _dealer(h: Hypergraph, caps: list[int], runs: bool = False):
 def random_deals(h: Hypergraph, config: PartitionConfig, draw):
     """The random partition of every seed of ``draw``, one matrix at a time.
 
-    ``draw`` is ``_shuffles`` of the vertex count.  For each of its
-    matrices, yields the deals as a seeds x vertices block matrix, and
-    their cut edges and ebits from ``hypergraph._cut_rows``; row i is the
-    assignment and cut that ``partition`` gives with ``Mode.RANDOM`` and
-    that row's seed.  Resolves the capacities once, and raises
-    InfeasibleError as ``resolve_capacities`` does.
+    ``draw`` yields the rows of ``_shuffles`` of the vertex count as seeds x
+    vertices matrices of any unsigned dtype, as ``bench`` builds them.  For
+    each matrix, yields the deals as a seeds x vertices block matrix of the
+    smallest unsigned dtype, and their cut edges and ebits from
+    ``hypergraph._cut_rows``; row i is the assignment and cut that
+    ``partition`` gives with ``Mode.RANDOM`` and that row's seed, dealt
+    here with numpy's stable argsort and one scatter per matrix.  Resolves
+    the capacities once, and raises InfeasibleError as
+    ``resolve_capacities`` does.  The bench's batch path.
     """
-    deal = _dealer(h, resolve_capacities(config.capacities,
-                                         sum(v.weight for v in h.vertices), config.blocks))
+    import numpy as np
+
+    k = config.blocks
+    key, blocks = _dealt(h, resolve_capacities(
+        config.capacities, sum(v.weight for v in h.vertices), k))
+    dtype = np.min_scalar_type(k)
+    order = np.array(blocks, dtype=dtype)
+    weights = None if key is None else np.array(key, dtype=np.int64)
     for perms in draw:
-        assign = deal(perms)
-        yield (assign, *_cut_rows(h, assign, config.blocks))
+        if weights is not None:  # heaviest first; the stable sort keeps a row's order
+            perms = np.take_along_axis(
+                perms, np.argsort(-weights[perms], axis=1, kind="stable"), axis=1)
+        assign = np.empty(perms.shape, dtype=dtype)
+        assign[np.arange(len(perms))[:, None], perms] = order
+        yield (assign, *_cut_rows(h, assign, k))
 
 
 def expected_ebits(h: Hypergraph, config: PartitionConfig) -> float:
@@ -716,14 +729,12 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     ``Mode.RANDOM`` does, and a pass keeps only a prefix that lowers the
     cost, so FM is never worse than the random partition of seeds[0]; an
     odd restart deals ``_grown`` of it, each block in one run.  The seeds
-    are drawn one ``_shuffles`` chunk at a time, and none after the cutoff
-    below.  A chunk deals each kind in one matrix, and grows its orders
-    only once its first restart misses the cutoff; ``_CHUNK`` is even, so a
-    row's parity is its restart's.  Each restart runs ``_pass`` on a fresh
-    list until a pass fails or ``_MAX_PASSES`` run; the engine is its one
-    record.  The winner has the lowest (``eng.cost``, balance deviation
-    from the capacities, r); returns its engine's assignment, passes and
-    gain updates, and its seed.
+    are shuffled one at a time, and none after the cutoff below.  Each
+    restart runs ``_pass`` on its freshly dealt list until a pass fails or
+    ``_MAX_PASSES`` run; the engine is its one record.  The winner has the
+    lowest (``eng.cost``, balance deviation from the capacities, r);
+    returns its engine's assignment, passes and gain updates, and its
+    seed.
 
     The restarts stop once the winner's key reaches (the larger of
     ``_Engine.least()`` of the deal and the engine's capacity ``floor``,
@@ -737,20 +748,14 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)
     eng = _Engine(h, caps)
-
-    def deals():
-        deal, deal_runs = _dealer(h, caps), None  # the run dealer is built on first use
-        for perms in _shuffles(len(h.vertices), seeds):
-            shuffled = deal(perms[::2])
-            yield shuffled[0]
-            deal_runs = deal_runs or _dealer(h, caps, runs=True)
-            grown = deal_runs(_grown(h, perms[1::2]))
-            for i in range(1, len(perms)):
-                yield grown[i // 2] if i % 2 else shuffled[i // 2]
-
+    deal, deal_runs = _dealer(h, caps), None  # the run dealer is built on first use
     best, best_key = None, None
-    for r, row in enumerate(deals()):
-        eng.reset(row.tolist())  # a fresh list, refined in place
+    for r, perm in enumerate(_shuffles(len(h.vertices), seeds)):
+        if r % 2:
+            deal_runs = deal_runs or _dealer(h, caps, runs=True)
+            eng.reset(deal_runs(_grown(h, perm)))  # a fresh list, refined in place
+        else:
+            eng.reset(deal(perm))
         bound = max(eng.least(), eng.floor)
         while _pass(eng) and eng.passes < _MAX_PASSES:
             pass
@@ -856,8 +861,8 @@ def partition(h: Hypergraph, config: PartitionConfig) -> PartitionResult:
     weight = sum(v.weight for v in h.vertices)
     caps = resolve_capacities(config.capacities, weight, k)
     if config.mode is Mode.RANDOM:
-        perms, = _shuffles(len(h.vertices), [config.seed])
-        assignment = _dealer(h, caps)(perms)[0].tolist()
+        perm, = _shuffles(len(h.vertices), [config.seed])
+        assignment = _dealer(h, caps)(perm)
         passes, seed, updates = 0, config.seed, 0
     elif k > len(h.vertices):
         raise ValueError(f"{k} blocks exceed the {len(h.vertices)} vertices")

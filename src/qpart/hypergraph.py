@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import Circuit
 from .grouping import find_groups
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -156,7 +158,10 @@ def cut_cost(h: Hypergraph, assignment: list[int], blocks: int) -> CutReport:
 def _cut_rows(h: Hypergraph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``cut_cost``'s cut edges and ebits for each row of a seeds x vertices
     block matrix; the blocks each edge spans are summed per block from
-    ``logical_or.reduceat`` over the edges' pins.  The bench's batch path."""
+    ``logical_or.reduceat`` over the edges' pins.  The bench's batch path,
+    and the one place here that imports numpy."""
+    import numpy as np
+
     if not h.edges:
         zero = np.zeros(len(assign), dtype=np.int64)
         return zero, zero

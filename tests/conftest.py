@@ -29,10 +29,10 @@ def deal(h, config, grown=False):
     """The seeded deal of config.seed, as a list: the shuffled deal of
     ``Mode.RANDOM`` and of a driver's even restarts, or with ``grown`` the
     grown deal that an odd restart refines, each block in one run."""
-    (perms,) = _shuffles(len(h.vertices), [config.seed])
+    (perm,) = _shuffles(len(h.vertices), [config.seed])
     if grown:
-        perms = _grown(h, perms)
-    return _dealer(h, caps_of(h, config), runs=grown)(perms)[0].tolist()
+        perm = _grown(h, perm)
+    return _dealer(h, caps_of(h, config), runs=grown)(perm)
 
 
 def engine(h, bounds, assignment):

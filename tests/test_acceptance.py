@@ -12,7 +12,8 @@ import numpy as np
 from qpart import (Mode, PartitionConfig, build_hypergraph, emit_qasm,
                    find_groups, generate, parse_qasm, partition, plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec, run_suite
-from qpart.fm import _Engine, _shuffles, random_deals, resolve_capacities
+from qpart.bench import _draw
+from qpart.fm import _Engine, random_deals, resolve_capacities
 
 from conftest import deal, fixture_names, fm_pass, load_fixture
 from oracle import brute_force_mincut
@@ -26,7 +27,7 @@ def report(name: str, passed: bool, detail: str) -> str:
 
 
 def random_mean_ebits(h, blocks: int, seeds: int) -> float:
-    draw = _shuffles(len(h.vertices), range(seeds))
+    draw = _draw(len(h.vertices), range(seeds))
     deals = random_deals(h, PartitionConfig(blocks=blocks), draw)
     return sum(int(ebits.sum()) for *_, ebits in deals) / seeds
 

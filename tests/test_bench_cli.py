@@ -317,7 +317,7 @@ def test_random_rows_match_partition_and_plan(instance):
     def batch():
         return _rows(job, circuit, "Random", caps, seeds,
                      _plan_ledger(circuit, h),
-                     fm.random_deals(h, config, fm._shuffles(circuit.width, seeds)), 0.0)
+                     fm.random_deals(h, config, bench._draw(circuit.width, seeds)), 0.0)
 
     try:
         want = [one(seed) for seed in seeds]

@@ -12,9 +12,9 @@ from qpart import (Circuit, Gate, GateKind, Hyperedge, Hypergraph,
                    InfeasibleError, Mode, PartitionConfig, Vertex, build_hypergraph,
                    cut_cost, emit_qasm, emit_subcircuits, find_groups, generate, parse_qasm,
                    partition, plan_distribution)
-from qpart.bench import CircuitJob, _rows
+from qpart.bench import CircuitJob, _draw, _rows
 from qpart.distribution import _edge_of_gate, _plan_ledger
-from qpart.fm import _shuffles, random_deals
+from qpart.fm import random_deals
 
 from conftest import fixture_names, load_fixture
 
@@ -88,7 +88,7 @@ def test_split_refusal_same_for_plan_and_batch(built, text, message):
     config = PartitionConfig(blocks=2, restarts=1, mode=Mode.RANDOM)
     with pytest.raises(InfeasibleError, match=match):
         _rows(CircuitJob(label=c.name), c, "Random", [1, 1], range(3), _plan_ledger(c, h),
-              random_deals(h, config, _shuffles(2, range(3))), 0.0)
+              random_deals(h, config, _draw(2, range(3))), 0.0)
 
 
 def test_plan_refuses_block_outside_env(ghz4):
@@ -310,6 +310,75 @@ def test_fixture_plans_obey_accounting(name):
     for b, text in zip(plan.per_block, emit_subcircuits(c, plan)):
         widths = re.findall(r"^qreg ebit\[(\d+)\];$", text, re.M)
         assert widths == ([str(b.e)] if b.e else [])
+
+
+def _plans_or_refusal(c, h, rows, k):
+    """The plan's per-block o and e for each row, in order, up to the first
+    row it refuses; then that refusal's text."""
+    counts = []
+    for row in rows:
+        try:
+            plan = plan_distribution(c, h, row, blocks=k)
+        except InfeasibleError as ex:
+            return counts, str(ex)
+        counts.append(([b.o for b in plan.per_block], [b.e for b in plan.per_block]))
+    return counts, None
+
+
+def _ledger_or_refusal(c, h, assign, k):
+    try:
+        o, e = _plan_ledger(c, h)(assign, k)
+    except InfeasibleError as ex:
+        return None, str(ex)
+    return list(zip(o.tolist(), e.tolist())), None
+
+
+# three-qubit gates of both kinds, so every placement rule and the fallback
+# channels are read
+_TOFFOLI_MIX = parse_qasm(
+    "OPENQASM 2.0; qreg q[6]; creg c[6]; h q[0]; ccz q[0],q[1],q[2]; ccx q[3],q[4],q[5];"
+    "cz q[1],q[4]; barrier q; cp(0.3) q[2],q[5]; ccz q[5],q[0],q[3]; ccx q[1],q[2],q[0];"
+    "cx q[4],q[3]; ccz q[2],q[4],q[1]; cx q[1],q[3]; measure q -> c;", name="toffoli_mix")
+
+
+@pytest.mark.parametrize("c", [*map(load_fixture, fixture_names()), generate("qft", 9),
+                               generate("random", 12, 2), generate("ghz", 7), _TOFFOLI_MIX],
+                         ids=lambda c: c.name)
+def test_ledger_places_each_deal_as_the_plan_does(c):
+    # the batch placement over a matrix of seeded deals and the plan's one
+    # row placement give the same o and e, row for row, plain and grouped,
+    # over 130 seeds (two matrices) at k = 2-4
+    for h in (build_hypergraph(c), build_hypergraph(c, grouped=True)):
+        for k in (2, 3, 4):
+            for assign, *_ in random_deals(h, PartitionConfig(blocks=k),
+                                           _draw(c.width, range(130))):
+                want, refused = _plans_or_refusal(c, h, assign.tolist(), k)
+                assert refused is None
+                assert _ledger_or_refusal(c, h, assign, k) == (want, None), (h, k)
+
+
+def test_ledger_refuses_the_first_row_the_plan_refuses():
+    # two rigid gates; a row may split either, both or neither.  For every
+    # window of the seeded deals, the ledger raises the text of the first
+    # row the plan refuses, gate and blocks included, and counts as the plan
+    # when the window has none
+    c = parse_qasm("OPENQASM 2.0; opaque probe a,b; qreg q[6]; cx q[0],q[1];"
+                   "probe q[2],q[3]; cz q[1],q[4]; probe q[5],q[0]; cx q[3],q[4];")
+    h = build_hypergraph(c)
+    (assign, *_), = random_deals(h, PartitionConfig(blocks=3, capacities=(3, 3, 3)),
+                                 _draw(c.width, range(60)))
+    rows = assign.tolist()
+    texts = set()
+    for start in range(len(rows)):
+        for stop in (start + 1, start + 7, len(rows)):
+            want = _plans_or_refusal(c, h, rows[start:stop], 3)
+            got = _ledger_or_refusal(c, h, assign[start:stop], 3)
+            assert got == (want if want[1] is None else (None, want[1])), (start, stop)
+            texts.add(want[1])
+    # the deals refuse both gates on several pairs of blocks, and pass some rows
+    assert None in texts and len(texts) >= 4, texts
+    assert any(t and t.startswith("gate 1 (probe)") for t in texts)
+    assert any(t and t.startswith("gate 3 (probe)") for t in texts)
 
 
 def _slot_misuse(text: str) -> list[str]:

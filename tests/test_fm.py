@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, build_hypergraph, cut_cost,
                    export_hmetis, find_groups, generate, import_hmetis, partition)
+from qpart.bench import _draw
 from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _shuffles,
                       expected_ebits, random_deals, resolve_capacities)
 
@@ -507,21 +508,21 @@ def test_capacity_floor(bounds, floor):
         assert _Engine(Hypergraph(weighted, edges), bounds).floor == 0
 
 
-def test_restarts_draw_their_seeds_one_chunk_at_a_time(monkeypatch):
+def test_restarts_draw_their_seeds_one_at_a_time(monkeypatch):
     # restart 0 of a ghz chain meets the floor, so of 10000 restarts only
-    # the first chunk of seeds is shuffled
+    # the first seed is shuffled
     drawn = []
 
     def counted(n, seeds):
-        for perms in _shuffles(n, seeds):
-            drawn.append(len(perms))
-            yield perms
+        for perm in _shuffles(n, seeds):
+            drawn.append(len(perm))
+            yield perm
 
     monkeypatch.setattr("qpart.fm._shuffles", counted)
     res = partition(build_hypergraph(generate("ghz", 64)),
                     PartitionConfig(blocks=2, restarts=10_000))
     assert (res.seed_used, res.cut.ebits) == (0, 2)
-    assert sum(drawn) <= 128
+    assert drawn == [64]
 
 
 def test_each_partition_is_priced_once(monkeypatch):
@@ -781,7 +782,7 @@ def test_shuffles_are_the_stdlib_shuffle(n):
         order = list(range(n))
         random.Random(seed).shuffle(order)
         want.append(order)
-    assert [row for perms in _shuffles(n, seeds) for row in perms.tolist()] == want
+    assert list(_shuffles(n, seeds)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -810,10 +811,10 @@ def test_deal_hands_out_heaviest_first(instance):
 def test_deal_spreads_weight0_vertices(k):
     # once the unit vertices fill the capacities, each weight-0 vertex still
     # lands in more than one block over seeds 0-199
-    perms = np.concatenate([*_shuffles(len(TWO_FREE.vertices), range(200))])
-    blocks = _dealer(TWO_FREE, caps_of(TWO_FREE, PartitionConfig(blocks=k)))(perms)
+    deal = _dealer(TWO_FREE, caps_of(TWO_FREE, PartitionConfig(blocks=k)))
+    blocks = [deal(perm) for perm in _shuffles(len(TWO_FREE.vertices), range(200))]
     for v in (1, 4):  # vertices 2 and 5 of the file
-        assert len(set(blocks[:, v].tolist())) > 1, (v, k)
+        assert len({row[v] for row in blocks}) > 1, (v, k)
 
 
 @st.composite
@@ -854,10 +855,11 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
     # load, in one run per block within each weight
     h, cfg = instance
     n = len(h.vertices)
-    (perms,) = _shuffles(n, range(21))
-    grown = _grown(h, perms)
+    perms = list(_shuffles(n, range(21)))
+    grown = [_grown(h, perm) for perm in perms]
     caps = caps_of(h, cfg)
-    shuffled, dealt = _dealer(h, caps)(perms), _dealer(h, caps, runs=True)(grown)
+    deal, deal_runs = _dealer(h, caps), _dealer(h, caps, runs=True)
+    shuffled, dealt = map(deal, perms), map(deal_runs, grown)
     pieces = list(range(n))  # union-find over the edges' pins
 
     def root(v):
@@ -868,7 +870,7 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
     for e in h.edges:
         for p in e.pins[1:]:
             pieces[root(p)] = root(e.pins[0])
-    for order, perm, a, b in zip(grown.tolist(), perms.tolist(), shuffled, dealt):
+    for order, perm, a, b in zip(grown, perms, shuffled, dealt):
         assert sorted(order) == list(range(n))
         assert order[0] == perm[0]
         loads = [[0] * cfg.blocks for _ in range(2)]
@@ -883,8 +885,42 @@ def test_grown_deal_keeps_the_shuffled_loads(instance):
                 assert any(u in seen for e in h.incidence[v] for u in h.edges[e].pins)
             seen.add(v)
         for w in {vx.weight for vx in h.vertices}:
-            blocks = [int(b[v]) for v in order if h.vertices[v].weight == w]
+            blocks = [b[v] for v in order if h.vertices[v].weight == w]
             assert blocks == sorted(blocks)
+
+
+@st.composite
+def deal_instances(draw):
+    """0-10 vertices of weight 0-4, k in {2, ..., 5}, equal or random
+    capacities that hold the total weight, and 1-300 seeds from any start,
+    so a draw spans up to three matrices."""
+    k = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(0, 4), max_size=10))
+    caps = None
+    if draw(st.booleans()):
+        caps = tuple(draw(st.integers(1, sum(weights) + 2)) for _ in range(k))
+        assume(sum(caps) >= sum(weights))
+    seed = draw(st.integers(0, 10_000))
+    return weights, PartitionConfig(blocks=k, capacities=caps), \
+        range(seed, seed + draw(st.sampled_from([1, 2, 127, 128, 129, 300])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(deal_instances())
+@example(([], PartitionConfig(blocks=3), range(5)))
+@example(([0], PartitionConfig(blocks=2), range(130)))
+@example(([3], PartitionConfig(blocks=4, capacities=(1, 3, 2, 1)), range(3)))
+@example(([0, 2, 0, 1, 1, 2], PartitionConfig(blocks=5), range(129)))
+def test_scalar_deal_is_the_batch_deal(instance):
+    # the one-row deal of a restart and of Mode.RANDOM hands out the same
+    # blocks as the bench's matrix deal, row for row
+    weights, cfg, seeds = instance
+    h = Hypergraph([Vertex(weight=w) for w in weights], [])
+    deal = _dealer(h, caps_of(h, cfg))
+    want = [deal(perm) for perm in _shuffles(len(weights), seeds)]
+    got = [row for assign, *_ in random_deals(h, cfg, _draw(len(weights), seeds))
+           for row in assign.tolist()]
+    assert got == want
 
 
 # -- the vectorised random baseline against one random partition per seed --
@@ -934,7 +970,7 @@ def random_rows(h, cfg, seeds):
     """(assignment, cut edges, ebits) of ``random_deals`` for each seed."""
     return [(tuple(row), cut, ebits)
             for assign, cuts, ebits_col in random_deals(
-                h, cfg, _shuffles(len(h.vertices), seeds))
+                h, cfg, _draw(len(h.vertices), seeds))
             for row, cut, ebits in zip(assign.tolist(), cuts.tolist(), ebits_col.tolist())]
 
 
@@ -968,7 +1004,7 @@ def test_random_baseline_memory_flat_in_seed_count():
     cfg = PartitionConfig(blocks=4)
 
     def mean_ebits(count):
-        deals = random_deals(h, cfg, _shuffles(len(h.vertices), range(count)))
+        deals = random_deals(h, cfg, _draw(len(h.vertices), range(count)))
         return sum(int(ebits.sum()) for *_, ebits in deals) / count
 
     mean_ebits(10)
@@ -1109,7 +1145,7 @@ def test_expected_ebits_refuses_what_the_deal_refuses():
 @pytest.mark.parametrize("c", [generate("qft", 6), generate("random", 8, 1),
                                load_fixture("toffoli_mix_5.qasm")], ids=lambda c: c.name)
 def test_expected_ebits_within_sampling_error(c):
-    draw = list(_shuffles(c.width, range(20_000)))
+    draw = list(_draw(c.width, range(20_000)))
     for h in (build_hypergraph(c), build_hypergraph(c, find_groups(c))):
         for k in (2, 3, 4):
             cfg = PartitionConfig(blocks=k)
