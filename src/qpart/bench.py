@@ -94,7 +94,7 @@ def _member(field: str, value, enum):
                      f"{', '.join(m.value for m in enum)}, not {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircuitJob:
     """One circuit to benchmark: a generated family or a QASM file."""
 
@@ -147,7 +147,7 @@ def read_file(path: str) -> str:
     return Path(path).read_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteSpec:
     """What to run.  ``capacities`` aligns with ``parts`` entry for entry;
     None (or a None entry) means an equal split.  Seeds are the half-open

@@ -104,7 +104,7 @@ _NAME_TO_KIND["cu1"] = GateKind.CP
 _OPAQUE, _MEASURE = GateKind.OPAQUE, GateKind.MEASURE
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One circuit statement, checked once as it is built and frozen after.
 
@@ -148,9 +148,9 @@ class Gate:
         for p in params:
             if not math.isfinite(p):
                 raise ValueError(f"{kind.value} parameter {p!r} is not finite")
-        # object.__setattr__ stores into the instance's inline values;
-        # writing to self.__dict__ would build a dict object per gate, which
-        # costs memory and slows every later attribute read
+        # the frozen __setattr__ refuses every write, so object.__setattr__
+        # fills the slots; a slotted gate holds its fields in the object
+        # itself, with no per-instance dict or values array
         set_ = object.__setattr__
         set_(self, "kind", kind)
         set_(self, "operands", operands)
@@ -163,7 +163,7 @@ class Gate:
         return self.label if self.kind is _OPAQUE else self.kind.qasm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """Immutable, validated gate list with its metrics.
 

@@ -42,7 +42,7 @@ from .fm import InfeasibleError
 from .hypergraph import CutReport, Hypergraph, cut_cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
     """One shared qubit copy: ``carries`` (a vertex) is entangled from its
     home block, ``plan.assignment[carries]``, into a comm qubit on
@@ -58,7 +58,7 @@ class Channel:
     last_use: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QpuPlan:
     """Per-QPU ledger: resident data qubits, executed original gates o and
     ebit endpoints e (also the width of the emitted program's ``ebit``
@@ -69,7 +69,7 @@ class QpuPlan:
     e: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionPlan:
     assignment: tuple[int, ...]
     channels: tuple[Channel, ...]

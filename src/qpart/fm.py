@@ -88,7 +88,7 @@ class Mode(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionConfig:
     """Knobs of ``partition``, the one partitioning entry point.
 
@@ -135,7 +135,7 @@ def resolve_capacities(capacities, n: int, blocks: int) -> list[int]:
     return caps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionResult:
     """``loads`` is the vertex weight (data qubits) per block.
 
@@ -181,7 +181,7 @@ class _Engine:
     def __init__(self, h: Hypergraph, bounds: list[int]):
         self.k = k = len(bounds)
         self.bounds = bounds
-        self.pins = [list(e.pins) for e in h.edges]
+        self.pins = [e.pins for e in h.edges]
         self.ew = ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         n = len(self.vw)
@@ -253,7 +253,7 @@ class _Engine:
         return sum(1 for b in range(self.k) if self.load[b] > self.bounds[b])
 
 
-def _pieces(n: int, pins: list[list[int]]) -> int:
+def _pieces(n: int, pins: list[tuple[int, ...]]) -> int:
     """Connected components of n vertices joined by the edges' pins."""
     parent = list(range(n))
 

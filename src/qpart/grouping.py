@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .circuit import Circuit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateGroup:
     """One run of controlled gates sharing a control qubit.
 

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class Vertex:
     """A vertex: a qubit of weight 1, or an hMETIS vertex of any weight
     from 0 up.  The weight counts only toward the load bound; a vertex of
@@ -43,7 +43,7 @@ class Vertex:
         return self.weight > 0
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class Hyperedge:
     """Pins are distinct vertex indices, at least two of them.  ``gates``
     are the positions, in the circuit's gate list, of the gates the edge
@@ -113,7 +113,7 @@ def build_hypergraph(circuit: Circuit, grouped: bool = False) -> Hypergraph:
     return Hypergraph([Vertex() for _ in range(circuit.width)], edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutReport:
     """cut_edges: edges spanning more than one block.
     lambda_minus_one: sum over edges of (blocks spanned - 1) * weight.
