@@ -155,8 +155,9 @@ class PartitionResult:
 # shared engine state
 
 class _Engine:
-    """Tables of one hypergraph under fixed block bounds, built once, plus
-    the state of the assignment being refined, which ``reset`` sets before
+    """Tables of one hypergraph under fixed block bounds, built once from
+    its vertex and edge lists in one sweep over the edges' pins, plus the
+    state of the assignment being refined, which ``reset`` sets before
     each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left.
     ``reset`` also zeroes the refinement's work counts, which each
     ``_pass`` adds to: ``passes``, ``moves`` and ``gain_updates``, every
@@ -170,7 +171,8 @@ class _Engine:
     prices it from the two blocks alone.  ``wide`` lists the ids of the
     wider edges and ``winc[v]`` those of v; each keeps a row of pin counts
     per block, ``phi[e]``, and ``phi`` holds None for every two-pin edge.
-    ``pins``, ``ew`` and ``ewn``, each weight times n, list every edge.
+    ``pins``, ``ew`` and ``ewn``, each weight times n, list every edge, and
+    ``inc[v]`` the ids of v's, which ``_grown`` walks, in ascending order.
 
     ``floor`` is the capacity floor: a lower bound on the cost of every
     assignment within the bounds when every vertex weighs 1, and 0
@@ -181,20 +183,13 @@ class _Engine:
     def __init__(self, h: Hypergraph, bounds: list[int]):
         self.k = k = len(bounds)
         self.bounds = bounds
-        self.pins = [e.pins for e in h.edges]
+        self.pins = pins = [e.pins for e in h.edges]
         self.ew = ew = [e.weight for e in h.edges]
         self.vw = [v.weight for v in h.vertices]
         n = len(self.vw)
         # a pass caches each gain g of a move of v as its heap key
         # (top - g) * n + v, so a change of w in a gain moves the key by w * n
         self.ewn = ewn = [w * n for w in ew]
-        self.pairs = [(*pins, ew[e], ewn[e]) for e, pins in enumerate(self.pins)
-                      if len(pins) == 2]
-        self.mates = [[] for _ in self.vw]
-        for a, b, w, wn in self.pairs:
-            self.mates[a].append((b, w, wn))
-            self.mates[b].append((a, w, wn))
-        self.wide = [e for e, pins in enumerate(self.pins) if len(pins) > 2]
         # edge weights are non-negative, so every real gain lies in
         # [-top, top] and its key in [0, limit); a masked key is its real
         # key plus limit, and a dead one lies above every masked key
@@ -203,18 +198,27 @@ class _Engine:
         self.dead = 2 * self.limit
         self.others = [[t for t in range(k) if t != b] for b in range(k)]
         # the key of a move's gain before crediting the edges it leaves or
-        # already touches in the target: that gain is minus v's weighted degree
-        self.winc, self.away = winc, away = [], []
-        is_wide = [len(pins) > 2 for pins in self.pins]
-        for v, edges in enumerate(h.incidence):  # one sweep builds both
-            key, mine = top, []
-            for e in edges:
-                key += ew[e]
-                if is_wide[e]:
-                    mine.append(e)
-            winc.append(mine)
-            away.append(key * n + v)
-        self.pieces = _pieces(n, self.pins)
+        # already touches in the target: that gain is minus v's weighted
+        # degree, which the one sweep over the edges below adds up
+        self.away = away = [top * n + v for v in range(n)]
+        self.pairs, self.wide = pairs, wide = [], []
+        self.mates = mates = [[] for _ in self.vw]
+        self.inc = inc = [[] for _ in self.vw]
+        self.winc = winc = [[] for _ in self.vw]
+        for e, (edge_pins, w, wn) in enumerate(zip(pins, ew, ewn)):
+            for p in edge_pins:
+                inc[p].append(e)
+                away[p] += wn
+            if len(edge_pins) == 2:
+                a, b = edge_pins
+                pairs.append((a, b, w, wn))
+                mates[a].append((b, w, wn))
+                mates[b].append((a, w, wn))
+            else:
+                wide.append(e)
+                for p in edge_pins:
+                    winc[p].append(e)
+        self.pieces = _pieces(n, pins)
         self.w_min = min(ew, default=0)
         self.floor = 0
         if all(w == 1 for w in self.vw):
@@ -583,13 +587,13 @@ def _shuffles(n: int, seeds):
         yield order
 
 
-def _grown(h: Hypergraph, perm: list[int]) -> list[int]:
-    """A ``_shuffles`` row grown into a breadth-first order of the same
+def _grown(eng: _Engine, perm: list[int]) -> list[int]:
+    """A ``_shuffles`` row grown into a breadth-first order of the engine's
     vertices: from the row's first vertex, through each vertex's unreached
-    neighbours (the pins of its edges) in the row's order, and again from
-    the row's first unreached vertex when a piece runs out.  Each edge is
-    expanded once."""
-    pins, inc = [e.pins for e in h.edges], h.incidence
+    neighbours (the pins of its edges, ``eng.inc``) in the row's order, and
+    again from the row's first unreached vertex when a piece runs out.
+    Each edge is expanded once."""
+    pins, inc = eng.pins, eng.inc
     rank = [0] * len(perm)  # each vertex's position in the row
     for i, v in enumerate(perm):
         rank[v] = i
@@ -753,7 +757,7 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     for r, perm in enumerate(_shuffles(len(h.vertices), seeds)):
         if r % 2:
             deal_runs = deal_runs or _dealer(h, caps, runs=True)
-            eng.reset(deal_runs(_grown(h, perm)))  # a fresh list, refined in place
+            eng.reset(deal_runs(_grown(eng, perm)))  # a fresh list, refined in place
         else:
             eng.reset(deal(perm))
         bound = max(eng.least(), eng.floor)

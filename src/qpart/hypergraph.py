@@ -56,18 +56,12 @@ class Hyperedge:
 
 
 class Hypergraph:
-    """Vertex and edge lists plus the derived incidence structure."""
+    """Its vertex and edge lists, checked here, with nothing derived from
+    them to go stale: ``fm._Engine`` builds the adjacency it walks."""
 
     def __init__(self, vertices: list[Vertex], edges: list[Hyperedge]):
         self.vertices = list(vertices)
         self.edges = list(edges)
-        self.validate()
-        self.incidence: list[list[int]] = [[] for _ in self.vertices]
-        for i, e in enumerate(self.edges):
-            for p in e.pins:
-                self.incidence[p].append(i)
-
-    def validate(self) -> None:
         n = len(self.vertices)
         # weights are integers from 0 up; the exact type test spares a
         # plain int the slow abstract-class check

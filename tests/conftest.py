@@ -30,9 +30,10 @@ def deal(h, config, grown=False):
     ``Mode.RANDOM`` and of a driver's even restarts, or with ``grown`` the
     grown deal that an odd restart refines, each block in one run."""
     (perm,) = _shuffles(len(h.vertices), [config.seed])
+    caps = caps_of(h, config)
     if grown:
-        perm = _grown(h, perm)
-    return _dealer(h, caps_of(h, config), runs=grown)(perm)
+        perm = _grown(_Engine(h, caps), perm)
+    return _dealer(h, caps, runs=grown)(perm)
 
 
 def engine(h, bounds, assignment):

@@ -330,4 +330,3 @@ def test_validate_errors(vertices, edges, fragment):
 def test_import_hmetis_drops_single_pin_edges():
     h = import_hmetis("4 3 1\n5 2\n1 1 2\n7 3\n2 2 3\n")
     assert [(e.pins, e.weight) for e in h.edges] == [((0, 1), 1), ((1, 2), 2)]
-    assert h.incidence == [[0], [0, 1], [1]]
