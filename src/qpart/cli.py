@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     except InfeasibleError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as ex:  # QasmError and FileNotFoundError included
+    except (ValueError, OverflowError, OSError) as ex:  # QasmError and FileNotFoundError included
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -156,7 +156,7 @@ class PartitionResult:
 
 class _Engine:
     """Tables of one hypergraph under fixed block bounds, built once from
-    its vertex and edge lists in one sweep over the edges' pins, plus the
+    its vertex and edge tuples in one sweep over the edges' pins, plus the
     state of the assignment being refined, which ``reset`` sets before
     each refinement; ``cost`` is the lambda - 1 the last ``_pass`` left.
     ``reset`` also zeroes the refinement's work counts, which each

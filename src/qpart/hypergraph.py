@@ -9,7 +9,7 @@ run rule lives only there.  Single-qubit gates, MEASURE and BARRIER do
 not appear.  An edge's first pin is the qubit whose state it shares from
 its home side, and its ``gates`` are the gates it stands for, which the
 distribution plan reads.  A vertex or an edge is its position in its
-list.
+tuple.
 
 The cut metric is connectivity minus one: an edge spanning b blocks costs
 b - 1, and every unit of cost is one entangled pair: two ebits, one
@@ -55,13 +55,18 @@ class Hyperedge:
     gates: tuple[int, ...] = ()
 
 
+@dataclass(frozen=True, slots=True)
 class Hypergraph:
-    """Its vertex and edge lists, checked here, with nothing derived from
-    them to go stale: ``fm._Engine`` builds the adjacency it walks."""
+    """Its vertex and edge tuples, checked here, with nothing derived from
+    them to go stale: ``fm._Engine`` builds the adjacency it walks.  Any
+    sequence given is stored as a tuple; ``dataclasses.replace`` checks again."""
 
-    def __init__(self, vertices: list[Vertex], edges: list[Hyperedge]):
-        self.vertices = list(vertices)
-        self.edges = list(edges)
+    vertices: tuple[Vertex, ...]
+    edges: tuple[Hyperedge, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
         n = len(self.vertices)
         # weights are integers from 0 up; the exact type test spares a
         # plain int the slow abstract-class check

@@ -620,6 +620,22 @@ def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):
     assert "edge 0 has negative weight -2" in capsys.readouterr().err
 
 
+def test_cli_stats_oversized_register_exit1(tmp_path, capsys):
+    # a register too large for a list index is refused before anything is
+    # allocated, on one error line
+    path = tmp_path / "huge.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
+def test_cli_partition_hmetis_oversized_vertex_count_exit1(tmp_path, capsys):
+    path = tmp_path / "huge.hgr"
+    path.write_text("1 99999999999999999999\n1 2\n")
+    assert main(["partition", str(path), "--parts", "2"]) == 1
+    assert capsys.readouterr().err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):
     out = tmp_path / "ghz4.hgr"
     main(["hmetis", "ghz:4", "--out", str(out)])

@@ -5,7 +5,7 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -393,18 +393,40 @@ def test_partition_invariants(h, seed, k):
         (res.cut.cut_edges, res.cut.lambda_minus_one, res.cut.ebits)
 
 
+def refusals(h: Hypergraph) -> list:
+    """Replacements of h's fields that each break one check, with the error
+    each must raise: a pin out of range, repeated pins, a negative weight."""
+    n, e = len(h.vertices), len(h.edges)
+    return [({"edges": [*h.edges, Hyperedge(pins=(0, n + 5))]},
+             f"edge {e} pin {n + 5} out of range"),
+            ({"edges": [*h.edges, Hyperedge(pins=(1, 1), weight=3)]},
+             re.escape(f"edge {e} has repeated pins (1, 1)")),
+            ({"vertices": [*h.vertices, Vertex(weight=-2)]}, f"vertex {n} has negative weight -2")]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_hypergraphs(), st.data(), st.integers(0, 99),
        st.sampled_from([Mode.RECURSIVE_BISECT, Mode.DIRECT_KWAY]), st.sampled_from([2, 3]))
-def test_edges_appended_after_construction_are_partitioned(h, data, seed, mode, k):
-    # a hypergraph is its vertex and edge lists, with nothing derived from
-    # them: weighted two-pin edges appended to h.edges count as if h had
-    # been built with them
+def test_a_checked_hypergraph_cannot_change(h, data, seed, mode, k):
+    # once checked, a hypergraph is frozen: an edge or a vertex joins it
+    # only through replace, which runs every check again
+    for g in (h, build_hypergraph(generate("ghz", 4))):
+        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'append'"):
+            g.edges.append(Hyperedge(pins=(0, 1)))
+        for name in ("vertices", "edges"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(g, name, [])
+        for change, message in refusals(g):
+            with pytest.raises(ValueError, match=message):
+                replace(g, **change)
     pins = st.lists(st.integers(0, len(h.vertices) - 1), min_size=2, max_size=2, unique=True)
-    for _ in range(data.draw(st.integers(1, 6))):
-        h.edges.append(Hyperedge(pins=tuple(data.draw(pins)), weight=data.draw(st.integers(1, 4))))
+    extra = [Hyperedge(pins=tuple(data.draw(pins)), weight=data.draw(st.integers(1, 4)))
+             for _ in range(data.draw(st.integers(1, 6)))]
+    grown = replace(h, edges=[*h.edges, *extra])
+    assert type(grown.edges) is tuple and grown.edges[:len(h.edges)] == h.edges
     cfg = PartitionConfig(blocks=k, seed=seed, restarts=4, mode=mode)
-    assert partition(h, cfg) == partition(Hypergraph(list(h.vertices), list(h.edges)), cfg)
+    assert partition(grown, cfg) == \
+        partition(Hypergraph(list(h.vertices), list(h.edges) + extra), cfg)
 
 
 # -- the restart cutoff against every restart ------------------------------

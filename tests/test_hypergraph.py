@@ -148,8 +148,8 @@ def test_groups_are_accepted_until_a_member_changes_control(c, data):
     assume(g.kind.groupable)
     control = data.draw(st.sampled_from([q for q in range(c.width) if q not in g.operands]))
     rest = [s for s in h.edges[eid].gates if s != seq]
-    edges = h.edges[:eid] + h.edges[eid + 1:] + [Hyperedge(pins=(control, g.operands[1]),
-                                                           gates=(seq,))]
+    edges = [*h.edges[:eid], *h.edges[eid + 1:], Hyperedge(pins=(control, g.operands[1]),
+                                                            gates=(seq,))]
     if rest:
         pins = tuple(dict.fromkeys(q for s in rest for q in c.gates[s].operands))
         edges.append(Hyperedge(pins=pins, gates=tuple(rest)))

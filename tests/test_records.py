@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from qpart import (Channel, Circuit, CutReport, DistributionPlan, Gate, GateKind, Hyperedge,
-                   PartitionConfig, PartitionResult, QpuPlan, Vertex, build_hypergraph,
+                   Hypergraph, PartitionConfig, PartitionResult, QpuPlan, Vertex, build_hypergraph,
                    find_groups, generate, partition, plan_distribution)
 from qpart.bench import CircuitJob, SuiteSpec
 from qpart.grouping import GateGroup
@@ -25,13 +25,13 @@ def _records() -> list:
     plan = plan_distribution(circuit, h, list(result.assignment))
     job = CircuitJob.parse("ghz:4:1")
     group = next(g for g in find_groups(circuit) if g.is_reuse)
-    return [circuit.gates[1], circuit, group, h.vertices[0], h.edges[0], result.cut,
+    return [circuit.gates[1], circuit, group, h.vertices[0], h.edges[0], h, result.cut,
             plan.channels[0], plan.per_block[0], plan, config, result, job,
             SuiteSpec(circuits=(job,), parts=(2, 3), seed_to=5)]
 
 
 RECORDS = _records()
-CLASSES = [Gate, Circuit, GateGroup, Vertex, Hyperedge, CutReport, Channel, QpuPlan,
+CLASSES = [Gate, Circuit, GateGroup, Vertex, Hyperedge, Hypergraph, CutReport, Channel, QpuPlan,
            DistributionPlan, PartitionConfig, PartitionResult, CircuitJob, SuiteSpec]
 
 
