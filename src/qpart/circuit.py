@@ -43,6 +43,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
+# the most qubits a circuit, and vertices an hMETIS file, may declare: every
+# stage keeps a list as long as that, so a larger size is refused before
+# anything is allocated for it
+_MAX_WIDTH = 1 << 24
+
+
 class QasmError(ValueError):
     """Parse or validation failure; ``line`` is where the failing statement
     starts, or None for a failure that belongs to no one statement."""
@@ -171,7 +177,8 @@ class Circuit:
     the classical ones (kept only so MEASURE round-trips).  Either may be
     given as a list or a tuple; a tuple is stored.  Construction refuses
     a register name that is repeated or no identifier, a register size
-    below 1, one opaque label called with two operand counts, and a
+    below 1, registers that hold more than ``_MAX_WIDTH`` (2**24) qubits in
+    all, one opaque label called with two operand counts, and a
     measure without a classical bit in a circuit that declares a creg or a
     register named ``c`` (ValueError); and an operand that indexes none of
     the registers' qubits or a measure bit that no creg holds (QasmError).
@@ -203,9 +210,15 @@ class Circuit:
             raise ValueError(f"register name {bad[0]!r} is not an identifier")
         if any(n < 1 for _, n in self.registers + self.cregs):
             raise ValueError("register size must be positive")
-        width = sum(n for _, n in self.registers)
+        width = 0
+        for reg, n in self.registers:
+            width += n
+            if width > _MAX_WIDTH:
+                raise ValueError(f"register {reg!r} takes the circuit to {width} qubits, "
+                                 f"over the {_MAX_WIDTH} it may hold")
         _, size, depth, targets = _sweep(self.gates, width)
-        bad = targets - {(reg, i) for reg, n in self.cregs for i in range(n)} - {None}
+        bits = dict(self.cregs)
+        bad = {t for t in targets if t is not None and not 0 <= t[1] < bits.get(t[0], 0)}
         if bad:
             reg, bit = min(bad)
             raise QasmError(f"bit {reg}[{bit}] is not declared")

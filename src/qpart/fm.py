@@ -2,8 +2,9 @@
 
 ``partition`` is the one entry point.  Every FM mode runs through one
 restart driver: each seeded restart deals a shuffled or a grown order of
-the vertices and runs passes until one fails; the winner has the lowest
-(lambda - 1 as its last pass kept it, balance deviation, restart index).
+the vertices and runs passes until one fails; the restarts run in pairs,
+the grown deal of each pair first, and the winner has the lowest (lambda
+- 1 as its last pass kept it, balance deviation, restart index).
 Two blocks and ``Mode.DIRECT_KWAY`` call the driver once over all blocks,
 recursive bisection once per split with its side capacities.  Only
 ``partition`` reads the config, and it prices the result once.  A split
@@ -51,13 +52,16 @@ strict bound, so without that transient slack an exactly filled balanced
 instance would admit no moves at all.
 
 A pass ends early once no later prefix can beat the best one, and the
-restart driver once no later restart can beat its winner; both bounds
-are exact, so the cutoffs change the work done, never the result
-(``_pass``, ``_restart_driver``).  The driver's bound is the larger of
-two: the cost of spanning the blocks in use, which the first restart on
-a GHZ chain usually meets, and, when every vertex weighs 1, the capacity
-floor, which prices each edge at the fewest blocks its pins can fill
-within the bounds; grouped qft meets it at every bisection split.  All
+restart driver once no restart yet to run can beat its winner's cost;
+both bounds are exact.  The pass's cutoff changes the work done, never
+the result (``_pass``).  The driver's never changes the cost, and
+changes the restart returned only when another ties the winner at the
+bound (``_restart_driver``).  The driver's bound is the larger of two:
+the cost of spanning the blocks in use, which the grown deal of a GHZ
+chain meets with no move, so each pair runs its grown deal first, and,
+when every vertex weighs 1, the capacity floor, which prices each edge at
+the fewest blocks its pins can fill within the bounds; grouped qft meets
+it at every bisection split.  All
 restarts share one engine: the per-hypergraph tables are built once per
 driver call, and ``_Engine.reset`` rebuilds only the wider edges' pin
 counts and the loads.
@@ -94,9 +98,12 @@ class PartitionConfig:
 
     capacities=None means an equal split of the total vertex weight over
     the blocks; a block's capacity is its load bound.  restarts run the seeds
-    seed, seed+1, ... and keep the best result.  It is an upper bound: the
-    restarts stop early once one reaches a cost no later restart can beat,
-    with the result all of them would give.
+    seed, seed+1, ... in pairs, the grown deal of each pair first (seed+1,
+    seed, seed+3, seed+2, ...), and keep the best result.  It is an upper
+    bound: the restarts stop early once one reaches a cost no other restart
+    can beat, which a chain's grown deal meets with no move.  The cost is
+    always the one all of them would give; only a tie at that cost may
+    return another restart.
     """
 
     blocks: int = 2
@@ -730,31 +737,39 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     """Seeded restarts over ``len(caps)`` blocks, each load bounded by its capacity.
 
     Restart r draws the shuffle of seeds[r].  An even restart deals it as
-    ``Mode.RANDOM`` does, and a pass keeps only a prefix that lowers the
-    cost, so FM is never worse than the random partition of seeds[0]; an
-    odd restart deals ``_grown`` of it, each block in one run.  The seeds
-    are shuffled one at a time, and none after the cutoff below.  Each
-    restart runs ``_pass`` on its freshly dealt list until a pass fails or
-    ``_MAX_PASSES`` run; the engine is its one record.  The winner has the
-    lowest (``eng.cost``, balance deviation from the capacities, r);
-    returns its engine's assignment, passes and gain updates, and its
-    seed.
+    ``Mode.RANDOM`` does; an odd restart deals ``_grown`` of it, each block
+    in one run.  The restarts run in pairs, the grown deal of each pair
+    first: 1, 0, 3, 2, ..., and an unpaired last restart last.  The seeds
+    are shuffled one at a time in that order, and none after the cutoff
+    below.  Each restart runs ``_pass`` on its freshly dealt list until a
+    pass fails or ``_MAX_PASSES`` run; the engine is its one record.  The
+    winner has the lowest (``eng.cost``, balance deviation from the
+    capacities, r) over the restarts that ran; returns its engine's
+    assignment, passes and gain updates, and its seed.
 
-    The restarts stop once the winner's key reaches (the larger of
-    ``_Engine.least()`` of the deal and the engine's capacity ``floor``,
-    0).  Every deal fills the same blocks and no pass empties a block, so
-    ``least`` holds for every restart.  The floor is 0 unless every vertex
-    weighs 1; then every deal is within the bounds and a pass keeps only
-    prefixes within them, so every restart ends at or above it.  A later
-    restart can at best tie on both and then loses on r.  The result is
-    the one all restarts give.  All restarts share one engine, built once.
+    The restarts stop once the winner's key reaches (bound, 0), the bound
+    being the larger of ``_Engine.least()`` of the deal and the engine's
+    capacity ``floor``.  Every deal fills the same blocks and no pass
+    empties a block, so ``least`` holds for every restart.  The floor is 0
+    unless every vertex weighs 1; then every deal is within the bounds and
+    a pass keeps only prefixes within them, so every restart ends at or
+    above it.  A restart yet to run can at best tie on both, so the cost
+    and deviation are always those that running every restart gives; only
+    such a tie may return another restart, as when both deals of the first pair to
+    meet the bound meet it and the grown one, run first, wins.  A grown
+    deal of a chain is already at the bound, which its first pass finds
+    with no move.  The bound is at most the cost of the random partition
+    of seeds[0], and a pass keeps only a prefix that lowers the cost, so FM
+    never ends above that partition.  All restarts share one engine, built
+    once.
     """
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)
     eng = _Engine(h, caps)
     deal, deal_runs = _dealer(h, caps), None  # the run dealer is built on first use
     best, best_key = None, None
-    for r, perm in enumerate(_shuffles(len(h.vertices), seeds)):
+    order = [r ^ 1 if r ^ 1 < len(seeds) else r for r in range(len(seeds))]  # 1, 0, 3, 2, ...
+    for r, perm in zip(order, _shuffles(len(h.vertices), (seeds[r] for r in order))):
         if r % 2:
             deal_runs = deal_runs or _dealer(h, caps, runs=True)
             eng.reset(deal_runs(_grown(eng, perm)))  # a fresh list, refined in place

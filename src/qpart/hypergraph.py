@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .circuit import Circuit
+from .circuit import _MAX_WIDTH, Circuit
 from .grouping import find_groups
 
 if TYPE_CHECKING:
@@ -200,7 +200,8 @@ def import_hmetis(text: str) -> Hypergraph:
     remaining edges keep their file order.  Every file edge is checked
     before the drop, so an error names the edge by its index in the file
     and gives its pins as written; a field that is not an integer is named
-    as written, with its edge or vertex.
+    as written, with its edge or vertex.  A header that declares more than
+    ``circuit._MAX_WIDTH`` (2**24) vertices is refused before any is built.
     """
     rows = [line.split("//")[0].split("%")[0].strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
@@ -210,6 +211,9 @@ def import_hmetis(text: str) -> Hypergraph:
     if len(header) not in (2, 3) or not all(f.isdigit() for f in header):
         raise ValueError(f"malformed hmetis header {rows[0]!r}")
     n_edges, n_vertices = int(header[0]), int(header[1])
+    if n_vertices > _MAX_WIDTH:
+        raise ValueError(f"hmetis header declares {n_vertices} vertices, "
+                         f"over the {_MAX_WIDTH} a hypergraph may hold")
     fmt = header[2] if len(header) == 3 else ""
     if fmt not in ("", "1", "10", "11"):
         raise ValueError(f"unsupported hmetis fmt {fmt!r}")

@@ -622,18 +622,48 @@ def test_cli_partition_hmetis_negative_edge_weight_exit1(tmp_path, capsys):
 
 def test_cli_stats_oversized_register_exit1(tmp_path, capsys):
     # a register too large for a list index is refused before anything is
-    # allocated, on one error line
+    # allocated, on one error line that names it
     path = tmp_path / "huge.qasm"
     path.write_text("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
     assert main(["stats", str(path)]) == 1
-    assert capsys.readouterr().err == "error: cannot fit 'int' into an index-sized integer\n"
+    assert capsys.readouterr().err == ("error: register 'q' takes the circuit to "
+                                       "99999999999999999999 qubits, over the 16777216 it may hold\n")
 
 
 def test_cli_partition_hmetis_oversized_vertex_count_exit1(tmp_path, capsys):
     path = tmp_path / "huge.hgr"
     path.write_text("1 99999999999999999999\n1 2\n")
     assert main(["partition", str(path), "--parts", "2"]) == 1
-    assert capsys.readouterr().err == "error: cannot fit 'int' into an index-sized integer\n"
+    assert capsys.readouterr().err == ("error: hmetis header declares 99999999999999999999 "
+                                       "vertices, over the 16777216 a hypergraph may hold\n")
+
+
+def test_cli_stats_register_over_the_width_limit_exit1(tmp_path, capsys):
+    # a size that fits an index but not in memory is refused as early, by
+    # the register that crosses 2**24 qubits in all
+    path = tmp_path / "huge.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg a[2];\nqreg q[1000000000000];\nh a[0];\n")
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: register 'q' takes the circuit to "
+                                       "1000000000002 qubits, over the 16777216 it may hold\n")
+
+
+def test_cli_partition_hmetis_vertex_count_over_the_limit_exit1(tmp_path, capsys):
+    path = tmp_path / "huge.hgr"
+    path.write_text("1 1000000000000\n1 2\n")
+    assert main(["partition", str(path), "--parts", "2"]) == 1
+    assert capsys.readouterr().err == ("error: hmetis header declares 1000000000000 "
+                                       "vertices, over the 16777216 a hypergraph may hold\n")
+
+
+def test_cli_stats_large_creg_allocates_nothing_per_bit(tmp_path, capsys):
+    # a measure's bit is looked up in its creg's size, not in a set of
+    # every declared bit
+    path = tmp_path / "bits.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[1];\ncreg c[1000000000000];\n"
+                    "measure q[0] -> c[999999999999];\n")
+    assert main(["stats", str(path)]) == 0
+    assert capsys.readouterr().out == "width=1 size=1 depth=1\n"
 
 
 def test_cli_hmetis_file_rejects_circuit_flags(tmp_path, capsys):

@@ -413,6 +413,14 @@ def test_measure_bit_must_be_declared(cbit):
         Circuit("bad", [("q", 2)], [Gate(GateKind.MEASURE, (0,), cbit=cbit)], [("m", 2)])
 
 
+def test_registers_over_the_width_limit_are_refused():
+    # the register that takes the circuit past 2**24 qubits is named before
+    # any list of the width is built
+    with pytest.raises(ValueError, match="^register 'b' takes the circuit to 16777217 "
+                                         "qubits, over the 16777216 it may hold$"):
+        Circuit("big", [("a", 1 << 23), ("b", (1 << 23) + 1)], [])
+
+
 def test_bare_measure_needs_a_circuit_without_cregs():
     # with `creg m[2]`, a bare measure of qubit 5 has no bit to write to
     with pytest.raises(ValueError, match="no creg and no register c"):

@@ -77,8 +77,8 @@ SUBCIRCUITS = {
     ("ansatz_6.qasm", 2, False): ("122f161d1ff3b091", "c05a94c27d3085fa"),
     ("ansatz_6.qasm", 3, True): ("448a042ee46a4f95", "d34daa3688ac4d8e", "3873d16dd3626a0b"),
     ("ansatz_6.qasm", 3, False): ("6861355471cc229d", "aaca5af89fd00524", "986aa8d69c23e5c8"),
-    ("ansatz_8.qasm", 2, True): ("a279936b8e510163", "f442268a96e376c1"),
-    ("ansatz_8.qasm", 2, False): ("a279936b8e510163", "f442268a96e376c1"),
+    ("ansatz_8.qasm", 2, True): ("f442268a96e376c1", "a279936b8e510163"),
+    ("ansatz_8.qasm", 2, False): ("f442268a96e376c1", "a279936b8e510163"),
     ("ansatz_8.qasm", 3, True): ("bec067c58c1974e3", "60da323831f47c15", "759f4dece4d9c704"),
     ("ansatz_8.qasm", 3, False): ("3dfa3dcbb562ab7e", "6d2aea2c6b263f8d", "64933c7c12fecac0"),
     ("ghz_4.qasm", 2, True): ("7362b6f0f31a9a2e", "78c31a6e5d3df55b"),
@@ -103,7 +103,7 @@ SUBCIRCUITS = {
     ("random:10:1", 3, False): ("ce135dd36f36da77", "51c0a3c5c3ed9b6a", "19c8453725006c5d"),
     ("qft:7:0", 2, True): ("b63c77f6a835225b", "cc36f16ac6c5122d"),
     ("qft:7:0", 2, False): ("83d89bbc68c2cea1", "ee36892214f7f670"),
-    ("qft:7:0", 3, True): ("f3bf80cef846b63a", "337a8c957898dcf2", "5541fb130eb11615"),
+    ("qft:7:0", 3, True): ("f3bf80cef846b63a", "5541fb130eb11615", "337a8c957898dcf2"),
     ("qft:7:0", 3, False): ("e384705d9c92754f", "79c3e8f79bd4c6fa", "d390c8700a3810cd"),
     ("two_registers", 2, True): ("3e7ab966d8ba9004", "1b5370e909a893e4"),
     ("two_registers", 2, False): ("3e7ab966d8ba9004", "1b5370e909a893e4"),

@@ -17,8 +17,8 @@ from qpart import (Hyperedge, Hypergraph, InfeasibleError, Mode,
                    PartitionConfig, Vertex, build_hypergraph, cut_cost,
                    export_hmetis, find_groups, generate, import_hmetis, partition)
 from qpart.bench import _draw
-from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _shuffles,
-                      expected_ebits, random_deals, resolve_capacities)
+from qpart.fm import (_MAX_PASSES, _dealer, _Engine, _grown, _pass, _restart_driver,
+                      _shuffles, expected_ebits, random_deals, resolve_capacities)
 
 from conftest import caps_of, deal, engine, fm_pass, load_fixture
 from oracle import brute_force_mincut
@@ -313,7 +313,9 @@ def test_recursive_bisection_side_lighter_than_its_blocks():
 @example(TWO_FREE, 99, 1, 3)
 def test_fm_never_worse_than_random(h, seed, restarts, k):
     # restart 0 refines the random deal of the seed, at two blocks and in
-    # k-way mode, and a pass keeps only a prefix that lowers the cost
+    # k-way mode, unless the grown deal before it already meets a bound
+    # that deal cannot beat, and a pass keeps only a prefix that lowers the
+    # cost
     cfg = PartitionConfig(blocks=k, seed=seed, restarts=restarts,
                           mode=Mode.DIRECT_KWAY if k == 3 else Mode.RECURSIVE_BISECT)
     fm = partition(h, cfg)
@@ -431,21 +433,32 @@ def test_a_checked_hypergraph_cannot_change(h, data, seed, mode, k):
 
 # -- the restart cutoff against every restart ------------------------------
 
-def every_restart(h, caps, seeds):
-    """``_restart_driver`` without its cutoff: every restart refines its own
-    deal (shuffled at even r, grown at odd r) on a fresh engine, and the
-    lowest (lambda - 1, balance deviation, r) wins, returned with its
-    passes, seed and gain updates.  Each restart is priced with
-    ``cut_cost``, not with the engine's own cost, so this checks that too."""
+def rank(h, caps, assignment):
+    """(lambda - 1, balance deviation from the capacities) of an assignment,
+    priced with ``cut_cost`` and the vertex weights: the driver's ranking
+    key without its restart index."""
     n, total = sum(v.weight for v in h.vertices), sum(caps)
+    loads = [0] * len(caps)
+    for b, v in zip(assignment, h.vertices):
+        loads[b] += v.weight
+    return (cut_cost(h, assignment, len(caps)).lambda_minus_one,
+            sum(abs(load - c * n / total) for load, c in zip(loads, caps)))
+
+
+def every_restart(h, caps, seeds):
+    """``_restart_driver`` without its cutoff or its run order: every
+    restart, in index order, refines its own deal (shuffled at even r,
+    grown at odd r) on a fresh engine, and the lowest (lambda - 1, balance
+    deviation, r) wins, returned with its passes, seed and gain updates.
+    Each restart is priced with ``cut_cost``, not with the engine's own
+    cost, so this checks that too."""
     best, best_key = None, None
     for r, seed in enumerate(seeds):
         cfg = PartitionConfig(blocks=len(caps), capacities=tuple(caps), seed=seed)
         eng = engine(h, caps, deal(h, cfg, grown=r % 2 == 1))
         while _pass(eng) and eng.passes < _MAX_PASSES:
             pass
-        key = (cut_cost(h, eng.assign, len(caps)).lambda_minus_one,
-               sum(abs(load - c * n / total) for load, c in zip(eng.load, caps)), r)
+        key = (*rank(h, caps, eng.assign), r)
         if best_key is None or key < best_key:
             best, best_key = (eng.assign, eng.passes, seed, eng.gain_updates), key
     return best
@@ -502,39 +515,72 @@ def outcome(h, config):
 @settings(max_examples=200, deadline=None)
 @given(restart_instances())
 @example((build_hypergraph(generate("ghz", 40)), PartitionConfig(blocks=4)))
-# restart 0 meets the floor at loads 2 and 4, restart 2 at 3 and 3
+# restarts 1 and 0 meet the floor at loads 4, 2 and 2, 4, restart 3 at 3, 3, which
+# ends the run before restart 2 ties it
 @example((build_hypergraph(generate("ghz", 6)), PartitionConfig(blocks=2, capacities=(4, 4))))
 @example((Hypergraph([Vertex() for _ in range(6)], []),
           PartitionConfig(blocks=3, mode=Mode.DIRECT_KWAY)))
 # plain qft, all of whose edges have 2 pins, never meets the driver's bound, so its
 # restarts cross into a second chunk of seeds
 @example((build_hypergraph(generate("qft", 8)), PartitionConfig(blocks=2, restarts=131)))
-# grouped qft meets the capacity floor at restart 0, at k=2 and at each split of k=4
+# grouped qft meets the capacity floor at the first restart, at k=2 and at each
+# split of k=4
 @example((build_hypergraph(generate("qft", 16), grouped=True), PartitionConfig(blocks=2)))
 @example((build_hypergraph(generate("qft", 16), grouped=True), PartitionConfig(blocks=4)))
 def test_restart_cutoff_is_exact(instance):
-    # stopping at the floor returns what running every restart returns
+    # at every driver call, each bisection split included, the restarts that
+    # ran give the cost and balance every restart gives; only a tie at the
+    # driver's bound may return another restart: the grown deal of the
+    # winner's pair, which runs first
     h, cfg = instance
-    got = outcome(h, cfg)
-    with mock.patch("qpart.fm._restart_driver", every_restart):
-        assert got == outcome(h, cfg)
+    calls = []
+
+    def checked(sub, caps, seeds):
+        got = _restart_driver(sub, caps, seeds)
+        want = every_restart(sub, caps, seeds)
+        key = rank(sub, caps, got[0])
+        assert key == rank(sub, caps, want[0])
+        eng = engine(sub, caps, deal(sub, PartitionConfig(
+            blocks=len(caps), capacities=tuple(caps), seed=seeds[0])))
+        if key == (max(eng.least(), eng.floor), 0):
+            r = want[2] - seeds[0]
+            assert got[2] - seeds[0] in (r, r | 1)
+        else:
+            assert got == want
+        calls.append(len(caps))
+        return got
+
+    with mock.patch("qpart.fm._restart_driver", checked):
+        got = outcome(h, cfg)
+    if not isinstance(got, str):
+        assert calls and all(k == (2 if cfg.mode is Mode.RECURSIVE_BISECT else cfg.blocks)
+                             for k in calls)
 
 
 def test_restart_cutoff_fires_at_the_floor(monkeypatch):
-    # the first deal of a ghz chain reaches 2 ebits, which no later restart
-    # can beat; plain qft never meets the driver's bound, so every restart runs
-    resets = []
+    # the grown deal of a ghz chain, which runs first, reaches 2 ebits with
+    # no move, and no other restart can beat it; plain qft never meets the
+    # driver's bound, so every restart runs
+    resets, moves = [], []
     reset = _Engine.reset
     monkeypatch.setattr(_Engine, "reset", lambda eng, a: resets.append(1) or reset(eng, a))
+
+    def counted(eng):
+        improved = _pass(eng)
+        moves.append(eng.moves)
+        return improved
+
+    monkeypatch.setattr("qpart.fm._pass", counted)
     c = generate("ghz", 300)
     res = partition(build_hypergraph(c, find_groups(c)), PartitionConfig(blocks=2, seed=5))
-    assert (len(resets), res.seed_used, res.cut.ebits) == (1, 5, 2)
+    assert (len(resets), res.seed_used, res.cut.ebits, res.passes_run) == (1, 6, 2, 1)
+    assert moves == [0]
     resets.clear()
     c = generate("qft", 16)
     partition(build_hypergraph(c), PartitionConfig(blocks=2, seed=5))
     assert len(resets) == 8
-    # grouped qft16 meets the capacity floor at restart 0 of each bisection
-    # split, but not under direct k-way
+    # grouped qft16 meets the capacity floor at the first restart of each
+    # bisection split, but not under direct k-way
     h = build_hypergraph(c, find_groups(c))
     for blocks, mode, runs in ((2, Mode.RECURSIVE_BISECT, 1), (4, Mode.RECURSIVE_BISECT, 3),
                                (4, Mode.DIRECT_KWAY, 8)):
@@ -556,8 +602,8 @@ def test_capacity_floor(bounds, floor):
 
 
 def test_restarts_draw_their_seeds_one_at_a_time(monkeypatch):
-    # restart 0 of a ghz chain meets the floor, so of 10000 restarts only
-    # the first seed is shuffled
+    # restart 1 of a ghz chain, whose grown deal runs first, meets the
+    # floor, so of 10000 restarts only its seed is shuffled
     drawn = []
 
     def counted(n, seeds):
@@ -568,7 +614,7 @@ def test_restarts_draw_their_seeds_one_at_a_time(monkeypatch):
     monkeypatch.setattr("qpart.fm._shuffles", counted)
     res = partition(build_hypergraph(generate("ghz", 64)),
                     PartitionConfig(blocks=2, restarts=10_000))
-    assert (res.seed_used, res.cut.ebits) == (0, 2)
+    assert (res.seed_used, res.cut.ebits) == (1, 2)
     assert drawn == [64]
 
 

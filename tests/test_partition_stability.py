@@ -80,14 +80,14 @@ RESULTS = {
     ("ansatz_6.qasm", 4, "kway", True, 0.2): "90128ad2cd1b1eb3",
     ("ansatz_6.qasm", 4, "kway", False, 0.0): "fcc75b67f9edab73",
     ("ansatz_6.qasm", 4, "kway", False, 0.2): "fff20258df9e1037",
-    ("ansatz_8.qasm", 2, "fm", True, 0.0): "1faf416acb95f72a",
-    ("ansatz_8.qasm", 2, "fm", True, 0.2): "1faf416acb95f72a",
-    ("ansatz_8.qasm", 2, "fm", False, 0.0): "fd74afd5d6449af0",
-    ("ansatz_8.qasm", 2, "fm", False, 0.2): "fd74afd5d6449af0",
-    ("ansatz_8.qasm", 2, "kway", True, 0.0): "1faf416acb95f72a",
-    ("ansatz_8.qasm", 2, "kway", True, 0.2): "1faf416acb95f72a",
-    ("ansatz_8.qasm", 2, "kway", False, 0.0): "fd74afd5d6449af0",
-    ("ansatz_8.qasm", 2, "kway", False, 0.2): "fd74afd5d6449af0",
+    ("ansatz_8.qasm", 2, "fm", True, 0.0): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "fm", True, 0.2): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "fm", False, 0.0): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "fm", False, 0.2): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "kway", True, 0.0): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "kway", True, 0.2): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "kway", False, 0.0): "5c9647459dac8647",
+    ("ansatz_8.qasm", 2, "kway", False, 0.2): "5c9647459dac8647",
     ("ansatz_8.qasm", 3, "fm", True, 0.0): "f891a4de886dc511",
     ("ansatz_8.qasm", 3, "fm", True, 0.2): "184a1b552a21eec7",
     ("ansatz_8.qasm", 3, "fm", False, 0.0): "314af6da70e7bd49",
@@ -96,21 +96,21 @@ RESULTS = {
     ("ansatz_8.qasm", 3, "kway", True, 0.2): "f95b42f947d33ac2",
     ("ansatz_8.qasm", 3, "kway", False, 0.0): "e768964062104421",
     ("ansatz_8.qasm", 3, "kway", False, 0.2): "a20b551aa26e5095",
-    ("ansatz_8.qasm", 4, "fm", True, 0.0): "397913b2f28ccd42",
-    ("ansatz_8.qasm", 4, "fm", True, 0.2): "397913b2f28ccd42",
-    ("ansatz_8.qasm", 4, "fm", False, 0.0): "06ebe3dee3de2195",
+    ("ansatz_8.qasm", 4, "fm", True, 0.0): "087529bdacc27b43",
+    ("ansatz_8.qasm", 4, "fm", True, 0.2): "087529bdacc27b43",
+    ("ansatz_8.qasm", 4, "fm", False, 0.0): "c0f7af0024e689da",
     ("ansatz_8.qasm", 4, "fm", False, 0.2): "6e057508bc5f2147",
     ("ansatz_8.qasm", 4, "kway", True, 0.0): "83aeeca076066fce",
     ("ansatz_8.qasm", 4, "kway", True, 0.2): "b193f6c022925a97",
     ("ansatz_8.qasm", 4, "kway", False, 0.0): "bc4c6575716ce3d6",
     ("ansatz_8.qasm", 4, "kway", False, 0.2): "69dcdc617e9f2903",
-    ("ghz_4.qasm", 2, "fm", True, 0.0): "45d1439cba294511",
+    ("ghz_4.qasm", 2, "fm", True, 0.0): "201a2f518cf6981e",
     ("ghz_4.qasm", 2, "fm", True, 0.2): "201a2f518cf6981e",
-    ("ghz_4.qasm", 2, "fm", False, 0.0): "45d1439cba294511",
+    ("ghz_4.qasm", 2, "fm", False, 0.0): "201a2f518cf6981e",
     ("ghz_4.qasm", 2, "fm", False, 0.2): "201a2f518cf6981e",
-    ("ghz_4.qasm", 2, "kway", True, 0.0): "45d1439cba294511",
+    ("ghz_4.qasm", 2, "kway", True, 0.0): "201a2f518cf6981e",
     ("ghz_4.qasm", 2, "kway", True, 0.2): "201a2f518cf6981e",
-    ("ghz_4.qasm", 2, "kway", False, 0.0): "45d1439cba294511",
+    ("ghz_4.qasm", 2, "kway", False, 0.0): "201a2f518cf6981e",
     ("ghz_4.qasm", 2, "kway", False, 0.2): "201a2f518cf6981e",
     ("ghz_4.qasm", 3, "fm", True, 0.0): "77eef618606afabc",
     ("ghz_4.qasm", 3, "fm", True, 0.2): "77eef618606afabc",
@@ -120,14 +120,14 @@ RESULTS = {
     ("ghz_4.qasm", 3, "kway", True, 0.2): "753c3ad98ee0503d",
     ("ghz_4.qasm", 3, "kway", False, 0.0): "753c3ad98ee0503d",
     ("ghz_4.qasm", 3, "kway", False, 0.2): "753c3ad98ee0503d",
-    ("ghz_4.qasm", 4, "fm", True, 0.0): "6455a7e0fc73d3a6",
-    ("ghz_4.qasm", 4, "fm", True, 0.2): "6455a7e0fc73d3a6",
-    ("ghz_4.qasm", 4, "fm", False, 0.0): "6455a7e0fc73d3a6",
-    ("ghz_4.qasm", 4, "fm", False, 0.2): "6455a7e0fc73d3a6",
-    ("ghz_4.qasm", 4, "kway", True, 0.0): "2f233c8ed3b41347",
-    ("ghz_4.qasm", 4, "kway", True, 0.2): "2f233c8ed3b41347",
-    ("ghz_4.qasm", 4, "kway", False, 0.0): "2f233c8ed3b41347",
-    ("ghz_4.qasm", 4, "kway", False, 0.2): "2f233c8ed3b41347",
+    ("ghz_4.qasm", 4, "fm", True, 0.0): "03b14e9de417e76b",
+    ("ghz_4.qasm", 4, "fm", True, 0.2): "03b14e9de417e76b",
+    ("ghz_4.qasm", 4, "fm", False, 0.0): "03b14e9de417e76b",
+    ("ghz_4.qasm", 4, "fm", False, 0.2): "03b14e9de417e76b",
+    ("ghz_4.qasm", 4, "kway", True, 0.0): "9956132ae284fa5b",
+    ("ghz_4.qasm", 4, "kway", True, 0.2): "9956132ae284fa5b",
+    ("ghz_4.qasm", 4, "kway", False, 0.0): "9956132ae284fa5b",
+    ("ghz_4.qasm", 4, "kway", False, 0.2): "9956132ae284fa5b",
     ("phase_kernel_6.qasm", 2, "fm", True, 0.0): "a14ed67600ced976",
     ("phase_kernel_6.qasm", 2, "fm", True, 0.2): "e6ced467719de968",
     ("phase_kernel_6.qasm", 2, "fm", False, 0.0): "73307fab26b9e203",
@@ -144,10 +144,10 @@ RESULTS = {
     ("phase_kernel_6.qasm", 3, "kway", True, 0.2): "091b0a0c654d3618",
     ("phase_kernel_6.qasm", 3, "kway", False, 0.0): "996b8aba50ab2a31",
     ("phase_kernel_6.qasm", 3, "kway", False, 0.2): "5a5905772134e7b0",
-    ("phase_kernel_6.qasm", 4, "fm", True, 0.0): "0405903e3848447e",
-    ("phase_kernel_6.qasm", 4, "fm", True, 0.2): "99a3be510a0839a8",
-    ("phase_kernel_6.qasm", 4, "fm", False, 0.0): "8ab819577f1b6c0d",
-    ("phase_kernel_6.qasm", 4, "fm", False, 0.2): "8df5f52cd7c35183",
+    ("phase_kernel_6.qasm", 4, "fm", True, 0.0): "498499f3cb196bc3",
+    ("phase_kernel_6.qasm", 4, "fm", True, 0.2): "df17c04bcf849d32",
+    ("phase_kernel_6.qasm", 4, "fm", False, 0.0): "48b13781e1b1248d",
+    ("phase_kernel_6.qasm", 4, "fm", False, 0.2): "c29c0f3095adb781",
     ("phase_kernel_6.qasm", 4, "kway", True, 0.0): "7d362e5e2d006452",
     ("phase_kernel_6.qasm", 4, "kway", True, 0.2): "3a9f7c75188cfa20",
     ("phase_kernel_6.qasm", 4, "kway", False, 0.0): "2240d245fecb4417",
@@ -168,8 +168,8 @@ RESULTS = {
     ("phase_kernel_8.qasm", 3, "kway", True, 0.2): "a1f762c6943b7433",
     ("phase_kernel_8.qasm", 3, "kway", False, 0.0): "fd601224cd08a4f7",
     ("phase_kernel_8.qasm", 3, "kway", False, 0.2): "6f303372cbcc6f28",
-    ("phase_kernel_8.qasm", 4, "fm", True, 0.0): "6daf1450e9932ed3",
-    ("phase_kernel_8.qasm", 4, "fm", True, 0.2): "49b6f97c8a4fa7aa",
+    ("phase_kernel_8.qasm", 4, "fm", True, 0.0): "af00ca6a0076bf84",
+    ("phase_kernel_8.qasm", 4, "fm", True, 0.2): "ce9e16f265c969d7",
     ("phase_kernel_8.qasm", 4, "fm", False, 0.0): "5d1601b18591a735",
     ("phase_kernel_8.qasm", 4, "fm", False, 0.2): "ae98903df856775e",
     ("phase_kernel_8.qasm", 4, "kway", True, 0.0): "d1f9b437844d02cb",
@@ -192,31 +192,31 @@ RESULTS = {
     ("toffoli_mix_5.qasm", 3, "kway", True, 0.2): "537bc644199c56d9",
     ("toffoli_mix_5.qasm", 3, "kway", False, 0.0): "397cc3e279dea803",
     ("toffoli_mix_5.qasm", 3, "kway", False, 0.2): "db200e5db81e255d",
-    ("toffoli_mix_5.qasm", 4, "fm", True, 0.0): "aa622e83aa518d34",
-    ("toffoli_mix_5.qasm", 4, "fm", True, 0.2): "82dc505099c9c7df",
-    ("toffoli_mix_5.qasm", 4, "fm", False, 0.0): "d7bac443aa86ed3a",
-    ("toffoli_mix_5.qasm", 4, "fm", False, 0.2): "e7e0c334cca5c83d",
+    ("toffoli_mix_5.qasm", 4, "fm", True, 0.0): "b12bc912e8259710",
+    ("toffoli_mix_5.qasm", 4, "fm", True, 0.2): "410a907365e42eae",
+    ("toffoli_mix_5.qasm", 4, "fm", False, 0.0): "4060a2f52e6c55c3",
+    ("toffoli_mix_5.qasm", 4, "fm", False, 0.2): "486bd601f1323e55",
     ("toffoli_mix_5.qasm", 4, "kway", True, 0.0): "c9692ddf6190ef8e",
     ("toffoli_mix_5.qasm", 4, "kway", True, 0.2): "c9692ddf6190ef8e",
     ("toffoli_mix_5.qasm", 4, "kway", False, 0.0): "e33dba483378a662",
     ("toffoli_mix_5.qasm", 4, "kway", False, 0.2): "e33dba483378a662",
-    ("ghz:60", 2, "fm", True, 0.0): "4109011c2f6cf7e0",
-    ("ghz:60", 2, "kway", False, 0.0): "4109011c2f6cf7e0",
+    ("ghz:60", 2, "fm", True, 0.0): "d02d7bf19c922a91",
+    ("ghz:60", 2, "kway", False, 0.0): "d02d7bf19c922a91",
     ("ghz:60", 3, "fm", True, 0.2): "65c586c829ab0afd",
     ("ghz:60", 3, "kway", False, 0.2): "f19d705f2f41c64d",
-    ("ghz:60", 4, "fm", True, 0.0): "6b0e99d9a349cabf",
+    ("ghz:60", 4, "fm", True, 0.0): "2e34bc36738730ae",
     ("ghz:60", 4, "kway", False, 0.0): "5a3efa0db0febcea",
     ("ghz:400", 2, "fm", False, 0.2): "f70556cf1ba64c91",
     ("ghz:400", 2, "kway", True, 0.2): "f70556cf1ba64c91",
-    ("ghz:400", 3, "fm", False, 0.0): "6b4150a1d7d77a87",
+    ("ghz:400", 3, "fm", False, 0.0): "c0e0e09b79ae9d77",
     ("ghz:400", 3, "kway", True, 0.0): "816056f32e12abec",
     ("ghz:400", 4, "fm", False, 0.2): "1dcc73ebe4d13063",
     ("ghz:400", 4, "kway", True, 0.2): "2525a9208aa7c546",
-    ("qft:16", 2, "fm", True, 0.0): "ce78d005614ffab3",
+    ("qft:16", 2, "fm", True, 0.0): "a95bd0a28521d0ee",
     ("qft:16", 2, "kway", False, 0.0): "2ed37655e3137110",
-    ("qft:16", 3, "fm", True, 0.2): "a6110614194f053f",
+    ("qft:16", 3, "fm", True, 0.2): "65ad0e2b227d2f69",
     ("qft:16", 3, "kway", False, 0.2): "9dea8d1412b37186",
-    ("qft:16", 4, "fm", True, 0.0): "09c4fc68d5da5b53",
+    ("qft:16", 4, "fm", True, 0.0): "983534810725975d",
     ("qft:16", 4, "kway", False, 0.0): "8e2dafa01633dbba",
     ("qft:32", 2, "fm", False, 0.2): "a3cec70b8b8886fa",
     ("qft:32", 2, "kway", True, 0.2): "ebebf27491d5159f",
