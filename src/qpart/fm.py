@@ -755,13 +755,13 @@ def _restart_driver(h: Hypergraph, caps: list[int],
     a pass keeps only prefixes within them, so every restart ends at or
     above it.  A restart yet to run can at best tie on both, so the cost
     and deviation are always those that running every restart gives; only
-    such a tie may return another restart, as when both deals of the first pair to
-    meet the bound meet it and the grown one, run first, wins.  A grown
-    deal of a chain is already at the bound, which its first pass finds
-    with no move.  The bound is at most the cost of the random partition
-    of seeds[0], and a pass keeps only a prefix that lowers the cost, so FM
-    never ends above that partition.  All restarts share one engine, built
-    once.
+    such a tie may return another restart, as when both deals of the first
+    pair to meet the bound meet it and the grown one, run first, wins.  A
+    grown deal of a chain is already at the bound, which its first pass
+    finds with no move.  The bound is at most the cost of the random
+    partition of seeds[0], and a pass keeps only a prefix that lowers the
+    cost, so FM never ends above that partition.  All restarts share one
+    engine, built once.
     """
     n = sum(v.weight for v in h.vertices)
     total = sum(caps)

@@ -627,7 +627,8 @@ def test_cli_stats_oversized_register_exit1(tmp_path, capsys):
     path.write_text("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
     assert main(["stats", str(path)]) == 1
     assert capsys.readouterr().err == ("error: register 'q' takes the circuit to "
-                                       "99999999999999999999 qubits, over the 16777216 it may hold\n")
+                                       "99999999999999999999 qubits, over the 16777216 "
+                                       "it may hold\n")
 
 
 def test_cli_partition_hmetis_oversized_vertex_count_exit1(tmp_path, capsys):
